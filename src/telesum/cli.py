@@ -20,11 +20,10 @@ from .hyperterm import (
     PoleError,
     UnboundParameterError,
     parse_linear_form,
+    parse_n_polynomial,
     parse_term,
-    _Parser as _TermParser,
-    _poly_eval,
 )
-from .polynomials import POLY_N, Polynomial
+from .polynomials import Polynomial
 from .series import known_gf
 from .suite import load_suite, report_lines, run_identity_suite
 from .verify import WZPair, VerificationError, oracle_sum
@@ -67,17 +66,10 @@ def _parse_params(pairs: list[str]) -> dict[str, int]:
 
 
 def _parse_n_polynomial(text: str, binding: dict[str, int]) -> Polynomial:
-    parser = _TermParser(f"({text})")
-    ast = parser.parse_poly_primary()
-    if parser.peek()[0] != "end":
-        parser.fail("trailing input after polynomial")
-    p = _poly_eval(ast, binding)
-    if p.degree > 0:
-        raise _UsageError(f"operator coefficient may not involve k: {text!r}")
-    c = p.coeff(0)
-    if c.den.degree != 0:
-        raise _UsageError(f"operator coefficient must be polynomial in n: {text!r}")
-    return c.num
+    try:
+        return parse_n_polynomial(text, binding)
+    except ValueError as exc:
+        raise _UsageError(f"operator coefficient {exc}") from None
 
 
 def _stringify(obj):

@@ -12,6 +12,11 @@ Evaluation conventions (fixed, and relied on by every oracle):
 * ``binom(a, b) = (-1)^b * binom(b-a-1, b)`` for ``a < 0, b >= 0``;
 * a factorial at a negative integer makes the whole term 0;
 * a vanishing prefactor denominator is a pole error naming the point.
+
+Evaluation runs on integer data compiled once per bound term (see
+``TermEvaluator``): the prefactor as integer coefficient rows and each
+factor's integer argument tuples.  The conventions above are unchanged by
+it, and so are the order of the checks and the errors raised.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .polynomials import (
     QN,
     Polynomial,
     RationalFunction,
-    eval_qnk,
     integer_qnk_pair,
     n_poly,
     shift_in_n,
@@ -237,9 +241,13 @@ def _factor_linforms(f: Factor) -> list[LinearForm]:
 
 
 class HyperTerm:
-    """Canonical product of factors with a reduced rational prefactor."""
+    """Canonical product of factors with a reduced rational prefactor.
 
-    __slots__ = ("factors", "prefactor")
+    ``_rows`` and ``_evaluator`` cache the integer prefactor rows and the
+    compiled evaluator; both are filled on first use.
+    """
+
+    __slots__ = ("factors", "prefactor", "_rows", "_evaluator")
 
     def __init__(self, factors: Iterable[tuple[Factor, int]], prefactor: RationalFunction):
         merged: dict[Factor, int] = {}
@@ -252,6 +260,8 @@ class HyperTerm:
         )
         object.__setattr__(self, "factors", canon)
         object.__setattr__(self, "prefactor", prefactor)
+        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_evaluator", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HyperTerm is immutable")
@@ -278,9 +288,30 @@ class HyperTerm:
         for value in binding.values():
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"parameter bindings must be integers >= 0, got {value!r}")
-        return HyperTerm(
+        bound = HyperTerm(
             [(_bind_factor(f, binding), e) for f, e in self.factors], self.prefactor
         )
+        # binding leaves the prefactor alone, so its integer rows carry over
+        object.__setattr__(bound, "_rows", self.prefactor_rows())
+        return bound
+
+    def prefactor_rows(self) -> tuple[tuple, tuple]:
+        """The prefactor as integer (numerator, denominator) coefficient rows.
+
+        Each is a tuple of rows, highest power of k first; each row holds
+        the integer coefficients of a polynomial in n, highest power first.
+        """
+        if self._rows is None:
+            num, den = integer_qnk_pair(self.prefactor)
+            object.__setattr__(self, "_rows", (_integer_rows(num), _integer_rows(den)))
+        return self._rows
+
+    def evaluator(self) -> "TermEvaluator":
+        """The term compiled for exact evaluation; raises if it is unbound."""
+        if self._evaluator is None:
+            self.require_bound()
+            object.__setattr__(self, "_evaluator", TermEvaluator(self))
+        return self._evaluator
 
     def require_bound(self) -> None:
         if self.has_params():
@@ -332,37 +363,98 @@ def binomial_value(a: int, b: int) -> int:
     return -v if b % 2 else v
 
 
+def _integer_rows(p: Polynomial) -> tuple[tuple[int, ...], ...]:
+    """Integer coefficient rows of a k-polynomial with integral Q[n] coefficients."""
+    return tuple(
+        tuple(int(c) for c in reversed(cf.coeffs)) for cf in reversed(p.coeffs)
+    )
+
+
+def _eval_rows(rows: tuple[tuple[int, ...], ...], n: int, k: int) -> int:
+    acc = 0
+    for row in rows:
+        c = 0
+        for a in row:
+            c = c * n + a
+        acc = acc * k + c
+    return acc
+
+
+def _int_form(lf: LinearForm) -> tuple[int, int, int]:
+    return lf.coeff_n, lf.coeff_k, lf.constant
+
+
+_BINOM, _FACT, _POWER = 0, 1, 2
+
+
+class TermEvaluator:
+    """A bound term compiled to integer data, evaluated exactly at (n, k).
+
+    Holds the prefactor's integer coefficient rows and, per factor, its
+    ``(coeff_n, coeff_k, constant)`` argument tuples and exponent.  A call
+    works on Python ints and builds one Fraction at the end; the checks run
+    in the order prefactor pole, then each factor in turn.
+    """
+
+    __slots__ = ("num_rows", "den_rows", "steps")
+
+    def __init__(self, term: HyperTerm) -> None:
+        self.num_rows, self.den_rows = term.prefactor_rows()
+        steps = []
+        for f, e in term.factors:
+            if isinstance(f, BinomialFactor):
+                steps.append((_BINOM, _int_form(f.top), _int_form(f.bottom), e, f))
+            elif isinstance(f, FactorialFactor):
+                steps.append((_FACT, _int_form(f.arg), None, e, f))
+            else:
+                base = (f.base.numerator, f.base.denominator)
+                steps.append((_POWER, _int_form(f.exponent), base, e, f))
+        self.steps = tuple(steps)
+
+    def __call__(self, n: int, k: int) -> Fraction:
+        den = _eval_rows(self.den_rows, n, k)
+        if not den:
+            raise PoleError(
+                f"prefactor denominator vanishes at (n, k) = ({n}, {k})", (n, k)
+            )
+        num = _eval_rows(self.num_rows, n, k)
+        for kind, (an, ak, ac), extra, e, f in self.steps:
+            arg = an * n + ak * k + ac
+            w = 1  # the factor's value is v/w
+            if kind == _BINOM:
+                bn, bk, bc = extra
+                v = binomial_value(arg, bn * n + bk * k + bc)
+            elif kind == _FACT:
+                if arg < 0:
+                    return Fraction(0)
+                v = math.factorial(arg)
+            else:
+                p, q = extra
+                if p == 0 and arg < 0:
+                    raise PoleError(
+                        f"zero base with negative exponent at (n, k) = ({n}, {k})", (n, k)
+                    )
+                v, w = (p**arg, q**arg) if arg >= 0 else (q**-arg, p**-arg)
+            if e > 0:
+                num *= v**e
+                if w != 1:
+                    den *= w**e
+            elif not v:
+                raise PoleError(
+                    f"zero factor {f.to_string()} with negative exponent at (n, k) = ({n}, {k})",
+                    (n, k),
+                )
+            else:
+                den *= v**-e
+                if w != 1:
+                    num *= w**-e
+        return Fraction(num, den)
+
+
 def eval_term(
     term: HyperTerm, n: int, k: int, binding: ParamBinding | None = None
 ) -> Fraction:
-    t = term.bind(binding)
-    t.require_bound()
-    try:
-        value = eval_qnk(t.prefactor, n, k)
-    except ZeroDivisionError:
-        raise PoleError(
-            f"prefactor denominator vanishes at (n, k) = ({n}, {k})", (n, k)
-        ) from None
-    for f, e in t.factors:
-        if isinstance(f, BinomialFactor):
-            base = Fraction(binomial_value(f.top.evaluate(n, k), f.bottom.evaluate(n, k)))
-        elif isinstance(f, FactorialFactor):
-            arg = f.arg.evaluate(n, k)
-            if arg < 0:
-                return Fraction(0)
-            base = Fraction(math.factorial(arg))
-        else:
-            exp = f.exponent.evaluate(n, k)
-            if f.base == 0 and exp < 0:
-                raise PoleError(f"zero base with negative exponent at (n, k) = ({n}, {k})", (n, k))
-            base = f.base**exp
-        if base == 0 and e < 0:
-            raise PoleError(
-                f"zero factor {f.to_string()} with negative exponent at (n, k) = ({n}, {k})",
-                (n, k),
-            )
-        value *= base**e
-    return value
+    return term.bind(binding).evaluator()(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +866,21 @@ def parse_linear_form(text: str) -> LinearForm:
     if parser.peek()[0] != "end":
         parser.fail("trailing input after linear form")
     return lf
+
+
+def parse_n_polynomial(text: str, binding: ParamBinding | None = None) -> Polynomial:
+    """Parse a polynomial in n (parameters need a binding) into Q[n].
+
+    Raises ParseError on malformed text and ValueError when it involves k.
+    """
+    parser = _Parser(f"({text})")
+    ast = parser.parse_poly_primary()
+    if parser.peek()[0] != "end":
+        parser.fail("trailing input after polynomial")
+    p = _poly_eval(ast, binding)
+    if p.degree > 0:
+        raise ValueError(f"may not involve k: {text!r}")
+    return p.coeff(0).num
 
 
 def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:

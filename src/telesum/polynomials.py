@@ -19,8 +19,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-BigRational = Fraction
-
 NEG_INFINITY = float("-inf")
 
 
@@ -341,12 +339,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def compose_poly(self, inner: "Polynomial") -> "Polynomial":
-        result = inner._spawn(())
-        for c in reversed(self.coeffs):
-            result = result * inner + c
-        return result
 
     def map_coeffs(self, fn, ring=None) -> "Polynomial":
         return Polynomial(self.var, ring if ring is not None else self.ring,
@@ -824,11 +816,6 @@ QNK = FractionField(POLY_K)
 def n_poly(*coeffs) -> Polynomial:
     """Polynomial in n over Q from ascending coefficients."""
     return POLY_N.poly(coeffs)
-
-
-def qn_const(value) -> RationalFunction:
-    """Embed an integer or Fraction into Q(n)."""
-    return QN.coerce(value)
 
 
 def k_poly(*coeffs) -> Polynomial:

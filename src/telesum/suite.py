@@ -17,7 +17,14 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .hyperterm import HyperTerm, LinearForm, eval_term, parse_linear_form, parse_term
+from .hyperterm import (
+    HyperTerm,
+    LinearForm,
+    UnboundParameterError,
+    eval_term,
+    parse_linear_form,
+    parse_term,
+)
 from .series import check_convolution_11897, check_shifted_central_identity
 from .verify import (
     SequenceSpec,
@@ -70,24 +77,51 @@ def _grid_points(grid: dict) -> list[dict]:
     return [dict(zip(names, combo)) for combo in itertools.product(*ranges)]
 
 
-def _bound_value(text: str, point: dict) -> int:
-    lf = parse_linear_form(text)
-    params = {v: point[v] for v in point if v != "n"}
-    return lf.bind(params).evaluate(point.get("n", 0), 0)
+class _CaseTexts:
+    """The side texts of one case, each parsed once while the case runs.
+
+    A term text is parsed with its parameters left symbolic and bound at
+    each point.  A text whose prefactor uses a parameter cannot be parsed
+    that way (UnboundParameterError), so it is parsed once per binding.
+    """
+
+    def __init__(self) -> None:
+        self._terms: dict[str, HyperTerm | None] = {}  # None: parse per binding
+        self._per_binding: dict[tuple, HyperTerm] = {}
+        self._forms: dict[str, LinearForm] = {}
+
+    def term(self, text: str, params: dict) -> HyperTerm:
+        if text not in self._terms:
+            try:
+                self._terms[text] = parse_term(text)
+            except UnboundParameterError:
+                self._terms[text] = None
+        term = self._terms[text]
+        if term is not None:
+            return term.bind(params)
+        key = (text, tuple(sorted(params.items())))
+        if key not in self._per_binding:
+            self._per_binding[key] = parse_term(text, params)
+        return self._per_binding[key]
+
+    def bound_value(self, text: str, n: int, params: dict) -> int:
+        if text not in self._forms:
+            self._forms[text] = parse_linear_form(text)
+        return self._forms[text].bind(params).evaluate(n, 0)
 
 
-def _side_value(side: list[dict], point: dict) -> Fraction:
+def _side_value(side: list[dict], point: dict, texts: _CaseTexts) -> Fraction:
     n = point.get("n", 0)
     params = {v: point[v] for v in point if v != "n"}
     total = Fraction(0)
     for comp in side:
         if "sum" in comp:
-            term = parse_term(comp["sum"], params)
-            lo = _bound_value(comp["from"], point)
-            hi = _bound_value(comp["to"], point)
+            term = texts.term(comp["sum"], params)
+            lo = texts.bound_value(comp["from"], n, params)
+            hi = texts.bound_value(comp["to"], n, params)
             total += oracle_sum(term, n, lo, hi)
         elif "term" in comp:
-            term = parse_term(comp["term"], params)
+            term = texts.term(comp["term"], params)
             total += eval_term(term, n, 0)
         else:
             raise ValueError(f"unknown side component {comp!r}")
@@ -98,8 +132,9 @@ def _check_sum_identity(case: dict) -> str | None:
     sides = case["sides"]
     if len(sides) < 2:
         raise ValueError(f"case {case.get('id')}: need at least two sides")
+    texts = _CaseTexts()
     for point in _grid_points(case["grid"]):
-        values = [_side_value(side, point) for side in sides]
+        values = [_side_value(side, point, texts) for side in sides]
         first = values[0]
         for i, v in enumerate(values[1:], start=2):
             if v != first:

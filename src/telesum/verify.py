@@ -9,8 +9,9 @@ at concrete integer points before checking.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -36,8 +37,11 @@ def oracle_sum(
     """Plain exact summation over an explicit k-range; the ground truth."""
     t = term.bind(binding)
     total = Fraction(0)
+    if k_hi < k_lo:
+        return total
+    value = t.evaluator()
     for k in range(k_lo, k_hi + 1):
-        total += eval_term(t, n, k)
+        total += value(n, k)
     return total
 
 
@@ -177,11 +181,22 @@ def check_boundary_couple(
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """A named sequence a_0, a_1, ... with a hard validity bound."""
+    """A named sequence a_0, a_1, ... with a hard validity bound.
+
+    ``scaled`` holds the values as integers over one common positive
+    denominator, computed once here so that transform checks can run on
+    integer sums.
+    """
 
     name: str
     length: int
     _values: tuple[Fraction, ...]
+    scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        den = math.lcm(*(v.denominator for v in self._values))
+        scaled = tuple(v.numerator * (den // v.denominator) for v in self._values)
+        object.__setattr__(self, "scaled", scaled)
 
     def value(self, i: int) -> Fraction:
         if not 0 <= i < self.length:
@@ -226,26 +241,29 @@ def seeded_random_sequences(
 
 def check_binomial_transform(seq: SequenceSpec, n: int, m: int) -> bool:
     """sum_{i<=n} sum_{j<=m} binom(n,i) binom(m,j) a_{i+j}
-       == sum_{k<=n+m} binom(n+m,k) a_k."""
-    lhs = Fraction(0)
+       == sum_{k<=n+m} binom(n+m,k) a_k.
+
+    Both sides are compared on the sequence's integer-scaled values, which
+    share one positive denominator.
+    """
+    top = n + m
+    if top >= 0:
+        seq.value(top)  # raises IndexError past the sequence's end
+    a = seq.scaled
+    row_m = [binomial_value(m, j) for j in range(m + 1)]
+    lhs = 0
     for i in range(n + 1):
         bi = binomial_value(n, i)
-        if not bi:
-            continue
-        for j in range(m + 1):
-            bj = binomial_value(m, j)
-            if bj:
-                lhs += bi * bj * seq.value(i + j)
-    rhs = sum(
-        binomial_value(n + m, k) * seq.value(k) for k in range(n + m + 1)
-    )
+        if bi:
+            lhs += bi * sum(bj * a[i + j] for j, bj in enumerate(row_m))
+    rhs = sum(binomial_value(top, k) * a[k] for k in range(top + 1))
     return lhs == rhs
 
 
 def check_transform_power_identity(n: int, m: int) -> bool:
     """sum_{i<=n} sum_{j<=m} binom(n,i) binom(m,j) binom(i+j,n)
        == binom(n+m,n) * 2^m."""
-    lhs = Fraction(0)
+    lhs = 0
     for i in range(n + 1):
         bi = binomial_value(n, i)
         if not bi:
@@ -260,8 +278,8 @@ def check_transform_power_identity(n: int, m: int) -> bool:
 def check_lower_triangle_identity(n: int) -> bool:
     """sum_{i<j} binom(n,i) binom(n,j) binom(i+j,n)
        == sum_{i<j} binom(n,i) binom(n,j)^2, both over 0 <= i < j <= n."""
-    lhs = Fraction(0)
-    rhs = Fraction(0)
+    lhs = 0
+    rhs = 0
     for j in range(n + 1):
         bj = binomial_value(n, j)
         for i in range(j):

@@ -23,10 +23,10 @@ from typing import Callable, Mapping
 
 from .gosper import degree_bound, gosper_normal_form
 from .hyperterm import (
+    BinomialFactor,
+    FactorialFactor,
     HyperTerm,
     ParamBinding,
-    PoleError,
-    eval_term,
     shift_quotient,
     term_to_string,
 )
@@ -229,38 +229,77 @@ def _attempt(
     return None
 
 
+def _nonnegative(coeff_k: int, const: int) -> tuple[int | None, int | None] | None:
+    """The k-interval where coeff_k*k + const >= 0 (None bounds are open)."""
+    if coeff_k == 0:
+        return (None, None) if const >= 0 else None
+    if coeff_k > 0:
+        return (-(const // coeff_k), None)
+    return (None, const // -coeff_k)
+
+
+def _meet(x, y):
+    if x is None or y is None:
+        return None
+    los = [v for v in (x[0], y[0]) if v is not None]
+    his = [v for v in (x[1], y[1]) if v is not None]
+    lo = max(los) if los else None
+    hi = min(his) if his else None
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return (lo, hi)
+
+
+def natural_support(term: HyperTerm, n: int) -> list[tuple[int | None, int | None]]:
+    """Disjoint k-intervals outside which the bound term is zero at this n.
+
+    They come from the factors' integer-linear arguments: binom(a, b) is
+    zero where b < 0 or 0 <= a < b, so a numerator binomial is nonzero only
+    on {b >= 0, a < 0} or {b >= 0, a >= b}; a factorial at a negative
+    argument zeroes the term whatever its exponent.  The factors' sets
+    intersect.  A bound of None means the interval is open on that side.
+    """
+    pieces: list = [(None, None)]
+    for f, e in term.factors:
+        if isinstance(f, BinomialFactor) and e > 0:
+            a, b = f.top, f.bottom
+            ac = a.coeff_n * n + a.constant
+            bc = b.coeff_n * n + b.constant
+            b_ok = _nonnegative(b.coeff_k, bc)
+            allowed = [
+                _meet(b_ok, _nonnegative(-a.coeff_k, -ac - 1)),
+                _meet(b_ok, _nonnegative(a.coeff_k - b.coeff_k, ac - bc)),
+            ]
+        elif isinstance(f, FactorialFactor):
+            allowed = [_nonnegative(f.arg.coeff_k, f.arg.coeff_n * n + f.arg.constant)]
+        else:
+            continue
+        pieces = [m for x in pieces for y in allowed if (m := _meet(x, y)) is not None]
+    return pieces
+
+
 def natural_sum(
     term: HyperTerm,
     n: int,
     binding: ParamBinding | None = None,
-    zero_run: int = 16,
-    cap: int = 2048,
 ) -> Fraction:
-    """sum_k F(n, k) over the term's natural support around k = 0.
+    """sum_k F(n, k) over the term's natural support (see natural_support).
 
-    The window grows in each direction until a run of zero_run consecutive
-    zero values; hitting the cap first raises BoundaryCheckError, which is
-    the signal that the summand has no natural finite support there.
+    Raises BoundaryCheckError when that support is unbounded in k.
     """
     t = term.bind(binding)
-    t.require_bound()
-    total = eval_term(t, n, 0)
-    for step in (1, -1):
-        zeros = 0
-        k = step
-        while zeros < zero_run:
-            if abs(k) > cap:
-                raise BoundaryCheckError(
-                    f"summand still nonzero near k = {k - step} at n = {n}; "
-                    "no natural support edge found"
-                )
-            v = eval_term(t, n, k)
-            if v:
-                total += v
-                zeros = 0
-            else:
-                zeros += 1
-            k += step
+    value = t.evaluator()
+    pieces = natural_support(t, n)
+    for lo, hi in pieces:
+        if lo is None or hi is None:
+            raise BoundaryCheckError(
+                f"the factors leave the support in k unbounded at n = {n}; "
+                "no natural support edge found"
+            )
+    total = Fraction(0)
+    for lo, hi in pieces:
+        for k in range(lo, hi + 1):
+            total += value(n, k)
     return total
 
 

@@ -125,6 +125,15 @@ def test_sum_natural_range_machine(capsys):
     assert rec == {"n": "3", "value": "20"}
 
 
+def test_sum_natural_support_beyond_k_16(capsys):
+    assert main(["sum", "binom(n,k)^2*binom(2k,n)", "--n", "32", "34"]) == 0
+    natural = capsys.readouterr().out
+    args = ["sum", "binom(n,k)^2*binom(2k,n)", "--n", "32", "34", "--from", "0", "--to", "n"]
+    assert main(args) == 0
+    assert natural == capsys.readouterr().out
+    assert "33: 6988453515115800846190860404" in natural
+
+
 def test_sum_half_open_bounds_rejected(capsys):
     code = main(["sum", "binom(n,k)", "--n", "0", "2", "--from", "0"])
     assert code == 1

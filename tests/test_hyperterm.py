@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,20 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telesum.hyperterm import (
+    BinomialFactor,
     DegenerateSampleError,
+    FactorialFactor,
     ParseError,
     PoleError,
     UnboundParameterError,
     binomial_value,
     eval_term,
     parse_linear_form,
+    parse_n_polynomial,
     parse_term,
     ratio_rational,
     shift_quotient,
     term_ratio_is_one,
     term_to_string,
 )
-from telesum.polynomials import eval_qnk
+from telesum.polynomials import eval_qnk, n_poly
 
 
 # -- the extended binomial convention ------------------------------------
@@ -322,3 +326,103 @@ def test_k_shift_property(text, n, k):
         return
     r = shift_quotient(t, "k")
     assert eval_term(t, n, k + 1) == fv * eval_qnk(r, n, k)
+
+
+# -- the compiled evaluator against the Q(n)(k) reference ------------------
+
+
+def _reference_value(t, n, k):
+    """The term's value built from the generic tower, factor by factor."""
+    try:
+        value = eval_qnk(t.prefactor, n, k)
+    except ZeroDivisionError:
+        raise PoleError(
+            f"prefactor denominator vanishes at (n, k) = ({n}, {k})", (n, k)
+        ) from None
+    for f, e in t.factors:
+        if isinstance(f, BinomialFactor):
+            base = Fraction(binomial_value(f.top.evaluate(n, k), f.bottom.evaluate(n, k)))
+        elif isinstance(f, FactorialFactor):
+            arg = f.arg.evaluate(n, k)
+            if arg < 0:
+                return Fraction(0)
+            base = Fraction(math.factorial(arg))
+        else:
+            exp = f.exponent.evaluate(n, k)
+            if f.base == 0 and exp < 0:
+                raise PoleError(f"zero base with negative exponent at (n, k) = ({n}, {k})", (n, k))
+            base = f.base**exp
+        if base == 0 and e < 0:
+            raise PoleError(
+                f"zero factor {f.to_string()} with negative exponent at (n, k) = ({n}, {k})",
+                (n, k),
+            )
+        value *= base**e
+    return value
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except PoleError as exc:
+        return ("pole", str(exc), exc.point)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "binom(n,k)*(2n+1)/(k+1)",  # rational prefactor, pole at k = -1
+        "binom(n,k)^2*(n^2-3k)/(2n-k)",  # prefactor pole along k = 2n
+        "binom(k-n-1,k)*binom(n,k)",  # negative-top binomial
+        "binom(n-2k,k)",  # top turns negative as k grows
+        "fact(k-2)*binom(n,k)",  # factorial at a negative argument
+        "binom(n,k)/fact(k-n)",  # ... also in the denominator
+        "2^(n-k)*binom(n,k)",  # negative exponent of a power
+        "3^(k-n)/5^k",  # rational powers in both parts
+        "binom(n,k+1)/binom(n,k)",  # zero factor with a negative exponent
+        "0^(n-k)",  # zero base: a pole for k > n, zero for k < n
+        "fact(n-k)*fact(k)/(k-3)fact(n)^2",  # prefactor pole before any factor
+    ],
+)
+def test_compiled_evaluator_matches_reference(text):
+    t = parse_term(text)
+    for n in range(-2, 7):
+        for k in range(-3, 9):
+            assert _outcome(eval_term, t, n, k) == _outcome(_reference_value, t, n, k), (n, k)
+
+
+def test_bound_term_evaluates_like_one_parsed_with_the_binding():
+    text = "binom(n+r,k)*2^(r-k)*fact(s-k)/(k+1)"
+    parent = parse_term(text)
+    for r in range(3):
+        for s in range(3):
+            binding = {"r": r, "s": s}
+            bound = parent.bind(binding)
+            parsed = parse_term(text, binding)
+            assert bound == parsed
+            # the prefactor's integer rows are shared, not rebuilt
+            assert bound.prefactor_rows() is parent.prefactor_rows()
+            for n in range(5):
+                for k in range(-2, 7):
+                    want = _outcome(eval_term, parsed, n, k)
+                    assert _outcome(eval_term, bound, n, k) == want
+                    assert _outcome(eval_term, parent, n, k, binding) == want
+
+
+def test_evaluator_is_compiled_once_and_keeps_unbound_errors():
+    t = parse_term("binom(n,k)*3^k/(n+1)")
+    assert t.evaluator() is t.evaluator()
+    assert t.evaluator()(2, 1) == eval_term(t, 2, 1) == 2
+    with pytest.raises(UnboundParameterError):
+        parse_term("binom(n+r,k)").evaluator()
+
+
+def test_parse_n_polynomial():
+    assert parse_n_polynomial("n^2-1") == n_poly(-1, 0, 1)
+    assert parse_n_polynomial("(r+1)n", {"r": 2}) == n_poly(0, 3)
+    with pytest.raises(ValueError, match="may not involve k"):
+        parse_n_polynomial("n+k")
+    with pytest.raises(UnboundParameterError):
+        parse_n_polynomial("r*n")
+    with pytest.raises(ParseError):
+        parse_n_polynomial("n+")

@@ -88,3 +88,60 @@ def test_broken_case_reports_error_detail():
     result = run_case(case)
     assert not result.ok
     assert result.detail.startswith("error:")
+
+
+def _count_parses(monkeypatch):
+    import telesum.suite as suite_mod
+
+    calls = []
+    real = suite_mod.parse_term
+
+    def counted(text, binding=None):
+        calls.append((text, dict(binding or {})))
+        return real(text, binding)
+
+    monkeypatch.setattr(suite_mod, "parse_term", counted)
+    return calls
+
+
+def test_sum_identity_parses_each_side_text_once(monkeypatch):
+    calls = _count_parses(monkeypatch)
+    case = {
+        "id": "p11916-small",
+        "kind": "sum_identity",
+        "grid": {"n": [1, 3], "r": [1, 3], "s": [1, 3]},
+        "sides": [
+            [{"sum": "binom(n+r,n)*binom(r+k,r-1)*binom(n+k,n)", "from": "0", "to": "s-1"}],
+            [{"sum": "binom(n+s,n)*binom(s+k,s-1)*binom(n+k,n)", "from": "0", "to": "r-1"}],
+        ],
+    }
+    result = run_case(case)
+    assert result.ok, result.detail
+    assert len(calls) <= 2
+
+
+def test_parameter_in_prefactor_is_parsed_once_per_binding(monkeypatch):
+    calls = _count_parses(monkeypatch)
+    case = {
+        "id": "scaled-row",
+        "kind": "sum_identity",
+        "grid": {"n": [0, 4], "r": [0, 3]},
+        "sides": [
+            [{"sum": "binom(n,k)*(r+1)", "from": "0", "to": "n"}],
+            [{"term": "(r+1)*2^n"}],
+        ],
+    }
+    result = run_case(case)
+    assert result.ok, result.detail
+    # per text: one unbound attempt, then one parse for each of the 4 r values
+    assert len(calls) == 2 * (1 + 4)
+    assert sorted(b["r"] for t, b in calls if b) == sorted(2 * [0, 1, 2, 3])
+
+
+def test_parse_cache_does_not_outlive_a_case(monkeypatch):
+    calls = _count_parses(monkeypatch)
+    case = mutation_catalog()[0]
+    run_case(case)
+    first = len(calls)
+    run_case(case)
+    assert len(calls) == 2 * first

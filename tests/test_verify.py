@@ -188,3 +188,19 @@ def test_transform_power_identity_values():
 def test_lower_triangle_identity():
     for n in range(12):
         assert check_lower_triangle_identity(n)
+
+
+def test_sequence_scaled_to_one_common_denominator():
+    seq = rational_sequence("mixed", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 12), -1])
+    assert seq.scaled == (6, 4, 1, -12)
+    assert seq.value(2) == Fraction(1, 12)
+
+
+def test_binomial_transform_mixed_denominators():
+    values = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 12), Fraction(-5, 6), 7, Fraction(1, 4)]
+    seq = rational_sequence("mixed", values)
+    for n in range(6):
+        for m in range(6 - n):
+            assert check_binomial_transform(seq, n, m)
+    with pytest.raises(IndexError, match="sequence mixed has no term 6"):
+        check_binomial_transform(seq, 3, 3)

@@ -17,6 +17,7 @@ from telesum.zeilberger import (
     TelescopingCertificate,
     creative_telescope,
     natural_sum,
+    natural_support,
     operator_equal,
     sum_recurrence_natural,
 )
@@ -142,7 +143,54 @@ def test_natural_sum_binomial_row():
 def test_natural_sum_unbounded_support_raises():
     t = parse_term("2^k")
     with pytest.raises(BoundaryCheckError):
-        natural_sum(t, 0, cap=64)
+        natural_sum(t, 0)
+
+
+def test_natural_sum_support_starting_past_k_16():
+    # the support of binom(2k,n) begins at k = ceil(n/2), beyond 16 for n >= 33
+    t = parse_term("binom(n,k)^2*binom(2k,n)")
+    assert natural_sum(t, 33) == 6988453515115800846190860404
+    for n in range(33, 37):
+        assert natural_sum(t, n) == oracle_sum(t, n, 0, n)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "binom(n,k)^2*binom(2k,n)",
+        "binom(2n,n+k)*binom(2n,n-k)",  # support reaches negative k
+        "binom(n,2k)*fact(n-k)",
+        "fact(n-k)*fact(k)/fact(n)",
+        "binom(n+2,k+1)*binom(n,k-1)*2^k",
+    ],
+)
+def test_natural_sum_matches_a_wide_window(text):
+    t = parse_term(text)
+    for n in range(0, 9):
+        assert natural_sum(t, n) == oracle_sum(t, n, -3 * n - 10, 3 * n + 10), n
+
+
+def test_natural_support_intervals():
+    assert natural_support(parse_term("binom(n,k)^2*binom(2k,n)"), 7) == [(4, 7)]
+    assert natural_support(parse_term("binom(m,k)*binom(n,p-k)", {"m": 4, "p": 3}), 1) == [
+        (2, 3)
+    ]
+    # a negative top keeps its terms, and a factorial cuts them off
+    assert natural_support(parse_term("binom(k-5,k)*fact(3-k)"), 0) == [(0, 3)]
+    assert natural_support(parse_term("binom(n,k)/binom(n+k,k)"), 2) == [(0, 2)]
+    assert natural_support(parse_term("binom(n,2)"), 1) == []
+
+
+def test_natural_sum_skips_poles_outside_the_support():
+    t = parse_term("binom(n,k)/(k+1)")
+    assert natural_sum(t, 3) == Fraction(15, 4)
+
+
+@pytest.mark.parametrize("text", ["binom(-n-1,k)", "binom(2k,n)"])
+def test_natural_sum_unbounded_support_raises_before_summing(text):
+    # binom(2k,n) is nonzero on two unbounded rays, k < 0 and k >= n/2
+    with pytest.raises(BoundaryCheckError):
+        natural_sum(parse_term(text), 3)
 
 
 def test_sum_recurrence_natural_table():
