@@ -23,6 +23,7 @@ from .hyperterm import HyperTerm, ParamBinding, eval_term, shift_quotient, term_
 from .linalg import solve_linear_system
 from .polynomials import (
     POLY_K,
+    POLY_N,
     QN,
     Polynomial,
     RationalFunction,
@@ -30,6 +31,7 @@ from .polynomials import (
     poly_gcd,
 )
 from .serialize import ratfun_to_record, ratfun_to_text
+from .verify import telescoping_identity
 
 
 class NotSummableError(Exception):
@@ -135,9 +137,9 @@ class GosperCertificate:
         return self.term.scale_rational(self.certificate)
 
     def check(self) -> bool:
-        """Exact soundness: R(k+1) * r(k) - R(k) = 1 in Q(n)(k)."""
-        lhs = self.certificate.shift(1) * self.ratio - self.certificate
-        return lhs.is_one()
+        """Exact soundness: R(k+1) * r(k) - R(k) = 1, the telescoping
+        identity with the single coefficient sigma_0 = 1."""
+        return telescoping_identity(self.term, (POLY_N.one(),), self.certificate)
 
     def text(self) -> str:
         return f"R(n,k) = {ratfun_to_text(self.certificate)}"

@@ -236,6 +236,13 @@ def _factor_linforms(f: Factor) -> list[LinearForm]:
     return [f.exponent]
 
 
+def _check_binding(binding: ParamBinding) -> None:
+    """Parameter values must be integers >= 0; raises ValueError otherwise."""
+    for value in binding.values():
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"parameter bindings must be integers >= 0, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # the term itself
 
@@ -285,9 +292,7 @@ class HyperTerm:
     def bind(self, binding: ParamBinding | None) -> "HyperTerm":
         if not binding:
             return self
-        for value in binding.values():
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"parameter bindings must be integers >= 0, got {value!r}")
+        _check_binding(binding)
         bound = HyperTerm(
             [(_bind_factor(f, binding), e) for f, e in self.factors], self.prefactor
         )
@@ -888,8 +893,11 @@ def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
 
     With a binding, parameter symbols are substituted immediately (and may
     then appear inside rational prefactors); without one they stay symbolic
-    and are restricted to binomial/factorial/power arguments.
+    and are restricted to binomial/factorial/power arguments.  Binding
+    values are checked as HyperTerm.bind checks them.
     """
+    if binding:
+        _check_binding(binding)
     parser = _Parser(text)
     num_atoms, den_atoms = parser.parse_term()
     factors: list[tuple[Factor, int]] = []

@@ -9,15 +9,8 @@ are then back-substituted in the coefficient field.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .polynomials import (
-    POLY_N,
-    QQ,
-    Polynomial,
-    RationalFunction,
-    poly_lcm,
-)
+from .polynomials import POLY_N, QQ, Polynomial, clear_qn
 
 
 def _clear_row(field, row: list) -> list[Polynomial]:
@@ -26,19 +19,7 @@ def _clear_row(field, row: list) -> list[Polynomial]:
     if field is QQ:
         m = math.lcm(*(f.denominator for f in elems)) if elems else 1
         return [POLY_N.constant(f * m) for f in elems]
-    common = POLY_N.one()
-    for e in elems:
-        if e:
-            common = poly_lcm(common, e.den)
-    polys = [
-        e.num * common.exact_div(e.den) if e else POLY_N.zero() for e in elems
-    ]
-    dens = [c.denominator for p in polys for c in p.coeffs if c]
-    scale = Fraction(math.lcm(*dens)) if dens else Fraction(1)
-    ints = [int(c * scale) for p in polys for c in p.coeffs if c]
-    if ints:
-        scale /= math.gcd(*ints)
-    return [p.mul_ground(scale) for p in polys]
+    return clear_qn(elems)[0]
 
 
 def _echelon(rows: list[list[Polynomial]], ncols: int) -> list[tuple[int, int]]:

@@ -10,7 +10,10 @@ coefficient ring, which lets the same class serve as
 
 The summation engine works over the tower ``Q -> Q[n] -> Q(n) -> Q(n)[k]
 -> Q(n)(k)``; module-level singletons for those rings live at the bottom
-of this file.
+of this file.  Certificate checks leave the tower: ``zz_pair`` turns a
+Q(n)(k) element into integer polynomials in n and k (dicts keyed by the
+exponent pair), on which ``zz_mul``, ``zz_add`` and ``zz_shift`` work
+without any gcd.
 """
 
 from __future__ import annotations
@@ -542,25 +545,10 @@ class RationalFunction:
 # gcd machinery
 
 
-def poly_divrem(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder with deg r < deg q; requires field coefficients."""
-    return divmod(p, q)
-
-
 def _int_content_normalize(coeffs: Sequence[Fraction]) -> list[int]:
     """Scale Fraction coefficients to a primitive integer list, positive lead."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    if ints and ints[-1] < 0:
-        ints = [-v for v in ints]
-    return ints
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _int_primitive([int(c * den) for c in coeffs])
 
 def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     da, db = len(a) - 1, len(b) - 1
@@ -731,18 +719,8 @@ def _clear_to_polynomial_coeffs(p: Polynomial) -> Polynomial:
     """Map Q(n)[k] into Q[n][k] (or keep Q[k]) by clearing denominators."""
     if isinstance(p.ring, RationalField):
         return p
-    if isinstance(p.ring, FractionField):
-        base = p.ring.poly_ring
-        common = base.one()
-        for c in p.coeffs:
-            common = poly_lcm(common, c.den) if c else common
-        cleared = []
-        for c in p.coeffs:
-            if not c:
-                cleared.append(base.zero())
-            else:
-                cleared.append(c.num * common.exact_div(c.den))
-        return Polynomial(p.var, base, cleared)
+    if p.ring == QN:
+        return Polynomial(p.var, POLY_N, clear_qn(p.coeffs)[0])
     raise TypeError(f"unsupported coefficient ring {p.ring!r}")
 
 
@@ -765,17 +743,25 @@ def _lift_into_j(p: Polynomial, jring: PolynomialRing) -> Polynomial:
     return Polynomial(p.var, jring, coeffs)
 
 
+def _squarefree_part(p: Polynomial) -> Polynomial:
+    """p / gcd(p, p'): the same roots, each once."""
+    return p.exact_div(poly_gcd(p, p._spawn([c * i for i, c in enumerate(p.coeffs)][1:])))
+
+
 def dispersion_set(p: Polynomial, q: Polynomial) -> list[int]:
     """All integers j >= 0 with deg gcd(p(k), q(k + j)) >= 1, sorted.
 
-    Works over Q[k] and over Q(n)[k]; candidates come from an integer-root
-    computation on a resultant in the shift variable, then each candidate
-    is confirmed by an exact gcd.
+    Works over Q[k] and over Q(n)[k].  p and q are first replaced by their
+    squarefree parts, which share roots with them, so the set is unchanged
+    while the resultant's degree in the shift variable drops (Man & Wright,
+    ISSAC 1994).  Candidates come from an integer-root computation on that
+    resultant; each is then confirmed by an exact gcd.
     """
     if p.var != q.var or p.ring != q.ring:
         raise TypeError("dispersion of polynomials from different rings")
     if p.degree < 1 or q.degree < 1:
         return []
+    p, q = _squarefree_part(p), _squarefree_part(q)
     a = _clear_to_polynomial_coeffs(p)
     b = _clear_to_polynomial_coeffs(q)
     jring = PolynomialRing("_j", a.ring)
@@ -854,6 +840,24 @@ def eval_qn(value: RationalFunction, n: int) -> Fraction:
     return value.evaluate(Fraction(n))
 
 
+def clear_qn(values: Sequence[RationalFunction]) -> tuple[list[Polynomial], Polynomial]:
+    """Q(n) elements times their least common multiplier m in Q[n].
+
+    The products are integer polynomials with joint content 1; m is the
+    lcm of the denominators times a positive rational.  Returns both.
+    """
+    common = POLY_N.one()
+    for v in values:
+        if v:
+            common = poly_lcm(common, v.den)
+    polys = [v.num * common.exact_div(v.den) if v else POLY_N.zero() for v in values]
+    scale = Fraction(math.lcm(*(c.denominator for p in polys for c in p.coeffs)))
+    ints = [int(c * scale) for p in polys for c in p.coeffs if c]
+    if ints:
+        scale /= math.gcd(*ints)
+    return [p.mul_ground(scale) for p in polys], common.mul_ground(scale)
+
+
 def clear_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
     """Rewrite a Q(n)(k) element as num/den with Q[n] coefficients.
 
@@ -878,36 +882,55 @@ def clear_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
 def integer_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
     """Canonical integer-coefficient num/den pair for a Q(n)(k) element.
 
-    Beyond clear_qnk_pair this scales away all Fraction denominators,
-    divides out the common integer content, and fixes the sign so the
-    denominator's leading coefficient is positive.
+    Beyond clear_qnk_pair this scales away all Fraction denominators and
+    divides out the common integer content.  The denominator's leading
+    coefficient is positive: it is 1 in the reduced form, and clear_qn
+    multiplies by a positive rational times a monic lcm.
     """
-    num, den = clear_qnk_pair(value)
-    dens = [
-        c.denominator
-        for p in (num, den)
-        for cf in p.coeffs
-        for c in cf.coeffs
-        if c
-    ]
-    scale = Fraction(math.lcm(*dens)) if dens else Fraction(1)
-    ints = [
-        int(c * scale)
-        for p in (num, den)
-        for cf in p.coeffs
-        for c in cf.coeffs
-        if c
-    ]
-    if ints:
-        scale /= math.gcd(*ints)
-    lead = den.lc().lc() if den else num.lc().lc()
-    if lead * scale < 0:
-        scale = -scale
+    size = len(value.num.coeffs)
+    polys, _ = clear_qn(value.num.coeffs + value.den.coeffs)
+    return (Polynomial(value.var, POLY_N, polys[:size]),
+            Polynomial(value.var, POLY_N, polys[size:]))
 
-    def scaled(p: Polynomial) -> Polynomial:
-        return p.map_coeffs(lambda cf: cf.mul_ground(scale))
 
-    return scaled(num), scaled(den)
+# ---------------------------------------------------------------------------
+# integer polynomials in n and k, as dicts {(n exponent, k exponent): int}
+
+
+def zz_pair(value: RationalFunction) -> tuple[dict, dict]:
+    """integer_qnk_pair of a Q(n)(k) element as two Z[n][k] dicts."""
+    return tuple(
+        {(i, j): int(c) for j, cf in enumerate(p.coeffs) for i, c in enumerate(cf.coeffs) if c}
+        for p in integer_qnk_pair(value)
+    )
+
+
+def zz_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i, j), c in a.items():
+        for (u, v), d in b.items():
+            out[i + u, j + v] = out.get((i + u, j + v), 0) + c * d
+    return out
+
+
+def zz_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + sign * c
+    return out
+
+
+def zz_shift(p: dict, dn: int, dk: int) -> dict:
+    """p(n + dn, k + dk)."""
+    out: dict = {}
+    for (i, j), c in p.items():
+        for s in range(i + 1):
+            cs = c * math.comb(i, s) * dn ** (i - s)
+            if not cs:
+                continue
+            for t in range(j + 1):
+                out[s, t] = out.get((s, t), 0) + cs * math.comb(j, t) * dk ** (j - t)
+    return out
 
 
 def eval_qnk(value: RationalFunction, n: int, k: int) -> Fraction:

@@ -9,14 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import (
-    POLY_K,
-    POLY_N,
-    QN,
-    Polynomial,
-    RationalFunction,
-    integer_qnk_pair,
-)
+from .polynomials import POLY_N, QN, Polynomial, RationalFunction, integer_qnk_pair
 
 
 def npoly_to_list(p: Polynomial) -> list[str]:

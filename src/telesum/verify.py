@@ -2,9 +2,9 @@
 certificate checks used to confirm every identity the engine handles.
 
 Nothing here trusts the solvers.  Sums are evaluated term by term with
-exact rationals; telescoping claims are re-checked as rational-function
-identities in the Q(n)(k) tower; auxiliary parameters are instantiated
-at concrete integer points before checking.
+exact rationals; telescoping claims are re-checked as cross-multiplied
+polynomial identities in Z[n][k], which needs no gcd; auxiliary
+parameters are instantiated at concrete integer points before checking.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .hyperterm import (
     shift_quotient,
     term_ratio_is_one,
 )
-from .polynomials import Polynomial, QN, shift_in_n
+from .polynomials import Polynomial, RationalFunction, zz_add, zz_mul, zz_pair, zz_shift
 
 
 class VerificationError(Exception):
@@ -66,24 +66,52 @@ def check_telescoping(
 ) -> bool:
     """Exact identity sum_j sigma_j(n) f(n+j, k) = g(n, k+1) - g(n, k).
 
-    g must be a rational multiple of f (same factor structure); the check
-    happens in Q(n)(k) after dividing through by f.
+    g must be a rational multiple of f (same factor structure); after
+    dividing through by f this is telescoping_identity with R = g/f.
     """
     fb = f.bind(binding)
     gb = g.bind(binding)
     fb.require_bound()
     gb.require_bound()
-    cert = ratio_rational(gb, fb)
-    r_k = shift_quotient(fb, "k")
-    r_n = shift_quotient(fb, "n")
-    lhs = cert.field.zero()
-    t_j = cert.field.one()
-    for j, c in enumerate(coeffs):
-        if j > 0:
-            t_j = t_j * shift_in_n(r_n, j - 1)
-        if c:
-            lhs = lhs + t_j * QN.coerce(c)
-    return lhs == cert.shift(1) * r_k - cert
+    return telescoping_identity(fb, coeffs, ratio_rational(gb, fb))
+
+
+def telescoping_identity(
+    term: HyperTerm, coeffs: Sequence[Polynomial], certificate: RationalFunction
+) -> bool:
+    """Exact identity sum_j sigma_j(n) T_j = R(k+1) r_k - R for a bound term F,
+    with T_j = F(n+j,k)/F(n,k) = prod_{i<j} r_n(n+i, k), r_k and r_n the
+    shift quotients of F, sigma_j = coeffs[j] and R the certificate.
+
+    It is checked cross-multiplied in Z[n][k], with no gcd.  Write
+    r_k = A/B, r_n = C/D, R = P/Q (integer_qnk_pair) and sigma_j = s_j/e
+    over one positive integer e.  The left side is L/(e*Delta) with
+    Delta = prod_{i<J} D(n+i), J = len(coeffs) - 1, and
+    L = sum_j s_j prod_{i<j} C(n+i) prod_{j<=i<J} D(n+i).  B, Q and Delta
+    are nonzero and Z[n][k] is an integral domain, so the identity holds
+    exactly when (L*Q + e*Delta*P) * B*Q(k+1) = e*Delta*A*P(k+1) * Q.
+    """
+    a, b = zz_pair(shift_quotient(term, "k"))
+    p, q = zz_pair(certificate)
+    order = len(coeffs) - 1
+    c, d = zz_pair(shift_quotient(term, "n")) if order > 0 else ({}, {})
+    cs = [zz_shift(c, i, 0) for i in range(order)]
+    ds = [zz_shift(d, i, 0) for i in range(order)]
+    e = math.lcm(*(v.denominator for s in coeffs for v in s.coeffs))
+    total: dict = {}
+    for j, s in enumerate(coeffs):
+        t = {(i, 0): int(v * e) for i, v in enumerate(s.coeffs) if v}
+        if not t:
+            continue
+        for factor in cs[:j] + ds[j:]:
+            t = zz_mul(t, factor)
+        total = zz_add(total, t)
+    e_delta = {(0, 0): e}
+    for factor in ds:
+        e_delta = zz_mul(e_delta, factor)
+    lhs = zz_mul(zz_add(zz_mul(total, q), zz_mul(e_delta, p)), zz_mul(b, zz_shift(q, 0, 1)))
+    rhs = zz_mul(zz_mul(zz_mul(e_delta, a), zz_shift(p, 0, 1)), q)
+    return not any(zz_add(lhs, rhs, -1).values())
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ and a rational certificate R(n, k) with
 
     sum_j sigma_j(n) F(n+j, k) = G(n, k+1) - G(n, k),   G = R * F,
 
-verified exactly in Q(n)(k).  Summing over k then turns the right side
-into boundary terms; when the summand vanishes outside its natural
-support the sum w(n) = sum_k F(n, k) satisfies sum_j sigma_j w(n+j) = 0.
+verified exactly as a cross-multiplied identity in Z[n][k].  Summing over
+k then turns the right side into boundary terms; when the summand vanishes
+outside its natural support the sum w(n) = sum_k F(n, k) satisfies
+sum_j sigma_j w(n+j) = 0.
 
 The search runs Gosper's machinery with parameterized right-hand side,
 increasing the order J until the homogeneous system has a solution that
@@ -16,7 +17,6 @@ actually involves the sigma's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -28,20 +28,19 @@ from .hyperterm import (
     HyperTerm,
     ParamBinding,
     shift_quotient,
-    term_to_string,
 )
 from .linalg import nullspace
 from .polynomials import (
     POLY_K,
-    POLY_N,
     QN,
     Polynomial,
     RationalFunction,
-    eval_qn,
+    clear_qn,
     poly_lcm,
     shift_in_n,
 )
 from .serialize import _npoly_string, npoly_to_list, ratfun_to_record, ratfun_to_text
+from .verify import telescoping_identity
 
 
 class NoRecurrenceFound(Exception):
@@ -103,30 +102,21 @@ def operator_equal(r1: Recurrence, r2: Recurrence) -> bool:
 
 
 def _normalize_solution(
-    sigmas: list[RationalFunction], certificate: RationalFunction
+    sigmas: list[RationalFunction],
 ) -> tuple[tuple[Polynomial, ...], RationalFunction]:
-    """Scale so the sigma's are integer polynomials, content 1, positive lead."""
+    """Scale so the sigma's are integer polynomials, content 1, positive lead.
+
+    Returns them with the k-free scale lambda, by which the certificate
+    must be multiplied too.
+    """
     while sigmas and sigmas[-1].is_zero():
         sigmas.pop()
     if not sigmas:
         raise ValueError("empty coefficient vector")
-    common = POLY_N.one()
-    for s in sigmas:
-        if s:
-            common = poly_lcm(common, s.den)
-    polys = [
-        s.num * common.exact_div(s.den) if s else POLY_N.zero() for s in sigmas
-    ]
-    dens = [c.denominator for p in polys for c in p.coeffs if c]
-    scale = Fraction(math.lcm(*dens)) if dens else Fraction(1)
-    ints = [int(c * scale) for p in polys for c in p.coeffs if c]
-    if ints:
-        scale /= math.gcd(*ints)
-    if polys[-1].lc() * scale < 0:
-        scale = -scale
-    coeffs = tuple(p.mul_ground(scale) for p in polys)
-    lam = QN.coerce(common.mul_ground(scale))
-    return coeffs, certificate * lam
+    polys, lam = clear_qn(sigmas)
+    if polys[-1].lc() < 0:
+        polys, lam = [-p for p in polys], -lam
+    return tuple(polys), QN.coerce(lam)
 
 
 @dataclass(frozen=True)
@@ -143,18 +133,9 @@ class TelescopingCertificate:
 
     def check(self) -> bool:
         """Exact identity sum_j sigma_j t_j = R(k+1) r(k) - R(k), where
-        t_j = F(n+j,k)/F(n,k) and r is the k-shift quotient of F."""
-        r_k = shift_quotient(self.term, "k")
-        r_n = shift_quotient(self.term, "n")
-        lhs = self.certificate.field.zero()
-        t_j = self.certificate.field.one()
-        for j, c in enumerate(self.recurrence.coeffs):
-            if j > 0:
-                t_j = t_j * shift_in_n(r_n, j - 1)
-            if c:
-                lhs = lhs + t_j * QN.coerce(c)
-        rhs = self.certificate.shift(1) * r_k - self.certificate
-        return lhs == rhs
+        t_j = F(n+j,k)/F(n,k) and r is the k-shift quotient of F, checked
+        cross-multiplied in Z[n][k] by verify.telescoping_identity."""
+        return telescoping_identity(self.term, self.recurrence.coeffs, self.certificate)
 
     def text(self) -> str:
         return (
@@ -220,8 +201,8 @@ def _attempt(
         if all(s.is_zero() for s in sig):
             continue
         x = Polynomial("k", QN, tuple(vec[: d + 1]))
-        certificate = RationalFunction(B * x, nf.c * q)
-        coeffs, certificate = _normalize_solution(sig, certificate)
+        coeffs, lam = _normalize_solution(sig)
+        certificate = RationalFunction((B * x).mul_ground(lam), nf.c * q)
         result = TelescopingCertificate(t, Recurrence(coeffs), certificate)
         if not result.check():
             raise AssertionError("internal error: telescoping check failed")

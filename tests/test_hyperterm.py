@@ -151,6 +151,22 @@ def test_bind_rejects_negative():
         t.bind({"r": -1})
 
 
+def test_parse_term_and_bind_share_the_binding_rule():
+    message = "parameter bindings must be integers >= 0, got -1"
+    with pytest.raises(ValueError, match=message):
+        parse_term("binom(n+r,k)", {"r": -1})
+    with pytest.raises(ValueError, match=message):
+        parse_term("binom(n+r,k)").bind({"r": -1})
+    for bad in (Fraction(1, 2), "2"):
+        with pytest.raises(ValueError):
+            parse_term("binom(n+r,k)", {"r": bad})
+        with pytest.raises(ValueError):
+            parse_term("binom(n+r,k)").bind({"r": bad})
+    parsed = parse_term("binom(n+r,k)", {"r": 0})
+    assert parsed == parse_term("binom(n+r,k)").bind({"r": 0})
+    assert eval_term(parsed, 3, 1) == 3
+
+
 def test_canonical_merge_of_factors():
     t = parse_term("2^k*2^k")
     u = parse_term("4^k")

@@ -24,7 +24,6 @@ from telesum.polynomials import (
     integer_roots,
     k_poly,
     n_poly,
-    poly_divrem,
     poly_gcd,
     poly_lcm,
     qnk,
@@ -119,7 +118,7 @@ def test_to_string_samples():
 def test_divmod_exact():
     p = _np(-1, 0, 1)
     q = _np(1, 1)
-    quo, rem = poly_divrem(p, q)
+    quo, rem = divmod(p, q)
     assert rem.is_zero()
     assert quo == _np(-1, 1)
 
@@ -157,7 +156,7 @@ def test_lcm_product_relation():
 def test_divrem_reconstruction_property(p, q):
     if q.is_zero():
         return
-    quo, rem = poly_divrem(p, q)
+    quo, rem = divmod(p, q)
     assert quo * q + rem == p
     assert rem.is_zero() or rem.degree < q.degree
 
@@ -228,6 +227,52 @@ def test_dispersion_set_self():
 
 def test_dispersion_empty():
     assert dispersion_set(_np(1, 1), _np(1, 1, 1)) == []
+
+
+def _qk(*coeffs: int) -> Polynomial:
+    return Polynomial("k", QQ, tuple(Fraction(c) for c in coeffs))
+
+
+def test_dispersion_set_repeated_roots_over_q():
+    assert dispersion_set(_qk(4, 1) ** 3, _qk(1, 1) ** 2) == [3]
+    p = _qk(0, 1) ** 2 * _qk(-4, 1) ** 3
+    assert dispersion_set(p, p) == dispersion_set(_qk(0, 1) * _qk(-4, 1), p) == [0, 4]
+
+
+def _lin(n_coeff: int, const: int) -> Polynomial:
+    """k + n_coeff*n + const in Q(n)[k]."""
+    return k_poly(_np(const, n_coeff), 1)
+
+
+# (p, q, squarefree part of p, squarefree part of q, dispersion set)
+QNK_DISPERSION_CASES = [
+    # roots n, -3, -n against n+4-j, -1-j, -n-5-j: j = 4 and j = 2
+    (
+        _lin(-1, 0) ** 3 * _lin(0, 3) ** 2 * _lin(1, 0),
+        _lin(-1, -4) ** 2 * _lin(0, 1) ** 4 * _lin(1, 5),
+        _lin(-1, 0) * _lin(0, 3) * _lin(1, 0),
+        _lin(-1, -4) * _lin(0, 1) * _lin(1, 5),
+        [2, 4],
+    ),
+    # the a and b of binom(n,k)^5's normal form: n+2 = -1-j has no solution
+    (_lin(-1, -2) ** 5, _lin(0, 1) ** 5, _lin(-1, -2), _lin(0, 1), []),
+    # a repeated factor irreducible over Q(n): (k+2)^2 + n against k^2 + n
+    (
+        (k_poly(_np(4, 1), 4, 1)) ** 2,
+        (k_poly(_np(0, 1), 0, 1)) ** 3,
+        k_poly(_np(4, 1), 4, 1),
+        k_poly(_np(0, 1), 0, 1),
+        [2],
+    ),
+    # a repeated factor against itself: only j = 0
+    (_lin(-1, 0) ** 2 * _lin(0, 3) ** 3, _lin(-1, 0) * _lin(0, 3) ** 2,
+     _lin(-1, 0) * _lin(0, 3), _lin(-1, 0) * _lin(0, 3), [0]),
+]
+
+
+@pytest.mark.parametrize("p, q, sp, sq, expected", QNK_DISPERSION_CASES)
+def test_dispersion_set_repeated_roots_over_qn(p, q, sp, sq, expected):
+    assert dispersion_set(p, q) == dispersion_set(sp, sq) == expected
 
 
 # -- rational functions --------------------------------------------------

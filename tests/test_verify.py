@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from telesum.hyperterm import binomial_value, parse_term
-from telesum.polynomials import n_poly
+from telesum.gosper import GosperCertificate, gosper_antidifference
+from telesum.hyperterm import binomial_value, parse_term, ratio_rational, shift_quotient
+from telesum.polynomials import POLY_N, QN, n_poly, shift_in_n
 from telesum.verify import (
     VerificationError,
     WZPair,
@@ -23,7 +24,9 @@ from telesum.verify import (
     rational_sequence,
     seeded_random_sequences,
     sum_table,
+    telescoping_identity,
 )
+from telesum.zeilberger import Recurrence, TelescopingCertificate, creative_telescope
 
 F1_TEXT = "binom(n+r,n)binom(r+k,r-1)binom(n+k,n)"
 G1_TEXT = "(-1)binom(n+r,n)binom(r+k,r-1)binom(n+k,n)*k(k+1)/(n+1)"
@@ -56,6 +59,108 @@ def test_check_telescoping_wrong_sign_fails():
     f = parse_term(F1_TEXT, {"r": 2})
     g_wrong = parse_term(G1_TEXT.replace("(-1)", ""), {"r": 2})
     assert not check_telescoping(f, g_wrong, COUPLE_COEFFS)
+
+
+# -- the cross-multiplied identity check against the Q(n)(k) summation ----
+
+
+def _reference_identity(term, coeffs, certificate):
+    """The summation in Q(n)(k) that telescoping_identity replaced, kept
+    here as its reference: every addition and product reduces by a gcd."""
+    r_k = shift_quotient(term, "k")
+    r_n = shift_quotient(term, "n")
+    lhs = certificate.field.zero()
+    t_j = certificate.field.one()
+    for j, c in enumerate(coeffs):
+        if j > 0:
+            t_j = t_j * shift_in_n(r_n, j - 1)
+        if c:
+            lhs = lhs + t_j * QN.coerce(c)
+    return lhs == certificate.shift(1) * r_k - certificate
+
+
+def _agree(term, coeffs, certificate):
+    got = telescoping_identity(term, coeffs, certificate)
+    assert got == _reference_identity(term, coeffs, certificate)
+    return got
+
+
+def _tamperings(coeffs, certificate):
+    """sigma_0 + 1, R * 2 and R shifted in k; each breaks the identity."""
+    yield (coeffs[0] + 1,) + tuple(coeffs[1:]), certificate
+    yield coeffs, certificate * 2
+    yield coeffs, certificate.shift(1)
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("binom(n,k)", 1),
+        ("binom(n,k)^2", 1),
+        ("binom(n,k)^3", 2),
+        ("binom(n,k)^2*binom(2k,n)", 2),
+    ],
+)
+def test_identity_check_on_ladder_certificates(text, order):
+    cert = creative_telescope(parse_term(text))
+    coeffs = cert.recurrence.coeffs
+    assert cert.recurrence.order == order
+    assert _agree(cert.term, coeffs, cert.certificate)
+    for bad_coeffs, bad_cert in _tamperings(coeffs, cert.certificate):
+        # at order 2 the reference's gcds blow up on a k-shifted R (minutes)
+        check = _agree if order == 1 else telescoping_identity
+        assert not check(cert.term, bad_coeffs, bad_cert)
+    tampered = TelescopingCertificate(
+        cert.term, Recurrence((coeffs[0] + 1,) + coeffs[1:]), cert.certificate
+    )
+    assert not tampered.check()
+
+
+@pytest.mark.parametrize(
+    "param, f_text, g_text", [("r", F1_TEXT, G1_TEXT), ("s", F2_TEXT, G2_TEXT)], ids=["r", "s"]
+)
+def test_identity_check_on_11916_pairs(param, f_text, g_text):
+    """Every pair of the suite's p11916 grid (r, s in 1..12), and its
+    companion with the sign flipped."""
+    for v in range(1, 13):
+        f = parse_term(f_text, {param: v})
+        for g, want in ((parse_term(g_text, {param: v}), True),
+                        (parse_term(g_text.replace("(-1)", ""), {param: v}), False)):
+            assert check_telescoping(f, g, COUPLE_COEFFS) is want
+            assert _agree(f, COUPLE_COEFFS, ratio_rational(g, f)) is want
+
+
+@pytest.mark.parametrize("text", ["fact(k)*k", "binom(n,k)*(n-2k)", "k*2^k", "binom(k,n)"])
+def test_identity_check_at_order_zero_is_gospers(text):
+    cert = gosper_antidifference(parse_term(text))
+    one = (POLY_N.one(),)
+    assert cert.check() and _agree(cert.term, one, cert.certificate)
+    for bad_coeffs, bad_cert in _tamperings(one, cert.certificate):
+        assert not _agree(cert.term, bad_coeffs, bad_cert)
+    for bad_cert in (cert.certificate * 2, cert.certificate.shift(1)):
+        bad = GosperCertificate(cert.term, cert.ratio, cert.normal_form, cert.x, bad_cert)
+        assert not bad.check()
+
+
+def test_identity_check_with_zero_sigma_entries():
+    """(S_n + 2)(S_n - 2) = S_n^2 - 4 annihilates sum_k binom(n,k); its
+    certificate is R(n+1,k) r_n + 2R, and sigma_1 = 0.  A zero sigma on
+    top, which lengthens the common denominator, changes nothing."""
+    cert = creative_telescope(parse_term("binom(n,k)"))
+    term, R = cert.term, cert.certificate
+    assert cert.recurrence.coeffs == (n_poly(-2), n_poly(1))
+    R2 = shift_in_n(R, 1) * shift_quotient(term, "n") + R * 2
+    coeffs = (n_poly(-4), POLY_N.zero(), n_poly(1))
+    assert _agree(term, coeffs, R2)
+    assert _agree(term, cert.recurrence.coeffs + (POLY_N.zero(),), R)
+    assert _agree(term, coeffs + (POLY_N.zero(),), R2)
+    for bad_coeffs, bad_cert in _tamperings(coeffs, R2):
+        assert not _agree(term, bad_coeffs, bad_cert)
+    assert not _agree(term, (n_poly(-4), n_poly(1), n_poly(1)), R2)
+    # sigma's with rational coefficients: the identity is linear in (sigma, R)
+    third = Fraction(1, 3)
+    assert _agree(term, tuple(c * third for c in coeffs), R2 * third)
+    assert not _agree(term, tuple(c * third for c in coeffs), R2)
 
 
 def test_wz_pair_check_on_grid():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from telesum.hyperterm import binomial_value, eval_term, parse_term
-from telesum.polynomials import n_poly
+from telesum.polynomials import QN, n_poly
 from telesum.verify import oracle_sum
 from telesum.zeilberger import (
     BoundaryCheckError,
@@ -15,6 +15,7 @@ from telesum.zeilberger import (
     Recurrence,
     RecurrenceCheckError,
     TelescopingCertificate,
+    _normalize_solution,
     creative_telescope,
     natural_sum,
     natural_support,
@@ -132,6 +133,21 @@ def test_no_recurrence_at_insufficient_order():
     with pytest.raises(NoRecurrenceFound) as info:
         creative_telescope(parse_term("binom(n,k)^3"), max_order=1)
     assert info.value.max_order == 1
+
+
+def test_normalized_sigmas_have_a_positive_top_and_return_their_scale():
+    sigmas = [QN.coerce(n_poly(-2)), QN.zero(), QN.coerce(n_poly(0, -4)) / QN.coerce(n_poly(1, 1))]
+    coeffs, lam = _normalize_solution(list(sigmas))
+    assert coeffs == (n_poly(1, 1), n_poly(), n_poly(0, 2))
+    for s, c in zip(sigmas, coeffs):
+        assert s * lam == QN.coerce(c)
+
+
+def test_fifth_power_has_no_recurrence_up_to_order_2():
+    # binom(n,k)^5 needs order 3; its normal form is (k-n-2)^5 against (k+1)^5
+    with pytest.raises(NoRecurrenceFound) as info:
+        creative_telescope(parse_term("binom(n,k)^5"), max_order=2)
+    assert info.value.max_order == 2
 
 
 def test_natural_sum_binomial_row():
