@@ -16,6 +16,7 @@ from fractions import Fraction
 from .gosper import NotSummableError, gosper_antidifference
 from .hyperterm import (
     DegenerateSampleError,
+    HyperTerm,
     ParseError,
     PoleError,
     UnboundParameterError,
@@ -65,6 +66,14 @@ def _parse_params(pairs: list[str]) -> dict[str, int]:
     return binding
 
 
+def _summand(args) -> HyperTerm:
+    """The term of a gosper or zeil command, bound to its --param values."""
+    term = parse_term(args.term, _parse_params(args.param))
+    if not term.prefactor:
+        raise _UsageError("the summand is identically zero")
+    return term
+
+
 def _parse_n_polynomial(text: str, binding: dict[str, int]) -> Polynomial:
     try:
         return parse_n_polynomial(text, binding)
@@ -99,8 +108,7 @@ def _caret_diagnostic(err: ParseError) -> str:
 
 
 def _cmd_gosper(args) -> int:
-    binding = _parse_params(args.param)
-    term = parse_term(args.term, binding)
+    term = _summand(args)
     try:
         cert = gosper_antidifference(term)
     except NotSummableError as exc:
@@ -120,8 +128,9 @@ def _cmd_gosper(args) -> int:
 
 
 def _cmd_zeil(args) -> int:
-    binding = _parse_params(args.param)
-    term = parse_term(args.term, binding)
+    if args.jmax < 1:
+        raise _UsageError(f"--jmax must be >= 1, got {args.jmax}")
+    term = _summand(args)
     try:
         cert = creative_telescope(term, max_order=args.jmax)
     except NoRecurrenceFound as exc:

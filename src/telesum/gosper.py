@@ -11,16 +11,21 @@ the degree of a polynomial unknown, and solve
     z * a(k) * x(k+1) - b(k-1) * x(k) = c(k)
 
 by linear algebra.  Then R = b(k-1) * x(k) / c(k), and soundness is the
-exact identity R(k+1) * r(k) - R(k) = 1.
+exact identity R(k+1) * r(k) - R(k) = 1.  Both the indefinite decision and
+Zeilberger's creative telescoping run this step through one routine,
+``parameterized_gosper``, whose right-hand side is c(k) times a linear
+combination of given polynomials; Gosper is its case with the single
+polynomial 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .hyperterm import HyperTerm, ParamBinding, eval_term, shift_quotient, term_to_string
-from .linalg import solve_linear_system
+from .linalg import nullspace
 from .polynomials import (
     POLY_K,
     POLY_N,
@@ -98,29 +103,37 @@ def degree_bound(
     return max(candidates) if candidates else None
 
 
-def solve_recurrence_polynomial(
-    z: RationalFunction,
-    a: Polynomial,
-    b: Polynomial,
-    rhs: Polynomial,
-    degree: int,
-) -> Polynomial | None:
-    """A polynomial x with z*a(k)*x(k+1) - b(k-1)*x(k) = rhs, deg x <= degree."""
-    B = b.shift(-1)
+def parameterized_gosper(
+    ratio: RationalFunction, rhs: Sequence[Polynomial]
+) -> tuple[GosperNormalForm, int | None, tuple[Polynomial, list] | None]:
+    """Gosper's step with parameters on the right-hand side.
+
+    Brings the k-shift quotient into normal form, bounds the degree d of a
+    polynomial x, and solves
+
+        z * a(k) * x(k+1) - b(k-1) * x(k) = c(k) * sum_j sigma_j * p_j(k)
+
+    for x and constants sigma_j in Q(n), given rhs = [p_0, ..., p_J], as
+    one nullspace computation.  When d is None only x = 0 can occur and
+    the system has no x columns.  Returns the normal form, d, and the first
+    nullspace solution (x, sigma) with some sigma_j nonzero, or None in
+    its place.  With rhs [1] this is Gosper's equation, and the solution
+    found has sigma_0 = 1 and the free coefficients of x set to zero.
+    """
+    nf = gosper_normal_form(ratio)
+    extra = max(int(p.degree) for p in rhs)
+    d = degree_bound(nf.z, nf.a, nf.b, nf.c, rhs_extra=extra)
+    nx = 0 if d is None else d + 1
+    B = nf.b.shift(-1)
     k = POLY_K.gen()
-    cols = []
-    for i in range(degree + 1):
-        mono = k**i
-        cols.append((a * mono.shift(1)).mul_ground(z) - B * mono)
-    height = max(
-        [int(col.degree) for col in cols if col] + [int(rhs.degree) if rhs else 0]
-    ) + 1
+    cols = [(nf.a * (k**i).shift(1)).mul_ground(nf.z) - B * k**i for i in range(nx)]
+    cols += [-(nf.c * p) for p in rhs]
+    height = max(int(col.degree) for col in cols if col) + 1
     matrix = [[col.coeff(r) for col in cols] for r in range(height)]
-    target = [rhs.coeff(r) for r in range(height)]
-    sol = solve_linear_system(matrix, target, field=QN)
-    if sol is None:
-        return None
-    return Polynomial("k", QN, tuple(sol))
+    for vec in nullspace(matrix, ncols=len(cols)):
+        if any(vec[nx:]):
+            return nf, d, (Polynomial("k", QN, tuple(vec[:nx])), vec[nx:])
+    return nf, d, None
 
 
 @dataclass(frozen=True)
@@ -163,17 +176,16 @@ def gosper_antidifference(
     t = term.bind(binding)
     t.require_bound()
     ratio = shift_quotient(t, "k")
-    nf = gosper_normal_form(ratio)
-    d = degree_bound(nf.z, nf.a, nf.b, nf.c)
+    nf, d, solution = parameterized_gosper(ratio, [POLY_K.one()])
     if d is None:
         raise NotSummableError(
             f"degree bound rules out a polynomial solution for {term_to_string(t)}"
         )
-    x = solve_recurrence_polynomial(nf.z, nf.a, nf.b, nf.c, d)
-    if x is None or not x:
+    if solution is None:
         raise NotSummableError(
             f"no polynomial solution up to degree {d} for {term_to_string(t)}"
         )
+    x = solution[0]
     cert = RationalFunction(nf.b.shift(-1) * x, nf.c)
     result = GosperCertificate(t, ratio, nf, x, cert)
     if not result.check():

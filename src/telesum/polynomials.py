@@ -658,40 +658,47 @@ def integer_roots(p: Polynomial) -> list[int]:
 # resultants and dispersion
 
 
-def _bareiss_determinant(ring, rows: list[list]) -> object:
-    """Fraction-free determinant; entries live in an integral domain."""
-    n = len(rows)
-    if n == 0:
-        return ring.one()
-    m = [row[:] for row in rows]
+def bareiss(ring, rows: list[list], ncols: int) -> tuple[list[tuple[int, int]], int]:
+    """Fraction-free (Bareiss) echelon form of rows over an integral domain.
+
+    Works in place.  Pivots are sought only in the first ncols columns;
+    later columns ride along as right-hand sides.  Every division is exact
+    (``ring.exact_div``), so entries stay in the ring; on a square matrix
+    of full rank the last pivot is the determinant of the row-permuted
+    matrix.  Returns the pivot (row, column) pairs in order and the sign,
+    +1 or -1, of the row permutation.
+    """
+    pivots: list[tuple[int, int]] = []
     sign = 1
-    prev = ring.one()
-    for i in range(n - 1):
-        pivot_row = None
-        for r in range(i, n):
-            if m[r][i]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return ring.zero()
-        if pivot_row != i:
-            m[i], m[pivot_row] = m[pivot_row], m[i]
+    zero, prev = ring.zero(), ring.one()
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            rows[r], rows[sel] = rows[sel], rows[r]
             sign = -sign
-        piv = m[i][i]
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = ring.exact_div(piv * m[r][c] - m[r][i] * m[i][c], prev)
-            m[r][i] = ring.zero()
+        piv = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            head = rows[i][c]
+            for j in range(c + 1, len(rows[i])):
+                rows[i][j] = ring.exact_div(piv * rows[i][j] - head * rows[r][j], prev)
+            rows[i][c] = zero
+        pivots.append((r, c))
         prev = piv
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+        r += 1
+    return pivots, sign
 
 
 def resultant(p: Polynomial, q: Polynomial):
-    """Resultant of p and q in their shared variable, via Sylvester/Bareiss.
+    """Resultant of p and q in their shared variable: the determinant of
+    their Sylvester matrix, by Bareiss elimination.
 
-    Returns an element of the coefficient ring.  The coefficient ring may
-    itself be a polynomial ring; all divisions performed are exact.
+    Returns an element of the coefficient ring, lc(p)^deg q * lc(q)^deg p
+    times the product of (a - b) over the roots a of p and b of q.  The
+    coefficient ring may itself be a polynomial ring; all divisions
+    performed are exact.
     """
     if p.var != q.var or p.ring != q.ring:
         raise TypeError("resultant of polynomials from different rings")
@@ -712,7 +719,11 @@ def resultant(p: Polynomial, q: Polynomial):
         rows.append([zero] * i + pc + [zero] * (size - i - dp - 1))
     for i in range(dp):
         rows.append([zero] * i + qc + [zero] * (size - i - dq - 1))
-    return _bareiss_determinant(ring, rows)
+    pivots, sign = bareiss(ring, rows, size)
+    if len(pivots) < size:
+        return zero
+    det = rows[-1][-1]
+    return -det if sign < 0 else det
 
 
 def _clear_to_polynomial_coeffs(p: Polynomial) -> Polynomial:

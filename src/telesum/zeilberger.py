@@ -10,7 +10,8 @@ k then turns the right side into boundary terms; when the summand vanishes
 outside its natural support the sum w(n) = sum_k F(n, k) satisfies
 sum_j sigma_j w(n+j) = 0.
 
-The search runs Gosper's machinery with parameterized right-hand side,
+The search runs gosper.parameterized_gosper with the right-hand sides
+p_j = q * F(n+j, k)/F(n, k), q the common denominator of those ratios,
 increasing the order J until the homogeneous system has a solution that
 actually involves the sigma's.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .gosper import degree_bound, gosper_normal_form
+from .gosper import parameterized_gosper
 from .hyperterm import (
     BinomialFactor,
     FactorialFactor,
@@ -29,7 +30,6 @@ from .hyperterm import (
     ParamBinding,
     shift_quotient,
 )
-from .linalg import nullspace
 from .polynomials import (
     POLY_K,
     QN,
@@ -181,33 +181,16 @@ def _attempt(
         q = poly_lcm(q, tj.den)
     p_list = [tj.num * q.exact_div(tj.den) for tj in t_list]
     rho = RationalFunction(r_k.num * q, r_k.den * q.shift(1))
-    nf = gosper_normal_form(rho)
-    extra = max(int(p.degree) for p in p_list)
-    d = degree_bound(nf.z, nf.a, nf.b, nf.c, rhs_extra=extra)
-    if d is None:
-        d = -1
-    B = nf.b.shift(-1)
-    k = POLY_K.gen()
-    cols = []
-    for i in range(d + 1):
-        mono = k**i
-        cols.append((nf.a * mono.shift(1)).mul_ground(nf.z) - B * mono)
-    for p in p_list:
-        cols.append(-(nf.c * p))
-    height = max(int(col.degree) for col in cols if col) + 1
-    matrix = [[col.coeff(r) for col in cols] for r in range(height)]
-    for vec in nullspace(matrix, field=QN, ncols=len(cols)):
-        sig = list(vec[d + 1 :])
-        if all(s.is_zero() for s in sig):
-            continue
-        x = Polynomial("k", QN, tuple(vec[: d + 1]))
-        coeffs, lam = _normalize_solution(sig)
-        certificate = RationalFunction((B * x).mul_ground(lam), nf.c * q)
-        result = TelescopingCertificate(t, Recurrence(coeffs), certificate)
-        if not result.check():
-            raise AssertionError("internal error: telescoping check failed")
-        return result
-    return None
+    nf, _, solution = parameterized_gosper(rho, p_list)
+    if solution is None:
+        return None
+    x, sigma = solution
+    coeffs, lam = _normalize_solution(sigma)
+    certificate = RationalFunction((nf.b.shift(-1) * x).mul_ground(lam), nf.c * q)
+    result = TelescopingCertificate(t, Recurrence(coeffs), certificate)
+    if not result.check():
+        raise AssertionError("internal error: telescoping check failed")
+    return result
 
 
 def _nonnegative(coeff_k: int, const: int) -> tuple[int | None, int | None] | None:

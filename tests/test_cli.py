@@ -75,6 +75,22 @@ def test_zeil_exhausted_exit_three(capsys):
     assert "no recurrence" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["gosper", "0"], ["zeil", "0*binom(n,k)"]])
+def test_zero_summand_exit_one(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: the summand is identically zero\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("jmax", ["0", "-1"])
+def test_zeil_jmax_below_one_exit_one(jmax, capsys):
+    assert main(["zeil", "binom(n,k)", "--jmax", jmax]) == 1
+    captured = capsys.readouterr()
+    assert "--jmax must be >= 1" in captured.err
+    assert captured.out == ""
+
+
 def test_zeil_machine_matches_plain_run(capsys):
     assert main(["zeil", "--machine", "binom(n,k)"]) == 0
     (rec,) = _machine_lines(capsys)

@@ -201,3 +201,53 @@ def test_constructed_differences_are_summable(coeffs, base):
     for k in range(0, 6):
         direct += eval_term(f, 0, k)
         assert telescoped_sum(cert, 0, 0, k) == direct
+
+
+# -- the polynomial solution behind the certificate ----------------------
+
+SUMMABLE = (
+    "k*fact(k)",
+    "2^k",
+    "fact(k-1)/fact(k+1)",
+    "binom(2k,k)*binom(2n-2k+2,n-k+1)/(k+1)",
+    "binom(n,k)*(n-2*k)",
+    "k^3*2^k",
+)
+
+
+@pytest.mark.parametrize("text", SUMMABLE)
+def test_x_solves_gosper_equation(text):
+    # z*a(k)*x(k+1) - b(k-1)*x(k) = c(k), which check() sees only through R
+    cert = gosper_antidifference(parse_term(text))
+    nf, x = cert.normal_form, cert.x
+    assert (nf.a * x.shift(1)).mul_ground(nf.z) - nf.b.shift(-1) * x == nf.c
+
+
+def _rec(num, den=(("1",),)):
+    return {"num": [list(row) for row in num], "den": [list(row) for row in den]}
+
+
+ONE = _rec((("1",),))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("k*fact(k)", {
+            "x": ONE, "a": _rec((("1",), ("1",))), "b": ONE, "c": _rec((("0",), ("1",))),
+            "z": ONE, "R": _rec((("1",),), (("0",), ("1",))),
+        }),
+        ("binom(n,k)*(n-2*k)", {
+            "x": _rec((("-1",),), (("2",),)), "a": _rec((("0", "-1"), ("1",))),
+            "b": _rec((("1",), ("1",))), "c": _rec((("0", "-1"), ("2",)), (("2",),)),
+            "z": _rec((("-1",),)), "R": _rec((("0",), ("-1",)), (("0", "-1"), ("2",))),
+        }),
+        ("k^3*2^k", {
+            "x": _rec((("-26",), ("18",), ("-6",), ("1",))), "a": ONE, "b": ONE,
+            "c": _rec((("0",), ("0",), ("0",), ("1",))), "z": _rec((("2",),)),
+            "R": _rec((("-26",), ("18",), ("-6",), ("1",)), (("0",), ("0",), ("0",), ("1",))),
+        }),
+    ],
+)
+def test_record_values(text, expected):
+    assert gosper_antidifference(parse_term(text)).record() == expected

@@ -43,14 +43,14 @@ def test_solve_over_function_field():
     one = QN.one()
     # n*x + y = n^2 + 1, x + y = n + 1  ->  x = n, y = 1
     sol = solve_linear_system(
-        [[n, one], [one, one]], [n * n + 1, n + 1], field=QN
+        [[n, one], [one, one]], [n * n + 1, n + 1]
     )
     assert sol == [n, one]
 
 
 def test_singular_but_consistent_over_qn():
     n = QN.coerce(n_poly(0, 1))
-    sol = solve_linear_system([[n, n]], [n], field=QN)
+    sol = solve_linear_system([[n, n]], [n])
     assert sol == [QN.one(), QN.zero()]
 
 
@@ -75,7 +75,7 @@ def test_nullspace_zero_matrix_full():
 def test_nullspace_over_qn():
     n = QN.coerce(n_poly(0, 1))
     # single relation x0*n + x1 = 0
-    basis = nullspace([[n, QN.one()]], field=QN)
+    basis = nullspace([[n, QN.one()]])
     assert len(basis) == 1
     v = basis[0]
     assert v[0] * n + v[1] == QN.zero()

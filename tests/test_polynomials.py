@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telesum.polynomials import (
@@ -211,6 +212,34 @@ def test_resultant_vs_gcd():
     b = _np(3, 1)
     assert resultant(a, b) != 0
     assert poly_gcd(a, b).degree == 0
+
+
+def _monic(roots) -> Polynomial:
+    p = _np(1)
+    for a in roots:
+        p = p * _np(-a, 1)
+    return p
+
+
+small_roots = st.lists(st.integers(min_value=-3, max_value=3), max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_roots, small_roots)
+# the Sylvester elimination swaps rows on these two
+@example([-2, 1], [-1])
+@example([1, 1], [2])
+def test_resultant_is_product_of_root_differences(a_roots, b_roots):
+    # res(prod (x - a_i), prod (x - b_j)) = prod (a_i - b_j), sign included
+    expected = math.prod(a - b for a in a_roots for b in b_roots)
+    assert resultant(_monic(a_roots), _monic(b_roots)) == expected
+
+
+def test_resultant_over_qn():
+    # (k + n)(k - 2n) against k - n: the elimination swaps rows here too
+    n = QN.coerce(_np(0, 1))
+    k = k_poly(0, 1)
+    assert resultant((k + n) * (k - 2 * n), k - n) == (-n - n) * (2 * n - n)
 
 
 def test_dispersion_set():
