@@ -66,12 +66,15 @@ def _parse_params(pairs: list[str]) -> dict[str, int]:
     return binding
 
 
+def _nonzero(term: HyperTerm, name: str) -> HyperTerm:
+    if not term.prefactor:
+        raise _UsageError(f"{name} is identically zero")
+    return term
+
+
 def _summand(args) -> HyperTerm:
     """The term of a gosper or zeil command, bound to its --param values."""
-    term = parse_term(args.term, _parse_params(args.param))
-    if not term.prefactor:
-        raise _UsageError("the summand is identically zero")
-    return term
+    return _nonzero(parse_term(args.term, _parse_params(args.param)), "the summand")
 
 
 def _parse_n_polynomial(text: str, binding: dict[str, int]) -> Polynomial:
@@ -150,7 +153,7 @@ def _cmd_zeil(args) -> int:
 
 def _cmd_wz_check(args) -> int:
     binding = _parse_params(args.param)
-    f = parse_term(args.f_term, binding)
+    f = _nonzero(parse_term(args.f_term, binding), "F")
     g = parse_term(args.g_term, binding)
     coeffs = tuple(_parse_n_polynomial(c, binding) for c in args.coeff)
     try:

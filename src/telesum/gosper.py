@@ -115,14 +115,17 @@ def parameterized_gosper(
 
     for x and constants sigma_j in Q(n), given rhs = [p_0, ..., p_J], as
     one nullspace computation.  When d is None only x = 0 can occur and
-    the system has no x columns.  Returns the normal form, d, and the first
-    nullspace solution (x, sigma) with some sigma_j nonzero, or None in
-    its place.  With rhs [1] this is Gosper's equation, and the solution
+    the system has no x columns; with a single nonzero p_0 its only
+    solution is sigma_0 = 0, so no elimination is run.  Returns the normal
+    form, d, and the first nullspace solution (x, sigma) with some sigma_j
+    nonzero, or None in its place.  With rhs [1] this is Gosper's equation, and the solution
     found has sigma_0 = 1 and the free coefficients of x set to zero.
     """
     nf = gosper_normal_form(ratio)
     extra = max(int(p.degree) for p in rhs)
     d = degree_bound(nf.z, nf.a, nf.b, nf.c, rhs_extra=extra)
+    if d is None and len(rhs) == 1 and rhs[0]:
+        return nf, d, None
     nx = 0 if d is None else d + 1
     B = nf.b.shift(-1)
     k = POLY_K.gen()

@@ -1,14 +1,16 @@
 """Exact linear algebra for the telescoping solvers.
 
 Systems come in over Q(n).  Rows are cleared to integer polynomials in n
-(``clear_qn``) and reduced with fraction-free (Bareiss) elimination
-(``polynomials.bareiss``), so no rational-function gcd work happens inside
-the pivoting loop; nullspace vectors are then back-substituted in Q(n).
+(``clear_qn``), held as int tuples (``ZnPoly``), and reduced with
+fraction-free (Bareiss) elimination (``polynomials.bareiss``), so neither
+the pivoting loop nor the back-substitution does rational arithmetic.
+Each nullspace vector is back-substituted in Z[n] over one common
+denominator and turned into Q(n) entries once, at the end.
 """
 
 from __future__ import annotations
 
-from .polynomials import POLY_N, QN, bareiss, clear_qn
+from .polynomials import QN, ZN, RationalFunction, ZnPoly, bareiss, clear_qn
 
 
 def solve_linear_system(matrix: list[list], rhs: list) -> list | None:
@@ -38,26 +40,31 @@ def nullspace(matrix: list[list], ncols: int | None = None) -> list[list]:
         if nrows == 0:
             raise ValueError("ncols is required for an empty matrix")
         ncols = len(matrix[0])
-    rows = [clear_qn([QN.coerce(e) for e in row])[0] for row in matrix]
+    rows = [[ZnPoly.from_poly(p) for p in clear_qn([QN.coerce(e) for e in row])[0]]
+            for row in matrix]
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
-    pivots, _ = bareiss(POLY_N, rows, ncols)
-    pivot_cols = {c for _, c in pivots}
-    one = QN.one()
-    zero = QN.zero()
+    pivots, _ = bareiss(ZN, rows, ncols)
+    # By Cramer's rule the vector for free column fc, times the pivot of the
+    # last pivot row left of fc, lies in Z[n]; so every division below is exact.
+    pivot_rows = {c: r for r, c in pivots}
+    den = ZN.one()
     basis = []
     for fc in range(ncols):
-        if fc in pivot_cols:
+        if fc in pivot_rows:
+            den = rows[pivot_rows[fc]][fc]
             continue
-        vec = [zero] * ncols
-        vec[fc] = one
+        vec = [ZN.zero()] * ncols
+        vec[fc] = den
         for r, c in reversed(pivots):
             if c > fc:
                 continue
-            acc = zero
-            for c2 in range(c + 1, ncols):
-                if rows[r][c2] and vec[c2] != zero:
-                    acc = acc + QN.coerce(rows[r][c2]) * vec[c2]
-            vec[c] = -acc / QN.coerce(rows[r][c])
-        basis.append(vec)
+            row = rows[r]
+            acc = ZN.zero()
+            for c2 in range(c + 1, fc + 1):
+                if row[c2] and vec[c2]:
+                    acc = acc + row[c2] * vec[c2]
+            vec[c] = ZN.exact_div(-acc, row[c])
+        common = den.to_poly()
+        basis.append([RationalFunction(v.to_poly(), common) if v else QN.zero() for v in vec])
     return basis

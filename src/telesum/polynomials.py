@@ -1,19 +1,23 @@
 """Exact arithmetic: rationals, dense polynomials, and rational functions.
 
-Everything here is built from ``fractions.Fraction`` upward, so all results
-are exact.  Polynomials are dense coefficient tuples over a pluggable
+All results are exact: coefficients are Python ints or ``fractions.Fraction``
+values.  Polynomials are dense coefficient tuples over a pluggable
 coefficient ring, which lets the same class serve as
 
 * ``Q[k]`` (coefficients ``Fraction``),
 * ``Q(n)[k]`` (coefficients ``RationalFunction`` in ``n``), and
 * nested rings such as ``Q[n][j]`` used inside resultant computations.
 
-The summation engine works over the tower ``Q -> Q[n] -> Q(n) -> Q(n)[k]
--> Q(n)(k)``; module-level singletons for those rings live at the bottom
-of this file.  Certificate checks leave the tower: ``zz_pair`` turns a
-Q(n)(k) element into integer polynomials in n and k (dicts keyed by the
-exponent pair), on which ``zz_mul``, ``zz_add`` and ``zz_shift`` work
-without any gcd.
+The summation engine states its objects in the tower ``Q -> Q[n] -> Q(n)
+-> Q(n)[k] -> Q(n)(k)``, built from ``Fraction`` upward; module-level
+singletons for those rings live at the bottom of this file.  The costly
+steps leave the tower for integer polynomials.  ``ZnPoly`` is Z[n] as a
+tuple of ints; ``linalg`` eliminates on it, and ``poly_gcd`` over Q(n)
+clears its inputs to Z[n][k], where one integer specialization of n proves
+most gcds to be 1 and Brown's evaluation/interpolation finds the others.
+Certificate checks use ``zz_pair``, which turns a Q(n)(k) element into
+integer polynomials in n and k (dicts keyed by the exponent pair), on
+which ``zz_mul``, ``zz_add`` and ``zz_shift`` work without any gcd.
 """
 
 from __future__ import annotations
@@ -576,35 +580,86 @@ def _int_primitive(coeffs: list[int]) -> list[int]:
         coeffs = [-v for v in coeffs]
     return coeffs
 
-def _rational_poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    # primitive pseudo-remainder sequence over the integers, then monic
-    a = _int_content_normalize(p.coeffs)
-    b = _int_content_normalize(q.coeffs)
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd in Q[x] of two integer coefficient lists, as a primitive integer
+    list with positive lead: a primitive pseudo-remainder sequence."""
+    a, b = _int_primitive(a), _int_primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _int_primitive(_int_pseudo_rem(a, b))
+    return a
+
+
+def _rational_poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    a = _int_gcd(_int_content_normalize(p.coeffs), _int_content_normalize(q.coeffs))
     lead = a[-1]
     return Polynomial(p.var, p.ring, tuple(Fraction(c, lead) for c in a))
 
 
+def _qn_poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Monic gcd in Q(n)[k], decided in Z[n][k].
+
+    p and q are cleared to N and D in Z[n][k].  At the first n0 >= 0 with
+    lc_k(N)(n0) * lc_k(D)(n0) != 0, a gcd of degree 0 in Q[k] of N(n0, k)
+    and D(n0, k) proves the gcd is 1: a common factor G, primitive in
+    Z[n][k], has lc_k(G) | lc_k(N) (Gauss's lemma), so G(n0, k) keeps its
+    degree and divides both images.  Otherwise the gcd comes from Brown's
+    dense interpolation (JACM 18, 1971): with gamma = gcd(lc_k N, lc_k D),
+    the images gamma(n0) * monic gcd at points of least image degree are
+    the values of H = (gamma / lc_k G) * G, whose n-degree is at most
+    e = deg gamma + min(deg_n N, deg_n D), so e + 1 points fix H.  Its
+    primitive part in k is accepted only if it divides N and D.  Points
+    whose image degree is too high (unlucky) give a candidate that fails
+    that division, and there are finitely many of them.
+    """
+    num = [ZnPoly.from_poly(c) for c in clear_qn(p.coeffs)[0]]
+    den = [ZnPoly.from_poly(c) for c in clear_qn(q.coeffs)[0]]
+    one = PolynomialRing(p.var, p.ring).one()
+    n0 = _good_point(num, den, 0)
+    g = _zn_image_gcd(num, den, n0)
+    if len(g) == 1:
+        return one
+    num, den = _zn_primitive_part(num), _zn_primitive_part(den)
+    gamma = ZnPoly(_int_gcd(list(num[-1]), list(den[-1])))
+    need = len(gamma) + min(max(map(len, num)), max(map(len, den))) - 1
+    points: list[int] = []
+    images: list[list[int]] = []
+    while True:
+        if points and len(g) < len(images[0]):
+            points, images = [], []
+        if not points or len(g) == len(images[0]):
+            points.append(n0)
+            images.append(g)
+        if len(points) == need:
+            cand = _zn_primitive_part(_interpolate_images(points, images, gamma))
+            if _zn_divides(cand, num) and _zn_divides(cand, den):
+                lead = cand[-1].to_poly()
+                return Polynomial(p.var, p.ring, tuple(
+                    RationalFunction(c.to_poly(), lead) for c in cand))
+            points, images = [], []
+        n0 = _good_point(num, den, n0 + 1)
+        g = _zn_image_gcd(num, den, n0)
+        if len(g) == 1:
+            return one
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd over a coefficient field."""
+    """Monic gcd over Q (``_rational_poly_gcd``) or over Q(n) (``_qn_poly_gcd``)."""
     if p.var != q.var or p.ring != q.ring:
         raise TypeError("gcd of polynomials from different rings")
     if not p:
         return q.monic()
     if not q:
         return p.monic()
-    if p.ring is QQ or isinstance(p.ring, RationalField):
+    if p.degree == 0 or q.degree == 0:
+        return PolynomialRing(p.var, p.ring).one()
+    if isinstance(p.ring, RationalField):
         return _rational_poly_gcd(p, q)
-    a, b = p.monic(), q.monic()
-    if a.degree < b.degree:
-        a, b = b, a
-    while b:
-        r = a % b
-        a, b = b, (r.monic() if r else r)
-    return a
+    if p.ring == QN:
+        return _qn_poly_gcd(p, q)
+    raise TypeError(f"no gcd for polynomials over {p.ring!r}")
 
 
 def poly_lcm(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -859,7 +914,7 @@ def clear_qn(values: Sequence[RationalFunction]) -> tuple[list[Polynomial], Poly
     """
     common = POLY_N.one()
     for v in values:
-        if v:
+        if v and v.den.degree > 0:
             common = poly_lcm(common, v.den)
     polys = [v.num * common.exact_div(v.den) if v else POLY_N.zero() for v in values]
     scale = Fraction(math.lcm(*(c.denominator for p in polys for c in p.coeffs)))
@@ -942,6 +997,188 @@ def zz_shift(p: dict, dn: int, dk: int) -> dict:
             for t in range(j + 1):
                 out[s, t] = out.get((s, t), 0) + cs * math.comb(j, t) * dk ** (j - t)
     return out
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials in n, as int tuples
+
+
+class ZnPoly(tuple):
+    """An element of Z[n]: ascending int coefficients, no trailing zeros.
+
+    Its operators are those of the ring, so ``bareiss`` runs on it with
+    the descriptor ``ZN``; a polynomial in k over Z[n] is a list of them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Iterable[int] = ()) -> "ZnPoly":
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return tuple.__new__(cls, coeffs)
+
+    @classmethod
+    def from_poly(cls, p: Polynomial) -> "ZnPoly":
+        """A Q[n] polynomial whose coefficients are integers."""
+        return tuple.__new__(cls, [c.numerator for c in p.coeffs])
+
+    def to_poly(self) -> Polynomial:
+        return Polynomial("n", QQ, tuple(Fraction(c) for c in self))
+
+    def __call__(self, x: int) -> int:
+        acc = 0
+        for c in reversed(self):
+            acc = acc * x + c
+        return acc
+
+    def __neg__(self) -> "ZnPoly":
+        return tuple.__new__(ZnPoly, [-c for c in self])
+
+    def __add__(self, other: "ZnPoly") -> "ZnPoly":
+        return self - (-other)
+
+    def __sub__(self, other: "ZnPoly") -> "ZnPoly":
+        if len(self) >= len(other):
+            out = list(self)
+            for i, c in enumerate(other):
+                out[i] -= c
+        else:
+            out = [-c for c in other]
+            for i, c in enumerate(self):
+                out[i] += c
+        return ZnPoly(out)
+
+    def __mul__(self, other: "ZnPoly") -> "ZnPoly":
+        if not self or not other:
+            return ZN_ZERO
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            if a:
+                for j, b in enumerate(other, i):
+                    out[j] += a * b
+        return tuple.__new__(ZnPoly, out)
+
+    def quotient(self, other: "ZnPoly") -> "ZnPoly | None":
+        """self / other in Z[n], or None when the division is not exact."""
+        if len(other) == 1 and other[0] == 1:
+            return self
+        rem = list(self)
+        db, lead = len(other) - 1, other[-1]
+        if len(rem) <= db:
+            return None if rem else self
+        quot = [0] * (len(rem) - db)
+        for i in range(len(rem) - 1, db - 1, -1):
+            if rem[i]:
+                q, r = divmod(rem[i], lead)
+                if r:
+                    return None
+                quot[i - db] = q
+                for j, b in enumerate(other, i - db):
+                    rem[j] -= q * b
+        if any(rem[:db]):
+            return None
+        return tuple.__new__(ZnPoly, quot)
+
+
+class IntPolyRing:
+    """Descriptor for Z[n] with ``ZnPoly`` elements."""
+
+    def zero(self) -> ZnPoly:
+        return ZN_ZERO
+
+    def one(self) -> ZnPoly:
+        return ZN_ONE
+
+    def exact_div(self, a: ZnPoly, b: ZnPoly) -> ZnPoly:
+        q = a.quotient(b)
+        if q is None:
+            raise ArithmeticError(f"inexact division in Z[n]: {a} by {b}")
+        return q
+
+    def __repr__(self) -> str:
+        return "Z[n]"
+
+
+ZN = IntPolyRing()
+ZN_ZERO = ZnPoly()
+ZN_ONE = ZnPoly((1,))
+
+
+def _good_point(num: list[ZnPoly], den: list[ZnPoly], start: int) -> int:
+    """The first n0 >= start where neither leading coefficient in k vanishes."""
+    n0 = start
+    while not (num[-1](n0) and den[-1](n0)):
+        n0 += 1
+    return n0
+
+
+def _zn_image_gcd(num: list[ZnPoly], den: list[ZnPoly], n0: int) -> list[int]:
+    return _int_gcd([c(n0) for c in num], [c(n0) for c in den])
+
+
+def _zn_primitive_part(rows: list[ZnPoly]) -> list[ZnPoly]:
+    """A polynomial in k over Z[n] divided by its content in Z[n]."""
+    content: list[int] = []
+    for r in rows:
+        content = _int_gcd(content, list(r))
+    if len(content) > 1:
+        rows = [ZN.exact_div(r, ZnPoly(content)) for r in rows]
+    g = math.gcd(*(c for r in rows for c in r))
+    if g > 1:
+        rows = [ZnPoly([c // g for c in r]) for r in rows]
+    return rows
+
+
+def _zn_divides(divisor: list[ZnPoly], rows: list[ZnPoly]) -> bool:
+    """Whether a polynomial in k over Z[n] divides another one in Z[n][k]."""
+    rem = list(rows)
+    db, lead = len(divisor) - 1, divisor[-1]
+    for i in range(len(rem) - 1, db - 1, -1):
+        if rem[i]:
+            q = rem[i].quotient(lead)
+            if q is None:
+                return False
+            for j, b in enumerate(divisor, i - db):
+                rem[j] = rem[j] - q * b
+    return not any(rem[:db])
+
+
+def _interpolate_images(
+    points: list[int], images: list[list[int]], gamma: ZnPoly
+) -> list[ZnPoly]:
+    """An integer multiple, in Z[n][k], of the H in Q[n][k] of n-degree
+    below len(points) with H(x, k) = gamma(x) * g / lc(g) at each point x
+    and its image g.
+
+    Lagrange form over a common denominator: with w = prod (n - x_j) and
+    w_i = w / (n - x_i), H = sum_i gamma(x_i) g_i / (lc(g_i) w_i(x_i)) w_i.
+    """
+    w = [1]
+    for x in points:
+        w = [0] + w
+        for i in range(len(w) - 1):
+            w[i] -= x * w[i + 1]
+    basis, dens = [], []
+    for x in points:
+        wi = [0] * (len(w) - 1)
+        acc = 0
+        for i in range(len(w) - 1, 0, -1):
+            acc = acc * x + w[i]
+            wi[i - 1] = acc
+        basis.append(wi)
+        dens.append(ZnPoly(wi)(x))
+    lcm = math.lcm(*(g[-1] * d for g, d in zip(images, dens)))
+    rows = []
+    for c in range(len(images[0])):
+        row = [0] * len(points)
+        for x, g, d, wi in zip(points, images, dens, basis):
+            s = gamma(x) * g[c] * (lcm // (g[-1] * d))
+            if s:
+                for i, b in enumerate(wi):
+                    row[i] += s * b
+        rows.append(ZnPoly(row))
+    return rows
 
 
 def eval_qnk(value: RationalFunction, n: int, k: int) -> Fraction:

@@ -122,6 +122,19 @@ def test_wz_check_false_pair_exit_four(capsys):
     assert "failed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("f_term, g_term", [("0", "0"), ("0*binom(n,k)", "binom(n,k)")])
+def test_wz_check_zero_f_exit_one(f_term, g_term, capsys):
+    assert main(["wz-check", f_term, g_term, "--coeff", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: F is identically zero\n"
+    assert captured.out == ""
+
+
+def test_zeil_fifth_power_at_order_3(capsys):
+    assert main(["zeil", "binom(n,k)^5", "--jmax", "3"]) == 0
+    assert "w(n+3) = 0" in capsys.readouterr().out.splitlines()[0]
+
+
 def test_wz_check_k_coefficient_rejected(capsys):
     code = main(["wz-check", "binom(n,k)", "binom(n,k)", "--coeff=k"])
     assert code == 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from telesum import gosper
 from telesum.gosper import (
     NotSummableError,
     degree_bound,
@@ -144,6 +145,24 @@ def test_record_structure():
 def test_not_summable_corpus(text):
     with pytest.raises(NotSummableError):
         gosper_antidifference(parse_term(text))
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("2^k/k", "degree bound rules out a polynomial solution for 2^(k)/(k)"),
+        ("binom(2k,k)", "degree bound rules out a polynomial solution for binom(2k,k)"),
+        ("fact(k)", "degree bound rules out a polynomial solution for fact(k)"),
+    ],
+)
+def test_degree_bound_refusal_runs_no_elimination(text, reason, monkeypatch):
+    def no_nullspace(*args, **kwargs):
+        raise AssertionError("nullspace called on a term the degree bound refuses")
+
+    monkeypatch.setattr(gosper, "nullspace", no_nullspace)
+    with pytest.raises(NotSummableError) as info:
+        gosper_antidifference(parse_term(text))
+    assert info.value.reason == reason
 
 
 def test_not_summable_reason_is_informative():

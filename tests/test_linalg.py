@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telesum.linalg import nullspace, solve_linear_system
@@ -133,3 +133,58 @@ def test_nullspace_vectors_annihilate(matrix):
         assert any(c != 0 for c in v)
         for row in matrix:
             assert sum(a * x for a, x in zip(row, v)) == 0
+
+
+def _rref_nullspace(matrix: list[list], ncols: int) -> list[list]:
+    """Reference: Gauss-Jordan over Q(n), one vector per free column."""
+    rows = [[QN.coerce(e) for e in row] for row in matrix]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = rows[r][c]
+        rows[r] = [e / inv for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [QN.zero()] * ncols
+        v[fc] = QN.one()
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][fc]
+        basis.append(v)
+    return basis
+
+
+zn_entries = st.one_of(
+    st.just(n_poly()),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3).map(
+        lambda cs: n_poly(*cs)),
+)
+
+
+_N = n_poly(0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda cols: st.lists(
+            st.lists(zn_entries, min_size=cols, max_size=cols), min_size=1, max_size=4
+        )
+    )
+)
+@example([[_N, n_poly(1), n_poly(2)], [_N * _N, _N, _N * 2]])  # rank 1, two free columns
+@example([[n_poly(0), _N, n_poly(1), n_poly(0, 0, 1)], [n_poly(0), n_poly(1), _N, n_poly(3)],
+          [n_poly(0), _N + 1, _N + 1, n_poly(3, 0, 1)]])  # leading zero column, row 3 = rows 1+2
+def test_nullspace_over_zn_matches_qn_reference(matrix):
+    ncols = len(matrix[0])
+    assert nullspace(matrix, ncols=ncols) == _rref_nullspace(matrix, ncols)

@@ -173,6 +173,75 @@ def test_gcd_divides_both(p, q):
     assert (q % g).is_zero()
 
 
+# -- gcd over Q(n) --------------------------------------------------------
+
+
+def _euclid_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Reference: Euclid's algorithm over the coefficient field, monic."""
+    a, b = p.monic(), q.monic()
+    if a.degree < b.degree:
+        a, b = b, a
+    while b:
+        r = a % b
+        a, b = b, (r.monic() if r else r)
+    return a
+
+
+def _falling(lc: Polynomial, vanish: int) -> Polynomial:
+    """lc times n(n-1)...(n-vanish+1), which is zero at n = 0..vanish-1."""
+    for i in range(vanish):
+        lc = lc * _np(-i, 1)
+    return lc
+
+
+def qnk_strategy(min_degree: int, max_degree: int):
+    """Polynomials in k over Z[n]; the leading coefficient may vanish at
+    n = 0, 1, 2, which makes those points bad for a gcd by specialization."""
+    zn = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=3)
+    return st.builds(
+        lambda rows, vanish: k_poly(*[_np(*r) for r in rows[:-1]],
+                                    _falling(_np(*rows[-1]) or _np(1), vanish)),
+        st.integers(min_value=min_degree, max_value=max_degree).flatmap(
+            lambda d: st.lists(zn, min_size=d + 1, max_size=d + 1)),
+        st.integers(min_value=0, max_value=3),
+    )
+
+
+_K = k_poly(0, 1)
+_N = QN.coerce(_np(0, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(qnk_strategy(0, 3), qnk_strategy(0, 2), qnk_strategy(0, 2))
+@example(k_poly(1), k_poly(_np(0, 1), 1), k_poly(2, 1))  # coprime
+@example(  # planted gcd of degree 2 with lc n(n-1)(n-2), cofactors sharing nothing
+    k_poly(_np(1, 1), 0, _falling(_np(1), 3)), k_poly(_np(0, 1), 1), k_poly(_np(0, 2), 1))
+def test_qn_gcd_matches_euclid_on_planted_factors(g, a, b):
+    p = (g * a).mul_ground(_N / (_N + 3))
+    q = g * b
+    got = poly_gcd(p, q)
+    assert got == _euclid_gcd(p, q)
+    assert got.degree >= g.degree
+
+
+@pytest.mark.parametrize(
+    "p, q, expected",
+    [
+        # n = 0 is unlucky (both images are k); n = 1 shows the gcd is 1
+        (_K + _N, _K + 2 * _N, k_poly(1)),
+        # n = 0 gives (k+1)^2 of too high degree; the true gcd has degree 1
+        ((_K + _N * _N + 1) * (_K + _N), (_K + _N * _N + 1) * (_K + 2 * _N), _K + _N * _N + 1),
+        # one point suffices, and n = 0's image k(k+1) fails the division check
+        ((_K + _N) * (_K + 1), _K * (_K + 1), _K + 1),
+        # every k-coefficient vanishes at n = 0, 1, 2 except the constant one
+        ((_K * _N * (_N - 1) * (_N - 2) + 1) * (_K + _N), (_K * _N * (_N - 1) * (_N - 2) + 1) * _K,
+         (_K * _N * (_N - 1) * (_N - 2) + 1).monic()),
+    ],
+)
+def test_qn_gcd_at_unlucky_points(p, q, expected):
+    assert poly_gcd(p, q) == expected == _euclid_gcd(p, q)
+
+
 @settings(max_examples=40)
 @given(npoly_strategy(), npoly_strategy(), npoly_strategy())
 def test_ring_axioms(p, q, r):

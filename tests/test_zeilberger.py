@@ -150,6 +150,75 @@ def test_fifth_power_has_no_recurrence_up_to_order_2():
     assert info.value.max_order == 2
 
 
+def test_fifth_power_recurrence_of_order_3():
+    cert = creative_telescope(parse_term("binom(n,k)^5"), max_order=3)
+    assert cert.recurrence.order == 3
+    assert cert.check()
+    sum_recurrence_natural(cert.term, cert.recurrence, n_hi=25)
+
+
+def _rows(*rows):
+    return [[str(c) for c in row] for row in rows]
+
+
+FRANEL_SIGMA = _rows([-8, -16, -8], [-16, -21, -7], [4, 4, 1])
+DEN_2 = _rows([4, 12, 13, 6, 1], [-12, -26, -18, -4], [13, 18, 6], [-6, -4], [1])
+
+
+# Records taken from the solver before its gcds and eliminations moved to Z[n].
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("binom(n,k)^3", {
+            "order": 2, "sigma": FRANEL_SIGMA,
+            "R": {
+                "num": _rows([0], [0], [0], [-72, -272, -402, -290, -102, -14],
+                             [78, 249, 291, 147, 27], [-30, -78, -66, -18], [4, 8, 4]),
+                "den": _rows([8, 36, 66, 63, 33, 9, 1], [-36, -132, -189, -132, -45, -6],
+                             [66, 189, 198, 90, 15], [-63, -132, -90, -20], [33, 45, 15],
+                             [-9, -6], [1]),
+            },
+        }),
+        ("binom(n,k)^2*binom(2*k,n)", {
+            "order": 2, "sigma": FRANEL_SIGMA,
+            "R": {
+                "num": _rows([0], [0], [0, -6, -15, -12, -3], [12, 44, 46, 14],
+                             [-28, -48, -20], [8, 8]),
+                "den": DEN_2,
+            },
+        }),
+        ("binom(n,k)^2*binom(n+k,k)^2", {
+            "order": 2,
+            "sigma": _rows([1, 3, 3, 1], [-117, -231, -153, -34], [8, 12, 6, 1]),
+            "R": {
+                "num": _rows([0], [0], [0], [0], [-96, -208, -144, -32], [-36, -24], [24, 16]),
+                "den": DEN_2,
+            },
+        }),
+        ("binom(n,k)^4", {
+            "order": 2,
+            "sigma": _rows([-60, -188, -192, -64], [-42, -82, -54, -12], [8, 12, 6, 1]),
+            "R": {
+                "num": _rows([0], [0], [0], [0],
+                             [-1080, -5380, -11330, -13075, -8930, -3610, -800, -75],
+                             [2256, 9776, 17412, 16312, 8476, 2316, 260],
+                             [-1980, -7302, -10620, -7612, -2688, -374],
+                             [900, 2744, 3088, 1520, 276], [-210, -508, -402, -104],
+                             [20, 36, 16]),
+                "den": _rows([16, 96, 248, 360, 321, 180, 62, 12, 1],
+                             [-96, -496, -1080, -1284, -900, -372, -84, -8],
+                             [248, 1080, 1926, 1800, 930, 252, 28],
+                             [-360, -1284, -1800, -1240, -420, -56],
+                             [321, 900, 930, 420, 70], [-180, -372, -252, -56],
+                             [62, 84, 28], [-12, -8], [1]),
+            },
+        }),
+    ],
+)
+def test_ladder_record_values(text, expected):
+    assert creative_telescope(parse_term(text)).record() == expected
+
+
 def test_natural_sum_binomial_row():
     t = parse_term("binom(n,k)")
     for n in range(8):
