@@ -204,6 +204,12 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    if args.order < 0:
+        raise _UsageError(f"--order must be >= 0, got {args.order}")
+    if args.family_index is not None and args.name != "ballot":
+        raise _UsageError(f"--family-index applies only to ballot, not {args.name!r}")
+    if (args.family_index or 0) < 0:
+        raise _UsageError(f"--family-index must be >= 0, got {args.family_index}")
     gf = known_gf(args.name, args.order, args.family_index)
     for i in range(gf.order + 1):
         if args.machine:

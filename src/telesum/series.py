@@ -3,12 +3,15 @@ used to cross-check convolution identities.
 
 A series carries its coefficients through a fixed truncation order;
 combining two series truncates to the shorter one.  All arithmetic is
-exact (Fraction coefficients).
+exact and runs on integers, numerators over one common denominator; only
+`coeffs` and `coeff` build Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable
 
 from .hyperterm import binomial_value
@@ -17,64 +20,68 @@ from .hyperterm import binomial_value
 class PowerSeries:
     """Coefficients c_0..c_order of a series truncated at x^order."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in coeffs)
-        )
-        if not self.coeffs:
+    def __new__(cls, coeffs: Iterable[Fraction | int]) -> "PowerSeries":
+        coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a series needs at least its constant term")
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            raise TypeError("series coefficients must be int or Fraction")
+        den = lcm(*(c.denominator for c in coeffs))
+        return _make([c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     def coeff(self, i: int) -> Fraction:
         if i < 0:
             raise IndexError("negative index")
         if i > self.order:
             raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
-        return self.coeffs[i]
+        return Fraction(self._num[i], self._den)
 
     def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:
             raise ValueError(f"cannot extend truncation {self.order} to {order}")
-        return PowerSeries(self.coeffs[: order + 1])
+        return _make(self._num[: _order(order) + 1], self._den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
+        return (isinstance(other, PowerSeries)
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:5])
         tail = ", ..." if self.order >= 5 else ""
         return f"PowerSeries([{head}{tail}]; order={self.order})"
 
-    def _zip(self, other: "PowerSeries") -> int:
-        return min(self.order, other.order)
-
     def __add__(self, other):
+        a, d = self._num, self._den
         if isinstance(other, (int, Fraction)):
-            return PowerSeries((self.coeffs[0] + other,) + self.coeffs[1:])
-        m = self._zip(other)
-        return PowerSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(m + 1))
-        )
+            p, q = other.numerator, other.denominator
+            return _make([a[0] * q + p * d] + [c * q for c in a[1:]], d * q)
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        e = other._den
+        return _make([x * e + y * d for x, y in zip(a, other._num)], d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeries(tuple(-c for c in self.coeffs))
+        return _make([-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries((self.coeffs[0] - other,) + self.coeffs[1:])
         return self + (-other)
 
     def __rsub__(self, other):
@@ -82,24 +89,20 @@ class PowerSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PowerSeries(tuple(c * other for c in self.coeffs))
-        m = self._zip(other)
-        out = [Fraction(0)] * (m + 1)
-        for i, a in enumerate(self.coeffs[: m + 1]):
-            if not a:
-                continue
-            for j in range(m + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(out)
+            return _make([c * other.numerator for c in self._num], self._den * other.denominator)
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        m = min(self.order, other.order)
+        a, rb = self._num, other._num[m::-1]
+        conv = [sum(map(mul, a[: i + 1], rb[m - i:])) for i in range(m + 1)]
+        return _make(conv, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = PowerSeries((Fraction(1),) + (Fraction(0),) * self.order)
+        result = one_series(self.order)
         base = self
         while e:
             if e & 1:
@@ -110,60 +113,78 @@ class PowerSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PowerSeries(tuple(c / other for c in self.coeffs))
+            if not other:
+                raise ZeroDivisionError("series divided by zero")
+            return _make([c * other.denominator for c in self._num], self._den * other.numerator)
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
         return self * other.inverse()
 
     def inverse(self) -> "PowerSeries":
-        f0 = self.coeffs[0]
+        f, f0, n = self._num, self._num[0], self.order
         if not f0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        out = [Fraction(1) / f0]
-        for m in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, m + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * out[m - i]
-            out.append(-acc / f0)
-        return PowerSeries(out)
+        # h_m = g_m*f0^(m+1) for g = 1/f is an integer: h_0 = 1 and
+        # h_m = -sum_{i=1..m} f_i*f0^(i-1)*h_(m-i).
+        scaled = [fi * f0 ** i for i, fi in enumerate(f[1:])]
+        h = [1]
+        for m in range(1, n + 1):
+            h.append(-sum(map(mul, scaled[:m], h[::-1])))
+        return _make([self._den * hm * f0 ** (n - m) for m, hm in enumerate(h)], f0 ** (n + 1))
 
     def sqrt(self) -> "PowerSeries":
         """Square root of a series with constant term 1."""
-        if self.coeffs[0] != 1:
+        f, d, n = self._num, self._den, self.order
+        if f[0] != d:
             raise ValueError("sqrt requires constant term 1")
-        out = [Fraction(1)]
-        for m in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, m):
-                acc += out[i] * out[m - i]
-            out.append((self.coeffs[m] - acc) / 2)
-        return PowerSeries(out)
+        # t_m = s_m*(4d)^m is an even integer for m >= 1:
+        # 2*t_m = f_m*4^m*d^(m-1) - sum_{i=1..m-1} t_i*t_(m-i).
+        t = [1]
+        for m in range(1, n + 1):
+            t.append((f[m] * 4 ** m * d ** (m - 1) - sum(map(mul, t[1:m], t[m - 1:0:-1]))) // 2)
+        return _make([tm * (4 * d) ** (n - m) for m, tm in enumerate(t)], (4 * d) ** n)
 
     def shift_down(self, m: int) -> "PowerSeries":
         """Divide by x^m; the first m coefficients must vanish."""
-        if any(self.coeffs[:m]):
+        if any(self._num[:m]):
             raise ValueError(f"series is not divisible by x^{m}")
-        if m > self.order:
-            raise ValueError("shift exceeds truncation order")
-        return PowerSeries(self.coeffs[m:])
+        if not 0 <= m <= self.order:
+            raise ValueError(f"shift {m} is outside 0..{self.order}")
+        return _make(self._num[m:], self._den)
+
+
+def _make(num, den: int) -> PowerSeries:
+    """num/den in the canonical form: numerators over den > 0, gcd(den, *num) 1."""
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    s = object.__new__(PowerSeries)
+    object.__setattr__(s, "_num", tuple(c // g for c in num) if g != 1 else tuple(num))
+    object.__setattr__(s, "_den", den // g)
+    return s
+
+
+def _order(order: int) -> int:
+    if order < 0:
+        raise ValueError(f"the truncation order must be >= 0, got {order}")
+    return order
 
 
 def x_series(order: int) -> PowerSeries:
-    return PowerSeries((0, 1) + (0,) * (order - 1)) if order >= 1 else PowerSeries((0,))
+    return PowerSeries((0, 1)[: _order(order) + 1] + (0,) * (order - 1))
 
 
 def one_series(order: int) -> PowerSeries:
-    return PowerSeries((1,) + (0,) * order)
+    return PowerSeries((1,) + (0,) * _order(order))
 
 
 def central_binomial_gf(order: int) -> PowerSeries:
     """1/sqrt(1-4x): coefficients binom(2n, n)."""
-    base = PowerSeries((1, -4) + (0,) * (order - 1)) if order else PowerSeries((1,))
+    base = PowerSeries((1, -4)[: _order(order) + 1] + (0,) * (order - 1))
     return base.sqrt().inverse()
 
 
 def catalan_gf(order: int) -> PowerSeries:
     """(1 - sqrt(1-4x))/(2x): the Catalan numbers."""
-    root = PowerSeries((1, -4) + (0,) * order).sqrt()  # one spare order for the shift
+    root = PowerSeries((1, -4) + (0,) * _order(order)).sqrt()  # one spare order for the shift
     return (one_series(order + 1) - root).shift_down(1) / 2
 
 
@@ -176,7 +197,7 @@ def ballot_gf(k: int, order: int) -> PowerSeries:
 
 def shifted_central_gf(order: int) -> PowerSeries:
     """(1 - sqrt(1-4x))/(x*sqrt(1-4x)): coefficients binom(2n+2, n+1)."""
-    root = PowerSeries((1, -4) + (0,) * order).sqrt()
+    root = PowerSeries((1, -4) + (0,) * _order(order)).sqrt()
     return (one_series(order + 1) - root).shift_down(1) * central_binomial_gf(order)
 
 

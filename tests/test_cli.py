@@ -181,6 +181,36 @@ def test_series_unknown_name_exit_one(capsys):
     assert "no-such-series" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["catalan", "central", "shifted-central", "ballot"])
+def test_series_negative_order_exit_one(name, capsys):
+    assert main(["series", name, "--order", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: --order must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
+def test_series_negative_family_index_exit_one(capsys):
+    assert main(["series", "ballot", "--family-index", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: --family-index must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["catalan", "central", "shifted-central"])
+def test_series_family_index_only_for_ballot(name, capsys):
+    assert main(["series", name, "--family-index", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: --family-index applies only to ballot, not {name!r}\n"
+    assert captured.out == ""
+
+
+def test_series_order_zero_and_ballot_index_zero(capsys):
+    assert main(["series", "central", "--order", "0"]) == 0
+    assert capsys.readouterr().out == "0: 1\n"
+    assert main(["series", "ballot", "--order", "2", "--family-index", "0"]) == 0
+    assert capsys.readouterr().out == "0: 1\n1: 2\n2: 6\n"
+
+
 def test_suite_passing_and_failing(tmp_path, capsys):
     good = tmp_path / "good.suite"
     good.write_text(

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from telesum.cli import main
 from telesum.hyperterm import binomial_value
 from telesum.series import (
     PowerSeries,
@@ -115,6 +118,12 @@ def test_shift_down_requires_zero_prefix():
         _series(1, 2).shift_down(1)
 
 
+@pytest.mark.parametrize("m", [-1, -2, 3])
+def test_shift_down_outside_the_truncation_rejected(m):
+    with pytest.raises(ValueError):
+        _series(0, 0, 5).shift_down(m)
+
+
 # -- bundled generating functions ---------------------------------------
 
 
@@ -212,3 +221,233 @@ def test_mul_matches_double_loop(a, b):
     for n in range(prod.order + 1):
         direct = sum(a.coeff(s) * b.coeff(n - s) for s in range(n + 1))
         assert prod.coeff(n) == direct
+
+
+# -- the integer core against a Fraction reference ---------------------
+#
+# These are the Fraction loops the integer core replaced, kept as the
+# reference: products, inverses and square roots coefficient by coefficient.
+
+
+def ref_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    m = min(len(a), len(b)) - 1
+    out = [Fraction(0)] * (m + 1)
+    for i, x in enumerate(a[: m + 1]):
+        for j in range(m + 1 - i):
+            out[i + j] += x * b[j]
+    return out
+
+
+def ref_inverse(f: list[Fraction]) -> list[Fraction]:
+    out = [1 / f[0]]
+    for m in range(1, len(f)):
+        acc = sum(f[i] * out[m - i] for i in range(1, m + 1))
+        out.append(-acc / f[0])
+    return out
+
+
+def ref_sqrt(f: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(1)]
+    for m in range(1, len(f)):
+        acc = sum(out[i] * out[m - i] for i in range(1, m))
+        out.append((f[m] - acc) / 2)
+    return out
+
+
+def ref_pow(f: list[Fraction], e: int) -> list[Fraction]:
+    base = ref_inverse(f) if e < 0 else f
+    out = [Fraction(1)] + [Fraction(0)] * (len(f) - 1)
+    for _ in range(abs(e)):
+        out = ref_mul(out, base)
+    return out
+
+
+def assert_is(series: PowerSeries, coeffs: list[Fraction]) -> None:
+    """Same values, and the same canonical form as a series built from them."""
+    assert series.coeffs == tuple(coeffs)
+    assert all(type(c) is Fraction for c in series.coeffs)
+    rebuilt = PowerSeries(coeffs)
+    assert series == rebuilt and hash(series) == hash(rebuilt)
+
+
+wide = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+nonzero = wide.filter(bool)
+coeff_lists = st.lists(wide, min_size=1, max_size=14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_lists, coeff_lists)
+def test_product_of_unequal_orders_matches_reference(a, b):
+    assert_is(PowerSeries(a) * PowerSeries(b), ref_mul(a, b))
+    assert_is(PowerSeries(b) * PowerSeries(a), ref_mul(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero, st.lists(wide, max_size=12))
+def test_inverse_with_rational_constant_term_matches_reference(f0, rest):
+    f = [f0] + rest
+    assert_is(PowerSeries(f).inverse(), ref_inverse(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(wide, max_size=14))
+def test_sqrt_of_rational_series_matches_reference(rest):
+    f = [Fraction(1)] + rest
+    root = PowerSeries(f).sqrt()
+    assert_is(root, ref_sqrt(f))
+    assert root * root == PowerSeries(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonzero, st.lists(wide, max_size=7), st.integers(min_value=-3, max_value=3))
+def test_pow_with_negative_exponents_matches_reference(f0, rest, e):
+    f = [f0] + rest
+    assert_is(PowerSeries(f) ** e, ref_pow(f, e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_lists, wide)
+def test_scalar_arithmetic_matches_reference(a, c):
+    s = PowerSeries(a)
+    assert_is(s + c, [a[0] + c] + a[1:])
+    assert_is(c + s, [a[0] + c] + a[1:])
+    assert_is(s - c, [a[0] - c] + a[1:])
+    assert_is(c - s, [c - a[0]] + [-x for x in a[1:]])
+    assert_is(s * c, [x * c for x in a])
+    assert_is(c * s, [x * c for x in a])
+    if c:
+        assert_is(s / c, [x / c for x in a])
+    else:
+        with pytest.raises(ZeroDivisionError):
+            s / c
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeff_lists, coeff_lists)
+def test_series_addition_matches_reference(a, b):
+    m = min(len(a), len(b))
+    assert_is(PowerSeries(a) + PowerSeries(b), [x + y for x, y in zip(a[:m], b[:m])])
+    assert_is(PowerSeries(a) - PowerSeries(b), [x - y for x, y in zip(a[:m], b[:m])])
+
+
+def test_canonical_form_is_structural():
+    half = PowerSeries([Fraction(1, 2), 3])
+    assert PowerSeries([Fraction(2, 4), 3]) == half
+    assert hash(PowerSeries([Fraction(2, 4), 3])) == hash(half)
+    # the same series reached through arithmetic that leaves common factors
+    for built in (
+        PowerSeries([1, 6]) / 2,
+        PowerSeries([Fraction(1, 4), Fraction(3, 2)]) * 2,
+        PowerSeries([Fraction(1, 6), 1]) * Fraction(3),
+        PowerSeries([Fraction(1, 2), 3, Fraction(1, 7)]).truncate(1),
+        PowerSeries([0, Fraction(1, 2), 3]).shift_down(1),
+        PowerSeries([Fraction(1, 3), 3]) + Fraction(1, 6),
+        PowerSeries([2, 0]) * PowerSeries([Fraction(1, 4), Fraction(3, 2)]),
+    ):
+        assert built == half and hash(built) == hash(half)
+        assert built.coeffs == (Fraction(1, 2), Fraction(3))
+
+
+def test_zero_series_behaves():
+    zero = PowerSeries([0, 0, 0])
+    s = PowerSeries([Fraction(1, 3), Fraction(-5, 6), 2])
+    assert zero.coeffs == (0, 0, 0) and zero.order == 2
+    assert s - s == zero and hash(s - s) == hash(zero)
+    assert s * 0 == zero and 0 * s == zero and zero / 7 == zero
+    assert zero * s == zero and -zero == zero
+    assert zero + s == s
+    assert (s * Fraction(0)).coeff(2) == 0
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+    with pytest.raises(ValueError):
+        zero.sqrt()
+    with pytest.raises(ZeroDivisionError):
+        s / 0
+
+
+# -- only int and Fraction coefficients; no negative orders --------------
+
+
+@pytest.mark.parametrize("coeffs", [[0.1], [1, 0.5], ["1/3", 2], [None], [1j]])
+def test_non_rational_coefficients_rejected(coeffs):
+    with pytest.raises(TypeError):
+        PowerSeries(coeffs)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda s: s * 0.5,
+        lambda s: 0.5 * s,
+        lambda s: s + 0.5,
+        lambda s: 0.5 + s,
+        lambda s: s - 0.5,
+        lambda s: 0.5 - s,
+        lambda s: s / 0.5,
+        lambda s: s * "2",
+    ],
+)
+def test_float_scalars_rejected(op):
+    with pytest.raises(TypeError):
+        op(_series(1, 2))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        x_series,
+        one_series,
+        catalan_gf,
+        central_binomial_gf,
+        shifted_central_gf,
+        lambda order: ballot_gf(2, order),
+        lambda order: known_gf("central", order),
+    ],
+)
+def test_negative_order_rejected(build):
+    with pytest.raises(ValueError):
+        build(-1)
+    assert build(0).order == 0
+
+
+def test_small_orders_of_the_constructors():
+    assert x_series(0) == _series(0) and x_series(1) == _series(0, 1)
+    assert x_series(3) == _series(0, 1, 0, 0)
+    assert central_binomial_gf(0) == _series(1)
+    assert central_binomial_gf(1) == _series(1, 2)
+
+
+# -- closed forms at the sizes the benchmark asks for ----------------------
+
+
+def closed_form(name: str, index: int | None, i: int) -> Fraction:
+    if name == "catalan":
+        return Fraction(math.comb(2 * i, i), i + 1)
+    if name == "central":
+        return Fraction(math.comb(2 * i, i))
+    if name == "shifted-central":
+        return Fraction(math.comb(2 * i + 2, i + 1))
+    return Fraction(math.comb(2 * i + index, i))
+
+
+CLOSED_FORM_SIZES = [("catalan", None, 256), ("central", None, 192), ("shifted-central", None, 128)]
+CLOSED_FORM_SIZES += [("ballot", k, 96) for k in range(6)]
+
+
+@pytest.mark.parametrize("name,index,order", CLOSED_FORM_SIZES)
+def test_known_gf_matches_closed_form(name, index, order):
+    gf = known_gf(name, order, index)
+    assert gf.order == order
+    assert gf.coeffs == tuple(closed_form(name, index, i) for i in range(order + 1))
+
+
+@pytest.mark.parametrize("name,index,order", CLOSED_FORM_SIZES)
+def test_cli_series_matches_closed_form(name, index, order, capsys):
+    argv = ["series", name, "--order", str(order)]
+    argv += [] if index is None else ["--family-index", str(index)]
+    want = [closed_form(name, index, i) for i in range(order + 1)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "".join(f"{i}: {v}\n" for i, v in enumerate(want))
+    assert main(argv + ["--machine"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records == [{"index": str(i), "value": str(v)} for i, v in enumerate(want)]
