@@ -41,6 +41,10 @@ EXIT_NOT_SUMMABLE = 2
 EXIT_SEARCH_EXHAUSTED = 3
 EXIT_VERIFICATION = 4
 
+# Largest --order of `series`: its square-root recurrence is quadratic in the
+# order, and at this size the slowest bundled series prints in about a second.
+MAX_SERIES_ORDER = 512
+
 
 class _UsageError(Exception):
     pass
@@ -206,6 +210,8 @@ def _cmd_sum(args) -> int:
 def _cmd_series(args) -> int:
     if args.order < 0:
         raise _UsageError(f"--order must be >= 0, got {args.order}")
+    if args.order > MAX_SERIES_ORDER:
+        raise _UsageError(f"--order must be <= {MAX_SERIES_ORDER}, got {args.order}")
     if args.family_index is not None and args.name != "ballot":
         raise _UsageError(f"--family-index applies only to ballot, not {args.name!r}")
     if (args.family_index or 0) < 0:

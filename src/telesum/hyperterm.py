@@ -36,6 +36,7 @@ from .polynomials import (
     n_poly,
     shift_in_n,
 )
+from .serialize import bivariate_string
 
 ParamBinding = Mapping[str, int]
 
@@ -369,10 +370,8 @@ def binomial_value(a: int, b: int) -> int:
 
 
 def _integer_rows(p: Polynomial) -> tuple[tuple[int, ...], ...]:
-    """Integer coefficient rows of a k-polynomial with integral Q[n] coefficients."""
-    return tuple(
-        tuple(int(c) for c in reversed(cf.coeffs)) for cf in reversed(p.coeffs)
-    )
+    """The int coefficient rows of a polynomial in k over Z[n]."""
+    return tuple(tuple(reversed(cf)) for cf in reversed(p.coeffs))
 
 
 def _eval_rows(rows: tuple[tuple[int, ...], ...], n: int, k: int) -> int:
@@ -954,41 +953,6 @@ def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
 # printing
 
 
-def _monomial_string(coeff: int, n_exp: int, k_exp: int) -> str:
-    parts = []
-    if abs(coeff) != 1 or (n_exp == 0 and k_exp == 0):
-        parts.append(str(abs(coeff)))
-    if n_exp:
-        parts.append("n" if n_exp == 1 else f"n^{n_exp}")
-    if k_exp:
-        parts.append("k" if k_exp == 1 else f"k^{k_exp}")
-    return "*".join(parts)
-
-
-def _bivariate_string(p: Polynomial) -> str:
-    """Render a k-polynomial with Q[n] coefficients as parseable text."""
-    terms = []
-    for k_exp in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeff(k_exp)
-        if not c:
-            continue
-        for n_exp in range(len(c.coeffs) - 1, -1, -1):
-            v = c.coeff(n_exp)
-            if not v:
-                continue
-            terms.append((int(v), n_exp, k_exp))
-    if not terms:
-        return "0"
-    out = []
-    for coeff, n_exp, k_exp in terms:
-        body = _monomial_string(coeff, n_exp, k_exp)
-        if not out:
-            out.append(body if coeff > 0 else f"-{body}")
-        else:
-            out.append(("+" if coeff > 0 else "-") + body)
-    return "".join(out)
-
-
 def term_to_string(term: HyperTerm) -> str:
     num_parts: list[str] = []
     den_parts: list[str] = []
@@ -997,8 +961,8 @@ def term_to_string(term: HyperTerm) -> str:
         mag = abs(e)
         target.append(f.to_string() + (f"^{mag}" if mag != 1 else ""))
     pnum, pden = integer_qnk_pair(term.prefactor)
-    ns = _bivariate_string(pnum)
-    ds = _bivariate_string(pden)
+    ns = bivariate_string(pnum, expand=True)
+    ds = bivariate_string(pden, expand=True)
     if ns != "1" or not num_parts:
         num_parts.append(ns if ns.lstrip("-").isdigit() and "-" not in ns else f"({ns})")
     if ds != "1":

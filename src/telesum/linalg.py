@@ -1,16 +1,16 @@
 """Exact linear algebra for the telescoping solvers.
 
-Systems come in over Q(n).  Rows are cleared to integer polynomials in n
-(``clear_qn``), held as int tuples (``ZnPoly``), and reduced with
-fraction-free (Bareiss) elimination (``polynomials.bareiss``), so neither
-the pivoting loop nor the back-substitution does rational arithmetic.
+Systems come in over Q(n).  ``clear_qn`` turns each row into integer
+polynomials in n (``ZnPoly``, int tuples), which fraction-free (Bareiss)
+elimination (``polynomials.bareiss``) reduces, so neither the pivoting
+loop nor the back-substitution does rational arithmetic.
 Each nullspace vector is back-substituted in Z[n] over one common
 denominator and turned into Q(n) entries once, at the end.
 """
 
 from __future__ import annotations
 
-from .polynomials import QN, ZN, RationalFunction, ZnPoly, bareiss, clear_qn
+from .polynomials import QN, ZN, RationalFunction, bareiss, clear_qn
 
 
 def solve_linear_system(matrix: list[list], rhs: list) -> list | None:
@@ -40,8 +40,7 @@ def nullspace(matrix: list[list], ncols: int | None = None) -> list[list]:
         if nrows == 0:
             raise ValueError("ncols is required for an empty matrix")
         ncols = len(matrix[0])
-    rows = [[ZnPoly.from_poly(p) for p in clear_qn([QN.coerce(e) for e in row])[0]]
-            for row in matrix]
+    rows = [clear_qn([QN.coerce(e) for e in row])[0] for row in matrix]
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
     pivots, _ = bareiss(ZN, rows, ncols)

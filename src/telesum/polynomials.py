@@ -5,19 +5,20 @@ values.  Polynomials are dense coefficient tuples over a pluggable
 coefficient ring, which lets the same class serve as
 
 * ``Q[k]`` (coefficients ``Fraction``),
-* ``Q(n)[k]`` (coefficients ``RationalFunction`` in ``n``), and
-* nested rings such as ``Q[n][j]`` used inside resultant computations.
+* ``Q(n)[k]`` (coefficients ``RationalFunction`` in ``n``),
+* ``Z[n][k]`` (coefficients ``ZnPoly``, ring ``ZN``), and
+* nested rings such as ``Z[n][j]`` used inside resultant computations.
 
 The summation engine states its objects in the tower ``Q -> Q[n] -> Q(n)
 -> Q(n)[k] -> Q(n)(k)``, built from ``Fraction`` upward; module-level
 singletons for those rings live at the bottom of this file.  The costly
-steps leave the tower for integer polynomials.  ``ZnPoly`` is Z[n] as a
-tuple of ints; ``linalg`` eliminates on it, and ``poly_gcd`` over Q(n)
-clears its inputs to Z[n][k], where one integer specialization of n proves
-most gcds to be 1 and Brown's evaluation/interpolation finds the others.
-Certificate checks use ``zz_pair``, which turns a Q(n)(k) element into
-integer polynomials in n and k (dicts keyed by the exponent pair), on
-which ``zz_mul``, ``zz_add`` and ``zz_shift`` work without any gcd.
+steps leave the tower for one integer form: ``ZnPoly`` is Z[n] as a tuple
+of ints, and a polynomial in k over ``ZN`` is Z[n][k].  ``clear_qn`` and
+``integer_qnk_pair`` produce it.  ``linalg`` eliminates on it, ``poly_gcd``
+over Q(n) decides gcds in it (one integer specialization of n proves most
+gcds to be 1; Brown's evaluation/interpolation finds the others),
+``dispersion_set`` takes its resultant over Z[n][j], and certificate
+checks multiply, add and shift in it without any gcd.
 """
 
 from __future__ import annotations
@@ -614,8 +615,7 @@ def _qn_poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     whose image degree is too high (unlucky) give a candidate that fails
     that division, and there are finitely many of them.
     """
-    num = [ZnPoly.from_poly(c) for c in clear_qn(p.coeffs)[0]]
-    den = [ZnPoly.from_poly(c) for c in clear_qn(q.coeffs)[0]]
+    num, den = clear_qn(p.coeffs)[0], clear_qn(q.coeffs)[0]
     one = PolynomialRing(p.var, p.ring).one()
     n0 = _good_point(num, den, 0)
     g = _zn_image_gcd(num, den, n0)
@@ -689,7 +689,10 @@ def integer_roots(p: Polynomial) -> list[int]:
     """Sorted integer roots of a nonzero polynomial over Q."""
     if not p:
         raise ValueError("integer_roots of the zero polynomial")
-    ints = _int_content_normalize(p.coeffs)
+    return _int_roots(_int_content_normalize(p.coeffs))
+
+
+def _int_roots(ints: list[int]) -> list[int]:
     roots = []
     low = 0
     while low < len(ints) and ints[low] == 0:
@@ -781,32 +784,13 @@ def resultant(p: Polynomial, q: Polynomial):
     return -det if sign < 0 else det
 
 
-def _clear_to_polynomial_coeffs(p: Polynomial) -> Polynomial:
-    """Map Q(n)[k] into Q[n][k] (or keep Q[k]) by clearing denominators."""
+def _clear_to_zn(p: Polynomial) -> list[ZnPoly]:
+    """Q[k] or Q(n)[k] coefficients times one k-free factor, in Z[n]."""
     if isinstance(p.ring, RationalField):
-        return p
+        return [ZnPoly((c,)) for c in _int_content_normalize(p.coeffs)]
     if p.ring == QN:
-        return Polynomial(p.var, POLY_N, clear_qn(p.coeffs)[0])
+        return clear_qn(p.coeffs)[0]
     raise TypeError(f"unsupported coefficient ring {p.ring!r}")
-
-
-def _shift_into_j(p: Polynomial, jring: PolynomialRing) -> Polynomial:
-    """Build p(var + j) as a polynomial in var whose coefficients live in R[j]."""
-    inner = jring.coeff_ring
-    d = len(p.coeffs) - 1
-    out = [[inner.zero()] * (d - t + 1) for t in range(d + 1)]
-    for i, ci in enumerate(p.coeffs):
-        if not ci:
-            continue
-        for t in range(i + 1):
-            out[t][i - t] = out[t][i - t] + ci * math.comb(i, t)
-    coeffs = [Polynomial(jring.var, inner, row) for row in out]
-    return Polynomial(p.var, jring, coeffs)
-
-
-def _lift_into_j(p: Polynomial, jring: PolynomialRing) -> Polynomial:
-    coeffs = [Polynomial(jring.var, jring.coeff_ring, (c,)) for c in p.coeffs]
-    return Polynomial(p.var, jring, coeffs)
 
 
 def _squarefree_part(p: Polynomial) -> Polynomial:
@@ -828,27 +812,19 @@ def dispersion_set(p: Polynomial, q: Polynomial) -> list[int]:
     if p.degree < 1 or q.degree < 1:
         return []
     p, q = _squarefree_part(p), _squarefree_part(q)
-    a = _clear_to_polynomial_coeffs(p)
-    b = _clear_to_polynomial_coeffs(q)
-    jring = PolynomialRing("_j", a.ring)
-    res = resultant(_lift_into_j(a, jring), _shift_into_j(b, jring))
-    # res is a polynomial in the shift variable, coefficients in Q or Q[n]
-    if isinstance(a.ring, RationalField):
-        witness = res
-    else:
-        # pick one nonzero Q-coefficient slice of the n-polynomial values
-        best = None
-        depth = max((c.degree for c in res.coeffs if c), default=0)
-        for d in range(int(depth) + 1 if res else 0):
-            slice_coeffs = [c.coeff(d) for c in res.coeffs]
-            cand = Polynomial(jring.var, QQ, slice_coeffs)
-            if cand and (best is None or cand.degree < best.degree):
-                best = cand
-        witness = best
-    if witness is None or not witness:
+    jring = PolynomialRing("_j", ZN)
+    a = Polynomial(p.var, jring, [jring.coerce(c) for c in _clear_to_zn(p)])
+    b = Polynomial(q.var, jring, [jring.coerce(c) for c in _clear_to_zn(q)])
+    res = resultant(a, b.shift(jring.gen()))
+    # res is a polynomial in j over Z[n]; its slice at each power of n is an
+    # int polynomial in j, and the nonzero slice of least degree is the witness
+    slices = [[c[d] if d < len(c) else 0 for c in res.coeffs]
+              for d in range(max(map(len, res.coeffs), default=0))]
+    witness = min((ZnPoly(s) for s in slices if any(s)), key=len, default=None)
+    if witness is None:
         raise ArithmeticError("dispersion resultant vanished identically")
     out = []
-    for j in integer_roots(witness):
+    for j in _int_roots(_int_primitive(list(witness))):
         if j < 0:
             continue
         if poly_gcd(p, q.shift(j)).degree >= 1:
@@ -889,7 +865,8 @@ def qnk(num: Polynomial, den: Polynomial | None = None) -> RationalFunction:
 
 
 def shift_in_n(obj, j: int):
-    """Substitute n + j for n throughout a Q(n), Q(n)[k], or Q(n)(k) object."""
+    """Substitute n + j for n throughout a Q(n), Q(n)[k], Q(n)(k), Z[n] or
+    Z[n][k] object."""
     if isinstance(obj, RationalFunction):
         if obj.var == "n":
             return RationalFunction(obj.num.shift(j), obj.den.shift(j))
@@ -898,6 +875,8 @@ def shift_in_n(obj, j: int):
         if obj.var == "n":
             return obj.shift(j)
         return obj.map_coeffs(lambda c: shift_in_n(c, j))
+    if isinstance(obj, ZnPoly):
+        return obj.shift(j)
     raise TypeError(f"cannot shift n in {obj!r}")
 
 
@@ -906,22 +885,23 @@ def eval_qn(value: RationalFunction, n: int) -> Fraction:
     return value.evaluate(Fraction(n))
 
 
-def clear_qn(values: Sequence[RationalFunction]) -> tuple[list[Polynomial], Polynomial]:
+def clear_qn(values: Sequence[RationalFunction]) -> tuple[list[ZnPoly], Polynomial]:
     """Q(n) elements times their least common multiplier m in Q[n].
 
-    The products are integer polynomials with joint content 1; m is the
-    lcm of the denominators times a positive rational.  Returns both.
+    The products are ``ZnPoly``s with joint content 1; m, a Q[n]
+    polynomial, is the lcm of the denominators times a positive rational.
+    Returns both.
     """
     common = POLY_N.one()
     for v in values:
         if v and v.den.degree > 0:
             common = poly_lcm(common, v.den)
     polys = [v.num * common.exact_div(v.den) if v else POLY_N.zero() for v in values]
-    scale = Fraction(math.lcm(*(c.denominator for p in polys for c in p.coeffs)))
-    ints = [int(c * scale) for p in polys for c in p.coeffs if c]
-    if ints:
-        scale /= math.gcd(*ints)
-    return [p.mul_ground(scale) for p in polys], common.mul_ground(scale)
+    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    rows = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
+    g = math.gcd(*(c for r in rows for c in r)) or 1
+    return ([tuple.__new__(ZnPoly, [c // g for c in r]) for r in rows],
+            common.mul_ground(Fraction(den, g)))
 
 
 def clear_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
@@ -946,57 +926,17 @@ def clear_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
 
 
 def integer_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
-    """Canonical integer-coefficient num/den pair for a Q(n)(k) element.
+    """Canonical num/den pair in Z[n][k] (polynomials over ``ZN``) for a
+    Q(n)(k) element.
 
-    Beyond clear_qnk_pair this scales away all Fraction denominators and
-    divides out the common integer content.  The denominator's leading
+    Both parts come from one clear_qn call, so the quotient is unchanged
+    and the coefficients have joint content 1.  The denominator's leading
     coefficient is positive: it is 1 in the reduced form, and clear_qn
     multiplies by a positive rational times a monic lcm.
     """
     size = len(value.num.coeffs)
     polys, _ = clear_qn(value.num.coeffs + value.den.coeffs)
-    return (Polynomial(value.var, POLY_N, polys[:size]),
-            Polynomial(value.var, POLY_N, polys[size:]))
-
-
-# ---------------------------------------------------------------------------
-# integer polynomials in n and k, as dicts {(n exponent, k exponent): int}
-
-
-def zz_pair(value: RationalFunction) -> tuple[dict, dict]:
-    """integer_qnk_pair of a Q(n)(k) element as two Z[n][k] dicts."""
-    return tuple(
-        {(i, j): int(c) for j, cf in enumerate(p.coeffs) for i, c in enumerate(cf.coeffs) if c}
-        for p in integer_qnk_pair(value)
-    )
-
-
-def zz_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (i, j), c in a.items():
-        for (u, v), d in b.items():
-            out[i + u, j + v] = out.get((i + u, j + v), 0) + c * d
-    return out
-
-
-def zz_add(a: dict, b: dict, sign: int = 1) -> dict:
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = out.get(key, 0) + sign * c
-    return out
-
-
-def zz_shift(p: dict, dn: int, dk: int) -> dict:
-    """p(n + dn, k + dk)."""
-    out: dict = {}
-    for (i, j), c in p.items():
-        for s in range(i + 1):
-            cs = c * math.comb(i, s) * dn ** (i - s)
-            if not cs:
-                continue
-            for t in range(j + 1):
-                out[s, t] = out.get((s, t), 0) + cs * math.comb(j, t) * dk ** (j - t)
-    return out
+    return Polynomial(value.var, ZN, polys[:size]), Polynomial(value.var, ZN, polys[size:])
 
 
 # ---------------------------------------------------------------------------
@@ -1006,8 +946,9 @@ def zz_shift(p: dict, dn: int, dk: int) -> dict:
 class ZnPoly(tuple):
     """An element of Z[n]: ascending int coefficients, no trailing zeros.
 
-    Its operators are those of the ring, so ``bareiss`` runs on it with
-    the descriptor ``ZN``; a polynomial in k over Z[n] is a list of them.
+    Its operators are those of the ring, so ``bareiss`` and ``Polynomial``
+    run on it with the descriptor ``ZN``: ``Polynomial("k", ZN, ...)`` is
+    Z[n][k].
     """
 
     __slots__ = ()
@@ -1018,11 +959,6 @@ class ZnPoly(tuple):
             coeffs.pop()
         return tuple.__new__(cls, coeffs)
 
-    @classmethod
-    def from_poly(cls, p: Polynomial) -> "ZnPoly":
-        """A Q[n] polynomial whose coefficients are integers."""
-        return tuple.__new__(cls, [c.numerator for c in p.coeffs])
-
     def to_poly(self) -> Polynomial:
         return Polynomial("n", QQ, tuple(Fraction(c) for c in self))
 
@@ -1031,6 +967,14 @@ class ZnPoly(tuple):
         for c in reversed(self):
             acc = acc * x + c
         return acc
+
+    def shift(self, j: int) -> "ZnPoly":
+        """self(n + j), by repeated synthetic division (Taylor shift)."""
+        out = list(self)
+        for i in range(len(out) - 1):
+            for t in range(len(out) - 2, i - 1, -1):
+                out[t] += j * out[t + 1]
+        return tuple.__new__(ZnPoly, out)
 
     def __neg__(self) -> "ZnPoly":
         return tuple.__new__(ZnPoly, [-c for c in self])
@@ -1090,6 +1034,16 @@ class IntPolyRing:
     def one(self) -> ZnPoly:
         return ZN_ONE
 
+    def from_int(self, value: int) -> ZnPoly:
+        return ZnPoly((value,))
+
+    def coerce(self, value) -> ZnPoly:
+        if isinstance(value, ZnPoly):
+            return value
+        if isinstance(value, int):
+            return ZnPoly((value,))
+        raise TypeError(f"cannot coerce {value!r} into Z[n]")
+
     def exact_div(self, a: ZnPoly, b: ZnPoly) -> ZnPoly:
         q = a.quotient(b)
         if q is None:
@@ -1131,17 +1085,12 @@ def _zn_primitive_part(rows: list[ZnPoly]) -> list[ZnPoly]:
 
 
 def _zn_divides(divisor: list[ZnPoly], rows: list[ZnPoly]) -> bool:
-    """Whether a polynomial in k over Z[n] divides another one in Z[n][k]."""
-    rem = list(rows)
-    db, lead = len(divisor) - 1, divisor[-1]
-    for i in range(len(rem) - 1, db - 1, -1):
-        if rem[i]:
-            q = rem[i].quotient(lead)
-            if q is None:
-                return False
-            for j, b in enumerate(divisor, i - db):
-                rem[j] = rem[j] - q * b
-    return not any(rem[:db])
+    """Whether a polynomial in k over Z[n] divides another one in Z[n][k];
+    an inexact division of coefficients in Z[n] means it does not."""
+    try:
+        return not Polynomial("k", ZN, rows) % Polynomial("k", ZN, divisor)
+    except ArithmeticError:
+        return False
 
 
 def _interpolate_images(

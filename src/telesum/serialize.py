@@ -2,18 +2,22 @@
 
 Integers are rendered as decimal strings so consumers never lose
 precision to floating point; polynomial coefficient lists are nested
-with the k-exponent outside and the n-exponent inside.
+with the k-exponent outside and the n-exponent inside.  Records and texts
+read the ints of the Z[n][k] form (``integer_qnk_pair``).  One printer
+serves polynomials in n and k: certificates group each coefficient in n,
+terms (``hyperterm.term_to_string``) expand every monomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from .polynomials import POLY_N, QN, Polynomial, RationalFunction, integer_qnk_pair
 
 
 def npoly_to_list(p: Polynomial) -> list[str]:
-    """Integer polynomial in n as decimal strings, constant term first."""
+    """Integer polynomial in n (over Q) as decimal strings, constant term first."""
     out = []
     for c in p.coeffs:
         if c.denominator != 1:
@@ -23,8 +27,8 @@ def npoly_to_list(p: Polynomial) -> list[str]:
 
 
 def kpoly_to_lists(p: Polynomial) -> list[list[str]]:
-    """Integer polynomial in k over Z[n] as nested decimal strings."""
-    return [npoly_to_list(c) for c in p.coeffs] or [["0"]]
+    """Polynomial in k over Z[n] as nested decimal strings."""
+    return [[str(v) for v in c] or ["0"] for c in p.coeffs] or [["0"]]
 
 
 def list_to_npoly(items: list[str]) -> Polynomial:
@@ -47,53 +51,55 @@ def record_to_ratfun(record: dict) -> RationalFunction:
     )
 
 
-def _npoly_string(p: Polynomial, var: str = "n") -> str:
-    """Human form of an integer polynomial, highest power first."""
-    terms = []
-    for e in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeff(e)
-        if not c:
-            continue
-        v = int(c)
-        if e == 0:
-            body = str(abs(v))
-        else:
-            mag = "" if abs(v) == 1 else f"{abs(v)}*"
-            body = f"{mag}{var}" + (f"^{e}" if e > 1 else "")
-        if not terms:
-            terms.append(body if v > 0 else f"-{body}")
-        else:
-            terms.append(("+" if v > 0 else "-") + body)
-    return "".join(terms) or "0"
+def _monomial_string(coeff: int, n_exp: int, k_exp: int) -> str:
+    """|coeff|*n^n_exp*k^k_exp with unit factors left out; no sign."""
+    parts = []
+    if abs(coeff) != 1 or (n_exp == 0 and k_exp == 0):
+        parts.append(str(abs(coeff)))
+    if n_exp:
+        parts.append("n" if n_exp == 1 else f"n^{n_exp}")
+    if k_exp:
+        parts.append("k" if k_exp == 1 else f"k^{k_exp}")
+    return "*".join(parts)
 
 
-def bivariate_string(p: Polynomial) -> str:
-    """Human form of an integer polynomial in k over Z[n]."""
-    pieces = []
-    for k_exp in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeff(k_exp)
-        if not c:
-            continue
-        nonzero = [(e, int(v)) for e, v in enumerate(c.coeffs) if v]
-        kpart = ("k" + (f"^{k_exp}" if k_exp > 1 else "")) if k_exp else ""
-        if len(nonzero) == 1:
-            e, v = nonzero[0]
-            npart = ("n" + (f"^{e}" if e > 1 else "")) if e else ""
-            mag = "" if abs(v) == 1 and (npart or kpart) else str(abs(v))
-            body = "*".join(x for x in (mag, npart, kpart) if x)
-            pieces.append((v > 0, body))
-        else:
-            body = f"({_npoly_string(c)})"
-            if kpart:
-                body += f"*{kpart}"
-            pieces.append((True, body))
+def _monomials(c: Sequence, k_exp: int) -> list[tuple[bool, str]]:
+    """(positive, body) of each nonzero term of c(n) * k^k_exp, highest
+    power of n first; c holds integral coefficients, constant term first."""
+    return [(v > 0, _monomial_string(int(v), e, k_exp))
+            for e, v in reversed(list(enumerate(c))) if v]
+
+
+def _join_signed(pieces: list[tuple[bool, str]]) -> str:
     out = []
     for positive, body in pieces:
-        if not out:
-            out.append(body if positive else f"-{body}")
-        else:
-            out.append(("+" if positive else "-") + body)
+        out.append(("+" if out else "") + body if positive else f"-{body}")
     return "".join(out) or "0"
+
+
+def _npoly_string(c: Sequence) -> str:
+    """Human form of an integer polynomial in n, highest power first, from
+    its coefficients, constant term first."""
+    return _join_signed(_monomials(c, 0))
+
+
+def bivariate_string(p: Polynomial, expand: bool = False) -> str:
+    """Human form of a polynomial in k over Z[n], highest power of k first.
+
+    A coefficient in n with more than one term is grouped, as in
+    ``(2*n+1)*k``, unless expand is set, which writes every monomial out
+    (``2*n*k+k``), as the term printer does.
+    """
+    pieces = []
+    for k_exp in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[k_exp]
+        terms = _monomials(c, k_exp)
+        if expand or len(terms) == 1:
+            pieces += terms
+        elif terms:
+            kpart = f"*{_monomial_string(1, 0, k_exp)}" if k_exp else ""
+            pieces.append((True, f"({_npoly_string(c)}){kpart}"))
+    return _join_signed(pieces)
 
 
 def ratfun_to_text(r: RationalFunction) -> str:

@@ -34,6 +34,9 @@ class PowerSeries:
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
 
+    def __reduce__(self):
+        return PowerSeries, (self.coeffs,)
+
     @property
     def order(self) -> int:
         return len(self._num) - 1

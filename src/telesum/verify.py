@@ -24,7 +24,7 @@ from .hyperterm import (
     shift_quotient,
     term_ratio_is_one,
 )
-from .polynomials import Polynomial, RationalFunction, zz_add, zz_mul, zz_pair, zz_shift
+from .polynomials import ZN, Polynomial, RationalFunction, ZnPoly, integer_qnk_pair, shift_in_n
 
 
 class VerificationError(Exception):
@@ -83,35 +83,33 @@ def telescoping_identity(
     with T_j = F(n+j,k)/F(n,k) = prod_{i<j} r_n(n+i, k), r_k and r_n the
     shift quotients of F, sigma_j = coeffs[j] and R the certificate.
 
-    It is checked cross-multiplied in Z[n][k], with no gcd.  Write
-    r_k = A/B, r_n = C/D, R = P/Q (integer_qnk_pair) and sigma_j = s_j/e
-    over one positive integer e.  The left side is L/(e*Delta) with
-    Delta = prod_{i<J} D(n+i), J = len(coeffs) - 1, and
+    It is checked cross-multiplied in Z[n][k], polynomials in k over ``ZN``,
+    with no gcd.  Write r_k = A/B, r_n = C/D, R = P/Q (integer_qnk_pair) and
+    sigma_j = s_j/e over one positive integer e.  The left side is
+    L/(e*Delta) with Delta = prod_{i<J} D(n+i), J = len(coeffs) - 1, and
     L = sum_j s_j prod_{i<j} C(n+i) prod_{j<=i<J} D(n+i).  B, Q and Delta
     are nonzero and Z[n][k] is an integral domain, so the identity holds
     exactly when (L*Q + e*Delta*P) * B*Q(k+1) = e*Delta*A*P(k+1) * Q.
     """
-    a, b = zz_pair(shift_quotient(term, "k"))
-    p, q = zz_pair(certificate)
+    a, b = integer_qnk_pair(shift_quotient(term, "k"))
+    p, q = integer_qnk_pair(certificate)
     order = len(coeffs) - 1
-    c, d = zz_pair(shift_quotient(term, "n")) if order > 0 else ({}, {})
-    cs = [zz_shift(c, i, 0) for i in range(order)]
-    ds = [zz_shift(d, i, 0) for i in range(order)]
+    c, d = integer_qnk_pair(shift_quotient(term, "n")) if order > 0 else (None, None)
+    cs = [shift_in_n(c, i) for i in range(order)]
+    ds = [shift_in_n(d, i) for i in range(order)]
     e = math.lcm(*(v.denominator for s in coeffs for v in s.coeffs))
-    total: dict = {}
+    total = Polynomial("k", ZN, ())
     for j, s in enumerate(coeffs):
-        t = {(i, 0): int(v * e) for i, v in enumerate(s.coeffs) if v}
+        t = Polynomial("k", ZN, (ZnPoly(int(v * e) for v in s.coeffs),))
         if not t:
             continue
         for factor in cs[:j] + ds[j:]:
-            t = zz_mul(t, factor)
-        total = zz_add(total, t)
-    e_delta = {(0, 0): e}
+            t = t * factor
+        total = total + t
+    e_delta = Polynomial("k", ZN, (ZN.from_int(e),))
     for factor in ds:
-        e_delta = zz_mul(e_delta, factor)
-    lhs = zz_mul(zz_add(zz_mul(total, q), zz_mul(e_delta, p)), zz_mul(b, zz_shift(q, 0, 1)))
-    rhs = zz_mul(zz_mul(zz_mul(e_delta, a), zz_shift(p, 0, 1)), q)
-    return not any(zz_add(lhs, rhs, -1).values())
+        e_delta = e_delta * factor
+    return (total * q + e_delta * p) * (b * q.shift(1)) == e_delta * a * p.shift(1) * q
 
 
 @dataclass(frozen=True)

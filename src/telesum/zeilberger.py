@@ -89,7 +89,7 @@ class Recurrence:
             if not c:
                 continue
             arg = "n" if j == 0 else f"n+{j}"
-            parts.append(f"({_npoly_string(c)})*w({arg})")
+            parts.append(f"({_npoly_string(c.coeffs)})*w({arg})")
         return " + ".join(parts) + f" = {rhs}"
 
     def record(self) -> dict:
@@ -106,17 +106,17 @@ def _normalize_solution(
 ) -> tuple[tuple[Polynomial, ...], RationalFunction]:
     """Scale so the sigma's are integer polynomials, content 1, positive lead.
 
-    Returns them with the k-free scale lambda, by which the certificate
-    must be multiplied too.
+    Returns them as Q[n] polynomials with the k-free scale lambda, by which
+    the certificate must be multiplied too.
     """
     while sigmas and sigmas[-1].is_zero():
         sigmas.pop()
     if not sigmas:
         raise ValueError("empty coefficient vector")
     polys, lam = clear_qn(sigmas)
-    if polys[-1].lc() < 0:
+    if polys[-1][-1] < 0:
         polys, lam = [-p for p in polys], -lam
-    return tuple(polys), QN.coerce(lam)
+    return tuple(p.to_poly() for p in polys), QN.coerce(lam)
 
 
 @dataclass(frozen=True)

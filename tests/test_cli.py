@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from telesum.cli import main
+from telesum.cli import MAX_SERIES_ORDER, main
 from telesum.hyperterm import parse_term, shift_quotient
 from telesum.serialize import record_to_ratfun
 from telesum.suite import mutation_catalog
@@ -187,6 +187,19 @@ def test_series_negative_order_exit_one(name, capsys):
     captured = capsys.readouterr()
     assert captured.err == "usage error: --order must be >= 0, got -1\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["catalan", "central", "shifted-central", "ballot"])
+@pytest.mark.parametrize("order", [str(MAX_SERIES_ORDER + 1), "99999999999999999999"])
+def test_series_order_above_the_bound_exit_one(name, order, capsys):
+    assert main(["series", name, "--order", order]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: --order must be <= {MAX_SERIES_ORDER}, got {order}\n"
+    assert captured.out == ""
+
+
+def test_series_order_bound_admits_the_tested_sizes():
+    assert MAX_SERIES_ORDER >= 256
 
 
 def test_series_negative_family_index_exit_one(capsys):

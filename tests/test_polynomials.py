@@ -15,8 +15,10 @@ from telesum.polynomials import (
     QN,
     QNK,
     QQ,
+    ZN,
     Polynomial,
     RationalFunction,
+    ZnPoly,
     clear_qnk_pair,
     dispersion_set,
     eval_qn,
@@ -373,6 +375,40 @@ def test_dispersion_set_repeated_roots_over_qn(p, q, sp, sq, expected):
     assert dispersion_set(p, q) == dispersion_set(sp, sq) == expected
 
 
+# roots a_i(n) = e*n^2 + c*n + d with distinct (e, c), so that a_i - a_l is
+# never constant for i != l and only the planted shifts j align roots
+planted_roots = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(-3, 3), st.integers(-5, 5), st.integers(0, 6)),
+    min_size=1, max_size=3, unique_by=lambda t: t[:2],
+)
+qn_units = st.sampled_from([Fraction(1), Fraction(-1, 2), _np(1, 1), (_np(3), _np(2, 1))])
+
+
+def _qn_unit(u):
+    if isinstance(u, tuple):
+        return QN.coerce(u[0]) / QN.coerce(u[1])
+    return QN.coerce(u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(planted_roots, qn_units, qn_units)
+def test_dispersion_set_finds_planted_shifts_over_qn(roots, up, uq):
+    # p = prod (k + a_i(n)) and q = prod (k + a_i(n) + j_i): the roots of q
+    # are those of p moved by -j_i, so q(k) and p(k + j) share one exactly
+    # when j is some j_i
+    p = k_poly(_qn_unit(up))
+    q = k_poly(_qn_unit(uq))
+    for e, c, d, j in roots:
+        p = p * _lin_poly(_np(d, c, e))
+        q = q * _lin_poly(_np(d + j, c, e))
+    assert dispersion_set(q, p) == sorted({j for *_, j in roots})
+
+
+def _lin_poly(a: Polynomial) -> Polynomial:
+    """k + a(n) in Q(n)[k]."""
+    return k_poly(a, 1)
+
+
 # -- rational functions --------------------------------------------------
 
 
@@ -454,6 +490,11 @@ def _lift_kpoly(p):
     return P("k", QN, tuple(QN.coerce(c) for c in p.coeffs))
 
 
+def _lift_zn_kpoly(p):
+    """A polynomial in k over Z[n] as one over Q(n)."""
+    return _lift_kpoly(p.map_coeffs(lambda c: c.to_poly(), POLY_N))
+
+
 def test_clear_qnk_pair_polynomial_coeffs():
     f = qnk(k_poly(QN.coerce(_np(0, 1)) / QN.coerce(_np(1, 1))), POLY_K.one())
     num, den = clear_qnk_pair(f)
@@ -471,9 +512,9 @@ def test_integer_qnk_pair_normalization():
     values = []
     for p in (num, den):
         for c in p.coeffs:
-            for frac in c.coeffs:
-                assert frac.denominator == 1
-                values.append(frac.numerator)
+            for v in c:
+                assert type(v) is int
+                values.append(v)
     from math import gcd
 
     g = 0
@@ -481,8 +522,46 @@ def test_integer_qnk_pair_normalization():
         g = gcd(g, v)
     assert g == 1
     # denominator leading coefficient is positive
-    assert den.lc().lc() > 0
-    assert RationalFunction(_lift_kpoly(num), _lift_kpoly(den)) == f
+    assert den.lc()[-1] > 0
+    assert RationalFunction(_lift_zn_kpoly(num), _lift_zn_kpoly(den)) == f
+
+
+def _qn_element(num: list[int], den: list[int], scale: int) -> RationalFunction:
+    den_poly = _np(*den) if any(den) else _np(1)
+    return QN.coerce(_np(*num)) / QN.coerce(den_poly.mul_ground(Fraction(scale)))
+
+
+qn_elements = st.builds(
+    _qn_element,
+    st.lists(st.integers(-6, 6), max_size=3),
+    st.lists(st.integers(-6, 6), max_size=3),
+    st.integers(1, 4),
+)
+qnk_polys = st.lists(qn_elements, max_size=3).map(lambda cs: Polynomial("k", QN, tuple(cs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(qnk_polys, qnk_polys)
+def test_integer_qnk_pair_is_the_integer_form(num, den):
+    if not den:
+        den = POLY_K.one()
+    f = RationalFunction(num, den)
+    p, q = integer_qnk_pair(f)
+    assert p.ring is ZN and q.ring is ZN
+    ints = [v for part in (p, q) for c in part.coeffs for v in c]
+    assert all(type(v) is int for v in ints)
+    assert all(c[-1] for part in (p, q) for c in part.coeffs if c)
+    assert math.gcd(*ints) == 1
+    assert q.lc()[-1] > 0
+    assert RationalFunction(_lift_zn_kpoly(p), _lift_zn_kpoly(q)) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_lists, st.integers(-6, 6))
+def test_znpoly_shift_matches_the_q_n_shift(coeffs, j):
+    z = ZnPoly(coeffs)
+    assert z.shift(j).to_poly() == _np(*coeffs).shift(j)
+    assert shift_in_n(Polynomial("k", ZN, (z, -z)), j) == Polynomial("k", ZN, (z.shift(j), -z.shift(j)))
 
 
 def test_qnk_field_ops():

@@ -35,9 +35,9 @@ def test_npoly_rejects_fractions():
 
 
 def test_kpoly_nested_lists():
-    from telesum.polynomials import clear_qnk_pair
+    from telesum.polynomials import integer_qnk_pair
 
-    num, _ = clear_qnk_pair(qnk(k_poly(n_poly(1, 2), n_poly(3))))  # (2n+1) + 3k
+    num, _ = integer_qnk_pair(qnk(k_poly(n_poly(1, 2), n_poly(3))))  # (2n+1) + 3k
     assert kpoly_to_lists(num) == [["1", "2"], ["3"]]
 
 
@@ -65,20 +65,20 @@ def test_ratfun_record_clears_fractions():
 
 
 def test_bivariate_string_samples():
-    from telesum.polynomials import clear_qnk_pair
+    from telesum.polynomials import integer_qnk_pair
 
-    p, _ = clear_qnk_pair(qnk(k_poly(n_poly(1), 1)))
+    p, _ = integer_qnk_pair(qnk(k_poly(n_poly(1), 1)))
     assert bivariate_string(p) == "k+1"
-    p2, _ = clear_qnk_pair(qnk(k_poly(n_poly(0, -4), 1)))
+    p2, _ = integer_qnk_pair(qnk(k_poly(n_poly(0, -4), 1)))
     assert bivariate_string(p2) == "k-4*n"
-    p3, _ = clear_qnk_pair(qnk(k_poly(n_poly(0), n_poly(1, 2))))
+    p3, _ = integer_qnk_pair(qnk(k_poly(n_poly(0), n_poly(1, 2))))
     assert bivariate_string(p3) == "(2*n+1)*k"
 
 
 def test_bivariate_string_powers():
-    from telesum.polynomials import clear_qnk_pair
+    from telesum.polynomials import integer_qnk_pair
 
-    p, _ = clear_qnk_pair(qnk(k_poly(n_poly(0, 0, 3), n_poly(0), n_poly(-1))))
+    p, _ = integer_qnk_pair(qnk(k_poly(n_poly(0, 0, 3), n_poly(0), n_poly(-1))))
     assert bivariate_string(p) == "-k^2+3*n^2"
 
 

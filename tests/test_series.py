@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -346,6 +348,20 @@ def test_canonical_form_is_structural():
     ):
         assert built == half and hash(built) == hash(half)
         assert built.coeffs == (Fraction(1, 2), Fraction(3))
+
+
+@pytest.mark.parametrize("copier", [
+    copy.copy,
+    copy.deepcopy,
+    lambda s: pickle.loads(pickle.dumps(s)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copy_and_pickle_round_trip(copier):
+    s = PowerSeries([Fraction(1, 3), Fraction(-5, 6), 2, 0])
+    t = copier(s)
+    assert type(t) is PowerSeries
+    assert t == s and hash(t) == hash(s)
+    assert t.coeffs == (Fraction(1, 3), Fraction(-5, 6), 2, 0) and t.order == 3
+    assert copier(PowerSeries([1, 2])) == PowerSeries([1, 2])
 
 
 def test_zero_series_behaves():
