@@ -41,8 +41,9 @@ EXIT_NOT_SUMMABLE = 2
 EXIT_SEARCH_EXHAUSTED = 3
 EXIT_VERIFICATION = 4
 
-# Largest --order of `series`: its square-root recurrence is quadratic in the
-# order, and at this size the slowest bundled series prints in about a second.
+# Largest --order of `series`, and --family-index of ballot: the square-root
+# recurrence is quadratic in the order, and at this size the slowest bundled
+# series prints in about a second.
 MAX_SERIES_ORDER = 512
 
 
@@ -216,6 +217,8 @@ def _cmd_series(args) -> int:
         raise _UsageError(f"--family-index applies only to ballot, not {args.name!r}")
     if (args.family_index or 0) < 0:
         raise _UsageError(f"--family-index must be >= 0, got {args.family_index}")
+    if (args.family_index or 0) > MAX_SERIES_ORDER:
+        raise _UsageError(f"--family-index must be <= {MAX_SERIES_ORDER}, got {args.family_index}")
     gf = known_gf(args.name, args.order, args.family_index)
     for i in range(gf.order + 1):
         if args.machine:

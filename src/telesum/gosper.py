@@ -30,8 +30,12 @@ from .polynomials import (
     POLY_K,
     POLY_N,
     QN,
+    ZN,
     Polynomial,
     RationalFunction,
+    ZnPoly,
+    _zn_primitive_part,
+    clear_qn,
     dispersion_set,
     poly_gcd,
 )
@@ -105,7 +109,7 @@ def degree_bound(
 
 def parameterized_gosper(
     ratio: RationalFunction, rhs: Sequence[Polynomial]
-) -> tuple[GosperNormalForm, int | None, tuple[Polynomial, list] | None]:
+) -> tuple[GosperNormalForm, int | None, tuple[Polynomial, tuple] | None]:
     """Gosper's step with parameters on the right-hand side.
 
     Brings the k-shift quotient into normal form, bounds the degree d of a
@@ -114,12 +118,13 @@ def parameterized_gosper(
         z * a(k) * x(k+1) - b(k-1) * x(k) = c(k) * sum_j sigma_j * p_j(k)
 
     for x and constants sigma_j in Q(n), given rhs = [p_0, ..., p_J], as
-    one nullspace computation.  When d is None only x = 0 can occur and
-    the system has no x columns; with a single nonzero p_0 its only
-    solution is sigma_0 = 0, so no elimination is run.  Returns the normal
-    form, d, and the first nullspace solution (x, sigma) with some sigma_j
-    nonzero, or None in its place.  With rhs [1] this is Gosper's equation, and the solution
-    found has sigma_0 = 1 and the free coefficients of x set to zero.
+    one nullspace computation over Z[n]: one ``clear_qn`` multiplier takes
+    z*a, b(k-1) and every c*p_j into Z[n][k].  When d is None only x = 0
+    can occur; with a single nonzero p_0 the only solution is then
+    sigma_0 = 0, and no elimination is run.  Returns the normal form, d,
+    and the first solution with some sigma_j nonzero, normalized by
+    ``_normalize_solution``, or None.  With rhs [1] this is Gosper's
+    equation: sigma is (1,) and the free coefficients of x are zero.
     """
     nf = gosper_normal_form(ratio)
     extra = max(int(p.degree) for p in rhs)
@@ -127,16 +132,27 @@ def parameterized_gosper(
     if d is None and len(rhs) == 1 and rhs[0]:
         return nf, d, None
     nx = 0 if d is None else d + 1
-    B = nf.b.shift(-1)
-    k = POLY_K.gen()
-    cols = [(nf.a * (k**i).shift(1)).mul_ground(nf.z) - B * k**i for i in range(nx)]
-    cols += [-(nf.c * p) for p in rhs]
+    parts = [nf.a.mul_ground(nf.z), nf.b.shift(-1)] + [nf.c * p for p in rhs]
+    cleared = iter(clear_qn([c for p in parts for c in p.coeffs]))
+    za, B, *cps = [Polynomial("k", ZN, [next(cleared) for _ in p.coeffs]) for p in parts]
+    k = Polynomial("k", ZN, (ZN.zero(), ZN.one()))
+    cols = [za * (k + 1)**i - B * k**i for i in range(nx)] + [-cp for cp in cps]
     height = max(int(col.degree) for col in cols if col) + 1
     matrix = [[col.coeff(r) for col in cols] for r in range(height)]
     for vec in nullspace(matrix, ncols=len(cols)):
         if any(vec[nx:]):
-            return nf, d, (Polynomial("k", QN, tuple(vec[:nx])), vec[nx:])
+            return nf, d, _normalize_solution(vec[:nx], vec[nx:])
     return nf, d, None
+
+
+def _normalize_solution(x: list[ZnPoly], sigma: list[ZnPoly]) -> tuple[Polynomial, tuple]:
+    """(x, sigma) in Z[n] divided by the one k-free scale that makes sigma, cut
+    after its last nonzero entry, primitive with a positive top lead; x in Q(n)[k]."""
+    while not sigma[-1]:
+        sigma = sigma[:-1]
+    prim = _zn_primitive_part(sigma)
+    scale = ZN.exact_div(sigma[-1], prim[-1]).to_poly()
+    return Polynomial("k", QN, [RationalFunction(v.to_poly(), scale) for v in x]), tuple(prim)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,14 @@
 """Exact linear algebra for the telescoping solvers.
 
-Systems come in over Q(n).  ``clear_qn`` turns each row into integer
-polynomials in n (``ZnPoly``, int tuples), which fraction-free (Bareiss)
-elimination (``polynomials.bareiss``) reduces, so neither the pivoting
-loop nor the back-substitution does rational arithmetic.
-Each nullspace vector is back-substituted in Z[n] over one common
-denominator and turned into Q(n) entries once, at the end.
+Systems come in over Z[n] (``ZnPoly`` entries).  Fraction-free (Bareiss)
+elimination (``polynomials.bareiss``) and back-substitution both stay in
+Z[n], with no rational arithmetic; ``solve_linear_system`` alone takes
+Q(n) entries and clears them first.
 """
 
 from __future__ import annotations
 
-from .polynomials import QN, ZN, RationalFunction, bareiss, clear_qn
+from .polynomials import QN, ZN, RationalFunction, ZnPoly, bareiss, clear_qn
 
 
 def solve_linear_system(matrix: list[list], rhs: list) -> list | None:
@@ -23,24 +21,26 @@ def solve_linear_system(matrix: list[list], rhs: list) -> list | None:
     if len(rhs) != len(matrix):
         raise ValueError("matrix and right-hand side sizes differ")
     ncols = len(matrix[0]) if matrix else 0
-    basis = nullspace([list(row) + [-b] for row, b in zip(matrix, rhs)], ncols=ncols + 1)
+    rows = [clear_qn([QN.coerce(e) for e in list(row) + [-b]]) for row, b in zip(matrix, rhs)]
+    basis = nullspace(rows, ncols=ncols + 1)
     if not basis or not basis[-1][ncols]:
         return None
-    return basis[-1][:ncols]
+    den = basis[-1][ncols].to_poly()
+    return [RationalFunction(v.to_poly(), den) for v in basis[-1][:ncols]]
 
 
-def nullspace(matrix: list[list], ncols: int | None = None) -> list[list]:
-    """Basis of the right nullspace of A over Q(n).
+def nullspace(matrix: list[list[ZnPoly]], ncols: int | None = None) -> list[list[ZnPoly]]:
+    """Basis over Z[n] of the right nullspace of A, which is not modified.
 
-    One vector per free column, in ascending column order; the vector for
-    free column f has a 1 there and 0 in every other free column.
+    One vector per free column f, in ascending order: 0 past f and in every
+    other free column, and at f the pivot of the last pivot row left of f
+    (1 if there is none); divided by that entry it is 1 there.
     """
-    nrows = len(matrix)
     if ncols is None:
-        if nrows == 0:
+        if not matrix:
             raise ValueError("ncols is required for an empty matrix")
         ncols = len(matrix[0])
-    rows = [clear_qn([QN.coerce(e) for e in row])[0] for row in matrix]
+    rows = [list(row) for row in matrix]
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
     pivots, _ = bareiss(ZN, rows, ncols)
@@ -64,6 +64,5 @@ def nullspace(matrix: list[list], ncols: int | None = None) -> list[list]:
                 if row[c2] and vec[c2]:
                     acc = acc + row[c2] * vec[c2]
             vec[c] = ZN.exact_div(-acc, row[c])
-        common = den.to_poly()
-        basis.append([RationalFunction(v.to_poly(), common) if v else QN.zero() for v in vec])
+        basis.append(vec)
     return basis

@@ -14,9 +14,10 @@ The summation engine states its objects in the tower ``Q -> Q[n] -> Q(n)
 singletons for those rings live at the bottom of this file.  The costly
 steps leave the tower for one integer form: ``ZnPoly`` is Z[n] as a tuple
 of ints, and a polynomial in k over ``ZN`` is Z[n][k].  ``clear_qn`` and
-``integer_qnk_pair`` produce it.  ``linalg`` eliminates on it, ``poly_gcd``
-over Q(n) decides gcds in it (one integer specialization of n proves most
-gcds to be 1; Brown's evaluation/interpolation finds the others),
+``integer_qnk_pair`` produce it.  The Gosper system is built and ``linalg``
+eliminates in it, ``poly_gcd`` over Q(n) decides gcds in it (one integer
+specialization of n proves most gcds to be 1; Brown's interpolation finds
+the others),
 ``dispersion_set`` takes its resultant over Z[n][j], and certificate
 checks multiply, add and shift in it without any gcd.
 """
@@ -410,15 +411,14 @@ class RationalFunction:
             raise TypeError("numerator and denominator from different rings")
         if not num:
             den = ring.one()
-        else:
+        elif num.degree > 0 and den.degree > 0:  # else the gcd is 1
             g = poly_gcd(num, den)
-            if g.degree != 0 or g.lc() != num.ring.one():
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.lc()
-            if lead != num.ring.one():
-                den = den.monic()
-                num = num.map_coeffs(lambda c: num.ring.exact_div(c, lead))
+            if g.degree > 0:  # g is monic
+                num, den = num.exact_div(g), den.exact_div(g)
+        lead = den.lc()
+        if lead != num.ring.one():
+            den = den.monic()
+            num = num.map_coeffs(lambda c: num.ring.exact_div(c, lead))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "field", FractionField(ring))
@@ -615,7 +615,7 @@ def _qn_poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     whose image degree is too high (unlucky) give a candidate that fails
     that division, and there are finitely many of them.
     """
-    num, den = clear_qn(p.coeffs)[0], clear_qn(q.coeffs)[0]
+    num, den = clear_qn(p.coeffs), clear_qn(q.coeffs)
     one = PolynomialRing(p.var, p.ring).one()
     n0 = _good_point(num, den, 0)
     g = _zn_image_gcd(num, den, n0)
@@ -789,7 +789,7 @@ def _clear_to_zn(p: Polynomial) -> list[ZnPoly]:
     if isinstance(p.ring, RationalField):
         return [ZnPoly((c,)) for c in _int_content_normalize(p.coeffs)]
     if p.ring == QN:
-        return clear_qn(p.coeffs)[0]
+        return clear_qn(p.coeffs)
     raise TypeError(f"unsupported coefficient ring {p.ring!r}")
 
 
@@ -885,12 +885,10 @@ def eval_qn(value: RationalFunction, n: int) -> Fraction:
     return value.evaluate(Fraction(n))
 
 
-def clear_qn(values: Sequence[RationalFunction]) -> tuple[list[ZnPoly], Polynomial]:
-    """Q(n) elements times their least common multiplier m in Q[n].
-
-    The products are ``ZnPoly``s with joint content 1; m, a Q[n]
-    polynomial, is the lcm of the denominators times a positive rational.
-    Returns both.
+def clear_qn(values: Sequence[RationalFunction]) -> list[ZnPoly]:
+    """Q(n) elements times their least common multiplier in Q[n] (the lcm of
+    the denominators times a positive rational), as ``ZnPoly``s with joint
+    content 1.  The one multiplier keeps every linear relation among them.
     """
     common = POLY_N.one()
     for v in values:
@@ -900,8 +898,7 @@ def clear_qn(values: Sequence[RationalFunction]) -> tuple[list[ZnPoly], Polynomi
     den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
     rows = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
     g = math.gcd(*(c for r in rows for c in r)) or 1
-    return ([tuple.__new__(ZnPoly, [c // g for c in r]) for r in rows],
-            common.mul_ground(Fraction(den, g)))
+    return [tuple.__new__(ZnPoly, [c // g for c in r]) for r in rows]
 
 
 def clear_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
@@ -935,7 +932,7 @@ def integer_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
     multiplies by a positive rational times a monic lcm.
     """
     size = len(value.num.coeffs)
-    polys, _ = clear_qn(value.num.coeffs + value.den.coeffs)
+    polys = clear_qn(value.num.coeffs + value.den.coeffs)
     return Polynomial(value.var, ZN, polys[:size]), Polynomial(value.var, ZN, polys[size:])
 
 
@@ -994,6 +991,8 @@ class ZnPoly(tuple):
         return ZnPoly(out)
 
     def __mul__(self, other: "ZnPoly") -> "ZnPoly":
+        if not isinstance(other, ZnPoly):
+            return NotImplemented
         if not self or not other:
             return ZN_ZERO
         out = [0] * (len(self) + len(other) - 1)
@@ -1002,6 +1001,8 @@ class ZnPoly(tuple):
                 for j, b in enumerate(other, i):
                     out[j] += a * b
         return tuple.__new__(ZnPoly, out)
+
+    __rmul__ = __mul__  # not tuple repetition: an int times a ZnPoly is a TypeError
 
     def quotient(self, other: "ZnPoly") -> "ZnPoly | None":
         """self / other in Z[n], or None when the division is not exact."""
@@ -1072,14 +1073,16 @@ def _zn_image_gcd(num: list[ZnPoly], den: list[ZnPoly], n0: int) -> list[int]:
 
 
 def _zn_primitive_part(rows: list[ZnPoly]) -> list[ZnPoly]:
-    """A polynomial in k over Z[n] divided by its content in Z[n]."""
+    """A polynomial in k over Z[n], its top coefficient nonzero, divided by
+    its content in Z[n] and by the sign of its leading integer."""
     content: list[int] = []
     for r in rows:
         content = _int_gcd(content, list(r))
     if len(content) > 1:
         rows = [ZN.exact_div(r, ZnPoly(content)) for r in rows]
     g = math.gcd(*(c for r in rows for c in r))
-    if g > 1:
+    g = -g if rows[-1][-1] < 0 else g
+    if g != 1:
         rows = [ZnPoly([c // g for c in r]) for r in rows]
     return rows
 

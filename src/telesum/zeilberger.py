@@ -32,10 +32,8 @@ from .hyperterm import (
 )
 from .polynomials import (
     POLY_K,
-    QN,
     Polynomial,
     RationalFunction,
-    clear_qn,
     poly_lcm,
     shift_in_n,
 )
@@ -99,24 +97,6 @@ class Recurrence:
 def operator_equal(r1: Recurrence, r2: Recurrence) -> bool:
     """Normalized recurrences are canonical, so equality is structural."""
     return r1.coeffs == r2.coeffs
-
-
-def _normalize_solution(
-    sigmas: list[RationalFunction],
-) -> tuple[tuple[Polynomial, ...], RationalFunction]:
-    """Scale so the sigma's are integer polynomials, content 1, positive lead.
-
-    Returns them as Q[n] polynomials with the k-free scale lambda, by which
-    the certificate must be multiplied too.
-    """
-    while sigmas and sigmas[-1].is_zero():
-        sigmas.pop()
-    if not sigmas:
-        raise ValueError("empty coefficient vector")
-    polys, lam = clear_qn(sigmas)
-    if polys[-1][-1] < 0:
-        polys, lam = [-p for p in polys], -lam
-    return tuple(p.to_poly() for p in polys), QN.coerce(lam)
 
 
 @dataclass(frozen=True)
@@ -185,9 +165,8 @@ def _attempt(
     if solution is None:
         return None
     x, sigma = solution
-    coeffs, lam = _normalize_solution(sigma)
-    certificate = RationalFunction((nf.b.shift(-1) * x).mul_ground(lam), nf.c * q)
-    result = TelescopingCertificate(t, Recurrence(coeffs), certificate)
+    certificate = RationalFunction(nf.b.shift(-1) * x, nf.c * q)
+    result = TelescopingCertificate(t, Recurrence(tuple(s.to_poly() for s in sigma)), certificate)
     if not result.check():
         raise AssertionError("internal error: telescoping check failed")
     return result

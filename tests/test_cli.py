@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -207,6 +208,22 @@ def test_series_negative_family_index_exit_one(capsys):
     captured = capsys.readouterr()
     assert captured.err == "usage error: --family-index must be >= 0, got -1\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("index", [str(MAX_SERIES_ORDER + 1), "100000000000000000000"])
+def test_series_family_index_above_the_bound_exit_one(index, capsys):
+    assert main(["series", "ballot", "--order", "4", "--family-index", index]) == 1
+    captured = capsys.readouterr()
+    bound = MAX_SERIES_ORDER
+    assert captured.err == f"usage error: --family-index must be <= {bound}, got {index}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3, 4, 5, 6, MAX_SERIES_ORDER])
+def test_series_family_index_bound_admits_the_used_indices(index, capsys):
+    assert main(["series", "ballot", "--order", "3", "--family-index", str(index)]) == 0
+    want = "".join(f"{i}: {math.comb(2 * i + index, i)}\n" for i in range(4))
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("name", ["catalan", "central", "shifted-central"])

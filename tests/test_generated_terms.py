@@ -1,0 +1,179 @@
+"""Differential tests on generated proper hypergeometric terms.
+
+Each term is a product of one to three binomial, factorial or power
+factors with small integer-linear arguments in n and k, times an optional
+polynomial in n and k.  The solvers' answers are compared with exact
+brute-force sums: Gosper antidifferences against ``oracle_sum``, Zeilberger
+recurrences against sums over the term's natural support.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from telesum.gosper import NotSummableError, gosper_antidifference, telescoped_sum
+from telesum.hyperterm import (
+    BinomialFactor,
+    FactorialFactor,
+    HyperTerm,
+    LinearForm,
+    PoleError,
+    PowerFactor,
+    eval_term,
+    shift_quotient,
+    term_to_string,
+)
+from telesum.polynomials import RationalFunction, integer_qnk_pair, k_poly, n_poly
+from telesum.verify import oracle_sum
+from telesum.zeilberger import (
+    NoRecurrenceFound,
+    creative_telescope,
+    sum_recurrence_natural,
+)
+
+# alpha*n + beta*k + gamma with 0 <= alpha <= 1 and |beta| <= 1, and the same
+# for the difference of a binomial's arguments: larger coefficients give shift
+# quotients whose dispersion resultant alone can take a minute
+linear_forms = st.builds(
+    LinearForm.make,
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=-1, max_value=1),
+    st.integers(min_value=-2, max_value=2),
+)
+powers = st.builds(
+    lambda base, exponent: (PowerFactor(Fraction(base), exponent), 1),
+    st.sampled_from([2, 3, -1, Fraction(1, 2)]),
+    linear_forms,
+)
+factors = st.one_of(
+    st.builds(lambda top, bottom: (BinomialFactor(top, bottom), 1), linear_forms, linear_forms)
+    .filter(lambda fe: abs(fe[0].top.coeff_k - fe[0].bottom.coeff_k) <= 1),
+    st.builds(lambda arg, e: (FactorialFactor(arg), e), linear_forms, st.sampled_from([1, -1])),
+    powers,
+)
+# polynomial prefactors in k whose coefficients are linear in n; 1 when empty
+prefactors = st.lists(
+    st.tuples(st.integers(min_value=-3, max_value=3), st.integers(min_value=-2, max_value=2)),
+    max_size=2,
+).map(lambda cs: k_poly(*(n_poly(a, b) for a, b in cs)) if cs else k_poly(1))
+terms = st.builds(
+    lambda fs, p: HyperTerm(fs, RationalFunction(p)),
+    st.lists(factors, min_size=1, max_size=3),
+    prefactors.filter(bool),
+)
+
+
+def _kfree_top_binomials(min_alpha: int):
+    """binom(alpha*n + gamma, +-k + delta) with gamma >= 0: the top is an
+    integer >= 0 at every n >= 0, and for alpha >= 1 the binomial is zero
+    outside a finite k-range."""
+    return st.builds(
+        lambda a, g, s, d: (BinomialFactor(LinearForm.make(a, 0, g), LinearForm.make(0, s, d)), 1),
+        st.integers(min_value=min_alpha, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([1, -1]),
+        st.integers(min_value=-2, max_value=2),
+    )
+
+
+# Terms entire in k (as Gamma quotients) with a finite support at each n >= 0:
+# their factorials sit in denominators, where fact(m) = 0 for m < 0 is the
+# zero of 1/Gamma, and binomial tops never go negative.  A factorial in a
+# numerator makes the support an artefact of that convention, and summed
+# over it the certificate's identity leaves boundary terms.
+natural_terms = st.builds(
+    lambda f, fs, p: HyperTerm([f] + fs, RationalFunction(p)),
+    _kfree_top_binomials(1),
+    st.lists(
+        st.one_of(
+            _kfree_top_binomials(0),
+            st.builds(lambda arg: (FactorialFactor(arg), -1), linear_forms),
+            powers,
+        ),
+        max_size=2,
+    ),
+    prefactors.filter(bool),
+)
+
+N_RANGE = range(0, 5)
+K_WINDOW = range(-3, 8)
+
+
+def _nonzero_and_finite(term: HyperTerm, antidifference: HyperTerm, n: int, k: int) -> bool:
+    try:
+        eval_term(antidifference, n, k)
+        return eval_term(term, n, k) != 0
+    except PoleError:
+        return False
+
+
+def _telescoped_sums_match(cert, term: HyperTerm) -> None:
+    """telescoped_sum equals oracle_sum on ranges [lo, hi] of the window
+    where F and G = R*F are finite and F is nonzero at each k in lo..hi+1:
+    in each maximal such run, from its start to every end and from every
+    start to its end.
+
+    Where F vanishes its k-shift quotient need not relate F(k) and F(k+1),
+    so a range crossing such a k may telescope to another value.
+    """
+    g = cert.antidifference()
+    for n in N_RANGE:
+        good = [k for k in K_WINDOW if _nonzero_and_finite(term, g, n, k)]
+        runs: list[list[int]] = []
+        for k in good:
+            if runs and runs[-1][-1] == k - 1:
+                runs[-1].append(k)
+            else:
+                runs.append([k])
+        for run in runs:
+            ranges = {(run[0], hi) for hi in run[:-1]} | {(lo, run[-2]) for lo in run[:-1]}
+            for lo, hi in ranges:
+                assert telescoped_sum(cert, n, lo, hi) == oracle_sum(term, n, lo, hi), (n, lo, hi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(terms)
+def test_gosper_sum_matches_the_oracle_or_refuses_with_a_reason(term):
+    try:
+        cert = gosper_antidifference(term)
+    except NotSummableError as exc:
+        assert exc.reason and term_to_string(term) in exc.reason
+        return
+    _telescoped_sums_match(cert, term)
+
+
+@settings(max_examples=20, deadline=None)
+@given(terms)
+def test_constructed_difference_is_never_refused(g):
+    step = shift_quotient(g, "k") - 1
+    if not step:
+        return  # G does not depend on k, so G(k+1) - G(k) is the zero term
+    f = g.scale_rational(step)
+    cert = gosper_antidifference(f)
+    assert cert.check()
+    _telescoped_sums_match(cert, f)
+
+
+def _defined_at(value: RationalFunction, n: int) -> bool:
+    """Whether the denominator of a Q(n)(k) element is not zero for all k at n."""
+    return any(c(n) for c in integer_qnk_pair(value)[1].coeffs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(natural_terms)
+def test_zeilberger_recurrence_holds_on_natural_sums_or_refuses_with_a_reason(term):
+    """At each n where R(n, k) is a rational function of k, G = R*F is entire
+    in k (F is, and G(k+1) - G(k) is a sum of F's), and zero at integers k
+    far out, where F is; so the certificate's identity, summed over k, is
+    the recurrence of the natural sums."""
+    try:
+        cert = creative_telescope(term, max_order=2)
+    except NoRecurrenceFound as exc:
+        assert exc.max_order == 2 and str(exc)
+        return
+    for n in range(0, 9):
+        if _defined_at(cert.certificate, n):
+            sum_recurrence_natural(cert.term, cert.recurrence, n_lo=n, n_hi=n)

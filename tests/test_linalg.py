@@ -1,4 +1,4 @@
-"""Fraction-free linear solving over Q and over Q(n)."""
+"""Fraction-free linear solving over Q and over Q(n), and nullspaces over Z[n]."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telesum.linalg import nullspace, solve_linear_system
-from telesum.polynomials import QN, QQ, n_poly
+from telesum.polynomials import QN, QQ, RationalFunction, ZnPoly, clear_qn, n_poly
 
 
 def _q(v) -> Fraction:
@@ -54,12 +54,31 @@ def test_singular_but_consistent_over_qn():
     assert sol == [QN.one(), QN.zero()]
 
 
+def _zn_rows(matrix: list[list]) -> list[list[ZnPoly]]:
+    """Each row of a Q(n) matrix times its own clear_qn multiplier."""
+    return [clear_qn([QN.coerce(e) for e in row]) for row in matrix]
+
+
+def _qn_nullspace(matrix: list[list], ncols: int | None = None) -> list[list]:
+    """nullspace on the cleared rows, each Z[n] vector divided by its free
+    entry, its last nonzero one; checks the integer contract on the way."""
+    rows = _zn_rows(matrix)
+    before = [list(row) for row in rows]
+    basis = []
+    for vec in nullspace(rows, ncols=ncols):
+        assert all(type(v) is ZnPoly for v in vec)
+        free = next(v for v in reversed(vec) if v).to_poly()
+        basis.append([RationalFunction(v.to_poly(), free) for v in vec])
+    assert rows == before
+    return basis
+
+
 def test_nullspace_trivial():
-    assert nullspace([[_q(1), _q(0)], [_q(0), _q(1)]]) == []
+    assert _qn_nullspace([[_q(1), _q(0)], [_q(0), _q(1)]]) == []
 
 
 def test_nullspace_one_dimensional():
-    basis = nullspace([[_q(1), _q(1)]])
+    basis = _qn_nullspace([[_q(1), _q(1)]])
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + v[1] == 0
@@ -67,7 +86,7 @@ def test_nullspace_one_dimensional():
 
 
 def test_nullspace_zero_matrix_full():
-    basis = nullspace([[_q(0), _q(0)]], ncols=2)
+    basis = _qn_nullspace([[_q(0), _q(0)]], ncols=2)
     assert len(basis) == 2
     assert basis[0] != basis[1]
 
@@ -75,7 +94,7 @@ def test_nullspace_zero_matrix_full():
 def test_nullspace_over_qn():
     n = QN.coerce(n_poly(0, 1))
     # single relation x0*n + x1 = 0
-    basis = nullspace([[n, QN.one()]])
+    basis = _qn_nullspace([[n, QN.one()]])
     assert len(basis) == 1
     v = basis[0]
     assert v[0] * n + v[1] == QN.zero()
@@ -83,7 +102,7 @@ def test_nullspace_over_qn():
 
 def test_nullspace_skipped_column_stays_free():
     # column 1 never gets a pivot: [ [1, 0, 2] ] has x1 free and x2 free
-    basis = nullspace([[_q(1), _q(0), _q(2)]])
+    basis = _qn_nullspace([[_q(1), _q(0), _q(2)]])
     assert len(basis) == 2
     for v in basis:
         assert v[0] + 2 * v[2] == 0
@@ -128,7 +147,7 @@ def test_solution_satisfies_system(matrix_cols):
 )
 def test_nullspace_vectors_annihilate(matrix):
     cols = len(matrix[0])
-    basis = nullspace(matrix, ncols=cols)
+    basis = _qn_nullspace(matrix, ncols=cols)
     for v in basis:
         assert any(c != 0 for c in v)
         for row in matrix:
@@ -187,4 +206,4 @@ _N = n_poly(0, 1)
           [n_poly(0), _N + 1, _N + 1, n_poly(3, 0, 1)]])  # leading zero column, row 3 = rows 1+2
 def test_nullspace_over_zn_matches_qn_reference(matrix):
     ncols = len(matrix[0])
-    assert nullspace(matrix, ncols=ncols) == _rref_nullspace(matrix, ncols)
+    assert _qn_nullspace(matrix, ncols=ncols) == _rref_nullspace(matrix, ncols)

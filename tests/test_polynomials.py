@@ -564,6 +564,17 @@ def test_znpoly_shift_matches_the_q_n_shift(coeffs, j):
     assert shift_in_n(Polynomial("k", ZN, (z, -z)), j) == Polynomial("k", ZN, (z.shift(j), -z.shift(j)))
 
 
+@pytest.mark.parametrize("z", [ZnPoly((1, 1)), ZnPoly()])
+@pytest.mark.parametrize("scalar", [2, 0, True])
+def test_znpoly_times_an_int_is_a_type_error_in_both_orders(z, scalar):
+    # not tuple repetition on the left, not a silent zero on the right
+    with pytest.raises(TypeError):
+        scalar * z
+    with pytest.raises(TypeError):
+        z * scalar
+    assert z * ZnPoly((2,)) == ZnPoly([2 * c for c in z])
+
+
 def test_qnk_field_ops():
     k = QNK.coerce(POLY_K.gen())
     f = QNK.one() / k

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from telesum.gosper import _normalize_solution
 from telesum.hyperterm import binomial_value, eval_term, parse_term
-from telesum.polynomials import QN, n_poly
+from telesum.polynomials import QN, ZnPoly, n_poly
 from telesum.verify import oracle_sum
 from telesum.zeilberger import (
     BoundaryCheckError,
@@ -15,7 +16,6 @@ from telesum.zeilberger import (
     Recurrence,
     RecurrenceCheckError,
     TelescopingCertificate,
-    _normalize_solution,
     creative_telescope,
     natural_sum,
     natural_support,
@@ -135,12 +135,24 @@ def test_no_recurrence_at_insufficient_order():
     assert info.value.max_order == 1
 
 
-def test_normalized_sigmas_have_a_positive_top_and_return_their_scale():
-    sigmas = [QN.coerce(n_poly(-2)), QN.zero(), QN.coerce(n_poly(0, -4)) / QN.coerce(n_poly(1, 1))]
-    coeffs, lam = _normalize_solution(list(sigmas))
-    assert coeffs == (n_poly(1, 1), n_poly(), n_poly(0, 2))
+def test_normalized_sigmas_have_a_positive_top_and_scale_x_to_match():
+    # the sigmas -2, 0, -4n/(n+1) (and a zero top) over their denominator n+1,
+    # as the Z[n] nullspace returns them
+    sigmas = [ZnPoly((-2, -2)), ZnPoly(), ZnPoly((0, -4)), ZnPoly()]
+    xs = [ZnPoly((6,)), ZnPoly(), ZnPoly((1, 0, 3))]
+    x, coeffs = _normalize_solution(xs, sigmas)
+    assert coeffs == (ZnPoly((1, 1)), ZnPoly(), ZnPoly((0, 2)))
+    assert all(type(c) is ZnPoly for c in coeffs)
+    # one k-free scale for x and sigma: x_i * sigma_j is unchanged up to it
     for s, c in zip(sigmas, coeffs):
-        assert s * lam == QN.coerce(c)
+        for i, v in enumerate(xs):
+            assert QN.coerce(s.to_poly()) * x.coeff(i) == QN.coerce(c.to_poly() * v.to_poly())
+    half = Fraction(-1, 2)
+    assert x.coeffs == (QN.from_int(-3), QN.zero(), QN.coerce(n_poly(half, 0, 3 * half)))
+    # Gosper's single sigma always normalizes to 1
+    x, coeffs = _normalize_solution([ZnPoly((4,))], [ZnPoly((0, -2))])
+    assert coeffs == (ZnPoly((1,)),)
+    assert x.coeffs == (QN.coerce(n_poly(-2)) / QN.coerce(n_poly(0, 1)),)
 
 
 def test_fifth_power_has_no_recurrence_up_to_order_2():
