@@ -9,6 +9,7 @@ with every integer rendered as a decimal string.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from .gosper import NotSummableError, gosper_antidifference
 from .hyperterm import (
     DegenerateSampleError,
     HyperTerm,
+    LinearForm,
     ParseError,
     PoleError,
     UnboundParameterError,
@@ -183,6 +185,13 @@ def _cmd_wz_check(args) -> int:
     return EXIT_VERIFICATION
 
 
+def _k_bound(text: str, flag: str, binding: dict[str, int]) -> LinearForm:
+    form = parse_linear_form(text).bind(binding)
+    if form.coeff_k:
+        raise _UsageError(f"{flag} may not involve k: {text!r}")
+    return form
+
+
 def _cmd_sum(args) -> int:
     binding = _parse_params(args.param)
     term = parse_term(args.term, binding)
@@ -192,11 +201,13 @@ def _cmd_sum(args) -> int:
     explicit = args.k_from is not None or args.k_to is not None
     if explicit and (args.k_from is None or args.k_to is None):
         raise _UsageError("--from and --to must be given together")
+    if explicit:
+        lo_form = _k_bound(args.k_from, "--from", binding)
+        hi_form = _k_bound(args.k_to, "--to", binding)
     rows = []
     for n in range(n_lo, n_hi + 1):
         if explicit:
-            lo = parse_linear_form(args.k_from).bind(binding).evaluate(n, 0)
-            hi = parse_linear_form(args.k_to).bind(binding).evaluate(n, 0)
+            lo, hi = lo_form.evaluate(n, 0), hi_form.evaluate(n, 0)
             rows.append((n, oracle_sum(term, n, lo, hi)))
         else:
             rows.append((n, natural_sum(term, n)))
@@ -243,7 +254,9 @@ def _cmd_suite(args) -> int:
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFICATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once: parse_args keeps no state in it."""
     top = _Argv(
         prog="telesum",
         description="Exact summation toolkit: indefinite and definite "

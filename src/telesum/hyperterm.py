@@ -2,9 +2,16 @@
 
 A term is a product of binomial/factorial/power factors with integer-linear
 arguments in (n, k) and optional auxiliary parameter symbols, times a
-rational prefactor in the Q(n)[k] tower.  Shift quotients F(.., var+1)/F
-are exact rational functions, which is what the Gosper and Zeilberger
-layers consume.
+rational prefactor in the Q(n)[k] tower.  The parser reads any nonzero
+rational power base (``2^k``, ``(-1)^(n+k)``, ``(1/2)^k``); a zero base,
+which has no shift quotient, only with a constant exponent >= 0.
+
+Shift quotients F(.., var+1)/F are built in Z[n][k] (polynomials in k over
+``ZN``) as unreduced pairs (``integer_shift_pair``) from the factors'
+integer linear forms and the prefactor's integer pair; the certificate
+check and ``term_ratio_is_one`` compare them cross-multiplied.
+``shift_quotient`` reduces the pair once into Q(n)(k), the form the Gosper
+and Zeilberger layers consume.
 
 Evaluation conventions (fixed, and relied on by every oracle):
 
@@ -30,8 +37,10 @@ from typing import Iterable, Mapping
 from .polynomials import (
     POLY_K,
     QN,
+    ZN,
     Polynomial,
     RationalFunction,
+    ZnPoly,
     integer_qnk_pair,
     n_poly,
     shift_in_n,
@@ -137,14 +146,6 @@ class LinearForm:
             raise UnboundParameterError(f"unbound parameter(s): {missing}")
         return self.coeff_n * n + self.coeff_k * k + self.constant
 
-    def to_kpoly(self) -> Polynomial:
-        """As a polynomial in k over Q(n); parameters must already be bound."""
-        if self.params:
-            missing = ", ".join(s for s, _ in self.params)
-            raise UnboundParameterError(f"unbound parameter(s): {missing}")
-        const = QN.coerce(n_poly(self.constant, self.coeff_n))
-        return Polynomial("k", QN, (const, QN.from_int(self.coeff_k)))
-
     def sort_key(self):
         return (self.coeff_n, self.coeff_k, self.params, self.constant)
 
@@ -211,10 +212,9 @@ class PowerFactor:
         return (2, (self.base.numerator, self.base.denominator), self.exponent.sort_key())
 
     def to_string(self) -> str:
-        if self.base.denominator == 1:
-            base = str(self.base.numerator)
-        else:
-            base = f"({self.base.numerator}/{self.base.denominator})"
+        base = str(self.base)
+        if self.base.denominator != 1 or self.base < 0:
+            base = f"({base})"
         return f"{base}^({self.exponent.to_string()})"
 
 
@@ -464,59 +464,64 @@ def eval_term(
 # ---------------------------------------------------------------------------
 # shift quotients
 
+_ZNK_ONE = Polynomial("k", ZN, (ZnPoly((1,)),))
 
-def _falling_product(arg: Polynomial, delta: int) -> tuple[Polynomial, Polynomial]:
-    """fact(L + delta)/fact(L) as a (numerator, denominator) pair of k-polynomials."""
-    num = POLY_K.one()
-    den = POLY_K.one()
-    if delta >= 0:
-        for i in range(1, delta + 1):
-            num = num * (arg + i)
-    else:
-        for i in range(0, -delta):
-            den = den * (arg - i)
+
+def _zn_falling(lf: LinearForm, var: str) -> tuple[Polynomial, Polynomial]:
+    """fact(L + delta)/fact(L), delta the coefficient of var in L, as a pair
+    of polynomials in k over ``ZN``."""
+    num = den = _ZNK_ONE
+    lead, delta = ZnPoly((lf.coeff_k,)), lf.coeff(var)
+    for i in range(1, delta + 1):
+        num = num * Polynomial("k", ZN, (ZnPoly((lf.constant + i, lf.coeff_n)), lead))
+    for i in range(0, -delta):
+        den = den * Polynomial("k", ZN, (ZnPoly((lf.constant - i, lf.coeff_n)), lead))
     return num, den
 
 
-def _factor_quotient(f: Factor, var: str) -> tuple[Polynomial, Polynomial]:
+def _factor_pair(f: Factor, var: str) -> tuple[Polynomial, Polynomial]:
     if isinstance(f, PowerFactor):
-        delta = f.exponent.coeff(var)
-        val = QN.coerce(f.base**delta)
-        return POLY_K.constant(val), POLY_K.one()
+        if not f.base:
+            raise ValueError(f"zero base in {f.to_string()} has no shift quotient")
+        r = f.base ** f.exponent.coeff(var)
+        return _ZNK_ONE.mul_ground(r.numerator), _ZNK_ONE.mul_ground(r.denominator)
     if isinstance(f, FactorialFactor):
-        return _falling_product(f.arg.to_kpoly(), f.arg.coeff(var))
-    top, bottom = f.top, f.bottom
-    diff = top - bottom
-    n1, d1 = _falling_product(top.to_kpoly(), top.coeff(var))
-    n2, d2 = _falling_product(bottom.to_kpoly(), bottom.coeff(var))
-    n3, d3 = _falling_product(diff.to_kpoly(), diff.coeff(var))
+        return _zn_falling(f.arg, var)
+    (n1, d1), (n2, d2), (n3, d3) = (
+        _zn_falling(lf, var) for lf in (f.top, f.bottom, f.top - f.bottom))
     return n1 * d2 * d3, d1 * n2 * n3
 
 
-def shift_quotient(
+def integer_shift_pair(
     term: HyperTerm, var: str, binding: ParamBinding | None = None
-) -> RationalFunction:
-    """Exact rational function T(.., var+1, ..)/T as an element of Q(n)(k)."""
+) -> tuple[Polynomial, Polynomial]:
+    """T(.., var+1, ..)/T as an unreduced pair (A, B), B nonzero, in Z[n][k]
+    (polynomials in k over ``ZN``): falling products of the factors' linear
+    forms, p^delta/q^delta for a power base p/q, and P(var+1)*Q/(Q(var+1)*P)
+    for the prefactor's integer pair P/Q."""
     if var not in ("n", "k"):
         raise ValueError(f"shift variable must be n or k, not {var!r}")
     t = term.bind(binding)
     t.require_bound()
     if not t.prefactor:
         raise ValueError("shift quotient of the zero term")
-    num = POLY_K.one()
-    den = POLY_K.one()
+    num = den = _ZNK_ONE
     for f, e in t.factors:
-        qn_, qd = _factor_quotient(f, var)
-        if e >= 0:
-            num = num * qn_**e
-            den = den * qd**e
-        else:
-            num = num * qd ** (-e)
-            den = den * qn_ ** (-e)
-    pref = t.prefactor
-    shifted = pref.shift(1) if var == "k" else shift_in_n(pref, 1)
-    num = num * shifted.num * pref.den
-    den = den * shifted.den * pref.num
+        a, b = _factor_pair(f, var)
+        num, den = (num * a**e, den * b**e) if e > 0 else (num * b**-e, den * a**-e)
+    p, q = integer_qnk_pair(t.prefactor)
+    p1, q1 = (p.shift(1), q.shift(1)) if var == "k" else (shift_in_n(p, 1), shift_in_n(q, 1))
+    return num * p1 * q, den * q1 * p
+
+
+def shift_quotient(
+    term: HyperTerm, var: str, binding: ParamBinding | None = None
+) -> RationalFunction:
+    """Exact rational function T(.., var+1, ..)/T as an element of Q(n)(k):
+    the pair of ``integer_shift_pair`` lifted to Q(n)(k), reduced with a
+    monic denominator by the RationalFunction constructor."""
+    num, den = (Polynomial("k", QN, [RationalFunction(c.to_poly()) for c in p.coeffs])
+                for p in integer_shift_pair(term, var, binding))
     return RationalFunction(num, den)
 
 
@@ -544,18 +549,19 @@ def term_ratio_is_one(
 ) -> bool:
     """True iff t1/t2 is identically 1.
 
-    Both shift quotients of the ratio must be 1 and the values must agree
-    at one sample point where neither term vanishes or poles; by the usual
-    telescoping argument that pins the ratio everywhere.
+    Both shift quotients of the ratio must be 1 (the integer shift pairs
+    agree cross-multiplied) and the values must agree at one sample point
+    where neither term vanishes or poles; by the usual telescoping argument
+    that pins the ratio everywhere.
     """
     a = t1.bind(binding)
     b = t2.bind(binding)
     a.require_bound()
     b.require_bound()
-    if shift_quotient(a, "k") != shift_quotient(b, "k"):
-        return False
-    if shift_quotient(a, "n") != shift_quotient(b, "n"):
-        return False
+    for var in ("k", "n"):
+        (a1, b1), (a2, b2) = integer_shift_pair(a, var), integer_shift_pair(b, var)
+        if a1 * b2 != a2 * b1:
+            return False
     tried = 0
     for total in range(0, 64):
         for k0 in range(0, total + 1):
@@ -669,31 +675,11 @@ class _Parser:
             return ("fact", first, self.parse_int_power())
         if kind == "int":
             self.next()
-            base = int(val)
-            nk, nv, npos = self.peek()
-            if nk == "op" and nv == "^":
-                self.next()
-                kind2, val2, pos2 = self.peek()
-                if kind2 == "int":
-                    self.next()
-                    return ("const_pow", base, int(val2))
-                if kind2 == "op" and val2 == "-":
-                    self.next()
-                    kind3, val3, pos3 = self.peek()
-                    if kind3 != "int":
-                        raise ParseError("expected integer exponent", pos3, self.text)
-                    self.next()
-                    return ("const_pow", base, -int(val3))
-                if kind2 == "op" and val2 == "(":
-                    self.next()
-                    lin = self.parse_linear()
-                    self.expect_op(")")
-                    return ("power", base, lin)
-                if kind2 == "sym":
-                    self.next()
-                    return ("power", base, LinearForm.make(**_single_symbol(val2)))
-                raise ParseError("expected exponent", pos2, self.text)
-            return ("const", base)
+            return self.parse_base_power(Fraction(int(val)))
+        if kind == "op" and val == "(":
+            base = self.parse_rational_base()
+            if base is not None:
+                return self.parse_base_power(base)
         if kind == "sym" or (kind == "op" and val == "("):
             ast = self.parse_poly_primary()
             exp = 1
@@ -703,28 +689,83 @@ class _Parser:
                 kind2, val2, pos2 = self.peek()
                 if kind2 != "int":
                     raise ParseError(
-                        "only integer bases may carry symbolic exponents", pos2, self.text
+                        "only constant bases may carry symbolic exponents", pos2, self.text
                     )
                 self.next()
                 exp = int(val2)
             return ("poly", ast, exp)
         raise ParseError("expected a factor", pos, self.text)
 
+    def parse_rational_base(self) -> Fraction | None:
+        """A constant ``(p)``, ``(-p)``, ``(p/q)`` or ``(-p/q)`` at a ``(``;
+        None, with nothing consumed, for any other parenthesized text."""
+        toks, i, sign = self.tokens, self.i + 1, 1
+        if toks[i][:2] == ("op", "-"):
+            i, sign = i + 1, -1
+        if toks[i][0] != "int":
+            return None
+        p, q = int(toks[i][1]), 1
+        i += 1
+        if toks[i][:2] == ("op", "/") and toks[i + 1][0] == "int":
+            q = int(toks[i + 1][1])
+            if not q:
+                raise ParseError("zero denominator in a base", toks[i + 1][2], self.text)
+            i += 2
+        if toks[i][:2] != ("op", ")"):
+            return None
+        self.i = i + 1
+        return Fraction(sign * p, q)
+
+    def parse_base_power(self, base: Fraction):
+        """A constant base alone, to an integer power, or to a linear
+        exponent ``^sym`` or ``^(L)``; ``^(L)`` may carry an integer power
+        of the factor, as binom and fact do."""
+        kind, val, _ = self.peek()
+        if kind != "op" or val != "^":
+            return ("const", base)
+        self.next()
+        kind, val, pos = self.peek()
+        if kind == "int" or (kind == "op" and val == "-"):
+            return self.const_power(base, self.parse_signed_int(), pos)
+        if kind == "op" and val == "(":
+            self.next()
+            lin = self.parse_linear()
+            self.expect_op(")")
+            e = self.parse_int_power()
+        elif kind == "sym":
+            self.next()
+            lin, e = LinearForm.make(**_single_symbol(val)), 1
+        else:
+            raise ParseError("expected exponent", pos, self.text)
+        if not base:
+            if lin.coeff_n or lin.coeff_k or lin.params:
+                raise ParseError("a zero base may not carry a symbolic exponent", pos, self.text)
+            return self.const_power(base, lin.constant * e, pos)
+        return ("power", base, lin, e)
+
+    def const_power(self, base: Fraction, e: int, pos: int):
+        if not base and e < 0:
+            raise ParseError("zero base with a negative exponent", pos, self.text)
+        return ("const_pow", base, e)
+
     def parse_int_power(self) -> int:
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            kind2, val2, pos2 = self.peek()
-            sign = 1
-            if kind2 == "op" and val2 == "-":
-                self.next()
-                sign = -1
-                kind2, val2, pos2 = self.peek()
-            if kind2 != "int":
-                raise ParseError("expected integer exponent", pos2, self.text)
-            self.next()
-            return sign * int(val2)
+            return self.parse_signed_int()
         return 1
+
+    def parse_signed_int(self) -> int:
+        kind, val, pos = self.peek()
+        sign = 1
+        if kind == "op" and val == "-":
+            self.next()
+            sign = -1
+            kind, val, pos = self.peek()
+        if kind != "int":
+            raise ParseError("expected integer exponent", pos, self.text)
+        self.next()
+        return sign * int(val)
 
     # -- linear forms ---------------------------------------------------
 
@@ -918,18 +959,12 @@ def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
                     arg = arg.bind(binding)
                 factors.append((FactorialFactor(arg), sign * e))
             elif tag == "power":
-                _, base, lin = atom
+                _, base, lin, e = atom
                 if binding:
                     lin = lin.bind(binding)
-                factors.append((PowerFactor(Fraction(base), lin), sign))
-            elif tag == "const":
-                value = Fraction(atom[1])
-                if sign > 0:
-                    pref_num = pref_num.mul_ground(QN.coerce(value))
-                else:
-                    pref_den = pref_den.mul_ground(QN.coerce(value))
-            elif tag == "const_pow":
-                value = Fraction(atom[1]) ** atom[2]
+                factors.append((PowerFactor(base, lin), sign * e))
+            elif tag in ("const", "const_pow"):
+                value = atom[1] ** atom[2] if tag == "const_pow" else atom[1]
                 if sign > 0:
                     pref_num = pref_num.mul_ground(QN.coerce(value))
                 else:

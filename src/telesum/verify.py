@@ -20,8 +20,8 @@ from .hyperterm import (
     ParamBinding,
     binomial_value,
     eval_term,
+    integer_shift_pair,
     ratio_rational,
-    shift_quotient,
     term_ratio_is_one,
 )
 from .polynomials import ZN, Polynomial, RationalFunction, ZnPoly, integer_qnk_pair, shift_in_n
@@ -84,17 +84,17 @@ def telescoping_identity(
     shift quotients of F, sigma_j = coeffs[j] and R the certificate.
 
     It is checked cross-multiplied in Z[n][k], polynomials in k over ``ZN``,
-    with no gcd.  Write r_k = A/B, r_n = C/D, R = P/Q (integer_qnk_pair) and
-    sigma_j = s_j/e over one positive integer e.  The left side is
+    with no gcd: r_k = A/B, r_n = C/D (integer_shift_pair), R = P/Q
+    (integer_qnk_pair), sigma_j = s_j/e over one integer e > 0.  The left side is
     L/(e*Delta) with Delta = prod_{i<J} D(n+i), J = len(coeffs) - 1, and
     L = sum_j s_j prod_{i<j} C(n+i) prod_{j<=i<J} D(n+i).  B, Q and Delta
     are nonzero and Z[n][k] is an integral domain, so the identity holds
     exactly when (L*Q + e*Delta*P) * B*Q(k+1) = e*Delta*A*P(k+1) * Q.
     """
-    a, b = integer_qnk_pair(shift_quotient(term, "k"))
+    a, b = integer_shift_pair(term, "k")
     p, q = integer_qnk_pair(certificate)
     order = len(coeffs) - 1
-    c, d = integer_qnk_pair(shift_quotient(term, "n")) if order > 0 else (None, None)
+    c, d = integer_shift_pair(term, "n") if order > 0 else (None, None)
     cs = [shift_in_n(c, i) for i in range(order)]
     ds = [shift_in_n(d, i) for i in range(order)]
     e = math.lcm(*(v.denominator for s in coeffs for v in s.coeffs))

@@ -9,8 +9,9 @@ import sys
 
 import pytest
 
+from telesum import cli
 from telesum.cli import MAX_SERIES_ORDER, main
-from telesum.hyperterm import parse_term, shift_quotient
+from telesum.hyperterm import parse_linear_form, parse_term, shift_quotient
 from telesum.serialize import record_to_ratfun
 from telesum.suite import mutation_catalog
 
@@ -297,3 +298,71 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines() == ["0: 1", "1: 2", "2: 6", "3: 20"]
+
+
+def _run_calls(calls, capsys):
+    out = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_cached_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    calls = [
+        ["gosper", "k*fact(k)"],
+        ["gosper", "--machine", "binom(n+r,k)*(n+r-2k)", "--param", "r=2"],
+        ["gosper", "binom(n+r,k)"],  # the --param list of the call before is not kept
+        ["zeil", "--frobnicate", CRUX],  # usage error
+        ["sum", "binom(n+r,k)", "--n", "0", "3", "--param", "r=1", "--machine"],
+        ["sum", "binom(n,k)", "--n", "0", "3"],
+        ["gosper", "binom(n,k"],  # parse error
+        ["zeil", "--machine", "binom(n,k)^2"],
+        ["series", "catalan", "--order", "5"],
+        ["gosper", "k*fact(k)"],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    cached = _run_calls(calls, capsys)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _run_calls(calls, capsys)
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 1, 1, 0, 0, 1, 0, 0, 0]
+    assert cached[0] == cached[-1]
+
+
+@pytest.mark.parametrize("term", ["0^k", "0^(-k)", "(0)^(n+k)", "(0/3)^k*binom(n,k)", "0^-1", "(1/0)^k"])
+def test_zero_base_or_zero_denominator_is_a_parse_error(term, capsys):
+    assert main(["gosper", term]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "bounds", [["--from", "0", "--to", "k"], ["--from", "k-n", "--to", "n"], ["--from", "0", "--to", "n+2k-k"]]
+)
+def test_sum_bounds_may_not_involve_k(bounds, capsys):
+    assert main(["sum", "binom(n,k)", "--n", "4", "4"] + bounds) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --") and "may not involve k" in captured.err
+
+
+def test_sum_bounds_are_parsed_once(capsys, monkeypatch):
+    seen = []
+
+    def counting(text):
+        seen.append(text)
+        return parse_linear_form(text)
+
+    monkeypatch.setattr(cli, "parse_linear_form", counting)
+    assert main(["sum", "binom(n,k)", "--n", "0", "5", "--from", "0", "--to", "n-1"]) == 0
+    assert seen == ["0", "n-1"]
+    assert capsys.readouterr().out.splitlines() == [f"{n}: {2**n - 1}" for n in range(6)]
+
+
+def test_zeil_alternating_cubes(capsys):
+    assert main(["zeil", "(-1)^k*binom(n,k)^3"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "(27*n^2+54*n+24)*w(n) + (n^2+4*n+4)*w(n+2) = 0"

@@ -17,16 +17,26 @@ from hypothesis import strategies as st
 from telesum.gosper import NotSummableError, gosper_antidifference, telescoped_sum
 from telesum.hyperterm import (
     BinomialFactor,
+    DegenerateSampleError,
     FactorialFactor,
     HyperTerm,
     LinearForm,
     PoleError,
     PowerFactor,
     eval_term,
+    integer_shift_pair,
+    parse_term,
     shift_quotient,
+    term_ratio_is_one,
     term_to_string,
 )
-from telesum.polynomials import RationalFunction, integer_qnk_pair, k_poly, n_poly
+from telesum.polynomials import (
+    RationalFunction,
+    integer_qnk_pair,
+    k_poly,
+    n_poly,
+    shift_in_n,
+)
 from telesum.verify import oracle_sum
 from telesum.zeilberger import (
     NoRecurrenceFound,
@@ -177,3 +187,114 @@ def test_zeilberger_recurrence_holds_on_natural_sums_or_refuses_with_a_reason(te
     for n in range(0, 9):
         if _defined_at(cert.certificate, n):
             sum_recurrence_natural(cert.term, cert.recurrence, n_lo=n, n_hi=n)
+
+
+# -- the integer shift pair against values and the Q(n)(k) construction ---
+
+
+def _at(p, n: int, k: int) -> int:
+    """A polynomial in k over Z[n] at integers."""
+    return sum(c(n) * k**i for i, c in enumerate(p.coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms, st.sampled_from(["k", "n"]))
+def test_integer_shift_pair_is_the_ratio_of_values(term, var):
+    num, den = integer_shift_pair(term, var)
+    value = term.evaluator()
+    for n in N_RANGE:
+        for k in K_WINDOW:
+            b = _at(den, n, k)
+            if not b:
+                continue
+            try:
+                here = value(n, k)
+                there = value(n + 1, k) if var == "n" else value(n, k + 1)
+            except PoleError:
+                continue
+            if here:
+                assert there / here == Fraction(_at(num, n, k), b), (n, k)
+
+
+def _falling_in_qn(lf: LinearForm, delta: int):
+    """fact(L + delta)/fact(L) over Q(n)[k], as shift quotients were once built."""
+    arg = k_poly(n_poly(lf.constant, lf.coeff_n), lf.coeff_k)
+    num = den = k_poly(1)
+    for i in range(1, delta + 1):
+        num = num * (arg + i)
+    for i in range(0, -delta):
+        den = den * (arg - i)
+    return num, den
+
+
+def _shift_quotient_in_qn(term: HyperTerm, var: str) -> RationalFunction:
+    """An independent copy of the Q(n)(k) shift-quotient construction."""
+    num = den = k_poly(1)
+    for f, e in term.factors:
+        if isinstance(f, PowerFactor):
+            a, b = k_poly(f.base ** f.exponent.coeff(var)), k_poly(1)
+        elif isinstance(f, FactorialFactor):
+            a, b = _falling_in_qn(f.arg, f.arg.coeff(var))
+        else:
+            diff = f.top - f.bottom
+            n1, d1 = _falling_in_qn(f.top, f.top.coeff(var))
+            n2, d2 = _falling_in_qn(f.bottom, f.bottom.coeff(var))
+            n3, d3 = _falling_in_qn(diff, diff.coeff(var))
+            a, b = n1 * d2 * d3, d1 * n2 * n3
+        if e < 0:
+            a, b, e = b, a, -e
+        num, den = num * a**e, den * b**e
+    pref = term.prefactor
+    shifted = pref.shift(1) if var == "k" else shift_in_n(pref, 1)
+    return RationalFunction(num * shifted.num * pref.den, den * shifted.den * pref.num)
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms, st.sampled_from(["k", "n"]))
+def test_shift_quotient_equals_the_q_n_k_construction(term, var):
+    assert shift_quotient(term, var) == _shift_quotient_in_qn(term, var)
+
+
+_MULTIPLIERS = [k_poly(1), k_poly(2), k_poly(-1), k_poly(1, 1), k_poly(n_poly(2, 1))]
+
+
+def _as_factorials(term: HyperTerm) -> HyperTerm:
+    """Each binom(a, b) written as fact(a)/(fact(b)*fact(a-b))."""
+    factors = []
+    for f, e in term.factors:
+        if isinstance(f, BinomialFactor):
+            factors += [(FactorialFactor(f.top), e), (FactorialFactor(f.bottom), -e),
+                        (FactorialFactor(f.top - f.bottom), -e)]
+        else:
+            factors.append((f, e))
+    return HyperTerm(factors, term.prefactor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms, st.sampled_from(range(len(_MULTIPLIERS))), st.booleans())
+def test_term_ratio_is_one_agrees_with_the_reduced_comparison(term, which, rewrite):
+    """t2 = m * t1, possibly with its binomials as factorials: the cross-
+    multiplied pairs agree exactly when the reduced shift quotients do, and
+    the ratio is one exactly when m is."""
+    other = term.scale_rational(RationalFunction(_MULTIPLIERS[which]))
+    if rewrite:
+        other = _as_factorials(other)
+    for var in ("k", "n"):
+        a1, b1 = integer_shift_pair(term, var)
+        a2, b2 = integer_shift_pair(other, var)
+        assert (a1 * b2 == a2 * b1) == (shift_quotient(term, var) == shift_quotient(other, var))
+    same_quotients = all(shift_quotient(term, v) == shift_quotient(other, v) for v in "kn")
+    assert same_quotients == (which < 3)
+    try:
+        assert term_ratio_is_one(term, other) == (which == 0)
+    except DegenerateSampleError:
+        assert same_quotients  # only the sampling can run out of points
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms)
+def test_parse_print_parse_round_trip(term):
+    text = term_to_string(term)
+    again = parse_term(text)
+    assert again == term
+    assert term_to_string(again) == text

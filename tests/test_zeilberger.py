@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -312,3 +313,36 @@ def test_vandermonde_with_bound_parameter():
     for n in range(0, 8):
         assert cert.recurrence.apply(w, n) == 0
         assert w[n] == binomial_value(4 + n, 3)
+
+
+def test_dixon_sum_recurrence_and_values():
+    # Dixon: sum_k (-1)^k binom(2n,n+k)^3 = (3n)!/n!^3
+    term = parse_term("(-1)^k*binom(2n,n+k)^3")
+    cert = creative_telescope(term)
+    assert cert.check()
+    # (n+1)^2 w(n+1) = 3(3n+1)(3n+2) w(n)
+    assert cert.recurrence.coeffs == (n_poly(-6, -27, -27), n_poly(1, 2, 1))
+    values = sum_recurrence_natural(term, cert.recurrence, n_hi=12)
+    for n in range(13):
+        assert values[n] == math.factorial(3 * n) // math.factorial(n) ** 3
+
+
+def test_alternating_cubes_recurrence_matches_natural_sums():
+    term = parse_term("(-1)^k*binom(n,k)^3")
+    cert = creative_telescope(term)
+    assert cert.recurrence.coeffs == (n_poly(24, 54, 27), n_poly(0), n_poly(4, 4, 1))
+    values = sum_recurrence_natural(term, cert.recurrence, n_hi=12)
+    # zero at odd n, (-1)^m (3m)!/m!^3 at n = 2m
+    for m in range(7):
+        assert values[2 * m] == (-1) ** m * math.factorial(3 * m) // math.factorial(m) ** 3
+        assert values[2 * m + 1] == 0
+
+
+def test_kummer_type_alternating_squares():
+    # sum_k (-1)^k binom(2n,k)^2 = (-1)^n binom(2n,n)
+    term = parse_term("(-1)^k*binom(2n,k)^2")
+    cert = creative_telescope(term)
+    assert cert.recurrence.coeffs == (n_poly(2, 4), n_poly(1, 1))
+    values = sum_recurrence_natural(term, cert.recurrence, n_hi=12)
+    for n in range(13):
+        assert values[n] == (-1) ** n * binomial_value(2 * n, n)
