@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or parse problems, 2 not summable,
-3 a search bound was exhausted, 4 a verification failure.  Output is
+3 a search bound was exhausted, 4 a verification failure, 141 (128 +
+SIGPIPE) when the reader closed stdout early.  Output is
 deterministic for identical inputs; --machine switches to JSON lines
 with every integer rendered as a decimal string.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -42,6 +44,7 @@ EXIT_USAGE = 1
 EXIT_NOT_SUMMABLE = 2
 EXIT_SEARCH_EXHAUSTED = 3
 EXIT_VERIFICATION = 4
+EXIT_BROKEN_PIPE = 141
 
 # Largest --order of `series`, and --family-index of ballot: the square-root
 # recurrence is quadratic in the order, and at this size the slowest bundled
@@ -349,7 +352,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: end quietly, as Unix filters do
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

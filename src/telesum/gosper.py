@@ -16,31 +16,57 @@ Zeilberger's creative telescoping run this step through one routine,
 ``parameterized_gosper``, whose right-hand side is c(k) times a linear
 combination of given polynomials; Gosper is its case with the single
 polynomial 1.
+
+The normal form is read off the factors of r (``FactoredRatio``), as in
+Petkovsek-Wilf-Zeilberger, *A = B*, ch. 5, and Paule's greatest factorial
+factorization (JSC 20, 1995): linear factors alpha*k + beta and
+alpha*k + beta' meet at the shift j = (beta - beta')/alpha when that is an
+n-free integer >= 0, a linear factor meets another factor at the integer
+roots in j of ``root_shifts``, and two other factors where a resultant at
+integer points and a gcd say.  The shifts are cancelled in ascending order,
+as Gosper's algorithm does.  a, b, c, z and the system stay in Z[n][k];
+Q(n) objects are made only for the public normal form and the certificate.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .hyperterm import HyperTerm, ParamBinding, eval_term, shift_quotient, term_to_string
+from .hyperterm import (
+    HyperTerm,
+    ParamBinding,
+    eval_term,
+    factored_shift_pair,
+    shift_quotient,
+    term_to_string,
+)
 from .linalg import nullspace
 from .polynomials import (
     POLY_K,
     POLY_N,
     QN,
     ZN,
+    FactoredRatio,
     Polynomial,
     RationalFunction,
     ZnPoly,
+    _qn_over,
     _zn_primitive_part,
     clear_qn,
-    dispersion_set,
-    poly_gcd,
+    coprime_base,
+    meeting_shifts,
+    primitive_factors,
+    zn_product,
+    zn_ratfun,
 )
 from .serialize import ratfun_to_record, ratfun_to_text
 from .verify import telescoping_identity
+
+ZNK_ONE = Polynomial("k", ZN, (ZnPoly((1,)),))
 
 
 class NotSummableError(Exception):
@@ -49,6 +75,15 @@ class NotSummableError(Exception):
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
         self.reason = reason
+
+
+def _shifted(factors: Counter, j: int) -> Counter:
+    return Counter({f.shift(j): m for f, m in factors.items()})
+
+
+def _monic(p: Polynomial) -> Polynomial:
+    """A polynomial in k over Z[n], divided by its leading coefficient."""
+    return _qn_over("k", p.coeffs, p.lc())
 
 
 @dataclass(frozen=True)
@@ -65,29 +100,63 @@ class GosperNormalForm:
         return RationalFunction(self.a * self.c.shift(1), self.b * self.c) * self.z
 
 
-def gosper_normal_form(ratio: RationalFunction) -> GosperNormalForm:
-    z = QN.coerce(ratio.num.lc())
-    a = ratio.num.monic()
-    b = ratio.den
-    c = POLY_K.one()
-    for j in dispersion_set(a, b):
-        if j == 0:
-            continue
-        g = poly_gcd(a, b.shift(j))
-        if g.degree < 1:
-            continue
-        a = a.exact_div(g)
-        b = b.exact_div(g.shift(-j))
+@dataclass(frozen=True)
+class IntegerNormalForm:
+    """Gosper's normal form in Z[n][k]: z = zn/zd, and a, b and c are Z[n]
+    multiples of the monic a, b and c of ``GosperNormalForm``."""
+
+    zn: ZnPoly
+    zd: ZnPoly
+    z: RationalFunction
+    a: Polynomial
+    b: Polynomial
+    c: Polynomial
+    dispersion: list[int]
+
+    def public(self) -> GosperNormalForm:
+        return GosperNormalForm(self.z, *map(_monic, (self.a, self.b, self.c)))
+
+
+def factored_normal_form(ratio: FactoredRatio) -> IntegerNormalForm:
+    """The normal form of a ratio with coprime num and den, z its leading
+    coefficient in k.  At each shift j of the dispersion set in turn, a(k) and
+    b(k + j) are rewritten over one coprime base; their common part g leaves
+    both, and c gains g(k-1)...g(k-j)."""
+    zn, zd = (math.prod((f.lc() for f in side.elements()), start=ZnPoly((c,)))
+              for side, c in zip((ratio.num, ratio.den), ratio.const))
+    a, b = (Counter({f: m for f, m in side.items() if f.degree > 0})
+            for side in (ratio.num, ratio.den))
+    c: Counter = Counter()
+    dispersion = sorted({j for u in a for v in b for j in meeting_shifts(u, v)})
+    for j in dispersion:
+        moved = _shifted(b, j)
+        coprime_base(a, moved)
+        common = a & moved
+        a, b = a - common, _shifted(moved - common, -j)
         for i in range(1, j + 1):
-            c = c * g.shift(-i)
-    return GosperNormalForm(z, a, b, c)
+            c += _shifted(common, -i)
+    z = RationalFunction(zn.to_poly(), zd.to_poly())
+    return IntegerNormalForm(zn, zd, z, *map(zn_product, (a, b, c)), dispersion)
+
+
+def gosper_normal_form(ratio: RationalFunction) -> GosperNormalForm:
+    """The normal form of a reduced Q(n)(k) element, its numerator and
+    denominator taken as one factor each."""
+    z = QN.coerce(ratio.num.lc())
+    if not ratio:
+        return GosperNormalForm(z, ratio.num, ratio.den, POLY_K.one())
+    num, den = (primitive_factors(Polynomial("k", ZN, clear_qn(p.coeffs)))[1]
+                for p in (ratio.num, ratio.den))
+    nf = factored_normal_form(FactoredRatio((1, 1), num, den))
+    return GosperNormalForm(z, *map(_monic, (nf.a, nf.b, nf.c)))
 
 
 def degree_bound(
     z: RationalFunction, a: Polynomial, b: Polynomial, c: Polynomial, rhs_extra: int = 0
 ) -> int | None:
     """Largest possible degree of x in z*a(k)*x(k+1) - b(k-1)*x(k) = rhs,
-    where deg rhs <= deg c + rhs_extra.  None means no degree works."""
+    where deg rhs <= deg c + rhs_extra.  None means no degree works.  a, b
+    and c are monic in Q(n)[k], or their Z[n] multiples in Z[n][k]."""
     B = b.shift(-1)
     na, nb = int(a.degree), int(B.degree)
     K = int(c.degree) + rhs_extra
@@ -99,7 +168,11 @@ def degree_bound(
     candidates = []
     if K - na + 1 >= 0:
         candidates.append(K - na + 1)
-    theta = B.coeff(na - 1) - a.coeff(na - 1)
+    if a.ring is ZN:  # the monic coefficients' difference
+        top = B.coeff(na - 1) * a.lc() - a.coeff(na - 1) * B.lc()
+        theta = RationalFunction(top.to_poly(), (a.lc() * B.lc()).to_poly())
+    else:
+        theta = B.coeff(na - 1) - a.coeff(na - 1)
     if theta.is_constant():
         tv = theta.constant_value()
         if tv.denominator == 1 and tv >= 0:
@@ -108,51 +181,60 @@ def degree_bound(
 
 
 def parameterized_gosper(
-    ratio: RationalFunction, rhs: Sequence[Polynomial]
-) -> tuple[GosperNormalForm, int | None, tuple[Polynomial, tuple] | None]:
+    nf: IntegerNormalForm, rhs: Sequence[Polynomial]
+) -> tuple[int | None, tuple[list[ZnPoly], ZnPoly, tuple] | None]:
     """Gosper's step with parameters on the right-hand side.
 
-    Brings the k-shift quotient into normal form, bounds the degree d of a
-    polynomial x, and solves
+    Bounds the degree d of a polynomial x and solves
 
         z * a(k) * x(k+1) - b(k-1) * x(k) = c(k) * sum_j sigma_j * p_j(k)
 
-    for x and constants sigma_j in Q(n), given rhs = [p_0, ..., p_J], as
-    one nullspace computation over Z[n]: one ``clear_qn`` multiplier takes
-    z*a, b(k-1) and every c*p_j into Z[n][k].  When d is None only x = 0
-    can occur; with a single nonzero p_0 the only solution is then
-    sigma_0 = 0, and no elimination is run.  Returns the normal form, d,
-    and the first solution with some sigma_j nonzero, normalized by
-    ``_normalize_solution``, or None.  With rhs [1] this is Gosper's
+    for x and constants sigma_j in Q(n), given rhs = [p_0, ..., p_J] in
+    Z[n][k], as one nullspace over Z[n]: with the monic a, b, c of nf, the
+    equation times zd*lc(a)*lc(b)*lc(c) is in Z[n][k], its integer content
+    divided out.  When d is None only x = 0 can occur; with a single nonzero
+    p_0 the only solution is then sigma_0 = 0, and no elimination is run.
+    Returns d and the first solution with some sigma_j nonzero, normalized
+    by ``_normalize_solution``, or None.  With rhs [1] this is Gosper's
     equation: sigma is (1,) and the free coefficients of x are zero.
     """
-    nf = gosper_normal_form(ratio)
     extra = max(int(p.degree) for p in rhs)
     d = degree_bound(nf.z, nf.a, nf.b, nf.c, rhs_extra=extra)
     if d is None and len(rhs) == 1 and rhs[0]:
-        return nf, d, None
+        return d, None
     nx = 0 if d is None else d + 1
-    parts = [nf.a.mul_ground(nf.z), nf.b.shift(-1)] + [nf.c * p for p in rhs]
-    cleared = iter(clear_qn([c for p in parts for c in p.coeffs]))
-    za, B, *cps = [Polynomial("k", ZN, [next(cleared) for _ in p.coeffs]) for p in parts]
+    la, lb, lc = nf.a.lc(), nf.b.lc(), nf.c.lc()
+    parts = ([nf.a * (nf.zn * lb * lc), nf.b.shift(-1) * (nf.zd * la * lc)]
+             + [nf.c * p * (nf.zd * la * lb) for p in rhs])
+    content = math.gcd(*(v for p in parts for c in p.coeffs for v in c))
+    za, B, *cps = [Polynomial("k", ZN, [ZnPoly([v // content for v in c]) for c in p.coeffs])
+                   for p in parts]
     k = Polynomial("k", ZN, (ZN.zero(), ZN.one()))
     cols = [za * (k + 1)**i - B * k**i for i in range(nx)] + [-cp for cp in cps]
     height = max(int(col.degree) for col in cols if col) + 1
     matrix = [[col.coeff(r) for col in cols] for r in range(height)]
     for vec in nullspace(matrix, ncols=len(cols)):
         if any(vec[nx:]):
-            return nf, d, _normalize_solution(vec[:nx], vec[nx:])
-    return nf, d, None
+            return d, _normalize_solution(vec[:nx], vec[nx:])
+    return d, None
 
 
-def _normalize_solution(x: list[ZnPoly], sigma: list[ZnPoly]) -> tuple[Polynomial, tuple]:
+def _normalize_solution(x: list[ZnPoly], sigma: list[ZnPoly]) -> tuple[list[ZnPoly], ZnPoly, tuple]:
     """(x, sigma) in Z[n] divided by the one k-free scale that makes sigma, cut
-    after its last nonzero entry, primitive with a positive top lead; x in Q(n)[k]."""
+    after its last nonzero entry, primitive with a positive top lead: x's
+    coefficients over that scale, the scale, and sigma."""
     while not sigma[-1]:
         sigma = sigma[:-1]
     prim = _zn_primitive_part(sigma)
-    scale = ZN.exact_div(sigma[-1], prim[-1]).to_poly()
-    return Polynomial("k", QN, [RationalFunction(v.to_poly(), scale) for v in x]), tuple(prim)
+    return x, ZN.exact_div(sigma[-1], prim[-1]), tuple(prim)
+
+
+def certificate(nf: IntegerNormalForm, x: list[ZnPoly], scale: ZnPoly,
+                q: Polynomial = ZNK_ONE) -> RationalFunction:
+    """R = b(k-1) * x(k) / (c(k) * q(k)) with b and c of the monic normal
+    form and x = x/scale, reduced once; the right-hand sides were T_j * q."""
+    num = nf.b.shift(-1) * Polynomial("k", ZN, x) * nf.c.lc()
+    return zn_ratfun(num, nf.c * q * (nf.b.lc() * scale))
 
 
 @dataclass(frozen=True)
@@ -178,14 +260,9 @@ class GosperCertificate:
 
     def record(self) -> dict:
         nf = self.normal_form
-        return {
-            "x": ratfun_to_record(RationalFunction(self.x)),
-            "a": ratfun_to_record(RationalFunction(nf.a)),
-            "b": ratfun_to_record(RationalFunction(nf.b)),
-            "c": ratfun_to_record(RationalFunction(nf.c)),
-            "z": ratfun_to_record(RationalFunction(POLY_K.constant(nf.z))),
-            "R": ratfun_to_record(self.certificate),
-        }
+        parts = {"x": self.x, "a": nf.a, "b": nf.b, "c": nf.c, "z": POLY_K.constant(nf.z)}
+        record = {name: ratfun_to_record(RationalFunction(p)) for name, p in parts.items()}
+        return record | {"R": ratfun_to_record(self.certificate)}
 
 
 def gosper_antidifference(
@@ -194,19 +271,17 @@ def gosper_antidifference(
     """Decide indefinite summability of the term; raises NotSummableError."""
     t = term.bind(binding)
     t.require_bound()
-    ratio = shift_quotient(t, "k")
-    nf, d, solution = parameterized_gosper(ratio, [POLY_K.one()])
+    nf = factored_normal_form(factored_shift_pair(t, "k").cancelled())
+    d, solution = parameterized_gosper(nf, [ZNK_ONE])
     if d is None:
         raise NotSummableError(
             f"degree bound rules out a polynomial solution for {term_to_string(t)}"
         )
     if solution is None:
-        raise NotSummableError(
-            f"no polynomial solution up to degree {d} for {term_to_string(t)}"
-        )
-    x = solution[0]
-    cert = RationalFunction(nf.b.shift(-1) * x, nf.c)
-    result = GosperCertificate(t, ratio, nf, x, cert)
+        raise NotSummableError(f"no polynomial solution up to degree {d} for {term_to_string(t)}")
+    x, scale, _ = solution
+    result = GosperCertificate(t, shift_quotient(t, "k"), nf.public(),
+                               _qn_over("k", x, scale), certificate(nf, x, scale))
     if not result.check():
         raise AssertionError("internal error: certificate failed its own check")
     return result

@@ -6,12 +6,13 @@ rational prefactor in the Q(n)[k] tower.  The parser reads any nonzero
 rational power base (``2^k``, ``(-1)^(n+k)``, ``(1/2)^k``); a zero base,
 which has no shift quotient, only with a constant exponent >= 0.
 
-Shift quotients F(.., var+1)/F are built in Z[n][k] (polynomials in k over
-``ZN``) as unreduced pairs (``integer_shift_pair``) from the factors'
-integer linear forms and the prefactor's integer pair; the certificate
-check and ``term_ratio_is_one`` compare them cross-multiplied.
-``shift_quotient`` reduces the pair once into Q(n)(k), the form the Gosper
-and Zeilberger layers consume.
+Shift quotients F(.., var+1)/F are built factored (``factored_shift_pair``):
+primitive linear factors alpha*k + beta(n) in Z[n][k] from the falling
+products of the factors' linear forms, integers from power bases, and the
+prefactor's pieces.  The Gosper and Zeilberger layers read the factors; the
+certificate check and ``term_ratio_is_one`` compare their products
+(``integer_shift_pair``) cross-multiplied; ``shift_quotient`` reduces such
+a product once into Q(n)(k).
 
 Evaluation conventions (fixed, and relied on by every oracle):
 
@@ -29,6 +30,7 @@ it, and so are the order of the checks and the errors raised.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,12 +40,15 @@ from .polynomials import (
     POLY_K,
     QN,
     ZN,
+    FactoredRatio,
     Polynomial,
     RationalFunction,
     ZnPoly,
     integer_qnk_pair,
     n_poly,
+    primitive_factors,
     shift_in_n,
+    zn_ratfun,
 )
 from .serialize import bivariate_string
 
@@ -294,9 +299,7 @@ class HyperTerm:
         if not binding:
             return self
         _check_binding(binding)
-        bound = HyperTerm(
-            [(_bind_factor(f, binding), e) for f, e in self.factors], self.prefactor
-        )
+        bound = HyperTerm([(_bind_factor(f, binding), e) for f, e in self.factors], self.prefactor)
         # binding leaves the prefactor alone, so its integer rows carry over
         object.__setattr__(bound, "_rows", self.prefactor_rows())
         return bound
@@ -321,14 +324,8 @@ class HyperTerm:
 
     def require_bound(self) -> None:
         if self.has_params():
-            syms = sorted(
-                {
-                    s
-                    for f, _ in self.factors
-                    for lf in _factor_linforms(f)
-                    for s, _c in lf.params
-                }
-            )
+            syms = sorted({s for f, _ in self.factors for lf in _factor_linforms(f)
+                           for s, _c in lf.params})
             raise UnboundParameterError(f"unbound parameter(s): {', '.join(syms)}")
 
     def scale_rational(self, multiplier: RationalFunction) -> "HyperTerm":
@@ -350,9 +347,7 @@ class HyperTerm:
         den = self.prefactor.den.evaluate(QN.from_int(value))
         if not den:
             raise PoleError(f"prefactor pole on substituting k = {value}")
-        pref = RationalFunction(
-            Polynomial("k", QN, (num / den,)), POLY_K.one()
-        )
+        pref = RationalFunction(Polynomial("k", QN, (num / den,)), POLY_K.one())
         return HyperTerm(factors, pref)
 
 
@@ -418,9 +413,7 @@ class TermEvaluator:
     def __call__(self, n: int, k: int) -> Fraction:
         den = _eval_rows(self.den_rows, n, k)
         if not den:
-            raise PoleError(
-                f"prefactor denominator vanishes at (n, k) = ({n}, {k})", (n, k)
-            )
+            raise PoleError(f"prefactor denominator vanishes at (n, k) = ({n}, {k})", (n, k))
         num = _eval_rows(self.num_rows, n, k)
         for kind, (an, ak, ac), extra, e, f in self.steps:
             arg = an * n + ak * k + ac
@@ -464,65 +457,77 @@ def eval_term(
 # ---------------------------------------------------------------------------
 # shift quotients
 
-_ZNK_ONE = Polynomial("k", ZN, (ZnPoly((1,)),))
+def _falling(lf: LinearForm, var: str) -> tuple[list[tuple[int, int, int]], list]:
+    """fact(L + delta)/fact(L), delta = L's var coefficient, as (coeff_k, constant, coeff_n)."""
+    delta = lf.coeff(var)
+    return ([(lf.coeff_k, lf.constant + i, lf.coeff_n) for i in range(1, delta + 1)],
+            [(lf.coeff_k, lf.constant - i, lf.coeff_n) for i in range(0, -delta)])
 
 
-def _zn_falling(lf: LinearForm, var: str) -> tuple[Polynomial, Polynomial]:
-    """fact(L + delta)/fact(L), delta the coefficient of var in L, as a pair
-    of polynomials in k over ``ZN``."""
-    num = den = _ZNK_ONE
-    lead, delta = ZnPoly((lf.coeff_k,)), lf.coeff(var)
-    for i in range(1, delta + 1):
-        num = num * Polynomial("k", ZN, (ZnPoly((lf.constant + i, lf.coeff_n)), lead))
-    for i in range(0, -delta):
-        den = den * Polynomial("k", ZN, (ZnPoly((lf.constant - i, lf.coeff_n)), lead))
-    return num, den
-
-
-def _factor_pair(f: Factor, var: str) -> tuple[Polynomial, Polynomial]:
+def _factor_forms(f: Factor, var: str) -> tuple[list[tuple[int, int, int]], list]:
     if isinstance(f, PowerFactor):
         if not f.base:
             raise ValueError(f"zero base in {f.to_string()} has no shift quotient")
         r = f.base ** f.exponent.coeff(var)
-        return _ZNK_ONE.mul_ground(r.numerator), _ZNK_ONE.mul_ground(r.denominator)
+        return [(0, r.numerator, 0)], [(0, r.denominator, 0)]
     if isinstance(f, FactorialFactor):
-        return _zn_falling(f.arg, var)
+        return _falling(f.arg, var)
     (n1, d1), (n2, d2), (n3, d3) = (
-        _zn_falling(lf, var) for lf in (f.top, f.bottom, f.top - f.bottom))
-    return n1 * d2 * d3, d1 * n2 * n3
+        _falling(lf, var) for lf in (f.top, f.bottom, f.top - f.bottom))
+    return n1 + d2 + d3, d1 + n2 + n3
 
 
-def integer_shift_pair(
+def _primitive_linear(coeff_k: int, constant: int, coeff_n: int) -> tuple[int, list[Polynomial]]:
+    """coeff_k*k + coeff_n*n + constant as an integer times a primitive
+    factor with a positive leading integer, or times nothing."""
+    if not (coeff_k or coeff_n):
+        return constant, []
+    g = math.gcd(coeff_k, coeff_n, constant)
+    g = -g if coeff_k < 0 or not coeff_k and coeff_n < 0 else g
+    return g, [Polynomial("k", ZN, (ZnPoly((constant // g, coeff_n // g)),
+                                    ZnPoly((coeff_k // g,))))]
+
+
+def factored_shift_pair(
     term: HyperTerm, var: str, binding: ParamBinding | None = None
-) -> tuple[Polynomial, Polynomial]:
-    """T(.., var+1, ..)/T as an unreduced pair (A, B), B nonzero, in Z[n][k]
-    (polynomials in k over ``ZN``): falling products of the factors' linear
-    forms, p^delta/q^delta for a power base p/q, and P(var+1)*Q/(Q(var+1)*P)
-    for the prefactor's integer pair P/Q."""
+) -> FactoredRatio:
+    """T(.., var+1, ..)/T as a ``FactoredRatio``, nothing cancelled: the
+    falling products as primitive linear factors (content and sign go to the
+    integers), p^delta/q^delta for a power base p/q, and P(var+1)*Q/(Q(var+1)*P)
+    for the prefactor's integer pair P/Q, split by ``primitive_factors``."""
     if var not in ("n", "k"):
         raise ValueError(f"shift variable must be n or k, not {var!r}")
     t = term.bind(binding)
     t.require_bound()
     if not t.prefactor:
         raise ValueError("shift quotient of the zero term")
-    num = den = _ZNK_ONE
-    for f, e in t.factors:
-        a, b = _factor_pair(f, var)
-        num, den = (num * a**e, den * b**e) if e > 0 else (num * b**-e, den * a**-e)
     p, q = integer_qnk_pair(t.prefactor)
     p1, q1 = (p.shift(1), q.shift(1)) if var == "k" else (shift_in_n(p, 1), shift_in_n(q, 1))
-    return num * p1 * q, den * q1 * p
+    sides = ([primitive_factors(p1), primitive_factors(q)],
+             [primitive_factors(q1), primitive_factors(p)])
+    for f, e in t.factors:
+        for side, forms in enumerate(_factor_forms(f, var)):
+            splits = [_primitive_linear(*lf) for lf in forms]
+            sides[side if e > 0 else 1 - side].extend(splits * abs(e))
+    return FactoredRatio(tuple(math.prod(g for g, _ in s) for s in sides),
+                         *([f for _, fs in s for f in fs] for s in sides))
+
+
+def integer_shift_pair(
+    term: HyperTerm, var: str, binding: ParamBinding | None = None
+) -> tuple[Polynomial, Polynomial]:
+    """T(.., var+1, ..)/T as an unreduced pair (A, B), B nonzero, in Z[n][k]
+    (polynomials in k over ``ZN``): the product of ``factored_shift_pair``."""
+    return factored_shift_pair(term, var, binding).pair()
 
 
 def shift_quotient(
     term: HyperTerm, var: str, binding: ParamBinding | None = None
 ) -> RationalFunction:
     """Exact rational function T(.., var+1, ..)/T as an element of Q(n)(k):
-    the pair of ``integer_shift_pair`` lifted to Q(n)(k), reduced with a
-    monic denominator by the RationalFunction constructor."""
-    num, den = (Polynomial("k", QN, [RationalFunction(c.to_poly()) for c in p.coeffs])
-                for p in integer_shift_pair(term, var, binding))
-    return RationalFunction(num, den)
+    the pair of ``integer_shift_pair``, reduced in Z[n][k] with a monic
+    denominator (``zn_ratfun``)."""
+    return zn_ratfun(*integer_shift_pair(term, var, binding))
 
 
 def ratio_rational(t1: HyperTerm, t2: HyperTerm) -> RationalFunction:
@@ -577,9 +582,7 @@ def term_ratio_is_one(
             except PoleError:
                 continue
             return va == vb
-    raise DegenerateSampleError(
-        f"no usable sample point among {sample_limit} candidates"
-    )
+    raise DegenerateSampleError(f"no usable sample point among {sample_limit} candidates")
 
 
 # ---------------------------------------------------------------------------
@@ -875,6 +878,9 @@ def _single_symbol(sym: str, coeff: int = 1) -> dict:
     return {"params": {sym: coeff}}
 
 
+_POLY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
 def _poly_eval(ast, binding: ParamBinding | None) -> Polynomial:
     """Evaluate a polynomial AST into Q(n)[k]; parameters need a binding."""
     tag = ast[0]
@@ -888,17 +894,11 @@ def _poly_eval(ast, binding: ParamBinding | None) -> Polynomial:
             return POLY_K.constant(QN.coerce(n_poly(0, 1)))
         if binding is not None and sym in binding:
             return POLY_K.from_int(int(binding[sym]))
-        raise UnboundParameterError(
-            f"parameter {sym!r} in a prefactor needs a concrete binding"
-        )
+        raise UnboundParameterError(f"parameter {sym!r} in a prefactor needs a concrete binding")
     if tag == "neg":
         return -_poly_eval(ast[1], binding)
-    if tag == "add":
-        return _poly_eval(ast[1], binding) + _poly_eval(ast[2], binding)
-    if tag == "sub":
-        return _poly_eval(ast[1], binding) - _poly_eval(ast[2], binding)
-    if tag == "mul":
-        return _poly_eval(ast[1], binding) * _poly_eval(ast[2], binding)
+    if tag in _POLY_OPS:
+        return _POLY_OPS[tag](_poly_eval(ast[1], binding), _poly_eval(ast[2], binding))
     if tag == "pow":
         return _poly_eval(ast[1], binding) ** ast[2]
     raise AssertionError(f"unknown poly AST node {tag!r}")

@@ -7,24 +7,25 @@ coefficient ring, which lets the same class serve as
 * ``Q[k]`` (coefficients ``Fraction``),
 * ``Q(n)[k]`` (coefficients ``RationalFunction`` in ``n``),
 * ``Z[n][k]`` (coefficients ``ZnPoly``, ring ``ZN``), and
-* nested rings such as ``Z[n][j]`` used inside resultant computations.
+* ``Z[j]`` (the same ``ZnPoly`` read as polynomials in a shift j).
 
-The summation engine states its objects in the tower ``Q -> Q[n] -> Q(n)
--> Q(n)[k] -> Q(n)(k)``, built from ``Fraction`` upward; module-level
-singletons for those rings live at the bottom of this file.  The costly
-steps leave the tower for one integer form: ``ZnPoly`` is Z[n] as a tuple
-of ints, and a polynomial in k over ``ZN`` is Z[n][k].  ``clear_qn`` and
-``integer_qnk_pair`` produce it.  The Gosper system is built and ``linalg``
-eliminates in it, ``poly_gcd`` over Q(n) decides gcds in it (one integer
-specialization of n proves most gcds to be 1; Brown's interpolation finds
-the others),
-``dispersion_set`` takes its resultant over Z[n][j], and certificate
-checks multiply, add and shift in it without any gcd.
+The public objects live in the tower ``Q -> Q[n] -> Q(n) -> Q(n)[k] ->
+Q(n)(k)``, built from ``Fraction`` upward; module-level singletons for
+those rings live near the bottom of this file.  The costly steps leave the
+tower for one integer form: ``ZnPoly`` is Z[n] as a tuple of ints, and a
+polynomial in k over ``ZN`` is Z[n][k].  ``clear_qn`` and
+``integer_qnk_pair`` produce it.  Gcds and their cofactors are found in it
+(``_zn_gcd``), so ``RationalFunction`` reduces with no Q(n) division.
+``FactoredRatio`` keeps a quotient as multisets of primitive factors in
+Z[n][k], the form the Gosper normal form reads; ``root_shifts`` and
+``_shift_resultant_roots`` (a resultant over Z[j] at points n0, as in
+``dispersion_set``) give the shifts where two factors meet.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -411,6 +412,10 @@ class RationalFunction:
             raise TypeError("numerator and denominator from different rings")
         if not num:
             den = ring.one()
+        elif num.ring == QN and num.degree > 0 and den.degree > 0:
+            rows = clear_qn(num.coeffs + den.coeffs)  # one multiplier keeps num/den
+            if found := _zn_gcd(rows[:len(num.coeffs)], rows[len(num.coeffs):]):
+                num, den = _qn_pair(num.var, found[1], found[2])  # the cofactors
         elif num.degree > 0 and den.degree > 0:  # else the gcd is 1
             g = poly_gcd(num, den)
             if g.degree > 0:  # g is monic
@@ -425,6 +430,14 @@ class RationalFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
+
+    @classmethod
+    def _reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den as given, which must be coprime with den monic."""
+        self, field = object.__new__(cls), FractionField(PolynomialRing(num.var, num.ring))
+        for name, value in zip(cls.__slots__, (num, den, field)):
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def var(self) -> str:
@@ -599,31 +612,30 @@ def _rational_poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(p.var, p.ring, tuple(Fraction(c, lead) for c in a))
 
 
-def _qn_poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd in Q(n)[k], decided in Z[n][k].
+def _zn_gcd(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> tuple[list[ZnPoly], ...] | None:
+    """(G, num/G, den/G): the gcd G in Z[n][k] of two polynomials in k over
+    Z[n], primitive with a positive leading integer, and the cofactors; None
+    when the gcd is 1.
 
-    p and q are cleared to N and D in Z[n][k].  At the first n0 >= 0 with
-    lc_k(N)(n0) * lc_k(D)(n0) != 0, a gcd of degree 0 in Q[k] of N(n0, k)
-    and D(n0, k) proves the gcd is 1: a common factor G, primitive in
-    Z[n][k], has lc_k(G) | lc_k(N) (Gauss's lemma), so G(n0, k) keeps its
-    degree and divides both images.  Otherwise the gcd comes from Brown's
-    dense interpolation (JACM 18, 1971): with gamma = gcd(lc_k N, lc_k D),
-    the images gamma(n0) * monic gcd at points of least image degree are
-    the values of H = (gamma / lc_k G) * G, whose n-degree is at most
-    e = deg gamma + min(deg_n N, deg_n D), so e + 1 points fix H.  Its
-    primitive part in k is accepted only if it divides N and D.  Points
-    whose image degree is too high (unlucky) give a candidate that fails
-    that division, and there are finitely many of them.
+    At the first n0 >= 0 with lc_k(N)(n0) * lc_k(D)(n0) != 0, a gcd of
+    degree 0 in Q[k] of N(n0, k) and D(n0, k) proves the gcd is 1: a common
+    factor G, primitive in Z[n][k], has lc_k(G) | lc_k(N) (Gauss's lemma), so
+    G(n0, k) keeps its degree and divides both images.  Otherwise the gcd
+    comes from Brown's dense interpolation (JACM 18, 1971): with gamma =
+    gcd(lc_k N, lc_k D) of the primitive parts, the images gamma(n0) * monic
+    gcd at points of least image degree are the values of H = (gamma /
+    lc_k G) * G, of n-degree at most e = deg gamma + min(deg_n N, deg_n D),
+    fixed by e + 1 points.  Its primitive part is accepted only if it divides
+    N and D in Z[n][k], the quotients being the cofactors; unlucky points
+    (image degree too high) give candidates that fail, finitely often.
     """
-    num, den = clear_qn(p.coeffs), clear_qn(q.coeffs)
-    one = PolynomialRing(p.var, p.ring).one()
     n0 = _good_point(num, den, 0)
     g = _zn_image_gcd(num, den, n0)
     if len(g) == 1:
-        return one
-    num, den = _zn_primitive_part(num), _zn_primitive_part(den)
-    gamma = ZnPoly(_int_gcd(list(num[-1]), list(den[-1])))
-    need = len(gamma) + min(max(map(len, num)), max(map(len, den))) - 1
+        return None
+    pnum, pden = _zn_primitive_part(list(num)), _zn_primitive_part(list(den))
+    gamma = ZnPoly(_int_gcd(list(pnum[-1]), list(pden[-1])))
+    need = len(gamma) + min(max(map(len, pnum)), max(map(len, pden))) - 1
     points: list[int] = []
     images: list[list[int]] = []
     while True:
@@ -634,19 +646,38 @@ def _qn_poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
             images.append(g)
         if len(points) == need:
             cand = _zn_primitive_part(_interpolate_images(points, images, gamma))
-            if _zn_divides(cand, num) and _zn_divides(cand, den):
-                lead = cand[-1].to_poly()
-                return Polynomial(p.var, p.ring, tuple(
-                    RationalFunction(c.to_poly(), lead) for c in cand))
+            nq, dq = _zn_quotient(num, cand), _zn_quotient(den, cand)
+            if nq is not None and dq is not None:
+                return cand, nq, dq
             points, images = [], []
-        n0 = _good_point(num, den, n0 + 1)
-        g = _zn_image_gcd(num, den, n0)
+        n0 = _good_point(pnum, pden, n0 + 1)
+        g = _zn_image_gcd(pnum, pden, n0)
         if len(g) == 1:
-            return one
+            return None
+
+
+def _qn_over(var: str, rows: Sequence[ZnPoly], lead: ZnPoly) -> Polynomial:
+    """A polynomial in k over Z[n] divided by lead, in Q(n)[k]."""
+    lead_poly = lead.to_poly()
+    return Polynomial(var, QN, tuple(RationalFunction(c.to_poly(), lead_poly) for c in rows))
+
+
+def _qn_pair(var: str, num: Sequence[ZnPoly], den: Sequence[ZnPoly]):
+    return _qn_over(var, num, den[-1]), _qn_over(var, den, den[-1])
+
+
+def zn_ratfun(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """num/den, polynomials in k over Z[n], as a reduced Q(n)(k) element: both
+    divided by their gcd in Z[n][k], then by the lead of the denominator."""
+    if not num:
+        return RationalFunction(Polynomial(num.var, QN, ()))
+    found = num.degree > 0 and den.degree > 0 and _zn_gcd(num.coeffs, den.coeffs)
+    rows = found[1:] if found else (num.coeffs, den.coeffs)
+    return RationalFunction._reduced(*_qn_pair(num.var, *rows))
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd over Q (``_rational_poly_gcd``) or over Q(n) (``_qn_poly_gcd``)."""
+    """Monic gcd over Q (``_rational_poly_gcd``) or over Q(n) (``_zn_gcd``)."""
     if p.var != q.var or p.ring != q.ring:
         raise TypeError("gcd of polynomials from different rings")
     if not p:
@@ -657,8 +688,9 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return PolynomialRing(p.var, p.ring).one()
     if isinstance(p.ring, RationalField):
         return _rational_poly_gcd(p, q)
-    if p.ring == QN:
-        return _qn_poly_gcd(p, q)
+    if p.ring == QN:  # decided in Z[n][k]
+        found = _zn_gcd(clear_qn(p.coeffs), clear_qn(q.coeffs))
+        return _qn_over(p.var, found[0], found[0][-1]) if found else p._spawn((QN.one(),))
     raise TypeError(f"no gcd for polynomials over {p.ring!r}")
 
 
@@ -793,43 +825,65 @@ def _clear_to_zn(p: Polynomial) -> list[ZnPoly]:
     raise TypeError(f"unsupported coefficient ring {p.ring!r}")
 
 
-def _squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'): the same roots, each once."""
-    return p.exact_div(poly_gcd(p, p._spawn([c * i for i, c in enumerate(p.coeffs)][1:])))
+def _shift_roots(ints: list[int]) -> list[int]:
+    """The integer roots >= 0 of a primitive integer polynomial, by its squarefree part."""
+    square = _int_gcd(ints, [i * c for i, c in enumerate(ints)][1:])
+    return [j for j in _int_roots(list(ZnPoly(ints).quotient(ZnPoly(square)))) if j >= 0]
+
+
+def _shift_resultant_roots(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> list[int]:
+    """The j >= 0, sorted, at which Res_k(num(k), den(k + j)) in Z[n][j] may
+    vanish: roots of the gcd of its values at two points n0 where neither
+    leading coefficient in k vanishes.  There it is the resultant of the
+    images, taken over Z[j]; so it has every j at which num(k) and den(k+j)
+    share a factor."""
+    witness: list[int] = []
+    n0 = -1
+    for _ in range(2):
+        n0 = _good_point(num, den, n0 + 1)
+        a, b = (Polynomial("k", ZN, [ZnPoly((c(n0),)) for c in rows]) for rows in (num, den))
+        witness = _int_gcd(witness, list(resultant(a, b.shift(ZnPoly((0, 1))))))
+    return _shift_roots(witness)
+
+
+def root_shifts(linear: Polynomial, p: Polynomial, sign: int) -> list[int]:
+    """The j >= 0 with p(r + sign*j) = 0, r = -beta/alpha the root of a
+    linear factor alpha*k + beta (alpha an integer) and p in Z[n][k]: the
+    integer roots common to the coefficients of each power of n in
+    alpha^deg(p) * p(r + sign*j), a polynomial in j over Z[n]."""
+    alpha, beta, top = linear.coeffs[1][0], linear.coeffs[0], len(p.coeffs) - 1
+    base = Polynomial("j", ZN, (-beta, ZnPoly((sign * alpha,))))
+    w = Polynomial("j", ZN, p.coeffs[-1:])
+    for i in range(top - 1, -1, -1):
+        w = w * base + p.coeffs[i] * ZnPoly((alpha ** (top - i),))
+    witness: list[int] = []
+    for e in range(max(map(len, w.coeffs))):
+        witness = _int_gcd(witness, list(ZnPoly(c[e] if e < len(c) else 0 for c in w.coeffs)))
+    return _shift_roots(witness)
+
+
+def meeting_shifts(u: Polynomial, v: Polynomial) -> list[int]:
+    """The j >= 0 at which gcd(u(k), v(k + j)) has positive degree."""
+    if is_linear(u) and is_linear(v):
+        gap, alpha = u.coeffs[0] - v.coeffs[0], u.coeffs[1][0]
+        j, rem = divmod(gap[0] if gap else 0, alpha)
+        return [j] if alpha == v.coeffs[1][0] and len(gap) < 2 and not rem and j >= 0 else []
+    if is_linear(u) or is_linear(v):
+        return root_shifts(u, v, 1) if is_linear(u) else root_shifts(v, u, -1)
+    return [j for j in _shift_resultant_roots(u.coeffs, v.coeffs)
+            if _zn_gcd(u.coeffs, v.shift(j).coeffs)]
 
 
 def dispersion_set(p: Polynomial, q: Polynomial) -> list[int]:
-    """All integers j >= 0 with deg gcd(p(k), q(k + j)) >= 1, sorted.
-
-    Works over Q[k] and over Q(n)[k].  p and q are first replaced by their
-    squarefree parts, which share roots with them, so the set is unchanged
-    while the resultant's degree in the shift variable drops (Man & Wright,
-    ISSAC 1994).  Candidates come from an integer-root computation on that
-    resultant; each is then confirmed by an exact gcd.
-    """
+    """All integers j >= 0 with deg gcd(p(k), q(k + j)) >= 1, sorted, over
+    Q[k] or Q(n)[k]: the candidates of ``_shift_resultant_roots``, each
+    confirmed by an exact gcd."""
     if p.var != q.var or p.ring != q.ring:
         raise TypeError("dispersion of polynomials from different rings")
     if p.degree < 1 or q.degree < 1:
         return []
-    p, q = _squarefree_part(p), _squarefree_part(q)
-    jring = PolynomialRing("_j", ZN)
-    a = Polynomial(p.var, jring, [jring.coerce(c) for c in _clear_to_zn(p)])
-    b = Polynomial(q.var, jring, [jring.coerce(c) for c in _clear_to_zn(q)])
-    res = resultant(a, b.shift(jring.gen()))
-    # res is a polynomial in j over Z[n]; its slice at each power of n is an
-    # int polynomial in j, and the nonzero slice of least degree is the witness
-    slices = [[c[d] if d < len(c) else 0 for c in res.coeffs]
-              for d in range(max(map(len, res.coeffs), default=0))]
-    witness = min((ZnPoly(s) for s in slices if any(s)), key=len, default=None)
-    if witness is None:
-        raise ArithmeticError("dispersion resultant vanished identically")
-    out = []
-    for j in _int_roots(_int_primitive(list(witness))):
-        if j < 0:
-            continue
-        if poly_gcd(p, q.shift(j)).degree >= 1:
-            out.append(j)
-    return out
+    return [j for j in _shift_resultant_roots(_clear_to_zn(p), _clear_to_zn(q))
+            if poly_gcd(p, q.shift(j)).degree >= 1]
 
 
 # ---------------------------------------------------------------------------
@@ -838,30 +892,11 @@ def dispersion_set(p: Polynomial, q: Polynomial) -> list[int]:
 POLY_N = PolynomialRing("n", QQ)
 QN = FractionField(POLY_N)
 POLY_K = PolynomialRing("k", QN)
-QNK = FractionField(POLY_K)
 
 
 def n_poly(*coeffs) -> Polynomial:
     """Polynomial in n over Q from ascending coefficients."""
     return POLY_N.poly(coeffs)
-
-
-def k_poly(*coeffs) -> Polynomial:
-    """Polynomial in k over Q(n); coefficients may be ints, Fractions,
-    polynomials in n, or Q(n) elements."""
-    lifted = []
-    for c in coeffs:
-        if isinstance(c, RationalFunction):
-            lifted.append(QN.coerce(c))
-        elif isinstance(c, Polynomial):
-            lifted.append(RationalFunction(c))
-        else:
-            lifted.append(QN.coerce(Fraction(c)))
-    return Polynomial("k", QN, lifted)
-
-
-def qnk(num: Polynomial, den: Polynomial | None = None) -> RationalFunction:
-    return RationalFunction(num, den)
 
 
 def shift_in_n(obj, j: int):
@@ -878,11 +913,6 @@ def shift_in_n(obj, j: int):
     if isinstance(obj, ZnPoly):
         return obj.shift(j)
     raise TypeError(f"cannot shift n in {obj!r}")
-
-
-def eval_qn(value: RationalFunction, n: int) -> Fraction:
-    """Evaluate a Q(n) element at an integer; raises ZeroDivisionError on a pole."""
-    return value.evaluate(Fraction(n))
 
 
 def clear_qn(values: Sequence[RationalFunction]) -> list[ZnPoly]:
@@ -902,24 +932,9 @@ def clear_qn(values: Sequence[RationalFunction]) -> list[ZnPoly]:
 
 
 def clear_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
-    """Rewrite a Q(n)(k) element as num/den with Q[n] coefficients.
-
-    Both parts are scaled by the same k-free factor, so the quotient is
-    unchanged; this is the form used for evaluation and serialization.
-    """
-    base = POLY_N
-    common = base.one()
-    for c in list(value.num.coeffs) + list(value.den.coeffs):
-        if c:
-            common = poly_lcm(common, c.den)
-
-    def cleared(p: Polynomial) -> Polynomial:
-        out = []
-        for c in p.coeffs:
-            out.append(c.num * common.exact_div(c.den) if c else base.zero())
-        return Polynomial(p.var, base, out)
-
-    return cleared(value.num), cleared(value.den)
+    """A Q(n)(k) element as num/den with Q[n] coefficients: the pair of
+    ``integer_qnk_pair``, so the quotient is unchanged."""
+    return tuple(p.map_coeffs(ZnPoly.to_poly, POLY_N) for p in integer_qnk_pair(value))
 
 
 def integer_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
@@ -977,7 +992,12 @@ class ZnPoly(tuple):
         return tuple.__new__(ZnPoly, [-c for c in self])
 
     def __add__(self, other: "ZnPoly") -> "ZnPoly":
-        return self - (-other)
+        if len(self) < len(other):
+            self, other = other, self
+        out = list(self)
+        for i, c in enumerate(other):
+            out[i] += c
+        return ZnPoly(out)
 
     def __sub__(self, other: "ZnPoly") -> "ZnPoly":
         if len(self) >= len(other):
@@ -1087,13 +1107,14 @@ def _zn_primitive_part(rows: list[ZnPoly]) -> list[ZnPoly]:
     return rows
 
 
-def _zn_divides(divisor: list[ZnPoly], rows: list[ZnPoly]) -> bool:
-    """Whether a polynomial in k over Z[n] divides another one in Z[n][k];
-    an inexact division of coefficients in Z[n] means it does not."""
+def _zn_quotient(rows: Sequence[ZnPoly], divisor: list[ZnPoly]) -> list[ZnPoly] | None:
+    """rows / divisor for polynomials in k over Z[n], or None when it does not
+    divide in Z[n][k]; an inexact division of coefficients means it does not."""
     try:
-        return not Polynomial("k", ZN, rows) % Polynomial("k", ZN, divisor)
+        quot, rem = divmod(Polynomial("k", ZN, rows), Polynomial("k", ZN, divisor))
     except ArithmeticError:
-        return False
+        return None
+    return None if rem else list(quot.coeffs)
 
 
 def _interpolate_images(
@@ -1133,16 +1154,85 @@ def _interpolate_images(
     return rows
 
 
-def eval_qnk(value: RationalFunction, n: int, k: int) -> Fraction:
-    """Evaluate a Q(n)(k) element at integers; raises ZeroDivisionError on a pole.
+# ---------------------------------------------------------------------------
+# factored quotients in Z[n](k)
 
-    Evaluation happens on the denominator-cleared bivariate form, so a pole
-    is reported only where the reduced quotient genuinely has one.
-    """
-    num, den = clear_qnk_pair(value)
-    nf, kf = Fraction(n), Fraction(k)
-    dval = den.map_coeffs(lambda c: c.evaluate(nf), QQ).evaluate(kf)
-    if not dval:
-        raise ZeroDivisionError(f"pole at (n, k) = ({n}, {k})")
-    nval = num.map_coeffs(lambda c: c.evaluate(nf), QQ).evaluate(kf)
-    return nval / dval
+
+def is_linear(f: Polynomial) -> bool:
+    """Whether a polynomial in k over Z[n] is alpha*k + beta with alpha in Z."""
+    return len(f.coeffs) == 2 and len(f.coeffs[1]) == 1
+
+
+def primitive_factors(p: Polynomial) -> tuple[int, list[Polynomial]]:
+    """A nonzero polynomial in k over Z[n] as an integer times factors with
+    a positive leading integer: its content in Z[n] unless that is an
+    integer (a factor of degree 0 in k), and its primitive part unless that
+    is 1.  The product is p exactly."""
+    prim = _zn_primitive_part(list(p.coeffs))
+    unit = ZN.exact_div(p.coeffs[-1], prim[-1])  # the content times an integer
+    g = math.gcd(*unit) if unit[-1] > 0 else -math.gcd(*unit)
+    factors = [(ZnPoly(c // g for c in unit),)] if len(unit) > 1 else []
+    factors += [prim] if len(prim) > 1 or len(prim[0]) > 1 else []
+    return g, [Polynomial(p.var, ZN, rows) for rows in factors]
+
+
+def zn_product(factors: Counter, const: int = 1) -> Polynomial:
+    """const times the product of a multiset of polynomials in k over Z[n]."""
+    one = Polynomial("k", ZN, (ZnPoly((const,)),))
+    return math.prod((f**m for f, m in factors.items()), start=one)
+
+
+def coprime_base(*multisets: Counter) -> None:
+    """Rewrite multisets of factors (as in ``FactoredRatio``) in place over one
+    base whose factors of positive degree in k are pairwise coprime or equal:
+    while two share a factor g, each becomes g and its cofactor."""
+    coprime: set = set()
+    while split := _common_factor(multisets, coprime):
+        (u, v), (g, *rests) = split
+        for m in multisets:
+            for f, rest in zip((u, v), rests):
+                for h in (g, rest) if (times := m.pop(f, 0)) else ():
+                    if len(h) > 1:
+                        m[Polynomial("k", ZN, h)] += times
+
+
+def _common_factor(multisets, coprime: set):
+    keys = [f for f in dict.fromkeys(f for m in multisets for f in m) if f.degree > 0]
+    for i, u in enumerate(keys):
+        for v in keys[i + 1:]:
+            if (u, v) not in coprime and not (is_linear(u) and is_linear(v)):
+                if found := _zn_gcd(u.coeffs, v.coeffs):
+                    return (u, v), found
+                coprime.add((u, v))
+    return None
+
+
+class FactoredRatio:
+    """const[0]/const[1] * prod(num) / prod(den) in Q(n)(k), kept factored:
+    const two nonzero ints, num and den multisets (Counters) of polynomials
+    in k over Z[n] with a positive leading integer, primitive or of degree 0
+    in k (units).  ``pair`` multiplies them out."""
+
+    __slots__ = ("const", "num", "den")
+
+    def __init__(self, const: tuple[int, int] = (1, 1), num=(), den=()) -> None:
+        self.const, self.num, self.den = const, Counter(num), Counter(den)
+
+    def pair(self) -> tuple[Polynomial, Polynomial]:
+        return zn_product(self.num, self.const[0]), zn_product(self.den, self.const[1])
+
+    def __mul__(self, other: "FactoredRatio") -> "FactoredRatio":
+        return FactoredRatio((self.const[0] * other.const[0], self.const[1] * other.const[1]),
+                             self.num + other.num, self.den + other.den)
+
+    def shift_n(self, j: int) -> "FactoredRatio":
+        """The ratio at n + j: Taylor shifts keep content and leading terms."""
+        return FactoredRatio(self.const, *(Counter({shift_in_n(f, j): m for f, m in side.items()})
+                                           for side in (self.num, self.den)))
+
+    def cancelled(self) -> "FactoredRatio":
+        """The same ratio, num and den coprime over one coprime base; units cancel where equal."""
+        num, den = Counter(self.num), Counter(self.den)
+        coprime_base(num, den)
+        common = num & den
+        return FactoredRatio(self.const, num - common, den - common)

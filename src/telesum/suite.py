@@ -269,98 +269,8 @@ def mutation_catalog() -> list[dict]:
 
     They twist the bundled identities in typical wrong-by-one ways: a
     scaled right side, a clipped summation range, a shifted denominator,
-    a dropped squaring, mismatched upper limits, and so on.
+    a dropped squaring, mismatched upper limits, and so on.  They live in
+    the bundled manifest data/mutations.suite.
     """
-    return [
-        {
-            "id": "mut-scaled-rhs",
-            "kind": "sum_identity",
-            "grid": {"n": [0, 10]},
-            "sides": [
-                [{"sum": "binom(2k,k)*binom(2n-2k+2,n-k+1)/(k+1)", "from": "0", "to": "n"}],
-                [{"term": "3*binom(2n+2,n)"}],
-            ],
-        },
-        {
-            "id": "mut-clipped-range",
-            "kind": "sum_identity",
-            "grid": {"n": [0, 10]},
-            "sides": [
-                [{"sum": "binom(2k,k)*binom(2n-2k+2,n-k+1)/(k+1)", "from": "0", "to": "n-1"}],
-                [{"term": "2*binom(2n+2,n)"}],
-            ],
-        },
-        {
-            "id": "mut-shifted-denominator",
-            "kind": "sum_identity",
-            "grid": {"n": [0, 10]},
-            "sides": [
-                [{"sum": "binom(2k,k)*binom(2n-2k+2,n-k+1)/(k+2)", "from": "0", "to": "n"}],
-                [{"term": "2*binom(2n+2,n)"}],
-            ],
-        },
-        {
-            "id": "mut-dropped-doubling",
-            "kind": "sum_identity",
-            "grid": {"n": [0, 10]},
-            "sides": [
-                [{"sum": "binom(2n,k)*binom(2n+1,k)", "from": "0", "to": "n"}],
-                [{"term": "binom(4n+1,2n)"}, {"term": "binom(2n,n)^2"}],
-            ],
-        },
-        {
-            "id": "mut-unsquared-closed-form",
-            "kind": "sum_identity",
-            "grid": {"n": [1, 10]},
-            "sides": [
-                [{"sum": "2*binom(2n,k)*binom(2n+1,k)", "from": "0", "to": "n"}],
-                [{"term": "binom(4n+1,2n)"}, {"term": "binom(2n,n)"}],
-            ],
-        },
-        {
-            "id": "mut-overlapping-split",
-            "kind": "sum_identity",
-            "grid": {"n": [1, 10]},
-            "sides": [
-                [{"sum": "binom(2n,k)*binom(2n+1,k)", "from": "0", "to": "n"},
-                 {"sum": "binom(2n,k-1)*binom(2n+1,k)", "from": "n", "to": "2n+1"}],
-                [{"term": "binom(4n+1,2n)"}, {"term": "binom(2n,n)^2"}],
-            ],
-        },
-        {
-            "id": "mut-swapped-upper-limits",
-            "kind": "sum_identity",
-            "grid": {"n": [1, 6], "r": [1, 4], "s": [1, 4]},
-            "sides": [
-                [{"sum": "binom(n+r,n)*binom(r+k,r-1)*binom(n+k,n)", "from": "0", "to": "r-1"}],
-                [{"sum": "binom(n+s,n)*binom(s+k,s-1)*binom(n+k,n)", "from": "0", "to": "r-1"}],
-            ],
-        },
-        {
-            "id": "mut-squared-for-cubed",
-            "kind": "sum_identity",
-            "grid": {"n": [0, 10]},
-            "sides": [
-                [{"sum": "binom(n,k)^2*binom(2k,n)", "from": "0", "to": "n"}],
-                [{"sum": "binom(n,k)^2", "from": "0", "to": "n"}],
-            ],
-        },
-        {
-            "id": "mut-shifted-convolution-target",
-            "kind": "sum_identity",
-            "grid": {"n": [0, 10]},
-            "sides": [
-                [{"sum": "binom(2k,k)*binom(2n-2k+2,n-k+1)/(k+1)", "from": "0", "to": "n"}],
-                [{"term": "2*binom(2n+2,n+1)"}],
-            ],
-        },
-        {
-            "id": "mut-bumped-vandermonde",
-            "kind": "sum_identity",
-            "grid": {"n": [0, 8], "m": [0, 8]},
-            "sides": [
-                [{"sum": "binom(n,k)*binom(m,n-k)", "from": "0", "to": "n"}],
-                [{"term": "binom(n+m,n+1)"}],
-            ],
-        },
-    ]
+    res = resources.files("telesum").joinpath("data").joinpath("mutations.suite")
+    return json.loads(res.read_text(encoding="utf-8"))["cases"]

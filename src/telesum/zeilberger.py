@@ -11,31 +11,38 @@ outside its natural support the sum w(n) = sum_k F(n, k) satisfies
 sum_j sigma_j w(n+j) = 0.
 
 The search runs gosper.parameterized_gosper with the right-hand sides
-p_j = q * F(n+j, k)/F(n, k), q the common denominator of those ratios,
-increasing the order J until the homogeneous system has a solution that
-actually involves the sigma's.
+p_j = q * T_j, T_j = F(n+j, k)/F(n, k), q the common denominator of the
+T_j, increasing the order J until the homogeneous system has a solution
+that actually involves the sigma's.  It runs on factored shift quotients
+(``FactoredRatio``) in Z[n][k]: q is the multiset maximum of the T_j's
+denominators, p_j a multiset difference, and the normal form of
+r_k * q(k)/q(k+1) is read off the factors.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .gosper import parameterized_gosper
+from .gosper import certificate, factored_normal_form, parameterized_gosper
 from .hyperterm import (
     BinomialFactor,
     FactorialFactor,
     HyperTerm,
     ParamBinding,
-    shift_quotient,
+    factored_shift_pair,
 )
 from .polynomials import (
-    POLY_K,
+    FactoredRatio,
     Polynomial,
     RationalFunction,
-    poly_lcm,
-    shift_in_n,
+    coprime_base,
+    zn_product,
 )
 from .serialize import _npoly_string, npoly_to_list, ratfun_to_record, ratfun_to_text
 from .verify import telescoping_identity
@@ -138,35 +145,40 @@ def creative_telescope(
     ascending order up to max_order; raises NoRecurrenceFound."""
     t = term.bind(binding)
     t.require_bound()
-    r_k = shift_quotient(t, "k")
-    r_n = shift_quotient(t, "n")
-    field = r_k.field
-    t_list = [field.one()]
+    r_k = factored_shift_pair(t, "k")
+    r_n = factored_shift_pair(t, "n")
+    t_list = [FactoredRatio()]
     for order in range(1, max_order + 1):
-        t_list.append(t_list[-1] * shift_in_n(r_n, order - 1))
-        found = _attempt(t, r_k, t_list, order)
+        t_list.append((t_list[-1] * r_n.shift_n(order - 1)).cancelled())
+        found = _attempt(t, r_k, t_list)
         if found is not None:
             return found
     raise NoRecurrenceFound(max_order)
 
 
+def _common_denominator(t_list: list[FactoredRatio]) -> tuple[Counter, int, list[Polynomial]]:
+    """Q = scale * prod(q), the lcm of the T_j's denominators (over a
+    coprime base, units and integers too), and the p_j = T_j * Q."""
+    dens = [Counter(tj.den) for tj in t_list]
+    coprime_base(*dens)
+    q = functools.reduce(operator.or_, dens)
+    scale = math.lcm(*(tj.const[1] for tj in t_list))
+    return q, scale, [zn_product(tj.num + (q - d), scale // tj.const[1] * tj.const[0])
+                      for tj, d in zip(t_list, dens)]
+
+
 def _attempt(
-    t: HyperTerm,
-    r_k: RationalFunction,
-    t_list: list[RationalFunction],
-    order: int,
+    t: HyperTerm, r_k: FactoredRatio, t_list: list[FactoredRatio]
 ) -> TelescopingCertificate | None:
-    q = POLY_K.one()
-    for tj in t_list:
-        q = poly_lcm(q, tj.den)
-    p_list = [tj.num * q.exact_div(tj.den) for tj in t_list]
-    rho = RationalFunction(r_k.num * q, r_k.den * q.shift(1))
-    nf, _, solution = parameterized_gosper(rho, p_list)
+    q, scale, p_list = _common_denominator(t_list)
+    rho = r_k * FactoredRatio((1, 1), q, (f.shift(1) for f in q.elements()))
+    nf = factored_normal_form(rho.cancelled())
+    _, solution = parameterized_gosper(nf, p_list)
     if solution is None:
         return None
-    x, sigma = solution
-    certificate = RationalFunction(nf.b.shift(-1) * x, nf.c * q)
-    result = TelescopingCertificate(t, Recurrence(tuple(s.to_poly() for s in sigma)), certificate)
+    x, x_scale, sigma = solution
+    result = TelescopingCertificate(t, Recurrence(tuple(s.to_poly() for s in sigma)),
+                                    certificate(nf, x, x_scale, zn_product(q, scale)))
     if not result.check():
         raise AssertionError("internal error: telescoping check failed")
     return result
@@ -261,14 +273,10 @@ def sum_recurrence_natural(
     no finite natural support.
     """
     t = term.bind(binding)
-    values = {
-        n: natural_sum(t, n) for n in range(n_lo, n_hi + recurrence.order + 1)
-    }
+    values = {n: natural_sum(t, n) for n in range(n_lo, n_hi + recurrence.order + 1)}
     for n in range(n_lo, n_hi + 1):
         want = rhs(n) if rhs is not None else Fraction(0)
         got = recurrence.apply(values, n)
         if got != want:
-            raise RecurrenceCheckError(
-                f"recurrence fails at n = {n}: got {got}, expected {want}"
-            )
+            raise RecurrenceCheckError(f"recurrence fails at n = {n}: got {got}, expected {want}")
     return values

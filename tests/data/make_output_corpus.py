@@ -1,0 +1,109 @@
+"""Write output_corpus.json: the stdout, stderr and exit code of each CLI call
+in CALLS, run in-process through ``telesum.cli.main``.
+
+tests/test_output_corpus.py replays the calls and compares byte for byte, so
+the file pins the CLI's output.  Regenerate it only for an intended change of
+output, from the repository root:
+
+    PYTHONPATH=src python tests/data/make_output_corpus.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+CORPUS = Path(__file__).resolve().parent / "output_corpus.json"
+
+F_11916 = "binom(n+r,n)binom(r+k,r-1)binom(n+k,n)"
+G_11916 = "(-1)binom(n+r,n)binom(r+k,r-1)binom(n+k,n)*k(k+1)/(n+1)"
+GOSPER_TERMS = [
+    "k*fact(k)",
+    "binom(n,k)",
+    "(-1)^k*binom(n,k)",
+    "(n-2k)*binom(n,k)",
+    "k^2*2^k",
+    "1/((k+1)*(k+2))",
+    "binom(2k,k)/4^k",
+    "(4k+1)*binom(2k,k)/4^k",
+    "fact(k)/fact(k+3)",
+    "(-1)^k*binom(n,k)*k",
+    "binom(n,k)^2",
+    "(1/2)^k*k",
+    "(k^2+n*k+1)*binom(n,k)",
+    "k*(k+n)*2^k/(k+n+1)",
+    "(n*k+1)*(n*k+n+1)*fact(k)",
+]
+ZEIL_TERMS = [
+    ["binom(n,k)"],
+    ["binom(n,k)^2"],
+    ["binom(n,k)^3"],
+    ["binom(n,k)^2*binom(2k,n)"],
+    ["binom(n,k)^2*binom(n+k,k)^2"],
+    ["2*binom(2n,k)*binom(2n+1,k)"],
+    ["binom(2k,k)*binom(2n-2k+2,n-k+1)/(k+1)"],
+    ["binom(n,k)/(k+1)"],
+    ["k*binom(n,k)^2"],
+    ["binom(n,k)*2^k"],
+    ["binom(n,k)*binom(n,k+1)"],
+    ["binom(n,k)*(k^2+n*k+1)"],
+    ["(-1)^k*binom(2n,n+k)^3"],
+    ["binom(n,k)^3", "--jmax", "1"],
+]
+CALLS = (
+    [["gosper", t] for t in GOSPER_TERMS]
+    + [["gosper", "--machine", t] for t in GOSPER_TERMS[:6]]
+    + [["gosper", "binom(n+r,k)*(n+r-2k)", "--param", "r=2"]]
+    + [["zeil"] + t for t in ZEIL_TERMS]
+    + [["zeil", "--machine"] + t for t in ZEIL_TERMS[:6] + ZEIL_TERMS[-1:]]
+    + [
+        ["wz-check", F_11916, G_11916, "--coeff=n", "--coeff=-n-1", "--param", "r=2"],
+        ["wz-check", F_11916, G_11916[4:], "--coeff=n", "--coeff=-n-1", "--param", "r=2"],
+        ["wz-check", "--machine", F_11916, G_11916, "--coeff=n", "--coeff=-n-1",
+         "--param", "r=3"],
+        ["wz-check", "binom(n,k)", "binom(n,k)", "--coeff=n", "--coeff=-n-1"],
+        ["wz-check", "binom(n,k)", "binom(n,k)", "--coeff=k"],
+        ["wz-check", "0*binom(n,k)", "binom(n,k)", "--coeff", "1"],
+        ["sum", "binom(n,k)", "--n", "0", "4", "--from", "0", "--to", "n"],
+        ["sum", "--machine", "binom(n,k)^2", "--n", "3", "5"],
+        ["sum", "binom(n,k)^2*binom(2k,n)", "--n", "0", "6"],
+        ["sum", "binom(n,k)", "--n", "0", "2", "--from", "0"],
+        ["series", "catalan", "--order", "6"],
+        ["series", "--machine", "central", "--order", "5"],
+        ["series", "ballot", "--order", "4", "--family-index", "2"],
+        ["series", "no-such-series"],
+        ["series", "catalan", "--order", "-1"],
+        [],
+        ["frobnicate"],
+        ["gosper", "binom(n,k"],
+        ["gosper", "binom(n+r,k)"],
+        ["gosper", "--param", "r=x", "binom(n,k)"],
+        ["zeil", "binom(n,k)", "--jmax", "0"],
+        ["sum", "binom(n,k)", "--n", "4", "2"],
+    ]
+)
+
+
+def run_cli(argv: list[str]) -> dict:
+    """One in-process CLI call: its exit code and what it wrote."""
+    from telesum.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --help
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def main() -> None:
+    rows = [run_cli(argv) for argv in CALLS]
+    CORPUS.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(rows)} calls to {CORPUS}")
+
+
+if __name__ == "__main__":
+    main()

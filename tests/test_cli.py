@@ -300,6 +300,23 @@ def test_module_entry_point():
     assert proc.stdout.strip().splitlines() == ["0: 1", "1: 2", "2: 6", "3: 20"]
 
 
+def test_closed_stdout_pipe_exits_141_with_nothing_on_stderr():
+    # 513 lines, about 80 kB: more than a pipe buffer, so the writes after the
+    # first line meet the closed pipe whatever the scheduling
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "telesum", "series", "catalan", "--order", "512"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
+    assert first == b"0: 1\n"
+    assert err == b""
+
+
 def _run_calls(calls, capsys):
     out = []
     for argv in calls:

@@ -9,12 +9,20 @@ recurrences against sums over the term's natural support.
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telesum.gosper import NotSummableError, gosper_antidifference, telescoped_sum
+from telesum.gosper import (
+    NotSummableError,
+    factored_normal_form,
+    gosper_antidifference,
+    gosper_normal_form,
+    telescoped_sum,
+)
 from telesum.hyperterm import (
     BinomialFactor,
     DegenerateSampleError,
@@ -24,33 +32,42 @@ from telesum.hyperterm import (
     PoleError,
     PowerFactor,
     eval_term,
+    factored_shift_pair,
     integer_shift_pair,
     parse_term,
     shift_quotient,
     term_ratio_is_one,
     term_to_string,
 )
+from qn_tower import k_poly
 from telesum.polynomials import (
+    ZN,
+    FactoredRatio,
+    Polynomial,
     RationalFunction,
+    ZnPoly,
+    dispersion_set,
     integer_qnk_pair,
-    k_poly,
     n_poly,
+    poly_lcm,
     shift_in_n,
+    zn_product,
+    zn_ratfun,
 )
 from telesum.verify import oracle_sum
 from telesum.zeilberger import (
     NoRecurrenceFound,
+    _common_denominator,
     creative_telescope,
     sum_recurrence_natural,
 )
 
-# alpha*n + beta*k + gamma with 0 <= alpha <= 1 and |beta| <= 1, and the same
-# for the difference of a binomial's arguments: larger coefficients give shift
-# quotients whose dispersion resultant alone can take a minute
+# alpha*n + beta*k + gamma with 0 <= alpha <= 1 and |beta| <= 2, and the same
+# bound for the difference of a binomial's arguments
 linear_forms = st.builds(
     LinearForm.make,
     st.integers(min_value=0, max_value=1),
-    st.integers(min_value=-1, max_value=1),
+    st.integers(min_value=-2, max_value=2),
     st.integers(min_value=-2, max_value=2),
 )
 powers = st.builds(
@@ -60,7 +77,7 @@ powers = st.builds(
 )
 factors = st.one_of(
     st.builds(lambda top, bottom: (BinomialFactor(top, bottom), 1), linear_forms, linear_forms)
-    .filter(lambda fe: abs(fe[0].top.coeff_k - fe[0].bottom.coeff_k) <= 1),
+    .filter(lambda fe: abs(fe[0].top.coeff_k - fe[0].bottom.coeff_k) <= 2),
     st.builds(lambda arg, e: (FactorialFactor(arg), e), linear_forms, st.sampled_from([1, -1])),
     powers,
 )
@@ -255,11 +272,98 @@ def test_shift_quotient_equals_the_q_n_k_construction(term, var):
     assert shift_quotient(term, var) == _shift_quotient_in_qn(term, var)
 
 
+_ZNK_ONE = Polynomial("k", ZN, (ZnPoly((1,)),))
+
+
+def _zn_falling(lf: LinearForm, var: str):
+    num = den = _ZNK_ONE
+    lead, delta = ZnPoly((lf.coeff_k,)), lf.coeff(var)
+    for i in range(1, delta + 1):
+        num = num * Polynomial("k", ZN, (ZnPoly((lf.constant + i, lf.coeff_n)), lead))
+    for i in range(0, -delta):
+        den = den * Polynomial("k", ZN, (ZnPoly((lf.constant - i, lf.coeff_n)), lead))
+    return num, den
+
+
+def _unfactored_shift_pair(term: HyperTerm, var: str):
+    """An independent copy of the unreduced pair as a plain product in Z[n][k]."""
+    num = den = _ZNK_ONE
+    for f, e in term.factors:
+        if isinstance(f, PowerFactor):
+            r = f.base ** f.exponent.coeff(var)
+            a, b = _ZNK_ONE.mul_ground(r.numerator), _ZNK_ONE.mul_ground(r.denominator)
+        elif isinstance(f, FactorialFactor):
+            a, b = _zn_falling(f.arg, var)
+        else:
+            (n1, d1), (n2, d2), (n3, d3) = (
+                _zn_falling(lf, var) for lf in (f.top, f.bottom, f.top - f.bottom))
+            a, b = n1 * d2 * d3, d1 * n2 * n3
+        num, den = (num * a**e, den * b**e) if e > 0 else (num * b**-e, den * a**-e)
+    p, q = integer_qnk_pair(term.prefactor)
+    p1, q1 = (p.shift(1), q.shift(1)) if var == "k" else (shift_in_n(p, 1), shift_in_n(q, 1))
+    return num * p1 * q, den * q1 * p
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms, st.sampled_from(["k", "n"]))
+def test_factored_pair_multiplies_out_to_the_unfactored_pair(term, var):
+    ratio = factored_shift_pair(term, var)
+    assert ratio.pair() == integer_shift_pair(term, var) == _unfactored_shift_pair(term, var)
+    for f in list(ratio.num) + list(ratio.den):
+        assert f.lc()[-1] > 0 and (f.degree < 1 or f == _primitive(f))
+    reduced = ratio.cancelled()
+    assert zn_ratfun(*reduced.pair()) == shift_quotient(term, var)
+    assert not (set(reduced.num) & set(reduced.den))
+
+
+def _primitive(f):
+    rows = [ZnPoly([c // g for c in r]) for r in f.coeffs] if (
+        g := math.gcd(*(c for r in f.coeffs for c in r))) else f.coeffs
+    return Polynomial("k", ZN, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms)
+def test_factored_normal_form_and_dispersion_match_the_q_n_k_ones(term):
+    """The normal form read off the factors equals the one of the reduced
+    quotient, whose numerator and denominator are one factor each; so does
+    the dispersion, against the resultant-based dispersion_set."""
+    ratio = shift_quotient(term, "k")
+    nf = factored_normal_form(factored_shift_pair(term, "k").cancelled())
+    assert nf.public() == gosper_normal_form(ratio)
+    assert nf.dispersion == dispersion_set(ratio.num.monic(), ratio.den)
+
+
+@settings(max_examples=20, deadline=None)
+@given(natural_terms)
+def test_zeilbergers_quotient_has_the_same_normal_form_factored(term):
+    """rho = r_k * q(k)/q(k+1) at orders 1 and 2, as creative_telescope
+    builds it, against its reduced Q(n)(k) form; and q is the lcm of the T_j's
+    reduced denominators, up to a factor in n."""
+    r_k, r_n = factored_shift_pair(term, "k"), factored_shift_pair(term, "n")
+    t_list = [FactoredRatio()]
+    for order in (1, 2):
+        t_list.append((t_list[-1] * r_n.shift_n(order - 1)).cancelled())
+        q, scale, p_list = _common_denominator(t_list)
+        big_q = zn_product(q, scale)
+        for tj, p in zip(t_list, p_list):
+            assert zn_ratfun(*tj.pair()) * zn_ratfun(big_q, _ZNK_ONE) == zn_ratfun(p, _ZNK_ONE)
+        lcm = functools.reduce(poly_lcm, (zn_ratfun(*tj.pair()).den for tj in t_list))
+        assert zn_ratfun(zn_product(q), _ZNK_ONE).num.monic() == lcm
+        rho = (r_k * FactoredRatio((1, 1), q, [f.shift(1) for f in q.elements()])).cancelled()
+        nf = factored_normal_form(rho)
+        assert nf.public() == gosper_normal_form(zn_ratfun(*rho.pair()))
+
+
 _MULTIPLIERS = [k_poly(1), k_poly(2), k_poly(-1), k_poly(1, 1), k_poly(n_poly(2, 1))]
 
 
 def _as_factorials(term: HyperTerm) -> HyperTerm:
-    """Each binom(a, b) written as fact(a)/(fact(b)*fact(a-b))."""
+    """Each binom(a, b) written as fact(a)/(fact(b)*fact(a-b)); the term as it
+    is when two factorials of the result cancel, as in binom(n-1, n-1) or
+    binom(n, k-2)*fact(k-2): a cancelled factorial at a negative argument no
+    longer zeroes the value, so the rewrite would change it (at n = 0, or at
+    k = 0), not only its form."""
     factors = []
     for f, e in term.factors:
         if isinstance(f, BinomialFactor):
@@ -267,7 +371,9 @@ def _as_factorials(term: HyperTerm) -> HyperTerm:
                         (FactorialFactor(f.top - f.bottom), -e)]
         else:
             factors.append((f, e))
-    return HyperTerm(factors, term.prefactor)
+    rewritten = HyperTerm(factors, term.prefactor)
+    kept = sum(abs(e) for _, e in rewritten.factors) == sum(abs(e) for _, e in factors)
+    return rewritten if kept else term
 
 
 @settings(max_examples=40, deadline=None)

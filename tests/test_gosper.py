@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,14 @@ from telesum import gosper
 from telesum.gosper import (
     NotSummableError,
     degree_bound,
+    factored_normal_form,
     gosper_antidifference,
     gosper_normal_form,
     telescoped_sum,
 )
-from telesum.hyperterm import eval_term, parse_term, shift_quotient
-from telesum.polynomials import QN, eval_qnk, k_poly, n_poly, qnk
+from telesum.hyperterm import eval_term, factored_shift_pair, parse_term, shift_quotient
+from qn_tower import eval_qnk, k_poly, qnk
+from telesum.polynomials import QN, n_poly
 from telesum.verify import oracle_sum
 
 
@@ -67,6 +70,42 @@ def test_normal_form_geometric_series_stays_split():
     assert nf.a.to_string() == "k+1"
     assert nf.b.to_string() == "1"
     assert nf.c.to_string() == "1"
+
+
+@pytest.mark.parametrize("text, dispersion, c", [
+    # two linear factors, k+3 over k+1, meet at j = 2
+    ("2^k*fact(k+2)/fact(k)", [2], "k^2+3*k+2"),
+    # the linear factor k+7 meets the prefactor piece (k+6)*(n*k+n+1) at j = 1
+    ("fact(k+6)/(n*k^2+5*n*k+k+5)", [1], "k+6"),
+    # pieces of degree 1 with a lead in n, P(k+1) and P(k), meet at j = 1
+    ("binom(n,k)*((n+1)*k+2)", [1], "k+((2)/(n+1))"),
+    # the prefactor's pieces P(k+1) and P(k) meet at j = 1, by a resultant
+    ("binom(n,k)^2*(k^2+n*k+1)", [1], "k^2+(n)*k+1"),
+])
+def test_normal_form_read_off_the_factors(text, dispersion, c):
+    t = parse_term(text)
+    nf = factored_normal_form(factored_shift_pair(t, "k").cancelled())
+    assert nf.dispersion == dispersion
+    assert nf.public() == gosper_normal_form(shift_quotient(t, "k"))
+    assert nf.public().c.to_string() == c
+
+
+SLOW_DISPERSION = "binom(2n-k,2n-2k-2)*binom(2n+2k,-2k-2)*3^(n+k-2)*(n*k^2-2*k^2+n*k-n-2)"
+
+
+def test_degree_8_quotient_gets_its_normal_form_quickly():
+    # a shift quotient of degree 8 over 8 in k, whose dispersion resultant
+    # over Z[n][j] alone once took about 40 s
+    t = parse_term(SLOW_DISPERSION)
+    start = time.perf_counter()
+    nf = factored_normal_form(factored_shift_pair(t, "k").cancelled())
+    assert time.perf_counter() - start < 0.5
+    assert nf.dispersion == [1]
+    with pytest.raises(NotSummableError) as info:
+        gosper_antidifference(t)
+    assert info.value.reason == (
+        "degree bound rules out a polynomial solution for binom(2n-k,2n-2k-2)*"
+        "binom(2n+2k,-2k-2)*3^(n+k-2)*(n*k^2-2*k^2+n*k-n-2)")
 
 
 def test_degree_bound_rules_out_factorial():

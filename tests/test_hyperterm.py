@@ -30,7 +30,8 @@ from telesum.hyperterm import (
     term_ratio_is_one,
     term_to_string,
 )
-from telesum.polynomials import RationalFunction, eval_qnk, k_poly, n_poly
+from qn_tower import eval_qnk, k_poly
+from telesum.polynomials import RationalFunction, n_poly
 
 
 # -- the extended binomial convention ------------------------------------

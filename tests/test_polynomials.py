@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qn_tower import QNK, eval_qn, eval_qnk, k_poly, qnk
 from telesum.polynomials import (
     POLY_K,
     POLY_N,
     QN,
-    QNK,
     QQ,
     ZN,
     Polynomial,
@@ -21,15 +21,11 @@ from telesum.polynomials import (
     ZnPoly,
     clear_qnk_pair,
     dispersion_set,
-    eval_qn,
-    eval_qnk,
     integer_qnk_pair,
     integer_roots,
-    k_poly,
     n_poly,
     poly_gcd,
     poly_lcm,
-    qnk,
     resultant,
     shift_in_n,
 )
@@ -580,3 +576,39 @@ def test_qnk_field_ops():
     f = QNK.one() / k
     assert f * k == QNK.one()
     assert (f + f) == 2 / k
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeff_lists, coeff_lists)
+def test_znpoly_addition_is_pointwise_and_matches_subtracting_the_negation(a, b):
+    x, y = ZnPoly(a), ZnPoly(b)
+    total = x + y
+    assert type(total) is ZnPoly and (not total or total[-1])
+    assert all(total(n) == x(n) + y(n) for n in range(-3, 4))
+    assert total == x - (-y) == y + x
+
+
+def _reduced_by_division(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """RationalFunction's reduction as it once was: divide by the monic gcd
+    with Q(n) long division, then make the denominator monic."""
+    if not num:
+        return num, POLY_K.one()
+    if num.degree > 0 and den.degree > 0:
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            num, den = num.exact_div(g), den.exact_div(g)
+    lead = den.lc()
+    return num.map_coeffs(lambda c: c / lead), den.monic()
+
+
+@settings(max_examples=60, deadline=None)
+@given(qnk_polys, qnk_polys, qnk_polys)
+def test_rational_function_reduces_as_the_long_division_did(num, den, common):
+    """The constructor divides by the gcd's cofactors made in Z[n][k]; the
+    reduced num/den are those of dividing by the gcd in Q(n)[k]."""
+    if not den:
+        den = POLY_K.gen()
+    if common:
+        num, den = num * common, den * common
+    f = RationalFunction(num, den)
+    assert (f.num, f.den) == _reduced_by_division(num, den)

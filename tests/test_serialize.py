@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from telesum.polynomials import POLY_K, QN, k_poly, n_poly, qnk
+from qn_tower import k_poly, qnk
+from telesum.polynomials import POLY_K, QN, n_poly
 from telesum.serialize import (
     bivariate_string,
     kpoly_to_lists,

@@ -9,7 +9,7 @@ import pytest
 
 from telesum.gosper import _normalize_solution
 from telesum.hyperterm import binomial_value, eval_term, parse_term
-from telesum.polynomials import QN, ZnPoly, n_poly
+from telesum.polynomials import QN, ZnPoly, _qn_over, n_poly
 from telesum.verify import oracle_sum
 from telesum.zeilberger import (
     BoundaryCheckError,
@@ -141,7 +141,8 @@ def test_normalized_sigmas_have_a_positive_top_and_scale_x_to_match():
     # as the Z[n] nullspace returns them
     sigmas = [ZnPoly((-2, -2)), ZnPoly(), ZnPoly((0, -4)), ZnPoly()]
     xs = [ZnPoly((6,)), ZnPoly(), ZnPoly((1, 0, 3))]
-    x, coeffs = _normalize_solution(xs, sigmas)
+    rows, scale, coeffs = _normalize_solution(xs, sigmas)
+    x = _qn_over("k", rows, scale)
     assert coeffs == (ZnPoly((1, 1)), ZnPoly(), ZnPoly((0, 2)))
     assert all(type(c) is ZnPoly for c in coeffs)
     # one k-free scale for x and sigma: x_i * sigma_j is unchanged up to it
@@ -151,7 +152,8 @@ def test_normalized_sigmas_have_a_positive_top_and_scale_x_to_match():
     half = Fraction(-1, 2)
     assert x.coeffs == (QN.from_int(-3), QN.zero(), QN.coerce(n_poly(half, 0, 3 * half)))
     # Gosper's single sigma always normalizes to 1
-    x, coeffs = _normalize_solution([ZnPoly((4,))], [ZnPoly((0, -2))])
+    rows, scale, coeffs = _normalize_solution([ZnPoly((4,))], [ZnPoly((0, -2))])
+    x = _qn_over("k", rows, scale)
     assert coeffs == (ZnPoly((1,)),)
     assert x.coeffs == (QN.coerce(n_poly(-2)) / QN.coerce(n_poly(0, 1)),)
 
