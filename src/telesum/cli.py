@@ -77,7 +77,7 @@ def _parse_params(pairs: list[str]) -> dict[str, int]:
 
 
 def _nonzero(term: HyperTerm, name: str) -> HyperTerm:
-    if not term.prefactor:
+    if not term.prefactor[0]:
         raise _UsageError(f"{name} is identically zero")
     return term
 

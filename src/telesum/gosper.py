@@ -24,8 +24,8 @@ alpha*k + beta' meet at the shift j = (beta - beta')/alpha when that is an
 n-free integer >= 0, a linear factor meets another factor at the integer
 roots in j of ``root_shifts``, and two other factors where a resultant at
 integer points and a gcd say.  The shifts are cancelled in ascending order,
-as Gosper's algorithm does.  a, b, c, z and the system stay in Z[n][k];
-Q(n) objects are made only for the public normal form and the certificate.
+as Gosper's algorithm does.  a, b, c, z, the system and R stay in Z[n][k];
+Q(n) objects are made only for the public normal form, x, and R when read.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .polynomials import (
     POLY_N,
     QN,
     ZN,
+    ZNK,
     FactoredRatio,
     Polynomial,
     RationalFunction,
@@ -58,15 +59,15 @@ from .polynomials import (
     _zn_primitive_part,
     clear_qn,
     coprime_base,
+    integer_qnk_pair,
     meeting_shifts,
     primitive_factors,
     zn_product,
     zn_ratfun,
+    zn_reduced,
 )
 from .serialize import ratfun_to_record, ratfun_to_text
 from .verify import telescoping_identity
-
-ZNK_ONE = Polynomial("k", ZN, (ZnPoly((1,)),))
 
 
 class NotSummableError(Exception):
@@ -230,11 +231,11 @@ def _normalize_solution(x: list[ZnPoly], sigma: list[ZnPoly]) -> tuple[list[ZnPo
 
 
 def certificate(nf: IntegerNormalForm, x: list[ZnPoly], scale: ZnPoly,
-                q: Polynomial = ZNK_ONE) -> RationalFunction:
+                q: Polynomial = ZNK.one()) -> tuple[Polynomial, Polynomial]:
     """R = b(k-1) * x(k) / (c(k) * q(k)) with b and c of the monic normal
-    form and x = x/scale, reduced once; the right-hand sides were T_j * q."""
+    form and x = x/scale, reduced by ``zn_reduced``; the rhs were T_j * q."""
     num = nf.b.shift(-1) * Polynomial("k", ZN, x) * nf.c.lc()
-    return zn_ratfun(num, nf.c * q * (nf.b.lc() * scale))
+    return zn_reduced(num, nf.c * q * (nf.b.lc() * scale))
 
 
 @dataclass(frozen=True)
@@ -245,24 +246,30 @@ class GosperCertificate:
     ratio: RationalFunction
     normal_form: GosperNormalForm
     x: Polynomial
-    certificate: RationalFunction
+    certificate_pair: tuple[Polynomial, Polynomial]
+
+    @property
+    def certificate(self) -> RationalFunction:
+        """R in Q(n)(k), built when read from its pair (P, Q) of ``zn_reduced``."""
+        return zn_ratfun(*self.certificate_pair)
 
     def antidifference(self) -> HyperTerm:
-        return self.term.scale_rational(self.certificate)
+        return self.term.scale_rational(self.certificate_pair)
 
     def check(self) -> bool:
         """Exact soundness: R(k+1) * r(k) - R(k) = 1, the telescoping
         identity with the single coefficient sigma_0 = 1."""
-        return telescoping_identity(self.term, (POLY_N.one(),), self.certificate)
+        return telescoping_identity(self.term, (POLY_N.one(),), self.certificate_pair)
 
     def text(self) -> str:
-        return f"R(n,k) = {ratfun_to_text(self.certificate)}"
+        return f"R(n,k) = {ratfun_to_text(self.certificate_pair)}"
 
     def record(self) -> dict:
         nf = self.normal_form
         parts = {"x": self.x, "a": nf.a, "b": nf.b, "c": nf.c, "z": POLY_K.constant(nf.z)}
-        record = {name: ratfun_to_record(RationalFunction(p)) for name, p in parts.items()}
-        return record | {"R": ratfun_to_record(self.certificate)}
+        record = {name: ratfun_to_record(integer_qnk_pair(RationalFunction(p)))
+                  for name, p in parts.items()}
+        return record | {"R": ratfun_to_record(self.certificate_pair)}
 
 
 def gosper_antidifference(
@@ -272,7 +279,7 @@ def gosper_antidifference(
     t = term.bind(binding)
     t.require_bound()
     nf = factored_normal_form(factored_shift_pair(t, "k").cancelled())
-    d, solution = parameterized_gosper(nf, [ZNK_ONE])
+    d, solution = parameterized_gosper(nf, [ZNK.one()])
     if d is None:
         raise NotSummableError(
             f"degree bound rules out a polynomial solution for {term_to_string(t)}"

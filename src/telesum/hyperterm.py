@@ -2,7 +2,9 @@
 
 A term is a product of binomial/factorial/power factors with integer-linear
 arguments in (n, k) and optional auxiliary parameter symbols, times a
-rational prefactor in the Q(n)[k] tower.  The parser reads any nonzero
+rational prefactor held as a reduced integer pair (num, den) in Z[n][k]
+(``zn_reduced``); nothing here builds the Q(n)(k) tower except
+``shift_quotient``, which returns its element.  The parser reads any nonzero
 rational power base (``2^k``, ``(-1)^(n+k)``, ``(1/2)^k``); a zero base,
 which has no shift quotient, only with a constant exponent >= 0.
 
@@ -22,13 +24,14 @@ Evaluation conventions (fixed, and relied on by every oracle):
 * a vanishing prefactor denominator is a pole error naming the point.
 
 Evaluation runs on integer data compiled once per bound term (see
-``TermEvaluator``): the prefactor as integer coefficient rows and each
-factor's integer argument tuples.  The conventions above are unchanged by
+``TermEvaluator``): the prefactor's pair as integer coefficient rows and
+each factor's integer argument tuples.  The conventions above are unchanged by
 it, and so are the order of the checks and the errors raised.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -37,18 +40,16 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .polynomials import (
-    POLY_K,
-    QN,
     ZN,
+    ZNK,
     FactoredRatio,
     Polynomial,
     RationalFunction,
     ZnPoly,
-    integer_qnk_pair,
-    n_poly,
     primitive_factors,
     shift_in_n,
     zn_ratfun,
+    zn_reduced,
 )
 from .serialize import bivariate_string
 
@@ -226,12 +227,13 @@ class PowerFactor:
 Factor = BinomialFactor | FactorialFactor | PowerFactor
 
 
-def _bind_factor(f: Factor, binding: ParamBinding) -> Factor:
+def _map_forms(f: Factor, fn) -> Factor:
+    """The factor with fn applied to each of its linear forms."""
     if isinstance(f, BinomialFactor):
-        return BinomialFactor(f.top.bind(binding), f.bottom.bind(binding))
+        return BinomialFactor(fn(f.top), fn(f.bottom))
     if isinstance(f, FactorialFactor):
-        return FactorialFactor(f.arg.bind(binding))
-    return PowerFactor(f.base, f.exponent.bind(binding))
+        return FactorialFactor(fn(f.arg))
+    return PowerFactor(f.base, fn(f.exponent))
 
 
 def _factor_linforms(f: Factor) -> list[LinearForm]:
@@ -254,15 +256,18 @@ def _check_binding(binding: ParamBinding) -> None:
 
 
 class HyperTerm:
-    """Canonical product of factors with a reduced rational prefactor.
+    """Canonical product of factors with a rational prefactor.
 
-    ``_rows`` and ``_evaluator`` cache the integer prefactor rows and the
-    compiled evaluator; both are filled on first use.
+    The prefactor is a pair (num, den) of polynomials in k over Z[n] in the
+    lowest terms ``zn_reduced`` gives; the constructor takes it as given.
+    ``_evaluator`` caches the compiled evaluator, filled on first use.
     """
 
-    __slots__ = ("factors", "prefactor", "_rows", "_evaluator")
+    __slots__ = ("factors", "prefactor", "_evaluator")
 
-    def __init__(self, factors: Iterable[tuple[Factor, int]], prefactor: RationalFunction):
+    def __init__(
+        self, factors: Iterable[tuple[Factor, int]], prefactor: tuple[Polynomial, Polynomial]
+    ):
         merged: dict[Factor, int] = {}
         for f, e in factors:
             merged[f] = merged.get(f, 0) + e
@@ -273,7 +278,6 @@ class HyperTerm:
         )
         object.__setattr__(self, "factors", canon)
         object.__setattr__(self, "prefactor", prefactor)
-        object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_evaluator", None)
 
     def __setattr__(self, name, value):
@@ -299,21 +303,8 @@ class HyperTerm:
         if not binding:
             return self
         _check_binding(binding)
-        bound = HyperTerm([(_bind_factor(f, binding), e) for f, e in self.factors], self.prefactor)
-        # binding leaves the prefactor alone, so its integer rows carry over
-        object.__setattr__(bound, "_rows", self.prefactor_rows())
-        return bound
-
-    def prefactor_rows(self) -> tuple[tuple, tuple]:
-        """The prefactor as integer (numerator, denominator) coefficient rows.
-
-        Each is a tuple of rows, highest power of k first; each row holds
-        the integer coefficients of a polynomial in n, highest power first.
-        """
-        if self._rows is None:
-            num, den = integer_qnk_pair(self.prefactor)
-            object.__setattr__(self, "_rows", (_integer_rows(num), _integer_rows(den)))
-        return self._rows
+        factors = [(_map_forms(f, lambda lf: lf.bind(binding)), e) for f, e in self.factors]
+        return HyperTerm(factors, self.prefactor)
 
     def evaluator(self) -> "TermEvaluator":
         """The term compiled for exact evaluation; raises if it is unbound."""
@@ -328,27 +319,19 @@ class HyperTerm:
                            for s, _c in lf.params})
             raise UnboundParameterError(f"unbound parameter(s): {', '.join(syms)}")
 
-    def scale_rational(self, multiplier: RationalFunction) -> "HyperTerm":
-        """The term multiplied by a rational function of (n, k)."""
-        return HyperTerm(self.factors, self.prefactor * multiplier)
+    def scale_rational(self, multiplier: tuple[Polynomial, Polynomial]) -> "HyperTerm":
+        """The term multiplied by a rational function num/den of (n, k), given
+        as a pair of polynomials in k over Z[n]."""
+        (p, q), (a, b) = self.prefactor, multiplier
+        return HyperTerm(self.factors, zn_reduced(p * a, q * b))
 
     def subst_k(self, value: int) -> "HyperTerm":
         """Substitute a concrete integer for k, leaving a term in n alone."""
-        factors = []
-        for f, e in self.factors:
-            if isinstance(f, BinomialFactor):
-                nf = BinomialFactor(f.top.subst_k(value), f.bottom.subst_k(value))
-            elif isinstance(f, FactorialFactor):
-                nf = FactorialFactor(f.arg.subst_k(value))
-            else:
-                nf = PowerFactor(f.base, f.exponent.subst_k(value))
-            factors.append((nf, e))
-        num = self.prefactor.num.evaluate(QN.from_int(value))
-        den = self.prefactor.den.evaluate(QN.from_int(value))
+        factors = [(_map_forms(f, lambda lf: lf.subst_k(value)), e) for f, e in self.factors]
+        num, den = (ZNK.constant(p.evaluate(value)) for p in self.prefactor)
         if not den:
             raise PoleError(f"prefactor pole on substituting k = {value}")
-        pref = RationalFunction(Polynomial("k", QN, (num / den,)), POLY_K.one())
-        return HyperTerm(factors, pref)
+        return HyperTerm(factors, zn_reduced(num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +372,8 @@ _BINOM, _FACT, _POWER = 0, 1, 2
 class TermEvaluator:
     """A bound term compiled to integer data, evaluated exactly at (n, k).
 
-    Holds the prefactor's integer coefficient rows and, per factor, its
-    ``(coeff_n, coeff_k, constant)`` argument tuples and exponent.  A call
+    Holds the integer coefficient rows of the prefactor's pair and, per
+    factor, its ``(coeff_n, coeff_k, constant)`` argument tuples and exponent.  A call
     works on Python ints and builds one Fraction at the end; the checks run
     in the order prefactor pole, then each factor in turn.
     """
@@ -398,7 +381,7 @@ class TermEvaluator:
     __slots__ = ("num_rows", "den_rows", "steps")
 
     def __init__(self, term: HyperTerm) -> None:
-        self.num_rows, self.den_rows = term.prefactor_rows()
+        self.num_rows, self.den_rows = map(_integer_rows, term.prefactor)
         steps = []
         for f, e in term.factors:
             if isinstance(f, BinomialFactor):
@@ -494,14 +477,14 @@ def factored_shift_pair(
     """T(.., var+1, ..)/T as a ``FactoredRatio``, nothing cancelled: the
     falling products as primitive linear factors (content and sign go to the
     integers), p^delta/q^delta for a power base p/q, and P(var+1)*Q/(Q(var+1)*P)
-    for the prefactor's integer pair P/Q, split by ``primitive_factors``."""
+    for the prefactor's pair P/Q, split by ``primitive_factors``."""
     if var not in ("n", "k"):
         raise ValueError(f"shift variable must be n or k, not {var!r}")
     t = term.bind(binding)
     t.require_bound()
-    if not t.prefactor:
+    p, q = t.prefactor
+    if not p:
         raise ValueError("shift quotient of the zero term")
-    p, q = integer_qnk_pair(t.prefactor)
     p1, q1 = (p.shift(1), q.shift(1)) if var == "k" else (shift_in_n(p, 1), shift_in_n(q, 1))
     sides = ([primitive_factors(p1), primitive_factors(q)],
              [primitive_factors(q1), primitive_factors(p)])
@@ -530,8 +513,9 @@ def shift_quotient(
     return zn_ratfun(*integer_shift_pair(term, var, binding))
 
 
-def ratio_rational(t1: HyperTerm, t2: HyperTerm) -> RationalFunction:
-    """t1/t2 as a rational function; factor parts must cancel structurally."""
+def ratio_rational(t1: HyperTerm, t2: HyperTerm) -> tuple[Polynomial, Polynomial]:
+    """t1/t2 as a rational function, a pair in Z[n][k] reduced by
+    ``zn_reduced``; factor parts must cancel structurally."""
     merged: dict[Factor, int] = dict()
     for f, e in t1.factors:
         merged[f] = merged.get(f, 0) + e
@@ -541,9 +525,10 @@ def ratio_rational(t1: HyperTerm, t2: HyperTerm) -> RationalFunction:
     if leftovers:
         names = ", ".join(f.to_string() for f in leftovers)
         raise ValueError(f"terms differ by non-rational factors: {names}")
-    if not t2.prefactor:
+    (p1, q1), (p2, q2) = t1.prefactor, t2.prefactor
+    if not p2:
         raise ZeroDivisionError("ratio against the zero term")
-    return t1.prefactor / t2.prefactor
+    return zn_reduced(p1 * q2, q1 * p2)
 
 
 def term_ratio_is_one(
@@ -567,20 +552,13 @@ def term_ratio_is_one(
         (a1, b1), (a2, b2) = integer_shift_pair(a, var), integer_shift_pair(b, var)
         if a1 * b2 != a2 * b1:
             return False
-    tried = 0
-    for total in range(0, 64):
-        for k0 in range(0, total + 1):
-            n0 = total - k0
-            tried += 1
-            if tried > sample_limit:
-                break
-            try:
-                vb = eval_term(b, n0, k0)
-                if vb == 0:
-                    continue
-                va = eval_term(a, n0, k0)
-            except PoleError:
-                continue
+    points = ((total - k0, k0) for total in range(64) for k0 in range(total + 1))
+    for n0, k0 in itertools.islice(points, sample_limit):
+        try:
+            va, vb = eval_term(a, n0, k0), eval_term(b, n0, k0)
+        except PoleError:
+            continue
+        if va and vb:
             return va == vb
     raise DegenerateSampleError(f"no usable sample point among {sample_limit} candidates")
 
@@ -882,18 +860,18 @@ _POLY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 def _poly_eval(ast, binding: ParamBinding | None) -> Polynomial:
-    """Evaluate a polynomial AST into Q(n)[k]; parameters need a binding."""
+    """Evaluate a polynomial AST into Z[n][k]; parameters need a binding."""
     tag = ast[0]
     if tag == "lit":
-        return POLY_K.from_int(ast[1])
+        return ZNK.from_int(ast[1])
     if tag == "sym":
         sym = ast[1]
         if sym == "k":
-            return POLY_K.gen()
+            return ZNK.gen()
         if sym == "n":
-            return POLY_K.constant(QN.coerce(n_poly(0, 1)))
+            return ZNK.constant(ZnPoly((0, 1)))
         if binding is not None and sym in binding:
-            return POLY_K.from_int(int(binding[sym]))
+            return ZNK.from_int(int(binding[sym]))
         raise UnboundParameterError(f"parameter {sym!r} in a prefactor needs a concrete binding")
     if tag == "neg":
         return -_poly_eval(ast[1], binding)
@@ -925,7 +903,7 @@ def parse_n_polynomial(text: str, binding: ParamBinding | None = None) -> Polyno
     p = _poly_eval(ast, binding)
     if p.degree > 0:
         raise ValueError(f"may not involve k: {text!r}")
-    return p.coeff(0).num
+    return p.coeff(0).to_poly()
 
 
 def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
@@ -934,15 +912,16 @@ def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
     With a binding, parameter symbols are substituted immediately (and may
     then appear inside rational prefactors); without one they stay symbolic
     and are restricted to binomial/factorial/power arguments.  Binding
-    values are checked as HyperTerm.bind checks them.
+    values are checked as HyperTerm.bind checks them.  The prefactor's
+    polynomials are evaluated in Z[n][k], each rational constant split into
+    its numerator and denominator, and the pair reduced once.
     """
     if binding:
         _check_binding(binding)
     parser = _Parser(text)
     num_atoms, den_atoms = parser.parse_term()
     factors: list[tuple[Factor, int]] = []
-    pref_num = POLY_K.one()
-    pref_den = POLY_K.one()
+    pref_num = pref_den = ZNK.one()
 
     def absorb(atoms: list, sign: int) -> None:
         nonlocal pref_num, pref_den
@@ -963,25 +942,21 @@ def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
                 if binding:
                     lin = lin.bind(binding)
                 factors.append((PowerFactor(base, lin), sign * e))
-            elif tag in ("const", "const_pow"):
-                value = atom[1] ** atom[2] if tag == "const_pow" else atom[1]
-                if sign > 0:
-                    pref_num = pref_num.mul_ground(QN.coerce(value))
+            else:  # a prefactor piece: a polynomial over 1, or a constant p/q
+                if tag == "poly":
+                    top, bottom = _poly_eval(atom[1], binding) ** atom[2], ZNK.one()
                 else:
-                    pref_den = pref_den.mul_ground(QN.coerce(value))
-            else:
-                _, ast, e = atom
-                p = _poly_eval(ast, binding) ** e
-                if sign > 0:
-                    pref_num = pref_num * p
-                else:
-                    pref_den = pref_den * p
+                    value = atom[1] ** atom[2] if tag == "const_pow" else atom[1]
+                    top, bottom = ZNK.from_int(value.numerator), ZNK.from_int(value.denominator)
+                if sign < 0:
+                    top, bottom = bottom, top
+                pref_num, pref_den = pref_num * top, pref_den * bottom
 
     absorb(num_atoms, 1)
     absorb(den_atoms, -1)
     if not pref_den:
         raise ParseError("prefactor denominator is identically zero", 0, text)
-    return HyperTerm(factors, RationalFunction(pref_num, pref_den))
+    return HyperTerm(factors, zn_reduced(pref_num, pref_den))
 
 
 # ---------------------------------------------------------------------------
@@ -995,9 +970,7 @@ def term_to_string(term: HyperTerm) -> str:
         target = num_parts if e > 0 else den_parts
         mag = abs(e)
         target.append(f.to_string() + (f"^{mag}" if mag != 1 else ""))
-    pnum, pden = integer_qnk_pair(term.prefactor)
-    ns = bivariate_string(pnum, expand=True)
-    ds = bivariate_string(pden, expand=True)
+    ns, ds = (bivariate_string(p, expand=True) for p in term.prefactor)
     if ns != "1" or not num_parts:
         num_parts.append(ns if ns.lstrip("-").isdigit() and "-" not in ns else f"({ns})")
     if ds != "1":

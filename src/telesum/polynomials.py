@@ -14,8 +14,8 @@ Q(n)(k)``, built from ``Fraction`` upward; module-level singletons for
 those rings live near the bottom of this file.  The costly steps leave the
 tower for one integer form: ``ZnPoly`` is Z[n] as a tuple of ints, and a
 polynomial in k over ``ZN`` is Z[n][k].  ``clear_qn`` and
-``integer_qnk_pair`` produce it.  Gcds and their cofactors are found in it
-(``_zn_gcd``), so ``RationalFunction`` reduces with no Q(n) division.
+``integer_qnk_pair`` produce it; ``zn_reduced`` brings a pair num/den in it
+to lowest terms by the cofactors of ``_zn_gcd``, for ``RationalFunction``.
 ``FactoredRatio`` keeps a quotient as multisets of primitive factors in
 Z[n][k], the form the Gosper normal form reads; ``root_shifts`` and
 ``_shift_resultant_roots`` (a resultant over Z[j] at points n0, as in
@@ -414,8 +414,9 @@ class RationalFunction:
             den = ring.one()
         elif num.ring == QN and num.degree > 0 and den.degree > 0:
             rows = clear_qn(num.coeffs + den.coeffs)  # one multiplier keeps num/den
-            if found := _zn_gcd(rows[:len(num.coeffs)], rows[len(num.coeffs):]):
-                num, den = _qn_pair(num.var, found[1], found[2])  # the cofactors
+            size = len(num.coeffs)
+            num, den = _qn_pair(*zn_reduced(Polynomial(num.var, ZN, rows[:size]),
+                                            Polynomial(num.var, ZN, rows[size:])))
         elif num.degree > 0 and den.degree > 0:  # else the gcd is 1
             g = poly_gcd(num, den)
             if g.degree > 0:  # g is monic
@@ -662,18 +663,28 @@ def _qn_over(var: str, rows: Sequence[ZnPoly], lead: ZnPoly) -> Polynomial:
     return Polynomial(var, QN, tuple(RationalFunction(c.to_poly(), lead_poly) for c in rows))
 
 
-def _qn_pair(var: str, num: Sequence[ZnPoly], den: Sequence[ZnPoly]):
-    return _qn_over(var, num, den[-1]), _qn_over(var, den, den[-1])
+def _qn_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    return _qn_over(num.var, num.coeffs, den.lc()), _qn_over(num.var, den.coeffs, den.lc())
+
+
+def zn_reduced(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """num/den, polynomials in k over Z[n] with den nonzero, in lowest terms:
+    the cofactors of their gcd in Z[n][k] (``_zn_gcd``), divided by their
+    joint content in Z[n], the denominator's top integer positive; zero is
+    0/1.  It is the pair ``integer_qnk_pair`` gives for the element num/den."""
+    if not num:
+        return num, Polynomial(num.var, ZN, (ZN_ONE,))
+    found = num.degree > 0 and den.degree > 0 and _zn_gcd(num.coeffs, den.coeffs)
+    num_rows, den_rows = found[1:] if found else (num.coeffs, den.coeffs)
+    rows = _zn_primitive_part([*num_rows, *den_rows])
+    return (Polynomial(num.var, ZN, rows[:len(num_rows)]),
+            Polynomial(num.var, ZN, rows[len(num_rows):]))
 
 
 def zn_ratfun(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """num/den, polynomials in k over Z[n], as a reduced Q(n)(k) element: both
-    divided by their gcd in Z[n][k], then by the lead of the denominator."""
-    if not num:
-        return RationalFunction(Polynomial(num.var, QN, ()))
-    found = num.degree > 0 and den.degree > 0 and _zn_gcd(num.coeffs, den.coeffs)
-    rows = found[1:] if found else (num.coeffs, den.coeffs)
-    return RationalFunction._reduced(*_qn_pair(num.var, *rows))
+    """num/den, polynomials in k over Z[n], as a reduced Q(n)(k) element: the
+    pair of ``zn_reduced``, divided by the lead of its denominator."""
+    return RationalFunction._reduced(*_qn_pair(*zn_reduced(num, den)))
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -917,13 +928,15 @@ def shift_in_n(obj, j: int):
 
 def clear_qn(values: Sequence[RationalFunction]) -> list[ZnPoly]:
     """Q(n) elements times their least common multiplier in Q[n] (the lcm of
-    the denominators times a positive rational), as ``ZnPoly``s with joint
-    content 1.  The one multiplier keeps every linear relation among them.
+    the denominators, taken in Z[n], times a positive rational), as ``ZnPoly``s
+    with joint content 1.  The one multiplier keeps every linear relation.
     """
-    common = POLY_N.one()
+    common = ZN_ONE
     for v in values:
         if v and v.den.degree > 0:
-            common = poly_lcm(common, v.den)
+            d = ZnPoly(_int_content_normalize(v.den.coeffs))
+            common = common * d.quotient(ZnPoly(_int_gcd(list(common), list(d))))
+    common = common.to_poly()
     polys = [v.num * common.exact_div(v.den) if v else POLY_N.zero() for v in values]
     den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
     rows = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
@@ -1078,6 +1091,7 @@ class IntPolyRing:
 ZN = IntPolyRing()
 ZN_ZERO = ZnPoly()
 ZN_ONE = ZnPoly((1,))
+ZNK = PolynomialRing("k", ZN)  # Z[n][k]
 
 
 def _good_point(num: list[ZnPoly], den: list[ZnPoly], start: int) -> int:
@@ -1178,8 +1192,7 @@ def primitive_factors(p: Polynomial) -> tuple[int, list[Polynomial]]:
 
 def zn_product(factors: Counter, const: int = 1) -> Polynomial:
     """const times the product of a multiset of polynomials in k over Z[n]."""
-    one = Polynomial("k", ZN, (ZnPoly((const,)),))
-    return math.prod((f**m for f, m in factors.items()), start=one)
+    return math.prod((f**m for f, m in factors.items()), start=ZNK.from_int(const))
 
 
 def coprime_base(*multisets: Counter) -> None:

@@ -3,7 +3,8 @@
 Integers are rendered as decimal strings so consumers never lose
 precision to floating point; polynomial coefficient lists are nested
 with the k-exponent outside and the n-exponent inside.  Records and texts
-read the ints of the Z[n][k] form (``integer_qnk_pair``).  One printer
+take a rational function as its reduced pair (num, den) of polynomials in
+k over Z[n] (``zn_reduced``) and read their ints.  One printer
 serves polynomials in n and k: certificates group each coefficient in n,
 terms (``hyperterm.term_to_string``) expand every monomial.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import POLY_N, QN, Polynomial, RationalFunction, integer_qnk_pair
+from .polynomials import POLY_N, QN, Polynomial, RationalFunction
 
 
 def npoly_to_list(p: Polynomial) -> list[str]:
@@ -40,8 +41,8 @@ def lists_to_kpoly(items: list[list[str]]) -> Polynomial:
     return Polynomial("k", QN, coeffs)
 
 
-def ratfun_to_record(r: RationalFunction) -> dict:
-    num, den = integer_qnk_pair(r)
+def ratfun_to_record(pair: tuple[Polynomial, Polynomial]) -> dict:
+    num, den = pair
     return {"num": kpoly_to_lists(num), "den": kpoly_to_lists(den)}
 
 
@@ -102,10 +103,8 @@ def bivariate_string(p: Polynomial, expand: bool = False) -> str:
     return _join_signed(pieces)
 
 
-def ratfun_to_text(r: RationalFunction) -> str:
-    num, den = integer_qnk_pair(r)
-    ns = bivariate_string(num)
-    ds = bivariate_string(den)
+def ratfun_to_text(pair: tuple[Polynomial, Polynomial]) -> str:
+    ns, ds = map(bivariate_string, pair)
     if ds == "1":
         return ns
     return f"({ns}) / ({ds})"

@@ -80,29 +80,28 @@ def _grid_points(grid: dict) -> list[dict]:
 class _CaseTexts:
     """The side texts of one case, each parsed once while the case runs.
 
-    A term text is parsed with its parameters left symbolic and bound at
-    each point.  A text whose prefactor uses a parameter cannot be parsed
-    that way (UnboundParameterError), so it is parsed once per binding.
+    A term text is parsed with its parameters left symbolic and bound once
+    per binding; the grid's points share the bound term.  A text whose
+    prefactor uses a parameter cannot be parsed that way
+    (UnboundParameterError), so it is parsed once per binding instead.
     """
 
     def __init__(self) -> None:
         self._terms: dict[str, HyperTerm | None] = {}  # None: parse per binding
-        self._per_binding: dict[tuple, HyperTerm] = {}
+        self._bound: dict[tuple, HyperTerm] = {}  # by (text, binding)
         self._forms: dict[str, LinearForm] = {}
 
     def term(self, text: str, params: dict) -> HyperTerm:
-        if text not in self._terms:
-            try:
-                self._terms[text] = parse_term(text)
-            except UnboundParameterError:
-                self._terms[text] = None
-        term = self._terms[text]
-        if term is not None:
-            return term.bind(params)
         key = (text, tuple(sorted(params.items())))
-        if key not in self._per_binding:
-            self._per_binding[key] = parse_term(text, params)
-        return self._per_binding[key]
+        if key not in self._bound:
+            if text not in self._terms:
+                try:
+                    self._terms[text] = parse_term(text)
+                except UnboundParameterError:
+                    self._terms[text] = None
+            term = self._terms[text]
+            self._bound[key] = parse_term(text, params) if term is None else term.bind(params)
+        return self._bound[key]
 
     def bound_value(self, text: str, n: int, params: dict) -> int:
         if text not in self._forms:

@@ -3,8 +3,8 @@ certificate checks used to confirm every identity the engine handles.
 
 Nothing here trusts the solvers.  Sums are evaluated term by term with
 exact rationals; telescoping claims are re-checked as cross-multiplied
-polynomial identities in Z[n][k], which needs no gcd; auxiliary
-parameters are instantiated at concrete integer points before checking.
+polynomial identities in Z[n][k] on the certificate's integer pair, which
+needs no gcd; auxiliary parameters are bound to integers before checking.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .hyperterm import (
     ratio_rational,
     term_ratio_is_one,
 )
-from .polynomials import ZN, Polynomial, RationalFunction, ZnPoly, integer_qnk_pair, shift_in_n
+from .polynomials import ZN, Polynomial, ZnPoly, shift_in_n
 
 
 class VerificationError(Exception):
@@ -77,22 +77,22 @@ def check_telescoping(
 
 
 def telescoping_identity(
-    term: HyperTerm, coeffs: Sequence[Polynomial], certificate: RationalFunction
+    term: HyperTerm, coeffs: Sequence[Polynomial], certificate: tuple[Polynomial, Polynomial]
 ) -> bool:
     """Exact identity sum_j sigma_j(n) T_j = R(k+1) r_k - R for a bound term F,
     with T_j = F(n+j,k)/F(n,k) = prod_{i<j} r_n(n+i, k), r_k and r_n the
     shift quotients of F, sigma_j = coeffs[j] and R the certificate.
 
     It is checked cross-multiplied in Z[n][k], polynomials in k over ``ZN``,
-    with no gcd: r_k = A/B, r_n = C/D (integer_shift_pair), R = P/Q
-    (integer_qnk_pair), sigma_j = s_j/e over one integer e > 0.  The left side is
+    with no gcd: r_k = A/B, r_n = C/D (integer_shift_pair), R = P/Q (the
+    certificate's pair), sigma_j = s_j/e over one integer e > 0.  The left side is
     L/(e*Delta) with Delta = prod_{i<J} D(n+i), J = len(coeffs) - 1, and
     L = sum_j s_j prod_{i<j} C(n+i) prod_{j<=i<J} D(n+i).  B, Q and Delta
     are nonzero and Z[n][k] is an integral domain, so the identity holds
     exactly when (L*Q + e*Delta*P) * B*Q(k+1) = e*Delta*A*P(k+1) * Q.
     """
     a, b = integer_shift_pair(term, "k")
-    p, q = integer_qnk_pair(certificate)
+    p, q = certificate
     order = len(coeffs) - 1
     c, d = integer_shift_pair(term, "n") if order > 0 else (None, None)
     cs = [shift_in_n(c, i) for i in range(order)]
@@ -135,7 +135,7 @@ class WZPair:
         gb = self.g.bind(binding)
         gb.require_bound()
         fixed = gb.subst_k(k0)
-        if fixed.prefactor.is_zero():
+        if not fixed.prefactor[0]:
             return True
         return all(eval_term(fixed, n, 0) == 0 for n in range(n_lo, n_hi + 1))
 

@@ -43,6 +43,7 @@ from .polynomials import (
     RationalFunction,
     coprime_base,
     zn_product,
+    zn_ratfun,
 )
 from .serialize import _npoly_string, npoly_to_list, ratfun_to_record, ratfun_to_text
 from .verify import telescoping_identity
@@ -112,27 +113,32 @@ class TelescopingCertificate:
 
     term: HyperTerm
     recurrence: Recurrence
-    certificate: RationalFunction
+    certificate_pair: tuple[Polynomial, Polynomial]
+
+    @property
+    def certificate(self) -> RationalFunction:
+        """R in Q(n)(k), built when read from its pair (P, Q) of ``zn_reduced``."""
+        return zn_ratfun(*self.certificate_pair)
 
     def companion(self) -> HyperTerm:
         """G = R * F, the telescoped partner of the summand."""
-        return self.term.scale_rational(self.certificate)
+        return self.term.scale_rational(self.certificate_pair)
 
     def check(self) -> bool:
         """Exact identity sum_j sigma_j t_j = R(k+1) r(k) - R(k), where
         t_j = F(n+j,k)/F(n,k) and r is the k-shift quotient of F, checked
         cross-multiplied in Z[n][k] by verify.telescoping_identity."""
-        return telescoping_identity(self.term, self.recurrence.coeffs, self.certificate)
+        return telescoping_identity(self.term, self.recurrence.coeffs, self.certificate_pair)
 
     def text(self) -> str:
         return (
             self.recurrence.to_text()
-            + f"\nR(n,k) = {ratfun_to_text(self.certificate)}"
+            + f"\nR(n,k) = {ratfun_to_text(self.certificate_pair)}"
         )
 
     def record(self) -> dict:
         rec = self.recurrence.record()
-        rec["R"] = ratfun_to_record(self.certificate)
+        rec["R"] = ratfun_to_record(self.certificate_pair)
         return rec
 
 

@@ -52,6 +52,39 @@ ZEIL_TERMS = [
     ["(-1)^k*binom(2n,n+k)^3"],
     ["binom(n,k)^3", "--jmax", "1"],
 ]
+# Rational prefactors of each shape: a pole in n, a factor that cancels, a
+# negative rational constant, a --param value, a pole outside the support.
+G_PARAM = ("binom(n,k)*(k+r)*((n^2+10n+21)*k^2+(2n^2+23n+51)*k)"
+           "/((n+r)*(k^2+(2-n)*k-3n-3))")
+PREFACTOR_CALLS = [
+    ["zeil", "binom(n,k)/(n+1)"],
+    ["zeil", "--machine", "binom(n,k)/(n+1)"],
+    ["gosper", "binom(n,k)/(n+1)"],
+    ["gosper", "(k+1)*binom(n,k)/((k+1)*(n+3))"],
+    ["gosper", "--machine", "(k+1)*binom(n,k)/((k+1)*(n+3))"],
+    ["gosper", "(-3/2)*(k+1)*2^k"],
+    ["gosper", "--machine", "(-3/2)*(k+1)*2^k"],
+    ["gosper", "(-3/2)*(k^2+1)*binom(n,k)"],
+    ["gosper", "--machine", "k*2^k/(-6)"],
+    ["zeil", "(-3/2)*(n*k+1)*binom(n,k)"],
+    ["zeil", "--machine", "(-3/2)*(n*k+1)*binom(n,k)"],
+    ["gosper", "binom(n+r,k)*(k+r)/(n+r+1)", "--param", "r=2"],
+    ["zeil", "binom(n,k)*(k+r)/(n+r)", "--param", "r=3"],
+    ["zeil", "--machine", "binom(n,k)*(k+r)/(n+r)", "--param", "r=3"],
+    ["wz-check", "binom(n,k)/(n+1)", "binom(n,k)*k/(k-n-1)", "--coeff=-2n-2", "--coeff=n+2"],
+    ["wz-check", "binom(n,k)/(n+1)", "(-1)*binom(n,k)*k/(k-n-1)", "--coeff=-2n-2",
+     "--coeff=n+2"],
+    ["wz-check", "binom(n,k)*(k+r)/(n+r)", G_PARAM, "--coeff=-2n^2-20n-42",
+     "--coeff=n^2+10n+24", "--param", "r=3"],
+    ["wz-check", "--machine", "binom(n,k)*(k+r)/(n+r)", G_PARAM, "--coeff=-2n^2-20n-42",
+     "--coeff=n^2+10n+24", "--param", "r=2"],
+    ["sum", "binom(n,k)*(k+r)/(n+r)", "--n", "0", "4", "--param", "r=1"],
+    ["sum", "binom(n,k)*(k+r)/(n+r)", "--n", "0", "4", "--from", "0", "--to", "n+r",
+     "--param", "r=1"],
+    ["sum", "binom(n,k)/(k+1)", "--n", "0", "5"],
+    ["sum", "binom(n,k)/(k-n-1)", "--n", "0", "5"],
+    ["sum", "--machine", "binom(n,k)*(2k+1)/((k+1)*(k+2))", "--n", "0", "4"],
+]
 CALLS = (
     [["gosper", t] for t in GOSPER_TERMS]
     + [["gosper", "--machine", t] for t in GOSPER_TERMS[:6]]
@@ -83,6 +116,7 @@ CALLS = (
         ["zeil", "binom(n,k)", "--jmax", "0"],
         ["sum", "binom(n,k)", "--n", "4", "2"],
     ]
+    + PREFACTOR_CALLS
 )
 
 

@@ -87,7 +87,7 @@ prefactors = st.lists(
     max_size=2,
 ).map(lambda cs: k_poly(*(n_poly(a, b) for a, b in cs)) if cs else k_poly(1))
 terms = st.builds(
-    lambda fs, p: HyperTerm(fs, RationalFunction(p)),
+    lambda fs, p: HyperTerm(fs, integer_qnk_pair(RationalFunction(p))),
     st.lists(factors, min_size=1, max_size=3),
     prefactors.filter(bool),
 )
@@ -112,7 +112,7 @@ def _kfree_top_binomials(min_alpha: int):
 # numerator makes the support an artefact of that convention, and summed
 # over it the certificate's identity leaves boundary terms.
 natural_terms = st.builds(
-    lambda f, fs, p: HyperTerm([f] + fs, RationalFunction(p)),
+    lambda f, fs, p: HyperTerm([f] + fs, integer_qnk_pair(RationalFunction(p))),
     _kfree_top_binomials(1),
     st.lists(
         st.one_of(
@@ -178,7 +178,7 @@ def test_constructed_difference_is_never_refused(g):
     step = shift_quotient(g, "k") - 1
     if not step:
         return  # G does not depend on k, so G(k+1) - G(k) is the zero term
-    f = g.scale_rational(step)
+    f = g.scale_rational(integer_qnk_pair(step))
     cert = gosper_antidifference(f)
     assert cert.check()
     _telescoped_sums_match(cert, f)
@@ -261,7 +261,7 @@ def _shift_quotient_in_qn(term: HyperTerm, var: str) -> RationalFunction:
         if e < 0:
             a, b, e = b, a, -e
         num, den = num * a**e, den * b**e
-    pref = term.prefactor
+    pref = zn_ratfun(*term.prefactor)
     shifted = pref.shift(1) if var == "k" else shift_in_n(pref, 1)
     return RationalFunction(num * shifted.num * pref.den, den * shifted.den * pref.num)
 
@@ -299,7 +299,7 @@ def _unfactored_shift_pair(term: HyperTerm, var: str):
                 _zn_falling(lf, var) for lf in (f.top, f.bottom, f.top - f.bottom))
             a, b = n1 * d2 * d3, d1 * n2 * n3
         num, den = (num * a**e, den * b**e) if e > 0 else (num * b**-e, den * a**-e)
-    p, q = integer_qnk_pair(term.prefactor)
+    p, q = term.prefactor
     p1, q1 = (p.shift(1), q.shift(1)) if var == "k" else (shift_in_n(p, 1), shift_in_n(q, 1))
     return num * p1 * q, den * q1 * p
 
@@ -382,7 +382,7 @@ def test_term_ratio_is_one_agrees_with_the_reduced_comparison(term, which, rewri
     """t2 = m * t1, possibly with its binomials as factorials: the cross-
     multiplied pairs agree exactly when the reduced shift quotients do, and
     the ratio is one exactly when m is."""
-    other = term.scale_rational(RationalFunction(_MULTIPLIERS[which]))
+    other = term.scale_rational(integer_qnk_pair(RationalFunction(_MULTIPLIERS[which])))
     if rewrite:
         other = _as_factorials(other)
     for var in ("k", "n"):

@@ -19,6 +19,7 @@ from telesum.polynomials import (
     Polynomial,
     RationalFunction,
     ZnPoly,
+    clear_qn,
     clear_qnk_pair,
     dispersion_set,
     integer_qnk_pair,
@@ -28,6 +29,7 @@ from telesum.polynomials import (
     poly_lcm,
     resultant,
     shift_in_n,
+    zn_reduced,
 )
 
 
@@ -538,6 +540,10 @@ qnk_polys = st.lists(qn_elements, max_size=3).map(lambda cs: Polynomial("k", QN,
 
 @settings(max_examples=40, deadline=None)
 @given(qnk_polys, qnk_polys)
+@example(Polynomial("k", QN, ()), k_poly(_np(0, 1), 1))  # a zero numerator
+@example(k_poly(_np(0, 1), 2), k_poly(_np(2, 2)))  # (n+2k)/(2n+2), degree 0 in k below
+@example(k_poly(_np(1, 1), _np(1, 1)), k_poly(_np(2, 2), _np(1, 1)))  # n+1 in both
+@example(k_poly(_np(0, 1), _np(1, 1), 1), k_poly(_np(0, 2), _np(2, 1), 1))  # k+n in both
 def test_integer_qnk_pair_is_the_integer_form(num, den):
     if not den:
         den = POLY_K.one()
@@ -550,6 +556,11 @@ def test_integer_qnk_pair_is_the_integer_form(num, den):
     assert math.gcd(*ints) == 1
     assert q.lc()[-1] > 0
     assert RationalFunction(_lift_zn_kpoly(p), _lift_zn_kpoly(q)) == f
+    # the same pair from num and den cleared with one multiplier, unreduced
+    rows = clear_qn(num.coeffs + den.coeffs)
+    size = len(num.coeffs)
+    cleared = Polynomial("k", ZN, rows[:size]), Polynomial("k", ZN, rows[size:])
+    assert zn_reduced(*cleared) == (p, q)
 
 
 @settings(max_examples=60, deadline=None)

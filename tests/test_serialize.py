@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qn_tower import k_poly, qnk
-from telesum.polynomials import POLY_K, QN, n_poly
+from telesum.polynomials import POLY_K, QN, integer_qnk_pair, n_poly
 from telesum.serialize import (
     bivariate_string,
     kpoly_to_lists,
@@ -52,7 +52,7 @@ def test_kpoly_round_trip():
 
 def test_ratfun_record_round_trip():
     f = qnk(k_poly(n_poly(0, 1), 2), k_poly(n_poly(1), 1))  # (n+2k)/(1+k)
-    rec = ratfun_to_record(f)
+    rec = ratfun_to_record(integer_qnk_pair(f))
     assert rec == {"num": [["0", "1"], ["2"]], "den": [["1"], ["1"]]}
     assert record_to_ratfun(rec) == f
 
@@ -60,7 +60,7 @@ def test_ratfun_record_round_trip():
 def test_ratfun_record_clears_fractions():
     half = QN.coerce(Fraction(1, 2))
     f = qnk(POLY_K.constant(half), POLY_K.one())  # 1/2
-    rec = ratfun_to_record(f)
+    rec = ratfun_to_record(integer_qnk_pair(f))
     assert rec == {"num": [["1"]], "den": [["2"]]}
     assert record_to_ratfun(rec) == f
 
@@ -85,6 +85,6 @@ def test_bivariate_string_powers():
 
 def test_ratfun_to_text():
     f = qnk(k_poly(n_poly(0, 1)), k_poly(n_poly(1), 1))  # n/(k+1)
-    assert ratfun_to_text(f) == "(n) / (k+1)"
+    assert ratfun_to_text(integer_qnk_pair(f)) == "(n) / (k+1)"
     g = qnk(k_poly(n_poly(2)), POLY_K.one())
-    assert ratfun_to_text(g) == "2"
+    assert ratfun_to_text(integer_qnk_pair(g)) == "2"

@@ -138,6 +138,27 @@ def test_parameter_in_prefactor_is_parsed_once_per_binding(monkeypatch):
     assert sorted(b["r"] for t, b in calls if b) == sorted(2 * [0, 1, 2, 3])
 
 
+def test_each_binding_is_bound_once_per_case(monkeypatch):
+    """p11916's 1728 grid points share 144 bindings of (r, s); each side's
+    term is bound once for each of them, and again in the next case."""
+    from telesum.hyperterm import HyperTerm
+
+    bindings = []
+    real = HyperTerm.bind
+
+    def counted(self, binding):
+        if binding:
+            bindings.append(tuple(sorted(binding.items())))
+        return real(self, binding)
+
+    monkeypatch.setattr(HyperTerm, "bind", counted)
+    case = next(c for c in bundled_suite()["cases"] if c["id"] == "p11916")
+    for runs in (1, 2):
+        assert run_case(case).ok
+        assert len(bindings) == runs * 2 * 144
+    assert len(set(bindings)) == 144
+
+
 def test_parse_cache_does_not_outlive_a_case(monkeypatch):
     calls = _count_parses(monkeypatch)
     case = mutation_catalog()[0]

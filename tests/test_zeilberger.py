@@ -117,6 +117,7 @@ def test_recurrence_to_text():
 
 
 def test_record_round_trip_certificate():
+    from telesum.polynomials import integer_qnk_pair
     from telesum.serialize import record_to_ratfun
 
     cert = creative_telescope(parse_term("binom(n,k)^2"))
@@ -125,7 +126,7 @@ def test_record_round_trip_certificate():
     rebuilt = TelescopingCertificate(
         cert.term,
         Recurrence(cert.recurrence.coeffs),
-        record_to_ratfun(rec["R"]),
+        integer_qnk_pair(record_to_ratfun(rec["R"])),
     )
     assert rebuilt.check()
 
