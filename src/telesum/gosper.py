@@ -24,8 +24,10 @@ alpha*k + beta' meet at the shift j = (beta - beta')/alpha when that is an
 n-free integer >= 0, a linear factor meets another factor at the integer
 roots in j of ``root_shifts``, and two other factors where a resultant at
 integer points and a gcd say.  The shifts are cancelled in ascending order,
-as Gosper's algorithm does.  a, b, c, z, the system and R stay in Z[n][k];
-Q(n) objects are made only for the public normal form, x, and R when read.
+as Gosper's algorithm does.  a, b, c, z, the degree bound, the system, x
+and R stay in Z[n][k]; no Q(n) object is made on the way to an answer.  A
+``GosperCertificate`` builds its Q(n) values (the shift quotient, the public
+normal form, x and R) only when they are read.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .polynomials import (
     ZnPoly,
     _qn_over,
     _zn_primitive_part,
-    clear_qn,
     coprime_base,
     integer_qnk_pair,
     meeting_shifts,
@@ -82,11 +83,6 @@ def _shifted(factors: Counter, j: int) -> Counter:
     return Counter({f.shift(j): m for f, m in factors.items()})
 
 
-def _monic(p: Polynomial) -> Polynomial:
-    """A polynomial in k over Z[n], divided by its leading coefficient."""
-    return _qn_over("k", p.coeffs, p.lc())
-
-
 @dataclass(frozen=True)
 class GosperNormalForm:
     """r = z * (a/b) * (c(k+1)/c(k)) with gcd(a(k), b(k+j)) = 1 for j >= 0."""
@@ -104,18 +100,20 @@ class GosperNormalForm:
 @dataclass(frozen=True)
 class IntegerNormalForm:
     """Gosper's normal form in Z[n][k]: z = zn/zd, and a, b and c are Z[n]
-    multiples of the monic a, b and c of ``GosperNormalForm``."""
+    multiples of the monic a, b and c of ``GosperNormalForm``, which
+    ``public`` builds in Q(n)."""
 
     zn: ZnPoly
     zd: ZnPoly
-    z: RationalFunction
     a: Polynomial
     b: Polynomial
     c: Polynomial
     dispersion: list[int]
 
     def public(self) -> GosperNormalForm:
-        return GosperNormalForm(self.z, *map(_monic, (self.a, self.b, self.c)))
+        z = RationalFunction(self.zn.to_poly(), self.zd.to_poly())
+        monic = (_qn_over("k", p.coeffs, p.lc()) for p in (self.a, self.b, self.c))
+        return GosperNormalForm(z, *monic)
 
 
 def factored_normal_form(ratio: FactoredRatio) -> IntegerNormalForm:
@@ -136,49 +134,40 @@ def factored_normal_form(ratio: FactoredRatio) -> IntegerNormalForm:
         a, b = a - common, _shifted(moved - common, -j)
         for i in range(1, j + 1):
             c += _shifted(common, -i)
-    z = RationalFunction(zn.to_poly(), zd.to_poly())
-    return IntegerNormalForm(zn, zd, z, *map(zn_product, (a, b, c)), dispersion)
+    return IntegerNormalForm(zn, zd, *map(zn_product, (a, b, c)), dispersion)
 
 
 def gosper_normal_form(ratio: RationalFunction) -> GosperNormalForm:
-    """The normal form of a reduced Q(n)(k) element, its numerator and
-    denominator taken as one factor each."""
-    z = QN.coerce(ratio.num.lc())
+    """The normal form of a reduced Q(n)(k) element: its pair in Z[n][k]
+    (``integer_qnk_pair``), each side split by ``primitive_factors``, read
+    by ``factored_normal_form``."""
     if not ratio:
-        return GosperNormalForm(z, ratio.num, ratio.den, POLY_K.one())
-    num, den = (primitive_factors(Polynomial("k", ZN, clear_qn(p.coeffs)))[1]
-                for p in (ratio.num, ratio.den))
-    nf = factored_normal_form(FactoredRatio((1, 1), num, den))
-    return GosperNormalForm(z, *map(_monic, (nf.a, nf.b, nf.c)))
+        return GosperNormalForm(QN.zero(), ratio.num, ratio.den, POLY_K.one())
+    (gn, num), (gd, den) = map(primitive_factors, integer_qnk_pair(ratio))
+    return factored_normal_form(FactoredRatio((gn, gd), num, den)).public()
 
 
-def degree_bound(
-    z: RationalFunction, a: Polynomial, b: Polynomial, c: Polynomial, rhs_extra: int = 0
-) -> int | None:
+def degree_bound(nf: IntegerNormalForm, rhs_extra: int = 0) -> int | None:
     """Largest possible degree of x in z*a(k)*x(k+1) - b(k-1)*x(k) = rhs,
-    where deg rhs <= deg c + rhs_extra.  None means no degree works.  a, b
-    and c are monic in Q(n)[k], or their Z[n] multiples in Z[n][k]."""
-    B = b.shift(-1)
+    where deg rhs <= deg c + rhs_extra, read off the normal form in Z[n][k].
+    None means no degree works.  When z = 1 and a and B = b(k-1) share the
+    degree d, theta = (B_{d-1}*lc a - a_{d-1}*lc B) / (lc a * lc B), the
+    difference of their monic forms' next coefficients, is a candidate
+    when it is an integer >= 0."""
+    a, B = nf.a, nf.b.shift(-1)
     na, nb = int(a.degree), int(B.degree)
-    K = int(c.degree) + rhs_extra
-    if na != nb or not (z - 1).is_zero():
+    K = int(nf.c.degree) + rhs_extra
+    if na != nb or nf.zn != nf.zd:
         d = K - max(na, nb)
         return d if d >= 0 else None
     if na == 0:
         return max(K + 1, 0)
-    candidates = []
-    if K - na + 1 >= 0:
-        candidates.append(K - na + 1)
-    if a.ring is ZN:  # the monic coefficients' difference
-        top = B.coeff(na - 1) * a.lc() - a.coeff(na - 1) * B.lc()
-        theta = RationalFunction(top.to_poly(), (a.lc() * B.lc()).to_poly())
-    else:
-        theta = B.coeff(na - 1) - a.coeff(na - 1)
-    if theta.is_constant():
-        tv = theta.constant_value()
-        if tv.denominator == 1 and tv >= 0:
-            candidates.append(int(tv))
-    return max(candidates) if candidates else None
+    candidates = [K - na + 1]
+    theta = (B.coeff(na - 1) * a.lc() - a.coeff(na - 1) * B.lc()).quotient(a.lc() * B.lc())
+    if theta is not None and len(theta) <= 1:  # an integer, zero included
+        candidates.append(theta[0] if theta else 0)
+    d = max(candidates)
+    return d if d >= 0 else None
 
 
 def parameterized_gosper(
@@ -200,7 +189,7 @@ def parameterized_gosper(
     equation: sigma is (1,) and the free coefficients of x are zero.
     """
     extra = max(int(p.degree) for p in rhs)
-    d = degree_bound(nf.z, nf.a, nf.b, nf.c, rhs_extra=extra)
+    d = degree_bound(nf, rhs_extra=extra)
     if d is None and len(rhs) == 1 and rhs[0]:
         return d, None
     nx = 0 if d is None else d + 1
@@ -240,13 +229,32 @@ def certificate(nf: IntegerNormalForm, x: list[ZnPoly], scale: ZnPoly,
 
 @dataclass(frozen=True)
 class GosperCertificate:
-    """Antidifference certificate: G = R * F satisfies G(k+1) - G(k) = F(k)."""
+    """Antidifference certificate: G = R * F satisfies G(k+1) - G(k) = F(k).
+
+    It holds integer forms: the normal form in Z[n][k], and x (over its
+    scale) and R as pairs in Z[n][k] reduced by ``zn_reduced``.  ``ratio``,
+    ``normal_form``, ``x`` and ``certificate`` are their Q(n) values, built
+    when read."""
 
     term: HyperTerm
-    ratio: RationalFunction
-    normal_form: GosperNormalForm
-    x: Polynomial
+    integer_form: IntegerNormalForm
+    x_pair: tuple[Polynomial, Polynomial]
     certificate_pair: tuple[Polynomial, Polynomial]
+
+    @property
+    def ratio(self) -> RationalFunction:
+        """The shift quotient r = F(k+1)/F(k) in Q(n)(k)."""
+        return shift_quotient(self.term, "k")
+
+    @property
+    def normal_form(self) -> GosperNormalForm:
+        return self.integer_form.public()
+
+    @property
+    def x(self) -> Polynomial:
+        """x in Q(n)[k], the polynomial solution of Gosper's equation."""
+        num, den = self.x_pair
+        return _qn_over("k", num.coeffs, den.lc())
 
     @property
     def certificate(self) -> RationalFunction:
@@ -265,11 +273,14 @@ class GosperCertificate:
         return f"R(n,k) = {ratfun_to_text(self.certificate_pair)}"
 
     def record(self) -> dict:
-        nf = self.normal_form
-        parts = {"x": self.x, "a": nf.a, "b": nf.b, "c": nf.c, "z": POLY_K.constant(nf.z)}
-        record = {name: ratfun_to_record(integer_qnk_pair(RationalFunction(p)))
-                  for name, p in parts.items()}
-        return record | {"R": ratfun_to_record(self.certificate_pair)}
+        """x, the monic a, b, c, z and R, each a pair of ``zn_reduced``."""
+        nf = self.integer_form
+        pairs = {"x": self.x_pair}
+        pairs |= {name: zn_reduced(p, ZNK.constant(p.lc()))
+                  for name, p in zip("abc", (nf.a, nf.b, nf.c))}
+        pairs["z"] = zn_reduced(ZNK.constant(nf.zn), ZNK.constant(nf.zd))
+        pairs["R"] = self.certificate_pair
+        return {name: ratfun_to_record(pair) for name, pair in pairs.items()}
 
 
 def gosper_antidifference(
@@ -287,8 +298,8 @@ def gosper_antidifference(
     if solution is None:
         raise NotSummableError(f"no polynomial solution up to degree {d} for {term_to_string(t)}")
     x, scale, _ = solution
-    result = GosperCertificate(t, shift_quotient(t, "k"), nf.public(),
-                               _qn_over("k", x, scale), certificate(nf, x, scale))
+    x_pair = zn_reduced(Polynomial("k", ZN, x), ZNK.constant(scale))
+    result = GosperCertificate(t, nf, x_pair, certificate(nf, x, scale))
     if not result.check():
         raise AssertionError("internal error: certificate failed its own check")
     return result

@@ -515,17 +515,18 @@ def shift_quotient(
 
 def ratio_rational(t1: HyperTerm, t2: HyperTerm) -> tuple[Polynomial, Polynomial]:
     """t1/t2 as a rational function, a pair in Z[n][k] reduced by
-    ``zn_reduced``; factor parts must cancel structurally."""
+    ``zn_reduced``; factor parts must cancel structurally unless t1 is zero,
+    which is 0 times any nonzero t2."""
     merged: dict[Factor, int] = dict()
     for f, e in t1.factors:
         merged[f] = merged.get(f, 0) + e
     for f, e in t2.factors:
         merged[f] = merged.get(f, 0) - e
     leftovers = [f for f, e in merged.items() if e != 0]
-    if leftovers:
+    (p1, q1), (p2, q2) = t1.prefactor, t2.prefactor
+    if leftovers and p1:
         names = ", ".join(f.to_string() for f in leftovers)
         raise ValueError(f"terms differ by non-rational factors: {names}")
-    (p1, q1), (p2, q2) = t1.prefactor, t2.prefactor
     if not p2:
         raise ZeroDivisionError("ratio against the zero term")
     return zn_reduced(p1 * q2, q1 * p2)

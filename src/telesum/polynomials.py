@@ -453,15 +453,6 @@ class RationalFunction:
     def is_one(self) -> bool:
         return self.num == self.den
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self):
-        """The coefficient-ring value of a constant rational function."""
-        if not self.is_constant():
-            raise ValueError(f"{self!r} is not constant")
-        return self.num.coeff(0)
-
     def _coerce(self, other):
         if isinstance(other, RationalFunction) and other.field == self.field:
             return other
@@ -715,44 +706,41 @@ def poly_lcm(p: Polynomial, q: Polynomial) -> Polynomial:
 # integer roots
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
-
-
 def integer_roots(p: Polynomial) -> list[int]:
-    """Sorted integer roots of a nonzero polynomial over Q."""
+    """Sorted integer roots of a nonzero polynomial over Q (``_int_roots``)."""
     if not p:
         raise ValueError("integer_roots of the zero polynomial")
     return _int_roots(_int_content_normalize(p.coeffs))
 
 
 def _int_roots(ints: list[int]) -> list[int]:
-    roots = []
-    low = 0
-    while low < len(ints) and ints[low] == 0:
-        low += 1
-    if low > 0:
-        roots.append(0)
-        ints = ints[low:]
-    if len(ints) <= 1:
-        return sorted(roots)
-    for d in _divisors(ints[0]):
-        for cand in (d, -d):
-            acc = 0
-            for c in reversed(ints):
-                acc = acc * cand + c
-            if acc == 0:
-                roots.append(cand)
-    return sorted(set(roots))
+    """The distinct integer roots, sorted, of a nonzero integer polynomial
+    (constant term first), found without factoring any integer: 0 when the
+    constant term vanishes, and the roots of the squarefree part s of the
+    rest.  At the first prime p not dividing lc(s) where each root of s mod p
+    is simple, every integer root reduces to one of them, whose lift by
+    Newton's iteration modulo p^(2^i) is unique.  Once p^(2^i) exceeds twice
+    Cauchy's bound on |root|, a lift can only be its symmetric residue, kept
+    if s vanishes there exactly."""
+    low = next(i for i, c in enumerate(ints) if c)
+    roots, s = [0] if low else [], ints[low:]
+    if len(s) < 2:
+        return roots
+    s = ZnPoly(s).quotient(ZnPoly(_int_gcd(s, [i * c for i, c in enumerate(s)][1:])))
+    ds = ZnPoly([i * c for i, c in enumerate(s)][1:])
+    p = 2
+    while True:
+        if s[-1] % p and all(p % q for q in range(2, math.isqrt(p) + 1)):
+            lifts = [r for r in range(p) if not s(r) % p]
+            if all(ds(r) % p for r in lifts):
+                break
+        p += 1
+    modulus, bound = p, 2 * (1 + max(map(abs, s[:-1])) // abs(s[-1]))
+    while modulus <= bound:
+        modulus *= modulus
+        lifts = [(r - s(r) * pow(ds(r), -1, modulus)) % modulus for r in lifts]
+    candidates = (r - modulus if 2 * r > modulus else r for r in lifts)
+    return sorted(roots + [r for r in candidates if not s(r)])
 
 
 # ---------------------------------------------------------------------------
@@ -836,12 +824,6 @@ def _clear_to_zn(p: Polynomial) -> list[ZnPoly]:
     raise TypeError(f"unsupported coefficient ring {p.ring!r}")
 
 
-def _shift_roots(ints: list[int]) -> list[int]:
-    """The integer roots >= 0 of a primitive integer polynomial, by its squarefree part."""
-    square = _int_gcd(ints, [i * c for i, c in enumerate(ints)][1:])
-    return [j for j in _int_roots(list(ZnPoly(ints).quotient(ZnPoly(square)))) if j >= 0]
-
-
 def _shift_resultant_roots(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> list[int]:
     """The j >= 0, sorted, at which Res_k(num(k), den(k + j)) in Z[n][j] may
     vanish: roots of the gcd of its values at two points n0 where neither
@@ -854,7 +836,7 @@ def _shift_resultant_roots(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> list
         n0 = _good_point(num, den, n0 + 1)
         a, b = (Polynomial("k", ZN, [ZnPoly((c(n0),)) for c in rows]) for rows in (num, den))
         witness = _int_gcd(witness, list(resultant(a, b.shift(ZnPoly((0, 1))))))
-    return _shift_roots(witness)
+    return [j for j in _int_roots(witness) if j >= 0]
 
 
 def root_shifts(linear: Polynomial, p: Polynomial, sign: int) -> list[int]:
@@ -870,7 +852,7 @@ def root_shifts(linear: Polynomial, p: Polynomial, sign: int) -> list[int]:
     witness: list[int] = []
     for e in range(max(map(len, w.coeffs))):
         witness = _int_gcd(witness, list(ZnPoly(c[e] if e < len(c) else 0 for c in w.coeffs)))
-    return _shift_roots(witness)
+    return [j for j in _int_roots(witness) if j >= 0]
 
 
 def meeting_shifts(u: Polynomial, v: Polynomial) -> list[int]:

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -130,6 +131,34 @@ def test_wz_check_zero_f_exit_one(f_term, g_term, capsys):
     captured = capsys.readouterr()
     assert captured.err == "usage error: F is identically zero\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("g_term", ["0", "(0)*2^n"])
+@pytest.mark.parametrize("coeffs, code, out", [
+    ("-2", 0, "WZ pair verified\n"),
+    ("-3", 4, "WZ check failed: telescoping identity does not hold\n"),
+])
+def test_wz_check_zero_companion_is_zero_times_f(g_term, coeffs, code, out, capsys):
+    # G = 0 is 0 * F however it is spelled: -2 F(n) + F(n+1) = 0 for F = 2^n
+    assert main(["wz-check", "2^n", g_term, f"--coeff={coeffs}", "--coeff=1"]) == code
+    assert capsys.readouterr().out == out
+
+
+LARGE = 10**18 + 9
+
+
+@pytest.mark.parametrize("argv, code, first_line", [
+    (["gosper", f"binom(n,k)*(k^2+{LARGE})"], 2,
+     f"not summable: no polynomial solution up to degree 1 for binom(n,k)*(k^2+{LARGE})"),
+    (["zeil", f"binom(n,k)*(k^2+{LARGE})"], 0,
+     "(-2*n^2-6*n-8000000000000000076)*w(n) + (n^2+n+4000000000000000036)*w(n+1) = 0"),
+])
+def test_large_integer_in_the_term_answers_quickly(argv, code, first_line, capsys):
+    # the dispersion's integer roots are found without factoring 10^18 + 9
+    start = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out.splitlines()[0] == first_line
 
 
 def test_zeil_fifth_power_at_order_3(capsys):

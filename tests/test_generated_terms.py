@@ -13,11 +13,13 @@ import functools
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telesum.gosper import (
+    GosperNormalForm,
     NotSummableError,
+    degree_bound,
     factored_normal_form,
     gosper_antidifference,
     gosper_normal_form,
@@ -334,25 +336,75 @@ def test_factored_normal_form_and_dispersion_match_the_q_n_k_ones(term):
     assert nf.dispersion == dispersion_set(ratio.num.monic(), ratio.den)
 
 
+def _zeilberger_quotients(term: HyperTerm):
+    """(t_list, q, scale, p_list, rho) at orders 1 and 2, as creative_telescope
+    builds them: rho = r_k * q(k)/q(k+1)."""
+    r_k, r_n = factored_shift_pair(term, "k"), factored_shift_pair(term, "n")
+    t_list = [FactoredRatio()]
+    for order in (1, 2):
+        t_list.append((t_list[-1] * r_n.shift_n(order - 1)).cancelled())
+        q, scale, p_list = _common_denominator(t_list)
+        rho = (r_k * FactoredRatio((1, 1), q, [f.shift(1) for f in q.elements()])).cancelled()
+        yield t_list, q, scale, p_list, rho
+
+
 @settings(max_examples=20, deadline=None)
 @given(natural_terms)
 def test_zeilbergers_quotient_has_the_same_normal_form_factored(term):
     """rho = r_k * q(k)/q(k+1) at orders 1 and 2, as creative_telescope
     builds it, against its reduced Q(n)(k) form; and q is the lcm of the T_j's
     reduced denominators, up to a factor in n."""
-    r_k, r_n = factored_shift_pair(term, "k"), factored_shift_pair(term, "n")
-    t_list = [FactoredRatio()]
-    for order in (1, 2):
-        t_list.append((t_list[-1] * r_n.shift_n(order - 1)).cancelled())
-        q, scale, p_list = _common_denominator(t_list)
+    for t_list, q, scale, p_list, rho in _zeilberger_quotients(term):
         big_q = zn_product(q, scale)
         for tj, p in zip(t_list, p_list):
             assert zn_ratfun(*tj.pair()) * zn_ratfun(big_q, _ZNK_ONE) == zn_ratfun(p, _ZNK_ONE)
         lcm = functools.reduce(poly_lcm, (zn_ratfun(*tj.pair()).den for tj in t_list))
         assert zn_ratfun(zn_product(q), _ZNK_ONE).num.monic() == lcm
-        rho = (r_k * FactoredRatio((1, 1), q, [f.shift(1) for f in q.elements()])).cancelled()
         nf = factored_normal_form(rho)
         assert nf.public() == gosper_normal_form(zn_ratfun(*rho.pair()))
+
+
+def _q_n_degree_bound(nf: GosperNormalForm, rhs_extra: int) -> int | None:
+    """The degree bound read off the monic z, a, b and c in Q(n)[k]: the
+    reference for ``degree_bound`` on the integer form."""
+    z, a, B = nf.z, nf.a, nf.b.shift(-1)
+    na, nb = int(a.degree), int(B.degree)
+    K = int(nf.c.degree) + rhs_extra
+    if na != nb or not (z - 1).is_zero():
+        d = K - max(na, nb)
+        return d if d >= 0 else None
+    if na == 0:
+        return max(K + 1, 0)
+    candidates = [K - na + 1] if K - na + 1 >= 0 else []
+    theta = B.coeff(na - 1) - a.coeff(na - 1)
+    if theta.num.degree <= 0 and theta.den.degree == 0:
+        tv = theta.num.coeff(0)
+        if tv.denominator == 1 and tv >= 0:
+            candidates.append(int(tv))
+    return max(candidates) if candidates else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms)
+@example(parse_term("fact(k-1)/fact(k+1)"))  # z = 1, theta = 1
+@example(parse_term("fact(k)/fact(k+1)"))  # z = 1, theta = 0
+@example(parse_term("binom(2k,k)/4^k"))  # z = 4/4, theta = -1/2
+@example(parse_term("fact(k+n)/fact(k+1)"))  # z = 1, theta = -n
+def test_degree_bound_on_the_integer_form_matches_the_q_n_one(term):
+    nf = factored_normal_form(factored_shift_pair(term, "k").cancelled())
+    public = nf.public()
+    for extra in range(3):
+        assert degree_bound(nf, extra) == _q_n_degree_bound(public, extra)
+
+
+@settings(max_examples=20, deadline=None)
+@given(natural_terms)
+def test_degree_bound_on_zeilbergers_quotient_matches_the_q_n_one(term):
+    for *_, rho in _zeilberger_quotients(term):
+        nf = factored_normal_form(rho)
+        public = nf.public()
+        for extra in range(3):
+            assert degree_bound(nf, extra) == _q_n_degree_bound(public, extra)
 
 
 _MULTIPLIERS = [k_poly(1), k_poly(2), k_poly(-1), k_poly(1, 1), k_poly(n_poly(2, 1))]

@@ -110,8 +110,8 @@ def test_degree_8_quotient_gets_its_normal_form_quickly():
 
 def test_degree_bound_rules_out_factorial():
     t = parse_term("fact(k)")
-    nf = gosper_normal_form(shift_quotient(t, "k"))
-    assert degree_bound(nf.z, nf.a, nf.b, nf.c) is None
+    nf = factored_normal_form(factored_shift_pair(t, "k").cancelled())
+    assert degree_bound(nf) is None
 
 
 # -- decision procedure: summable corpus ---------------------------------

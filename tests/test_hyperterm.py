@@ -244,6 +244,15 @@ def test_ratio_rational_rejects_mismatched_structure():
         ratio_rational(g, f)
 
 
+@pytest.mark.parametrize("zero", ["0", "(0)*2^n", "0*binom(n,k)"])
+def test_ratio_rational_of_zero_is_the_zero_pair(zero):
+    # zero is 0 times any nonzero term, whatever factors it is written with
+    num, den = ratio_rational(parse_term(zero), parse_term("2^n*(k+1)"))
+    assert not num and den.coeffs == ((1,),)
+    with pytest.raises(ZeroDivisionError):
+        ratio_rational(parse_term(zero), parse_term("0*binom(n,k)"))
+
+
 def test_term_ratio_is_one_positive():
     # binom(2n+2,n) rewritten through the adjacent column
     t = parse_term("binom(2n+2,n)")

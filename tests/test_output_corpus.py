@@ -40,35 +40,52 @@ def test_cli_output_is_byte_identical(row):
     assert GENERATOR.run_cli(row["argv"]) == row
 
 
+# The routines that make Q(n) values or clear them back to Z[n][k], by module.
+Q_N_ROUTINES = {
+    "polynomials": ("clear_qn", "integer_qnk_pair", "zn_ratfun", "_qn_over", "poly_gcd",
+                    "poly_lcm"),
+    "hyperterm": ("shift_quotient",),
+}
+
+
 def test_certificates_and_prefactors_are_not_cleared_again(monkeypatch):
-    """Prefactors and certificates are held as reduced pairs in Z[n][k], so
-    replaying the corpus clears no Q(n) denominators through poly_lcm, and
-    integer_qnk_pair runs only for the Q(n)[k] normal-form parts x, a, b, c
-    and z of a Gosper record."""
-    from telesum import polynomials
+    """Prefactors, normal forms, degree bounds, systems and certificates are
+    held in Z[n][k], and the CLI prints and records them from there: replaying
+    the corpus constructs no RationalFunction and calls none of the routines
+    that make Q(n) values or clear them.  Reading a certificate's Q(n)
+    values afterwards does, which shows the wrappers are in place."""
+    import telesum
+    from telesum import gosper, polynomials
 
-    callers: dict[str, list] = {"poly_lcm": [], "integer_qnk_pair": []}
-    for name, log in callers.items():
-        real = getattr(polynomials, name)
+    calls: list[tuple[str, str, str]] = []
 
-        def wrapper(*args, real=real, log=log):
+    def logged(name, real):
+        def wrapper(*args, **kwargs):
             frame = sys._getframe(1)
             while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
                 frame = frame.f_back
-            owner = type(frame.f_locals.get("self")).__name__
-            log.append((frame.f_globals["__name__"], owner, frame.f_code.co_name))
-            return real(*args)
+            calls.append((name, frame.f_globals["__name__"], frame.f_code.co_name))
+            return real(*args, **kwargs)
+        return wrapper
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.partition(".")[0] == "telesum":
+    modules = [m for name, m in list(sys.modules.items()) if name.partition(".")[0] == "telesum"]
+    for home, names in Q_N_ROUTINES.items():
+        for name in names:
+            real = getattr(getattr(telesum, home), name)
+            for module in modules:
                 for attr, value in list(vars(module).items()):
                     if value is real:
-                        monkeypatch.setattr(module, attr, wrapper)
+                        monkeypatch.setattr(module, attr, logged(name, real))
+    init = polynomials.RationalFunction.__init__
+    monkeypatch.setattr(polynomials.RationalFunction, "__init__", logged("RationalFunction", init))
     for row in CORPUS:
         GENERATOR.run_cli(row["argv"])
-    records = sum(row["argv"][:2] == ["gosper", "--machine"] and row["exit"] == 0
-                  for row in CORPUS)
-    assert records == 7
-    assert callers["poly_lcm"] == []
-    record_edge = ("telesum.gosper", "GosperCertificate", "record")
-    assert callers["integer_qnk_pair"] == [record_edge] * 5 * records
+    assert calls == []
+
+    cert = gosper.gosper_antidifference(telesum.parse_term("(n-2k)*binom(n,k)"))
+    assert calls == []
+    assert gosper.gosper_normal_form(cert.ratio) == cert.normal_form
+    assert cert.x and cert.certificate
+    assert {name for name, _, _ in calls} == {
+        "RationalFunction", "shift_quotient", "zn_ratfun", "integer_qnk_pair", "clear_qn",
+        "_qn_over"}

@@ -270,6 +270,37 @@ def test_integer_roots_none():
     assert integer_roots(_np(1, 0, 1)) == []
 
 
+def _divisor_search_roots(p: Polynomial) -> list[int]:
+    """Integer roots by trial of each divisor of the lowest nonzero
+    coefficient of p scaled to integers, and of 0."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    low = next(int(c * scale) for c in p.coeffs if c)
+    divisors = {e for d in range(1, math.isqrt(abs(low)) + 1) if low % d == 0
+                for e in (d, abs(low) // d)}
+    return sorted(c for c in {0, *divisors, *(-e for e in divisors)} if p.evaluate(c) == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.lists(st.tuples(st.integers(min_value=-12, max_value=12),
+                       st.integers(min_value=1, max_value=3)), max_size=3),
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=3),
+    st.integers(min_value=1, max_value=6),
+)
+@example(-3, [(0, 2), (5, 2)], [], 1)  # repeated roots, 0 among them, negative lead
+@example(2, [(-1, 3)], [1, 0, 1], 4)
+def test_integer_roots_match_a_divisor_search(lead, planted, cofactor, den):
+    p = _np(Fraction(lead, den))
+    for root, multiplicity in planted:
+        p = p * _np(-root, 1) ** multiplicity
+    if any(cofactor):
+        p = p * _np(*cofactor)
+    roots = integer_roots(p)
+    assert roots == _divisor_search_roots(p)
+    assert {r for r, _ in planted} <= set(roots)
+
+
 def test_resultant_shared_root_vanishes():
     common = _np(-5, 1)
     assert resultant(common * _np(1, 1), common * _np(2, 1)) == 0

@@ -1,0 +1,162 @@
+"""The public surface, pinned: ``telesum.__all__`` with the signature of each
+name, the CLI's subcommands and flags, and its exit codes.
+
+A change to any of them fails here, so it is made on purpose: edit the
+expected values below in the same change, and note it in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import argparse
+import inspect
+
+import telesum
+from telesum import cli
+
+SIGNATURES = {
+    "BoundaryCheckError": "Exception(...)",
+    "CaseResult": "(case_id: 'str', ok: 'bool', detail: 'str', elapsed: 'float') -> None",
+    "DegenerateSampleError": "TermError(...)",
+    "FractionField": "(poly_ring: 'PolynomialRing') -> 'None'",
+    "GosperCertificate": (
+        "(term: 'HyperTerm', integer_form: 'IntegerNormalForm', "
+        "x_pair: 'tuple[Polynomial, Polynomial]', certificate_pair: 'tuple[Polynomial, "
+        "Polynomial]') -> None"),
+    "GosperNormalForm": (
+        "(z: 'RationalFunction', a: 'Polynomial', b: 'Polynomial', "
+        "c: 'Polynomial') -> None"),
+    "HyperTerm": (
+        "(factors: 'Iterable[tuple[Factor, int]]', prefactor: 'tuple[Polynomial, "
+        "Polynomial]')"),
+    "NoRecurrenceFound": "(max_order: 'int') -> 'None'",
+    "NotSummableError": "(reason: 'str') -> 'None'",
+    "ParseError": "(message: 'str', pos: 'int', text: 'str' = '') -> 'None'",
+    "PoleError": "(message: 'str', point: 'tuple[int, int] | None' = None) -> 'None'",
+    "Polynomial": "(var: 'str', ring, coeffs: 'Sequence') -> 'None'",
+    "PolynomialRing": "(var: 'str', coeff_ring) -> 'None'",
+    "PowerSeries": '(coeffs: \'Iterable[Fraction | int]\') -> "\'PowerSeries\'"',
+    "RationalFunction": "(num: 'Polynomial', den: 'Polynomial | None' = None) -> 'None'",
+    "Recurrence": "(coeffs: 'tuple[Polynomial, ...]') -> None",
+    "RecurrenceCheckError": "Exception(...)",
+    "SequenceSpec": "(name: 'str', length: 'int', _values: 'tuple[Fraction, ...]') -> None",
+    "TelescopingCertificate": (
+        "(term: 'HyperTerm', recurrence: 'Recurrence', "
+        "certificate_pair: 'tuple[Polynomial, Polynomial]') -> None"),
+    "TermError": "Exception(...)",
+    "UnboundParameterError": "TermError(...)",
+    "VerificationError": "Exception(...)",
+    "WZPair": "(f: 'HyperTerm', g: 'HyperTerm', coeffs: 'tuple[Polynomial, ...]') -> None",
+    "ballot_gf": "(k: 'int', order: 'int') -> 'PowerSeries'",
+    "bundled_suite": "() -> 'dict'",
+    "catalan_gf": "(order: 'int') -> 'PowerSeries'",
+    "catalan_sequence": "(length: 'int' = 64) -> 'SequenceSpec'",
+    "central_binomial_gf": "(order: 'int') -> 'PowerSeries'",
+    "check_binomial_transform": "(seq: 'SequenceSpec', n: 'int', m: 'int') -> 'bool'",
+    "check_boundary_couple": (
+        "(f1: 'HyperTerm', g1: 'HyperTerm', upper1: 'str', f2: 'HyperTerm', "
+        "g2: 'HyperTerm', upper2: 'str', coeffs: 'tuple[Polynomial, ...]', "
+        "rhs: 'HyperTerm', binding: 'ParamBinding', n_lo: 'int' = 1, "
+        "n_hi: 'int' = 12) -> 'None'"),
+    "check_convolution_11897": "(order: 'int' = 64) -> 'bool'",
+    "check_lower_triangle_identity": "(n: 'int') -> 'bool'",
+    "check_shifted_central_identity": "(order: 'int' = 64) -> 'bool'",
+    "check_telescoping": (
+        "(f: 'HyperTerm', g: 'HyperTerm', coeffs: 'Sequence[Polynomial]', "
+        "binding: 'ParamBinding | None' = None) -> 'bool'"),
+    "check_transform_power_identity": "(n: 'int', m: 'int') -> 'bool'",
+    "creative_telescope": (
+        "(term: 'HyperTerm', binding: 'ParamBinding | None' = None, "
+        "max_order: 'int' = 6) -> 'TelescopingCertificate'"),
+    "degree_bound": "(nf: 'IntegerNormalForm', rhs_extra: 'int' = 0) -> 'int | None'",
+    "dispersion_set": "(p: 'Polynomial', q: 'Polynomial') -> 'list[int]'",
+    "eval_term": (
+        "(term: 'HyperTerm', n: 'int', k: 'int', "
+        "binding: 'ParamBinding | None' = None) -> 'Fraction'"),
+    "gosper_antidifference": (
+        "(term: 'HyperTerm', "
+        "binding: 'ParamBinding | None' = None) -> 'GosperCertificate'"),
+    "gosper_normal_form": "(ratio: 'RationalFunction') -> 'GosperNormalForm'",
+    "integer_roots": "(p: 'Polynomial') -> 'list[int]'",
+    "known_gf": "(name: 'str', order: 'int', family_index: 'int | None' = None) -> 'PowerSeries'",
+    "load_suite": "(path: 'str') -> 'dict'",
+    "mutation_catalog": "() -> 'list[dict]'",
+    "natural_sum": (
+        "(term: 'HyperTerm', n: 'int', "
+        "binding: 'ParamBinding | None' = None) -> 'Fraction'"),
+    "operator_equal": "(r1: 'Recurrence', r2: 'Recurrence') -> 'bool'",
+    "oracle_sum": (
+        "(term: 'HyperTerm', n: 'int', k_lo: 'int', k_hi: 'int', "
+        "binding: 'ParamBinding | None' = None) -> 'Fraction'"),
+    "parse_term": "(text: 'str', binding: 'ParamBinding | None' = None) -> 'HyperTerm'",
+    "poly_gcd": "(p: 'Polynomial', q: 'Polynomial') -> 'Polynomial'",
+    "poly_lcm": "(p: 'Polynomial', q: 'Polynomial') -> 'Polynomial'",
+    "report_lines": "(results: 'list[CaseResult]') -> 'list[str]'",
+    "resultant": "(p: 'Polynomial', q: 'Polynomial')",
+    "run_case": "(case: 'dict') -> 'CaseResult'",
+    "run_identity_suite": "(manifest: 'dict') -> 'list[CaseResult]'",
+    "shift_quotient": (
+        "(term: 'HyperTerm', var: 'str', "
+        "binding: 'ParamBinding | None' = None) -> 'RationalFunction'"),
+    "shifted_central_gf": "(order: 'int') -> 'PowerSeries'",
+    "sum_recurrence_natural": (
+        "(term: 'HyperTerm', recurrence: 'Recurrence', "
+        "binding: 'ParamBinding | None' = None, n_lo: 'int' = 0, n_hi: 'int' = 25, "
+        "rhs: 'Callable[[int], Fraction] | None' = None) -> 'dict[int, Fraction]'"),
+    "sum_table": (
+        "(term: 'HyperTerm', n_lo: 'int', n_hi: 'int', bounds: 'Callable[[int], "
+        "tuple[int, int]]', binding: 'ParamBinding | None' = None) -> 'dict[int, "
+        "Fraction]'"),
+    "telescoped_sum": "(cert: 'GosperCertificate', n: 'int', lo: 'int', hi: 'int') -> 'Fraction'",
+    "term_ratio_is_one": (
+        "(t1: 'HyperTerm', t2: 'HyperTerm', binding: 'ParamBinding | None' = None, "
+        "sample_limit: 'int' = 400) -> 'bool'"),
+    "term_to_string": "(term: 'HyperTerm') -> 'str'",
+}
+
+SUBCOMMANDS = {
+    "gosper": ["-h", "term", "--param", "--machine"],
+    "zeil": ["-h", "term", "--jmax", "--param", "--machine"],
+    "wz-check": ["-h", "f_term", "g_term", "--coeff", "--param", "--machine"],
+    "sum": ["-h", "term", "--n", "--from", "--to", "--param", "--machine"],
+    "series": ["-h", "name", "--order", "--family-index", "--param", "--machine"],
+    "suite": ["-h", "path", "--param", "--machine"],
+}
+
+EXIT_CODES = {
+    "EXIT_OK": 0,
+    "EXIT_USAGE": 1,
+    "EXIT_NOT_SUMMABLE": 2,
+    "EXIT_SEARCH_EXHAUSTED": 3,
+    "EXIT_VERIFICATION": 4,
+    "EXIT_BROKEN_PIPE": 141,
+}
+
+
+def _signature(obj) -> str:
+    try:
+        return str(inspect.signature(obj))
+    except ValueError:  # an exception class that keeps its base's constructor
+        return f"{obj.__mro__[1].__name__}(...)"
+
+
+def test_all_names_the_pinned_surface():
+    assert sorted(telesum.__all__) == list(SIGNATURES)
+
+
+def test_each_public_name_keeps_its_signature():
+    assert {name: _signature(getattr(telesum, name)) for name in telesum.__all__} == SIGNATURES
+
+
+def test_cli_subcommands_and_flags():
+    parser = cli.build_parser()
+    assert [a.option_strings for a in parser._actions if a.option_strings] == [["-h", "--help"]]
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {
+        name: [a.option_strings[0] if a.option_strings else a.dest for a in p._actions]
+        for name, p in sub.choices.items()
+    } == SUBCOMMANDS
+
+
+def test_cli_exit_codes():
+    assert {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")} == (
+        EXIT_CODES)
