@@ -65,7 +65,8 @@ def _parse_params(pairs: list[str]) -> dict[str, int]:
     binding = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
-        if not sep or not name or not value.lstrip("-").isdigit():
+        # isdecimal(), not isdigit(): int() rejects "²" and "--5"
+        if not sep or not name or not value.removeprefix("-").isdecimal():
             raise _UsageError(f"--param expects NAME=INT, got {pair!r}")
         if len(name) != 1 or not name.islower() or name in ("n", "k"):
             raise _UsageError(f"parameter must be a single letter other than n, k: {name!r}")

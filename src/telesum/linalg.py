@@ -3,12 +3,16 @@
 Systems come in over Z[n] (``ZnPoly`` entries).  Fraction-free (Bareiss)
 elimination (``polynomials.bareiss``) and back-substitution both stay in
 Z[n], with no rational arithmetic; ``solve_linear_system`` alone takes
-Q(n) entries and clears them first.
+Q(n) entries and clears them first.  A system of full column rank at one
+point n = n0 modulo one prime is refuted there, without elimination.
 """
 
 from __future__ import annotations
 
 from .polynomials import QN, ZN, RationalFunction, ZnPoly, bareiss, clear_qn
+
+# The point n = _N0 and the prime _P at which nullspace refutes a system.
+_N0, _P = 12345, (1 << 61) - 1
 
 
 def solve_linear_system(matrix: list[list], rhs: list) -> list | None:
@@ -35,6 +39,11 @@ def nullspace(matrix: list[list[ZnPoly]], ncols: int | None = None) -> list[list
     One vector per free column f, in ascending order: 0 past f and in every
     other free column, and at f the pivot of the last pivot row left of f
     (1 if there is none); divided by that entry it is 1 there.
+
+    If A's image at n = n0 modulo p has full column rank, a maximal minor
+    of A is nonzero there, hence a nonzero polynomial: the nullspace over
+    Q(n) is {0}, a proof, and [] returns without Bareiss.  A rank drop may
+    be an unlucky point and decides nothing; the exact path runs.
     """
     if ncols is None:
         if not matrix:
@@ -43,6 +52,8 @@ def nullspace(matrix: list[list[ZnPoly]], ncols: int | None = None) -> list[list
     rows = [list(row) for row in matrix]
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
+    if _full_column_rank_at_point(rows, ncols):
+        return []
     pivots, _ = bareiss(ZN, rows, ncols)
     # By Cramer's rule the vector for free column fc, times the pivot of the
     # last pivot row left of fc, lies in Z[n]; so every division below is exact.
@@ -66,3 +77,22 @@ def nullspace(matrix: list[list[ZnPoly]], ncols: int | None = None) -> list[list
             vec[c] = ZN.exact_div(-acc, row[c])
         basis.append(vec)
     return basis
+
+
+def _full_column_rank_at_point(rows: list[list[ZnPoly]], ncols: int) -> bool:
+    """Whether the image of the rows at n = _N0 modulo _P has rank ncols."""
+    if len(rows) < ncols:
+        return False
+    image = [[e(_N0) % _P for e in row] for row in rows]
+    for c in range(ncols):
+        top = next((row for row in image if row[c]), None)
+        if top is None:
+            return False
+        image.remove(top)
+        inv = pow(top[c], -1, _P)
+        for row in image:
+            f = row[c] * inv % _P
+            if f:
+                for j in range(c + 1, ncols):
+                    row[j] = (row[j] - f * top[j]) % _P
+    return True

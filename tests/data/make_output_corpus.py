@@ -85,6 +85,11 @@ PREFACTOR_CALLS = [
     ["sum", "binom(n,k)/(k-n-1)", "--n", "0", "5"],
     ["sum", "--machine", "binom(n,k)*(2k+1)/((k+1)*(k+2))", "--n", "0", "4"],
 ]
+# Refusals where every order tried has no telescoper.
+REFUSAL_CALLS = [
+    ["zeil", "binom(n,k)^6", "--jmax", "2"],
+    ["zeil", "binom(n,k)^7", "--jmax", "3"],
+]
 CALLS = (
     [["gosper", t] for t in GOSPER_TERMS]
     + [["gosper", "--machine", t] for t in GOSPER_TERMS[:6]]
@@ -117,6 +122,7 @@ CALLS = (
         ["sum", "binom(n,k)", "--n", "4", "2"],
     ]
     + PREFACTOR_CALLS
+    + REFUSAL_CALLS
 )
 
 

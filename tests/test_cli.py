@@ -67,6 +67,13 @@ def test_bad_param_syntax_exit_one(capsys):
     assert "NAME=INT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["r=--5", "r=²"])
+def test_param_value_that_int_rejects_exit_one(value, capsys):
+    # str.isdigit() accepts both values; int() does not.
+    assert main(["zeil", "binom(n,k)*binom(r,k)", "--param", value]) == 1
+    assert f"--param expects NAME=INT, got {value!r}" in capsys.readouterr().err
+
+
 def test_zeil_exit_zero_prints_operator(capsys):
     assert main(["zeil", CRUX]) == 0
     out = capsys.readouterr().out

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telesum import gosper
+from telesum import gosper, linalg
 from telesum.gosper import (
     NotSummableError,
     degree_bound,
@@ -202,6 +202,17 @@ def test_degree_bound_refusal_runs_no_elimination(text, reason, monkeypatch):
     with pytest.raises(NotSummableError) as info:
         gosper_antidifference(parse_term(text))
     assert info.value.reason == reason
+
+
+def test_polynomial_refusal_runs_no_exact_elimination(monkeypatch):
+    # its 3 x 3 system has full column rank at the modular point
+    def no_bareiss(*args, **kwargs):
+        raise AssertionError("exact elimination of a system the modular check refutes")
+
+    monkeypatch.setattr(linalg, "bareiss", no_bareiss)
+    with pytest.raises(NotSummableError) as info:
+        gosper_antidifference(parse_term("binom(n,k)*(k^2+n*k+1)"))
+    assert info.value.reason == "no polynomial solution up to degree 1 for binom(n,k)*(k^2+n*k+1)"
 
 
 def test_not_summable_reason_is_informative():

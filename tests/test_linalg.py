@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from telesum import linalg
 from telesum.linalg import nullspace, solve_linear_system
 from telesum.polynomials import QN, QQ, RationalFunction, ZnPoly, clear_qn, n_poly
 
@@ -207,3 +209,77 @@ _N = n_poly(0, 1)
 def test_nullspace_over_zn_matches_qn_reference(matrix):
     ncols = len(matrix[0])
     assert _qn_nullspace(matrix, ncols=ncols) == _rref_nullspace(matrix, ncols)
+
+
+# -- the modular refutation in nullspace ----------------------------------
+
+def _count_bareiss(monkeypatch) -> list:
+    calls = []
+
+    def counted(ring, rows, ncols):
+        calls.append((len(rows), ncols))
+        return real(ring, rows, ncols)
+
+    real = linalg.bareiss
+    monkeypatch.setattr(linalg, "bareiss", counted)
+    return calls
+
+
+tall_zn_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda cols: st.lists(
+        st.lists(zn_entries, min_size=cols, max_size=cols), min_size=cols, max_size=cols + 2
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_zn_matrices)
+def test_modular_full_rank_means_an_empty_exact_nullspace(matrix):
+    ncols = len(matrix[0])
+    refuted = linalg._full_column_rank_at_point(_zn_rows(matrix), ncols)
+    reference = _rref_nullspace(matrix, ncols)
+    if refuted:
+        assert reference == []
+    assert _qn_nullspace(matrix, ncols=ncols) == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda cols: st.tuples(
+            st.lists(st.lists(zn_entries, min_size=cols, max_size=cols), min_size=1,
+                     max_size=cols + 3),
+            st.lists(zn_entries, min_size=cols, max_size=cols),
+        )
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+def test_a_planted_nullspace_vector_is_never_refuted(matrix_coeffs, at):
+    # a column that is a Z[n] combination of the others: (coeffs, -1) with -1
+    # at column `at` is in the nullspace
+    matrix, coeffs = matrix_coeffs
+    at = at % (len(coeffs) + 1)
+    rows = []
+    for row in matrix:
+        planted = n_poly()
+        for e, c in zip(row, coeffs):
+            planted = planted + e * c
+        rows.append(row[:at] + [planted] + row[at:])
+    ncols = len(rows[0])
+    assert not linalg._full_column_rank_at_point(_zn_rows(rows), ncols)
+    reference = _rref_nullspace(rows, ncols)
+    assert reference
+    assert _qn_nullspace(rows, ncols=ncols) == reference
+
+
+_N0 = n_poly(linalg._N0)
+
+
+@pytest.mark.parametrize("corner", [_N - _N0 + 1, n_poly(linalg._P + 1)])
+def test_an_unlucky_point_falls_through_to_the_exact_elimination(corner, monkeypatch):
+    # det [[1, 1], [1, corner]] is n - n0 or p: nonzero, but 0 at (n0, p)
+    matrix = [[n_poly(1), n_poly(1)], [n_poly(1), corner]]
+    assert not linalg._full_column_rank_at_point(_zn_rows(matrix), 2)
+    calls = _count_bareiss(monkeypatch)
+    assert _qn_nullspace(matrix) == [] == _rref_nullspace(matrix, 2)
+    assert calls == [(2, 2)]

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from telesum import linalg
 from telesum.gosper import _normalize_solution
 from telesum.hyperterm import binomial_value, eval_term, parse_term
 from telesum.polynomials import QN, ZnPoly, _qn_over, n_poly
@@ -164,6 +166,39 @@ def test_fifth_power_has_no_recurrence_up_to_order_2():
     with pytest.raises(NoRecurrenceFound) as info:
         creative_telescope(parse_term("binom(n,k)^5"), max_order=2)
     assert info.value.max_order == 2
+
+
+def _count_bareiss(monkeypatch) -> list:
+    """The shapes of the exact eliminations nullspace runs from now on."""
+    calls = []
+
+    def counted(ring, rows, ncols):
+        calls.append((len(rows), ncols))
+        return real(ring, rows, ncols)
+
+    real = linalg.bareiss
+    monkeypatch.setattr(linalg, "bareiss", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text, max_order", [("binom(n,k)^7", 3), ("binom(n,k)^5", 2)])
+def test_refused_orders_run_no_exact_elimination(text, max_order, monkeypatch):
+    # every order's system has full column rank at the modular point
+    calls = _count_bareiss(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(NoRecurrenceFound) as info:
+        creative_telescope(parse_term(text), max_order=max_order)
+    assert time.perf_counter() - start < 0.5
+    assert str(info.value) == (f"no telescoping recurrence of order <= {max_order}; "
+                               "raise the order limit to search further")
+    assert calls == []
+
+
+def test_only_the_order_with_a_solution_is_eliminated_exactly(monkeypatch):
+    calls = _count_bareiss(monkeypatch)
+    cert = creative_telescope(parse_term("binom(n,k)^4"))
+    assert cert.recurrence.order == 2 and cert.check()
+    assert len(calls) == 1
 
 
 def test_fifth_power_recurrence_of_order_3():
