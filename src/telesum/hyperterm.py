@@ -373,9 +373,8 @@ class TermEvaluator:
     """A bound term compiled to integer data, evaluated exactly at (n, k).
 
     Holds the integer coefficient rows of the prefactor's pair and, per
-    factor, its ``(coeff_n, coeff_k, constant)`` argument tuples and exponent.  A call
-    works on Python ints and builds one Fraction at the end; the checks run
-    in the order prefactor pole, then each factor in turn.
+    factor, its ``(coeff_n, coeff_k, constant)`` argument tuples and exponent.
+    ``pair`` works on Python ints; a call is the Fraction of that pair.
     """
 
     __slots__ = ("num_rows", "den_rows", "steps")
@@ -394,6 +393,12 @@ class TermEvaluator:
         self.steps = tuple(steps)
 
     def __call__(self, n: int, k: int) -> Fraction:
+        return Fraction(*self.pair(n, k))
+
+    def pair(self, n: int, k: int) -> tuple[int, int]:
+        """The value at (n, k) as ints (num, den), den != 0, neither reduced
+        nor made positive.  The checks run in the order prefactor pole, then
+        each factor in turn, and raise the same PoleError as a call."""
         den = _eval_rows(self.den_rows, n, k)
         if not den:
             raise PoleError(f"prefactor denominator vanishes at (n, k) = ({n}, {k})", (n, k))
@@ -406,7 +411,7 @@ class TermEvaluator:
                 v = binomial_value(arg, bn * n + bk * k + bc)
             elif kind == _FACT:
                 if arg < 0:
-                    return Fraction(0)
+                    return 0, 1
                 v = math.factorial(arg)
             else:
                 p, q = extra
@@ -428,7 +433,7 @@ class TermEvaluator:
                 den *= v**-e
                 if w != 1:
                     num *= w**-e
-        return Fraction(num, den)
+        return num, den
 
 
 def eval_term(

@@ -4,7 +4,7 @@ against the brute-force oracles, with a deterministic pass/fail report.
 A manifest is {"suite": name, "cases": [...]}; each case carries a
 "kind" that selects its checker.  All checking is exact; a case fails on
 the first grid point where the identity breaks, and the report says
-where.
+where.  A case with no point to check fails too.
 """
 
 from __future__ import annotations
@@ -17,24 +17,17 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .hyperterm import (
-    HyperTerm,
-    LinearForm,
-    UnboundParameterError,
-    eval_term,
-    parse_linear_form,
-    parse_term,
-)
+from .hyperterm import HyperTerm, LinearForm, UnboundParameterError, parse_linear_form, parse_term
 from .series import check_convolution_11897, check_shifted_central_identity
 from .verify import (
     SequenceSpec,
+    _exact_sum,
+    _transform_failure,
     binomial_column_sequence,
     binomial_row_sequence,
     catalan_sequence,
-    check_binomial_transform,
     check_lower_triangle_identity,
     check_transform_power_identity,
-    oracle_sum,
     seeded_random_sequences,
 )
 
@@ -71,10 +64,26 @@ def bundled_suite() -> dict:
 # grids and side evaluation
 
 
+# the detail of a case whose grid, sequences or checks are empty
+_NO_POINT = "the case checks no point"
+
+
 def _grid_points(grid: dict) -> list[dict]:
     names = list(grid)
     ranges = [range(int(lo), int(hi) + 1) for lo, hi in (grid[v] for v in names)]
     return [dict(zip(names, combo)) for combo in itertools.product(*ranges)]
+
+
+class _Values(dict):
+    """(num, den) values of one bound term at one n, by k, each evaluated on
+    first use (``TermEvaluator.pair``)."""
+
+    def __init__(self, term: HyperTerm, n: int) -> None:
+        self.term, self.n = term, n
+
+    def __missing__(self, k: int) -> tuple[int, int]:
+        value = self[k] = self.term.evaluator().pair(self.n, k)
+        return value
 
 
 class _CaseTexts:
@@ -84,56 +93,83 @@ class _CaseTexts:
     per binding; the grid's points share the bound term.  A text whose
     prefactor uses a parameter cannot be parsed that way
     (UnboundParameterError), so it is parsed once per binding instead.
+    Equal bound terms are interned, so bindings that differ only in a
+    parameter the text does not use share one term and one table of its
+    values, which holds the current n only.  Each ``from``/``to`` form is
+    bound once per binding too.
     """
 
     def __init__(self) -> None:
         self._terms: dict[str, HyperTerm | None] = {}  # None: parse per binding
-        self._bound: dict[tuple, HyperTerm] = {}  # by (text, binding)
+        self._tables: dict[tuple, _Values] = {}  # by (text, binding)
+        self._interned: dict[HyperTerm, _Values] = {}
         self._forms: dict[str, LinearForm] = {}
+        self._limits: dict[tuple, LinearForm] = {}  # by (text, binding)
+        self._n, self._params, self._key = 0, {}, ()
 
-    def term(self, text: str, params: dict) -> HyperTerm:
-        key = (text, tuple(sorted(params.items())))
-        if key not in self._bound:
+    def at(self, point: dict) -> None:
+        """Move to a grid point: its n and the binding of its parameters."""
+        n = point.get("n", 0)
+        self._params = {v: point[v] for v in point if v != "n"}
+        self._key = tuple(sorted(self._params.items()))
+        if n != self._n:
+            self._n = n
+            for table in self._interned.values():
+                table.clear()
+                table.n = n
+
+    def values(self, text: str) -> _Values:
+        """The table of the text's term bound at the current point."""
+        key = (text, self._key)
+        table = self._tables.get(key)
+        if table is None:
             if text not in self._terms:
                 try:
                     self._terms[text] = parse_term(text)
                 except UnboundParameterError:
                     self._terms[text] = None
-            term = self._terms[text]
-            self._bound[key] = parse_term(text, params) if term is None else term.bind(params)
-        return self._bound[key]
+            term, params = self._terms[text], self._params
+            term = parse_term(text, params) if term is None else term.bind(params)
+            table = self._interned.setdefault(term, _Values(term, self._n))
+            self._tables[key] = table
+        return table
 
-    def bound_value(self, text: str, n: int, params: dict) -> int:
-        if text not in self._forms:
-            self._forms[text] = parse_linear_form(text)
-        return self._forms[text].bind(params).evaluate(n, 0)
+    def limit(self, text: str) -> int:
+        """A ``from`` or ``to`` form's value at the current point."""
+        key = (text, self._key)
+        form = self._limits.get(key)
+        if form is None:
+            if text not in self._forms:
+                self._forms[text] = parse_linear_form(text)
+            form = self._limits[key] = self._forms[text].bind(self._params)
+        return form.evaluate(self._n, 0)
 
 
-def _side_value(side: list[dict], point: dict, texts: _CaseTexts) -> Fraction:
-    n = point.get("n", 0)
-    params = {v: point[v] for v in point if v != "n"}
-    total = Fraction(0)
+def _side_value(side: list[dict], texts: _CaseTexts) -> Fraction:
+    pairs: list[tuple[int, int]] = []
     for comp in side:
         if "sum" in comp:
-            term = texts.term(comp["sum"], params)
-            lo = texts.bound_value(comp["from"], n, params)
-            hi = texts.bound_value(comp["to"], n, params)
-            total += oracle_sum(term, n, lo, hi)
+            values = texts.values(comp["sum"])
+            lo, hi = texts.limit(comp["from"]), texts.limit(comp["to"])
+            pairs.extend(map(values.__getitem__, range(lo, hi + 1)))
         elif "term" in comp:
-            term = texts.term(comp["term"], params)
-            total += eval_term(term, n, 0)
+            pairs.append(texts.values(comp["term"])[0])
         else:
             raise ValueError(f"unknown side component {comp!r}")
-    return total
+    return _exact_sum(pairs)
 
 
 def _check_sum_identity(case: dict) -> str | None:
     sides = case["sides"]
     if len(sides) < 2:
         raise ValueError(f"case {case.get('id')}: need at least two sides")
+    points = _grid_points(case["grid"])
+    if not points:
+        return _NO_POINT
     texts = _CaseTexts()
-    for point in _grid_points(case["grid"]):
-        values = [_side_value(side, point, texts) for side in sides]
+    for point in points:
+        texts.at(point)
+        values = [_side_value(side, texts) for side in sides]
         first = values[0]
         for i, v in enumerate(values[1:], start=2):
             if v != first:
@@ -173,16 +209,21 @@ def _transform_grid(grid: dict) -> list[tuple[int, int]]:
 
 
 def _check_transform_identity(case: dict) -> str | None:
+    """Every sequence at every point, on one Pascal triangle for the case."""
     points = _transform_grid(case["grid"])
-    length = max(n + m for n, m in points) + 1
-    for seq in _sequences(case["sequences"], length):
-        for n, m in points:
-            if not check_binomial_transform(seq, n, m):
-                return f"transform fails for sequence {seq.name} at n={n}, m={m}"
+    seqs = _sequences(case["sequences"], max(n + m for n, m in points) + 1) if points else []
+    if not seqs:
+        return _NO_POINT
+    failure = _transform_failure(seqs, points)
+    if failure is not None:
+        seq, n, m = failure
+        return f"transform fails for sequence {seq.name} at n={n}, m={m}"
     return None
 
 
 def _check_lower_triangle(case: dict) -> str | None:
+    if int(case["n_max"]) < 0:
+        return _NO_POINT
     for n in range(int(case["n_max"]) + 1):
         if not check_lower_triangle_identity(n):
             return f"lower-triangle identity fails at n={n}"
@@ -190,6 +231,8 @@ def _check_lower_triangle(case: dict) -> str | None:
 
 
 def _check_power_identity(case: dict) -> str | None:
+    if min(int(case["n_max"]), int(case["m_max"])) < 0:
+        return _NO_POINT
     for n in range(int(case["n_max"]) + 1):
         for m in range(int(case["m_max"]) + 1):
             if not check_transform_power_identity(n, m):
@@ -205,6 +248,8 @@ _SERIES_CHECKS = {
 
 def _check_convolution_identity(case: dict) -> str | None:
     order = int(case.get("order", 64))
+    if not case["checks"]:
+        return _NO_POINT
     for name in case["checks"]:
         try:
             fn = _SERIES_CHECKS[name]

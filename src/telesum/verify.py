@@ -1,19 +1,21 @@
 """Independent verification layer: brute-force oracles and exact
 certificate checks used to confirm every identity the engine handles.
 
-Nothing here trusts the solvers.  Sums are evaluated term by term with
-exact rationals; telescoping claims are re-checked as cross-multiplied
-polynomial identities in Z[n][k] on the certificate's integer pair, which
-needs no gcd; auxiliary parameters are bound to integers before checking.
+Nothing here trusts the solvers.  Sums are evaluated term by term in
+exact integers over one running denominator; telescoping claims are
+re-checked as cross-multiplied polynomial identities in Z[n][k] on the
+certificate's integer pair, which needs no gcd; auxiliary parameters are
+bound to integers before checking.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .hyperterm import (
     HyperTerm,
@@ -31,18 +33,33 @@ class VerificationError(Exception):
     pass
 
 
+def _exact_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """The exact sum of num/den over int pairs (num, den), den != 0: a running
+    numerator over one common denominator, a plain int add for a pair over it
+    or over 1, an lcm by one gcd for any other, and one Fraction at the end."""
+    total, common = 0, 1
+    for num, den in pairs:
+        if den == common:
+            total += num
+        elif den == 1:
+            total += num * common
+        else:
+            g = math.gcd(common, den)
+            total = total * (den // g) + num * (common // g)
+            common = common // g * den
+    return Fraction(total, common)
+
+
 def oracle_sum(
     term: HyperTerm, n: int, k_lo: int, k_hi: int, binding: ParamBinding | None = None
 ) -> Fraction:
-    """Plain exact summation over an explicit k-range; the ground truth."""
+    """Plain exact summation over an explicit k-range; the ground truth: the
+    term's ``TermEvaluator.pair`` values, added by ``_exact_sum``."""
     t = term.bind(binding)
-    total = Fraction(0)
     if k_hi < k_lo:
-        return total
-    value = t.evaluator()
-    for k in range(k_lo, k_hi + 1):
-        total += value(n, k)
-    return total
+        return Fraction(0)
+    pair = t.evaluator().pair
+    return _exact_sum(pair(n, k) for k in range(k_lo, k_hi + 1))
 
 
 def sum_table(
@@ -265,25 +282,46 @@ def seeded_random_sequences(
     return out
 
 
+def _pascal(top: int) -> dict[int, list[int]]:
+    """Rows 0..top of Pascal's triangle by t: rows[t][j] = binom(t, j)."""
+    rows, row = {}, [1]
+    for t in range(top + 1):
+        rows[t], row = row, [1, *map(operator.add, row, row[1:]), 1]
+    return rows
+
+
+def _transform_failure(
+    seqs: Sequence[SequenceSpec], points: Sequence[tuple[int, int]]
+) -> tuple[SequenceSpec, int, int] | None:
+    """The first (sequence, n, m), sequences outermost, where the binomial
+    transform identity fails, or None.  One Pascal triangle serves all points;
+    b_m(i) = sum_j binom(m,j) a_{i+j} is computed once per sequence and m and
+    shared by every n, the left side being sum_i binom(n,i) b_m(i)."""
+    rows = _pascal(max((max(n, m, n + m) for n, m in points), default=-1))
+    for seq in seqs:
+        a = seq.scaled
+        inner: dict[int, list[int]] = {}
+        for n, m in points:
+            top = n + m
+            if top >= 0:
+                seq.value(top)  # raises IndexError past the sequence's end
+            b = inner.setdefault(m, [])
+            for i in range(len(b), n + 1):
+                b.append(sum(c * a[i + j] for j, c in enumerate(rows.get(m, ()))))
+            lhs = sum(map(operator.mul, rows.get(n, ()), b))
+            if lhs != sum(map(operator.mul, rows.get(top, ()), a)):
+                return seq, n, m
+    return None
+
+
 def check_binomial_transform(seq: SequenceSpec, n: int, m: int) -> bool:
     """sum_{i<=n} sum_{j<=m} binom(n,i) binom(m,j) a_{i+j}
        == sum_{k<=n+m} binom(n+m,k) a_k.
 
     Both sides are compared on the sequence's integer-scaled values, which
-    share one positive denominator.
+    share one positive denominator, by ``_transform_failure``.
     """
-    top = n + m
-    if top >= 0:
-        seq.value(top)  # raises IndexError past the sequence's end
-    a = seq.scaled
-    row_m = [binomial_value(m, j) for j in range(m + 1)]
-    lhs = 0
-    for i in range(n + 1):
-        bi = binomial_value(n, i)
-        if bi:
-            lhs += bi * sum(bj * a[i + j] for j, bj in enumerate(row_m))
-    rhs = sum(binomial_value(top, k) * a[k] for k in range(top + 1))
-    return lhs == rhs
+    return _transform_failure([seq], [(n, m)]) is None
 
 
 def check_transform_power_identity(n: int, m: int) -> bool:

@@ -46,7 +46,7 @@ from .polynomials import (
     zn_ratfun,
 )
 from .serialize import _npoly_string, npoly_to_list, ratfun_to_record, ratfun_to_text
-from .verify import telescoping_identity
+from .verify import _exact_sum, telescoping_identity
 
 
 class NoRecurrenceFound(Exception):
@@ -249,7 +249,7 @@ def natural_sum(
     Raises BoundaryCheckError when that support is unbounded in k.
     """
     t = term.bind(binding)
-    value = t.evaluator()
+    pair = t.evaluator().pair
     pieces = natural_support(t, n)
     for lo, hi in pieces:
         if lo is None or hi is None:
@@ -257,11 +257,7 @@ def natural_sum(
                 f"the factors leave the support in k unbounded at n = {n}; "
                 "no natural support edge found"
             )
-    total = Fraction(0)
-    for lo, hi in pieces:
-        for k in range(lo, hi + 1):
-            total += value(n, k)
-    return total
+    return _exact_sum(pair(n, k) for lo, hi in pieces for k in range(lo, hi + 1))
 
 
 def sum_recurrence_natural(

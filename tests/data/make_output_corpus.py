@@ -90,6 +90,12 @@ REFUSAL_CALLS = [
     ["zeil", "binom(n,k)^6", "--jmax", "2"],
     ["zeil", "binom(n,k)^7", "--jmax", "3"],
 ]
+# The bundled suite, plain and --machine, and the mutation catalog (exit 4).
+SUITE_CALLS = [
+    ["suite", "paper.suite"],
+    ["suite", "paper.suite", "--machine"],
+    ["suite", "mutations.suite"],
+]
 CALLS = (
     [["gosper", t] for t in GOSPER_TERMS]
     + [["gosper", "--machine", t] for t in GOSPER_TERMS[:6]]
@@ -123,6 +129,7 @@ CALLS = (
     ]
     + PREFACTOR_CALLS
     + REFUSAL_CALLS
+    + SUITE_CALLS
 )
 
 

@@ -56,7 +56,7 @@ from telesum.polynomials import (
     zn_product,
     zn_ratfun,
 )
-from telesum.verify import oracle_sum
+from telesum.verify import _exact_sum, oracle_sum
 from telesum.zeilberger import (
     NoRecurrenceFound,
     _common_denominator,
@@ -206,6 +206,75 @@ def test_zeilberger_recurrence_holds_on_natural_sums_or_refuses_with_a_reason(te
     for n in range(0, 9):
         if _defined_at(cert.certificate, n):
             sum_recurrence_natural(cert.term, cert.recurrence, n_lo=n, n_hi=n)
+
+
+# -- integer pairs against Fractions -------------------------------------
+
+# rational prefactors whose denominators take negative values at some (n, k)
+DENOMINATORS = ["1", "1/(1-2k)", "1/(-3)", "(k+2)/(n-k)", "1/(k^2-n-1)", "(2n+1)/(3-2k)"]
+rational_terms = st.builds(
+    lambda t, text: t.scale_rational(parse_term(text).prefactor),
+    terms,
+    st.sampled_from(DENOMINATORS),
+)
+
+
+def _outcome(fn, n: int, k: int):
+    """fn(n, k), or the PoleError it raises as (type, args)."""
+    try:
+        return fn(n, k)
+    except PoleError as exc:
+        return PoleError, exc.args
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_terms)
+@example(parse_term("fact(k)/fact(n-k)*(1-2k)"))
+@example(parse_term("fact(k)/binom(n,k)*(1-2k)"))  # zero factor with a negative exponent
+@example(parse_term("2^(k-n)/fact(2k-n)*(k-n)"))  # prefactor pole
+def test_evaluator_pair_is_the_call_as_a_pair(term):
+    """pair(n, k) is an unreduced (num, den) with den != 0 whose Fraction is
+    the call's value, and it raises the call's PoleError at the same points."""
+    value = term.evaluator()
+    for n in N_RANGE:
+        for k in K_WINDOW:
+            got, want = _outcome(value.pair, n, k), _outcome(value, n, k)
+            if isinstance(want, Fraction):
+                num, den = got
+                assert den and Fraction(num, den) == want, (n, k)
+            else:
+                assert got == want, (n, k)
+
+
+def _fraction_loop(values) -> Fraction:
+    total = Fraction(0)
+    for v in values:
+        total += v
+    return total
+
+
+nonzero = st.integers(min_value=-720, max_value=720).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=-10**6, max_value=10**6),
+                          st.one_of(nonzero, st.sampled_from([1, -1, 6, -6, 24])))))
+def test_exact_sum_is_the_fraction_loop(pairs):
+    assert _exact_sum(pairs) == _fraction_loop(Fraction(a, b) for a, b in pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_terms)
+@example(parse_term("fact(k)/fact(n-k)*(1-2k)"))
+@example(parse_term("2^(k-n)/fact(2k-n)*(k-n)"))
+def test_oracle_sum_is_the_fraction_loop_over_values(term):
+    def loop(n, lo, hi):
+        return _fraction_loop(eval_term(term, n, k) for k in range(lo, hi + 1))
+
+    for n in N_RANGE:
+        for lo, hi in ((-3, 7), (0, n), (2, 1)):
+            got = _outcome(lambda n, hi: oracle_sum(term, n, lo, hi), n, hi)
+            assert got == _outcome(lambda n, hi: loop(n, lo, hi), n, hi), (n, lo, hi)
 
 
 # -- the integer shift pair against values and the Q(n)(k) construction ---

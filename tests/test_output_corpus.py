@@ -2,8 +2,9 @@
 
 tests/data/output_corpus.json holds the stdout, stderr and exit code of
 about ninety fast in-process calls: gosper and zeil (plain and --machine),
-wz-check on a true and a sign-flipped pair, sum, series and usage errors,
-and terms with rational prefactors of several shapes.
+wz-check on a true and a sign-flipped pair, sum, series, the bundled suite
+and the mutation catalog, usage errors, and terms with rational prefactors
+of several shapes.
 tests/data/make_output_corpus.py wrote it and regenerates it.
 """
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 from importlib import resources
 from pathlib import Path
 
@@ -166,3 +167,74 @@ def test_parse_cache_does_not_outlive_a_case(monkeypatch):
     first = len(calls)
     run_case(case)
     assert len(calls) == 2 * first
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        {"kind": "sum_identity", "grid": {"n": [5, 0]},
+         "sides": [[{"term": "1"}], [{"term": "2"}]]},
+        {"kind": "transform_identity", "sequences": [], "grid": {"total_max": 3}},
+        {"kind": "transform_identity", "sequences": ["random:0:1"], "grid": {"total_max": 3}},
+        {"kind": "transform_identity", "sequences": ["catalan"],
+         "grid": {"n_max": -1, "m_max": 3}},
+        {"kind": "lower_triangle_identity", "n_max": -1},
+        {"kind": "power_identity", "n_max": 3, "m_max": -2},
+        {"kind": "convolution_identity", "checks": []},
+    ],
+    ids=lambda case: case["kind"],
+)
+def test_a_case_that_checks_no_point_fails(case):
+    result = run_case(dict(case, id="vacuous"))
+    assert not result.ok
+    assert result.detail == "the case checks no point"
+
+
+def test_suite_with_a_vacuous_case_exits_4(tmp_path, capsys):
+    from telesum.cli import main
+
+    path = tmp_path / "vacuous.suite"
+    path.write_text(json.dumps({"suite": "v", "cases": [
+        {"id": "empty-grid", "kind": "lower_triangle_identity", "n_max": -1}]}))
+    assert main(["suite", str(path)]) == 4
+    assert capsys.readouterr().out == (
+        "FAIL empty-grid: the case checks no point\n0/1 cases pass\n")
+
+
+def _p11916(extra_side_2=None) -> dict:
+    case = copy.deepcopy(next(c for c in bundled_suite()["cases"] if c["id"] == "p11916"))
+    if extra_side_2:
+        case["sides"][1].append(extra_side_2)
+    return case
+
+
+def test_a_late_failure_is_found_at_its_point():
+    """binom(n,12)*binom(12,n) is nonzero only at n = 12, the last n of the grid."""
+    result = run_case(_p11916({"term": "binom(n,12)*binom(12,n)"}))
+    assert not result.ok
+    assert result.detail == "side 1 gives 13 but side 2 gives 14 at n=12, r=1, s=1"
+
+
+def test_a_fractional_failure_prints_its_fractions():
+    case = {"id": "frac", "kind": "sum_identity", "grid": {"n": [0, 6]}, "sides": [
+        [{"sum": "binom(n,k)/(1-2k)", "from": "0", "to": "n"}, {"term": "1/(n+3)"}],
+        [{"sum": "binom(n,k)/(1-2k)", "from": "0", "to": "n"}, {"term": "1/(n+2)"}]]}
+    assert run_case(case).detail == "side 1 gives 4/3 but side 2 gives 3/2 at n=0"
+
+
+def test_p11916_evaluates_each_value_once(monkeypatch):
+    """Side 1 at r = a and side 2 at s = a bind to one term, whatever the
+    other parameter: 12 terms x 12 n x 12 k = 1728 distinct values, each
+    evaluated once (the grid's 1728 points once took 22 464 evaluations)."""
+    from telesum.hyperterm import TermEvaluator
+
+    calls = []
+    real = TermEvaluator.pair
+
+    def counted(self, n, k):
+        calls.append((n, k))
+        return real(self, n, k)
+
+    monkeypatch.setattr(TermEvaluator, "pair", counted)
+    assert run_case(_p11916()).ok
+    assert len(calls) <= 1728

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from telesum import verify
 
 from telesum.gosper import gosper_antidifference
 from telesum.hyperterm import binomial_value, parse_term, ratio_rational, shift_quotient
@@ -273,6 +279,75 @@ def test_binomial_transform_overrun_raises():
     seq = rational_sequence("short", [1, 2, 3])
     with pytest.raises(IndexError):
         check_binomial_transform(seq, 4, 4)
+
+
+def _direct_transform_failure(seqs, points, binom=math.comb):
+    """The first (sequence name, n, m) where the direct double sum differs
+    from the right side, sequences outermost; binom(t, j) for 0 <= j <= t."""
+    for seq in seqs:
+        a = seq.scaled
+        for n, m in points:
+            lhs = sum(binom(n, i) * binom(m, j) * a[i + j]
+                      for i in range(n + 1) for j in range(m + 1))
+            rhs = sum(binom(n + m, k) * a[k] for k in range(n + m + 1))
+            if lhs != rhs:
+                return seq.name, n, m
+    return None
+
+
+def _shared_transform_failure(seqs, points):
+    failure = verify._transform_failure(seqs, points)
+    return failure and (failure[0].name, failure[1], failure[2])
+
+
+fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
+transform_cases = st.tuples(
+    st.lists(st.lists(fractions, min_size=13, max_size=13), min_size=1, max_size=4),
+    st.one_of(
+        st.integers(0, 12).map(lambda t: [(n, m) for n in range(t + 1) for m in range(t + 1 - n)]),
+        st.tuples(st.integers(0, 6), st.integers(0, 6)).map(
+            lambda nm: [(n, m) for n in range(nm[0] + 1) for m in range(nm[1] + 1)]),
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(transform_cases)
+def test_shared_transform_check_is_the_direct_double_sum(case):
+    values, points = case
+    seqs = [rational_sequence(f"s{i}", v) for i, v in enumerate(values)]
+    assert _shared_transform_failure(seqs, points) is None
+    assert _direct_transform_failure(seqs, points) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(transform_cases, st.integers(0, 12), st.integers(0, 12), st.integers(-3, 3).filter(bool))
+def test_a_planted_wrong_binomial_fails_at_the_same_first_point(case, t, j, delta):
+    """One entry binom(t, j) of Pascal's triangle is made wrong by delta, in
+    the shared check's triangle and in the direct double sum alike: both
+    report the same first failing (sequence, n, m), and so does
+    check_binomial_transform point by point."""
+    values, points = case
+    seqs = [rational_sequence(f"s{i}", v) for i, v in enumerate(values)]
+    j = min(j, t)
+    real = verify._pascal
+
+    def planted(top):
+        rows = real(top)
+        if t < len(rows):
+            rows[t][j] += delta
+        return rows
+
+    def binom(a, b):
+        return math.comb(a, b) + (delta if (a, b) == (t, j) else 0)
+
+    want = _direct_transform_failure(seqs, points, binom)
+    with mock.patch.object(verify, "_pascal", planted):
+        assert _shared_transform_failure(seqs, points) == want
+        for seq in seqs:
+            for n, m in points:
+                direct = _direct_transform_failure([seq], [(n, m)], binom)
+                assert check_binomial_transform(seq, n, m) == (direct is None), (seq.name, n, m)
 
 
 def test_transform_power_identity():

@@ -276,6 +276,16 @@ def test_natural_sum_binomial_row():
         assert natural_sum(t, n) == 2**n
 
 
+@pytest.mark.parametrize("text", ["binom(n,k)/(1-2k)", "binom(2n,k)/fact(k)*(k-2n-1)"])
+def test_natural_sum_is_the_fraction_loop(text):
+    t = parse_term(text)
+    for n in range(8):
+        total = Fraction(0)
+        for k in range(0, 2 * n + 1):
+            total += eval_term(t, n, k)
+        assert natural_sum(t, n) == total
+
+
 def test_natural_sum_unbounded_support_raises():
     t = parse_term("2^k")
     with pytest.raises(BoundaryCheckError):
