@@ -109,8 +109,12 @@ def _stringify(obj):
     return obj
 
 
-def _emit_machine(record: dict) -> None:
-    print(json.dumps(_stringify(record), separators=(", ", ": ")))
+def _emit(args, record, text) -> None:
+    """Print record as a --machine JSON line, else text; a callable given for
+    either side is called only when that side is printed."""
+    out = record if args.machine else text
+    out = out() if callable(out) else out
+    print(json.dumps(_stringify(out), separators=(", ", ": ")) if args.machine else out)
 
 
 def _caret_diagnostic(err: ParseError) -> str:
@@ -126,18 +130,11 @@ def _cmd_gosper(args) -> int:
     try:
         cert = gosper_antidifference(term)
     except NotSummableError as exc:
-        if args.machine:
-            _emit_machine({"status": "not_summable", "reason": exc.reason})
-        else:
-            print(f"not summable: {exc.reason}")
+        _emit(args, {"status": "not_summable", "reason": exc.reason},
+              f"not summable: {exc.reason}")
         return EXIT_NOT_SUMMABLE
-    if args.machine:
-        record = {"status": "ok", "term": args.term}
-        record.update(cert.record())
-        _emit_machine(record)
-    else:
-        print("summable: G(n,k) = R(n,k) * F(n,k) telescopes F")
-        print(cert.text())
+    _emit(args, lambda: {"status": "ok", "term": args.term, **cert.record()},
+          lambda: f"summable: G(n,k) = R(n,k) * F(n,k) telescopes F\n{cert.text()}")
     return EXIT_OK
 
 
@@ -148,17 +145,10 @@ def _cmd_zeil(args) -> int:
     try:
         cert = creative_telescope(term, max_order=args.jmax)
     except NoRecurrenceFound as exc:
-        if args.machine:
-            _emit_machine({"status": "no_recurrence", "max_order": exc.max_order})
-        else:
-            print(f"no recurrence found: {exc}")
+        _emit(args, {"status": "no_recurrence", "max_order": exc.max_order},
+              f"no recurrence found: {exc}")
         return EXIT_SEARCH_EXHAUSTED
-    if args.machine:
-        record = {"status": "ok", "term": args.term}
-        record.update(cert.record())
-        _emit_machine(record)
-    else:
-        print(cert.text())
+    _emit(args, lambda: {"status": "ok", "term": args.term, **cert.record()}, cert.text)
     return EXIT_OK
 
 
@@ -171,21 +161,13 @@ def _cmd_wz_check(args) -> int:
         pair = WZPair(f, g, coeffs)
         ok = pair.check()
     except ValueError as exc:
-        if args.machine:
-            _emit_machine({"status": "fail", "reason": str(exc)})
-        else:
-            print(f"WZ check failed: {exc}")
+        _emit(args, {"status": "fail", "reason": str(exc)}, f"WZ check failed: {exc}")
         return EXIT_VERIFICATION
     if ok:
-        if args.machine:
-            _emit_machine({"status": "ok"})
-        else:
-            print("WZ pair verified")
+        _emit(args, {"status": "ok"}, "WZ pair verified")
         return EXIT_OK
-    if args.machine:
-        _emit_machine({"status": "fail", "reason": "telescoping identity does not hold"})
-    else:
-        print("WZ check failed: telescoping identity does not hold")
+    reason = "telescoping identity does not hold"
+    _emit(args, {"status": "fail", "reason": reason}, f"WZ check failed: {reason}")
     return EXIT_VERIFICATION
 
 
@@ -216,10 +198,7 @@ def _cmd_sum(args) -> int:
         else:
             rows.append((n, natural_sum(term, n)))
     for n, value in rows:
-        if args.machine:
-            _emit_machine({"n": n, "value": value})
-        else:
-            print(f"{n}: {value}")
+        _emit(args, {"n": n, "value": value}, f"{n}: {value}")
     return EXIT_OK
 
 
@@ -236,10 +215,8 @@ def _cmd_series(args) -> int:
         raise _UsageError(f"--family-index must be <= {MAX_SERIES_ORDER}, got {args.family_index}")
     gf = known_gf(args.name, args.order, args.family_index)
     for i in range(gf.order + 1):
-        if args.machine:
-            _emit_machine({"index": i, "value": gf.coeff(i)})
-        else:
-            print(f"{i}: {gf.coeff(i)}")
+        value = gf.coeff(i)
+        _emit(args, {"index": i, "value": value}, f"{i}: {value}")
     return EXIT_OK
 
 
@@ -251,7 +228,7 @@ def _cmd_suite(args) -> int:
     results = run_identity_suite(manifest)
     if args.machine:
         for r in results:
-            _emit_machine({"case": r.case_id, "ok": r.ok, "detail": r.detail})
+            _emit(args, {"case": r.case_id, "ok": r.ok, "detail": r.detail}, None)
     else:
         for line in report_lines(results):
             print(line)

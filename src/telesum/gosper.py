@@ -57,7 +57,6 @@ from .polynomials import (
     Polynomial,
     RationalFunction,
     ZnPoly,
-    _qn_over,
     _zn_primitive_part,
     coprime_base,
     integer_qnk_pair,
@@ -101,7 +100,7 @@ class GosperNormalForm:
 class IntegerNormalForm:
     """Gosper's normal form in Z[n][k]: z = zn/zd, and a, b and c are Z[n]
     multiples of the monic a, b and c of ``GosperNormalForm``, which
-    ``public`` builds in Q(n)."""
+    ``public`` builds in Q(n) from ``pairs``."""
 
     zn: ZnPoly
     zd: ZnPoly
@@ -110,10 +109,17 @@ class IntegerNormalForm:
     c: Polynomial
     dispersion: list[int]
 
+    def pairs(self) -> dict[str, tuple[Polynomial, Polynomial]]:
+        """The monic a, b, c and z, each a pair of ``zn_reduced``."""
+        pairs = {name: zn_reduced(p, ZNK.constant(p.lc()))
+                 for name, p in zip("abc", (self.a, self.b, self.c))}
+        pairs["z"] = zn_reduced(ZNK.constant(self.zn), ZNK.constant(self.zd))
+        return pairs
+
     def public(self) -> GosperNormalForm:
-        z = RationalFunction(self.zn.to_poly(), self.zd.to_poly())
-        monic = (_qn_over("k", p.coeffs, p.lc()) for p in (self.a, self.b, self.c))
-        return GosperNormalForm(z, *monic)
+        """The monic a, b, c and z: the numerators of ``pairs`` lifted by ``zn_ratfun``."""
+        a, b, c, z = (zn_ratfun(*pair).num for pair in self.pairs().values())
+        return GosperNormalForm(z.lc(), a, b, c)
 
 
 def factored_normal_form(ratio: FactoredRatio) -> IntegerNormalForm:
@@ -253,8 +259,7 @@ class GosperCertificate:
     @property
     def x(self) -> Polynomial:
         """x in Q(n)[k], the polynomial solution of Gosper's equation."""
-        num, den = self.x_pair
-        return _qn_over("k", num.coeffs, den.lc())
+        return zn_ratfun(*self.x_pair).num
 
     @property
     def certificate(self) -> RationalFunction:
@@ -274,12 +279,7 @@ class GosperCertificate:
 
     def record(self) -> dict:
         """x, the monic a, b, c, z and R, each a pair of ``zn_reduced``."""
-        nf = self.integer_form
-        pairs = {"x": self.x_pair}
-        pairs |= {name: zn_reduced(p, ZNK.constant(p.lc()))
-                  for name, p in zip("abc", (nf.a, nf.b, nf.c))}
-        pairs["z"] = zn_reduced(ZNK.constant(nf.zn), ZNK.constant(nf.zd))
-        pairs["R"] = self.certificate_pair
+        pairs = {"x": self.x_pair, **self.integer_form.pairs(), "R": self.certificate_pair}
         return {name: ratfun_to_record(pair) for name, pair in pairs.items()}
 
 

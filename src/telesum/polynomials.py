@@ -13,9 +13,11 @@ The public objects live in the tower ``Q -> Q[n] -> Q(n) -> Q(n)[k] ->
 Q(n)(k)``, built from ``Fraction`` upward; module-level singletons for
 those rings live near the bottom of this file.  The costly steps leave the
 tower for one integer form: ``ZnPoly`` is Z[n] as a tuple of ints, and a
-polynomial in k over ``ZN`` is Z[n][k].  ``clear_qn`` and
-``integer_qnk_pair`` produce it; ``zn_reduced`` brings a pair num/den in it
-to lowest terms by the cofactors of ``_zn_gcd``, for ``RationalFunction``.
+polynomial in k over ``ZN`` is Z[n][k].  ``clear_qn`` is the one clear
+into it (``integer_qnk_pair`` applies it to a Q(n)(k) element);
+``zn_reduced`` brings a pair num/den in it to lowest terms by the cofactors
+of ``_zn_gcd``; and ``zn_ratfun`` is the one lift of such a pair back into
+Q(n)(k), which builds every public value held as a pair.
 ``FactoredRatio`` keeps a quotient as multisets of primitive factors in
 Z[n][k], the form the Gosper normal form reads; ``root_shifts`` and
 ``_shift_resultant_roots`` (a resultant over Z[j] at points n0, as in
@@ -30,10 +32,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 NEG_INFINITY = float("-inf")
-
-
-def rational(numerator: int, denominator: int = 1) -> Fraction:
-    return Fraction(numerator, denominator)
 
 
 class RationalField:
@@ -415,8 +413,9 @@ class RationalFunction:
         elif num.ring == QN and num.degree > 0 and den.degree > 0:
             rows = clear_qn(num.coeffs + den.coeffs)  # one multiplier keeps num/den
             size = len(num.coeffs)
-            num, den = _qn_pair(*zn_reduced(Polynomial(num.var, ZN, rows[:size]),
-                                            Polynomial(num.var, ZN, rows[size:])))
+            lifted = zn_ratfun(Polynomial(num.var, ZN, rows[:size]),
+                               Polynomial(num.var, ZN, rows[size:]))
+            num, den = lifted.num, lifted.den
         elif num.degree > 0 and den.degree > 0:  # else the gcd is 1
             g = poly_gcd(num, den)
             if g.degree > 0:  # g is monic
@@ -431,14 +430,6 @@ class RationalFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def _reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """num/den as given, which must be coprime with den monic."""
-        self, field = object.__new__(cls), FractionField(PolynomialRing(num.var, num.ring))
-        for name, value in zip(cls.__slots__, (num, den, field)):
-            object.__setattr__(self, name, value)
-        return self
 
     @property
     def var(self) -> str:
@@ -648,16 +639,6 @@ def _zn_gcd(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> tuple[list[ZnPoly],
             return None
 
 
-def _qn_over(var: str, rows: Sequence[ZnPoly], lead: ZnPoly) -> Polynomial:
-    """A polynomial in k over Z[n] divided by lead, in Q(n)[k]."""
-    lead_poly = lead.to_poly()
-    return Polynomial(var, QN, tuple(RationalFunction(c.to_poly(), lead_poly) for c in rows))
-
-
-def _qn_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    return _qn_over(num.var, num.coeffs, den.lc()), _qn_over(num.var, den.coeffs, den.lc())
-
-
 def zn_reduced(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """num/den, polynomials in k over Z[n] with den nonzero, in lowest terms:
     the cofactors of their gcd in Z[n][k] (``_zn_gcd``), divided by their
@@ -674,8 +655,19 @@ def zn_reduced(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
 
 def zn_ratfun(num: Polynomial, den: Polynomial) -> RationalFunction:
     """num/den, polynomials in k over Z[n], as a reduced Q(n)(k) element: the
-    pair of ``zn_reduced``, divided by the lead of its denominator."""
-    return RationalFunction._reduced(*_qn_pair(*zn_reduced(num, den)))
+    pair of ``zn_reduced``, each coefficient over the lead of its denominator.
+    It is the one lift from Z[n][k] into Q(n)(k); a polynomial value, such as
+    a monic gcd, is the numerator of its pair over a constant in k."""
+    if not den:
+        raise ZeroDivisionError("rational function with zero denominator")
+    num, den = zn_reduced(num, den)
+    lead = den.lc().to_poly()
+    value = object.__new__(RationalFunction)
+    for name, p in (("num", num), ("den", den)):
+        coeffs = tuple(RationalFunction(c.to_poly(), lead) for c in p.coeffs)
+        object.__setattr__(value, name, Polynomial(num.var, QN, coeffs))
+    object.__setattr__(value, "field", FractionField(PolynomialRing(num.var, QN)))
+    return value
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -692,7 +684,8 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return _rational_poly_gcd(p, q)
     if p.ring == QN:  # decided in Z[n][k]
         found = _zn_gcd(clear_qn(p.coeffs), clear_qn(q.coeffs))
-        return _qn_over(p.var, found[0], found[0][-1]) if found else p._spawn((QN.one(),))
+        g = Polynomial(p.var, ZN, found[0] if found else (ZN_ONE,))
+        return zn_ratfun(g, ZNK.constant(g.lc())).num
     raise TypeError(f"no gcd for polynomials over {p.ring!r}")
 
 
@@ -815,15 +808,6 @@ def resultant(p: Polynomial, q: Polynomial):
     return -det if sign < 0 else det
 
 
-def _clear_to_zn(p: Polynomial) -> list[ZnPoly]:
-    """Q[k] or Q(n)[k] coefficients times one k-free factor, in Z[n]."""
-    if isinstance(p.ring, RationalField):
-        return [ZnPoly((c,)) for c in _int_content_normalize(p.coeffs)]
-    if p.ring == QN:
-        return clear_qn(p.coeffs)
-    raise TypeError(f"unsupported coefficient ring {p.ring!r}")
-
-
 def _shift_resultant_roots(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> list[int]:
     """The j >= 0, sorted, at which Res_k(num(k), den(k + j)) in Z[n][j] may
     vanish: roots of the gcd of its values at two points n0 where neither
@@ -875,8 +859,8 @@ def dispersion_set(p: Polynomial, q: Polynomial) -> list[int]:
         raise TypeError("dispersion of polynomials from different rings")
     if p.degree < 1 or q.degree < 1:
         return []
-    return [j for j in _shift_resultant_roots(_clear_to_zn(p), _clear_to_zn(q))
-            if poly_gcd(p, q.shift(j)).degree >= 1]
+    rows = [clear_qn([QN.coerce(c) for c in f.coeffs]) for f in (p, q)]
+    return [j for j in _shift_resultant_roots(*rows) if poly_gcd(p, q.shift(j)).degree >= 1]
 
 
 # ---------------------------------------------------------------------------

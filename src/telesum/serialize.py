@@ -4,17 +4,17 @@ Integers are rendered as decimal strings so consumers never lose
 precision to floating point; polynomial coefficient lists are nested
 with the k-exponent outside and the n-exponent inside.  Records and texts
 take a rational function as its reduced pair (num, den) of polynomials in
-k over Z[n] (``zn_reduced``) and read their ints.  One printer
+k over Z[n] (``zn_reduced``) and read their ints; ``record_to_ratfun``
+lifts a record's ints back by ``zn_ratfun``.  One printer
 serves polynomials in n and k: certificates group each coefficient in n,
 terms (``hyperterm.term_to_string``) expand every monomial.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import POLY_N, QN, Polynomial, RationalFunction
+from .polynomials import ZN, Polynomial, RationalFunction, ZnPoly, zn_ratfun
 
 
 def npoly_to_list(p: Polynomial) -> list[str]:
@@ -32,24 +32,15 @@ def kpoly_to_lists(p: Polynomial) -> list[list[str]]:
     return [[str(v) for v in c] or ["0"] for c in p.coeffs] or [["0"]]
 
 
-def list_to_npoly(items: list[str]) -> Polynomial:
-    return Polynomial("n", POLY_N.coeff_ring, tuple(Fraction(int(s)) for s in items))
-
-
-def lists_to_kpoly(items: list[list[str]]) -> Polynomial:
-    coeffs = tuple(QN.coerce(list_to_npoly(row)) for row in items)
-    return Polynomial("k", QN, coeffs)
-
-
 def ratfun_to_record(pair: tuple[Polynomial, Polynomial]) -> dict:
     num, den = pair
     return {"num": kpoly_to_lists(num), "den": kpoly_to_lists(den)}
 
 
 def record_to_ratfun(record: dict) -> RationalFunction:
-    return RationalFunction(
-        lists_to_kpoly(record["num"]), lists_to_kpoly(record["den"])
-    )
+    """The Q(n)(k) value of a record: its integer rows lifted by ``zn_ratfun``."""
+    return zn_ratfun(*(Polynomial("k", ZN, [ZnPoly(map(int, row)) for row in record[side]])
+                       for side in ("num", "den")))
 
 
 def _monomial_string(coeff: int, n_exp: int, k_exp: int) -> str:

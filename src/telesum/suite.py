@@ -22,12 +22,12 @@ from .series import check_convolution_11897, check_shifted_central_identity
 from .verify import (
     SequenceSpec,
     _exact_sum,
+    _power_failure,
     _transform_failure,
     binomial_column_sequence,
     binomial_row_sequence,
     catalan_sequence,
     check_lower_triangle_identity,
-    check_transform_power_identity,
     seeded_random_sequences,
 )
 
@@ -231,12 +231,12 @@ def _check_lower_triangle(case: dict) -> str | None:
 
 
 def _check_power_identity(case: dict) -> str | None:
-    if min(int(case["n_max"]), int(case["m_max"])) < 0:
+    n_max, m_max = int(case["n_max"]), int(case["m_max"])
+    if min(n_max, m_max) < 0:
         return _NO_POINT
-    for n in range(int(case["n_max"]) + 1):
-        for m in range(int(case["m_max"]) + 1):
-            if not check_transform_power_identity(n, m):
-                return f"power identity fails at n={n}, m={m}"
+    failure = _power_failure([(n, m) for n in range(n_max + 1) for m in range(m_max + 1)])
+    if failure is not None:
+        return "power identity fails at n={}, m={}".format(*failure)
     return None
 
 

@@ -324,19 +324,27 @@ def check_binomial_transform(seq: SequenceSpec, n: int, m: int) -> bool:
     return _transform_failure([seq], [(n, m)]) is None
 
 
+def _power_failure(points: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
+    """The first (n, m) where the power identity fails, or None.  One Pascal
+    triangle serves all points.  With n or m negative both double sums are
+    empty, so the identity holds exactly when binom(n+m, n) is 0."""
+    rows = _pascal(max((n + m for n, m in points), default=-1))
+    for n, m in points:
+        if min(n, m) < 0:
+            holds = not binomial_value(n + m, n)
+        else:  # binom(i+j, n) is 0 for i + j < n
+            lhs = sum(rows[n][i] * rows[m][j] * rows[i + j][n]
+                      for i in range(n + 1) for j in range(max(n - i, 0), m + 1))
+            holds = lhs == rows[n + m][n] << m
+        if not holds:
+            return n, m
+    return None
+
+
 def check_transform_power_identity(n: int, m: int) -> bool:
     """sum_{i<=n} sum_{j<=m} binom(n,i) binom(m,j) binom(i+j,n)
-       == binom(n+m,n) * 2^m."""
-    lhs = 0
-    for i in range(n + 1):
-        bi = binomial_value(n, i)
-        if not bi:
-            continue
-        for j in range(m + 1):
-            bj = binomial_value(m, j)
-            if bj:
-                lhs += bi * bj * binomial_value(i + j, n)
-    return lhs == binomial_value(n + m, n) * 2**m
+       == binom(n+m,n) * 2^m, by ``_power_failure``."""
+    return _power_failure([(n, m)]) is None
 
 
 def check_lower_triangle_identity(n: int) -> bool:

@@ -48,6 +48,21 @@ def test_gosper_machine_record_round_trip(capsys):
     assert (big_r.shift(1) * r - big_r).is_one()
 
 
+@pytest.mark.parametrize("command, term", [("gosper", "k*fact(k)"), ("zeil", "binom(n,k)^2")])
+def test_each_output_mode_builds_only_its_own_side(command, term, monkeypatch):
+    from telesum.gosper import GosperCertificate
+    from telesum.zeilberger import TelescopingCertificate
+
+    cls = GosperCertificate if command == "gosper" else TelescopingCertificate
+    built = []
+    for side in ("record", "text"):
+        real = getattr(cls, side)
+        monkeypatch.setattr(cls, side, lambda self, s=side, f=real: built.append(s) or f(self))
+    assert main([command, term]) == 0
+    assert main([command, "--machine", term]) == 0
+    assert built == ["text", "record"]
+
+
 def test_parse_error_exit_one_with_caret(capsys):
     assert main(["gosper", "binom(n,k"]) == 1
     err = capsys.readouterr().err

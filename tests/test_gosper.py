@@ -21,6 +21,7 @@ from telesum.gosper import (
 from telesum.hyperterm import eval_term, factored_shift_pair, parse_term, shift_quotient
 from qn_tower import eval_qnk, k_poly, qnk
 from telesum.polynomials import QN, n_poly
+from telesum.serialize import record_to_ratfun
 from telesum.verify import oracle_sum
 
 
@@ -320,3 +321,15 @@ ONE = _rec((("1",),))
 )
 def test_record_values(text, expected):
     assert gosper_antidifference(parse_term(text)).record() == expected
+
+
+@pytest.mark.parametrize("text", SUMMABLE)
+def test_records_lift_to_the_public_values(text):
+    # a --machine record read back by record_to_ratfun is the value the
+    # certificate shows, for each of x, the normal form and R
+    cert = gosper_antidifference(parse_term(text))
+    rec, nf = cert.record(), cert.normal_form
+    values = {"x": cert.x, "a": nf.a, "b": nf.b, "c": nf.c, "z": nf.z, "R": cert.certificate}
+    assert set(values) == set(rec)
+    for name, value in values.items():
+        assert record_to_ratfun(rec[name]) == value, name

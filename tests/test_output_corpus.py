@@ -43,8 +43,7 @@ def test_cli_output_is_byte_identical(row):
 
 # The routines that make Q(n) values or clear them back to Z[n][k], by module.
 Q_N_ROUTINES = {
-    "polynomials": ("clear_qn", "integer_qnk_pair", "zn_ratfun", "_qn_over", "poly_gcd",
-                    "poly_lcm"),
+    "polynomials": ("clear_qn", "integer_qnk_pair", "zn_ratfun", "poly_gcd", "poly_lcm"),
     "hyperterm": ("shift_quotient",),
 }
 
@@ -88,5 +87,4 @@ def test_certificates_and_prefactors_are_not_cleared_again(monkeypatch):
     assert gosper.gosper_normal_form(cert.ratio) == cert.normal_form
     assert cert.x and cert.certificate
     assert {name for name, _, _ in calls} == {
-        "RationalFunction", "shift_quotient", "zn_ratfun", "integer_qnk_pair", "clear_qn",
-        "_qn_over"}
+        "RationalFunction", "shift_quotient", "zn_ratfun", "integer_qnk_pair", "clear_qn"}

@@ -11,8 +11,6 @@ from telesum.polynomials import POLY_K, QN, integer_qnk_pair, n_poly
 from telesum.serialize import (
     bivariate_string,
     kpoly_to_lists,
-    list_to_npoly,
-    lists_to_kpoly,
     npoly_to_list,
     ratfun_to_record,
     ratfun_to_text,
@@ -23,7 +21,7 @@ from telesum.serialize import (
 def test_npoly_round_trip():
     p = n_poly(-2, 0, 7)
     assert npoly_to_list(p) == ["-2", "0", "7"]
-    assert list_to_npoly(npoly_to_list(p)) == p
+    assert record_to_ratfun({"num": [npoly_to_list(p)], "den": [["1"]]}) == QN.coerce(p)
 
 
 def test_npoly_zero():
@@ -45,9 +43,9 @@ def test_kpoly_nested_lists():
 def test_kpoly_round_trip():
     p = k_poly(n_poly(1, 2), n_poly(3))
     lists = [["1", "2"], ["3"]]
-    assert lists_to_kpoly(lists) == p
-    back = lists_to_kpoly(lists)
-    assert back.coeff(0) == QN.coerce(n_poly(1, 2))
+    back = record_to_ratfun({"num": lists, "den": [["1"]]})
+    assert back == p and back.den == POLY_K.one()
+    assert back.num.coeff(0) == QN.coerce(n_poly(1, 2))
 
 
 def test_ratfun_record_round_trip():
@@ -63,6 +61,11 @@ def test_ratfun_record_clears_fractions():
     rec = ratfun_to_record(integer_qnk_pair(f))
     assert rec == {"num": [["1"]], "den": [["2"]]}
     assert record_to_ratfun(rec) == f
+
+
+def test_record_with_a_zero_denominator_is_refused():
+    with pytest.raises(ZeroDivisionError):
+        record_to_ratfun({"num": [["1"]], "den": [["0"]]})
 
 
 def test_bivariate_string_samples():

@@ -368,6 +368,23 @@ def test_transform_power_identity_values():
     assert binomial_value(3, 1) * 2**2 == 12
 
 
+def _direct_power_identity(n, m):
+    """The power identity with both sides term by term, by binomial_value."""
+    lhs = sum(binomial_value(n, i) * binomial_value(m, j) * binomial_value(i + j, n)
+              for i in range(n + 1) for j in range(m + 1))
+    return lhs == binomial_value(n + m, n) * Fraction(2) ** m
+
+
+def test_shared_power_identity_is_the_direct_double_sum():
+    # negative n or m included: both sums are empty and binom(n+m, n) decides
+    points = [(n, m) for n in range(-5, 13) for m in range(-5, 13)]
+    for n, m in points:
+        assert check_transform_power_identity(n, m) == _direct_power_identity(n, m), (n, m)
+    assert verify._power_failure([(n, m) for n, m in points if min(n, m) >= 0]) is None
+    first = next(p for p in points if not _direct_power_identity(*p))
+    assert verify._power_failure(points) == first == (0, -5)
+
+
 def test_lower_triangle_identity():
     for n in range(12):
         assert check_lower_triangle_identity(n)

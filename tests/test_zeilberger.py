@@ -11,7 +11,7 @@ import pytest
 from telesum import linalg
 from telesum.gosper import _normalize_solution
 from telesum.hyperterm import binomial_value, eval_term, parse_term
-from telesum.polynomials import QN, ZnPoly, _qn_over, n_poly
+from telesum.polynomials import QN, ZN, ZNK, Polynomial, ZnPoly, n_poly, zn_ratfun
 from telesum.verify import oracle_sum
 from telesum.zeilberger import (
     BoundaryCheckError,
@@ -133,6 +133,15 @@ def test_record_round_trip_certificate():
     assert rebuilt.check()
 
 
+@pytest.mark.parametrize("text", ["binom(n,k)^2", "binom(n,k)^2*binom(n+k,k)^2",
+                                  "(-1)^k*binom(2n,n+k)^3"])
+def test_record_lifts_to_the_certificate(text):
+    from telesum.serialize import record_to_ratfun
+
+    cert = creative_telescope(parse_term(text))
+    assert record_to_ratfun(cert.record()["R"]) == cert.certificate
+
+
 def test_no_recurrence_at_insufficient_order():
     with pytest.raises(NoRecurrenceFound) as info:
         creative_telescope(parse_term("binom(n,k)^3"), max_order=1)
@@ -145,7 +154,7 @@ def test_normalized_sigmas_have_a_positive_top_and_scale_x_to_match():
     sigmas = [ZnPoly((-2, -2)), ZnPoly(), ZnPoly((0, -4)), ZnPoly()]
     xs = [ZnPoly((6,)), ZnPoly(), ZnPoly((1, 0, 3))]
     rows, scale, coeffs = _normalize_solution(xs, sigmas)
-    x = _qn_over("k", rows, scale)
+    x = zn_ratfun(Polynomial("k", ZN, rows), ZNK.constant(scale)).num
     assert coeffs == (ZnPoly((1, 1)), ZnPoly(), ZnPoly((0, 2)))
     assert all(type(c) is ZnPoly for c in coeffs)
     # one k-free scale for x and sigma: x_i * sigma_j is unchanged up to it
@@ -156,7 +165,7 @@ def test_normalized_sigmas_have_a_positive_top_and_scale_x_to_match():
     assert x.coeffs == (QN.from_int(-3), QN.zero(), QN.coerce(n_poly(half, 0, 3 * half)))
     # Gosper's single sigma always normalizes to 1
     rows, scale, coeffs = _normalize_solution([ZnPoly((4,))], [ZnPoly((0, -2))])
-    x = _qn_over("k", rows, scale)
+    x = zn_ratfun(Polynomial("k", ZN, rows), ZNK.constant(scale)).num
     assert coeffs == (ZnPoly((1,)),)
     assert x.coeffs == (QN.coerce(n_poly(-2)) / QN.coerce(n_poly(0, 1)),)
 
