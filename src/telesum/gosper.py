@@ -271,7 +271,7 @@ class GosperCertificate:
 
     def check(self) -> bool:
         """Exact soundness: R(k+1) * r(k) - R(k) = 1, the telescoping
-        identity with the single coefficient sigma_0 = 1."""
+        identity with the single coefficient sigma_0 = 1 (``telescoping_identity``)."""
         return telescoping_identity(self.term, (POLY_N.one(),), self.certificate_pair)
 
     def text(self) -> str:

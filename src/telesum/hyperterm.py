@@ -12,9 +12,8 @@ Shift quotients F(.., var+1)/F are built factored (``factored_shift_pair``):
 primitive linear factors alpha*k + beta(n) in Z[n][k] from the falling
 products of the factors' linear forms, integers from power bases, and the
 prefactor's pieces.  The Gosper and Zeilberger layers read the factors; the
-certificate check and ``term_ratio_is_one`` compare their products
-(``integer_shift_pair``) cross-multiplied; ``shift_quotient`` reduces such
-a product once into Q(n)(k).
+certificate check and ``term_ratio_is_one`` evaluate them at one integer
+point (``zn_identity``); ``shift_quotient`` reduces their product into Q(n)(k).
 
 Evaluation conventions (fixed, and relied on by every oracle):
 
@@ -40,14 +39,17 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .polynomials import (
+    POLY_N,
     ZN,
     ZNK,
     FactoredRatio,
     Polynomial,
+    PolynomialRing,
     RationalFunction,
     ZnPoly,
     primitive_factors,
     shift_in_n,
+    zn_identity,
     zn_ratfun,
     zn_reduced,
 )
@@ -501,21 +503,13 @@ def factored_shift_pair(
                          *([f for _, fs in s for f in fs] for s in sides))
 
 
-def integer_shift_pair(
-    term: HyperTerm, var: str, binding: ParamBinding | None = None
-) -> tuple[Polynomial, Polynomial]:
-    """T(.., var+1, ..)/T as an unreduced pair (A, B), B nonzero, in Z[n][k]
-    (polynomials in k over ``ZN``): the product of ``factored_shift_pair``."""
-    return factored_shift_pair(term, var, binding).pair()
-
-
 def shift_quotient(
     term: HyperTerm, var: str, binding: ParamBinding | None = None
 ) -> RationalFunction:
     """Exact rational function T(.., var+1, ..)/T as an element of Q(n)(k):
-    the pair of ``integer_shift_pair``, reduced in Z[n][k] with a monic
-    denominator (``zn_ratfun``)."""
-    return zn_ratfun(*integer_shift_pair(term, var, binding))
+    the unreduced pair of ``factored_shift_pair`` multiplied out, reduced in
+    Z[n][k] with a monic denominator (``zn_ratfun``)."""
+    return zn_ratfun(*factored_shift_pair(term, var, binding).pair())
 
 
 def ratio_rational(t1: HyperTerm, t2: HyperTerm) -> tuple[Polynomial, Polynomial]:
@@ -545,18 +539,18 @@ def term_ratio_is_one(
 ) -> bool:
     """True iff t1/t2 is identically 1.
 
-    Both shift quotients of the ratio must be 1 (the integer shift pairs
-    agree cross-multiplied) and the values must agree at one sample point
-    where neither term vanishes or poles; by the usual telescoping argument
-    that pins the ratio everywhere.
+    Both shift quotients of the ratio must be 1 (the shift pairs agree
+    cross-multiplied, by ``zn_identity``) and the values must agree at one
+    sample point where neither term vanishes or poles; by the usual
+    telescoping argument that pins the ratio everywhere.
     """
     a = t1.bind(binding)
     b = t2.bind(binding)
     a.require_bound()
     b.require_bound()
     for var in ("k", "n"):
-        (a1, b1), (a2, b2) = integer_shift_pair(a, var), integer_shift_pair(b, var)
-        if a1 * b2 != a2 * b1:
+        r1, r2 = factored_shift_pair(a, var), factored_shift_pair(b, var)
+        if not zn_identity(lambda at: (at(r1)[0] * at(r2)[1], at(r2)[0] * at(r1)[1])):
             return False
     points = ((total - k0, k0) for total in range(64) for k0 in range(total + 1))
     for n0, k0 in itertools.islice(points, sample_limit):
@@ -599,10 +593,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _Parser:
     """Recursive-descent parser for the term grammar."""
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, divide: bool = False) -> None:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.divide = divide
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -838,6 +833,12 @@ class _Parser:
                 ast = ("mul", ast, self.parse_poly_factor())
             elif kind in ("sym", "int") or (kind == "op" and val == "("):
                 ast = ("mul", ast, self.parse_poly_factor())
+            elif self.divide and kind == "op" and val == "/":
+                self.next()
+                kind, val, pos = self.next()
+                if kind != "int" or not int(val):
+                    raise ParseError("may divide only by a nonzero integer", pos, self.text)
+                ast = ("div", ast, int(val))
             else:
                 return ast
 
@@ -865,26 +866,28 @@ def _single_symbol(sym: str, coeff: int = 1) -> dict:
 _POLY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
-def _poly_eval(ast, binding: ParamBinding | None) -> Polynomial:
-    """Evaluate a polynomial AST into Z[n][k]; parameters need a binding."""
+def _poly_eval(ast, binding: ParamBinding | None, ring=ZNK) -> Polynomial:
+    """Evaluate a polynomial AST into Z[n][k] (Q[n][k] to divide); parameters need a binding."""
     tag = ast[0]
     if tag == "lit":
-        return ZNK.from_int(ast[1])
+        return ring.from_int(ast[1])
     if tag == "sym":
         sym = ast[1]
         if sym == "k":
-            return ZNK.gen()
+            return ring.gen()
         if sym == "n":
-            return ZNK.constant(ZnPoly((0, 1)))
+            return ring.constant(ring.coeff_ring.gen())
         if binding is not None and sym in binding:
-            return ZNK.from_int(int(binding[sym]))
+            return ring.from_int(int(binding[sym]))
         raise UnboundParameterError(f"parameter {sym!r} in a prefactor needs a concrete binding")
     if tag == "neg":
-        return -_poly_eval(ast[1], binding)
+        return -_poly_eval(ast[1], binding, ring)
     if tag in _POLY_OPS:
-        return _POLY_OPS[tag](_poly_eval(ast[1], binding), _poly_eval(ast[2], binding))
+        return _POLY_OPS[tag](_poly_eval(ast[1], binding, ring), _poly_eval(ast[2], binding, ring))
     if tag == "pow":
-        return _poly_eval(ast[1], binding) ** ast[2]
+        return _poly_eval(ast[1], binding, ring) ** ast[2]
+    if tag == "div":
+        return _poly_eval(ast[1], binding, ring).mul_ground(Fraction(1, ast[2]))
     raise AssertionError(f"unknown poly AST node {tag!r}")
 
 
@@ -898,18 +901,17 @@ def parse_linear_form(text: str) -> LinearForm:
 
 
 def parse_n_polynomial(text: str, binding: ParamBinding | None = None) -> Polynomial:
-    """Parse a polynomial in n (parameters need a binding) into Q[n].
-
-    Raises ParseError on malformed text and ValueError when it involves k.
-    """
-    parser = _Parser(f"({text})")
+    """Parse a polynomial in n, its terms perhaps over integers as in
+    ``(n+2)/2``, into Q[n]; parameters need a binding.  Raises ParseError on
+    malformed text and ValueError when it involves k."""
+    parser = _Parser(f"({text})", divide=True)
     ast = parser.parse_poly_primary()
     if parser.peek()[0] != "end":
         parser.fail("trailing input after polynomial")
-    p = _poly_eval(ast, binding)
+    p = _poly_eval(ast, binding, PolynomialRing("k", POLY_N))
     if p.degree > 0:
         raise ValueError(f"may not involve k: {text!r}")
-    return p.coeff(0).to_poly()
+    return p.coeff(0)
 
 
 def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:

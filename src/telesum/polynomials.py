@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 NEG_INFINITY = float("-inf")
 
@@ -1037,6 +1037,9 @@ class IntPolyRing:
     def from_int(self, value: int) -> ZnPoly:
         return ZnPoly((value,))
 
+    def gen(self) -> ZnPoly:
+        return ZnPoly((0, 1))
+
     def coerce(self, value) -> ZnPoly:
         if isinstance(value, ZnPoly):
             return value
@@ -1135,7 +1138,7 @@ def _interpolate_images(
 
 
 # ---------------------------------------------------------------------------
-# factored quotients in Z[n](k)
+# factored quotients in Z[n](k), and identities in Z[n][k] at one point
 
 
 def is_linear(f: Polynomial) -> bool:
@@ -1200,6 +1203,12 @@ class FactoredRatio:
     def pair(self) -> tuple[Polynomial, Polynomial]:
         return zn_product(self.num, self.const[0]), zn_product(self.den, self.const[1])
 
+    def at(self, x: int, y: int, absolute: bool = False) -> tuple[int, int]:
+        """num and den by ``zn_value``, one factor at a time: none is multiplied out."""
+        return tuple(math.prod((zn_value(f, x, y, absolute) ** m for f, m in side.items()),
+                               start=abs(c) if absolute else c)
+                     for c, side in zip(self.const, (self.num, self.den)))
+
     def __mul__(self, other: "FactoredRatio") -> "FactoredRatio":
         return FactoredRatio((self.const[0] * other.const[0], self.const[1] * other.const[1]),
                              self.num + other.num, self.den + other.den)
@@ -1215,3 +1224,36 @@ class FactoredRatio:
         coprime_base(num, den)
         common = num & den
         return FactoredRatio(self.const, num - common, den - common)
+
+
+def zn_value(p: Polynomial, x: int, y: int, absolute: bool = False) -> int:
+    """p in Z[n][k] at (x, y), y = 2^b + s > 0, its coefficients made nonnegative if
+    ``absolute``: by Horner's rule in k, each step a shift and a product by s."""
+    b = y.bit_length() - 1
+    s, acc = y - (1 << b), 0
+    for r in reversed(p.coeffs):
+        acc = (acc << b) + acc * s + (ZnPoly(map(abs, r)) if absolute else r)(x)
+    return acc
+
+
+def zn_identity(sides: Callable) -> bool:
+    """Whether lhs = rhs in Z[n][k], (lhs, rhs) = sides(at), by comparing two
+    ints, with no product polynomial: sides builds both by + and * from leaves
+    at(f, i, s) = f(n+i, k+s) at a point, f in Z[n][k] or a ``FactoredRatio``.
+
+    Write lhs - rhs = sum_b f_b(n) k^b, f_b = sum_a c_ab n^a.  Run on absolute
+    coefficients, which bound those of sums and products, sides gives
+    l1 >= sum |c_ab| at (1, 1), then m >= sum_b |f_b(x)| at (x, 1), where
+    x = 2 * 2^bitlen(l1) > 2*l1.  At (x, y), y = 2 * 2^bitlen(m) > 2*m, it is a
+    proof (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
+    Algebra, 8.4): an integer polynomial g != 0 with coefficients below z/2 in
+    size is c z^t mod z^(t+1) at z, c its least nonzero one, so g(z) != 0.
+    Thus f(x, y) = 0 only if every f_b(x) = 0, and f_b(x) = 0 only if f_b = 0.
+    """
+    def run(x: int, y: int, absolute: bool = False):
+        return sides(lambda f, i=0, s=0: f.at(x + i, y + s, absolute) if isinstance(
+            f, FactoredRatio) else zn_value(f, x + i, y + s, absolute))
+    x = 2 << sum(run(1, 1, True)).bit_length()
+    y = 2 << sum(run(x, 1, True)).bit_length()
+    lhs, rhs = run(x, y)
+    return lhs == rhs

@@ -3,9 +3,9 @@ certificate checks used to confirm every identity the engine handles.
 
 Nothing here trusts the solvers.  Sums are evaluated term by term in
 exact integers over one running denominator; telescoping claims are
-re-checked as cross-multiplied polynomial identities in Z[n][k] on the
-certificate's integer pair, which needs no gcd; auxiliary parameters are
-bound to integers before checking.
+re-checked as polynomial identities in Z[n][k] on the certificate's integer
+pair, at one Kronecker point (``zn_identity``), which needs no gcd and no
+product polynomial; auxiliary parameters are bound to integers before checking.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from .hyperterm import (
     ParamBinding,
     binomial_value,
     eval_term,
-    integer_shift_pair,
+    factored_shift_pair,
     ratio_rational,
     term_ratio_is_one,
 )
-from .polynomials import ZN, Polynomial, ZnPoly, shift_in_n
+from .polynomials import ZNK, Polynomial, ZnPoly, zn_identity
 
 
 class VerificationError(Exception):
@@ -100,33 +100,29 @@ def telescoping_identity(
     with T_j = F(n+j,k)/F(n,k) = prod_{i<j} r_n(n+i, k), r_k and r_n the
     shift quotients of F, sigma_j = coeffs[j] and R the certificate.
 
-    It is checked cross-multiplied in Z[n][k], polynomials in k over ``ZN``,
-    with no gcd: r_k = A/B, r_n = C/D (integer_shift_pair), R = P/Q (the
-    certificate's pair), sigma_j = s_j/e over one integer e > 0.  The left side is
-    L/(e*Delta) with Delta = prod_{i<J} D(n+i), J = len(coeffs) - 1, and
-    L = sum_j s_j prod_{i<j} C(n+i) prod_{j<=i<J} D(n+i).  B, Q and Delta
-    are nonzero and Z[n][k] is an integral domain, so the identity holds
-    exactly when (L*Q + e*Delta*P) * B*Q(k+1) = e*Delta*A*P(k+1) * Q.
-    """
-    a, b = integer_shift_pair(term, "k")
+    With r_k = A/B, r_n = C/D (``factored_shift_pair``), R = P/Q and sigma_j
+    = s_j/e over one integer e > 0, the left side is L/(e*Delta), Delta =
+    prod_{i<J} D(n+i), J = len(coeffs) - 1, L = sum_j s_j prod_{i<j} C(n+i)
+    prod_{j<=i<J} D(n+i) (by Horner's rule).  B, Q, Delta != 0 in the domain
+    Z[n][k], so the identity holds exactly when (L*Q + e*Delta*P) * B*Q(k+1)
+    = e*Delta*A*P(k+1) * Q, which ``zn_identity`` decides from the factors."""
     p, q = certificate
-    order = len(coeffs) - 1
-    c, d = integer_shift_pair(term, "n") if order > 0 else (None, None)
-    cs = [shift_in_n(c, i) for i in range(order)]
-    ds = [shift_in_n(d, i) for i in range(order)]
     e = math.lcm(*(v.denominator for s in coeffs for v in s.coeffs))
-    total = Polynomial("k", ZN, ())
-    for j, s in enumerate(coeffs):
-        t = Polynomial("k", ZN, (ZnPoly(int(v * e) for v in s.coeffs),))
-        if not t:
-            continue
-        for factor in cs[:j] + ds[j:]:
-            t = t * factor
-        total = total + t
-    e_delta = Polynomial("k", ZN, (ZN.from_int(e),))
-    for factor in ds:
-        e_delta = e_delta * factor
-    return (total * q + e_delta * p) * (b * q.shift(1)) == e_delta * a * p.shift(1) * q
+    sigmas = [ZNK.constant(ZnPoly(int(v * e) for v in s.coeffs)) for s in coeffs] or [ZNK.zero()]
+    r_k = factored_shift_pair(term, "k")
+    r_n = factored_shift_pair(term, "n") if len(coeffs) > 1 else None
+
+    def sides(at):
+        (a, b), p_at, q_at = at(r_k), at(p), at(q)
+        lhs, e_delta, rising = at(sigmas[0]), at(ZNK.from_int(e)), at(ZNK.one())
+        for i, s in enumerate(sigmas[1:]):
+            c, d = at(r_n, i)
+            rising = rising * c
+            lhs, e_delta = lhs * d + at(s) * rising, e_delta * d
+        return ((lhs * q_at + e_delta * p_at) * (b * at(q, 0, 1)),
+                e_delta * q_at * (a * at(p, 0, 1)))
+
+    return zn_identity(sides)
 
 
 @dataclass(frozen=True)

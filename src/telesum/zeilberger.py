@@ -5,9 +5,9 @@ and a rational certificate R(n, k) with
 
     sum_j sigma_j(n) F(n+j, k) = G(n, k+1) - G(n, k),   G = R * F,
 
-verified exactly as a cross-multiplied identity in Z[n][k].  Summing over
-k then turns the right side into boundary terms; when the summand vanishes
-outside its natural support the sum w(n) = sum_k F(n, k) satisfies
+verified exactly as an identity in Z[n][k], at one Kronecker point.  Summing
+over k then turns the right side into boundary terms; when the summand
+vanishes outside its natural support the sum w(n) = sum_k F(n, k) satisfies
 sum_j sigma_j w(n+j) = 0.
 
 The search runs gosper.parameterized_gosper with the right-hand sides
@@ -126,8 +126,8 @@ class TelescopingCertificate:
 
     def check(self) -> bool:
         """Exact identity sum_j sigma_j t_j = R(k+1) r(k) - R(k), where
-        t_j = F(n+j,k)/F(n,k) and r is the k-shift quotient of F, checked
-        cross-multiplied in Z[n][k] by verify.telescoping_identity."""
+        t_j = F(n+j,k)/F(n,k) and r is the k-shift quotient of F, checked in
+        Z[n][k] at one Kronecker point by verify.telescoping_identity."""
         return telescoping_identity(self.term, self.recurrence.coeffs, self.certificate_pair)
 
     def text(self) -> str:

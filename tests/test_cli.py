@@ -166,6 +166,21 @@ def test_wz_check_zero_companion_is_zero_times_f(g_term, coeffs, code, out, caps
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize("coeff, code", [("(n+2)/2", 0), ("n/2+1", 0), ("(n+2)/3", 4)])
+def test_wz_check_reads_a_coefficient_over_an_integer(coeff, code, capsys):
+    # (-n-1) F(n) + (n+2)/2 F(n+1) telescopes for F = binom(n,k)/(n+1)
+    argv = ["wz-check", "binom(n,k)/(n+1)", "binom(n,k)*k/(2*(k-n-1))", "--coeff=-n-1"]
+    assert main(argv + [f"--coeff={coeff}"]) == code
+    assert capsys.readouterr().out.startswith("WZ pair verified" if code == 0 else "WZ check failed")
+
+
+@pytest.mark.parametrize("coeff", ["n/(n+1)", "(n+2)/k", "n/0", "n/-2"])
+def test_wz_check_refuses_a_divisor_that_is_not_a_nonzero_integer(coeff, capsys):
+    assert main(["wz-check", "2^n", "0", "--coeff=-2", f"--coeff={coeff}"]) == 1
+    captured = capsys.readouterr()
+    assert "may divide only by a nonzero integer" in captured.err and captured.out == ""
+
+
 LARGE = 10**18 + 9
 
 

@@ -35,7 +35,6 @@ from telesum.hyperterm import (
     PowerFactor,
     eval_term,
     factored_shift_pair,
-    integer_shift_pair,
     parse_term,
     shift_quotient,
     term_ratio_is_one,
@@ -55,6 +54,7 @@ from telesum.polynomials import (
     shift_in_n,
     zn_product,
     zn_ratfun,
+    zn_value,
 )
 from telesum.verify import _exact_sum, oracle_sum
 from telesum.zeilberger import (
@@ -288,7 +288,7 @@ def _at(p, n: int, k: int) -> int:
 @settings(max_examples=60, deadline=None)
 @given(terms, st.sampled_from(["k", "n"]))
 def test_integer_shift_pair_is_the_ratio_of_values(term, var):
-    num, den = integer_shift_pair(term, var)
+    num, den = factored_shift_pair(term, var).pair()
     value = term.evaluator()
     for n in N_RANGE:
         for k in K_WINDOW:
@@ -379,12 +379,28 @@ def _unfactored_shift_pair(term: HyperTerm, var: str):
 @given(terms, st.sampled_from(["k", "n"]))
 def test_factored_pair_multiplies_out_to_the_unfactored_pair(term, var):
     ratio = factored_shift_pair(term, var)
-    assert ratio.pair() == integer_shift_pair(term, var) == _unfactored_shift_pair(term, var)
+    assert ratio.pair() == _unfactored_shift_pair(term, var)
     for f in list(ratio.num) + list(ratio.den):
         assert f.lc()[-1] > 0 and (f.degree < 1 or f == _primitive(f))
     reduced = ratio.cancelled()
     assert zn_ratfun(*reduced.pair()) == shift_quotient(term, var)
     assert not (set(reduced.num) & set(reduced.den))
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms, st.sampled_from(["k", "n"]), st.integers(0, 3), st.integers(0, 1))
+def test_factored_pair_at_a_point_is_the_products_value_there(term, var, i, s):
+    """at() is the product's value at (n, k); with ``absolute`` it bounds the
+    product's absolute coefficients at (n, k), and at (1 + i, 1 + s) the l1
+    norm of the product at (n + i, k + s)."""
+    ratio = factored_shift_pair(term, var)
+    for x, y in ((3, 5), (2**20 + i, 2**90 + s), (1, 1)):
+        assert ratio.at(x, y) == tuple(zn_value(p, x, y) for p in ratio.pair())
+        for bound, p in zip(ratio.at(x, y, True), ratio.pair()):
+            assert bound >= zn_value(p, x, y, True)
+    for bound, p in zip(ratio.at(1 + i, 1 + s, True), ratio.pair()):
+        shifted = shift_in_n(p, i).shift(s)
+        assert bound >= sum(abs(c) for r in shifted.coeffs for c in r)
 
 
 def _primitive(f):
@@ -507,8 +523,8 @@ def test_term_ratio_is_one_agrees_with_the_reduced_comparison(term, which, rewri
     if rewrite:
         other = _as_factorials(other)
     for var in ("k", "n"):
-        a1, b1 = integer_shift_pair(term, var)
-        a2, b2 = integer_shift_pair(other, var)
+        a1, b1 = factored_shift_pair(term, var).pair()
+        a2, b2 = factored_shift_pair(other, var).pair()
         assert (a1 * b2 == a2 * b1) == (shift_quotient(term, var) == shift_quotient(other, var))
     same_quotients = all(shift_quotient(term, v) == shift_quotient(other, v) for v in "kn")
     assert same_quotients == (which < 3)

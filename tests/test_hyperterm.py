@@ -21,7 +21,7 @@ from telesum.hyperterm import (
     UnboundParameterError,
     binomial_value,
     eval_term,
-    integer_shift_pair,
+    factored_shift_pair,
     parse_linear_form,
     parse_n_polynomial,
     parse_term,
@@ -476,6 +476,18 @@ def test_parse_n_polynomial():
         parse_n_polynomial("n+")
 
 
+def test_parse_n_polynomial_divides_by_integer_constants():
+    half = Fraction(1, 2)
+    assert parse_n_polynomial("(n+2)/2") == parse_n_polynomial("n/2+1") == n_poly(1, half)
+    assert parse_n_polynomial("-n/2") == n_poly(0, -half)
+    assert parse_n_polynomial("(r+1)n/4/3", {"r": 2}) == n_poly(0, Fraction(1, 4))
+    for text in ("n/n", "n/(n+1)", "(n+2)/k", "n/0", "n/r"):
+        with pytest.raises(ParseError, match="may divide only by a nonzero integer"):
+            parse_n_polynomial(text, {"r": 2})
+    with pytest.raises(ParseError):  # the term grammar still has no division inside a factor
+        parse_term("binom(n,k)*(n/2)")
+
+
 # -- power bases: negative and rational ------------------------------------
 
 
@@ -529,12 +541,12 @@ def test_zero_base_with_symbolic_or_negative_exponent_is_a_parse_error(text):
 def test_integer_shift_pair_refuses_a_hand_built_zero_base(var):
     t = HyperTerm([(PowerFactor(Fraction(0), LinearForm.make(0, 1, 0)), 1)], _ONE)
     with pytest.raises(ValueError):
-        integer_shift_pair(t, var)
+        factored_shift_pair(t, var)
 
 
 def test_integer_shift_pair_is_unreduced_and_lifts_to_shift_quotient():
     t = parse_term("binom(2k,k)")
-    a, b = integer_shift_pair(t, "k")
+    a, b = factored_shift_pair(t, "k").pair()
     # (2k+1)(2k+2)/(k+1)^2, the common factor k+1 still in place
     assert a.degree == 2 and b.degree == 2
     assert shift_quotient(t, "k") == RationalFunction(k_poly(2, 4), k_poly(1, 1))

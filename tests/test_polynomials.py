@@ -29,6 +29,7 @@ from telesum.polynomials import (
     poly_lcm,
     resultant,
     shift_in_n,
+    zn_identity,
     zn_reduced,
 )
 
@@ -654,3 +655,41 @@ def test_rational_function_reduces_as_the_long_division_did(num, den, common):
         num, den = num * common, den * common
     f = RationalFunction(num, den)
     assert (f.num, f.den) == _reduced_by_division(num, den)
+
+
+# -- identities in Z[n][k] at one Kronecker point ---------------------------
+
+
+def _znk(*rows) -> Polynomial:
+    """A polynomial in k over Z[n] from ascending rows of ints."""
+    return Polynomial("k", ZN, [ZnPoly(r) for r in rows])
+
+
+def _same(f: Polynomial, g: Polynomial) -> bool:
+    return zn_identity(lambda at: (at(f), at(g)))
+
+
+@pytest.mark.parametrize("t", range(1, 40))
+def test_zn_identity_is_not_fooled_by_a_root_at_a_power_of_two(t):
+    """n - 2^t vanishes at n = 2^t and k - n^t at k = n^t: the point must
+    grow with the coefficients and the n-degree of both sides."""
+    n, k = _znk((0, 1)), _znk((), (1,))
+    assert not _same(n, _znk((2**t,)))
+    assert not _same(n * n, _znk((0, 2**t)))
+    assert not _same(k, _znk((0,) * t + (1,)))
+    assert not _same(k * _znk((2**t,)), _znk((0, 1), (0, 1)))  # 2^t k vs n(k + 1)
+    assert _same(n * n, _znk((0, 0, 1)))
+
+
+znk_polys = st.lists(coeff_lists, max_size=4).map(lambda rows: _znk(*rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(znk_polys, znk_polys, znk_polys, st.integers(0, 3), st.integers(0, 2))
+def test_zn_identity_is_polynomial_equality(f, g, h, i, s):
+    assert _same(f, g) == (f == g)
+    assert zn_identity(lambda at: (at(f) * (at(g) + at(h)), at(f * g + f * h)))
+    shifted = shift_in_n(f, i).shift(s)
+    assert zn_identity(lambda at: (at(f, i, s), at(shifted)))
+    assert zn_identity(lambda at: (at(f, i, s) * at(g), at(shifted * g)))
+    assert not zn_identity(lambda at: (at(f, i, s), at(shifted + _znk((0, 1)))))

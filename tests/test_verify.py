@@ -14,8 +14,24 @@ from hypothesis import strategies as st
 from telesum import verify
 
 from telesum.gosper import gosper_antidifference
-from telesum.hyperterm import binomial_value, parse_term, ratio_rational, shift_quotient
-from telesum.polynomials import POLY_N, QN, integer_qnk_pair, n_poly, shift_in_n, zn_ratfun
+from telesum.hyperterm import (
+    binomial_value,
+    factored_shift_pair,
+    parse_term,
+    ratio_rational,
+    shift_quotient,
+)
+from telesum.polynomials import (
+    POLY_N,
+    QN,
+    ZN,
+    Polynomial,
+    ZnPoly,
+    integer_qnk_pair,
+    n_poly,
+    shift_in_n,
+    zn_ratfun,
+)
 from telesum.verify import (
     VerificationError,
     WZPair,
@@ -33,7 +49,13 @@ from telesum.verify import (
     sum_table,
     telescoping_identity,
 )
-from telesum.zeilberger import Recurrence, TelescopingCertificate, creative_telescope
+from telesum.zeilberger import (
+    NoRecurrenceFound,
+    Recurrence,
+    TelescopingCertificate,
+    creative_telescope,
+)
+from test_generated_terms import natural_terms, terms
 
 F1_TEXT = "binom(n+r,n)binom(r+k,r-1)binom(n+k,n)"
 G1_TEXT = "(-1)binom(n+r,n)binom(r+k,r-1)binom(n+k,n)*k(k+1)/(n+1)"
@@ -68,12 +90,37 @@ def test_check_telescoping_wrong_sign_fails():
     assert not check_telescoping(f, g_wrong, COUPLE_COEFFS)
 
 
-# -- the cross-multiplied identity check against the Q(n)(k) summation ----
+# -- the identity check at one point against the cross-multiplied one -----
+
+
+def _cross_multiplied_identity(term, coeffs, certificate):
+    """The check that telescoping_identity replaced, kept here as its
+    reference: (L*Q + e*Delta*P) * B*Q(k+1) = e*Delta*A*P(k+1) * Q with
+    every product multiplied out in Z[n][k]."""
+    a, b = factored_shift_pair(term, "k").pair()
+    p, q = certificate
+    order = len(coeffs) - 1
+    c, d = factored_shift_pair(term, "n").pair() if order > 0 else (None, None)
+    cs = [shift_in_n(c, i) for i in range(order)]
+    ds = [shift_in_n(d, i) for i in range(order)]
+    e = math.lcm(*(v.denominator for s in coeffs for v in s.coeffs))
+    total = Polynomial("k", ZN, ())
+    for j, s in enumerate(coeffs):
+        t = Polynomial("k", ZN, (ZnPoly(int(v * e) for v in s.coeffs),))
+        if not t:
+            continue
+        for factor in cs[:j] + ds[j:]:
+            t = t * factor
+        total = total + t
+    e_delta = Polynomial("k", ZN, (ZN.from_int(e),))
+    for factor in ds:
+        e_delta = e_delta * factor
+    return (total * q + e_delta * p) * (b * q.shift(1)) == e_delta * a * p.shift(1) * q
 
 
 def _reference_identity(term, coeffs, certificate):
-    """The summation in Q(n)(k) that telescoping_identity replaced, kept
-    here as its reference: every addition and product reduces by a gcd."""
+    """The summation in Q(n)(k) that the Z[n][k] checks replaced, kept here
+    as a second reference: every addition and product reduces by a gcd."""
     r_k = shift_quotient(term, "k")
     r_n = shift_quotient(term, "n")
     lhs = certificate.field.zero()
@@ -86,8 +133,14 @@ def _reference_identity(term, coeffs, certificate):
     return lhs == certificate.shift(1) * r_k - certificate
 
 
+def _agree_in_znk(term, coeffs, pair):
+    got = telescoping_identity(term, coeffs, pair)
+    assert got == _cross_multiplied_identity(term, coeffs, pair)
+    return got
+
+
 def _agree(term, coeffs, certificate):
-    got = telescoping_identity(term, coeffs, integer_qnk_pair(certificate))
+    got = _agree_in_znk(term, coeffs, integer_qnk_pair(certificate))
     assert got == _reference_identity(term, coeffs, certificate)
     return got
 
@@ -114,11 +167,7 @@ def test_identity_check_on_ladder_certificates(text, order):
     assert cert.recurrence.order == order
     assert _agree(cert.term, coeffs, cert.certificate)
     for bad_coeffs, bad_cert in _tamperings(coeffs, cert.certificate):
-        # at order 2 the reference's gcds blow up on a k-shifted R (minutes)
-        if order == 1:
-            assert not _agree(cert.term, bad_coeffs, bad_cert)
-        else:
-            assert not telescoping_identity(cert.term, bad_coeffs, integer_qnk_pair(bad_cert))
+        assert not _agree_in_znk(cert.term, bad_coeffs, integer_qnk_pair(bad_cert))
     tampered = TelescopingCertificate(
         cert.term, Recurrence((coeffs[0] + 1,) + coeffs[1:]), cert.certificate_pair
     )
@@ -170,6 +219,86 @@ def test_identity_check_with_zero_sigma_entries():
     third = Fraction(1, 3)
     assert _agree(term, tuple(c * third for c in coeffs), R2 * third)
     assert not _agree(term, tuple(c * third for c in coeffs), R2)
+
+
+ZERO_CERT = (Polynomial("k", ZN, ()), Polynomial("k", ZN, (ZnPoly((1,)),)))  # R = 0/1
+
+
+@pytest.mark.parametrize("sigma_0, holds", [(-2, True), (-3, False), (0, False)])
+def test_identity_check_with_a_zero_certificate(sigma_0, holds):
+    """P = 0: sigma_0 F(n) + F(n+1) = 0 for F = 2^n and 2^n * binom(n, k)
+    only with sigma_0 = -2, the second with nothing to telescope in k."""
+    coeffs = (n_poly(sigma_0), n_poly(1))
+    assert _agree_in_znk(parse_term("2^n"), coeffs, ZERO_CERT) is holds
+    assert _agree_in_znk(parse_term("2^n"), coeffs[:1], ZERO_CERT) is (sigma_0 == 0)
+    assert _agree_in_znk(parse_term("2^n"), (), ZERO_CERT)  # no sigma: 0 = R(k+1) r_k - R
+    assert check_telescoping(parse_term("2^n"), parse_term("0"), coeffs) is holds
+    assert not WZPair(parse_term("binom(n,k)"), parse_term("binom(n,k)"), ()).check()
+    assert not _agree_in_znk(parse_term("2^n*binom(n,k)"), coeffs, ZERO_CERT)
+
+
+def test_identity_check_is_not_fooled_by_a_root_at_a_power_of_two():
+    """-2n F(n) + 2^t F(n+1) = 2(2^t - n) F(n) for F = 2^n is zero only at
+    n = 2^t, so no fixed point n = 2^t can decide it."""
+    for t in range(1, 40):
+        assert not _agree_in_znk(parse_term("2^n"), (n_poly(0, -2), n_poly(2**t)), ZERO_CERT)
+    assert _agree_in_znk(parse_term("2^n"), (n_poly(0, -2), n_poly(0, 1)), ZERO_CERT)
+
+
+def _differential(term, coeffs, pair, data):
+    """The certificate, with sigma and R divided by one m (so e = m), passes
+    both checks; one coefficient of P, Q or a sigma_j moved by +-1 gets the
+    same verdict from both."""
+    m = data.draw(st.sampled_from([1, 2, 3]), "m")
+    coeffs = [c * Fraction(1, m) for c in coeffs]
+    pair = [pair[0], pair[1] * m]
+    assert _agree_in_znk(term, coeffs, tuple(pair))
+    step = data.draw(st.sampled_from([1, -1]), "step")
+    where = data.draw(st.sampled_from(["P", "Q", "sigma"]), "where")
+    if where == "sigma":
+        j = data.draw(st.integers(0, len(coeffs) - 1), "j")
+        a = data.draw(st.integers(0, len(coeffs[j].coeffs)), "a")
+        coeffs[j] = coeffs[j] + n_poly(*[0] * a, step)
+    else:
+        rows = [list(r) for r in pair[where == "Q"].coeffs]
+        b = data.draw(st.integers(0, len(rows)), "b")
+        rows += [[]] * (b + 1 - len(rows))
+        a = data.draw(st.integers(0, max(map(len, rows))), "a")
+        rows[b] += [0] * (a + 1 - len(rows[b]))
+        rows[b][a] += step
+        pair[where == "Q"] = Polynomial("k", ZN, [ZnPoly(r) for r in rows])
+        if not pair[1]:
+            return
+    _agree_in_znk(term, coeffs, tuple(pair))
+
+
+@settings(max_examples=40, deadline=None)
+@given(natural_terms, st.data())
+def test_identity_check_is_the_cross_multiplied_one_on_zeilberger_certificates(term, data):
+    try:
+        cert = creative_telescope(term, max_order=2)
+    except NoRecurrenceFound:
+        return
+    _differential(cert.term, cert.recurrence.coeffs, cert.certificate_pair, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms, st.data())
+def test_identity_check_is_the_cross_multiplied_one_on_gosper_certificates(g, data):
+    step = shift_quotient(g, "k") - 1
+    if not step:
+        return  # G does not depend on k
+    cert = gosper_antidifference(g.scale_rational(integer_qnk_pair(step)))
+    _differential(cert.term, (POLY_N.one(),), cert.certificate_pair, data)
+
+
+def test_every_solver_raises_when_its_certificate_fails_the_check(monkeypatch):
+    monkeypatch.setattr(verify, "zn_identity", lambda sides: False)
+    with pytest.raises(AssertionError, match="internal error"):
+        gosper_antidifference(parse_term("k*fact(k)"))
+    with pytest.raises(AssertionError, match="internal error"):
+        creative_telescope(parse_term("binom(n,k)^2"))
+    assert not WZPair(parse_term("2^n"), parse_term("0"), (n_poly(-2), n_poly(1))).check()
 
 
 def test_wz_pair_check_on_grid():
