@@ -187,9 +187,9 @@ def parameterized_gosper(
 
     for x and constants sigma_j in Q(n), given rhs = [p_0, ..., p_J] in
     Z[n][k], as one nullspace over Z[n]: with the monic a, b, c of nf, the
-    equation times zd*lc(a)*lc(b)*lc(c) is in Z[n][k], its integer content
-    divided out.  When d is None only x = 0 can occur; with a single nonzero
-    p_0 the only solution is then sigma_0 = 0, and no elimination is run.
+    equation times zd*lc(a)*lc(b)*lc(c) is in Z[n][k].  When d is None only
+    x = 0 can occur; with a single nonzero p_0 the only solution is then
+    sigma_0 = 0, and no elimination is run.
     Returns d and the first solution with some sigma_j nonzero, normalized
     by ``_normalize_solution``, or None.  With rhs [1] this is Gosper's
     equation: sigma is (1,) and the free coefficients of x are zero.
@@ -200,11 +200,8 @@ def parameterized_gosper(
         return d, None
     nx = 0 if d is None else d + 1
     la, lb, lc = nf.a.lc(), nf.b.lc(), nf.c.lc()
-    parts = ([nf.a * (nf.zn * lb * lc), nf.b.shift(-1) * (nf.zd * la * lc)]
-             + [nf.c * p * (nf.zd * la * lb) for p in rhs])
-    content = math.gcd(*(v for p in parts for c in p.coeffs for v in c))
-    za, B, *cps = [Polynomial("k", ZN, [ZnPoly([v // content for v in c]) for c in p.coeffs])
-                   for p in parts]
+    za, B, *cps = ([nf.a * (nf.zn * lb * lc), nf.b.shift(-1) * (nf.zd * la * lc)]
+                   + [nf.c * p * (nf.zd * la * lb) for p in rhs])
     k = Polynomial("k", ZN, (ZN.zero(), ZN.one()))
     cols = [za * (k + 1)**i - B * k**i for i in range(nx)] + [-cp for cp in cps]
     height = max(int(col.degree) for col in cols if col) + 1
@@ -289,7 +286,8 @@ def gosper_antidifference(
     """Decide indefinite summability of the term; raises NotSummableError."""
     t = term.bind(binding)
     t.require_bound()
-    nf = factored_normal_form(factored_shift_pair(t, "k").cancelled())
+    r_k = factored_shift_pair(t, "k")
+    nf = factored_normal_form(r_k.cancelled())
     d, solution = parameterized_gosper(nf, [ZNK.one()])
     if d is None:
         raise NotSummableError(
@@ -300,7 +298,7 @@ def gosper_antidifference(
     x, scale, _ = solution
     x_pair = zn_reduced(Polynomial("k", ZN, x), ZNK.constant(scale))
     result = GosperCertificate(t, nf, x_pair, certificate(nf, x, scale))
-    if not result.check():
+    if not telescoping_identity(t, (POLY_N.one(),), result.certificate_pair, r_k):
         raise AssertionError("internal error: certificate failed its own check")
     return result
 

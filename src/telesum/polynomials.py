@@ -740,37 +740,26 @@ def _int_roots(ints: list[int]) -> list[int]:
 # resultants and dispersion
 
 
-def bareiss(ring, rows: list[list], ncols: int) -> tuple[list[tuple[int, int]], int]:
-    """Fraction-free (Bareiss) echelon form of rows over an integral domain.
-
-    Works in place.  Pivots are sought only in the first ncols columns;
-    later columns ride along as right-hand sides.  Every division is exact
-    (``ring.exact_div``), so entries stay in the ring; on a square matrix
-    of full rank the last pivot is the determinant of the row-permuted
-    matrix.  Returns the pivot (row, column) pairs in order and the sign,
-    +1 or -1, of the row permutation.
-    """
-    pivots: list[tuple[int, int]] = []
-    sign = 1
-    zero, prev = ring.zero(), ring.one()
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+def bareiss(ring, rows: list[list]):
+    """Determinant of a square matrix over an integral domain, by
+    fraction-free (Bareiss) elimination in place: every division is exact
+    (``ring.exact_div``), so entries stay in the ring, and the last pivot
+    is the determinant of the row-permuted matrix."""
+    sign, prev = 1, ring.one()
+    for c in range(len(rows)):
+        sel = next((i for i in range(c, len(rows)) if rows[i][c]), None)
         if sel is None:
-            continue
-        if sel != r:
-            rows[r], rows[sel] = rows[sel], rows[r]
+            return ring.zero()
+        if sel != c:
+            rows[c], rows[sel] = rows[sel], rows[c]
             sign = -sign
-        piv = rows[r][c]
-        for i in range(r + 1, len(rows)):
+        piv = rows[c][c]
+        for i in range(c + 1, len(rows)):
             head = rows[i][c]
-            for j in range(c + 1, len(rows[i])):
-                rows[i][j] = ring.exact_div(piv * rows[i][j] - head * rows[r][j], prev)
-            rows[i][c] = zero
-        pivots.append((r, c))
+            for j in range(c + 1, len(rows)):
+                rows[i][j] = ring.exact_div(piv * rows[i][j] - head * rows[c][j], prev)
         prev = piv
-        r += 1
-    return pivots, sign
+    return -prev if sign < 0 else prev
 
 
 def resultant(p: Polynomial, q: Polynomial):
@@ -801,11 +790,7 @@ def resultant(p: Polynomial, q: Polynomial):
         rows.append([zero] * i + pc + [zero] * (size - i - dp - 1))
     for i in range(dp):
         rows.append([zero] * i + qc + [zero] * (size - i - dq - 1))
-    pivots, sign = bareiss(ring, rows, size)
-    if len(pivots) < size:
-        return zero
-    det = rows[-1][-1]
-    return -det if sign < 0 else det
+    return bareiss(ring, rows)
 
 
 def _shift_resultant_roots(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> list[int]:

@@ -26,7 +26,7 @@ from .hyperterm import (
     ratio_rational,
     term_ratio_is_one,
 )
-from .polynomials import ZNK, Polynomial, ZnPoly, zn_identity
+from .polynomials import ZNK, FactoredRatio, Polynomial, ZnPoly, zn_identity
 
 
 class VerificationError(Exception):
@@ -94,7 +94,8 @@ def check_telescoping(
 
 
 def telescoping_identity(
-    term: HyperTerm, coeffs: Sequence[Polynomial], certificate: tuple[Polynomial, Polynomial]
+    term: HyperTerm, coeffs: Sequence[Polynomial], certificate: tuple[Polynomial, Polynomial],
+    r_k: FactoredRatio | None = None, r_n: FactoredRatio | None = None,
 ) -> bool:
     """Exact identity sum_j sigma_j(n) T_j = R(k+1) r_k - R for a bound term F,
     with T_j = F(n+j,k)/F(n,k) = prod_{i<j} r_n(n+i, k), r_k and r_n the
@@ -105,12 +106,13 @@ def telescoping_identity(
     prod_{i<J} D(n+i), J = len(coeffs) - 1, L = sum_j s_j prod_{i<j} C(n+i)
     prod_{j<=i<J} D(n+i) (by Horner's rule).  B, Q, Delta != 0 in the domain
     Z[n][k], so the identity holds exactly when (L*Q + e*Delta*P) * B*Q(k+1)
-    = e*Delta*A*P(k+1) * Q, which ``zn_identity`` decides from the factors."""
+    = e*Delta*A*P(k+1) * Q, which ``zn_identity`` decides from the factors.
+    A solver that holds r_k and r_n passes them; otherwise they are built."""
     p, q = certificate
     e = math.lcm(*(v.denominator for s in coeffs for v in s.coeffs))
     sigmas = [ZNK.constant(ZnPoly(int(v * e) for v in s.coeffs)) for s in coeffs] or [ZNK.zero()]
-    r_k = factored_shift_pair(term, "k")
-    r_n = factored_shift_pair(term, "n") if len(coeffs) > 1 else None
+    r_k = r_k or factored_shift_pair(term, "k")
+    r_n = (r_n or factored_shift_pair(term, "n")) if len(coeffs) > 1 else None
 
     def sides(at):
         (a, b), p_at, q_at = at(r_k), at(p), at(q)

@@ -156,7 +156,7 @@ def creative_telescope(
     t_list = [FactoredRatio()]
     for order in range(1, max_order + 1):
         t_list.append((t_list[-1] * r_n.shift_n(order - 1)).cancelled())
-        found = _attempt(t, r_k, t_list)
+        found = _attempt(t, r_k, r_n, t_list)
         if found is not None:
             return found
     raise NoRecurrenceFound(max_order)
@@ -174,7 +174,7 @@ def _common_denominator(t_list: list[FactoredRatio]) -> tuple[Counter, int, list
 
 
 def _attempt(
-    t: HyperTerm, r_k: FactoredRatio, t_list: list[FactoredRatio]
+    t: HyperTerm, r_k: FactoredRatio, r_n: FactoredRatio, t_list: list[FactoredRatio]
 ) -> TelescopingCertificate | None:
     q, scale, p_list = _common_denominator(t_list)
     rho = r_k * FactoredRatio((1, 1), q, (f.shift(1) for f in q.elements()))
@@ -185,7 +185,7 @@ def _attempt(
     x, x_scale, sigma = solution
     result = TelescopingCertificate(t, Recurrence(tuple(s.to_poly() for s in sigma)),
                                     certificate(nf, x, x_scale, zn_product(q, scale)))
-    if not result.check():
+    if not telescoping_identity(t, result.recurrence.coeffs, result.certificate_pair, r_k, r_n):
         raise AssertionError("internal error: telescoping check failed")
     return result
 

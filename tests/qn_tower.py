@@ -53,3 +53,32 @@ def eval_qnk(value: RationalFunction, n: int, k: int) -> Fraction:
         raise ZeroDivisionError(f"pole at (n, k) = ({n}, {k})")
     nval = num.map_coeffs(lambda c: c.evaluate(nf), QQ).evaluate(kf)
     return nval / dval
+
+
+def rref_nullspace(matrix: list[list], ncols: int) -> list[list]:
+    """Reference: Gauss-Jordan over Q(n), one vector per free column."""
+    rows = [[QN.coerce(e) for e in row] for row in matrix]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = rows[r][c]
+        rows[r] = [e / inv for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [QN.zero()] * ncols
+        v[fc] = QN.one()
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][fc]
+        basis.append(v)
+    return basis

@@ -1,16 +1,19 @@
-"""Fraction-free linear solving over Q and over Q(n), and nullspaces over Z[n]."""
+"""Linear solving over Q and over Q(n), and modular nullspaces over Z[n]."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from telesum import linalg
+from telesum import linalg, polynomials
 from telesum.linalg import nullspace, solve_linear_system
-from telesum.polynomials import QN, QQ, RationalFunction, ZnPoly, clear_qn, n_poly
+from telesum.polynomials import QN, RationalFunction, ZnPoly, _int_gcd, clear_qn, n_poly
+
+from qn_tower import rref_nullspace
 
 
 def _q(v) -> Fraction:
@@ -156,35 +159,6 @@ def test_nullspace_vectors_annihilate(matrix):
             assert sum(a * x for a, x in zip(row, v)) == 0
 
 
-def _rref_nullspace(matrix: list[list], ncols: int) -> list[list]:
-    """Reference: Gauss-Jordan over Q(n), one vector per free column."""
-    rows = [[QN.coerce(e) for e in row] for row in matrix]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = rows[r][c]
-        rows[r] = [e / inv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [QN.zero()] * ncols
-        v[fc] = QN.one()
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][fc]
-        basis.append(v)
-    return basis
-
-
 zn_entries = st.one_of(
     st.just(n_poly()),
     st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3).map(
@@ -208,21 +182,53 @@ _N = n_poly(0, 1)
           [n_poly(0), _N + 1, _N + 1, n_poly(3, 0, 1)]])  # leading zero column, row 3 = rows 1+2
 def test_nullspace_over_zn_matches_qn_reference(matrix):
     ncols = len(matrix[0])
-    assert _qn_nullspace(matrix, ncols=ncols) == _rref_nullspace(matrix, ncols)
+    assert _qn_nullspace(matrix, ncols=ncols) == rref_nullspace(matrix, ncols)
 
 
-# -- the modular refutation in nullspace ----------------------------------
+# -- the modular nullspace --------------------------------------------------
 
 def _count_bareiss(monkeypatch) -> list:
+    """The sizes of the exact eliminations run from now on (``bareiss`` is in
+    polynomials, for ``resultant``)."""
     calls = []
 
-    def counted(ring, rows, ncols):
-        calls.append((len(rows), ncols))
-        return real(ring, rows, ncols)
+    def counted(ring, rows):
+        calls.append(len(rows))
+        return real(ring, rows)
 
-    real = linalg.bareiss
-    monkeypatch.setattr(linalg, "bareiss", counted)
+    real = polynomials.bareiss
+    monkeypatch.setattr(polynomials, "bareiss", counted)
     return calls
+
+
+def _primes_used(monkeypatch) -> list:
+    used = []
+    real = linalg._solve_at_prime
+
+    def spy(rows, ncols, p):
+        used.append(p)
+        return real(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "_solve_at_prime", spy)
+    return used
+
+
+def _points_seen(monkeypatch) -> dict:
+    """Point -> (pivots, kernel images) of every point reduced from now on."""
+    seen = {}
+    real = linalg._kernel_at
+
+    def spy(rows, ncols, width, x, p):
+        out = seen[x] = real(rows, ncols, width, x, p)
+        return out
+
+    monkeypatch.setattr(linalg, "_kernel_at", spy)
+    return seen
+
+
+def _full_rank_at_first_point(rows: list[list[ZnPoly]], ncols: int) -> bool:
+    width = max((len(e) for row in rows for e in row), default=1)
+    return len(linalg._kernel_at(rows, ncols, width, linalg._N0, linalg._PRIMES[0])[0]) == ncols
 
 
 tall_zn_matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -236,8 +242,8 @@ tall_zn_matrices = st.integers(min_value=1, max_value=4).flatmap(
 @given(tall_zn_matrices)
 def test_modular_full_rank_means_an_empty_exact_nullspace(matrix):
     ncols = len(matrix[0])
-    refuted = linalg._full_column_rank_at_point(_zn_rows(matrix), ncols)
-    reference = _rref_nullspace(matrix, ncols)
+    refuted = _full_rank_at_first_point(_zn_rows(matrix), ncols)
+    reference = rref_nullspace(matrix, ncols)
     if refuted:
         assert reference == []
     assert _qn_nullspace(matrix, ncols=ncols) == reference
@@ -266,20 +272,118 @@ def test_a_planted_nullspace_vector_is_never_refuted(matrix_coeffs, at):
             planted = planted + e * c
         rows.append(row[:at] + [planted] + row[at:])
     ncols = len(rows[0])
-    assert not linalg._full_column_rank_at_point(_zn_rows(rows), ncols)
-    reference = _rref_nullspace(rows, ncols)
+    assert not _full_rank_at_first_point(_zn_rows(rows), ncols)
+    reference = rref_nullspace(rows, ncols)
     assert reference
     assert _qn_nullspace(rows, ncols=ncols) == reference
+
+
+def _assert_primitive(basis: list[list[ZnPoly]]) -> None:
+    """Each vector has content 1 in Z[n] and a positive lead at its free entry."""
+    for vec in basis:
+        content: list[int] = []
+        for e in vec:
+            content = _int_gcd(content, list(e))
+        assert len(content) == 1
+        assert math.gcd(*(c for e in vec for c in e)) == 1
+        assert next(e for e in reversed(vec) if e)[-1] > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_planted_nullspace_is_rebuilt_vector_by_vector(data):
+    # columns `planted` are Z[n] combinations of the `rank` base columns, so
+    # the nullspace has dimension at least `dim`; the columns are shuffled
+    dim = data.draw(st.integers(min_value=0, max_value=3), label="dim")
+    rank = data.draw(st.integers(min_value=1, max_value=4), label="rank")
+    nrows = data.draw(st.integers(min_value=rank, max_value=rank + 2), label="rows")
+    base = [[data.draw(zn_entries) for _ in range(rank)] for _ in range(nrows)]
+    coeffs = [[data.draw(zn_entries) for _ in range(dim)] for _ in range(rank)]
+    order = data.draw(st.permutations(range(rank + dim)), label="order")
+    matrix = []
+    for row in base:
+        planted = [sum((e * c[j] for e, c in zip(row, coeffs)), n_poly()) for j in range(dim)]
+        matrix.append([(row + planted)[c] for c in order])
+    reference = rref_nullspace(matrix, rank + dim)
+    assert len(reference) >= dim
+    assert _qn_nullspace(matrix, ncols=rank + dim) == reference
+    _assert_primitive(nullspace(_zn_rows(matrix), ncols=rank + dim))
 
 
 _N0 = n_poly(linalg._N0)
 
 
-@pytest.mark.parametrize("corner", [_N - _N0 + 1, n_poly(linalg._P + 1)])
-def test_an_unlucky_point_falls_through_to_the_exact_elimination(corner, monkeypatch):
+@pytest.mark.parametrize("corner", [_N - _N0 + 1, n_poly(linalg._PRIMES[0] + 1)])
+def test_an_unlucky_point_or_prime_runs_no_exact_elimination(corner, monkeypatch):
     # det [[1, 1], [1, corner]] is n - n0 or p: nonzero, but 0 at (n0, p)
     matrix = [[n_poly(1), n_poly(1)], [n_poly(1), corner]]
-    assert not linalg._full_column_rank_at_point(_zn_rows(matrix), 2)
+    assert not _full_rank_at_first_point(_zn_rows(matrix), 2)
     calls = _count_bareiss(monkeypatch)
-    assert _qn_nullspace(matrix) == [] == _rref_nullspace(matrix, 2)
-    assert calls == [(2, 2)]
+    assert _qn_nullspace(matrix) == [] == rref_nullspace(matrix, 2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("j", range(3))
+@pytest.mark.parametrize("drop", ["rank", "pivots"])
+def test_a_point_of_lower_rank_or_later_pivots_is_dropped(drop, j, monkeypatch):
+    zero = _N - _N0 - j  # 0 at the point n0 + j only
+    if drop == "rank":
+        # the second row vanishes there: rank 1 at n0 + j, 2 elsewhere
+        matrix = [[n_poly(1), n_poly(1), _N], [zero, zero * 2, zero * 3]]
+    else:
+        # the first column vanishes there: pivots (1, 2) at n0 + j, (0, 1) elsewhere
+        matrix = [[zero, n_poly(1), n_poly(1)], [zero * _N, n_poly(2), _N]]
+    seen = _points_seen(monkeypatch)
+    calls = _count_bareiss(monkeypatch)
+    basis = _qn_nullspace(matrix)
+    assert basis == rref_nullspace(matrix, 3) and len(basis) == 1
+    assert seen[linalg._N0 + j][0] == ((0,) if drop == "rank" else (1, 2))
+    assert all(out[0] == (0, 1) for x, out in seen.items() if x != linalg._N0 + j)
+    assert calls == []
+
+
+def test_entries_divisible_by_the_first_prime_still_give_the_right_basis(monkeypatch):
+    # modulo p the second row is n times the first: rank 1 at every point,
+    # where it is 2 over Q(n); the two vectors rebuilt there fail the proof
+    p = n_poly(linalg._PRIMES[0])
+    matrix = [[n_poly(1), n_poly(1) + p, _N], [_N, _N, _N * _N + p]]
+    used = _primes_used(monkeypatch)
+    basis = _qn_nullspace(matrix)
+    assert basis == rref_nullspace(matrix, 3) and len(basis) == 1
+    assert used == list(linalg._PRIMES[:2])
+
+
+def test_coefficients_past_31_bits_climb_to_the_next_prime(monkeypatch):
+    # the vector (-(c n + d), a n + b) has 34- and 35-bit coefficients; its
+    # rational images need about 69 bits, more than 2^61 - 1 can give back
+    a, b, c, d = 2**33 + 1, 2**34 + 7, 3**21, 5**15
+    matrix = [[n_poly(b, a), n_poly(d, c)]]
+    used = _primes_used(monkeypatch)
+    assert _qn_nullspace(matrix) == rref_nullspace(matrix, 2)
+    assert nullspace(_zn_rows(matrix)) == [[ZnPoly((-d, -c)), ZnPoly((b, a))]]
+    assert used == list(linalg._PRIMES[:2]) * 2
+
+
+@pytest.mark.parametrize("t", [0, 1, 8, 60, 61, 127, 200])
+def test_the_proof_is_not_fooled_by_a_root_at_a_power_of_two(t):
+    # A v = n - 2^t, zero at n = 2^t only
+    rows = [[ZnPoly((0, 1)), ZnPoly((1,))]]
+    assert not linalg._annihilates(rows, [[ZnPoly((1,)), ZnPoly((-(2**t),))]])
+    assert linalg._annihilates(rows, [[ZnPoly((1,)), ZnPoly((0, -1))]])
+
+
+def test_a_prime_that_rebuilds_nothing_is_left_after_its_point_bound(monkeypatch):
+    # with no denominator ever rebuilt, each prime stops after 2 * 1 + 2
+    # points (entries of degree <= 1), and the ladder ends in an error
+    monkeypatch.setattr(linalg, "_fraction", lambda g, modulus, p: None)
+    seen = []
+    real = linalg._kernel_at
+
+    def spy(rows, ncols, width, x, p):
+        seen.append(p)
+        return real(rows, ncols, width, x, p)
+
+    monkeypatch.setattr(linalg, "_kernel_at", spy)
+    with pytest.raises(ArithmeticError, match="no prime of the ladder"):
+        nullspace([[ZnPoly((1, 1)), ZnPoly((-1,))]])
+    assert seen == [p for p in linalg._PRIMES for _ in range(4)]
