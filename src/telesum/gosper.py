@@ -200,10 +200,10 @@ def parameterized_gosper(
         return d, None
     nx = 0 if d is None else d + 1
     la, lb, lc = nf.a.lc(), nf.b.lc(), nf.c.lc()
-    za, B, *cps = ([nf.a * (nf.zn * lb * lc), nf.b.shift(-1) * (nf.zd * la * lc)]
-                   + [nf.c * p * (nf.zd * la * lb) for p in rhs])
-    k = Polynomial("k", ZN, (ZN.zero(), ZN.one()))
-    cols = [za * (k + 1)**i - B * k**i for i in range(nx)] + [-cp for cp in cps]
+    za, B = nf.a * (nf.zn * lb * lc), nf.b.shift(-1) * (nf.zd * la * lc)
+    cols, k = [nf.c * p * -(nf.zd * la * lb) for p in rhs], ZNK.gen()
+    for i in range(nx):  # column i is za*(k+1)^i - B*k^i, each power one product on
+        cols[i:i], za, B = [za - B], za * (k + 1), B * k
     height = max(int(col.degree) for col in cols if col) + 1
     matrix = [[col.coeff(r) for col in cols] for r in range(height)]
     for vec in nullspace(matrix, ncols=len(cols)):

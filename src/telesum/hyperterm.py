@@ -4,9 +4,11 @@ A term is a product of binomial/factorial/power factors with integer-linear
 arguments in (n, k) and optional auxiliary parameter symbols, times a
 rational prefactor held as a reduced integer pair (num, den) in Z[n][k]
 (``zn_reduced``); nothing here builds the Q(n)(k) tower except
-``shift_quotient``, which returns its element.  The parser reads any nonzero
-rational power base (``2^k``, ``(-1)^(n+k)``, ``(1/2)^k``); a zero base,
-which has no shift quotient, only with a constant exponent >= 0.
+``shift_quotient``, which returns its element.  The parser has one
+expression grammar; an argument or exponent must read as a linear form, a
+power base as a constant, any nonzero rational (``2^k``, ``(-1)^(n+k)``,
+``(1/2)^k``; a zero base, which has no shift quotient, only with a constant
+exponent >= 0), and a prefactor piece as a polynomial over an integer.
 
 Shift quotients F(.., var+1)/F are built factored (``factored_shift_pair``):
 primitive linear factors alpha*k + beta(n) in Z[n][k] from the falling
@@ -32,19 +34,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .polynomials import (
-    POLY_N,
     ZN,
     ZNK,
     FactoredRatio,
     Polynomial,
-    PolynomialRing,
     RationalFunction,
     ZnPoly,
     primitive_factors,
@@ -110,6 +109,9 @@ class LinearForm:
 
     def has_params(self) -> bool:
         return bool(self.params)
+
+    def is_constant(self) -> bool:
+        return not (self.coeff_n or self.coeff_k or self.params)
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
         merged = dict(self.params)
@@ -591,13 +593,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive-descent parser for the term grammar."""
+    """Recursive-descent parser for the term grammar: a product of factors,
+    perhaps over one ``/``.  Factor arguments, exponents, constant bases and
+    prefactor pieces are all polynomial expressions (``parse_poly_expr``),
+    each read in its own way."""
 
-    def __init__(self, text: str, divide: bool = False) -> None:
+    def __init__(self, text: str) -> None:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-        self.divide = divide
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -615,8 +619,6 @@ class _Parser:
 
     def fail(self, message: str):
         raise ParseError(message, self.peek()[2], self.text)
-
-    # atoms are tagged tuples consumed by _assemble below
 
     def parse_term(self) -> tuple[list, list]:
         num = self.parse_product()
@@ -643,92 +645,43 @@ class _Parser:
         return atoms
 
     def parse_atom(self):
+        """A tagged tuple: a binom or fact factor, a constant base to a
+        linear exponent (``power``), or a prefactor piece (``poly``): an
+        expression, an integer power and the position of that power."""
         kind, val, pos = self.peek()
         if kind == "name":
             self.next()
             self.expect_op("(")
-            first = self.parse_linear()
+            first = self.parse_form()
             if val == "binom":
                 self.expect_op(",")
-                second = self.parse_linear()
+                second = self.parse_form()
                 self.expect_op(")")
                 return ("binom", first, second, self.parse_int_power())
             self.expect_op(")")
             return ("fact", first, self.parse_int_power())
-        if kind == "int":
-            self.next()
-            return self.parse_base_power(Fraction(int(val)))
-        if kind == "op" and val == "(":
-            base = self.parse_rational_base()
-            if base is not None:
-                return self.parse_base_power(base)
-        if kind == "sym" or (kind == "op" and val == "("):
-            ast = self.parse_poly_primary()
-            exp = 1
-            nk, nv, _ = self.peek()
-            if nk == "op" and nv == "^":
-                self.next()
-                kind2, val2, pos2 = self.peek()
-                if kind2 != "int":
-                    raise ParseError(
-                        "only constant bases may carry symbolic exponents", pos2, self.text
-                    )
-                self.next()
-                exp = int(val2)
-            return ("poly", ast, exp)
-        raise ParseError("expected a factor", pos, self.text)
-
-    def parse_rational_base(self) -> Fraction | None:
-        """A constant ``(p)``, ``(-p)``, ``(p/q)`` or ``(-p/q)`` at a ``(``;
-        None, with nothing consumed, for any other parenthesized text."""
-        toks, i, sign = self.tokens, self.i + 1, 1
-        if toks[i][:2] == ("op", "-"):
-            i, sign = i + 1, -1
-        if toks[i][0] != "int":
-            return None
-        p, q = int(toks[i][1]), 1
-        i += 1
-        if toks[i][:2] == ("op", "/") and toks[i + 1][0] == "int":
-            q = int(toks[i + 1][1])
-            if not q:
-                raise ParseError("zero denominator in a base", toks[i + 1][2], self.text)
-            i += 2
-        if toks[i][:2] != ("op", ")"):
-            return None
-        self.i = i + 1
-        return Fraction(sign * p, q)
-
-    def parse_base_power(self, base: Fraction):
-        """A constant base alone, to an integer power, or to a linear
-        exponent ``^sym`` or ``^(L)``; ``^(L)`` may carry an integer power
-        of the factor, as binom and fact do."""
-        kind, val, _ = self.peek()
-        if kind != "op" or val != "^":
-            return ("const", base)
+        if kind not in ("int", "sym") and (kind, val) != ("op", "("):
+            raise ParseError("expected a factor", pos, self.text)
+        ast = self.parse_poly_primary()
+        if self.peek()[:2] != ("op", "^"):
+            return ("poly", ast, 1, pos)
         self.next()
-        kind, val, pos = self.peek()
-        if kind == "int" or (kind == "op" and val == "-"):
-            return self.const_power(base, self.parse_signed_int(), pos)
-        if kind == "op" and val == "(":
-            self.next()
-            lin = self.parse_linear()
-            self.expect_op(")")
-            e = self.parse_int_power()
-        elif kind == "sym":
-            self.next()
-            lin, e = LinearForm.make(**_single_symbol(val)), 1
-        else:
-            raise ParseError("expected exponent", pos, self.text)
-        if not base:
-            if lin.coeff_n or lin.coeff_k or lin.params:
-                raise ParseError("a zero base may not carry a symbolic exponent", pos, self.text)
-            return self.const_power(base, lin.constant * e, pos)
-        return ("power", base, lin, e)
-
-    def const_power(self, base: Fraction, e: int, pos: int):
-        if not base and e < 0:
-            raise ParseError("zero base with a negative exponent", pos, self.text)
-        return ("const_pow", base, e)
+        kind, val, epos = self.peek()
+        if kind == "int" or (kind, val) == ("op", "-"):
+            return ("poly", ast, self.parse_signed_int(), epos)
+        if kind != "sym" and (kind, val) != ("op", "("):
+            raise ParseError("expected exponent", epos, self.text)
+        if _has_symbol(ast):
+            raise ParseError("only constant bases may carry symbolic exponents", epos, self.text)
+        lin = self.linear(self.parse_poly_primary(), epos)
+        e = self.parse_int_power() if kind == "op" else 1
+        p, d = _poly_eval(ast, None)
+        base = Fraction(p.coeff(0)(0), d)
+        if base:
+            return ("power", base, lin, e)
+        if not lin.is_constant():
+            raise ParseError("a zero base may not carry a symbolic exponent", epos, self.text)
+        return ("poly", ast, lin.constant * e, epos)
 
     def parse_int_power(self) -> int:
         kind, val, _ = self.peek()
@@ -751,43 +704,36 @@ class _Parser:
 
     # -- linear forms ---------------------------------------------------
 
-    def parse_linear(self) -> LinearForm:
-        total = LinearForm.make()
-        sign = 1
-        kind, val, pos = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        while True:
-            total = total + self.parse_linear_term().scale(sign)
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                sign = -1 if val == "-" else 1
-                continue
-            return total
+    def parse_form(self) -> LinearForm:
+        pos = self.peek()[2]
+        return self.linear(self.parse_poly_expr(), pos)
 
-    def parse_linear_term(self) -> LinearForm:
-        kind, val, pos = self.peek()
-        if kind == "int":
-            self.next()
-            coeff = int(val)
-            nk, nv, _ = self.peek()
-            if nk == "op" and nv == "*":
-                save = self.i
-                self.next()
-                nk, nv, _ = self.peek()
-                if nk != "sym":
-                    self.i = save
-                    return LinearForm.make(constant=coeff)
-            if self.peek()[0] == "sym":
-                sym = self.next()[1]
-                return LinearForm.make(**_single_symbol(sym, coeff))
-            return LinearForm.make(constant=coeff)
-        if kind == "sym":
-            self.next()
-            return LinearForm.make(**_single_symbol(val))
-        raise ParseError("expected a linear term", pos, self.text)
+    def linear(self, ast, pos: int) -> LinearForm:
+        """The integer-linear form an AST spells: sums, differences and
+        negations of linear forms, products with a constant side, and powers
+        0 and 1 or of a constant.  Anything else is an error at pos."""
+        tag = ast[0]
+        if tag == "lit":
+            return LinearForm(constant=ast[1])
+        if tag == "sym":
+            return _SYMBOL_FORMS.get(ast[1]) or LinearForm(params=((ast[1], 1),))
+        if tag == "neg":
+            return self.linear(ast[1], pos).scale(-1)
+        if tag == "pow":
+            a, e = self.linear(ast[1], pos), ast[2]
+            if e == 1:
+                return a
+            if e == 0 or a.is_constant():
+                return LinearForm(constant=a.constant**e)
+        elif tag != "div":
+            a, b = self.linear(ast[1], pos), self.linear(ast[2], pos)
+            if tag == "add":
+                return a + b
+            if tag == "sub":
+                return a - b
+            if a.is_constant() or b.is_constant():
+                return b.scale(a.constant) if a.is_constant() else a.scale(b.constant)
+        raise ParseError("expected an integer-linear form", pos, self.text)
 
     # -- polynomial expressions ----------------------------------------
 
@@ -808,12 +754,10 @@ class _Parser:
 
     def parse_poly_expr(self):
         kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val == "-":
+        if kind == "op" and val in "+-":
             self.next()
-            negate = True
         ast = self.parse_poly_term()
-        if negate:
+        if kind == "op" and val == "-":
             ast = ("neg", ast)
         while True:
             kind, val, _ = self.peek()
@@ -833,7 +777,7 @@ class _Parser:
                 ast = ("mul", ast, self.parse_poly_factor())
             elif kind in ("sym", "int") or (kind == "op" and val == "("):
                 ast = ("mul", ast, self.parse_poly_factor())
-            elif self.divide and kind == "op" and val == "/":
+            elif kind == "op" and val == "/":
                 self.next()
                 kind, val, pos = self.next()
                 if kind != "int" or not int(val):
@@ -855,46 +799,46 @@ class _Parser:
         return base
 
 
-def _single_symbol(sym: str, coeff: int = 1) -> dict:
-    if sym == "n":
-        return {"coeff_n": coeff}
-    if sym == "k":
-        return {"coeff_k": coeff}
-    return {"params": {sym: coeff}}
+_SYMBOL_FORMS = {"n": LinearForm(coeff_n=1), "k": LinearForm(coeff_k=1)}
+_SYMBOL_POLYS = {"n": ZNK.constant(ZnPoly((0, 1))), "k": ZNK.gen()}
 
 
-_POLY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+def _has_symbol(ast) -> bool:
+    return ast[0] == "sym" or any(type(a) is tuple and _has_symbol(a) for a in ast[1:])
 
 
-def _poly_eval(ast, binding: ParamBinding | None, ring=ZNK) -> Polynomial:
-    """Evaluate a polynomial AST into Z[n][k] (Q[n][k] to divide); parameters need a binding."""
+def _poly_eval(ast, binding: ParamBinding | None) -> tuple[Polynomial, int]:
+    """Evaluate a polynomial AST to a pair (p, d), p in Z[n][k] over an
+    integer d > 0; parameters need a binding."""
     tag = ast[0]
     if tag == "lit":
-        return ring.from_int(ast[1])
+        return ZNK.from_int(ast[1]), 1
     if tag == "sym":
         sym = ast[1]
-        if sym == "k":
-            return ring.gen()
-        if sym == "n":
-            return ring.constant(ring.coeff_ring.gen())
+        if sym in _SYMBOL_POLYS:
+            return _SYMBOL_POLYS[sym], 1
         if binding is not None and sym in binding:
-            return ring.from_int(int(binding[sym]))
+            return ZNK.from_int(int(binding[sym])), 1
         raise UnboundParameterError(f"parameter {sym!r} in a prefactor needs a concrete binding")
+    p, d = _poly_eval(ast[1], binding)
     if tag == "neg":
-        return -_poly_eval(ast[1], binding, ring)
-    if tag in _POLY_OPS:
-        return _POLY_OPS[tag](_poly_eval(ast[1], binding, ring), _poly_eval(ast[2], binding, ring))
+        return -p, d
     if tag == "pow":
-        return _poly_eval(ast[1], binding, ring) ** ast[2]
+        return p ** ast[2], d ** ast[2]
     if tag == "div":
-        return _poly_eval(ast[1], binding, ring).mul_ground(Fraction(1, ast[2]))
-    raise AssertionError(f"unknown poly AST node {tag!r}")
+        return p, d * ast[2]
+    q, e = _poly_eval(ast[2], binding)
+    if tag == "mul":
+        return p * q, d * e
+    if d != e:
+        p, q, d = p * e, q * d, d * e
+    return (p + q if tag == "add" else p - q), d
 
 
 def parse_linear_form(text: str) -> LinearForm:
     """Parse an integer-linear expression in n and parameter symbols."""
     parser = _Parser(text)
-    lf = parser.parse_linear()
+    lf = parser.parse_form()
     if parser.peek()[0] != "end":
         parser.fail("trailing input after linear form")
     return lf
@@ -904,14 +848,14 @@ def parse_n_polynomial(text: str, binding: ParamBinding | None = None) -> Polyno
     """Parse a polynomial in n, its terms perhaps over integers as in
     ``(n+2)/2``, into Q[n]; parameters need a binding.  Raises ParseError on
     malformed text and ValueError when it involves k."""
-    parser = _Parser(f"({text})", divide=True)
-    ast = parser.parse_poly_primary()
+    parser = _Parser(text)
+    ast = parser.parse_poly_expr()
     if parser.peek()[0] != "end":
         parser.fail("trailing input after polynomial")
-    p = _poly_eval(ast, binding, PolynomialRing("k", POLY_N))
+    p, d = _poly_eval(ast, binding)
     if p.degree > 0:
         raise ValueError(f"may not involve k: {text!r}")
-    return p.coeff(0)
+    return p.coeff(0).to_poly().mul_ground(Fraction(1, d))
 
 
 def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
@@ -920,9 +864,8 @@ def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
     With a binding, parameter symbols are substituted immediately (and may
     then appear inside rational prefactors); without one they stay symbolic
     and are restricted to binomial/factorial/power arguments.  Binding
-    values are checked as HyperTerm.bind checks them.  The prefactor's
-    polynomials are evaluated in Z[n][k], each rational constant split into
-    its numerator and denominator, and the pair reduced once.
+    values are checked as HyperTerm.bind checks them.  Each prefactor piece
+    is evaluated to a pair in Z[n][k], and the product reduced once.
     """
     if binding:
         _check_binding(binding)
@@ -950,12 +893,16 @@ def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
                 if binding:
                     lin = lin.bind(binding)
                 factors.append((PowerFactor(base, lin), sign * e))
-            else:  # a prefactor piece: a polynomial over 1, or a constant p/q
-                if tag == "poly":
-                    top, bottom = _poly_eval(atom[1], binding) ** atom[2], ZNK.one()
-                else:
-                    value = atom[1] ** atom[2] if tag == "const_pow" else atom[1]
-                    top, bottom = ZNK.from_int(value.numerator), ZNK.from_int(value.denominator)
+            else:  # a prefactor piece p/d to the power e
+                _, ast, e, pos = atom
+                top, d = _poly_eval(ast, binding)
+                bottom = ZNK.from_int(d)
+                if e < 0:
+                    if not top:
+                        raise ParseError("zero base with a negative exponent", pos, text)
+                    top, bottom, e = bottom, top, -e
+                if e != 1:
+                    top, bottom = top**e, bottom**e
                 if sign < 0:
                     top, bottom = bottom, top
                 pref_num, pref_den = pref_num * top, pref_den * bottom

@@ -1022,9 +1022,6 @@ class IntPolyRing:
     def from_int(self, value: int) -> ZnPoly:
         return ZnPoly((value,))
 
-    def gen(self) -> ZnPoly:
-        return ZnPoly((0, 1))
-
     def coerce(self, value) -> ZnPoly:
         if isinstance(value, ZnPoly):
             return value

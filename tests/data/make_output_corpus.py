@@ -96,6 +96,13 @@ SUITE_CALLS = [
     ["suite", "paper.suite", "--machine"],
     ["suite", "mutations.suite"],
 ]
+# Arguments and bounds written as integer-linear expressions, not just sums
+# of c*s terms.
+GRAMMAR_CALLS = [
+    ["gosper", "binom(2k,k)*binom(2(n-k+1),n-k+1)/(k+1)"],
+    ["sum", "binom(2(n+1),k)", "--n", "0", "3"],
+    ["sum", "binom(n,k)", "--n", "0", "3", "--from", "2*(n-n)", "--to", "n"],
+]
 CALLS = (
     [["gosper", t] for t in GOSPER_TERMS]
     + [["gosper", "--machine", t] for t in GOSPER_TERMS[:6]]
@@ -130,6 +137,7 @@ CALLS = (
     + PREFACTOR_CALLS
     + REFUSAL_CALLS
     + SUITE_CALLS
+    + GRAMMAR_CALLS
 )
 
 

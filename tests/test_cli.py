@@ -72,6 +72,16 @@ def test_parse_error_exit_one_with_caret(capsys):
     assert caret_line.index("^") == 2 + len("binom(n,k")
 
 
+@pytest.mark.parametrize("coeff, message", [
+    ("n+", "expected a polynomial (at position 2)"),
+    ("n/x", "may divide only by a nonzero integer (at position 2)"),
+])
+def test_coeff_parse_error_points_into_the_text_as_typed(coeff, message, capsys):
+    assert main(["wz-check", "binom(n,k)", "binom(n,k)", "--coeff", coeff]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"parse error: {message}", f"  {coeff}", "    ^"]
+
+
 def test_unbound_parameter_exit_one(capsys):
     assert main(["gosper", "binom(n+r,k)"]) == 1
     assert "--param" in capsys.readouterr().err

@@ -334,6 +334,80 @@ def test_linear_form_unbound_evaluate():
         lf.evaluate(0, 0)
 
 
+def _linear_texts():
+    """(text, form, atomic) triples: random integer-linear expressions with
+    nested parentheses, juxtaposition, ``*``, unary signs and parameters,
+    each with the form it spells built directly.  An atomic text is a
+    literal, a symbol or parenthesized, so it can stand as an operand."""
+    symbols = {"n": LinearForm.make(1), "k": LinearForm.make(0, 1),
+               "r": LinearForm.make(params={"r": 1}), "s": LinearForm.make(params={"s": 1})}
+    leaves = st.one_of(
+        st.integers(0, 12).map(lambda c: (str(c), LinearForm.make(constant=c), True)),
+        st.sampled_from(sorted(symbols)).map(lambda v: (v, symbols[v], True)),
+    )
+
+    def wrap(x):
+        return x[0] if x[2] else f"({x[0]})"
+
+    def combine(children):
+        def add(a, b, minus):
+            if minus:
+                return f"{a[0]}-{wrap(b)}", a[1] - b[1], False
+            return f"{a[0]}+{wrap(b)}", a[1] + b[1], False
+
+        def mul(a, b, star):
+            ta, tb = wrap(a), wrap(b)
+            joint = "*" if star or (ta[-1].isdigit() and tb[0].isdigit()) else ""
+            form = b[1].scale(a[1].constant) if a[1].is_constant() else a[1].scale(b[1].constant)
+            return ta + joint + tb, form, False
+
+        constants = children.filter(lambda x: x[1].is_constant())
+        return st.one_of(
+            st.builds(add, children, children, st.booleans()),
+            st.builds(lambda a, sign: (sign + wrap(a), a[1].scale(-1 if sign == "-" else 1), False),
+                      children, st.sampled_from("-+")),
+            st.builds(mul, constants, children, st.booleans()),
+            st.builds(mul, children, constants, st.booleans()),
+            st.builds(lambda a, e: (f"{wrap(a)}^{e}", a[1] if e else LinearForm.make(constant=1),
+                                    False), children, st.integers(0, 1)),
+            children.map(lambda x: (f"({x[0]})", x[1], True)),
+        )
+
+    return st.recursive(leaves, combine, max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_linear_texts())
+def test_integer_linear_expressions_parse_to_their_form(spelled):
+    text, form, _ = spelled
+    assert parse_linear_form(text) == form
+    assert parse_term(f"fact({text})").factors == ((FactorialFactor(form), 1),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_linear_texts(), st.sampled_from(["n*k", "n^2", "r*n", "n/2", "k(n+1)", "(n-k)^2"]))
+def test_nonlinear_arguments_are_parse_errors(spelled, nonlinear):
+    text = f"{spelled[0]}+{nonlinear}"
+    with pytest.raises(ParseError):
+        parse_linear_form(text)
+    with pytest.raises(ParseError) as info:
+        parse_term(f"binom({text},k)")
+    assert info.value.pos == len("binom(")
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("binom(2(n+1),k)", "binom(2n+2,k)"),
+    ("fact(2*(n-k))", "fact(2n-2k)"),
+    ("2^(2(n-k))", "2^(2n-2k)"),
+    ("binom(n,k)*(n/2)", "n*binom(n,k)/2"),
+    ("(n+1)^-1*binom(n,k)", "binom(n,k)/(n+1)"),
+    ("binom(2k,k)*binom(2(n-k+1),n-k+1)/(k+1)", "binom(2k,k)*binom(2n-2k+2,n-k+1)/(k+1)"),
+    ("(1+1)^k*(2/4)^(n)", "2^k*(1/2)^n"),
+])
+def test_the_one_expression_grammar_accepts_other_spellings(text, canonical):
+    assert parse_term(text) == parse_term(canonical)
+
+
 # -- property: parse/print and eval/shift coherence ----------------------
 
 
@@ -484,8 +558,8 @@ def test_parse_n_polynomial_divides_by_integer_constants():
     for text in ("n/n", "n/(n+1)", "(n+2)/k", "n/0", "n/r"):
         with pytest.raises(ParseError, match="may divide only by a nonzero integer"):
             parse_n_polynomial(text, {"r": 2})
-    with pytest.raises(ParseError):  # the term grammar still has no division inside a factor
-        parse_term("binom(n,k)*(n/2)")
+    # one expression grammar: a term's prefactor divides by integers too
+    assert parse_term("binom(n,k)*(n/2)") == parse_term("n*binom(n,k)/2")
 
 
 # -- power bases: negative and rational ------------------------------------
