@@ -28,7 +28,6 @@ from .hyperterm import (
     parse_n_polynomial,
     parse_term,
 )
-from .polynomials import Polynomial
 from .series import known_gf
 from .suite import load_suite, report_lines, run_identity_suite
 from .verify import WZPair, VerificationError, oracle_sum
@@ -86,13 +85,6 @@ def _nonzero(term: HyperTerm, name: str) -> HyperTerm:
 def _summand(args) -> HyperTerm:
     """The term of a gosper or zeil command, bound to its --param values."""
     return _nonzero(parse_term(args.term, _parse_params(args.param)), "the summand")
-
-
-def _parse_n_polynomial(text: str, binding: dict[str, int]) -> Polynomial:
-    try:
-        return parse_n_polynomial(text, binding)
-    except ValueError as exc:
-        raise _UsageError(f"operator coefficient {exc}") from None
 
 
 def _stringify(obj):
@@ -156,7 +148,10 @@ def _cmd_wz_check(args) -> int:
     binding = _parse_params(args.param)
     f = _nonzero(parse_term(args.f_term, binding), "F")
     g = parse_term(args.g_term, binding)
-    coeffs = tuple(_parse_n_polynomial(c, binding) for c in args.coeff)
+    try:
+        coeffs = tuple(parse_n_polynomial(c, binding) for c in args.coeff)
+    except ValueError as exc:
+        raise _UsageError(f"operator coefficient {exc}") from None
     try:
         pair = WZPair(f, g, coeffs)
         ok = pair.check()
@@ -171,8 +166,8 @@ def _cmd_wz_check(args) -> int:
     return EXIT_VERIFICATION
 
 
-def _k_bound(text: str, flag: str, binding: dict[str, int]) -> LinearForm:
-    form = parse_linear_form(text).bind(binding)
+def _k_bound(text: str, flag: str) -> LinearForm:
+    form = parse_linear_form(text)
     if form.coeff_k:
         raise _UsageError(f"{flag} may not involve k: {text!r}")
     return form
@@ -188,8 +183,8 @@ def _cmd_sum(args) -> int:
     if explicit and (args.k_from is None or args.k_to is None):
         raise _UsageError("--from and --to must be given together")
     if explicit:
-        lo_form = _k_bound(args.k_from, "--from", binding)
-        hi_form = _k_bound(args.k_to, "--to", binding)
+        lo_form = _k_bound(args.k_from, "--from").bind(binding)
+        hi_form = _k_bound(args.k_to, "--to").bind(binding)
     rows = []
     for n in range(n_lo, n_hi + 1):
         if explicit:

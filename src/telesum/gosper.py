@@ -40,7 +40,6 @@ from typing import Sequence
 
 from .hyperterm import (
     HyperTerm,
-    ParamBinding,
     eval_term,
     factored_shift_pair,
     shift_quotient,
@@ -57,6 +56,7 @@ from .polynomials import (
     Polynomial,
     RationalFunction,
     ZnPoly,
+    _int_roots,
     _zn_primitive_part,
     coprime_base,
     integer_qnk_pair,
@@ -280,32 +280,52 @@ class GosperCertificate:
         return {name: ratfun_to_record(pair) for name, pair in pairs.items()}
 
 
-def gosper_antidifference(
-    term: HyperTerm, binding: ParamBinding | None = None
-) -> GosperCertificate:
+def gosper_antidifference(term: HyperTerm) -> GosperCertificate:
     """Decide indefinite summability of the term; raises NotSummableError."""
-    t = term.bind(binding)
-    t.require_bound()
-    r_k = factored_shift_pair(t, "k")
+    r_k = factored_shift_pair(term, "k")
     nf = factored_normal_form(r_k.cancelled())
     d, solution = parameterized_gosper(nf, [ZNK.one()])
     if d is None:
         raise NotSummableError(
-            f"degree bound rules out a polynomial solution for {term_to_string(t)}"
+            f"degree bound rules out a polynomial solution for {term_to_string(term)}"
         )
     if solution is None:
-        raise NotSummableError(f"no polynomial solution up to degree {d} for {term_to_string(t)}")
+        raise NotSummableError(
+            f"no polynomial solution up to degree {d} for {term_to_string(term)}"
+        )
     x, scale, _ = solution
     x_pair = zn_reduced(Polynomial("k", ZN, x), ZNK.constant(scale))
-    result = GosperCertificate(t, nf, x_pair, certificate(nf, x, scale))
-    if not telescoping_identity(t, (POLY_N.one(),), result.certificate_pair, r_k):
+    result = GosperCertificate(term, nf, x_pair, certificate(nf, x, scale))
+    if not telescoping_identity(term, (POLY_N.one(),), result.certificate_pair, r_k):
         raise AssertionError("internal error: certificate failed its own check")
     return result
 
 
 def telescoped_sum(cert: GosperCertificate, n: int, lo: int, hi: int) -> Fraction:
-    """Sum of F(k) for lo <= k <= hi via G(hi+1) - G(lo)."""
-    if hi < lo:
-        return Fraction(0)
+    """Sum of F(k) for lo <= k <= hi: G(e+1) - G(s), G = R*F, over each run
+    s..e of steps k -> k+1 that telescope, and F(k) itself at each other k.
+
+    The certificate's identity R(k+1) r(k) - R(k) = 1 gives G(k+1) - G(k) =
+    F(k) where G's denominator is nonzero at k and k+1 and each factor of r
+    as ``factored_shift_pair`` builds it is nonzero at k; no factor argument
+    then leaves its sign class (negative or not) from k to k+1, so F(k+1) =
+    r(k) F(k) holds for the evaluated values too.  Elsewhere it need not:
+    binom(k,-k) is -1 at k = -1 and 1 at k = 0, but r(-1) = -1/2.
+    """
     g = cert.antidifference()
-    return eval_term(g, n, hi + 1) - eval_term(g, n, lo)
+    r_k = factored_shift_pair(cert.term, "k")
+    den = g.prefactor[1]
+    breaks = set()  # k where a factor of r, or G's denominator at k or k+1, is 0
+    for p in (*r_k.num, *r_k.den, den, den.shift(1)):
+        ints = [c(n) for c in p.coeffs]  # p at this n, a polynomial in k
+        while ints and not ints[-1]:
+            ints.pop()
+        breaks.update(_int_roots(ints) if ints else range(lo, hi + 1))
+    total, k = Fraction(0), lo
+    for b in sorted(b for b in breaks if lo <= b <= hi) + [hi + 1]:
+        if k < b:
+            total += eval_term(g, n, b) - eval_term(g, n, k)
+        if b <= hi:
+            total += eval_term(cert.term, n, b)
+        k = b + 1
+    return total

@@ -440,10 +440,8 @@ class TermEvaluator:
         return num, den
 
 
-def eval_term(
-    term: HyperTerm, n: int, k: int, binding: ParamBinding | None = None
-) -> Fraction:
-    return term.bind(binding).evaluator()(n, k)
+def eval_term(term: HyperTerm, n: int, k: int) -> Fraction:
+    return term.evaluator()(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -480,24 +478,21 @@ def _primitive_linear(coeff_k: int, constant: int, coeff_n: int) -> tuple[int, l
                                     ZnPoly((coeff_k // g,))))]
 
 
-def factored_shift_pair(
-    term: HyperTerm, var: str, binding: ParamBinding | None = None
-) -> FactoredRatio:
+def factored_shift_pair(term: HyperTerm, var: str) -> FactoredRatio:
     """T(.., var+1, ..)/T as a ``FactoredRatio``, nothing cancelled: the
     falling products as primitive linear factors (content and sign go to the
     integers), p^delta/q^delta for a power base p/q, and P(var+1)*Q/(Q(var+1)*P)
     for the prefactor's pair P/Q, split by ``primitive_factors``."""
     if var not in ("n", "k"):
         raise ValueError(f"shift variable must be n or k, not {var!r}")
-    t = term.bind(binding)
-    t.require_bound()
-    p, q = t.prefactor
+    term.require_bound()
+    p, q = term.prefactor
     if not p:
         raise ValueError("shift quotient of the zero term")
     p1, q1 = (p.shift(1), q.shift(1)) if var == "k" else (shift_in_n(p, 1), shift_in_n(q, 1))
     sides = ([primitive_factors(p1), primitive_factors(q)],
              [primitive_factors(q1), primitive_factors(p)])
-    for f, e in t.factors:
+    for f, e in term.factors:
         for side, forms in enumerate(_factor_forms(f, var)):
             splits = [_primitive_linear(*lf) for lf in forms]
             sides[side if e > 0 else 1 - side].extend(splits * abs(e))
@@ -505,13 +500,11 @@ def factored_shift_pair(
                          *([f for _, fs in s for f in fs] for s in sides))
 
 
-def shift_quotient(
-    term: HyperTerm, var: str, binding: ParamBinding | None = None
-) -> RationalFunction:
+def shift_quotient(term: HyperTerm, var: str) -> RationalFunction:
     """Exact rational function T(.., var+1, ..)/T as an element of Q(n)(k):
     the unreduced pair of ``factored_shift_pair`` multiplied out, reduced in
     Z[n][k] with a monic denominator (``zn_ratfun``)."""
-    return zn_ratfun(*factored_shift_pair(term, var, binding).pair())
+    return zn_ratfun(*factored_shift_pair(term, var).pair())
 
 
 def ratio_rational(t1: HyperTerm, t2: HyperTerm) -> tuple[Polynomial, Polynomial]:
@@ -533,12 +526,10 @@ def ratio_rational(t1: HyperTerm, t2: HyperTerm) -> tuple[Polynomial, Polynomial
     return zn_reduced(p1 * q2, q1 * p2)
 
 
-def term_ratio_is_one(
-    t1: HyperTerm,
-    t2: HyperTerm,
-    binding: ParamBinding | None = None,
-    sample_limit: int = 400,
-) -> bool:
+_SAMPLE_LIMIT = 400  # sample points term_ratio_is_one tries before giving up
+
+
+def term_ratio_is_one(t1: HyperTerm, t2: HyperTerm) -> bool:
     """True iff t1/t2 is identically 1.
 
     Both shift quotients of the ratio must be 1 (the shift pairs agree
@@ -546,23 +537,19 @@ def term_ratio_is_one(
     sample point where neither term vanishes or poles; by the usual
     telescoping argument that pins the ratio everywhere.
     """
-    a = t1.bind(binding)
-    b = t2.bind(binding)
-    a.require_bound()
-    b.require_bound()
     for var in ("k", "n"):
-        r1, r2 = factored_shift_pair(a, var), factored_shift_pair(b, var)
+        r1, r2 = factored_shift_pair(t1, var), factored_shift_pair(t2, var)
         if not zn_identity(lambda at: (at(r1)[0] * at(r2)[1], at(r2)[0] * at(r1)[1])):
             return False
     points = ((total - k0, k0) for total in range(64) for k0 in range(total + 1))
-    for n0, k0 in itertools.islice(points, sample_limit):
+    for n0, k0 in itertools.islice(points, _SAMPLE_LIMIT):
         try:
-            va, vb = eval_term(a, n0, k0), eval_term(b, n0, k0)
+            va, vb = eval_term(t1, n0, k0), eval_term(t2, n0, k0)
         except PoleError:
             continue
         if va and vb:
             return va == vb
-    raise DegenerateSampleError(f"no usable sample point among {sample_limit} candidates")
+    raise DegenerateSampleError(f"no usable sample point among {_SAMPLE_LIMIT} candidates")
 
 
 # ---------------------------------------------------------------------------

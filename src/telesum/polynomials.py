@@ -1143,7 +1143,7 @@ def primitive_factors(p: Polynomial) -> tuple[int, list[Polynomial]]:
 
 def zn_product(factors: Counter, const: int = 1) -> Polynomial:
     """const times the product of a multiset of polynomials in k over Z[n]."""
-    return math.prod((f**m for f, m in factors.items()), start=ZNK.from_int(const))
+    return math.prod(factors.elements(), start=ZNK.from_int(const))
 
 
 def coprime_base(*multisets: Counter) -> None:

@@ -50,15 +50,12 @@ def _exact_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
     return Fraction(total, common)
 
 
-def oracle_sum(
-    term: HyperTerm, n: int, k_lo: int, k_hi: int, binding: ParamBinding | None = None
-) -> Fraction:
+def oracle_sum(term: HyperTerm, n: int, k_lo: int, k_hi: int) -> Fraction:
     """Plain exact summation over an explicit k-range; the ground truth: the
     term's ``TermEvaluator.pair`` values, added by ``_exact_sum``."""
-    t = term.bind(binding)
     if k_hi < k_lo:
         return Fraction(0)
-    pair = t.evaluator().pair
+    pair = term.evaluator().pair
     return _exact_sum(pair(n, k) for k in range(k_lo, k_hi + 1))
 
 
@@ -67,30 +64,18 @@ def sum_table(
     n_lo: int,
     n_hi: int,
     bounds: Callable[[int], tuple[int, int]],
-    binding: ParamBinding | None = None,
 ) -> dict[int, Fraction]:
-    t = term.bind(binding)
-    return {
-        n: oracle_sum(t, n, *bounds(n)) for n in range(n_lo, n_hi + 1)
-    }
+    return {n: oracle_sum(term, n, *bounds(n)) for n in range(n_lo, n_hi + 1)}
 
 
-def check_telescoping(
-    f: HyperTerm,
-    g: HyperTerm,
-    coeffs: Sequence[Polynomial],
-    binding: ParamBinding | None = None,
-) -> bool:
+def check_telescoping(f: HyperTerm, g: HyperTerm, coeffs: Sequence[Polynomial]) -> bool:
     """Exact identity sum_j sigma_j(n) f(n+j, k) = g(n, k+1) - g(n, k).
 
     g must be a rational multiple of f (same factor structure); after
     dividing through by f this is telescoping_identity with R = g/f.
     """
-    fb = f.bind(binding)
-    gb = g.bind(binding)
-    fb.require_bound()
-    gb.require_bound()
-    return telescoping_identity(fb, coeffs, ratio_rational(gb, fb))
+    g.require_bound()
+    return telescoping_identity(f, coeffs, ratio_rational(g, f))
 
 
 def telescoping_identity(
@@ -139,17 +124,14 @@ class WZPair:
     g: HyperTerm
     coeffs: tuple[Polynomial, ...]
 
-    def check(self, binding: ParamBinding | None = None) -> bool:
-        return check_telescoping(self.f, self.g, self.coeffs, binding)
+    def check(self) -> bool:
+        return check_telescoping(self.f, self.g, self.coeffs)
 
-    def vanishes_at_k(
-        self, k0: int, binding: ParamBinding | None = None, n_lo: int = 0, n_hi: int = 12
-    ) -> bool:
+    def vanishes_at_k(self, k0: int, n_lo: int = 0, n_hi: int = 12) -> bool:
         """g(n, k0) = 0: structurally when the substituted prefactor dies,
         otherwise confirmed on a range of concrete n."""
-        gb = self.g.bind(binding)
-        gb.require_bound()
-        fixed = gb.subst_k(k0)
+        self.g.require_bound()
+        fixed = self.g.subst_k(k0)
         if not fixed.prefactor[0]:
             return True
         return all(eval_term(fixed, n, 0) == 0 for n in range(n_lo, n_hi + 1))

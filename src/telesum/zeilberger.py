@@ -34,7 +34,6 @@ from .hyperterm import (
     BinomialFactor,
     FactorialFactor,
     HyperTerm,
-    ParamBinding,
     factored_shift_pair,
 )
 from .polynomials import (
@@ -142,21 +141,15 @@ class TelescopingCertificate:
         return rec
 
 
-def creative_telescope(
-    term: HyperTerm,
-    binding: ParamBinding | None = None,
-    max_order: int = 6,
-) -> TelescopingCertificate:
+def creative_telescope(term: HyperTerm, max_order: int = 6) -> TelescopingCertificate:
     """Minimal-order telescoping recurrence for the term, tried in
     ascending order up to max_order; raises NoRecurrenceFound."""
-    t = term.bind(binding)
-    t.require_bound()
-    r_k = factored_shift_pair(t, "k")
-    r_n = factored_shift_pair(t, "n")
+    r_k = factored_shift_pair(term, "k")
+    r_n = factored_shift_pair(term, "n")
     t_list = [FactoredRatio()]
     for order in range(1, max_order + 1):
         t_list.append((t_list[-1] * r_n.shift_n(order - 1)).cancelled())
-        found = _attempt(t, r_k, r_n, t_list)
+        found = _attempt(term, r_k, r_n, t_list)
         if found is not None:
             return found
     raise NoRecurrenceFound(max_order)
@@ -239,18 +232,13 @@ def natural_support(term: HyperTerm, n: int) -> list[tuple[int | None, int | Non
     return pieces
 
 
-def natural_sum(
-    term: HyperTerm,
-    n: int,
-    binding: ParamBinding | None = None,
-) -> Fraction:
+def natural_sum(term: HyperTerm, n: int) -> Fraction:
     """sum_k F(n, k) over the term's natural support (see natural_support).
 
     Raises BoundaryCheckError when that support is unbounded in k.
     """
-    t = term.bind(binding)
-    pair = t.evaluator().pair
-    pieces = natural_support(t, n)
+    pair = term.evaluator().pair
+    pieces = natural_support(term, n)
     for lo, hi in pieces:
         if lo is None or hi is None:
             raise BoundaryCheckError(
@@ -263,7 +251,6 @@ def natural_sum(
 def sum_recurrence_natural(
     term: HyperTerm,
     recurrence: Recurrence,
-    binding: ParamBinding | None = None,
     n_lo: int = 0,
     n_hi: int = 25,
     rhs: Callable[[int], Fraction] | None = None,
@@ -274,8 +261,7 @@ def sum_recurrence_natural(
     the first violated instance and BoundaryCheckError if the summand has
     no finite natural support.
     """
-    t = term.bind(binding)
-    values = {n: natural_sum(t, n) for n in range(n_lo, n_hi + recurrence.order + 1)}
+    values = {n: natural_sum(term, n) for n in range(n_lo, n_hi + recurrence.order + 1)}
     for n in range(n_lo, n_hi + 1):
         want = rhs(n) if rhs is not None else Fraction(0)
         got = recurrence.apply(values, n)

@@ -18,7 +18,7 @@ from telesum.gosper import (
     gosper_normal_form,
     telescoped_sum,
 )
-from telesum.hyperterm import eval_term, factored_shift_pair, parse_term, shift_quotient
+from telesum.hyperterm import PoleError, eval_term, factored_shift_pair, parse_term, shift_quotient
 from qn_tower import eval_qnk, k_poly, qnk
 from telesum.polynomials import QN, n_poly
 from telesum.serialize import record_to_ratfun
@@ -160,6 +160,32 @@ def test_antidifference_term_telescopes_pointwise():
     g = cert.antidifference()
     for k in range(1, 8):
         assert eval_term(g, 0, k + 1) - eval_term(g, 0, k) == eval_term(t, 0, k)
+
+
+def test_telescoped_sum_does_not_telescope_across_a_sign_change():
+    """binom(k,-k) is -1 at k = -1 and 1 at k = 0, but its shift quotient
+    -k/(2(2k+1)) is -1/2 there: G(hi+1) - G(lo) over a range ending at
+    k = -1 gave 11 for k = -3..-1 at n = 0, where the sum is 21/2."""
+    t = parse_term("binom(k,-k)*(-5*k-2)/(4*k+2)")
+    cert = gosper_antidifference(t)
+    assert telescoped_sum(cert, 0, -3, -1) == Fraction(21, 2)
+    for n in range(5):
+        for lo in range(-4, 8):
+            for hi in range(lo, 8):
+                assert telescoped_sum(cert, n, lo, hi) == oracle_sum(t, n, lo, hi), (n, lo, hi)
+
+
+def test_telescoped_sum_raises_where_the_oracle_does():
+    """binom(0,k)*(-2k-1)/(k+1) has a prefactor pole at k = -1: a range over
+    it has no sum, though G = R*F is finite at both of its ends."""
+    t = parse_term("binom(0,k)*(-2*k-1)/(k+1)")
+    cert = gosper_antidifference(t)
+    for lo, hi in [(-4, -1), (-3, 2), (-1, -1)]:
+        with pytest.raises(PoleError):
+            oracle_sum(t, 0, lo, hi)
+        with pytest.raises(PoleError):
+            telescoped_sum(cert, 0, lo, hi)
+    assert telescoped_sum(cert, 0, 0, 3) == oracle_sum(t, 0, 0, 3)
 
 
 def test_empty_range_sum_is_zero():

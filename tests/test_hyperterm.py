@@ -31,7 +31,10 @@ from telesum.hyperterm import (
     term_to_string,
 )
 from qn_tower import eval_qnk, k_poly
+from telesum.gosper import gosper_antidifference
 from telesum.polynomials import RationalFunction, integer_qnk_pair, n_poly, zn_ratfun
+from telesum.verify import WZPair, check_telescoping, oracle_sum, sum_table
+from telesum.zeilberger import Recurrence, creative_telescope, natural_sum, sum_recurrence_natural
 
 _ONE = integer_qnk_pair(RationalFunction(k_poly(1)))  # the prefactor 1 as an integer pair
 
@@ -223,7 +226,7 @@ def test_shift_quotient_with_symbolic_param_needs_binding():
     t = parse_term("binom(n+r,k)")
     with pytest.raises(UnboundParameterError):
         shift_quotient(t, "k")
-    r = shift_quotient(t, "k", {"r": 1})
+    r = shift_quotient(t.bind({"r": 1}), "k")
     assert eval_qnk(r, 2, 0) == Fraction(3, 1)
 
 
@@ -528,7 +531,57 @@ def test_bound_term_evaluates_like_one_parsed_with_the_binding():
                 for k in range(-2, 7):
                     want = _outcome(eval_term, parsed, n, k)
                     assert _outcome(eval_term, bound, n, k) == want
-                    assert _outcome(eval_term, parent, n, k, binding) == want
+
+
+def _answer(fn, t):
+    """fn(t) in a comparable form: a certificate's record, a factored
+    quotient's pair, or the type and text of what it raised."""
+    try:
+        out = fn(t)
+    except Exception as exc:  # the raised error is the answer
+        return type(exc), str(exc)
+    return out.record() if hasattr(out, "record") else getattr(out, "pair", lambda: out)()
+
+
+_ONE_N = (n_poly(1),)
+# the solvers and oracles, each on a bound term only
+BOUND_ONLY = {
+    "eval_term": lambda t: eval_term(t, 3, 1),
+    "factored_shift_pair": lambda t: factored_shift_pair(t, "k"),
+    "shift_quotient": lambda t: shift_quotient(t, "n"),
+    "term_ratio_is_one": lambda t: term_ratio_is_one(t, t),
+    "oracle_sum": lambda t: oracle_sum(t, 3, -1, 4),
+    "sum_table": lambda t: sum_table(t, 0, 4, lambda n: (0, n)),
+    "check_telescoping": lambda t: check_telescoping(t, t, _ONE_N),
+    "WZPair.check": lambda t: WZPair(t, t, _ONE_N).check(),
+    "WZPair.vanishes_at_k": lambda t: WZPair(t, t, _ONE_N).vanishes_at_k(0),
+    "gosper_antidifference": gosper_antidifference,
+    "creative_telescope": lambda t: creative_telescope(t, max_order=2),
+    "natural_sum": lambda t: natural_sum(t, 3),
+    "sum_recurrence_natural": lambda t: sum_recurrence_natural(
+        t, Recurrence((n_poly(2), n_poly(-1))), n_hi=4),
+}
+
+
+@pytest.mark.parametrize("name", BOUND_ONLY)
+def test_solvers_and_oracles_take_terms_bound_once(name):
+    """Parameters are bound on the term, at parse time or by ``bind``; the
+    solvers and oracles refuse an unbound term and answer alike for both."""
+    fn = BOUND_ONLY[name]
+    with pytest.raises(UnboundParameterError):
+        fn(parse_term("binom(n+r,k)"))
+    for text in ("binom(n+r,k)", "binom(k+r,r)*2^(s-k)"):
+        for binding in ({"r": 0, "s": 1}, {"r": 2, "s": 0}):
+            assert _answer(fn, parse_term(text).bind(binding)) == _answer(
+                fn, parse_term(text, binding))
+
+
+def test_an_unbound_companion_is_refused():
+    f, g = parse_term("binom(n,k)"), parse_term("binom(n,k)*2^r")
+    with pytest.raises(UnboundParameterError):
+        check_telescoping(f, g, _ONE_N)
+    with pytest.raises(UnboundParameterError):
+        WZPair(f, g, _ONE_N).vanishes_at_k(0)
 
 
 def test_evaluator_is_compiled_once_and_keeps_unbound_errors():

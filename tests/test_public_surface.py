@@ -61,32 +61,22 @@ SIGNATURES = {
     "check_lower_triangle_identity": "(n: 'int') -> 'bool'",
     "check_shifted_central_identity": "(order: 'int' = 64) -> 'bool'",
     "check_telescoping": (
-        "(f: 'HyperTerm', g: 'HyperTerm', coeffs: 'Sequence[Polynomial]', "
-        "binding: 'ParamBinding | None' = None) -> 'bool'"),
+        "(f: 'HyperTerm', g: 'HyperTerm', coeffs: 'Sequence[Polynomial]') -> 'bool'"),
     "check_transform_power_identity": "(n: 'int', m: 'int') -> 'bool'",
     "creative_telescope": (
-        "(term: 'HyperTerm', binding: 'ParamBinding | None' = None, "
-        "max_order: 'int' = 6) -> 'TelescopingCertificate'"),
+        "(term: 'HyperTerm', max_order: 'int' = 6) -> 'TelescopingCertificate'"),
     "degree_bound": "(nf: 'IntegerNormalForm', rhs_extra: 'int' = 0) -> 'int | None'",
     "dispersion_set": "(p: 'Polynomial', q: 'Polynomial') -> 'list[int]'",
-    "eval_term": (
-        "(term: 'HyperTerm', n: 'int', k: 'int', "
-        "binding: 'ParamBinding | None' = None) -> 'Fraction'"),
-    "gosper_antidifference": (
-        "(term: 'HyperTerm', "
-        "binding: 'ParamBinding | None' = None) -> 'GosperCertificate'"),
+    "eval_term": "(term: 'HyperTerm', n: 'int', k: 'int') -> 'Fraction'",
+    "gosper_antidifference": "(term: 'HyperTerm') -> 'GosperCertificate'",
     "gosper_normal_form": "(ratio: 'RationalFunction') -> 'GosperNormalForm'",
     "integer_roots": "(p: 'Polynomial') -> 'list[int]'",
     "known_gf": "(name: 'str', order: 'int', family_index: 'int | None' = None) -> 'PowerSeries'",
     "load_suite": "(path: 'str') -> 'dict'",
     "mutation_catalog": "() -> 'list[dict]'",
-    "natural_sum": (
-        "(term: 'HyperTerm', n: 'int', "
-        "binding: 'ParamBinding | None' = None) -> 'Fraction'"),
+    "natural_sum": "(term: 'HyperTerm', n: 'int') -> 'Fraction'",
     "operator_equal": "(r1: 'Recurrence', r2: 'Recurrence') -> 'bool'",
-    "oracle_sum": (
-        "(term: 'HyperTerm', n: 'int', k_lo: 'int', k_hi: 'int', "
-        "binding: 'ParamBinding | None' = None) -> 'Fraction'"),
+    "oracle_sum": "(term: 'HyperTerm', n: 'int', k_lo: 'int', k_hi: 'int') -> 'Fraction'",
     "parse_term": "(text: 'str', binding: 'ParamBinding | None' = None) -> 'HyperTerm'",
     "poly_gcd": "(p: 'Polynomial', q: 'Polynomial') -> 'Polynomial'",
     "poly_lcm": "(p: 'Polynomial', q: 'Polynomial') -> 'Polynomial'",
@@ -94,22 +84,17 @@ SIGNATURES = {
     "resultant": "(p: 'Polynomial', q: 'Polynomial')",
     "run_case": "(case: 'dict') -> 'CaseResult'",
     "run_identity_suite": "(manifest: 'dict') -> 'list[CaseResult]'",
-    "shift_quotient": (
-        "(term: 'HyperTerm', var: 'str', "
-        "binding: 'ParamBinding | None' = None) -> 'RationalFunction'"),
+    "shift_quotient": "(term: 'HyperTerm', var: 'str') -> 'RationalFunction'",
     "shifted_central_gf": "(order: 'int') -> 'PowerSeries'",
     "sum_recurrence_natural": (
         "(term: 'HyperTerm', recurrence: 'Recurrence', "
-        "binding: 'ParamBinding | None' = None, n_lo: 'int' = 0, n_hi: 'int' = 25, "
+        "n_lo: 'int' = 0, n_hi: 'int' = 25, "
         "rhs: 'Callable[[int], Fraction] | None' = None) -> 'dict[int, Fraction]'"),
     "sum_table": (
         "(term: 'HyperTerm', n_lo: 'int', n_hi: 'int', bounds: 'Callable[[int], "
-        "tuple[int, int]]', binding: 'ParamBinding | None' = None) -> 'dict[int, "
-        "Fraction]'"),
+        "tuple[int, int]]') -> 'dict[int, Fraction]'"),
     "telescoped_sum": "(cert: 'GosperCertificate', n: 'int', lo: 'int', hi: 'int') -> 'Fraction'",
-    "term_ratio_is_one": (
-        "(t1: 'HyperTerm', t2: 'HyperTerm', binding: 'ParamBinding | None' = None, "
-        "sample_limit: 'int' = 400) -> 'bool'"),
+    "term_ratio_is_one": "(t1: 'HyperTerm', t2: 'HyperTerm') -> 'bool'",
     "term_to_string": "(term: 'HyperTerm') -> 'str'",
 }
 
@@ -145,6 +130,32 @@ def test_all_names_the_pinned_surface():
 
 def test_each_public_name_keeps_its_signature():
     assert {name: _signature(getattr(telesum, name)) for name in telesum.__all__} == SIGNATURES
+
+
+BINDING_SITES = {"parse_term", "parse_n_polynomial", "check_boundary_couple"}
+
+
+def test_parameters_are_bound_only_at_parse_time_or_on_the_term():
+    """Solvers and oracles take bound terms: outside the parsers, the terms'
+    ``bind`` and ``check_boundary_couple`` (which reads its upper limits from
+    the binding), no public callable or public method takes a binding."""
+    takers = []
+    for name in telesum.__all__:
+        obj = getattr(telesum, name)
+        members = [(name, obj)] + [
+            (f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
+            if isinstance(obj, type) and callable(fn) and not attr.startswith("_")
+            and attr != "bind"
+        ]
+        for label, fn in members:
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):
+                continue
+            if "binding" in params:
+                takers.append(label)
+    assert sorted(takers) == sorted(BINDING_SITES & set(telesum.__all__))
+    assert "binding" in inspect.signature(telesum.hyperterm.parse_n_polynomial).parameters
 
 
 def test_cli_subcommands_and_flags():
