@@ -259,6 +259,8 @@ class Polynomial:
         a, b = self.coeffs, p.coeffs
         if not a or not b:
             return self._spawn(())
+        if self.ring is ZN:
+            return self._spawn(list(map(ZnPoly, _rows_mul(a, b))))
         out = [self.ring.zero()] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
@@ -282,8 +284,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     # -- division -------------------------------------------------------
@@ -330,9 +333,12 @@ class Polynomial:
     # -- substitution ---------------------------------------------------
 
     def shift(self, j) -> "Polynomial":
-        """Substitute ``var + j`` for ``var`` (Horner on the shifted base)."""
+        """Substitute ``var + j`` for ``var``: over ``ZN`` with an int j a Taylor
+        shift of the int rows (``_rows_shift``), else Horner on the shifted base."""
         if not self.coeffs:
             return self
+        if self.ring is ZN and isinstance(j, int):
+            return self._spawn(list(map(ZnPoly, _rows_shift(self.coeffs, j))))
         jc = self.ring.coerce(j)
         base = self._spawn((jc, self.ring.one()))
         result = self._spawn(())
@@ -1010,6 +1016,32 @@ class ZnPoly(tuple):
         return tuple.__new__(ZnPoly, quot)
 
 
+def _rows_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product of two polynomials in k over Z[n], each a nonempty list of
+    int rows (ascending in k, each row ascending in n): the n-convolutions of
+    the row pairs summed into one int list per output row."""
+    width = max(map(len, a)) + max(map(len, b)) - 1
+    out = [[0] * width for _ in range(len(a) + len(b) - 1)]
+    for i, ra in enumerate(a):
+        for acc, rb in zip(out[i:], b):
+            for s, x in enumerate(ra):
+                if x:
+                    for t, y in enumerate(rb, s):
+                        acc[t] += x * y
+    return out
+
+
+def _rows_shift(rows: Sequence[Sequence[int]], j: int) -> list[list[int]]:
+    """The int rows of p(k + j), p in Z[n][k] given as int rows: a Taylor
+    shift by synthetic division, as ``ZnPoly.shift`` does in n."""
+    width = max(map(len, rows))
+    out = [[*r, *[0] * (width - len(r))] for r in rows]
+    for i in range(len(out) - 1):
+        for t in range(len(out) - 2, i - 1, -1):
+            out[t] = [x + j * y for x, y in zip(out[t], out[t + 1])]
+    return out
+
+
 class IntPolyRing:
     """Descriptor for Z[n] with ``ZnPoly`` elements."""
 
@@ -1142,8 +1174,12 @@ def primitive_factors(p: Polynomial) -> tuple[int, list[Polynomial]]:
 
 
 def zn_product(factors: Counter, const: int = 1) -> Polynomial:
-    """const times the product of a multiset of polynomials in k over Z[n]."""
-    return math.prod(factors.elements(), start=ZNK.from_int(const))
+    """const times the product of a multiset of polynomials in k over Z[n],
+    multiplied into one accumulator of int rows."""
+    rows = [[const]]
+    for f in factors.elements():
+        rows = _rows_mul(rows, f.coeffs)
+    return Polynomial("k", ZN, list(map(ZnPoly, rows)))
 
 
 def coprime_base(*multisets: Counter) -> None:

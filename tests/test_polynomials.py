@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,9 @@ from telesum.polynomials import (
     resultant,
     shift_in_n,
     zn_identity,
+    zn_product,
     zn_reduced,
+    zn_value,
 )
 
 
@@ -693,3 +696,109 @@ def test_zn_identity_is_polynomial_equality(f, g, h, i, s):
     assert zn_identity(lambda at: (at(f, i, s), at(shifted)))
     assert zn_identity(lambda at: (at(f, i, s) * at(g), at(shifted * g)))
     assert not zn_identity(lambda at: (at(f, i, s), at(shifted + _znk((0, 1)))))
+
+
+# -- the Z[n][k] kernel: products and k-shifts on int rows ------------------
+
+
+def _terms(f: Polynomial) -> dict[tuple[int, int], int]:
+    """f in Z[n][k] as {(n exponent, k exponent): coefficient}."""
+    return {(a, b): c for b, row in enumerate(f.coeffs) for a, c in enumerate(row) if c}
+
+
+def _from_terms(terms: dict[tuple[int, int], int]) -> Polynomial:
+    nonzero = {ab: c for ab, c in terms.items() if c}
+    rows = [[0] * (max(a for a, _ in nonzero) + 1 if nonzero else 0)
+            for _ in range(max((b for _, b in nonzero), default=-1) + 1)]
+    for (a, b), c in nonzero.items():
+        rows[b][a] = c
+    return _znk(*rows)
+
+
+def _schoolbook_product(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f * g one monomial pair at a time."""
+    out: dict[tuple[int, int], int] = {}
+    for (a1, b1), c1 in _terms(f).items():
+        for (a2, b2), c2 in _terms(g).items():
+            out[a1 + a2, b1 + b2] = out.get((a1 + a2, b1 + b2), 0) + c1 * c2
+    return _from_terms(out)
+
+
+def _binomial_shift(f: Polynomial, j: int) -> Polynomial:
+    """f(n, k + j) by the binomial theorem: k^b -> sum_m C(b, m) j^(b-m) k^m."""
+    out: dict[tuple[int, int], int] = {}
+    for (a, b), c in _terms(f).items():
+        for m in range(b + 1):
+            out[a, m] = out.get((a, m), 0) + c * math.comb(b, m) * j ** (b - m)
+    return _from_terms(out)
+
+
+kernel_ints = st.one_of(st.integers(-9, 9), st.sampled_from([0, 0, 0]),
+                        st.integers(-2**80, 2**80))
+kernel_rows = st.lists(kernel_ints, max_size=4)  # empty and all-zero rows included
+kernel_polys = st.lists(kernel_rows, max_size=5).map(lambda rows: _znk(*rows))
+_K_ZNK, _N_ZNK = _znk((), (1,)), _znk((0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_polys, kernel_polys)
+@example(_znk((1,), (), (2, -3)), _znk((0, 1), (5,)))  # a zero row inside, top row kept
+@example(_znk((-(2**90), 1)), _znk((3,), (0, 0, -7)))  # a constant in k, large coefficients
+def test_znk_product_matches_the_schoolbook_product(f, g):
+    product = f * g
+    assert product == _schoolbook_product(f, g) == g * f
+    assert all(type(r) is ZnPoly and (not r or r[-1]) for r in product.coeffs)
+    assert not product.coeffs or product.coeffs[-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_polys, kernel_ints, kernel_rows)
+def test_znk_product_takes_int_and_znpoly_scalars_on_either_side(f, c, row):
+    z = ZnPoly(row)
+    assert f * c == c * f == _schoolbook_product(f, _znk((c,)))
+    assert f * z == z * f == _schoolbook_product(f, _znk(row))
+    assert (f * _N_ZNK) * _K_ZNK == f * (_N_ZNK * _K_ZNK) == _schoolbook_product(f, _znk((), (0, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_polys, st.integers(-4, 4), st.integers(-4, 4), st.integers(-3, 3), st.integers(5, 9))
+@example(_znk((0, 1), (), (1,)), 1, 0, 2, 5)  # n + k^2: a sign flip of j shows
+def test_znk_shift_in_k_is_the_binomial_expansion(f, i, j, x, y):
+    shifted = f.shift(j)
+    assert shifted == _binomial_shift(f, j)
+    assert all(type(r) is ZnPoly and (not r or r[-1]) for r in shifted.coeffs)
+    assert f.shift(i).shift(j) == f.shift(i + j)
+    assert zn_value(shifted, x, y) == zn_value(f, x, y + j)
+
+
+def test_znk_shift_by_a_polynomial_in_n_keeps_the_generic_path():
+    """k -> k + n: the shift of ``_shift_resultant_roots``, whose j is a ZnPoly."""
+    assert (_K_ZNK * _K_ZNK).shift(ZnPoly((0, 1))) == _znk((0, 0, 1), (0, 2), (1,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(kernel_polys.filter(bool), max_size=4), st.integers(-50, 50))
+def test_zn_product_is_the_product_of_the_multiset(factors, const):
+    multiset = Counter(factors)
+    expected = _znk((const,))
+    for f in multiset.elements():
+        expected = _schoolbook_product(expected, f)
+    assert zn_product(multiset, const) == expected
+
+
+@pytest.mark.parametrize("p", [_znk((1, 1), (0, -2), (3,)), _np(1, 1), _znk((2,))])
+def test_pow_is_the_repeated_product_with_no_wasted_squaring(p, monkeypatch):
+    products = []
+    mul = Polynomial.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    expected = p * 0 + 1
+    for e in range(10):
+        products.clear()
+        assert p**e == expected
+        assert len(products) == (e.bit_length() - 1 if e else 0) + bin(e).count("1")
+        expected = mul(expected, p)
