@@ -7,16 +7,16 @@ All arithmetic is exact (integers and rationals throughout).
 """
 
 from .gosper import (
-    GosperCertificate, GosperNormalForm, NotSummableError, degree_bound, gosper_antidifference,
-    gosper_normal_form, telescoped_sum
+    GosperCertificate, NotSummableError, degree_bound, gosper_antidifference, gosper_normal_form,
+    telescoped_sum
 )
 from .hyperterm import (
     DegenerateSampleError, HyperTerm, ParseError, PoleError, TermError, UnboundParameterError,
     eval_term, parse_term, shift_quotient, term_ratio_is_one, term_to_string
 )
 from .polynomials import (
-    FractionField, Polynomial, PolynomialRing, RationalFunction, dispersion_set, integer_roots,
-    poly_gcd, poly_lcm, resultant
+    Polynomial, PolynomialRing, RationalFunction, dispersion_set, integer_roots, poly_gcd,
+    poly_lcm, resultant
 )
 from .series import (
     PowerSeries, ballot_gf, catalan_gf, central_binomial_gf, check_convolution_11897,
@@ -40,8 +40,8 @@ from .zeilberger import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BoundaryCheckError", "CaseResult", "DegenerateSampleError", "FractionField",
-    "GosperCertificate", "GosperNormalForm", "HyperTerm", "NoRecurrenceFound",
+    "BoundaryCheckError", "CaseResult", "DegenerateSampleError", "GosperCertificate",
+    "HyperTerm", "NoRecurrenceFound",
     "NotSummableError", "ParseError", "PoleError", "Polynomial", "PolynomialRing",
     "PowerSeries", "RationalFunction", "Recurrence", "RecurrenceCheckError", "SequenceSpec",
     "TelescopingCertificate", "TermError", "UnboundParameterError", "VerificationError",

@@ -25,9 +25,9 @@ n-free integer >= 0, a linear factor meets another factor at the integer
 roots in j of ``root_shifts``, and two other factors where a resultant at
 integer points and a gcd say.  The shifts are cancelled in ascending order,
 as Gosper's algorithm does.  a, b, c, z, the degree bound, the system, x
-and R stay in Z[n][k]; no Q(n) object is made on the way to an answer.  A
-``GosperCertificate`` builds its Q(n) values (the shift quotient, the public
-normal form, x and R) only when they are read.
+and R stay in Z[n][k], as pairs reduced by ``zn_reduced``.  A
+``GosperCertificate`` builds its ``RationalFunction`` values (the shift
+quotient, x and R) from those pairs only when they are read.
 """
 
 from __future__ import annotations
@@ -47,9 +47,7 @@ from .hyperterm import (
 )
 from .linalg import nullspace
 from .polynomials import (
-    POLY_K,
     POLY_N,
-    QN,
     ZN,
     ZNK,
     FactoredRatio,
@@ -59,11 +57,9 @@ from .polynomials import (
     _int_roots,
     _zn_primitive_part,
     coprime_base,
-    integer_qnk_pair,
     meeting_shifts,
     primitive_factors,
     zn_product,
-    zn_ratfun,
     zn_reduced,
 )
 from .serialize import ratfun_to_record, ratfun_to_text
@@ -83,24 +79,10 @@ def _shifted(factors: Counter, j: int) -> Counter:
 
 
 @dataclass(frozen=True)
-class GosperNormalForm:
-    """r = z * (a/b) * (c(k+1)/c(k)) with gcd(a(k), b(k+j)) = 1 for j >= 0."""
-
-    z: RationalFunction
-    a: Polynomial
-    b: Polynomial
-    c: Polynomial
-
-    def ratio(self) -> RationalFunction:
-        """Reconstruct the shift quotient this normal form came from."""
-        return RationalFunction(self.a * self.c.shift(1), self.b * self.c) * self.z
-
-
-@dataclass(frozen=True)
 class IntegerNormalForm:
-    """Gosper's normal form in Z[n][k]: z = zn/zd, and a, b and c are Z[n]
-    multiples of the monic a, b and c of ``GosperNormalForm``, which
-    ``public`` builds in Q(n) from ``pairs``."""
+    """Gosper's normal form r = z * (a/b) * (c(k+1)/c(k)) in Z[n][k], with
+    gcd(a(k), b(k+j)) = 1 for j >= 0: z = zn/zd, and a, b and c are Z[n]
+    multiples of the monic a, b and c."""
 
     zn: ZnPoly
     zd: ZnPoly
@@ -116,10 +98,10 @@ class IntegerNormalForm:
         pairs["z"] = zn_reduced(ZNK.constant(self.zn), ZNK.constant(self.zd))
         return pairs
 
-    def public(self) -> GosperNormalForm:
-        """The monic a, b, c and z: the numerators of ``pairs`` lifted by ``zn_ratfun``."""
-        a, b, c, z = (zn_ratfun(*pair).num for pair in self.pairs().values())
-        return GosperNormalForm(z.lc(), a, b, c)
+    def ratio(self) -> RationalFunction:
+        """The shift quotient this normal form came from."""
+        return RationalFunction(self.a * self.c.shift(1) * (self.zn * self.b.lc()),
+                                self.b * self.c * (self.zd * self.a.lc()))
 
 
 def factored_normal_form(ratio: FactoredRatio) -> IntegerNormalForm:
@@ -143,14 +125,13 @@ def factored_normal_form(ratio: FactoredRatio) -> IntegerNormalForm:
     return IntegerNormalForm(zn, zd, *map(zn_product, (a, b, c)), dispersion)
 
 
-def gosper_normal_form(ratio: RationalFunction) -> GosperNormalForm:
-    """The normal form of a reduced Q(n)(k) element: its pair in Z[n][k]
-    (``integer_qnk_pair``), each side split by ``primitive_factors``, read
-    by ``factored_normal_form``."""
+def gosper_normal_form(ratio: RationalFunction) -> IntegerNormalForm:
+    """The normal form of a nonzero Q(n)(k) value: each side of its pair
+    split by ``primitive_factors``, read by ``factored_normal_form``."""
     if not ratio:
-        return GosperNormalForm(QN.zero(), ratio.num, ratio.den, POLY_K.one())
-    (gn, num), (gd, den) = map(primitive_factors, integer_qnk_pair(ratio))
-    return factored_normal_form(FactoredRatio((gn, gd), num, den)).public()
+        raise ValueError("the normal form of zero")
+    (gn, num), (gd, den) = map(primitive_factors, (ratio.num, ratio.den))
+    return factored_normal_form(FactoredRatio((gn, gd), num, den))
 
 
 def degree_bound(nf: IntegerNormalForm, rhs_extra: int = 0) -> int | None:
@@ -236,7 +217,7 @@ class GosperCertificate:
 
     It holds integer forms: the normal form in Z[n][k], and x (over its
     scale) and R as pairs in Z[n][k] reduced by ``zn_reduced``.  ``ratio``,
-    ``normal_form``, ``x`` and ``certificate`` are their Q(n) values, built
+    ``x`` and ``certificate`` are their ``RationalFunction`` values, built
     when read."""
 
     term: HyperTerm
@@ -250,18 +231,14 @@ class GosperCertificate:
         return shift_quotient(self.term, "k")
 
     @property
-    def normal_form(self) -> GosperNormalForm:
-        return self.integer_form.public()
-
-    @property
-    def x(self) -> Polynomial:
-        """x in Q(n)[k], the polynomial solution of Gosper's equation."""
-        return zn_ratfun(*self.x_pair).num
+    def x(self) -> RationalFunction:
+        """x, the polynomial solution of Gosper's equation, over its scale in Z[n]."""
+        return RationalFunction(*self.x_pair)
 
     @property
     def certificate(self) -> RationalFunction:
-        """R in Q(n)(k), built when read from its pair (P, Q) of ``zn_reduced``."""
-        return zn_ratfun(*self.certificate_pair)
+        """R, built when read from its pair (P, Q) of ``zn_reduced``."""
+        return RationalFunction(*self.certificate_pair)
 
     def antidifference(self) -> HyperTerm:
         return self.term.scale_rational(self.certificate_pair)

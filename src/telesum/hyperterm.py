@@ -3,8 +3,8 @@
 A term is a product of binomial/factorial/power factors with integer-linear
 arguments in (n, k) and optional auxiliary parameter symbols, times a
 rational prefactor held as a reduced integer pair (num, den) in Z[n][k]
-(``zn_reduced``); nothing here builds the Q(n)(k) tower except
-``shift_quotient``, which returns its element.  The parser has one
+(``zn_reduced``); only ``shift_quotient`` makes a ``RationalFunction``
+of it.  The parser has one
 expression grammar; an argument or exponent must read as a linear form, a
 power base as a constant, any nonzero rational (``2^k``, ``(-1)^(n+k)``,
 ``(1/2)^k``; a zero base, which has no shift quotient, only with a constant
@@ -15,7 +15,7 @@ primitive linear factors alpha*k + beta(n) in Z[n][k] from the falling
 products of the factors' linear forms, integers from power bases, and the
 prefactor's pieces.  The Gosper and Zeilberger layers read the factors; the
 certificate check and ``term_ratio_is_one`` evaluate them at one integer
-point (``zn_identity``); ``shift_quotient`` reduces their product into Q(n)(k).
+point (``zn_identity``); ``shift_quotient`` reduces their product.
 
 Evaluation conventions (fixed, and relied on by every oracle):
 
@@ -49,7 +49,6 @@ from .polynomials import (
     primitive_factors,
     shift_in_n,
     zn_identity,
-    zn_ratfun,
     zn_reduced,
 )
 from .serialize import bivariate_string
@@ -502,9 +501,8 @@ def factored_shift_pair(term: HyperTerm, var: str) -> FactoredRatio:
 
 def shift_quotient(term: HyperTerm, var: str) -> RationalFunction:
     """Exact rational function T(.., var+1, ..)/T as an element of Q(n)(k):
-    the unreduced pair of ``factored_shift_pair`` multiplied out, reduced in
-    Z[n][k] with a monic denominator (``zn_ratfun``)."""
-    return zn_ratfun(*factored_shift_pair(term, var).pair())
+    the unreduced pair of ``factored_shift_pair`` multiplied out and reduced."""
+    return RationalFunction(*factored_shift_pair(term, var).pair())
 
 
 def ratio_rational(t1: HyperTerm, t2: HyperTerm) -> tuple[Polynomial, Polynomial]:
@@ -842,7 +840,7 @@ def parse_n_polynomial(text: str, binding: ParamBinding | None = None) -> Polyno
     p, d = _poly_eval(ast, binding)
     if p.degree > 0:
         raise ValueError(f"may not involve k: {text!r}")
-    return p.coeff(0).to_poly().mul_ground(Fraction(1, d))
+    return p.coeff(0).to_poly() * Fraction(1, d)
 
 
 def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:

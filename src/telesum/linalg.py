@@ -5,7 +5,7 @@ modulo a prime at integer points n and rebuilds its kernel in Z[n] from the
 images (Gerhard, LNCS 3218, 2004), by rational-function and rational-number
 reconstruction (von zur Gathen and Gerhard, *Modern Computer Algebra*, 5.7
 and 5.10); it returns a basis only once A v = 0 is proved exactly in Z[n].
-``solve_linear_system`` alone takes Q(n) entries and clears them first.
+``solve_linear_system`` reads one solution of A x = b off that basis.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 
-from .polynomials import QN, RationalFunction, ZnPoly, clear_qn
+from .polynomials import ZN, RationalFunction, ZnPoly
 
 # The first point n; the primes, climbed while the images modulo one rebuild
 # no proved basis; the base of the weights that sum a kernel vector's entries.
@@ -23,21 +23,20 @@ _PRIMES = tuple((1 << e) - 1 for e in (61, 127, 521, 1279, 3217, 9689, 21701, 44
 
 
 def solve_linear_system(matrix: list[list], rhs: list) -> list | None:
-    """One solution of A x = rhs over Q(n), or None if inconsistent.
+    """One solution over Q(n) of A x = rhs, entries in Z[n] (``ZnPoly``s or
+    ints), as ``RationalFunction``s; None if inconsistent.
 
     It is the nullspace vector of [A | -rhs] that is 1 in the last column,
-    so free variables are set to zero.  Entries may be ints, Fractions,
-    polynomials, or rational functions coercible into Q(n).
+    so free variables are set to zero.
     """
     if len(rhs) != len(matrix):
         raise ValueError("matrix and right-hand side sizes differ")
     ncols = len(matrix[0]) if matrix else 0
-    rows = [clear_qn([QN.coerce(e) for e in list(row) + [-b]]) for row, b in zip(matrix, rhs)]
+    rows = [[*map(ZN.coerce, row), -ZN.coerce(b)] for row, b in zip(matrix, rhs)]
     basis = nullspace(rows, ncols=ncols + 1)
     if not basis or not basis[-1][ncols]:
         return None
-    den = basis[-1][ncols].to_poly()
-    return [RationalFunction(v.to_poly(), den) for v in basis[-1][:ncols]]
+    return [RationalFunction(v, basis[-1][ncols]) for v in basis[-1][:ncols]]
 
 
 def nullspace(matrix: list[list[ZnPoly]], ncols: int | None = None) -> list[list[ZnPoly]]:

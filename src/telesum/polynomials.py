@@ -4,20 +4,15 @@ All results are exact: coefficients are Python ints or ``fractions.Fraction``
 values.  Polynomials are dense coefficient tuples over a pluggable
 coefficient ring, which lets the same class serve as
 
-* ``Q[k]`` (coefficients ``Fraction``),
-* ``Q(n)[k]`` (coefficients ``RationalFunction`` in ``n``),
+* ``Q[n]`` (coefficients ``Fraction``, ring ``QQ``), a recurrence's
+  coefficients,
 * ``Z[n][k]`` (coefficients ``ZnPoly``, ring ``ZN``), and
 * ``Z[j]`` (the same ``ZnPoly`` read as polynomials in a shift j).
 
-The public objects live in the tower ``Q -> Q[n] -> Q(n) -> Q(n)[k] ->
-Q(n)(k)``, built from ``Fraction`` upward; module-level singletons for
-those rings live near the bottom of this file.  The costly steps leave the
-tower for one integer form: ``ZnPoly`` is Z[n] as a tuple of ints, and a
-polynomial in k over ``ZN`` is Z[n][k].  ``clear_qn`` is the one clear
-into it (``integer_qnk_pair`` applies it to a Q(n)(k) element);
-``zn_reduced`` brings a pair num/den in it to lowest terms by the cofactors
-of ``_zn_gcd``; and ``zn_ratfun`` is the one lift of such a pair back into
-Q(n)(k), which builds every public value held as a pair.
+``ZnPoly`` is Z[n] as a tuple of ints, and a polynomial in k over ``ZN`` is
+Z[n][k], the one exact form of the engine.  ``zn_reduced`` brings a pair
+num/den in it to lowest terms by the cofactors of ``_zn_gcd``; a
+``RationalFunction``, an element of Q(n)(k), is such a reduced pair.
 ``FactoredRatio`` keeps a quotient as multisets of primitive factors in
 Z[n][k], the form the Gosper normal form reads; ``root_shifts`` and
 ``_shift_resultant_roots`` (a resultant over Z[j] at points n0, as in
@@ -66,7 +61,7 @@ QQ = RationalField()
 
 
 class PolynomialRing:
-    """Descriptor for dense univariate polynomials over a coefficient ring."""
+    """Constructors of dense univariate polynomials over a coefficient ring."""
 
     def __init__(self, var: str, coeff_ring) -> None:
         self.var = var
@@ -94,66 +89,8 @@ class PolynomialRing:
             self.var, self.coeff_ring, tuple(self.coeff_ring.coerce(c) for c in coeffs)
         )
 
-    def exact_div(self, a: "Polynomial", b: "Polynomial") -> "Polynomial":
-        return a.exact_div(b)
-
-    def coerce(self, value) -> "Polynomial":
-        if (
-            isinstance(value, Polynomial)
-            and value.var == self.var
-            and value.ring == self.coeff_ring
-        ):
-            return value
-        if isinstance(value, int):
-            return self.from_int(value)
-        return self.constant(value)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolynomialRing)
-            and self.var == other.var
-            and self.coeff_ring == other.coeff_ring
-        )
-
-    def __hash__(self) -> int:
-        return hash(("PolynomialRing", self.var, self.coeff_ring))
-
     def __repr__(self) -> str:
         return f"{self.coeff_ring!r}[{self.var}]"
-
-
-class FractionField:
-    """Descriptor for the fraction field of a polynomial ring."""
-
-    def __init__(self, poly_ring: PolynomialRing) -> None:
-        self.poly_ring = poly_ring
-        self.var = poly_ring.var
-
-    def zero(self) -> "RationalFunction":
-        return RationalFunction(self.poly_ring.zero(), self.poly_ring.one())
-
-    def one(self) -> "RationalFunction":
-        return RationalFunction(self.poly_ring.one(), self.poly_ring.one())
-
-    def from_int(self, value: int) -> "RationalFunction":
-        return RationalFunction(self.poly_ring.from_int(value), self.poly_ring.one())
-
-    def exact_div(self, a: "RationalFunction", b: "RationalFunction") -> "RationalFunction":
-        return a / b
-
-    def coerce(self, value) -> "RationalFunction":
-        if isinstance(value, RationalFunction) and value.field == self:
-            return value
-        return RationalFunction(self.poly_ring.coerce(value), self.poly_ring.one())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FractionField) and self.poly_ring == other.poly_ring
-
-    def __hash__(self) -> int:
-        return hash(("FractionField", self.poly_ring))
-
-    def __repr__(self) -> str:
-        return f"Frac({self.poly_ring!r})"
 
 
 class Polynomial:
@@ -209,16 +146,10 @@ class Polynomial:
     # -- ring operations ------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return (
-                self.var == other.var
-                and self.ring == other.ring
-                and self.coeffs == other.coeffs
-            )
-        p = self._coerce(other)
+        p = other if isinstance(other, Polynomial) else self._coerce(other)
         if p is None:
             return NotImplemented
-        return self.coeffs == p.coeffs
+        return self.var == p.var and self.ring == p.ring and self.coeffs == p.coeffs
 
     def __hash__(self) -> int:
         return hash((self.var, self.coeffs))
@@ -271,10 +202,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def mul_ground(self, c) -> "Polynomial":
-        c = self.ring.coerce(c)
-        return self._spawn(tuple(a * c for a in self.coeffs))
-
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative polynomial power")
@@ -311,9 +238,6 @@ class Polynomial:
             for j, cb in enumerate(p.coeffs):
                 rem[i - db + j] = rem[i - db + j] - q * cb
         return self._spawn(quot), self._spawn(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -354,9 +278,8 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def map_coeffs(self, fn, ring=None) -> "Polynomial":
-        return Polynomial(self.var, ring if ring is not None else self.ring,
-                          tuple(fn(c) for c in self.coeffs))
+    def map_coeffs(self, fn) -> "Polynomial":
+        return self._spawn(tuple(map(fn, self.coeffs)))
 
     # -- display --------------------------------------------------------
 
@@ -390,59 +313,50 @@ class Polynomial:
 
 
 def _coeff_string(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, Polynomial):
-        s = c.to_string()
-        return s if len(c.coeffs) <= 1 and "/" not in s else f"({s})"
-    if isinstance(c, RationalFunction):
-        s = str(c)
-        return s if s.lstrip("-").isdigit() else f"({s})"
-    return str(c)
+    """A coefficient as a factor: in parentheses unless a Fraction or an integer."""
+    s = str(c)
+    return s if isinstance(c, Fraction) or s.lstrip("-").isdigit() else f"({s})"
+
+
+def _znk_scaled(value) -> tuple[Polynomial, int]:
+    """(p, s) with value = p/s, p a polynomial in k over Z[n] and s > 0 an
+    int, for a polynomial in k over ``ZN`` or in n over ``QQ``, a ``ZnPoly``,
+    an int or a Fraction."""
+    if isinstance(value, Polynomial) and value.ring is ZN and value.var == "k":
+        return value, 1
+    if isinstance(value, Polynomial) and value.ring is QQ and value.var == "n":
+        scale = math.lcm(*(c.denominator for c in value.coeffs))
+        return ZNK.constant(ZnPoly(int(c * scale) for c in value.coeffs)), scale
+    if isinstance(value, ZnPoly):
+        return ZNK.constant(value), 1
+    if isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+        return ZNK.from_int(value.numerator), value.denominator
+    raise TypeError(f"cannot read {value!r} as an element of Q(n)(k)")
 
 
 class RationalFunction:
-    """Quotient of polynomials, always reduced, denominator monic."""
+    """An element of Q(n)(k), or of Q(n) when k does not occur in it: one pair
+    num/den of polynomials in k over Z[n], brought to lowest terms by
+    ``zn_reduced`` (no common factor, joint content 1, the denominator's top
+    integer positive), so that equal values have equal pairs.
 
-    __slots__ = ("num", "den", "field")
+    num and den may be anything ``_znk_scaled`` reads; den defaults to 1.
+    The operators also take ints and Fractions, and a constant value hashes
+    as the Fraction it equals."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None) -> None:
-        ring = PolynomialRing(num.var, num.ring)
-        if den is None:
-            den = ring.one()
-        if not den:
+        (p, a), (q, b) = _znk_scaled(num), _znk_scaled(1 if den is None else den)
+        if not q:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.var != den.var or num.ring != den.ring:
-            raise TypeError("numerator and denominator from different rings")
-        if not num:
-            den = ring.one()
-        elif num.ring == QN and num.degree > 0 and den.degree > 0:
-            rows = clear_qn(num.coeffs + den.coeffs)  # one multiplier keeps num/den
-            size = len(num.coeffs)
-            lifted = zn_ratfun(Polynomial(num.var, ZN, rows[:size]),
-                               Polynomial(num.var, ZN, rows[size:]))
-            num, den = lifted.num, lifted.den
-        elif num.degree > 0 and den.degree > 0:  # else the gcd is 1
-            g = poly_gcd(num, den)
-            if g.degree > 0:  # g is monic
-                num, den = num.exact_div(g), den.exact_div(g)
-        lead = den.lc()
-        if lead != num.ring.one():
-            den = den.monic()
-            num = num.map_coeffs(lambda c: num.ring.exact_div(c, lead))
+        num, den = zn_reduced(p * b if b > 1 else p, q * a if a > 1 else q)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "field", FractionField(ring))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
-
-    @property
-    def var(self) -> str:
-        return self.num.var
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -450,13 +364,11 @@ class RationalFunction:
     def is_one(self) -> bool:
         return self.num == self.den
 
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction) and other.field == self.field:
+    @staticmethod
+    def _coerce(other) -> "RationalFunction | None":
+        if isinstance(other, RationalFunction):
             return other
-        try:
-            return self.field.coerce(other)
-        except TypeError:
-            return None
+        return RationalFunction(other) if isinstance(other, (int, Fraction)) else None
 
     def __eq__(self, other) -> bool:
         p = self._coerce(other)
@@ -465,7 +377,10 @@ class RationalFunction:
         return self.num == p.num and self.den == p.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        rows = self.num.coeffs + self.den.coeffs
+        if self.num.degree <= 0 and self.den.degree == 0 and max(map(len, rows)) == 1:
+            return hash(Fraction(self.num.coeff(0)(0), self.den.coeffs[0][0]))
+        return hash((self.num.coeffs, self.den.coeffs))
 
     def __add__(self, other):
         p = self._coerce(other)
@@ -480,15 +395,11 @@ class RationalFunction:
 
     def __sub__(self, other):
         p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return self + (-p)
+        return NotImplemented if p is None else self + (-p)
 
     def __rsub__(self, other):
         p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return p + (-self)
+        return NotImplemented if p is None else p + (-self)
 
     def __mul__(self, other):
         p = self._coerce(other)
@@ -500,62 +411,45 @@ class RationalFunction:
 
     def __truediv__(self, other):
         p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        if not p.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * p.den, self.den * p.num)
+        return NotImplemented if p is None else self * p.reciprocal()
 
     def __rtruediv__(self, other):
         p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return p / self
+        return NotImplemented if p is None else p * self.reciprocal()
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            return (self.field.one() / self) ** (-exponent)
-        return RationalFunction(self.num**exponent, self.den**exponent)
+        base = self if exponent >= 0 else self.reciprocal()
+        return RationalFunction(base.num ** abs(exponent), base.den ** abs(exponent))
 
     def reciprocal(self) -> "RationalFunction":
         if not self.num:
             raise ZeroDivisionError("reciprocal of zero")
         return RationalFunction(self.den, self.num)
 
-    def shift(self, j) -> "RationalFunction":
+    def shift(self, j: int) -> "RationalFunction":
+        """The value at k + j."""
         return RationalFunction(self.num.shift(j), self.den.shift(j))
 
-    def map_coeffs(self, fn, ring=None) -> "RationalFunction":
-        return RationalFunction(self.num.map_coeffs(fn, ring), self.den.map_coeffs(fn, ring))
-
-    def evaluate(self, point):
-        """Evaluate at a point of the coefficient ring; raises on a pole."""
-        d = self.den.evaluate(point)
-        if not d:
-            raise ZeroDivisionError(f"pole of {self!r} at {self.var} = {point!r}")
-        n = self.num.evaluate(point)
-        ring = self.num.ring
-        if isinstance(n, RationalFunction) or isinstance(n, Fraction):
-            return n / d
-        return ring.exact_div(n, d)
+    def evaluate(self, n, k=0) -> Fraction:
+        """The value at (n, k), ints or Fractions; a ZeroDivisionError where
+        the denominator of the pair vanishes."""
+        num, den = (sum(r(Fraction(n)) * Fraction(k) ** i for i, r in enumerate(p.coeffs))
+                    for p in (self.num, self.den))
+        if not den:
+            raise ZeroDivisionError(f"pole of {self} at (n, k) = ({n}, {k})")
+        return num / den
 
     def __str__(self) -> str:
-        if self.den.degree == 0 and self.den.lc() == self.num.ring.one():
-            return self.num.to_string()
-        return f"({self.num.to_string()})/({self.den.to_string()})"
+        from .serialize import ratfun_to_text
+        return ratfun_to_text((self.num, self.den))
 
     def __repr__(self) -> str:
-        return f"RatFunc({self})"
+        return f"RationalFunction({self})"
 
 
 # ---------------------------------------------------------------------------
 # gcd machinery
 
-
-def _int_content_normalize(coeffs: Sequence[Fraction]) -> list[int]:
-    """Scale Fraction coefficients to a primitive integer list, positive lead."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return _int_primitive([int(c * den) for c in coeffs])
 
 def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     da, db = len(a) - 1, len(b) - 1
@@ -593,12 +487,6 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     while b:
         a, b = b, _int_primitive(_int_pseudo_rem(a, b))
     return a
-
-
-def _rational_poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    a = _int_gcd(_int_content_normalize(p.coeffs), _int_content_normalize(q.coeffs))
-    lead = a[-1]
-    return Polynomial(p.var, p.ring, tuple(Fraction(c, lead) for c in a))
 
 
 def _zn_gcd(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> tuple[list[ZnPoly], ...] | None:
@@ -649,7 +537,7 @@ def zn_reduced(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
     """num/den, polynomials in k over Z[n] with den nonzero, in lowest terms:
     the cofactors of their gcd in Z[n][k] (``_zn_gcd``), divided by their
     joint content in Z[n], the denominator's top integer positive; zero is
-    0/1.  It is the pair ``integer_qnk_pair`` gives for the element num/den."""
+    0/1.  It is the one form of a ``RationalFunction``."""
     if not num:
         return num, Polynomial(num.var, ZN, (ZN_ONE,))
     found = num.degree > 0 and den.degree > 0 and _zn_gcd(num.coeffs, den.coeffs)
@@ -659,46 +547,25 @@ def zn_reduced(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
             Polynomial(num.var, ZN, rows[len(num_rows):]))
 
 
-def zn_ratfun(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """num/den, polynomials in k over Z[n], as a reduced Q(n)(k) element: the
-    pair of ``zn_reduced``, each coefficient over the lead of its denominator.
-    It is the one lift from Z[n][k] into Q(n)(k); a polynomial value, such as
-    a monic gcd, is the numerator of its pair over a constant in k."""
-    if not den:
-        raise ZeroDivisionError("rational function with zero denominator")
-    num, den = zn_reduced(num, den)
-    lead = den.lc().to_poly()
-    value = object.__new__(RationalFunction)
-    for name, p in (("num", num), ("den", den)):
-        coeffs = tuple(RationalFunction(c.to_poly(), lead) for c in p.coeffs)
-        object.__setattr__(value, name, Polynomial(num.var, QN, coeffs))
-    object.__setattr__(value, "field", FractionField(PolynomialRing(num.var, QN)))
-    return value
-
-
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd over Q (``_rational_poly_gcd``) or over Q(n) (``_zn_gcd``)."""
-    if p.var != q.var or p.ring != q.ring:
-        raise TypeError("gcd of polynomials from different rings")
-    if not p:
-        return q.monic()
-    if not q:
-        return p.monic()
-    if p.degree == 0 or q.degree == 0:
-        return PolynomialRing(p.var, p.ring).one()
-    if isinstance(p.ring, RationalField):
-        return _rational_poly_gcd(p, q)
-    if p.ring == QN:  # decided in Z[n][k]
-        found = _zn_gcd(clear_qn(p.coeffs), clear_qn(q.coeffs))
-        g = Polynomial(p.var, ZN, found[0] if found else (ZN_ONE,))
-        return zn_ratfun(g, ZNK.constant(g.lc())).num
-    raise TypeError(f"no gcd for polynomials over {p.ring!r}")
+    """The gcd in Q(n)[k] of two polynomials in k over Z[n], as ``_zn_gcd``
+    gives it: primitive in Z[n][k] with a positive leading integer, 1 when
+    it is a unit, 0 for two zeros."""
+    if p.ring is not ZN or q.ring is not ZN:
+        raise TypeError("gcd of polynomials that are not in Z[n][k]")
+    if not p or not q:
+        f = p or q
+        return Polynomial("k", ZN, _zn_primitive_part(list(f.coeffs))) if f else f
+    found = p.degree > 0 and q.degree > 0 and _zn_gcd(p.coeffs, q.coeffs)
+    return Polynomial("k", ZN, found[0] if found else (ZN_ONE,))
 
 
 def poly_lcm(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The lcm in Q(n)[k] of two polynomials in k over Z[n], normalized as
+    ``poly_gcd``'s result is; 0 when either is 0."""
     if not p or not q:
-        return PolynomialRing(p.var, p.ring).zero()
-    return (p * q).exact_div(poly_gcd(p, q)).monic()
+        return Polynomial("k", ZN, ())
+    return Polynomial("k", ZN, _zn_primitive_part(list((p * q.exact_div(poly_gcd(p, q))).coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +576,8 @@ def integer_roots(p: Polynomial) -> list[int]:
     """Sorted integer roots of a nonzero polynomial over Q (``_int_roots``)."""
     if not p:
         raise ValueError("integer_roots of the zero polynomial")
-    return _int_roots(_int_content_normalize(p.coeffs))
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _int_roots(_int_primitive([int(c * den) for c in p.coeffs]))
 
 
 def _int_roots(ints: list[int]) -> list[int]:
@@ -843,23 +711,21 @@ def meeting_shifts(u: Polynomial, v: Polynomial) -> list[int]:
 
 
 def dispersion_set(p: Polynomial, q: Polynomial) -> list[int]:
-    """All integers j >= 0 with deg gcd(p(k), q(k + j)) >= 1, sorted, over
-    Q[k] or Q(n)[k]: the candidates of ``_shift_resultant_roots``, each
-    confirmed by an exact gcd."""
-    if p.var != q.var or p.ring != q.ring:
-        raise TypeError("dispersion of polynomials from different rings")
+    """All integers j >= 0 with deg gcd(p(k), q(k + j)) >= 1, sorted, for
+    polynomials in k over Z[n]: the candidates of ``_shift_resultant_roots``,
+    each confirmed by ``_zn_gcd``."""
+    if p.ring is not ZN or q.ring is not ZN:
+        raise TypeError("dispersion of polynomials that are not in Z[n][k]")
     if p.degree < 1 or q.degree < 1:
         return []
-    rows = [clear_qn([QN.coerce(c) for c in f.coeffs]) for f in (p, q)]
-    return [j for j in _shift_resultant_roots(*rows) if poly_gcd(p, q.shift(j)).degree >= 1]
+    return [j for j in _shift_resultant_roots(p.coeffs, q.coeffs)
+            if _zn_gcd(p.coeffs, q.shift(j).coeffs)]
 
 
 # ---------------------------------------------------------------------------
-# the working tower
+# Q[n], the ring of a recurrence's coefficients
 
 POLY_N = PolynomialRing("n", QQ)
-QN = FractionField(POLY_N)
-POLY_K = PolynomialRing("k", QN)
 
 
 def n_poly(*coeffs) -> Polynomial:
@@ -868,57 +734,16 @@ def n_poly(*coeffs) -> Polynomial:
 
 
 def shift_in_n(obj, j: int):
-    """Substitute n + j for n throughout a Q(n), Q(n)[k], Q(n)(k), Z[n] or
-    Z[n][k] object."""
+    """Substitute n + j for n in a polynomial in k over Z[n] or in a
+    ``RationalFunction``."""
     if isinstance(obj, RationalFunction):
-        if obj.var == "n":
-            return RationalFunction(obj.num.shift(j), obj.den.shift(j))
         return RationalFunction(shift_in_n(obj.num, j), shift_in_n(obj.den, j))
-    if isinstance(obj, Polynomial):
-        if obj.var == "n":
-            return obj.shift(j)
-        return obj.map_coeffs(lambda c: shift_in_n(c, j))
-    if isinstance(obj, ZnPoly):
-        return obj.shift(j)
-    raise TypeError(f"cannot shift n in {obj!r}")
-
-
-def clear_qn(values: Sequence[RationalFunction]) -> list[ZnPoly]:
-    """Q(n) elements times their least common multiplier in Q[n] (the lcm of
-    the denominators, taken in Z[n], times a positive rational), as ``ZnPoly``s
-    with joint content 1.  The one multiplier keeps every linear relation.
-    """
-    common = ZN_ONE
-    for v in values:
-        if v and v.den.degree > 0:
-            d = ZnPoly(_int_content_normalize(v.den.coeffs))
-            common = common * d.quotient(ZnPoly(_int_gcd(list(common), list(d))))
-    common = common.to_poly()
-    polys = [v.num * common.exact_div(v.den) if v else POLY_N.zero() for v in values]
-    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    rows = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
-    g = math.gcd(*(c for r in rows for c in r)) or 1
-    return [tuple.__new__(ZnPoly, [c // g for c in r]) for r in rows]
+    return obj.map_coeffs(lambda c: c.shift(j))
 
 
 def clear_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
-    """A Q(n)(k) element as num/den with Q[n] coefficients: the pair of
-    ``integer_qnk_pair``, so the quotient is unchanged."""
-    return tuple(p.map_coeffs(ZnPoly.to_poly, POLY_N) for p in integer_qnk_pair(value))
-
-
-def integer_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
-    """Canonical num/den pair in Z[n][k] (polynomials over ``ZN``) for a
-    Q(n)(k) element.
-
-    Both parts come from one clear_qn call, so the quotient is unchanged
-    and the coefficients have joint content 1.  The denominator's leading
-    coefficient is positive: it is 1 in the reduced form, and clear_qn
-    multiplies by a positive rational times a monic lcm.
-    """
-    size = len(value.num.coeffs)
-    polys = clear_qn(value.num.coeffs + value.den.coeffs)
-    return Polynomial(value.var, ZN, polys[:size]), Polynomial(value.var, ZN, polys[size:])
+    """The pair (num, den) in Z[n][k] of a Q(n)(k) value."""
+    return value.num, value.den
 
 
 # ---------------------------------------------------------------------------

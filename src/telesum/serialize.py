@@ -4,8 +4,9 @@ Integers are rendered as decimal strings so consumers never lose
 precision to floating point; polynomial coefficient lists are nested
 with the k-exponent outside and the n-exponent inside.  Records and texts
 take a rational function as its reduced pair (num, den) of polynomials in
-k over Z[n] (``zn_reduced``) and read their ints; ``record_to_ratfun``
-lifts a record's ints back by ``zn_ratfun``.  One printer
+k over Z[n] (``zn_reduced``), the pair a ``RationalFunction`` holds, and
+read their ints; ``record_to_ratfun`` reads a record's ints back into one.
+One printer
 serves polynomials in n and k: certificates group each coefficient in n,
 terms (``hyperterm.term_to_string``) expand every monomial.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .polynomials import ZN, Polynomial, RationalFunction, ZnPoly, zn_ratfun
+from .polynomials import ZN, Polynomial, RationalFunction, ZnPoly
 
 
 def npoly_to_list(p: Polynomial) -> list[str]:
@@ -38,9 +39,9 @@ def ratfun_to_record(pair: tuple[Polynomial, Polynomial]) -> dict:
 
 
 def record_to_ratfun(record: dict) -> RationalFunction:
-    """The Q(n)(k) value of a record: its integer rows lifted by ``zn_ratfun``."""
-    return zn_ratfun(*(Polynomial("k", ZN, [ZnPoly(map(int, row)) for row in record[side]])
-                       for side in ("num", "den")))
+    """The Q(n)(k) value of a record's integer rows."""
+    return RationalFunction(*(Polynomial("k", ZN, [ZnPoly(map(int, row)) for row in record[side]])
+                              for side in ("num", "den")))
 
 
 def _monomial_string(coeff: int, n_exp: int, k_exp: int) -> str:

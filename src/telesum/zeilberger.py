@@ -42,7 +42,6 @@ from .polynomials import (
     RationalFunction,
     coprime_base,
     zn_product,
-    zn_ratfun,
 )
 from .serialize import _npoly_string, npoly_to_list, ratfun_to_record, ratfun_to_text
 from .verify import _exact_sum, telescoping_identity
@@ -116,8 +115,8 @@ class TelescopingCertificate:
 
     @property
     def certificate(self) -> RationalFunction:
-        """R in Q(n)(k), built when read from its pair (P, Q) of ``zn_reduced``."""
-        return zn_ratfun(*self.certificate_pair)
+        """R, built when read from its pair (P, Q) of ``zn_reduced``."""
+        return RationalFunction(*self.certificate_pair)
 
     def companion(self) -> HyperTerm:
         """G = R * F, the telescoped partner of the summand."""

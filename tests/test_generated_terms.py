@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telesum.gosper import (
-    GosperNormalForm,
+    IntegerNormalForm,
     NotSummableError,
     degree_bound,
     factored_normal_form,
@@ -40,7 +40,7 @@ from telesum.hyperterm import (
     term_ratio_is_one,
     term_to_string,
 )
-from qn_tower import k_poly
+from qn_tower import TowerFunction, k_poly, lift, pair_to_tower, tower_pair, znk
 from telesum.polynomials import (
     ZN,
     FactoredRatio,
@@ -48,12 +48,10 @@ from telesum.polynomials import (
     RationalFunction,
     ZnPoly,
     dispersion_set,
-    integer_qnk_pair,
     n_poly,
     poly_lcm,
     shift_in_n,
     zn_product,
-    zn_ratfun,
     zn_value,
 )
 from telesum.verify import _exact_sum, oracle_sum
@@ -63,6 +61,8 @@ from telesum.zeilberger import (
     creative_telescope,
     sum_recurrence_natural,
 )
+
+_ZNK_ONE = znk((1,))
 
 # alpha*n + beta*k + gamma with 0 <= alpha <= 1 and |beta| <= 2, and the same
 # bound for the difference of a binomial's arguments
@@ -87,9 +87,15 @@ factors = st.one_of(
 prefactors = st.lists(
     st.tuples(st.integers(min_value=-3, max_value=3), st.integers(min_value=-2, max_value=2)),
     max_size=2,
-).map(lambda cs: k_poly(*(n_poly(a, b) for a, b in cs)) if cs else k_poly(1))
+).map(lambda cs: znk(*cs) if cs else _ZNK_ONE)
+
+
+def _pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
+    return value.num, value.den
+
+
 terms = st.builds(
-    lambda fs, p: HyperTerm(fs, integer_qnk_pair(RationalFunction(p))),
+    lambda fs, p: HyperTerm(fs, _pair(RationalFunction(p))),
     st.lists(factors, min_size=1, max_size=3),
     prefactors.filter(bool),
 )
@@ -114,7 +120,7 @@ def _kfree_top_binomials(min_alpha: int):
 # numerator makes the support an artefact of that convention, and summed
 # over it the certificate's identity leaves boundary terms.
 natural_terms = st.builds(
-    lambda f, fs, p: HyperTerm([f] + fs, integer_qnk_pair(RationalFunction(p))),
+    lambda f, fs, p: HyperTerm([f] + fs, _pair(RationalFunction(p))),
     _kfree_top_binomials(1),
     st.lists(
         st.one_of(
@@ -180,7 +186,7 @@ def test_constructed_difference_is_never_refused(g):
     step = shift_quotient(g, "k") - 1
     if not step:
         return  # G does not depend on k, so G(k+1) - G(k) is the zero term
-    f = g.scale_rational(integer_qnk_pair(step))
+    f = g.scale_rational(_pair(step))
     cert = gosper_antidifference(f)
     assert cert.check()
     _telescoped_sums_match(cert, f)
@@ -188,7 +194,7 @@ def test_constructed_difference_is_never_refused(g):
 
 def _defined_at(value: RationalFunction, n: int) -> bool:
     """Whether the denominator of a Q(n)(k) element is not zero for all k at n."""
-    return any(c(n) for c in integer_qnk_pair(value)[1].coeffs)
+    return any(c(n) for c in value.den.coeffs)
 
 
 @settings(max_examples=50, deadline=None)
@@ -315,8 +321,9 @@ def _falling_in_qn(lf: LinearForm, delta: int):
     return num, den
 
 
-def _shift_quotient_in_qn(term: HyperTerm, var: str) -> RationalFunction:
-    """An independent copy of the Q(n)(k) shift-quotient construction."""
+def _shift_quotient_in_qn(term: HyperTerm, var: str) -> TowerFunction:
+    """An independent copy of the Q(n)(k) shift-quotient construction, in
+    the tower of tests/qn_tower.py."""
     num = den = k_poly(1)
     for f, e in term.factors:
         if isinstance(f, PowerFactor):
@@ -332,18 +339,16 @@ def _shift_quotient_in_qn(term: HyperTerm, var: str) -> RationalFunction:
         if e < 0:
             a, b, e = b, a, -e
         num, den = num * a**e, den * b**e
-    pref = zn_ratfun(*term.prefactor)
-    shifted = pref.shift(1) if var == "k" else shift_in_n(pref, 1)
-    return RationalFunction(num * shifted.num * pref.den, den * shifted.den * pref.num)
+    pref = pair_to_tower(*term.prefactor)
+    shifted = pref.shift(1) if var == "k" else pref.shift_n(1)
+    return TowerFunction(num * shifted.num * pref.den, den * shifted.den * pref.num)
 
 
 @settings(max_examples=40, deadline=None)
 @given(terms, st.sampled_from(["k", "n"]))
 def test_shift_quotient_equals_the_q_n_k_construction(term, var):
-    assert shift_quotient(term, var) == _shift_quotient_in_qn(term, var)
-
-
-_ZNK_ONE = Polynomial("k", ZN, (ZnPoly((1,)),))
+    r = shift_quotient(term, var)
+    assert (r.num, r.den) == tower_pair(_shift_quotient_in_qn(term, var))
 
 
 def _zn_falling(lf: LinearForm, var: str):
@@ -362,7 +367,7 @@ def _unfactored_shift_pair(term: HyperTerm, var: str):
     for f, e in term.factors:
         if isinstance(f, PowerFactor):
             r = f.base ** f.exponent.coeff(var)
-            a, b = _ZNK_ONE.mul_ground(r.numerator), _ZNK_ONE.mul_ground(r.denominator)
+            a, b = _ZNK_ONE * r.numerator, _ZNK_ONE * r.denominator
         elif isinstance(f, FactorialFactor):
             a, b = _zn_falling(f.arg, var)
         else:
@@ -383,7 +388,7 @@ def test_factored_pair_multiplies_out_to_the_unfactored_pair(term, var):
     for f in list(ratio.num) + list(ratio.den):
         assert f.lc()[-1] > 0 and (f.degree < 1 or f == _primitive(f))
     reduced = ratio.cancelled()
-    assert zn_ratfun(*reduced.pair()) == shift_quotient(term, var)
+    assert RationalFunction(*reduced.pair()) == shift_quotient(term, var)
     assert not (set(reduced.num) & set(reduced.den))
 
 
@@ -417,8 +422,9 @@ def test_factored_normal_form_and_dispersion_match_the_q_n_k_ones(term):
     the dispersion, against the resultant-based dispersion_set."""
     ratio = shift_quotient(term, "k")
     nf = factored_normal_form(factored_shift_pair(term, "k").cancelled())
-    assert nf.public() == gosper_normal_form(ratio)
-    assert nf.dispersion == dispersion_set(ratio.num.monic(), ratio.den)
+    assert nf.pairs() == gosper_normal_form(ratio).pairs()
+    assert nf.ratio() == ratio
+    assert nf.dispersion == dispersion_set(ratio.num, ratio.den)
 
 
 def _zeilberger_quotients(term: HyperTerm):
@@ -442,19 +448,22 @@ def test_zeilbergers_quotient_has_the_same_normal_form_factored(term):
     for t_list, q, scale, p_list, rho in _zeilberger_quotients(term):
         big_q = zn_product(q, scale)
         for tj, p in zip(t_list, p_list):
-            assert zn_ratfun(*tj.pair()) * zn_ratfun(big_q, _ZNK_ONE) == zn_ratfun(p, _ZNK_ONE)
-        lcm = functools.reduce(poly_lcm, (zn_ratfun(*tj.pair()).den for tj in t_list))
-        assert zn_ratfun(zn_product(q), _ZNK_ONE).num.monic() == lcm
+            assert RationalFunction(*tj.pair()) * RationalFunction(big_q) == RationalFunction(p)
+        lcm = functools.reduce(poly_lcm, (RationalFunction(*tj.pair()).den for tj in t_list))
+        assert lift(zn_product(q)).monic() == lift(lcm).monic()
         nf = factored_normal_form(rho)
-        assert nf.public() == gosper_normal_form(zn_ratfun(*rho.pair()))
+        assert nf.pairs() == gosper_normal_form(RationalFunction(*rho.pair())).pairs()
 
 
-def _q_n_degree_bound(nf: GosperNormalForm, rhs_extra: int) -> int | None:
-    """The degree bound read off the monic z, a, b and c in Q(n)[k]: the
-    reference for ``degree_bound`` on the integer form."""
-    z, a, B = nf.z, nf.a, nf.b.shift(-1)
+def _q_n_degree_bound(nf: IntegerNormalForm, rhs_extra: int) -> int | None:
+    """The degree bound read off the monic z, a, b and c in Q(n)[k], in the
+    tower of tests/qn_tower.py: the reference for ``degree_bound`` on the
+    integer form."""
+    pairs = nf.pairs()
+    a, b, c = (lift(pairs[name][0]).monic() for name in "abc")
+    z, B = pair_to_tower(*pairs["z"]), b.shift(-1)
     na, nb = int(a.degree), int(B.degree)
-    K = int(nf.c.degree) + rhs_extra
+    K = int(c.degree) + rhs_extra
     if na != nb or not (z - 1).is_zero():
         d = K - max(na, nb)
         return d if d >= 0 else None
@@ -477,9 +486,8 @@ def _q_n_degree_bound(nf: GosperNormalForm, rhs_extra: int) -> int | None:
 @example(parse_term("fact(k+n)/fact(k+1)"))  # z = 1, theta = -n
 def test_degree_bound_on_the_integer_form_matches_the_q_n_one(term):
     nf = factored_normal_form(factored_shift_pair(term, "k").cancelled())
-    public = nf.public()
     for extra in range(3):
-        assert degree_bound(nf, extra) == _q_n_degree_bound(public, extra)
+        assert degree_bound(nf, extra) == _q_n_degree_bound(nf, extra)
 
 
 @settings(max_examples=20, deadline=None)
@@ -487,12 +495,11 @@ def test_degree_bound_on_the_integer_form_matches_the_q_n_one(term):
 def test_degree_bound_on_zeilbergers_quotient_matches_the_q_n_one(term):
     for *_, rho in _zeilberger_quotients(term):
         nf = factored_normal_form(rho)
-        public = nf.public()
         for extra in range(3):
-            assert degree_bound(nf, extra) == _q_n_degree_bound(public, extra)
+            assert degree_bound(nf, extra) == _q_n_degree_bound(nf, extra)
 
 
-_MULTIPLIERS = [k_poly(1), k_poly(2), k_poly(-1), k_poly(1, 1), k_poly(n_poly(2, 1))]
+_MULTIPLIERS = [1, 2, -1, znk((1,), (1,)), n_poly(2, 1)]
 
 
 def _as_factorials(term: HyperTerm) -> HyperTerm:
@@ -519,7 +526,7 @@ def test_term_ratio_is_one_agrees_with_the_reduced_comparison(term, which, rewri
     """t2 = m * t1, possibly with its binomials as factorials: the cross-
     multiplied pairs agree exactly when the reduced shift quotients do, and
     the ratio is one exactly when m is."""
-    other = term.scale_rational(integer_qnk_pair(RationalFunction(_MULTIPLIERS[which])))
+    other = term.scale_rational(_pair(RationalFunction(_MULTIPLIERS[which])))
     if rewrite:
         other = _as_factorials(other)
     for var in ("k", "n"):

@@ -19,13 +19,18 @@ from telesum.gosper import (
     telescoped_sum,
 )
 from telesum.hyperterm import PoleError, eval_term, factored_shift_pair, parse_term, shift_quotient
-from qn_tower import eval_qnk, k_poly, qnk
-from telesum.polynomials import QN, n_poly
-from telesum.serialize import record_to_ratfun
+from qn_tower import lift, znk
+from telesum.polynomials import RationalFunction, n_poly
+from telesum.serialize import bivariate_string, record_to_ratfun
 from telesum.verify import oracle_sum
 
 
 # -- normal form ---------------------------------------------------------
+
+
+def _monic(nf, name: str) -> str:
+    """The monic a, b or c of a normal form, printed in the tower."""
+    return lift(nf.pairs()[name][0]).monic().to_string()
 
 
 def test_normal_form_reconstructs_ratio():
@@ -37,40 +42,40 @@ def test_normal_form_reconstructs_ratio():
 
 def test_normal_form_shift_coprimality():
     # r = (k+3)/(k+1): the dispersion-2 overlap moves into c entirely
-    r = qnk(k_poly(n_poly(3), 1), k_poly(n_poly(1), 1))
+    r = RationalFunction(znk((3,), (1,)), znk((1,), (1,)))
     nf = gosper_normal_form(r)
-    assert nf.a.to_string() == "1"
-    assert nf.b.to_string() == "1"
-    assert nf.c.to_string() == "k^2+3*k+2"
-    assert nf.z == QN.one()
+    assert bivariate_string(nf.a) == "1"
+    assert bivariate_string(nf.b) == "1"
+    assert bivariate_string(nf.c) == "k^2+3*k+2"
+    assert nf.pairs()["z"] == (znk((1,)), znk((1,)))
     assert nf.ratio() == r
 
 
 def test_normal_form_reversed_quotient_stays_split():
     # r = (k+1)/(k+3) has no nonnegative-shift overlap: a and b keep their parts
-    r = qnk(k_poly(n_poly(1), 1), k_poly(n_poly(3), 1))
+    r = RationalFunction(znk((1,), (1,)), znk((3,), (1,)))
     nf = gosper_normal_form(r)
-    assert nf.a.to_string() == "k+1"
-    assert nf.b.to_string() == "k+3"
-    assert nf.c.to_string() == "1"
+    assert bivariate_string(nf.a) == "k+1"
+    assert bivariate_string(nf.b) == "k+3"
+    assert bivariate_string(nf.c) == "1"
     assert nf.ratio() == r
 
 
 def test_normal_form_extracts_leading_constant():
     t = parse_term("2^k")
     nf = gosper_normal_form(shift_quotient(t, "k"))
-    assert nf.z == QN.from_int(2)
-    assert nf.a.to_string() == "1"
-    assert nf.b.to_string() == "1"
+    assert RationalFunction(*nf.pairs()["z"]) == 2
+    assert bivariate_string(nf.a) == "1"
+    assert bivariate_string(nf.b) == "1"
 
 
 def test_normal_form_geometric_series_stays_split():
     t = parse_term("fact(k)")
     nf = gosper_normal_form(shift_quotient(t, "k"))
     # ratio k+1: pure 'a' part, no b or c content
-    assert nf.a.to_string() == "k+1"
-    assert nf.b.to_string() == "1"
-    assert nf.c.to_string() == "1"
+    assert bivariate_string(nf.a) == "k+1"
+    assert bivariate_string(nf.b) == "1"
+    assert bivariate_string(nf.c) == "1"
 
 
 @pytest.mark.parametrize("text, dispersion, c", [
@@ -87,8 +92,8 @@ def test_normal_form_read_off_the_factors(text, dispersion, c):
     t = parse_term(text)
     nf = factored_normal_form(factored_shift_pair(t, "k").cancelled())
     assert nf.dispersion == dispersion
-    assert nf.public() == gosper_normal_form(shift_quotient(t, "k"))
-    assert nf.public().c.to_string() == c
+    assert nf.pairs() == gosper_normal_form(shift_quotient(t, "k")).pairs()
+    assert _monic(nf, "c") == c
 
 
 SLOW_DISPERSION = "binom(2n-k,2n-2k-2)*binom(2n+2k,-2k-2)*3^(n+k-2)*(n*k^2-2*k^2+n*k-n-2)"
@@ -321,8 +326,9 @@ SUMMABLE = (
 def test_x_solves_gosper_equation(text):
     # z*a(k)*x(k+1) - b(k-1)*x(k) = c(k), which check() sees only through R
     cert = gosper_antidifference(parse_term(text))
-    nf, x = cert.normal_form, cert.x
-    assert (nf.a * x.shift(1)).mul_ground(nf.z) - nf.b.shift(-1) * x == nf.c
+    nf, x = cert.integer_form.pairs(), cert.x
+    a, b, c, z = (RationalFunction(*nf[name]) for name in "abcz")
+    assert z * a * x.shift(1) - b.shift(-1) * x == c
 
 
 def _rec(num, den=(("1",),)):
@@ -360,8 +366,9 @@ def test_records_lift_to_the_public_values(text):
     # a --machine record read back by record_to_ratfun is the value the
     # certificate shows, for each of x, the normal form and R
     cert = gosper_antidifference(parse_term(text))
-    rec, nf = cert.record(), cert.normal_form
-    values = {"x": cert.x, "a": nf.a, "b": nf.b, "c": nf.c, "z": nf.z, "R": cert.certificate}
+    rec, nf = cert.record(), cert.integer_form.pairs()
+    values = {"x": cert.x, **{name: RationalFunction(*pair) for name, pair in nf.items()},
+              "R": cert.certificate}
     assert set(values) == set(rec)
     for name, value in values.items():
         assert record_to_ratfun(rec[name]) == value, name

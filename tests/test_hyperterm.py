@@ -30,13 +30,13 @@ from telesum.hyperterm import (
     term_ratio_is_one,
     term_to_string,
 )
-from qn_tower import eval_qnk, k_poly
+from qn_tower import eval_qnk, pair_to_tower, znk
 from telesum.gosper import gosper_antidifference
-from telesum.polynomials import RationalFunction, integer_qnk_pair, n_poly, zn_ratfun
+from telesum.polynomials import RationalFunction, n_poly
 from telesum.verify import WZPair, check_telescoping, oracle_sum, sum_table
 from telesum.zeilberger import Recurrence, creative_telescope, natural_sum, sum_recurrence_natural
 
-_ONE = integer_qnk_pair(RationalFunction(k_poly(1)))  # the prefactor 1 as an integer pair
+_ONE = (RationalFunction(1).num, RationalFunction(1).den)  # the prefactor 1 as an integer pair
 
 
 # -- the extended binomial convention ------------------------------------
@@ -197,15 +197,15 @@ def test_shift_quotient_binomial_k():
     t = parse_term("binom(n,k)")
     r = shift_quotient(t, "k")
     # binom(n,k+1)/binom(n,k) = (n-k)/(k+1)
-    assert eval_qnk(r, 5, 1) == Fraction(4, 2)
-    assert eval_qnk(r, 7, 3) == Fraction(4, 4)
+    assert r.evaluate(5, 1) == Fraction(4, 2)
+    assert r.evaluate(7, 3) == Fraction(4, 4)
 
 
 def test_shift_quotient_binomial_n():
     t = parse_term("binom(n,k)")
     r = shift_quotient(t, "n")
     # binom(n+1,k)/binom(n,k) = (n+1)/(n+1-k)
-    assert eval_qnk(r, 4, 2) == Fraction(5, 3)
+    assert r.evaluate(4, 2) == Fraction(5, 3)
 
 
 def test_shift_quotient_matches_values():
@@ -218,8 +218,8 @@ def test_shift_quotient_matches_values():
                 fv = eval_term(t, n, k)
                 if fv == 0:
                     continue
-                assert eval_term(t, n, k + 1) == fv * eval_qnk(rk, n, k)
-                assert eval_term(t, n + 1, k) == fv * eval_qnk(rn, n, k)
+                assert eval_term(t, n, k + 1) == fv * rk.evaluate(n, k)
+                assert eval_term(t, n + 1, k) == fv * rn.evaluate(n, k)
 
 
 def test_shift_quotient_with_symbolic_param_needs_binding():
@@ -227,7 +227,7 @@ def test_shift_quotient_with_symbolic_param_needs_binding():
     with pytest.raises(UnboundParameterError):
         shift_quotient(t, "k")
     r = shift_quotient(t.bind({"r": 1}), "k")
-    assert eval_qnk(r, 2, 0) == Fraction(3, 1)
+    assert r.evaluate(2, 0) == Fraction(3, 1)
 
 
 # -- structural ratio and sampling equivalence ---------------------------
@@ -237,7 +237,7 @@ def test_ratio_rational_cancels_factors():
     f = parse_term("binom(n,k)")
     g = parse_term("(k+1)*binom(n,k)/(n+1)")
     r = ratio_rational(g, f)
-    assert eval_qnk(zn_ratfun(*r), 4, 2) == Fraction(3, 5)
+    assert RationalFunction(*r).evaluate(4, 2) == Fraction(3, 5)
 
 
 def test_ratio_rational_rejects_mismatched_structure():
@@ -445,7 +445,7 @@ def test_k_shift_property(text, n, k):
     if fv == 0:
         return
     r = shift_quotient(t, "k")
-    assert eval_term(t, n, k + 1) == fv * eval_qnk(r, n, k)
+    assert eval_term(t, n, k + 1) == fv * r.evaluate(n, k)
 
 
 # -- the compiled evaluator against the Q(n)(k) reference ------------------
@@ -454,7 +454,7 @@ def test_k_shift_property(text, n, k):
 def _reference_value(t, n, k):
     """The term's value built from the generic tower, factor by factor."""
     try:
-        value = eval_qnk(zn_ratfun(*t.prefactor), n, k)
+        value = eval_qnk(pair_to_tower(*t.prefactor), n, k)
     except ZeroDivisionError:
         raise PoleError(
             f"prefactor denominator vanishes at (n, k) = ({n}, {k})", (n, k)
@@ -676,4 +676,4 @@ def test_integer_shift_pair_is_unreduced_and_lifts_to_shift_quotient():
     a, b = factored_shift_pair(t, "k").pair()
     # (2k+1)(2k+2)/(k+1)^2, the common factor k+1 still in place
     assert a.degree == 2 and b.degree == 2
-    assert shift_quotient(t, "k") == RationalFunction(k_poly(2, 4), k_poly(1, 1))
+    assert shift_quotient(t, "k") == RationalFunction(znk((2,), (4,)), znk((1,), (1,)))

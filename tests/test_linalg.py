@@ -10,14 +10,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telesum import linalg, polynomials
-from telesum.linalg import nullspace, solve_linear_system
-from telesum.polynomials import QN, RationalFunction, ZnPoly, _int_gcd, clear_qn, n_poly
+from telesum.linalg import nullspace
+from telesum.polynomials import RationalFunction, ZnPoly, _int_gcd, n_poly
 
-from qn_tower import rref_nullspace
+from qn_tower import QN, TowerFunction, clear_qn, rref_nullspace
 
 
 def _q(v) -> Fraction:
     return Fraction(v)
+
+
+def solve_linear_system(matrix: list[list], rhs: list) -> list | None:
+    """linalg.solve_linear_system on the system with each equation times its
+    own clear_qn multiplier, which keeps its solutions."""
+    rows = [clear_qn([QN.coerce(e) for e in [*row, b]]) for row, b in zip(matrix, rhs)]
+    return linalg.solve_linear_system([row[:-1] for row in rows], [row[-1] for row in rows])
 
 
 def test_identity_system():
@@ -44,19 +51,21 @@ def test_rational_entries():
 
 
 def test_solve_over_function_field():
-    n = QN.coerce(n_poly(0, 1))
-    one = QN.one()
+    n = ZnPoly((0, 1))
+    one = ZnPoly((1,))
     # n*x + y = n^2 + 1, x + y = n + 1  ->  x = n, y = 1
-    sol = solve_linear_system(
-        [[n, one], [one, one]], [n * n + 1, n + 1]
-    )
-    assert sol == [n, one]
+    sol = linalg.solve_linear_system([[n, one], [one, one]], [ZnPoly((1, 0, 1)), ZnPoly((1, 1))])
+    assert sol == [RationalFunction(n), 1]
+    assert all(isinstance(v, RationalFunction) for v in sol)
 
 
 def test_singular_but_consistent_over_qn():
-    n = QN.coerce(n_poly(0, 1))
-    sol = solve_linear_system([[n, n]], [n])
-    assert sol == [QN.one(), QN.zero()]
+    n = ZnPoly((0, 1))
+    assert linalg.solve_linear_system([[n, n]], [n]) == [1, 0]
+    # x/(n+1) + y = 1/n, y = 0: the entries in Z[n] after clearing
+    sol = solve_linear_system([[QN.one() / (QN.coerce(n_poly(1, 1))), 1], [0, 1]],
+                              [QN.one() / QN.coerce(n_poly(0, 1)), 0])
+    assert sol == [RationalFunction(n_poly(1, 1), n_poly(0, 1)), 0]
 
 
 def _zn_rows(matrix: list[list]) -> list[list[ZnPoly]]:
@@ -73,7 +82,7 @@ def _qn_nullspace(matrix: list[list], ncols: int | None = None) -> list[list]:
     for vec in nullspace(rows, ncols=ncols):
         assert all(type(v) is ZnPoly for v in vec)
         free = next(v for v in reversed(vec) if v).to_poly()
-        basis.append([RationalFunction(v.to_poly(), free) for v in vec])
+        basis.append([TowerFunction(v.to_poly(), free) for v in vec])
     assert rows == before
     return basis
 

@@ -41,18 +41,19 @@ def test_cli_output_is_byte_identical(row):
     assert GENERATOR.run_cli(row["argv"]) == row
 
 
-# The routines that make Q(n) values or clear them back to Z[n][k], by module.
+# The routines that make or read Q(n)(k) values, by module; RationalFunction
+# construction is watched on its class.
 Q_N_ROUTINES = {
-    "polynomials": ("clear_qn", "integer_qnk_pair", "zn_ratfun", "poly_gcd", "poly_lcm"),
+    "polynomials": ("poly_gcd", "poly_lcm", "dispersion_set"),
     "hyperterm": ("shift_quotient",),
 }
 
 
 def test_certificates_and_prefactors_are_not_cleared_again(monkeypatch):
     """Prefactors, normal forms, degree bounds, systems and certificates are
-    held in Z[n][k], and the CLI prints and records them from there: replaying
-    the corpus constructs no RationalFunction and calls none of the routines
-    that make Q(n) values or clear them.  Reading a certificate's Q(n)
+    held as pairs in Z[n][k], and the CLI prints and records them from there:
+    replaying the corpus constructs no RationalFunction and calls none of the
+    routines that make or read Q(n)(k) values.  Reading a certificate's
     values afterwards does, which shows the wrappers are in place."""
     import telesum
     from telesum import gosper, polynomials
@@ -84,7 +85,9 @@ def test_certificates_and_prefactors_are_not_cleared_again(monkeypatch):
 
     cert = gosper.gosper_antidifference(telesum.parse_term("(n-2k)*binom(n,k)"))
     assert calls == []
-    assert gosper.gosper_normal_form(cert.ratio) == cert.normal_form
+    assert gosper.gosper_normal_form(cert.ratio).pairs() == cert.integer_form.pairs()
     assert cert.x and cert.certificate
+    assert polynomials.dispersion_set(cert.certificate.den, cert.ratio.den) == [0]
+    assert polynomials.poly_lcm(cert.certificate.den, cert.ratio.den).degree == 2
     assert {name for name, _, _ in calls} == {
-        "RationalFunction", "shift_quotient", "zn_ratfun", "integer_qnk_pair", "clear_qn"}
+        "RationalFunction", "shift_quotient", "dispersion_set", "poly_lcm", "poly_gcd"}

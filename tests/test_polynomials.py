@@ -1,7 +1,9 @@
-"""Exact polynomial and rational-function arithmetic over Q and Q(n)."""
+"""Exact polynomial arithmetic over Q and Z[n], and Q(n)(k) values, against
+the nested tower of tests/qn_tower.py."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -10,20 +12,31 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qn_tower import QNK, eval_qn, eval_qnk, k_poly, qnk
-from telesum.polynomials import (
+from qn_tower import (
     POLY_K,
-    POLY_N,
     QN,
-    QQ,
+    TowerFunction,
+    clear_qn,
+    euclid_gcd,
+    eval_qn,
+    eval_qnk,
+    k_poly,
+    lift,
+    pair_to_tower,
+    qnk,
+    to_tower,
+    tower_pair,
+)
+from qn_tower import znk as _znk
+from telesum.polynomials import (
+    POLY_N,
     ZN,
+    ZNK,
     Polynomial,
     RationalFunction,
     ZnPoly,
-    clear_qn,
     clear_qnk_pair,
     dispersion_set,
-    integer_qnk_pair,
     integer_roots,
     n_poly,
     poly_gcd,
@@ -32,7 +45,6 @@ from telesum.polynomials import (
     shift_in_n,
     zn_identity,
     zn_product,
-    zn_reduced,
     zn_value,
 )
 
@@ -41,8 +53,22 @@ def _np(*coeffs: int) -> Polynomial:
     return n_poly(*coeffs)
 
 
+def _zk(*coeffs: int) -> Polynomial:
+    """A polynomial in k with integer coefficients, in Z[n][k]."""
+    return _znk(*((c,) for c in coeffs))
+
+
+def _cleared(*polys: Polynomial) -> list[Polynomial]:
+    """Polynomials in k over Q(n) times one ``clear_qn`` multiplier, in Z[n][k]."""
+    rows = clear_qn([c for p in polys for c in p.coeffs])
+    sizes = [0, *itertools.accumulate(len(p.coeffs) for p in polys)]
+    return [Polynomial("k", ZN, rows[a:b]) for a, b in zip(sizes, sizes[1:])]
+
+
 small_ints = st.integers(min_value=-20, max_value=20)
 coeff_lists = st.lists(small_ints, min_size=0, max_size=5)
+small_znk = st.lists(st.lists(st.integers(-4, 4), max_size=3), max_size=4).map(
+    lambda rows: _znk(*rows))
 
 
 def npoly_strategy():
@@ -139,18 +165,18 @@ def test_monic():
 
 
 def test_gcd_basic():
-    a = _np(-1, 1) * _np(2, 1)
-    b = _np(-1, 1) * _np(3, 1)
-    assert poly_gcd(a, b) == _np(-1, 1)
+    a = _zk(-1, 1) * _zk(2, 1)
+    b = _zk(-1, 1) * _zk(3, 1)
+    assert poly_gcd(a, b) == _zk(-1, 1)
 
 
 def test_gcd_coprime_is_one():
-    assert poly_gcd(_np(1, 1), _np(2, 1)) == POLY_N.one()
+    assert poly_gcd(_zk(1, 1), _zk(2, 1)) == ZNK.one()
 
 
 def test_lcm_product_relation():
-    a = _np(-1, 1) * _np(2, 1)
-    b = _np(-1, 1) * _np(3, 1)
+    a = _zk(-1, 1) * _zk(2, 1)
+    b = _zk(-1, 1) * _zk(3, 1)
     ell = poly_lcm(a, b)
     assert (ell % a).is_zero() and (ell % b).is_zero()
     assert ell.degree == 3
@@ -166,29 +192,24 @@ def test_divrem_reconstruction_property(p, q):
     assert rem.is_zero() or rem.degree < q.degree
 
 
-@settings(max_examples=60)
-@given(npoly_strategy(), npoly_strategy())
+@settings(max_examples=60, deadline=None)
+@given(small_znk, small_znk)
 def test_gcd_divides_both(p, q):
+    """The gcd is primitive with a positive leading integer, divides both in
+    Z[n][k], and is Euclid's gcd over Q(n) up to a factor in Q(n)."""
     g = poly_gcd(p, q)
     if g.is_zero():
         assert p.is_zero() and q.is_zero()
         return
+    assert math.gcd(*(c for r in g.coeffs for c in r)) == 1 and g.lc()[-1] > 0
     assert (p % g).is_zero()
     assert (q % g).is_zero()
+    assert lift(g).monic() == euclid_gcd(lift(p), lift(q))
+    if p and q:
+        assert lift(poly_lcm(p, q)).monic() == (lift(p) * lift(q)).exact_div(lift(g)).monic()
 
 
 # -- gcd over Q(n) --------------------------------------------------------
-
-
-def _euclid_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Reference: Euclid's algorithm over the coefficient field, monic."""
-    a, b = p.monic(), q.monic()
-    if a.degree < b.degree:
-        a, b = b, a
-    while b:
-        r = a % b
-        a, b = b, (r.monic() if r else r)
-    return a
 
 
 def _falling(lc: Polynomial, vanish: int) -> Polynomial:
@@ -221,10 +242,10 @@ _N = QN.coerce(_np(0, 1))
 @example(  # planted gcd of degree 2 with lc n(n-1)(n-2), cofactors sharing nothing
     k_poly(_np(1, 1), 0, _falling(_np(1), 3)), k_poly(_np(0, 1), 1), k_poly(_np(0, 2), 1))
 def test_qn_gcd_matches_euclid_on_planted_factors(g, a, b):
-    p = (g * a).mul_ground(_N / (_N + 3))
+    p = g * a * (_N / (_N + 3))
     q = g * b
-    got = poly_gcd(p, q)
-    assert got == _euclid_gcd(p, q)
+    got = poly_gcd(*_cleared(p, q))
+    assert lift(got).monic() == euclid_gcd(p, q)
     assert got.degree >= g.degree
 
 
@@ -243,7 +264,7 @@ def test_qn_gcd_matches_euclid_on_planted_factors(g, a, b):
     ],
 )
 def test_qn_gcd_at_unlucky_points(p, q, expected):
-    assert poly_gcd(p, q) == expected == _euclid_gcd(p, q)
+    assert lift(poly_gcd(*_cleared(p, q))).monic() == expected == euclid_gcd(p, q)
 
 
 @settings(max_examples=40)
@@ -312,10 +333,11 @@ def test_resultant_shared_root_vanishes():
 
 def test_resultant_vs_gcd():
     # nonzero resultant exactly when the gcd is trivial
-    a = _np(1, 1) * _np(2, 1)
-    b = _np(3, 1)
-    assert resultant(a, b) != 0
+    a = _zk(1, 1) * _zk(2, 1)
+    b = _zk(3, 1)
+    assert resultant(a, b) == ZnPoly((2,))
     assert poly_gcd(a, b).degree == 0
+    assert resultant(a, b * _zk(2, 1)) == ZnPoly() and poly_gcd(a, b * _zk(2, 1)) == _zk(2, 1)
 
 
 def _monic(roots) -> Polynomial:
@@ -348,33 +370,29 @@ def test_resultant_over_qn():
 
 def test_dispersion_set():
     # roots of p at 0, of q at 2 and 3: shifts 2 and 3 align them
-    p = _np(0, 1)
-    q = _np(-2, 1) * _np(-3, 1)
+    p = _zk(0, 1)
+    q = _zk(-2, 1) * _zk(-3, 1)
     assert dispersion_set(p, q) == [2, 3]
 
 
 def test_dispersion_set_self():
-    p = _np(0, 1) * _np(-4, 1)
+    p = _zk(0, 1) * _zk(-4, 1)
     assert dispersion_set(p, p) == [0, 4]
 
 
 def test_dispersion_empty():
-    assert dispersion_set(_np(1, 1), _np(1, 1, 1)) == []
-
-
-def _qk(*coeffs: int) -> Polynomial:
-    return Polynomial("k", QQ, tuple(Fraction(c) for c in coeffs))
+    assert dispersion_set(_zk(1, 1), _zk(1, 1, 1)) == []
 
 
 def test_dispersion_set_repeated_roots_over_q():
-    assert dispersion_set(_qk(4, 1) ** 3, _qk(1, 1) ** 2) == [3]
-    p = _qk(0, 1) ** 2 * _qk(-4, 1) ** 3
-    assert dispersion_set(p, p) == dispersion_set(_qk(0, 1) * _qk(-4, 1), p) == [0, 4]
+    assert dispersion_set(_zk(4, 1) ** 3, _zk(1, 1) ** 2) == [3]
+    p = _zk(0, 1) ** 2 * _zk(-4, 1) ** 3
+    assert dispersion_set(p, p) == dispersion_set(_zk(0, 1) * _zk(-4, 1), p) == [0, 4]
 
 
 def _lin(n_coeff: int, const: int) -> Polynomial:
-    """k + n_coeff*n + const in Q(n)[k]."""
-    return k_poly(_np(const, n_coeff), 1)
+    """k + n_coeff*n + const in Z[n][k]."""
+    return _znk((const, n_coeff), (1,))
 
 
 # (p, q, squarefree part of p, squarefree part of q, dispersion set)
@@ -391,10 +409,10 @@ QNK_DISPERSION_CASES = [
     (_lin(-1, -2) ** 5, _lin(0, 1) ** 5, _lin(-1, -2), _lin(0, 1), []),
     # a repeated factor irreducible over Q(n): (k+2)^2 + n against k^2 + n
     (
-        (k_poly(_np(4, 1), 4, 1)) ** 2,
-        (k_poly(_np(0, 1), 0, 1)) ** 3,
-        k_poly(_np(4, 1), 4, 1),
-        k_poly(_np(0, 1), 0, 1),
+        _znk((4, 1), (4,), (1,)) ** 2,
+        _znk((0, 1), (), (1,)) ** 3,
+        _znk((4, 1), (4,), (1,)),
+        _znk((0, 1), (), (1,)),
         [2],
     ),
     # a repeated factor against itself: only j = 0
@@ -434,7 +452,7 @@ def test_dispersion_set_finds_planted_shifts_over_qn(roots, up, uq):
     for e, c, d, j in roots:
         p = p * _lin_poly(_np(d, c, e))
         q = q * _lin_poly(_np(d + j, c, e))
-    assert dispersion_set(q, p) == sorted({j for *_, j in roots})
+    assert dispersion_set(*_cleared(q, p)) == sorted({j for *_, j in roots})
 
 
 def _lin_poly(a: Polynomial) -> Polynomial:
@@ -442,21 +460,20 @@ def _lin_poly(a: Polynomial) -> Polynomial:
     return k_poly(a, 1)
 
 
-# -- rational functions --------------------------------------------------
+# -- rational functions: one reduced pair in Z[n][k] ---------------------
 
 
 def test_ratfun_reduces():
     num = _np(-1, 1) * _np(1, 1)
     den = _np(-1, 1) * _np(2, 1)
     f = RationalFunction(num, den)
-    assert f.num == _np(1, 1)
-    assert f.den == _np(2, 1)
+    assert (f.num, f.den) == (_znk((1, 1)), _znk((2, 1)))
 
 
-def test_ratfun_monic_denominator():
-    f = RationalFunction(_np(1), _np(0, 2))
-    assert f.den == _np(0, 1)
-    assert f.num == _np(Fraction(1, 2))
+def test_ratfun_denominator_has_a_positive_top_integer():
+    f = RationalFunction(_np(1), _np(0, -2))
+    assert (f.num, f.den) == (_znk((-1,)), _znk((0, 2)))
+    assert RationalFunction(Fraction(-1, 2), _np(0, 1)) == f
 
 
 def test_ratfun_zero_denominator_rejected():
@@ -465,36 +482,43 @@ def test_ratfun_zero_denominator_rejected():
 
 
 def test_ratfun_arithmetic():
-    n = QN.coerce(_np(0, 1))
-    one = QN.one()
+    n = RationalFunction(_np(0, 1))
+    one = RationalFunction(1)
     f = one / n
     assert f + f == 2 / n
     assert f * n == one
-    assert (f - f).is_zero()
-    assert f**2 == one / (n * n)
+    assert not f - f
+    assert f**2 == one / (n * n) == n**-2
     assert f.reciprocal() == n
 
 
 def test_ratfun_shift():
-    n = QN.coerce(_np(0, 1))
-    f = QN.one() / n
-    assert f.shift(1) == QN.one() / (n + 1)
+    n, k = RationalFunction(_np(0, 1)), RationalFunction(ZNK.gen())
+    f = 1 / n
+    assert shift_in_n(f, 1) == 1 / (n + 1)
+    assert f.shift(1) == f  # the shift is in k
+    assert (f / k).shift(1) == 1 / (n * (k + 1))
 
 
 def test_ratfun_evaluate_and_str():
     f = RationalFunction(_np(1, 1), _np(-2, 1))
-    assert f.evaluate(Fraction(3)) == 4
-    assert str(f) == "(n+1)/(n-2)"
+    assert f.evaluate(3) == 4
+    assert str(f) == "((n+1)) / ((n-2))"
+    g = RationalFunction(_znk((0, 1), (1,)), _znk((1,), (1,)))
+    assert g.evaluate(3, 2) == Fraction(5, 3)
+    assert str(g) == "(k+n) / (k+1)" and repr(g) == "RationalFunction((k+n) / (k+1))"
 
 
 def test_eval_qn_pole():
     f = RationalFunction(_np(1), _np(0, 1))
     with pytest.raises(ZeroDivisionError):
-        eval_qn(f, 0)
-    assert eval_qn(f, 2) == Fraction(1, 2)
+        f.evaluate(0)
+    with pytest.raises(ZeroDivisionError):
+        eval_qn(TowerFunction(_np(1), _np(0, 1)), 0)
+    assert f.evaluate(2) == eval_qn(TowerFunction(_np(1), _np(0, 1)), 2) == Fraction(1, 2)
 
 
-# -- the Q(n)[k] tower ---------------------------------------------------
+# -- the tower of tests/qn_tower.py, and values against it -----------------
 
 
 def test_tower_construction():
@@ -505,63 +529,47 @@ def test_tower_construction():
 
 
 def test_shift_in_n():
-    p = k_poly(_np(0, 1), 1)  # k + n
-    q = shift_in_n(p, 2)
-    assert q == k_poly(_np(2, 1), 1)
+    p = _znk((0, 1), (1,))  # k + n
+    assert shift_in_n(p, 2) == _znk((2, 1), (1,))
+    f = RationalFunction(p, _znk((1,), (1,)))
+    assert shift_in_n(f, 2) == RationalFunction(_znk((2, 1), (1,)), _znk((1,), (1,)))
+    assert to_tower(shift_in_n(f, 2)) == to_tower(f).shift_n(2)
 
 
 def test_eval_qnk():
-    f = qnk(k_poly(_np(0, 1), 1), k_poly(_np(1), 1))  # (k+n)/(k+1)
-    assert eval_qnk(f, 3, 2) == Fraction(5, 3)
-    with pytest.raises(ZeroDivisionError):
-        eval_qnk(f, 0, -1)
-
-
-def _lift_kpoly(p):
-    from telesum.polynomials import Polynomial as P
-
-    return P("k", QN, tuple(QN.coerce(c) for c in p.coeffs))
-
-
-def _lift_zn_kpoly(p):
-    """A polynomial in k over Z[n] as one over Q(n)."""
-    return _lift_kpoly(p.map_coeffs(lambda c: c.to_poly(), POLY_N))
+    f = RationalFunction(_znk((0, 1), (1,)), _znk((1,), (1,)))  # (k+n)/(k+1)
+    assert f.evaluate(3, 2) == eval_qnk(to_tower(f), 3, 2) == Fraction(5, 3)
+    for evaluate in (f.evaluate, lambda n, k: eval_qnk(to_tower(f), n, k)):
+        with pytest.raises(ZeroDivisionError):
+            evaluate(0, -1)
 
 
 def test_clear_qnk_pair_polynomial_coeffs():
-    f = qnk(k_poly(QN.coerce(_np(0, 1)) / QN.coerce(_np(1, 1))), POLY_K.one())
+    f = RationalFunction(_np(0, 1), _np(1, 1))  # n/(n+1)
     num, den = clear_qnk_pair(f)
-    # coefficients live in Q[n], no rational-function denominators left
+    # coefficients live in Z[n]: no rational-function denominators left
     for p in (num, den):
-        for c in p.coeffs:
-            assert c.ring is QQ or c.var == "n"
-    assert RationalFunction(_lift_kpoly(num), _lift_kpoly(den)) == f
+        assert p.ring is ZN
+        assert all(type(v) is int for c in p.coeffs for v in c)
+    assert (num, den) == (f.num, f.den) == (_znk((0, 1)), _znk((1, 1)))
+    assert RationalFunction(num, den) == f
 
 
 def test_integer_qnk_pair_normalization():
-    half = QN.coerce(Fraction(1, 2))
-    f = qnk(POLY_K.constant(half) * k_poly(_np(0, 1), 1), k_poly(_np(1), -1))
-    num, den = integer_qnk_pair(f)
-    values = []
-    for p in (num, den):
-        for c in p.coeffs:
-            for v in c:
-                assert type(v) is int
-                values.append(v)
-    from math import gcd
-
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    assert g == 1
+    f = RationalFunction(Fraction(1, 2)) * RationalFunction(_znk((0, 1), (1,)), _znk((1,), (-1,)))
+    num, den = f.num, f.den
+    values = [v for p in (num, den) for c in p.coeffs for v in c]
+    assert all(type(v) is int for v in values)
+    assert math.gcd(*values) == 1
     # denominator leading coefficient is positive
     assert den.lc()[-1] > 0
-    assert RationalFunction(_lift_zn_kpoly(num), _lift_zn_kpoly(den)) == f
+    half = QN.coerce(Fraction(1, 2))
+    assert to_tower(f) == qnk(POLY_K.constant(half) * k_poly(_np(0, 1), 1), k_poly(_np(1), -1))
 
 
-def _qn_element(num: list[int], den: list[int], scale: int) -> RationalFunction:
+def _qn_element(num: list[int], den: list[int], scale: int) -> TowerFunction:
     den_poly = _np(*den) if any(den) else _np(1)
-    return QN.coerce(_np(*num)) / QN.coerce(den_poly.mul_ground(Fraction(scale)))
+    return QN.coerce(_np(*num)) / QN.coerce(den_poly * Fraction(scale))
 
 
 qn_elements = st.builds(
@@ -580,22 +588,20 @@ qnk_polys = st.lists(qn_elements, max_size=3).map(lambda cs: Polynomial("k", QN,
 @example(k_poly(_np(1, 1), _np(1, 1)), k_poly(_np(2, 2), _np(1, 1)))  # n+1 in both
 @example(k_poly(_np(0, 1), _np(1, 1), 1), k_poly(_np(0, 2), _np(2, 1), 1))  # k+n in both
 def test_integer_qnk_pair_is_the_integer_form(num, den):
+    """num and den cleared with one multiplier, unreduced, give the value
+    whose pair is the tower element's, cleared."""
     if not den:
         den = POLY_K.one()
-    f = RationalFunction(num, den)
-    p, q = integer_qnk_pair(f)
+    f = RationalFunction(*_cleared(num, den))
+    p, q = f.num, f.den
     assert p.ring is ZN and q.ring is ZN
     ints = [v for part in (p, q) for c in part.coeffs for v in c]
     assert all(type(v) is int for v in ints)
     assert all(c[-1] for part in (p, q) for c in part.coeffs if c)
     assert math.gcd(*ints) == 1
     assert q.lc()[-1] > 0
-    assert RationalFunction(_lift_zn_kpoly(p), _lift_zn_kpoly(q)) == f
-    # the same pair from num and den cleared with one multiplier, unreduced
-    rows = clear_qn(num.coeffs + den.coeffs)
-    size = len(num.coeffs)
-    cleared = Polynomial("k", ZN, rows[:size]), Polynomial("k", ZN, rows[size:])
-    assert zn_reduced(*cleared) == (p, q)
+    assert (p, q) == tower_pair(qnk(num, den))
+    assert to_tower(f) == qnk(num, den)
 
 
 @settings(max_examples=60, deadline=None)
@@ -618,9 +624,9 @@ def test_znpoly_times_an_int_is_a_type_error_in_both_orders(z, scalar):
 
 
 def test_qnk_field_ops():
-    k = QNK.coerce(POLY_K.gen())
-    f = QNK.one() / k
-    assert f * k == QNK.one()
+    k = RationalFunction(ZNK.gen())
+    f = 1 / k
+    assert f * k == 1
     assert (f + f) == 2 / k
 
 
@@ -635,14 +641,10 @@ def test_znpoly_addition_is_pointwise_and_matches_subtracting_the_negation(a, b)
 
 
 def _reduced_by_division(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """RationalFunction's reduction as it once was: divide by the monic gcd
-    with Q(n) long division, then make the denominator monic."""
-    if not num:
-        return num, POLY_K.one()
-    if num.degree > 0 and den.degree > 0:
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = num.exact_div(g), den.exact_div(g)
+    """The tower's reduction written out: divide by the monic gcd with Q(n)
+    long division, then make the denominator monic."""
+    g = euclid_gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
     lead = den.lc()
     return num.map_coeffs(lambda c: c / lead), den.monic()
 
@@ -651,21 +653,84 @@ def _reduced_by_division(num: Polynomial, den: Polynomial) -> tuple[Polynomial, 
 @given(qnk_polys, qnk_polys, qnk_polys)
 def test_rational_function_reduces_as_the_long_division_did(num, den, common):
     """The constructor divides by the gcd's cofactors made in Z[n][k]; the
-    reduced num/den are those of dividing by the gcd in Q(n)[k]."""
+    reduced value is that of dividing by the gcd in Q(n)[k]."""
     if not den:
         den = POLY_K.gen()
     if common:
         num, den = num * common, den * common
-    f = RationalFunction(num, den)
+    f = to_tower(RationalFunction(*_cleared(num, den)))
     assert (f.num, f.den) == _reduced_by_division(num, den)
 
 
+# Pairs in Z[n][k] whose denominators' leads in k may be negative and may
+# vanish at small n, and whose parts may share factors.
+tiny_znk = st.lists(st.lists(st.integers(-3, 3), max_size=2), max_size=3).map(
+    lambda rows: _znk(*rows))
+znk_pairs = st.builds(
+    lambda p, q, common: (p * common, q * common),
+    tiny_znk, tiny_znk.filter(bool), tiny_znk.filter(bool) | st.just(_znk((1,))),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def _same_value(got: RationalFunction, want: TowerFunction) -> bool:
+    return (got.num, got.den) == tower_pair(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(znk_pairs, znk_pairs, st.integers(-2, 2))
+@example((_znk((1,)), _znk((0, -2), (-1,))), (_znk((0, 1)), _znk((1,))), 1)  # a negative lead
+@example((_znk((1,), (1,)), _znk((1, 1), (1, 1))), (_zk(0, 1), _zk(1, 1)), -1)  # k+1 in both
+def test_rational_function_matches_the_tower(f_pair, g_pair, j):
+    """Each operation on the reduced pairs is the tower's operation: the
+    same reduced pair, the same values, and poles at the same points."""
+    f, g = RationalFunction(*f_pair), RationalFunction(*g_pair)
+    tf, tg = pair_to_tower(*f_pair), pair_to_tower(*g_pair)
+    assert _same_value(f, tf) and _same_value(g, tg)
+    for got, want in ((f + g, tf + tg), (f - g, tf - tg), (f * g, tf * tg), (-f, -tf),
+                      (f.shift(j), tf.shift(j)), (shift_in_n(f, j), tf.shift_n(j))):
+        assert _same_value(got, want)
+    if g:
+        assert _same_value(f / g, tf / tg) and _same_value(g.reciprocal(), 1 / tg)
+    assert f.is_one() == tf.is_one() and (not f or (f / f).is_one())
+    for n in range(-2, 3):
+        for k in range(-2, 3):
+            assert _outcome(f.evaluate, n, k) == _outcome(eval_qnk, tf, n, k), (n, k)
+
+
+values = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.builds(RationalFunction, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(RationalFunction, small_znk, small_znk.filter(bool)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values, values, small_znk.filter(bool))
+@example(RationalFunction(3), 3, _zk(1))
+@example(RationalFunction(_zk(-1), _zk(-2)), Fraction(1, 2), _znk((0, 1), (1,)))
+def test_equal_values_hash_equal(a, b, common):
+    """a == b gives hash(a) == hash(b), ints and Fractions included; the
+    same value built from a pair times a common factor, or from the negated
+    pair, is equal and hashes equal."""
+    if a == b:
+        assert b == a and hash(a) == hash(b)
+    assert len({RationalFunction(3), 3}) == 1 and len({RationalFunction(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    if isinstance(a, RationalFunction):
+        p, q = a.num, a.den
+        same = (RationalFunction(p * common, q * common), RationalFunction(-p, -q), a + 1 - 1)
+        assert all(v == a and hash(v) == hash(a) for v in same)
+        assert len({a, *same}) == 1
+
+
 # -- identities in Z[n][k] at one Kronecker point ---------------------------
-
-
-def _znk(*rows) -> Polynomial:
-    """A polynomial in k over Z[n] from ascending rows of ints."""
-    return Polynomial("k", ZN, [ZnPoly(r) for r in rows])
 
 
 def _same(f: Polynomial, g: Polynomial) -> bool:

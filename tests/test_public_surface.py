@@ -17,14 +17,10 @@ SIGNATURES = {
     "BoundaryCheckError": "Exception(...)",
     "CaseResult": "(case_id: 'str', ok: 'bool', detail: 'str', elapsed: 'float') -> None",
     "DegenerateSampleError": "TermError(...)",
-    "FractionField": "(poly_ring: 'PolynomialRing') -> 'None'",
     "GosperCertificate": (
         "(term: 'HyperTerm', integer_form: 'IntegerNormalForm', "
         "x_pair: 'tuple[Polynomial, Polynomial]', certificate_pair: 'tuple[Polynomial, "
         "Polynomial]') -> None"),
-    "GosperNormalForm": (
-        "(z: 'RationalFunction', a: 'Polynomial', b: 'Polynomial', "
-        "c: 'Polynomial') -> None"),
     "HyperTerm": (
         "(factors: 'Iterable[tuple[Factor, int]]', prefactor: 'tuple[Polynomial, "
         "Polynomial]')"),
@@ -69,7 +65,7 @@ SIGNATURES = {
     "dispersion_set": "(p: 'Polynomial', q: 'Polynomial') -> 'list[int]'",
     "eval_term": "(term: 'HyperTerm', n: 'int', k: 'int') -> 'Fraction'",
     "gosper_antidifference": "(term: 'HyperTerm') -> 'GosperCertificate'",
-    "gosper_normal_form": "(ratio: 'RationalFunction') -> 'GosperNormalForm'",
+    "gosper_normal_form": "(ratio: 'RationalFunction') -> 'IntegerNormalForm'",
     "integer_roots": "(p: 'Polynomial') -> 'list[int]'",
     "known_gf": "(name: 'str', order: 'int', family_index: 'int | None' = None) -> 'PowerSeries'",
     "load_suite": "(path: 'str') -> 'dict'",

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from qn_tower import k_poly, qnk
-from telesum.polynomials import POLY_K, QN, integer_qnk_pair, n_poly
+from qn_tower import k_poly, lift, qnk, to_tower, tower_pair, znk
+from telesum.polynomials import ZNK, RationalFunction, ZnPoly, n_poly
 from telesum.serialize import (
     bivariate_string,
     kpoly_to_lists,
@@ -21,7 +21,7 @@ from telesum.serialize import (
 def test_npoly_round_trip():
     p = n_poly(-2, 0, 7)
     assert npoly_to_list(p) == ["-2", "0", "7"]
-    assert record_to_ratfun({"num": [npoly_to_list(p)], "den": [["1"]]}) == QN.coerce(p)
+    assert record_to_ratfun({"num": [npoly_to_list(p)], "den": [["1"]]}) == RationalFunction(p)
 
 
 def test_npoly_zero():
@@ -34,9 +34,7 @@ def test_npoly_rejects_fractions():
 
 
 def test_kpoly_nested_lists():
-    from telesum.polynomials import integer_qnk_pair
-
-    num, _ = integer_qnk_pair(qnk(k_poly(n_poly(1, 2), n_poly(3))))  # (2n+1) + 3k
+    num, _ = tower_pair(qnk(k_poly(n_poly(1, 2), n_poly(3))))  # (2n+1) + 3k
     assert kpoly_to_lists(num) == [["1", "2"], ["3"]]
 
 
@@ -44,23 +42,22 @@ def test_kpoly_round_trip():
     p = k_poly(n_poly(1, 2), n_poly(3))
     lists = [["1", "2"], ["3"]]
     back = record_to_ratfun({"num": lists, "den": [["1"]]})
-    assert back == p and back.den == POLY_K.one()
-    assert back.num.coeff(0) == QN.coerce(n_poly(1, 2))
+    assert lift(back.num) == p and back.den == ZNK.one()
+    assert back.num.coeff(0) == ZnPoly((1, 2))
 
 
 def test_ratfun_record_round_trip():
     f = qnk(k_poly(n_poly(0, 1), 2), k_poly(n_poly(1), 1))  # (n+2k)/(1+k)
-    rec = ratfun_to_record(integer_qnk_pair(f))
+    rec = ratfun_to_record(tower_pair(f))
     assert rec == {"num": [["0", "1"], ["2"]], "den": [["1"], ["1"]]}
-    assert record_to_ratfun(rec) == f
+    assert to_tower(record_to_ratfun(rec)) == f
 
 
 def test_ratfun_record_clears_fractions():
-    half = QN.coerce(Fraction(1, 2))
-    f = qnk(POLY_K.constant(half), POLY_K.one())  # 1/2
-    rec = ratfun_to_record(integer_qnk_pair(f))
+    f = RationalFunction(Fraction(1, 2))
+    rec = ratfun_to_record((f.num, f.den))
     assert rec == {"num": [["1"]], "den": [["2"]]}
-    assert record_to_ratfun(rec) == f
+    assert record_to_ratfun(rec) == f == Fraction(1, 2)
 
 
 def test_record_with_a_zero_denominator_is_refused():
@@ -69,25 +66,17 @@ def test_record_with_a_zero_denominator_is_refused():
 
 
 def test_bivariate_string_samples():
-    from telesum.polynomials import integer_qnk_pair
-
-    p, _ = integer_qnk_pair(qnk(k_poly(n_poly(1), 1)))
-    assert bivariate_string(p) == "k+1"
-    p2, _ = integer_qnk_pair(qnk(k_poly(n_poly(0, -4), 1)))
-    assert bivariate_string(p2) == "k-4*n"
-    p3, _ = integer_qnk_pair(qnk(k_poly(n_poly(0), n_poly(1, 2))))
-    assert bivariate_string(p3) == "(2*n+1)*k"
+    assert bivariate_string(znk((1,), (1,))) == "k+1"
+    assert bivariate_string(znk((0, -4), (1,))) == "k-4*n"
+    assert bivariate_string(znk((), (1, 2))) == "(2*n+1)*k"
 
 
 def test_bivariate_string_powers():
-    from telesum.polynomials import integer_qnk_pair
-
-    p, _ = integer_qnk_pair(qnk(k_poly(n_poly(0, 0, 3), n_poly(0), n_poly(-1))))
-    assert bivariate_string(p) == "-k^2+3*n^2"
+    assert bivariate_string(znk((0, 0, 3), (), (-1,))) == "-k^2+3*n^2"
 
 
 def test_ratfun_to_text():
-    f = qnk(k_poly(n_poly(0, 1)), k_poly(n_poly(1), 1))  # n/(k+1)
-    assert ratfun_to_text(integer_qnk_pair(f)) == "(n) / (k+1)"
-    g = qnk(k_poly(n_poly(2)), POLY_K.one())
-    assert ratfun_to_text(integer_qnk_pair(g)) == "2"
+    f = RationalFunction(znk((0, 1)), znk((1,), (1,)))  # n/(k+1)
+    assert ratfun_to_text((f.num, f.den)) == str(f) == "(n) / (k+1)"
+    g = RationalFunction(2)
+    assert ratfun_to_text((g.num, g.den)) == str(g) == "2"

@@ -11,7 +11,7 @@ import pytest
 from telesum import gosper, linalg, polynomials
 from telesum.gosper import _normalize_solution
 from telesum.hyperterm import binomial_value, eval_term, parse_term
-from telesum.polynomials import QN, ZN, ZNK, Polynomial, ZnPoly, n_poly, zn_ratfun
+from telesum.polynomials import ZN, ZNK, Polynomial, ZnPoly, n_poly
 from telesum.verify import oracle_sum
 from telesum.zeilberger import (
     BoundaryCheckError,
@@ -26,7 +26,7 @@ from telesum.zeilberger import (
     sum_recurrence_natural,
 )
 
-from qn_tower import rref_nullspace
+from qn_tower import QN, pair_to_tower, rref_nullspace
 
 
 def test_binomial_row_sum_recurrence():
@@ -121,17 +121,13 @@ def test_recurrence_to_text():
 
 
 def test_record_round_trip_certificate():
-    from telesum.polynomials import integer_qnk_pair
     from telesum.serialize import record_to_ratfun
 
     cert = creative_telescope(parse_term("binom(n,k)^2"))
     rec = cert.record()
     assert rec["order"] == 1
-    rebuilt = TelescopingCertificate(
-        cert.term,
-        Recurrence(cert.recurrence.coeffs),
-        integer_qnk_pair(record_to_ratfun(rec["R"])),
-    )
+    r = record_to_ratfun(rec["R"])
+    rebuilt = TelescopingCertificate(cert.term, Recurrence(cert.recurrence.coeffs), (r.num, r.den))
     assert rebuilt.check()
 
 
@@ -156,7 +152,7 @@ def test_normalized_sigmas_have_a_positive_top_and_scale_x_to_match():
     sigmas = [ZnPoly((-2, -2)), ZnPoly(), ZnPoly((0, -4)), ZnPoly()]
     xs = [ZnPoly((6,)), ZnPoly(), ZnPoly((1, 0, 3))]
     rows, scale, coeffs = _normalize_solution(xs, sigmas)
-    x = zn_ratfun(Polynomial("k", ZN, rows), ZNK.constant(scale)).num
+    x = pair_to_tower(Polynomial("k", ZN, rows), ZNK.constant(scale)).num
     assert coeffs == (ZnPoly((1, 1)), ZnPoly(), ZnPoly((0, 2)))
     assert all(type(c) is ZnPoly for c in coeffs)
     # one k-free scale for x and sigma: x_i * sigma_j is unchanged up to it
@@ -167,7 +163,7 @@ def test_normalized_sigmas_have_a_positive_top_and_scale_x_to_match():
     assert x.coeffs == (QN.from_int(-3), QN.zero(), QN.coerce(n_poly(half, 0, 3 * half)))
     # Gosper's single sigma always normalizes to 1
     rows, scale, coeffs = _normalize_solution([ZnPoly((4,))], [ZnPoly((0, -2))])
-    x = zn_ratfun(Polynomial("k", ZN, rows), ZNK.constant(scale)).num
+    x = pair_to_tower(Polynomial("k", ZN, rows), ZNK.constant(scale)).num
     assert coeffs == (ZnPoly((1,)),)
     assert x.coeffs == (QN.coerce(n_poly(-2)) / QN.coerce(n_poly(0, 1)),)
 
