@@ -15,8 +15,8 @@ from .hyperterm import (
     eval_term, parse_term, shift_quotient, term_ratio_is_one, term_to_string
 )
 from .polynomials import (
-    Polynomial, PolynomialRing, RationalFunction, dispersion_set, integer_roots, poly_gcd,
-    poly_lcm, resultant
+    Polynomial, RationalFunction, ZnPoly, dispersion_set, integer_roots, poly_gcd, poly_lcm,
+    resultant
 )
 from .series import (
     PowerSeries, ballot_gf, catalan_gf, central_binomial_gf, check_convolution_11897,
@@ -42,10 +42,10 @@ __version__ = "1.0.0"
 __all__ = [
     "BoundaryCheckError", "CaseResult", "DegenerateSampleError", "GosperCertificate",
     "HyperTerm", "NoRecurrenceFound",
-    "NotSummableError", "ParseError", "PoleError", "Polynomial", "PolynomialRing",
-    "PowerSeries", "RationalFunction", "Recurrence", "RecurrenceCheckError", "SequenceSpec",
+    "NotSummableError", "ParseError", "PoleError", "Polynomial", "PowerSeries",
+    "RationalFunction", "Recurrence", "RecurrenceCheckError", "SequenceSpec",
     "TelescopingCertificate", "TermError", "UnboundParameterError", "VerificationError",
-    "WZPair", "ballot_gf", "bundled_suite", "catalan_gf", "catalan_sequence",
+    "WZPair", "ZnPoly", "ballot_gf", "bundled_suite", "catalan_gf", "catalan_sequence",
     "central_binomial_gf", "check_binomial_transform", "check_boundary_couple",
     "check_convolution_11897", "check_lower_triangle_identity",
     "check_shifted_central_identity", "check_telescoping", "check_transform_power_identity",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -28,6 +29,7 @@ from .hyperterm import (
     parse_n_polynomial,
     parse_term,
 )
+from .polynomials import ZN_ONE, Polynomial, ZnPoly
 from .series import known_gf
 from .suite import load_suite, report_lines, run_identity_suite
 from .verify import WZPair, VerificationError, oracle_sum
@@ -149,9 +151,15 @@ def _cmd_wz_check(args) -> int:
     f = _nonzero(parse_term(args.f_term, binding), "F")
     g = parse_term(args.g_term, binding)
     try:
-        coeffs = tuple(parse_n_polynomial(c, binding) for c in args.coeff)
+        parsed = [parse_n_polynomial(c, binding) for c in args.coeff]
     except ValueError as exc:
         raise _UsageError(f"operator coefficient {exc}") from None
+    # Coefficients p/d are cleared by e = lcm(d): the identity times e holds
+    # exactly when it does, with G times e.
+    e = math.lcm(*(d for _, d in parsed))
+    coeffs = tuple(p * ZnPoly((e // d,)) for p, d in parsed)
+    if e > 1:
+        g = g.scale_rational((Polynomial("k", (ZnPoly((e,)),)), Polynomial("k", (ZN_ONE,))))
     try:
         pair = WZPair(f, g, coeffs)
         ok = pair.check()

@@ -47,9 +47,8 @@ from .hyperterm import (
 )
 from .linalg import nullspace
 from .polynomials import (
-    POLY_N,
-    ZN,
-    ZNK,
+    ZN_ONE,
+    ZN_ZERO,
     FactoredRatio,
     Polynomial,
     RationalFunction,
@@ -82,7 +81,7 @@ def _shifted(factors: Counter, j: int) -> Counter:
 class IntegerNormalForm:
     """Gosper's normal form r = z * (a/b) * (c(k+1)/c(k)) in Z[n][k], with
     gcd(a(k), b(k+j)) = 1 for j >= 0: z = zn/zd, and a, b and c are Z[n]
-    multiples of the monic a, b and c."""
+    multiples of the a, b and c of lead 1."""
 
     zn: ZnPoly
     zd: ZnPoly
@@ -92,10 +91,10 @@ class IntegerNormalForm:
     dispersion: list[int]
 
     def pairs(self) -> dict[str, tuple[Polynomial, Polynomial]]:
-        """The monic a, b, c and z, each a pair of ``zn_reduced``."""
-        pairs = {name: zn_reduced(p, ZNK.constant(p.lc()))
+        """The a, b, c of lead 1 and z, each a pair of ``zn_reduced``."""
+        pairs = {name: zn_reduced(p, Polynomial("k", (p.lc(),)))
                  for name, p in zip("abc", (self.a, self.b, self.c))}
-        pairs["z"] = zn_reduced(ZNK.constant(self.zn), ZNK.constant(self.zd))
+        pairs["z"] = zn_reduced(Polynomial("k", (self.zn,)), Polynomial("k", (self.zd,)))
         return pairs
 
     def ratio(self) -> RationalFunction:
@@ -139,7 +138,7 @@ def degree_bound(nf: IntegerNormalForm, rhs_extra: int = 0) -> int | None:
     where deg rhs <= deg c + rhs_extra, read off the normal form in Z[n][k].
     None means no degree works.  When z = 1 and a and B = b(k-1) share the
     degree d, theta = (B_{d-1}*lc a - a_{d-1}*lc B) / (lc a * lc B), the
-    difference of their monic forms' next coefficients, is a candidate
+    difference of their next coefficients over their leads, is a candidate
     when it is an integer >= 0."""
     a, B = nf.a, nf.b.shift(-1)
     na, nb = int(a.degree), int(B.degree)
@@ -167,7 +166,7 @@ def parameterized_gosper(
         z * a(k) * x(k+1) - b(k-1) * x(k) = c(k) * sum_j sigma_j * p_j(k)
 
     for x and constants sigma_j in Q(n), given rhs = [p_0, ..., p_J] in
-    Z[n][k], as one nullspace over Z[n]: with the monic a, b, c of nf, the
+    Z[n][k], as one nullspace over Z[n]: with the a, b, c of lead 1 of nf, the
     equation times zd*lc(a)*lc(b)*lc(c) is in Z[n][k].  When d is None only
     x = 0 can occur; with a single nonzero p_0 the only solution is then
     sigma_0 = 0, and no elimination is run.
@@ -182,7 +181,7 @@ def parameterized_gosper(
     nx = 0 if d is None else d + 1
     la, lb, lc = nf.a.lc(), nf.b.lc(), nf.c.lc()
     za, B = nf.a * (nf.zn * lb * lc), nf.b.shift(-1) * (nf.zd * la * lc)
-    cols, k = [nf.c * p * -(nf.zd * la * lb) for p in rhs], ZNK.gen()
+    cols, k = [nf.c * p * -(nf.zd * la * lb) for p in rhs], Polynomial("k", (ZN_ZERO, ZN_ONE))
     for i in range(nx):  # column i is za*(k+1)^i - B*k^i, each power one product on
         cols[i:i], za, B = [za - B], za * (k + 1), B * k
     height = max(int(col.degree) for col in cols if col) + 1
@@ -200,14 +199,14 @@ def _normalize_solution(x: list[ZnPoly], sigma: list[ZnPoly]) -> tuple[list[ZnPo
     while not sigma[-1]:
         sigma = sigma[:-1]
     prim = _zn_primitive_part(sigma)
-    return x, ZN.exact_div(sigma[-1], prim[-1]), tuple(prim)
+    return x, sigma[-1].quotient(prim[-1]), tuple(prim)
 
 
 def certificate(nf: IntegerNormalForm, x: list[ZnPoly], scale: ZnPoly,
-                q: Polynomial = ZNK.one()) -> tuple[Polynomial, Polynomial]:
-    """R = b(k-1) * x(k) / (c(k) * q(k)) with b and c of the monic normal
+                q: Polynomial = Polynomial("k", (ZN_ONE,))) -> tuple[Polynomial, Polynomial]:
+    """R = b(k-1) * x(k) / (c(k) * q(k)) with b and c of lead 1 of the normal
     form and x = x/scale, reduced by ``zn_reduced``; the rhs were T_j * q."""
-    num = nf.b.shift(-1) * Polynomial("k", ZN, x) * nf.c.lc()
+    num = nf.b.shift(-1) * Polynomial("k", x) * nf.c.lc()
     return zn_reduced(num, nf.c * q * (nf.b.lc() * scale))
 
 
@@ -246,13 +245,13 @@ class GosperCertificate:
     def check(self) -> bool:
         """Exact soundness: R(k+1) * r(k) - R(k) = 1, the telescoping
         identity with the single coefficient sigma_0 = 1 (``telescoping_identity``)."""
-        return telescoping_identity(self.term, (POLY_N.one(),), self.certificate_pair)
+        return telescoping_identity(self.term, (ZN_ONE,), self.certificate_pair)
 
     def text(self) -> str:
         return f"R(n,k) = {ratfun_to_text(self.certificate_pair)}"
 
     def record(self) -> dict:
-        """x, the monic a, b, c, z and R, each a pair of ``zn_reduced``."""
+        """x, the a, b, c of lead 1, z and R, each a pair of ``zn_reduced``."""
         pairs = {"x": self.x_pair, **self.integer_form.pairs(), "R": self.certificate_pair}
         return {name: ratfun_to_record(pair) for name, pair in pairs.items()}
 
@@ -261,7 +260,7 @@ def gosper_antidifference(term: HyperTerm) -> GosperCertificate:
     """Decide indefinite summability of the term; raises NotSummableError."""
     r_k = factored_shift_pair(term, "k")
     nf = factored_normal_form(r_k.cancelled())
-    d, solution = parameterized_gosper(nf, [ZNK.one()])
+    d, solution = parameterized_gosper(nf, [Polynomial("k", (ZN_ONE,))])
     if d is None:
         raise NotSummableError(
             f"degree bound rules out a polynomial solution for {term_to_string(term)}"
@@ -271,9 +270,9 @@ def gosper_antidifference(term: HyperTerm) -> GosperCertificate:
             f"no polynomial solution up to degree {d} for {term_to_string(term)}"
         )
     x, scale, _ = solution
-    x_pair = zn_reduced(Polynomial("k", ZN, x), ZNK.constant(scale))
+    x_pair = zn_reduced(Polynomial("k", x), Polynomial("k", (scale,)))
     result = GosperCertificate(term, nf, x_pair, certificate(nf, x, scale))
-    if not telescoping_identity(term, (POLY_N.one(),), result.certificate_pair, r_k):
+    if not telescoping_identity(term, (ZN_ONE,), result.certificate_pair, r_k):
         raise AssertionError("internal error: certificate failed its own check")
     return result
 

@@ -40,8 +40,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .polynomials import (
-    ZN,
-    ZNK,
+    ZN_ONE,
+    ZN_ZERO,
     FactoredRatio,
     Polynomial,
     RationalFunction,
@@ -331,7 +331,7 @@ class HyperTerm:
     def subst_k(self, value: int) -> "HyperTerm":
         """Substitute a concrete integer for k, leaving a term in n alone."""
         factors = [(_map_forms(f, lambda lf: lf.subst_k(value)), e) for f, e in self.factors]
-        num, den = (ZNK.constant(p.evaluate(value)) for p in self.prefactor)
+        num, den = (Polynomial("k", (p.evaluate(value),)) for p in self.prefactor)
         if not den:
             raise PoleError(f"prefactor pole on substituting k = {value}")
         return HyperTerm(factors, zn_reduced(num, den))
@@ -473,8 +473,7 @@ def _primitive_linear(coeff_k: int, constant: int, coeff_n: int) -> tuple[int, l
         return constant, []
     g = math.gcd(coeff_k, coeff_n, constant)
     g = -g if coeff_k < 0 or not coeff_k and coeff_n < 0 else g
-    return g, [Polynomial("k", ZN, (ZnPoly((constant // g, coeff_n // g)),
-                                    ZnPoly((coeff_k // g,))))]
+    return g, [Polynomial("k", (ZnPoly((constant // g, coeff_n // g)), ZnPoly((coeff_k // g,))))]
 
 
 def factored_shift_pair(term: HyperTerm, var: str) -> FactoredRatio:
@@ -785,34 +784,36 @@ class _Parser:
 
 
 _SYMBOL_FORMS = {"n": LinearForm(coeff_n=1), "k": LinearForm(coeff_k=1)}
-_SYMBOL_POLYS = {"n": ZNK.constant(ZnPoly((0, 1))), "k": ZNK.gen()}
+_SYMBOL_POLYS = {"n": Polynomial("k", (ZnPoly((0, 1)),)), "k": Polynomial("k", (ZN_ZERO, ZN_ONE))}
 
 
 def _has_symbol(ast) -> bool:
     return ast[0] == "sym" or any(type(a) is tuple and _has_symbol(a) for a in ast[1:])
 
 
-def _poly_eval(ast, binding: ParamBinding | None) -> tuple[Polynomial, int]:
+def _poly_eval(ast, binding: ParamBinding | None,
+               where: str = "a prefactor") -> tuple[Polynomial, int]:
     """Evaluate a polynomial AST to a pair (p, d), p in Z[n][k] over an
-    integer d > 0; parameters need a binding."""
+    integer d > 0; parameters need a binding, and an unbound one is named
+    with where it occurs."""
     tag = ast[0]
     if tag == "lit":
-        return ZNK.from_int(ast[1]), 1
+        return Polynomial("k", (ZnPoly((ast[1],)),)), 1
     if tag == "sym":
         sym = ast[1]
         if sym in _SYMBOL_POLYS:
             return _SYMBOL_POLYS[sym], 1
         if binding is not None and sym in binding:
-            return ZNK.from_int(int(binding[sym])), 1
-        raise UnboundParameterError(f"parameter {sym!r} in a prefactor needs a concrete binding")
-    p, d = _poly_eval(ast[1], binding)
+            return Polynomial("k", (ZnPoly((int(binding[sym]),)),)), 1
+        raise UnboundParameterError(f"parameter {sym!r} in {where} needs a concrete binding")
+    p, d = _poly_eval(ast[1], binding, where)
     if tag == "neg":
         return -p, d
     if tag == "pow":
         return p ** ast[2], d ** ast[2]
     if tag == "div":
         return p, d * ast[2]
-    q, e = _poly_eval(ast[2], binding)
+    q, e = _poly_eval(ast[2], binding, where)
     if tag == "mul":
         return p * q, d * e
     if d != e:
@@ -829,18 +830,20 @@ def parse_linear_form(text: str) -> LinearForm:
     return lf
 
 
-def parse_n_polynomial(text: str, binding: ParamBinding | None = None) -> Polynomial:
+def parse_n_polynomial(text: str, binding: ParamBinding | None = None) -> tuple[ZnPoly, int]:
     """Parse a polynomial in n, its terms perhaps over integers as in
-    ``(n+2)/2``, into Q[n]; parameters need a binding.  Raises ParseError on
-    malformed text and ValueError when it involves k."""
+    ``(n+2)/2``, into a pair (p, d), p in Z[n] over an integer d > 0;
+    parameters need a binding.  Raises ParseError on malformed text,
+    UnboundParameterError naming the text on an unbound parameter, and
+    ValueError when it involves k."""
     parser = _Parser(text)
     ast = parser.parse_poly_expr()
     if parser.peek()[0] != "end":
         parser.fail("trailing input after polynomial")
-    p, d = _poly_eval(ast, binding)
+    p, d = _poly_eval(ast, binding, f"the operator coefficient {text!r}")
     if p.degree > 0:
         raise ValueError(f"may not involve k: {text!r}")
-    return p.coeff(0).to_poly() * Fraction(1, d)
+    return p.coeff(0), d
 
 
 def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
@@ -857,7 +860,7 @@ def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
     parser = _Parser(text)
     num_atoms, den_atoms = parser.parse_term()
     factors: list[tuple[Factor, int]] = []
-    pref_num = pref_den = ZNK.one()
+    pref_num = pref_den = Polynomial("k", (ZN_ONE,))
 
     def absorb(atoms: list, sign: int) -> None:
         nonlocal pref_num, pref_den
@@ -881,7 +884,7 @@ def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
             else:  # a prefactor piece p/d to the power e
                 _, ast, e, pos = atom
                 top, d = _poly_eval(ast, binding)
-                bottom = ZNK.from_int(d)
+                bottom = Polynomial("k", (ZnPoly((d,)),))
                 if e < 0:
                     if not top:
                         raise ParseError("zero base with a negative exponent", pos, text)

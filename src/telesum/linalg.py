@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 
-from .polynomials import ZN, RationalFunction, ZnPoly
+from .polynomials import RationalFunction, ZnPoly
 
 # The first point n; the primes, climbed while the images modulo one rebuild
 # no proved basis; the base of the weights that sum a kernel vector's entries.
@@ -32,7 +32,8 @@ def solve_linear_system(matrix: list[list], rhs: list) -> list | None:
     if len(rhs) != len(matrix):
         raise ValueError("matrix and right-hand side sizes differ")
     ncols = len(matrix[0]) if matrix else 0
-    rows = [[*map(ZN.coerce, row), -ZN.coerce(b)] for row, b in zip(matrix, rhs)]
+    rows = [[ZnPoly((e,)) if isinstance(e, int) else e for e in (*row, -b)]
+            for row, b in zip(matrix, rhs)]
     basis = nullspace(rows, ncols=ncols + 1)
     if not basis or not basis[-1][ncols]:
         return None
@@ -188,7 +189,7 @@ def _kernel_at(rows, ncols, width, x, p):
 
 
 def _fraction(g, modulus, p):
-    """The monic den with g * den mod p and modulus = num of low degree: from
+    """The den of lead 1 with g * den mod p and modulus = num of low degree: from
     the remainder sequence of modulus and g, the cofactor after the largest
     drop in degree; None unless it is 2 or more, so that a point more than
     num and den need confirms them."""

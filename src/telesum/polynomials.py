@@ -1,22 +1,17 @@
-"""Exact arithmetic: rationals, dense polynomials, and rational functions.
+"""Exact arithmetic over Z[n]: dense polynomials and rational functions.
 
-All results are exact: coefficients are Python ints or ``fractions.Fraction``
-values.  Polynomials are dense coefficient tuples over a pluggable
-coefficient ring, which lets the same class serve as
-
-* ``Q[n]`` (coefficients ``Fraction``, ring ``QQ``), a recurrence's
-  coefficients,
-* ``Z[n][k]`` (coefficients ``ZnPoly``, ring ``ZN``), and
-* ``Z[j]`` (the same ``ZnPoly`` read as polynomials in a shift j).
-
-``ZnPoly`` is Z[n] as a tuple of ints, and a polynomial in k over ``ZN`` is
-Z[n][k], the one exact form of the engine.  ``zn_reduced`` brings a pair
-num/den in it to lowest terms by the cofactors of ``_zn_gcd``; a
-``RationalFunction``, an element of Q(n)(k), is such a reduced pair.
-``FactoredRatio`` keeps a quotient as multisets of primitive factors in
-Z[n][k], the form the Gosper normal form reads; ``root_shifts`` and
-``_shift_resultant_roots`` (a resultant over Z[j] at points n0, as in
-``dispersion_set``) give the shifts where two factors meet.
+``ZnPoly`` is Z[n], ascending int coefficients in a tuple; it is the one
+coefficient type.  A ``Polynomial`` is dense over it, in k (Z[n][k], the one
+exact form of the engine) or in a shift j (Z[j], in the shift resultants,
+each ``ZnPoly`` then read as a polynomial in j); its products, powers and
+int shifts run on int rows (``_rows_mul``, ``_rows_shift``), and its exact
+quotient, as ``ZnPoly``'s, is None where the division is not exact.
+``zn_reduced`` brings a pair num/den in Z[n][k] to lowest terms by the
+cofactors of ``_zn_gcd``; a ``RationalFunction``, an element of Q(n)(k), is
+such a reduced pair.  ``FactoredRatio`` keeps a quotient as multisets of
+primitive factors in Z[n][k], the form the Gosper normal form reads;
+``root_shifts`` and ``_shift_resultant_roots`` (a resultant over Z[j] at
+points n0, as in ``dispersion_set``) give the shifts where two factors meet.
 """
 
 from __future__ import annotations
@@ -24,86 +19,23 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Iterable, Sequence
 
 NEG_INFINITY = float("-inf")
 
 
-class RationalField:
-    """Descriptor for the base field Q with ``Fraction`` elements."""
-
-    name = "Q"
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def from_int(self, value: int) -> Fraction:
-        return Fraction(value)
-
-    def exact_div(self, a: Fraction, b: Fraction) -> Fraction:
-        return a / b
-
-    def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {value!r} into Q")
-
-    def __repr__(self) -> str:
-        return "Q"
-
-
-QQ = RationalField()
-
-
-class PolynomialRing:
-    """Constructors of dense univariate polynomials over a coefficient ring."""
-
-    def __init__(self, var: str, coeff_ring) -> None:
-        self.var = var
-        self.coeff_ring = coeff_ring
-
-    def zero(self) -> "Polynomial":
-        return Polynomial(self.var, self.coeff_ring, ())
-
-    def one(self) -> "Polynomial":
-        return Polynomial(self.var, self.coeff_ring, (self.coeff_ring.one(),))
-
-    def from_int(self, value: int) -> "Polynomial":
-        return Polynomial(self.var, self.coeff_ring, (self.coeff_ring.from_int(value),))
-
-    def constant(self, value) -> "Polynomial":
-        return Polynomial(self.var, self.coeff_ring, (self.coeff_ring.coerce(value),))
-
-    def gen(self) -> "Polynomial":
-        return Polynomial(
-            self.var, self.coeff_ring, (self.coeff_ring.zero(), self.coeff_ring.one())
-        )
-
-    def poly(self, coeffs: Iterable) -> "Polynomial":
-        return Polynomial(
-            self.var, self.coeff_ring, tuple(self.coeff_ring.coerce(c) for c in coeffs)
-        )
-
-    def __repr__(self) -> str:
-        return f"{self.coeff_ring!r}[{self.var}]"
-
-
 class Polynomial:
-    """Dense univariate polynomial; ``coeffs[i]`` multiplies ``var**i``."""
+    """Dense univariate polynomial over Z[n]: ``coeffs[i]``, a ``ZnPoly``,
+    multiplies ``var**i``.  Ints and ``ZnPoly``s act as constants."""
 
-    __slots__ = ("var", "ring", "coeffs")
+    __slots__ = ("var", "coeffs")
 
-    def __init__(self, var: str, ring, coeffs: Sequence) -> None:
+    def __init__(self, var: str, coeffs: Sequence[ZnPoly]) -> None:
         n = len(coeffs)
         while n > 0 and not coeffs[n - 1]:
             n -= 1
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", tuple(coeffs[:n]))
 
     def __setattr__(self, name, value):
@@ -116,15 +48,13 @@ class Polynomial:
         """Degree, with the zero polynomial mapped to -infinity."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
 
-    def lc(self):
-        if not self.coeffs:
-            return self.ring.zero()
-        return self.coeffs[-1]
+    def lc(self) -> ZnPoly:
+        return self.coeffs[-1] if self.coeffs else ZN_ZERO
 
-    def coeff(self, i: int):
+    def coeff(self, i: int) -> ZnPoly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return self.ring.zero()
+        return ZN_ZERO
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -132,24 +62,23 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def _spawn(self, coeffs: Sequence) -> "Polynomial":
-        return Polynomial(self.var, self.ring, coeffs)
+    def _spawn(self, coeffs: Sequence[ZnPoly]) -> "Polynomial":
+        return Polynomial(self.var, coeffs)
 
-    def _coerce(self, other):
-        if isinstance(other, Polynomial) and other.var == self.var and other.ring == self.ring:
-            return other
-        try:
-            return self._spawn((self.ring.coerce(other),))
-        except TypeError:
-            return None
+    def _coerce(self, other) -> "Polynomial | None":
+        if isinstance(other, Polynomial):
+            return other if other.var == self.var else None
+        if isinstance(other, int):
+            other = ZnPoly((other,))
+        return self._spawn((other,)) if isinstance(other, ZnPoly) else None
 
     # -- ring operations ------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        p = other if isinstance(other, Polynomial) else self._coerce(other)
+        p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return self.var == p.var and self.ring == p.ring and self.coeffs == p.coeffs
+        return self.coeffs == p.coeffs
 
     def __hash__(self) -> int:
         return hash((self.var, self.coeffs))
@@ -158,13 +87,8 @@ class Polynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        a, b = self.coeffs, p.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return self._spawn(out)
+        pairs = zip_longest(self.coeffs, p.coeffs, fillvalue=ZN_ZERO)
+        return self._spawn([a + b for a, b in pairs])
 
     __radd__ = __add__
 
@@ -173,39 +97,26 @@ class Polynomial:
 
     def __sub__(self, other):
         p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return self + (-p)
+        return NotImplemented if p is None else self._spawn(_difference(self.coeffs, p.coeffs))
 
     def __rsub__(self, other):
         p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return p + (-self)
+        return NotImplemented if p is None else self._spawn(_difference(p.coeffs, self.coeffs))
 
     def __mul__(self, other):
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        a, b = self.coeffs, p.coeffs
-        if not a or not b:
+        if not self.coeffs or not p.coeffs:
             return self._spawn(())
-        if self.ring is ZN:
-            return self._spawn(list(map(ZnPoly, _rows_mul(a, b))))
-        out = [self.ring.zero()] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return self._spawn(out)
+        return self._spawn(list(map(ZnPoly, _rows_mul(self.coeffs, p.coeffs))))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = self._spawn((self.ring.one(),))
+        result = self._spawn((ZN_ONE,))
         base = self
         e = exponent
         while e:
@@ -216,64 +127,45 @@ class Polynomial:
                 base = base * base
         return result
 
-    # -- division -------------------------------------------------------
-
-    def __divmod__(self, other):
-        """Long division; coefficient divisions go through the ring."""
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        if not p:
+    def quotient(self, other: "Polynomial") -> "Polynomial | None":
+        """self / other in Z[n][k] by long division, or None when other does
+        not divide self there (a coefficient division in Z[n] that is not
+        exact included), as ``ZnPoly.quotient`` in Z[n]."""
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db, lb = len(p.coeffs) - 1, p.lc()
-        if len(rem) - 1 < db:
-            return self._spawn(()), self
-        quot = [self.ring.zero()] * (len(rem) - db)
+        rem, divisor = list(self.coeffs), other.coeffs
+        db, lead = len(divisor) - 1, divisor[-1]
+        if len(rem) <= db:
+            return None if rem else self
+        quot = [ZN_ZERO] * (len(rem) - db)
         for i in range(len(rem) - 1, db - 1, -1):
-            if not rem[i]:
-                continue
-            q = self.ring.exact_div(rem[i], lb)
-            quot[i - db] = q
-            for j, cb in enumerate(p.coeffs):
-                rem[i - db + j] = rem[i - db + j] - q * cb
-        return self._spawn(quot), self._spawn(rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other) -> "Polynomial":
-        q, r = divmod(self, other)
-        if r:
-            raise ValueError(f"inexact polynomial division: {self!r} by {other!r}")
-        return q
-
-    def monic(self) -> "Polynomial":
-        if not self:
-            return self
-        lead = self.lc()
-        return self._spawn(tuple(self.ring.exact_div(c, lead) for c in self.coeffs))
+            if rem[i]:
+                q = quot[i - db] = rem[i].quotient(lead)
+                if q is None:
+                    return None
+                for j, b in enumerate(divisor, i - db):
+                    rem[j] = rem[j] - q * b
+        return None if any(rem[:db]) else self._spawn(quot)
 
     # -- substitution ---------------------------------------------------
 
-    def shift(self, j) -> "Polynomial":
-        """Substitute ``var + j`` for ``var``: over ``ZN`` with an int j a Taylor
-        shift of the int rows (``_rows_shift``), else Horner on the shifted base."""
+    def shift(self, j: "int | ZnPoly") -> "Polynomial":
+        """Substitute ``var + j`` for ``var``: for an int j a Taylor shift of
+        the int rows (``_rows_shift``), for a ``ZnPoly`` j (a polynomial in a
+        second variable) Horner's rule on the shifted base."""
         if not self.coeffs:
             return self
-        if self.ring is ZN and isinstance(j, int):
+        if isinstance(j, int):
             return self._spawn(list(map(ZnPoly, _rows_shift(self.coeffs, j))))
-        jc = self.ring.coerce(j)
-        base = self._spawn((jc, self.ring.one()))
+        base = self._spawn((j, ZN_ONE))
         result = self._spawn(())
         for c in reversed(self.coeffs):
             result = result * base + c
         return result
 
-    def evaluate(self, point):
-        """Horner evaluation; the point is coerced into the coefficient ring."""
-        x = self.ring.coerce(point)
-        acc = self.ring.zero()
+    def evaluate(self, point: int) -> ZnPoly:
+        """The value in Z[n] at ``var = point``, by Horner's rule."""
+        x, acc = ZnPoly((point,)), ZN_ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -281,57 +173,25 @@ class Polynomial:
     def map_coeffs(self, fn) -> "Polynomial":
         return self._spawn(tuple(map(fn, self.coeffs)))
 
-    # -- display --------------------------------------------------------
-
-    def to_string(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            cs = _coeff_string(c)
-            if i == 0:
-                piece = cs
-            else:
-                v = self.var if i == 1 else f"{self.var}^{i}"
-                if cs == "1":
-                    piece = v
-                elif cs == "-1":
-                    piece = f"-{v}"
-                else:
-                    piece = f"{cs}*{v}"
-            if parts and not piece.startswith("-"):
-                parts.append("+" + piece)
-            else:
-                parts.append(piece)
-        return "".join(parts)
-
     def __repr__(self) -> str:
-        return f"Poly({self.to_string()})"
+        return f"Polynomial({self.var!r}, {[tuple(c) for c in self.coeffs]!r})"
 
 
-def _coeff_string(c) -> str:
-    """A coefficient as a factor: in parentheses unless a Fraction or an integer."""
-    s = str(c)
-    return s if isinstance(c, Fraction) or s.lstrip("-").isdigit() else f"({s})"
+def _difference(a: Sequence[ZnPoly], b: Sequence[ZnPoly]) -> list[ZnPoly]:
+    """a - b for two coefficient sequences, one ``ZnPoly`` difference a row."""
+    return [x - y for x, y in zip_longest(a, b, fillvalue=ZN_ZERO)]
 
 
 def _znk_scaled(value) -> tuple[Polynomial, int]:
     """(p, s) with value = p/s, p a polynomial in k over Z[n] and s > 0 an
-    int, for a polynomial in k over ``ZN`` or in n over ``QQ``, a ``ZnPoly``,
-    an int or a Fraction."""
-    if isinstance(value, Polynomial) and value.ring is ZN and value.var == "k":
+    int, for a polynomial in k over Z[n], a ``ZnPoly``, an int or a Fraction."""
+    if isinstance(value, Polynomial):
         return value, 1
-    if isinstance(value, Polynomial) and value.ring is QQ and value.var == "n":
-        scale = math.lcm(*(c.denominator for c in value.coeffs))
-        return ZNK.constant(ZnPoly(int(c * scale) for c in value.coeffs)), scale
     if isinstance(value, ZnPoly):
-        return ZNK.constant(value), 1
+        return Polynomial("k", (value,)), 1
     if isinstance(value, (int, Fraction)):
         value = Fraction(value)
-        return ZNK.from_int(value.numerator), value.denominator
+        return Polynomial("k", (ZnPoly((value.numerator,)),)), value.denominator
     raise TypeError(f"cannot read {value!r} as an element of Q(n)(k)")
 
 
@@ -499,9 +359,9 @@ def _zn_gcd(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> tuple[list[ZnPoly],
     factor G, primitive in Z[n][k], has lc_k(G) | lc_k(N) (Gauss's lemma), so
     G(n0, k) keeps its degree and divides both images.  Otherwise the gcd
     comes from Brown's dense interpolation (JACM 18, 1971): with gamma =
-    gcd(lc_k N, lc_k D) of the primitive parts, the images gamma(n0) * monic
-    gcd at points of least image degree are the values of H = (gamma /
-    lc_k G) * G, of n-degree at most e = deg gamma + min(deg_n N, deg_n D),
+    gcd(lc_k N, lc_k D) of the primitive parts, the images gamma(n0) times
+    the gcd of lead 1 at points of least image degree are the values of
+    H = (gamma / lc_k G) * G, of n-degree at most e = deg gamma + min(deg_n N, deg_n D),
     fixed by e + 1 points.  Its primitive part is accepted only if it divides
     N and D in Z[n][k], the quotients being the cofactors; unlucky points
     (image degree too high) give candidates that fail, finitely often.
@@ -539,45 +399,41 @@ def zn_reduced(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
     joint content in Z[n], the denominator's top integer positive; zero is
     0/1.  It is the one form of a ``RationalFunction``."""
     if not num:
-        return num, Polynomial(num.var, ZN, (ZN_ONE,))
+        return num, Polynomial(num.var, (ZN_ONE,))
     found = num.degree > 0 and den.degree > 0 and _zn_gcd(num.coeffs, den.coeffs)
     num_rows, den_rows = found[1:] if found else (num.coeffs, den.coeffs)
     rows = _zn_primitive_part([*num_rows, *den_rows])
-    return (Polynomial(num.var, ZN, rows[:len(num_rows)]),
-            Polynomial(num.var, ZN, rows[len(num_rows):]))
+    return Polynomial(num.var, rows[:len(num_rows)]), Polynomial(num.var, rows[len(num_rows):])
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """The gcd in Q(n)[k] of two polynomials in k over Z[n], as ``_zn_gcd``
     gives it: primitive in Z[n][k] with a positive leading integer, 1 when
     it is a unit, 0 for two zeros."""
-    if p.ring is not ZN or q.ring is not ZN:
-        raise TypeError("gcd of polynomials that are not in Z[n][k]")
     if not p or not q:
         f = p or q
-        return Polynomial("k", ZN, _zn_primitive_part(list(f.coeffs))) if f else f
+        return Polynomial("k", _zn_primitive_part(list(f.coeffs))) if f else f
     found = p.degree > 0 and q.degree > 0 and _zn_gcd(p.coeffs, q.coeffs)
-    return Polynomial("k", ZN, found[0] if found else (ZN_ONE,))
+    return Polynomial("k", found[0] if found else (ZN_ONE,))
 
 
 def poly_lcm(p: Polynomial, q: Polynomial) -> Polynomial:
     """The lcm in Q(n)[k] of two polynomials in k over Z[n], normalized as
     ``poly_gcd``'s result is; 0 when either is 0."""
     if not p or not q:
-        return Polynomial("k", ZN, ())
-    return Polynomial("k", ZN, _zn_primitive_part(list((p * q.exact_div(poly_gcd(p, q))).coeffs)))
+        return Polynomial("k", ())
+    return Polynomial("k", _zn_primitive_part(list((p * q.quotient(poly_gcd(p, q))).coeffs)))
 
 
 # ---------------------------------------------------------------------------
 # integer roots
 
 
-def integer_roots(p: Polynomial) -> list[int]:
-    """Sorted integer roots of a nonzero polynomial over Q (``_int_roots``)."""
+def integer_roots(p: ZnPoly) -> list[int]:
+    """Sorted integer roots of a nonzero integer polynomial (``_int_roots``)."""
     if not p:
         raise ValueError("integer_roots of the zero polynomial")
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _int_roots(_int_primitive([int(c * den) for c in p.coeffs]))
+    return _int_roots(_int_primitive(list(p)))
 
 
 def _int_roots(ints: list[int]) -> list[int]:
@@ -614,16 +470,16 @@ def _int_roots(ints: list[int]) -> list[int]:
 # resultants and dispersion
 
 
-def bareiss(ring, rows: list[list]):
-    """Determinant of a square matrix over an integral domain, by
-    fraction-free (Bareiss) elimination in place: every division is exact
-    (``ring.exact_div``), so entries stay in the ring, and the last pivot
-    is the determinant of the row-permuted matrix."""
-    sign, prev = 1, ring.one()
+def bareiss(rows: list[list[ZnPoly]]) -> ZnPoly:
+    """Determinant of a square matrix over Z[n], by fraction-free (Bareiss)
+    elimination in place: every division is exact (``ZnPoly.quotient``), so
+    entries stay in Z[n], and the last pivot is the determinant of the
+    row-permuted matrix."""
+    sign, prev = 1, ZN_ONE
     for c in range(len(rows)):
         sel = next((i for i in range(c, len(rows)) if rows[i][c]), None)
         if sel is None:
-            return ring.zero()
+            return ZN_ZERO
         if sel != c:
             rows[c], rows[sel] = rows[sel], rows[c]
             sign = -sign
@@ -631,32 +487,28 @@ def bareiss(ring, rows: list[list]):
         for i in range(c + 1, len(rows)):
             head = rows[i][c]
             for j in range(c + 1, len(rows)):
-                rows[i][j] = ring.exact_div(piv * rows[i][j] - head * rows[c][j], prev)
+                rows[i][j] = (piv * rows[i][j] - head * rows[c][j]).quotient(prev)
         prev = piv
     return -prev if sign < 0 else prev
 
 
-def resultant(p: Polynomial, q: Polynomial):
+def resultant(p: Polynomial, q: Polynomial) -> ZnPoly:
     """Resultant of p and q in their shared variable: the determinant of
     their Sylvester matrix, by Bareiss elimination.
 
-    Returns an element of the coefficient ring, lc(p)^deg q * lc(q)^deg p
-    times the product of (a - b) over the roots a of p and b of q.  The
-    coefficient ring may itself be a polynomial ring; all divisions
-    performed are exact.
+    Returns an element of Z[n], lc(p)^deg q * lc(q)^deg p times the product
+    of (a - b) over the roots a of p and b of q; all divisions performed are
+    exact.
     """
-    if p.var != q.var or p.ring != q.ring:
-        raise TypeError("resultant of polynomials from different rings")
-    ring = p.ring
+    if p.var != q.var:
+        raise TypeError("resultant of polynomials in different variables")
     if not p or not q:
-        return ring.zero()
+        return ZN_ZERO
     dp, dq = len(p.coeffs) - 1, len(q.coeffs) - 1
-    if dp == 0:
-        return p.lc() ** dq
-    if dq == 0:
-        return q.lc() ** dp
+    if dp == 0 or dq == 0:
+        return math.prod((p.lc(),) * dq + (q.lc(),) * dp, start=ZN_ONE)
     size = dp + dq
-    zero = ring.zero()
+    zero = ZN_ZERO
     rows = []
     pc = list(reversed(p.coeffs))
     qc = list(reversed(q.coeffs))
@@ -664,7 +516,7 @@ def resultant(p: Polynomial, q: Polynomial):
         rows.append([zero] * i + pc + [zero] * (size - i - dp - 1))
     for i in range(dp):
         rows.append([zero] * i + qc + [zero] * (size - i - dq - 1))
-    return bareiss(ring, rows)
+    return bareiss(rows)
 
 
 def _shift_resultant_roots(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> list[int]:
@@ -677,7 +529,7 @@ def _shift_resultant_roots(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> list
     n0 = -1
     for _ in range(2):
         n0 = _good_point(num, den, n0 + 1)
-        a, b = (Polynomial("k", ZN, [ZnPoly((c(n0),)) for c in rows]) for rows in (num, den))
+        a, b = (Polynomial("k", [ZnPoly((c(n0),)) for c in rows]) for rows in (num, den))
         witness = _int_gcd(witness, list(resultant(a, b.shift(ZnPoly((0, 1))))))
     return [j for j in _int_roots(witness) if j >= 0]
 
@@ -688,8 +540,8 @@ def root_shifts(linear: Polynomial, p: Polynomial, sign: int) -> list[int]:
     integer roots common to the coefficients of each power of n in
     alpha^deg(p) * p(r + sign*j), a polynomial in j over Z[n]."""
     alpha, beta, top = linear.coeffs[1][0], linear.coeffs[0], len(p.coeffs) - 1
-    base = Polynomial("j", ZN, (-beta, ZnPoly((sign * alpha,))))
-    w = Polynomial("j", ZN, p.coeffs[-1:])
+    base = Polynomial("j", (-beta, ZnPoly((sign * alpha,))))
+    w = Polynomial("j", p.coeffs[-1:])
     for i in range(top - 1, -1, -1):
         w = w * base + p.coeffs[i] * ZnPoly((alpha ** (top - i),))
     witness: list[int] = []
@@ -714,8 +566,6 @@ def dispersion_set(p: Polynomial, q: Polynomial) -> list[int]:
     """All integers j >= 0 with deg gcd(p(k), q(k + j)) >= 1, sorted, for
     polynomials in k over Z[n]: the candidates of ``_shift_resultant_roots``,
     each confirmed by ``_zn_gcd``."""
-    if p.ring is not ZN or q.ring is not ZN:
-        raise TypeError("dispersion of polynomials that are not in Z[n][k]")
     if p.degree < 1 or q.degree < 1:
         return []
     return [j for j in _shift_resultant_roots(p.coeffs, q.coeffs)
@@ -723,14 +573,7 @@ def dispersion_set(p: Polynomial, q: Polynomial) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Q[n], the ring of a recurrence's coefficients
-
-POLY_N = PolynomialRing("n", QQ)
-
-
-def n_poly(*coeffs) -> Polynomial:
-    """Polynomial in n over Q from ascending coefficients."""
-    return POLY_N.poly(coeffs)
+# substitution in n
 
 
 def shift_in_n(obj, j: int):
@@ -753,9 +596,9 @@ def clear_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
 class ZnPoly(tuple):
     """An element of Z[n]: ascending int coefficients, no trailing zeros.
 
-    Its operators are those of the ring, so ``bareiss`` and ``Polynomial``
-    run on it with the descriptor ``ZN``: ``Polynomial("k", ZN, ...)`` is
-    Z[n][k].
+    Its operators are those of the ring (an int is not coerced: ``2 * z`` is
+    a TypeError, not tuple repetition); it is the coefficient type of every
+    ``Polynomial``, of a recurrence and of an operator.
     """
 
     __slots__ = ()
@@ -765,9 +608,6 @@ class ZnPoly(tuple):
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         return tuple.__new__(cls, coeffs)
-
-    def to_poly(self) -> Polynomial:
-        return Polynomial("n", QQ, tuple(Fraction(c) for c in self))
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -787,6 +627,8 @@ class ZnPoly(tuple):
         return tuple.__new__(ZnPoly, [-c for c in self])
 
     def __add__(self, other: "ZnPoly") -> "ZnPoly":
+        if isinstance(other, Polynomial):
+            return NotImplemented  # the Polynomial's reflected operator
         if len(self) < len(other):
             self, other = other, self
         out = list(self)
@@ -795,6 +637,8 @@ class ZnPoly(tuple):
         return ZnPoly(out)
 
     def __sub__(self, other: "ZnPoly") -> "ZnPoly":
+        if isinstance(other, Polynomial):
+            return NotImplemented
         if len(self) >= len(other):
             out = list(self)
             for i, c in enumerate(other):
@@ -867,39 +711,8 @@ def _rows_shift(rows: Sequence[Sequence[int]], j: int) -> list[list[int]]:
     return out
 
 
-class IntPolyRing:
-    """Descriptor for Z[n] with ``ZnPoly`` elements."""
-
-    def zero(self) -> ZnPoly:
-        return ZN_ZERO
-
-    def one(self) -> ZnPoly:
-        return ZN_ONE
-
-    def from_int(self, value: int) -> ZnPoly:
-        return ZnPoly((value,))
-
-    def coerce(self, value) -> ZnPoly:
-        if isinstance(value, ZnPoly):
-            return value
-        if isinstance(value, int):
-            return ZnPoly((value,))
-        raise TypeError(f"cannot coerce {value!r} into Z[n]")
-
-    def exact_div(self, a: ZnPoly, b: ZnPoly) -> ZnPoly:
-        q = a.quotient(b)
-        if q is None:
-            raise ArithmeticError(f"inexact division in Z[n]: {a} by {b}")
-        return q
-
-    def __repr__(self) -> str:
-        return "Z[n]"
-
-
-ZN = IntPolyRing()
 ZN_ZERO = ZnPoly()
 ZN_ONE = ZnPoly((1,))
-ZNK = PolynomialRing("k", ZN)  # Z[n][k]
 
 
 def _good_point(num: list[ZnPoly], den: list[ZnPoly], start: int) -> int:
@@ -921,7 +734,7 @@ def _zn_primitive_part(rows: list[ZnPoly]) -> list[ZnPoly]:
     for r in rows:
         content = _int_gcd(content, list(r))
     if len(content) > 1:
-        rows = [ZN.exact_div(r, ZnPoly(content)) for r in rows]
+        rows = [r.quotient(ZnPoly(content)) for r in rows]
     g = math.gcd(*(c for r in rows for c in r))
     g = -g if rows[-1][-1] < 0 else g
     if g != 1:
@@ -931,12 +744,9 @@ def _zn_primitive_part(rows: list[ZnPoly]) -> list[ZnPoly]:
 
 def _zn_quotient(rows: Sequence[ZnPoly], divisor: list[ZnPoly]) -> list[ZnPoly] | None:
     """rows / divisor for polynomials in k over Z[n], or None when it does not
-    divide in Z[n][k]; an inexact division of coefficients means it does not."""
-    try:
-        quot, rem = divmod(Polynomial("k", ZN, rows), Polynomial("k", ZN, divisor))
-    except ArithmeticError:
-        return None
-    return None if rem else list(quot.coeffs)
+    divide in Z[n][k]."""
+    quot = Polynomial("k", rows).quotient(Polynomial("k", divisor))
+    return None if quot is None else list(quot.coeffs)
 
 
 def _interpolate_images(
@@ -991,11 +801,11 @@ def primitive_factors(p: Polynomial) -> tuple[int, list[Polynomial]]:
     integer (a factor of degree 0 in k), and its primitive part unless that
     is 1.  The product is p exactly."""
     prim = _zn_primitive_part(list(p.coeffs))
-    unit = ZN.exact_div(p.coeffs[-1], prim[-1])  # the content times an integer
+    unit = p.coeffs[-1].quotient(prim[-1])  # the content times an integer
     g = math.gcd(*unit) if unit[-1] > 0 else -math.gcd(*unit)
     factors = [(ZnPoly(c // g for c in unit),)] if len(unit) > 1 else []
     factors += [prim] if len(prim) > 1 or len(prim[0]) > 1 else []
-    return g, [Polynomial(p.var, ZN, rows) for rows in factors]
+    return g, [Polynomial(p.var, rows) for rows in factors]
 
 
 def zn_product(factors: Counter, const: int = 1) -> Polynomial:
@@ -1004,7 +814,7 @@ def zn_product(factors: Counter, const: int = 1) -> Polynomial:
     rows = [[const]]
     for f in factors.elements():
         rows = _rows_mul(rows, f.coeffs)
-    return Polynomial("k", ZN, list(map(ZnPoly, rows)))
+    return Polynomial("k", list(map(ZnPoly, rows)))
 
 
 def coprime_base(*multisets: Counter) -> None:
@@ -1018,7 +828,7 @@ def coprime_base(*multisets: Counter) -> None:
             for f, rest in zip((u, v), rests):
                 for h in (g, rest) if (times := m.pop(f, 0)) else ():
                     if len(h) > 1:
-                        m[Polynomial("k", ZN, h)] += times
+                        m[Polynomial("k", h)] += times
 
 
 def _common_factor(multisets, coprime: set):

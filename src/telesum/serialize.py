@@ -15,17 +15,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .polynomials import ZN, Polynomial, RationalFunction, ZnPoly
+from .polynomials import Polynomial, RationalFunction, ZnPoly
 
 
-def npoly_to_list(p: Polynomial) -> list[str]:
-    """Integer polynomial in n (over Q) as decimal strings, constant term first."""
-    out = []
-    for c in p.coeffs:
-        if c.denominator != 1:
-            raise ValueError(f"non-integer coefficient {c} in {p!r}")
-        out.append(str(c.numerator))
-    return out or ["0"]
+def npoly_to_list(p: ZnPoly) -> list[str]:
+    """An element of Z[n] as decimal strings, constant term first."""
+    return [str(c) for c in p] or ["0"]
 
 
 def kpoly_to_lists(p: Polynomial) -> list[list[str]]:
@@ -40,7 +35,7 @@ def ratfun_to_record(pair: tuple[Polynomial, Polynomial]) -> dict:
 
 def record_to_ratfun(record: dict) -> RationalFunction:
     """The Q(n)(k) value of a record's integer rows."""
-    return RationalFunction(*(Polynomial("k", ZN, [ZnPoly(map(int, row)) for row in record[side]])
+    return RationalFunction(*(Polynomial("k", [ZnPoly(map(int, row)) for row in record[side]])
                               for side in ("num", "den")))
 
 

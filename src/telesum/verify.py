@@ -26,7 +26,7 @@ from .hyperterm import (
     ratio_rational,
     term_ratio_is_one,
 )
-from .polynomials import ZNK, FactoredRatio, Polynomial, ZnPoly, zn_identity
+from .polynomials import FactoredRatio, Polynomial, ZnPoly, zn_identity
 
 
 class VerificationError(Exception):
@@ -68,7 +68,7 @@ def sum_table(
     return {n: oracle_sum(term, n, *bounds(n)) for n in range(n_lo, n_hi + 1)}
 
 
-def check_telescoping(f: HyperTerm, g: HyperTerm, coeffs: Sequence[Polynomial]) -> bool:
+def check_telescoping(f: HyperTerm, g: HyperTerm, coeffs: Sequence[ZnPoly]) -> bool:
     """Exact identity sum_j sigma_j(n) f(n+j, k) = g(n, k+1) - g(n, k).
 
     g must be a rational multiple of f (same factor structure); after
@@ -79,7 +79,7 @@ def check_telescoping(f: HyperTerm, g: HyperTerm, coeffs: Sequence[Polynomial]) 
 
 
 def telescoping_identity(
-    term: HyperTerm, coeffs: Sequence[Polynomial], certificate: tuple[Polynomial, Polynomial],
+    term: HyperTerm, coeffs: Sequence[ZnPoly], certificate: tuple[Polynomial, Polynomial],
     r_k: FactoredRatio | None = None, r_n: FactoredRatio | None = None,
 ) -> bool:
     """Exact identity sum_j sigma_j(n) T_j = R(k+1) r_k - R for a bound term F,
@@ -87,27 +87,27 @@ def telescoping_identity(
     shift quotients of F, sigma_j = coeffs[j] and R the certificate.
 
     With r_k = A/B, r_n = C/D (``factored_shift_pair``), R = P/Q and sigma_j
-    = s_j/e over one integer e > 0, the left side is L/(e*Delta), Delta =
-    prod_{i<J} D(n+i), J = len(coeffs) - 1, L = sum_j s_j prod_{i<j} C(n+i)
-    prod_{j<=i<J} D(n+i) (by Horner's rule).  B, Q, Delta != 0 in the domain
-    Z[n][k], so the identity holds exactly when (L*Q + e*Delta*P) * B*Q(k+1)
-    = e*Delta*A*P(k+1) * Q, which ``zn_identity`` decides from the factors.
-    A solver that holds r_k and r_n passes them; otherwise they are built."""
+    in Z[n], the left side is L/Delta, Delta = prod_{i<J} D(n+i), J =
+    len(coeffs) - 1, L = sum_j sigma_j prod_{i<j} C(n+i) prod_{j<=i<J} D(n+i)
+    (by Horner's rule).  B, Q, Delta != 0 in the domain Z[n][k], so the
+    identity holds exactly when
+    (L*Q + Delta*P) * B*Q(k+1) = Delta*A*P(k+1) * Q,
+    which ``zn_identity`` decides from the factors.  A solver that holds r_k
+    and r_n passes them; otherwise they are built."""
     p, q = certificate
-    e = math.lcm(*(v.denominator for s in coeffs for v in s.coeffs))
-    sigmas = [ZNK.constant(ZnPoly(int(v * e) for v in s.coeffs)) for s in coeffs] or [ZNK.zero()]
+    sigmas = [Polynomial("k", (s,)) for s in coeffs] or [Polynomial("k", ())]
     r_k = r_k or factored_shift_pair(term, "k")
     r_n = (r_n or factored_shift_pair(term, "n")) if len(coeffs) > 1 else None
 
     def sides(at):
         (a, b), p_at, q_at = at(r_k), at(p), at(q)
-        lhs, e_delta, rising = at(sigmas[0]), at(ZNK.from_int(e)), at(ZNK.one())
+        lhs, delta, rising = at(sigmas[0]), 1, 1
         for i, s in enumerate(sigmas[1:]):
             c, d = at(r_n, i)
             rising = rising * c
-            lhs, e_delta = lhs * d + at(s) * rising, e_delta * d
-        return ((lhs * q_at + e_delta * p_at) * (b * at(q, 0, 1)),
-                e_delta * q_at * (a * at(p, 0, 1)))
+            lhs, delta = lhs * d + at(s) * rising, delta * d
+        return ((lhs * q_at + delta * p_at) * (b * at(q, 0, 1)),
+                delta * q_at * (a * at(p, 0, 1)))
 
     return zn_identity(sides)
 
@@ -116,13 +116,15 @@ def telescoping_identity(
 class WZPair:
     """Summand f with companion g certifying an n-operator applied to f.
 
-    coeffs[j] is the polynomial multiplying f(n+j, k); the pair is valid
-    when sum_j coeffs[j](n) f(n+j,k) = g(n,k+1) - g(n,k) identically.
+    coeffs[j], in Z[n], multiplies f(n+j, k); the pair is valid when
+    sum_j coeffs[j](n) f(n+j,k) = g(n,k+1) - g(n,k) identically.  An
+    operator with rational coefficients is cleared first: times an integer
+    e, with g times e too, the identity holds exactly when it held before.
     """
 
     f: HyperTerm
     g: HyperTerm
-    coeffs: tuple[Polynomial, ...]
+    coeffs: tuple[ZnPoly, ...]
 
     def check(self) -> bool:
         return check_telescoping(self.f, self.g, self.coeffs)
@@ -144,7 +146,7 @@ def check_boundary_couple(
     f2: HyperTerm,
     g2: HyperTerm,
     upper2: str,
-    coeffs: tuple[Polynomial, ...],
+    coeffs: tuple[ZnPoly, ...],
     rhs: HyperTerm,
     binding: ParamBinding,
     n_lo: int = 1,
@@ -189,7 +191,7 @@ def check_boundary_couple(
                 f"sums disagree at n = {n}, {binding}: {s1} vs {s2}"
             )
         lhs_rec = sum(
-            c.evaluate(Fraction(n)) * oracle_sum(pair1.f, n + j, 0, hi1 - 1)
+            c(n) * oracle_sum(pair1.f, n + j, 0, hi1 - 1)
             for j, c in enumerate(coeffs)
         )
         if lhs_rec != eval_term(rhs_b, n, 0):

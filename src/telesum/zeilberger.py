@@ -40,6 +40,7 @@ from .polynomials import (
     FactoredRatio,
     Polynomial,
     RationalFunction,
+    ZnPoly,
     coprime_base,
     zn_product,
 )
@@ -68,11 +69,12 @@ class RecurrenceCheckError(Exception):
 class Recurrence:
     """sum_j coeffs[j](n) * w(n+j) = 0 (or a supplied right-hand side).
 
-    Coefficients are integer polynomials in n with overall content 1 and a
-    positive leading coefficient on the top one; the top one is nonzero.
+    Coefficients are ``ZnPoly``s, in Z[n]; from ``creative_telescope`` they
+    have joint content 1, and the top one is nonzero with a positive leading
+    integer.
     """
 
-    coeffs: tuple[Polynomial, ...]
+    coeffs: tuple[ZnPoly, ...]
 
     @property
     def order(self) -> int:
@@ -82,7 +84,7 @@ class Recurrence:
         get = values.__getitem__ if hasattr(values, "__getitem__") else values
         total = Fraction(0)
         for j, c in enumerate(self.coeffs):
-            cv = c.evaluate(Fraction(n))
+            cv = c(n)
             if cv:
                 total += cv * get(n + j)
         return total
@@ -93,7 +95,7 @@ class Recurrence:
             if not c:
                 continue
             arg = "n" if j == 0 else f"n+{j}"
-            parts.append(f"({_npoly_string(c.coeffs)})*w({arg})")
+            parts.append(f"({_npoly_string(c)})*w({arg})")
         return " + ".join(parts) + f" = {rhs}"
 
     def record(self) -> dict:
@@ -175,7 +177,7 @@ def _attempt(
     if solution is None:
         return None
     x, x_scale, sigma = solution
-    result = TelescopingCertificate(t, Recurrence(tuple(s.to_poly() for s in sigma)),
+    result = TelescopingCertificate(t, Recurrence(sigma),
                                     certificate(nf, x, x_scale, zn_product(q, scale)))
     if not telescoping_identity(t, result.recurrence.coeffs, result.certificate_pair, r_k, r_n):
         raise AssertionError("internal error: telescoping check failed")

@@ -1,9 +1,10 @@
 """The nested Q(n)(k) tower, for the tests only.
 
 Q -> Q[n] -> Q(n) -> Q(n)[k] -> Q(n)(k), built from ``Fraction`` upward on
-telesum's generic ``Polynomial``: a ``TowerFunction`` is a quotient over Q
-or over Q(n), reduced by Euclid's algorithm over that field, with a monic
-denominator.  It shares no gcd, clear or reduction with telesum, so it is an
+a dense polynomial over a field of its own (``FieldPoly``, over Q or Q(n)):
+a ``TowerFunction`` is a quotient over Q or over Q(n), reduced by Euclid's
+algorithm over that field, with a monic denominator.  It shares no
+arithmetic with telesum, whose polynomials are over Z[n] only, so it is an
 independent reference for ``RationalFunction``, one reduced pair in
 Z[n][k]: ``to_tower`` lifts a value into the tower, and ``tower_pair``
 clears a tower element back into the pair that value must hold.  ``znk``
@@ -14,18 +15,228 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable, Sequence
 
-from telesum.polynomials import (
-    POLY_N,
-    ZN,
-    Polynomial,
-    PolynomialRing,
-    RationalFunction,
-    ZnPoly,
-)
+from telesum.polynomials import Polynomial, RationalFunction, ZnPoly
 
 
-def euclid_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+class RationalField:
+    """The field Q, its elements ``Fraction``s."""
+
+    def zero(self) -> Fraction:
+        return Fraction(0)
+
+    def one(self) -> Fraction:
+        return Fraction(1)
+
+    def exact_div(self, a: Fraction, b: Fraction) -> Fraction:
+        return a / b
+
+    def coerce(self, value) -> Fraction:
+        if isinstance(value, (int, Fraction)):
+            return Fraction(value)
+        raise TypeError(f"cannot coerce {value!r} into Q")
+
+    def __repr__(self) -> str:
+        return "Q"
+
+
+QQ = RationalField()
+
+
+class FieldPoly:
+    """Dense univariate polynomial over a field; ``coeffs[i]`` multiplies
+    ``var**i``."""
+
+    __slots__ = ("var", "field", "coeffs")
+
+    def __init__(self, var: str, field, coeffs: Sequence) -> None:
+        n = len(coeffs)
+        while n > 0 and not coeffs[n - 1]:
+            n -= 1
+        self.var, self.field, self.coeffs = var, field, tuple(coeffs[:n])
+
+    @property
+    def degree(self):
+        """Degree, with the zero polynomial mapped to -infinity."""
+        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+
+    def lc(self):
+        return self.coeffs[-1] if self.coeffs else self.field.zero()
+
+    def coeff(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def _spawn(self, coeffs: Sequence) -> FieldPoly:
+        return FieldPoly(self.var, self.field, coeffs)
+
+    def _coerce(self, other):
+        if isinstance(other, FieldPoly) and other.var == self.var and other.field == self.field:
+            return other
+        try:
+            return self._spawn((self.field.coerce(other),))
+        except TypeError:
+            return None
+
+    def __eq__(self, other) -> bool:
+        p = self._coerce(other)
+        if p is None:
+            return NotImplemented
+        return self.coeffs == p.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.coeffs))
+
+    def __add__(self, other):
+        p = self._coerce(other)
+        if p is None:
+            return NotImplemented
+        a, b = self.coeffs, p.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return self._spawn(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._spawn(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        p = self._coerce(other)
+        return NotImplemented if p is None else self + (-p)
+
+    def __rsub__(self, other):
+        p = self._coerce(other)
+        return NotImplemented if p is None else p + (-self)
+
+    def __mul__(self, other):
+        p = self._coerce(other)
+        if p is None:
+            return NotImplemented
+        a, b = self.coeffs, p.coeffs
+        if not a or not b:
+            return self._spawn(())
+        out = [self.field.zero()] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] = out[i + j] + ca * cb
+        return self._spawn(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> FieldPoly:
+        result = self._spawn((self.field.one(),))
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __divmod__(self, other):
+        """Long division over the field."""
+        p = self._coerce(other)
+        if p is None:
+            return NotImplemented
+        if not p:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, db = list(self.coeffs), len(p.coeffs) - 1
+        if len(rem) - 1 < db:
+            return self._spawn(()), self
+        quot = [self.field.zero()] * (len(rem) - db)
+        for i in range(len(rem) - 1, db - 1, -1):
+            q = quot[i - db] = self.field.exact_div(rem[i], p.lc())
+            for j, cb in enumerate(p.coeffs):
+                rem[i - db + j] = rem[i - db + j] - q * cb
+        return self._spawn(quot), self._spawn(rem)
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def exact_div(self, other) -> FieldPoly:
+        q, r = divmod(self, other)
+        if r:
+            raise ValueError(f"inexact polynomial division: {self!r} by {other!r}")
+        return q
+
+    def monic(self) -> FieldPoly:
+        return self.map_coeffs(lambda c: self.field.exact_div(c, self.lc())) if self else self
+
+    def shift(self, j) -> FieldPoly:
+        """Substitute ``var + j`` for ``var``, by Horner's rule."""
+        base, result = self._spawn((self.field.coerce(j), self.field.one())), self._spawn(())
+        for c in reversed(self.coeffs):
+            result = result * base + c
+        return result
+
+    def evaluate(self, point):
+        """Horner evaluation at a point of the field."""
+        x, acc = self.field.coerce(point), self.field.zero()
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def map_coeffs(self, fn) -> FieldPoly:
+        return self._spawn(tuple(map(fn, self.coeffs)))
+
+    def to_string(self) -> str:
+        parts = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            if not (c := self.coeffs[i]):
+                continue
+            cs = str(c) if isinstance(c, Fraction) or str(c).lstrip("-").isdigit() else f"({c})"
+            v = "" if i == 0 else self.var if i == 1 else f"{self.var}^{i}"
+            piece = cs if not v else v if cs == "1" else f"-{v}" if cs == "-1" else f"{cs}*{v}"
+            parts.append(piece if not parts or piece.startswith("-") else "+" + piece)
+        return "".join(parts) or "0"
+
+    def __repr__(self) -> str:
+        return f"Poly({self.to_string()})"
+
+
+class PolyRing:
+    """Constructors of ``FieldPoly``s in one variable over one field."""
+
+    def __init__(self, var: str, field) -> None:
+        self.var, self.field = var, field
+
+    def zero(self) -> FieldPoly:
+        return FieldPoly(self.var, self.field, ())
+
+    def one(self) -> FieldPoly:
+        return FieldPoly(self.var, self.field, (self.field.one(),))
+
+    def from_int(self, value: int) -> FieldPoly:
+        return self.constant(value)
+
+    def constant(self, value) -> FieldPoly:
+        return FieldPoly(self.var, self.field, (self.field.coerce(value),))
+
+    def gen(self) -> FieldPoly:
+        return FieldPoly(self.var, self.field, (self.field.zero(), self.field.one()))
+
+    def poly(self, coeffs: Iterable) -> FieldPoly:
+        return FieldPoly(self.var, self.field, tuple(map(self.field.coerce, coeffs)))
+
+    def __repr__(self) -> str:
+        return f"{self.field!r}[{self.var}]"
+
+
+POLY_N = PolyRing("n", QQ)
+
+
+def n_poly(*coeffs) -> FieldPoly:
+    """A polynomial in n over Q from ascending coefficients: ints, Fractions."""
+    return POLY_N.poly(coeffs)
+
+
+def euclid_gcd(p: FieldPoly, q: FieldPoly) -> FieldPoly:
     """Monic gcd over the coefficient field, by Euclid's algorithm."""
     a, b = p.monic(), q.monic()
     while b:
@@ -36,7 +247,7 @@ def euclid_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
 class FractionField:
     """The fraction field of Q[n] or of Q(n)[k]."""
 
-    def __init__(self, poly_ring: PolynomialRing) -> None:
+    def __init__(self, poly_ring: PolyRing) -> None:
         self.poly_ring = poly_ring
 
     def zero(self) -> TowerFunction:
@@ -54,8 +265,10 @@ class FractionField:
     def coerce(self, value) -> TowerFunction:
         if isinstance(value, TowerFunction) and value.field is self:
             return value
-        if isinstance(value, Polynomial) and value.var == self.poly_ring.var:
+        if isinstance(value, FieldPoly) and value.var == self.poly_ring.var:
             return TowerFunction(value)
+        if isinstance(value, ZnPoly) and self is QN:
+            return TowerFunction(n_poly(*value))
         return TowerFunction(self.poly_ring.constant(value))
 
     def __repr__(self) -> str:
@@ -68,18 +281,19 @@ class TowerFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial | None = None) -> None:
+    def __init__(self, num: FieldPoly, den: FieldPoly | None = None) -> None:
+        one = num._spawn((num.field.one(),))
         if den is None:
-            den = Polynomial(num.var, num.ring, (num.ring.one(),))
+            den = one
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
-            den = Polynomial(num.var, num.ring, (num.ring.one(),))
+            den = one
         elif num.degree > 0 and den.degree > 0:  # else the gcd is 1
             g = euclid_gcd(num, den)
             num, den = num.exact_div(g), den.exact_div(g)
         lead = den.lc()
-        self.num = num.map_coeffs(lambda c: num.ring.exact_div(c, lead))
+        self.num = num.map_coeffs(lambda c: num.field.exact_div(c, lead))
         self.den = den.monic()
 
     @property
@@ -181,28 +395,28 @@ class TowerFunction:
 
 
 QN = FractionField(POLY_N)
-POLY_K = PolynomialRing("k", QN)
+POLY_K = PolyRing("k", QN)
 QNK = FractionField(POLY_K)
 
 
-def k_poly(*coeffs) -> Polynomial:
+def k_poly(*coeffs) -> FieldPoly:
     """Polynomial in k over Q(n); coefficients may be ints, Fractions,
-    polynomials in n, or Q(n) elements."""
-    return Polynomial("k", QN, [QN.coerce(c) for c in coeffs])
+    ``ZnPoly``s, polynomials in n, or Q(n) elements."""
+    return FieldPoly("k", QN, [QN.coerce(c) for c in coeffs])
 
 
-def qnk(num: Polynomial, den: Polynomial | None = None) -> TowerFunction:
+def qnk(num: FieldPoly, den: FieldPoly | None = None) -> TowerFunction:
     return TowerFunction(num, den)
 
 
 def znk(*rows) -> Polynomial:
     """A polynomial in k over Z[n] from ascending rows of ints."""
-    return Polynomial("k", ZN, [ZnPoly(r) for r in rows])
+    return Polynomial("k", [ZnPoly(r) for r in rows])
 
 
-def lift(p: Polynomial) -> Polynomial:
+def lift(p: Polynomial) -> FieldPoly:
     """A polynomial in k over Z[n] as one over Q(n)."""
-    return Polynomial("k", QN, [QN.coerce(c.to_poly()) for c in p.coeffs])
+    return k_poly(*p.coeffs)
 
 
 def pair_to_tower(num: Polynomial, den: Polynomial) -> TowerFunction:
@@ -232,7 +446,7 @@ def tower_pair(value: TowerFunction) -> tuple[Polynomial, Polynomial]:
     the reduced pair in Z[n][k], the denominator's top integer positive."""
     rows = clear_qn(value.num.coeffs + value.den.coeffs)
     size = len(value.num.coeffs)
-    return Polynomial("k", ZN, rows[:size]), Polynomial("k", ZN, rows[size:])
+    return Polynomial("k", rows[:size]), Polynomial("k", rows[size:])
 
 
 def eval_qn(value: TowerFunction, n: int) -> Fraction:

@@ -11,7 +11,7 @@ import pytest
 from telesum.cli import main
 from telesum.gosper import NotSummableError, gosper_antidifference, telescoped_sum
 from telesum.hyperterm import binomial_value, eval_term, parse_term, term_ratio_is_one
-from telesum.polynomials import n_poly
+from telesum.polynomials import ZnPoly
 from telesum.suite import mutation_catalog, run_case
 from telesum.verify import (
     WZPair,
@@ -42,7 +42,7 @@ F1_11916 = "binom(n+r,n)binom(r+k,r-1)binom(n+k,n)"
 G1_11916 = "(-1)binom(n+r,n)binom(r+k,r-1)binom(n+k,n)*k(k+1)/(n+1)"
 F2_11916 = "binom(n+s,n)binom(s+k,s-1)binom(n+k,n)"
 G2_11916 = "(-1)binom(n+s,n)binom(s+k,s-1)binom(n+k,n)*k(k+1)/(n+1)"
-COUPLE_COEFFS = (n_poly(0, 1), n_poly(-1, -1))
+COUPLE_COEFFS = (ZnPoly((0, 1)), ZnPoly((-1, -1)))
 
 
 @contextmanager
@@ -82,9 +82,9 @@ def test_criterion_2_shared_operator_for_crux_sums():
         assert operator_equal(cert_cube.recurrence, cert_square.recurrence)
         assert cert_cube.recurrence.order == 2
         assert cert_cube.recurrence.coeffs == (
-            n_poly(-8, -16, -8),
-            n_poly(-16, -21, -7),
-            n_poly(4, 4, 1),
+            ZnPoly((-8, -16, -8)),
+            ZnPoly((-16, -21, -7)),
+            ZnPoly((4, 4, 1)),
         )
         franel = {0: 1, 1: 2, 2: 10, 3: 56, 4: 346, 5: 2252}
         for n in range(4):
@@ -93,7 +93,7 @@ def test_criterion_2_shared_operator_for_crux_sums():
 
 def test_criterion_3_inhomogeneous_recurrence_11899():
     with _criterion("criterion 3: 11899 recurrence holds for both closed forms"):
-        rec = Recurrence((n_poly(-30, -64, -32), n_poly(3, 5, 2)))
+        rec = Recurrence((ZnPoly((-30, -64, -32)), ZnPoly((3, 5, 2))))
         rhs = parse_term("binom(2n,n)^2*(-16n^2-38n-18)/(n+1)")
         summand = parse_term("2*binom(2n,k)*binom(2n+1,k)")
 

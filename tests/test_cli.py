@@ -219,6 +219,15 @@ def test_wz_check_k_coefficient_rejected(capsys):
     assert "may not involve k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coeff", ["r", "r*n+1"])
+def test_wz_check_unbound_parameter_names_the_coefficient(coeff, capsys):
+    assert main(["wz-check", "binom(n,k)", "binom(n,k)", f"--coeff={coeff}", "--coeff=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"usage error: parameter 'r' in the operator coefficient {coeff!r} needs a concrete "
+        "binding (use --param NAME=INT)\n")
+
+
 def test_sum_explicit_range(capsys):
     code = main(["sum", "binom(n,k)", "--n", "0", "4", "--from", "0", "--to", "n"])
     assert code == 0

@@ -40,15 +40,13 @@ from telesum.hyperterm import (
     term_ratio_is_one,
     term_to_string,
 )
-from qn_tower import TowerFunction, k_poly, lift, pair_to_tower, tower_pair, znk
+from qn_tower import TowerFunction, k_poly, lift, n_poly, pair_to_tower, tower_pair, znk
 from telesum.polynomials import (
-    ZN,
     FactoredRatio,
     Polynomial,
     RationalFunction,
     ZnPoly,
     dispersion_set,
-    n_poly,
     poly_lcm,
     shift_in_n,
     zn_product,
@@ -203,12 +201,17 @@ def test_zeilberger_recurrence_holds_on_natural_sums_or_refuses_with_a_reason(te
     """At each n where R(n, k) is a rational function of k, G = R*F is entire
     in k (F is, and G(k+1) - G(k) is a sum of F's), and zero at integers k
     far out, where F is; so the certificate's identity, summed over k, is
-    the recurrence of the natural sums."""
+    the recurrence of the natural sums.  The recurrence is in the form its
+    docstring states: ``ZnPoly`` coefficients with joint content 1, the top
+    one with a positive leading integer."""
     try:
         cert = creative_telescope(term, max_order=2)
     except NoRecurrenceFound as exc:
         assert exc.max_order == 2 and str(exc)
         return
+    coeffs = cert.recurrence.coeffs
+    assert all(type(c) is ZnPoly for c in coeffs) and coeffs[-1][-1] > 0
+    assert math.gcd(*(v for c in coeffs for v in c)) == 1
     for n in range(0, 9):
         if _defined_at(cert.certificate, n):
             sum_recurrence_natural(cert.term, cert.recurrence, n_lo=n, n_hi=n)
@@ -355,9 +358,9 @@ def _zn_falling(lf: LinearForm, var: str):
     num = den = _ZNK_ONE
     lead, delta = ZnPoly((lf.coeff_k,)), lf.coeff(var)
     for i in range(1, delta + 1):
-        num = num * Polynomial("k", ZN, (ZnPoly((lf.constant + i, lf.coeff_n)), lead))
+        num = num * Polynomial("k", (ZnPoly((lf.constant + i, lf.coeff_n)), lead))
     for i in range(0, -delta):
-        den = den * Polynomial("k", ZN, (ZnPoly((lf.constant - i, lf.coeff_n)), lead))
+        den = den * Polynomial("k", (ZnPoly((lf.constant - i, lf.coeff_n)), lead))
     return num, den
 
 
@@ -411,7 +414,7 @@ def test_factored_pair_at_a_point_is_the_products_value_there(term, var, i, s):
 def _primitive(f):
     rows = [ZnPoly([c // g for c in r]) for r in f.coeffs] if (
         g := math.gcd(*(c for r in f.coeffs for c in r))) else f.coeffs
-    return Polynomial("k", ZN, rows)
+    return Polynomial("k", rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -499,7 +502,7 @@ def test_degree_bound_on_zeilbergers_quotient_matches_the_q_n_one(term):
             assert degree_bound(nf, extra) == _q_n_degree_bound(nf, extra)
 
 
-_MULTIPLIERS = [1, 2, -1, znk((1,), (1,)), n_poly(2, 1)]
+_MULTIPLIERS = [1, 2, -1, znk((1,), (1,)), ZnPoly((2, 1))]
 
 
 def _as_factorials(term: HyperTerm) -> HyperTerm:

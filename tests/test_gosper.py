@@ -20,7 +20,7 @@ from telesum.gosper import (
 )
 from telesum.hyperterm import PoleError, eval_term, factored_shift_pair, parse_term, shift_quotient
 from qn_tower import lift, znk
-from telesum.polynomials import RationalFunction, n_poly
+from telesum.polynomials import RationalFunction, ZnPoly
 from telesum.serialize import bivariate_string, record_to_ratfun
 from telesum.verify import oracle_sum
 
@@ -292,13 +292,10 @@ def _poly_text(coeffs: list[int]) -> str:
 def test_constructed_differences_are_summable(coeffs, base):
     # G(k) = p(k)*base^k gives F = G(k+1)-G(k) = (p(k+1)*base - p(k))*base^k,
     # summable by construction with partial sums G(m+1) - G(lo)
-    p = n_poly(*[Fraction(c) for c in coeffs])  # reuse n-var polys for values
-    if p.is_zero():
+    p = ZnPoly(coeffs)  # an integer polynomial, here in k
+    if not p:
         return
-    q_coeffs = [
-        base * p.shift(1).coeff(i) - p.coeff(i) for i in range(len(coeffs) + 1)
-    ]
-    q_text = _poly_text([int(c) for c in q_coeffs])
+    q_text = _poly_text(list(ZnPoly((base,)) * p.shift(1) - p))
     if q_text == "0":
         return
     f = parse_term(f"({q_text})*{base}^k")

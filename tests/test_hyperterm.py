@@ -32,7 +32,7 @@ from telesum.hyperterm import (
 )
 from qn_tower import eval_qnk, pair_to_tower, znk
 from telesum.gosper import gosper_antidifference
-from telesum.polynomials import RationalFunction, n_poly
+from telesum.polynomials import RationalFunction, ZnPoly
 from telesum.verify import WZPair, check_telescoping, oracle_sum, sum_table
 from telesum.zeilberger import Recurrence, creative_telescope, natural_sum, sum_recurrence_natural
 
@@ -543,7 +543,7 @@ def _answer(fn, t):
     return out.record() if hasattr(out, "record") else getattr(out, "pair", lambda: out)()
 
 
-_ONE_N = (n_poly(1),)
+_ONE_N = (ZnPoly((1,)),)
 # the solvers and oracles, each on a bound term only
 BOUND_ONLY = {
     "eval_term": lambda t: eval_term(t, 3, 1),
@@ -559,7 +559,7 @@ BOUND_ONLY = {
     "creative_telescope": lambda t: creative_telescope(t, max_order=2),
     "natural_sum": lambda t: natural_sum(t, 3),
     "sum_recurrence_natural": lambda t: sum_recurrence_natural(
-        t, Recurrence((n_poly(2), n_poly(-1))), n_hi=4),
+        t, Recurrence((ZnPoly((2,)), ZnPoly((-1,)))), n_hi=4),
 }
 
 
@@ -593,21 +593,22 @@ def test_evaluator_is_compiled_once_and_keeps_unbound_errors():
 
 
 def test_parse_n_polynomial():
-    assert parse_n_polynomial("n^2-1") == n_poly(-1, 0, 1)
-    assert parse_n_polynomial("(r+1)n", {"r": 2}) == n_poly(0, 3)
+    assert parse_n_polynomial("n^2-1") == (ZnPoly((-1, 0, 1)), 1)
+    assert parse_n_polynomial("(r+1)n", {"r": 2}) == (ZnPoly((0, 3)), 1)
     with pytest.raises(ValueError, match="may not involve k"):
         parse_n_polynomial("n+k")
-    with pytest.raises(UnboundParameterError):
+    with pytest.raises(UnboundParameterError, match=r"'r' in the operator coefficient 'r\*n'"):
         parse_n_polynomial("r*n")
     with pytest.raises(ParseError):
         parse_n_polynomial("n+")
 
 
 def test_parse_n_polynomial_divides_by_integer_constants():
-    half = Fraction(1, 2)
-    assert parse_n_polynomial("(n+2)/2") == parse_n_polynomial("n/2+1") == n_poly(1, half)
-    assert parse_n_polynomial("-n/2") == n_poly(0, -half)
-    assert parse_n_polynomial("(r+1)n/4/3", {"r": 2}) == n_poly(0, Fraction(1, 4))
+    """(p, d) in Z[n] over an integer, as the grammar computes it: the value
+    p/d, not reduced."""
+    assert parse_n_polynomial("(n+2)/2") == parse_n_polynomial("n/2+1") == (ZnPoly((2, 1)), 2)
+    assert parse_n_polynomial("-n/2") == (ZnPoly((0, -1)), 2)
+    assert parse_n_polynomial("(r+1)n/4/3", {"r": 2}) == (ZnPoly((0, 3)), 12)
     for text in ("n/n", "n/(n+1)", "(n+2)/k", "n/0", "n/r"):
         with pytest.raises(ParseError, match="may divide only by a nonzero integer"):
             parse_n_polynomial(text, {"r": 2})

@@ -28,11 +28,10 @@ SIGNATURES = {
     "NotSummableError": "(reason: 'str') -> 'None'",
     "ParseError": "(message: 'str', pos: 'int', text: 'str' = '') -> 'None'",
     "PoleError": "(message: 'str', point: 'tuple[int, int] | None' = None) -> 'None'",
-    "Polynomial": "(var: 'str', ring, coeffs: 'Sequence') -> 'None'",
-    "PolynomialRing": "(var: 'str', coeff_ring) -> 'None'",
+    "Polynomial": "(var: 'str', coeffs: 'Sequence[ZnPoly]') -> 'None'",
     "PowerSeries": '(coeffs: \'Iterable[Fraction | int]\') -> "\'PowerSeries\'"',
     "RationalFunction": "(num: 'Polynomial', den: 'Polynomial | None' = None) -> 'None'",
-    "Recurrence": "(coeffs: 'tuple[Polynomial, ...]') -> None",
+    "Recurrence": "(coeffs: 'tuple[ZnPoly, ...]') -> None",
     "RecurrenceCheckError": "Exception(...)",
     "SequenceSpec": "(name: 'str', length: 'int', _values: 'tuple[Fraction, ...]') -> None",
     "TelescopingCertificate": (
@@ -41,7 +40,8 @@ SIGNATURES = {
     "TermError": "Exception(...)",
     "UnboundParameterError": "TermError(...)",
     "VerificationError": "Exception(...)",
-    "WZPair": "(f: 'HyperTerm', g: 'HyperTerm', coeffs: 'tuple[Polynomial, ...]') -> None",
+    "WZPair": "(f: 'HyperTerm', g: 'HyperTerm', coeffs: 'tuple[ZnPoly, ...]') -> None",
+    "ZnPoly": "(coeffs: 'Iterable[int]' = ()) -> \"'ZnPoly'\"",
     "ballot_gf": "(k: 'int', order: 'int') -> 'PowerSeries'",
     "bundled_suite": "() -> 'dict'",
     "catalan_gf": "(order: 'int') -> 'PowerSeries'",
@@ -50,14 +50,14 @@ SIGNATURES = {
     "check_binomial_transform": "(seq: 'SequenceSpec', n: 'int', m: 'int') -> 'bool'",
     "check_boundary_couple": (
         "(f1: 'HyperTerm', g1: 'HyperTerm', upper1: 'str', f2: 'HyperTerm', "
-        "g2: 'HyperTerm', upper2: 'str', coeffs: 'tuple[Polynomial, ...]', "
+        "g2: 'HyperTerm', upper2: 'str', coeffs: 'tuple[ZnPoly, ...]', "
         "rhs: 'HyperTerm', binding: 'ParamBinding', n_lo: 'int' = 1, "
         "n_hi: 'int' = 12) -> 'None'"),
     "check_convolution_11897": "(order: 'int' = 64) -> 'bool'",
     "check_lower_triangle_identity": "(n: 'int') -> 'bool'",
     "check_shifted_central_identity": "(order: 'int' = 64) -> 'bool'",
     "check_telescoping": (
-        "(f: 'HyperTerm', g: 'HyperTerm', coeffs: 'Sequence[Polynomial]') -> 'bool'"),
+        "(f: 'HyperTerm', g: 'HyperTerm', coeffs: 'Sequence[ZnPoly]') -> 'bool'"),
     "check_transform_power_identity": "(n: 'int', m: 'int') -> 'bool'",
     "creative_telescope": (
         "(term: 'HyperTerm', max_order: 'int' = 6) -> 'TelescopingCertificate'"),
@@ -66,7 +66,7 @@ SIGNATURES = {
     "eval_term": "(term: 'HyperTerm', n: 'int', k: 'int') -> 'Fraction'",
     "gosper_antidifference": "(term: 'HyperTerm') -> 'GosperCertificate'",
     "gosper_normal_form": "(ratio: 'RationalFunction') -> 'IntegerNormalForm'",
-    "integer_roots": "(p: 'Polynomial') -> 'list[int]'",
+    "integer_roots": "(p: 'ZnPoly') -> 'list[int]'",
     "known_gf": "(name: 'str', order: 'int', family_index: 'int | None' = None) -> 'PowerSeries'",
     "load_suite": "(path: 'str') -> 'dict'",
     "mutation_catalog": "() -> 'list[dict]'",
@@ -77,7 +77,7 @@ SIGNATURES = {
     "poly_gcd": "(p: 'Polynomial', q: 'Polynomial') -> 'Polynomial'",
     "poly_lcm": "(p: 'Polynomial', q: 'Polynomial') -> 'Polynomial'",
     "report_lines": "(results: 'list[CaseResult]') -> 'list[str]'",
-    "resultant": "(p: 'Polynomial', q: 'Polynomial')",
+    "resultant": "(p: 'Polynomial', q: 'Polynomial') -> 'ZnPoly'",
     "run_case": "(case: 'dict') -> 'CaseResult'",
     "run_identity_suite": "(manifest: 'dict') -> 'list[CaseResult]'",
     "shift_quotient": "(term: 'HyperTerm', var: 'str') -> 'RationalFunction'",

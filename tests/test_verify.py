@@ -22,12 +22,9 @@ from telesum.hyperterm import (
     shift_quotient,
 )
 from telesum.polynomials import (
-    POLY_N,
-    ZN,
     Polynomial,
     RationalFunction,
     ZnPoly,
-    n_poly,
     shift_in_n,
 )
 from telesum.verify import (
@@ -59,7 +56,7 @@ F1_TEXT = "binom(n+r,n)binom(r+k,r-1)binom(n+k,n)"
 G1_TEXT = "(-1)binom(n+r,n)binom(r+k,r-1)binom(n+k,n)*k(k+1)/(n+1)"
 F2_TEXT = "binom(n+s,n)binom(s+k,s-1)binom(n+k,n)"
 G2_TEXT = "(-1)binom(n+s,n)binom(s+k,s-1)binom(n+k,n)*k(k+1)/(n+1)"
-COUPLE_COEFFS = (n_poly(0, 1), n_poly(-1, -1))  # n*w(n) - (n+1)*w(n+1)
+COUPLE_COEFFS = (ZnPoly((0, 1)), ZnPoly((-1, -1)))  # n*w(n) - (n+1)*w(n+1)
 
 
 def test_oracle_sum_binomial_row():
@@ -93,27 +90,26 @@ def test_check_telescoping_wrong_sign_fails():
 
 def _cross_multiplied_identity(term, coeffs, certificate):
     """The check that telescoping_identity replaced, kept here as its
-    reference: (L*Q + e*Delta*P) * B*Q(k+1) = e*Delta*A*P(k+1) * Q with
-    every product multiplied out in Z[n][k]."""
+    reference: (L*Q + Delta*P) * B*Q(k+1) = Delta*A*P(k+1) * Q with every
+    product multiplied out in Z[n][k]."""
     a, b = factored_shift_pair(term, "k").pair()
     p, q = certificate
     order = len(coeffs) - 1
     c, d = factored_shift_pair(term, "n").pair() if order > 0 else (None, None)
     cs = [shift_in_n(c, i) for i in range(order)]
     ds = [shift_in_n(d, i) for i in range(order)]
-    e = math.lcm(*(v.denominator for s in coeffs for v in s.coeffs))
-    total = Polynomial("k", ZN, ())
+    total = Polynomial("k", ())
     for j, s in enumerate(coeffs):
-        t = Polynomial("k", ZN, (ZnPoly(int(v * e) for v in s.coeffs),))
+        t = Polynomial("k", (s,))
         if not t:
             continue
         for factor in cs[:j] + ds[j:]:
             t = t * factor
         total = total + t
-    e_delta = Polynomial("k", ZN, (ZN.from_int(e),))
+    delta = Polynomial("k", (ZnPoly((1,)),))
     for factor in ds:
-        e_delta = e_delta * factor
-    return (total * q + e_delta * p) * (b * q.shift(1)) == e_delta * a * p.shift(1) * q
+        delta = delta * factor
+    return (total * q + delta * p) * (b * q.shift(1)) == delta * a * p.shift(1) * q
 
 
 def _reference_identity(term, coeffs, certificate):
@@ -144,7 +140,7 @@ def _agree(term, coeffs, certificate):
 
 def _tamperings(coeffs, certificate):
     """sigma_0 + 1, R * 2 and R shifted in k; each breaks the identity."""
-    yield (coeffs[0] + 1,) + tuple(coeffs[1:]), certificate
+    yield (coeffs[0] + ZnPoly((1,)),) + tuple(coeffs[1:]), certificate
     yield coeffs, certificate * 2
     yield coeffs, certificate.shift(1)
 
@@ -166,7 +162,7 @@ def test_identity_check_on_ladder_certificates(text, order):
     for bad_coeffs, bad_cert in _tamperings(coeffs, cert.certificate):
         assert not _agree_in_znk(cert.term, bad_coeffs, (bad_cert.num, bad_cert.den))
     tampered = TelescopingCertificate(
-        cert.term, Recurrence((coeffs[0] + 1,) + coeffs[1:]), cert.certificate_pair
+        cert.term, Recurrence((coeffs[0] + ZnPoly((1,)),) + coeffs[1:]), cert.certificate_pair
     )
     assert not tampered.check()
 
@@ -188,7 +184,7 @@ def test_identity_check_on_11916_pairs(param, f_text, g_text):
 @pytest.mark.parametrize("text", ["fact(k)*k", "binom(n,k)*(n-2k)", "k*2^k", "binom(k,n)"])
 def test_identity_check_at_order_zero_is_gospers(text):
     cert = gosper_antidifference(parse_term(text))
-    one = (POLY_N.one(),)
+    one = (ZnPoly((1,)),)
     assert cert.check() and _agree(cert.term, one, cert.certificate)
     for bad_coeffs, bad_cert in _tamperings(one, cert.certificate):
         assert not _agree(cert.term, bad_coeffs, bad_cert)
@@ -203,29 +199,29 @@ def test_identity_check_with_zero_sigma_entries():
     top, which lengthens the common denominator, changes nothing."""
     cert = creative_telescope(parse_term("binom(n,k)"))
     term, R = cert.term, cert.certificate
-    assert cert.recurrence.coeffs == (n_poly(-2), n_poly(1))
+    assert cert.recurrence.coeffs == (ZnPoly((-2,)), ZnPoly((1,)))
     R2 = shift_in_n(R, 1) * shift_quotient(term, "n") + R * 2
-    coeffs = (n_poly(-4), POLY_N.zero(), n_poly(1))
+    coeffs = (ZnPoly((-4,)), ZnPoly(), ZnPoly((1,)))
     assert _agree(term, coeffs, R2)
-    assert _agree(term, cert.recurrence.coeffs + (POLY_N.zero(),), R)
-    assert _agree(term, coeffs + (POLY_N.zero(),), R2)
+    assert _agree(term, cert.recurrence.coeffs + (ZnPoly(),), R)
+    assert _agree(term, coeffs + (ZnPoly(),), R2)
     for bad_coeffs, bad_cert in _tamperings(coeffs, R2):
         assert not _agree(term, bad_coeffs, bad_cert)
-    assert not _agree(term, (n_poly(-4), n_poly(1), n_poly(1)), R2)
-    # sigma's with rational coefficients: the identity is linear in (sigma, R)
-    third = Fraction(1, 3)
-    assert _agree(term, tuple(c * third for c in coeffs), R2 * third)
-    assert not _agree(term, tuple(c * third for c in coeffs), R2)
+    assert not _agree(term, (ZnPoly((-4,)), ZnPoly((1,)), ZnPoly((1,))), R2)
+    # the identity is linear in (sigma, R)
+    three = ZnPoly((3,))
+    assert _agree(term, tuple(c * three for c in coeffs), R2 * 3)
+    assert not _agree(term, tuple(c * three for c in coeffs), R2)
 
 
-ZERO_CERT = (Polynomial("k", ZN, ()), Polynomial("k", ZN, (ZnPoly((1,)),)))  # R = 0/1
+ZERO_CERT = (Polynomial("k", ()), Polynomial("k", (ZnPoly((1,)),)))  # R = 0/1
 
 
 @pytest.mark.parametrize("sigma_0, holds", [(-2, True), (-3, False), (0, False)])
 def test_identity_check_with_a_zero_certificate(sigma_0, holds):
     """P = 0: sigma_0 F(n) + F(n+1) = 0 for F = 2^n and 2^n * binom(n, k)
     only with sigma_0 = -2, the second with nothing to telescope in k."""
-    coeffs = (n_poly(sigma_0), n_poly(1))
+    coeffs = (ZnPoly((sigma_0,)), ZnPoly((1,)))
     assert _agree_in_znk(parse_term("2^n"), coeffs, ZERO_CERT) is holds
     assert _agree_in_znk(parse_term("2^n"), coeffs[:1], ZERO_CERT) is (sigma_0 == 0)
     assert _agree_in_znk(parse_term("2^n"), (), ZERO_CERT)  # no sigma: 0 = R(k+1) r_k - R
@@ -238,24 +234,24 @@ def test_identity_check_is_not_fooled_by_a_root_at_a_power_of_two():
     """-2n F(n) + 2^t F(n+1) = 2(2^t - n) F(n) for F = 2^n is zero only at
     n = 2^t, so no fixed point n = 2^t can decide it."""
     for t in range(1, 40):
-        assert not _agree_in_znk(parse_term("2^n"), (n_poly(0, -2), n_poly(2**t)), ZERO_CERT)
-    assert _agree_in_znk(parse_term("2^n"), (n_poly(0, -2), n_poly(0, 1)), ZERO_CERT)
+        assert not _agree_in_znk(parse_term("2^n"), (ZnPoly((0, -2)), ZnPoly((2**t,))), ZERO_CERT)
+    assert _agree_in_znk(parse_term("2^n"), (ZnPoly((0, -2)), ZnPoly((0, 1))), ZERO_CERT)
 
 
 def _differential(term, coeffs, pair, data):
-    """The certificate, with sigma and R divided by one m (so e = m), passes
-    both checks; one coefficient of P, Q or a sigma_j moved by +-1 gets the
-    same verdict from both."""
+    """The certificate, with sigma and R multiplied by one m, passes both
+    checks; one coefficient of P, Q or a sigma_j moved by +-1 gets the same
+    verdict from both."""
     m = data.draw(st.sampled_from([1, 2, 3]), "m")
-    coeffs = [c * Fraction(1, m) for c in coeffs]
-    pair = [pair[0], pair[1] * m]
+    coeffs = [c * ZnPoly((m,)) for c in coeffs]
+    pair = [pair[0] * m, pair[1]]
     assert _agree_in_znk(term, coeffs, tuple(pair))
     step = data.draw(st.sampled_from([1, -1]), "step")
     where = data.draw(st.sampled_from(["P", "Q", "sigma"]), "where")
     if where == "sigma":
         j = data.draw(st.integers(0, len(coeffs) - 1), "j")
-        a = data.draw(st.integers(0, len(coeffs[j].coeffs)), "a")
-        coeffs[j] = coeffs[j] + n_poly(*[0] * a, step)
+        a = data.draw(st.integers(0, len(coeffs[j])), "a")
+        coeffs[j] = coeffs[j] + ZnPoly([0] * a + [step])
     else:
         rows = [list(r) for r in pair[where == "Q"].coeffs]
         b = data.draw(st.integers(0, len(rows)), "b")
@@ -263,7 +259,7 @@ def _differential(term, coeffs, pair, data):
         a = data.draw(st.integers(0, max(map(len, rows))), "a")
         rows[b] += [0] * (a + 1 - len(rows[b]))
         rows[b][a] += step
-        pair[where == "Q"] = Polynomial("k", ZN, [ZnPoly(r) for r in rows])
+        pair[where == "Q"] = Polynomial("k", [ZnPoly(r) for r in rows])
         if not pair[1]:
             return
     _agree_in_znk(term, coeffs, tuple(pair))
@@ -286,7 +282,7 @@ def test_identity_check_is_the_cross_multiplied_one_on_gosper_certificates(g, da
     if not step:
         return  # G does not depend on k
     cert = gosper_antidifference(g.scale_rational((step.num, step.den)))
-    _differential(cert.term, (POLY_N.one(),), cert.certificate_pair, data)
+    _differential(cert.term, (ZnPoly((1,)),), cert.certificate_pair, data)
 
 
 def test_every_solver_raises_when_its_certificate_fails_the_check(monkeypatch):
@@ -295,7 +291,7 @@ def test_every_solver_raises_when_its_certificate_fails_the_check(monkeypatch):
         gosper_antidifference(parse_term("k*fact(k)"))
     with pytest.raises(AssertionError, match="internal error"):
         creative_telescope(parse_term("binom(n,k)^2"))
-    assert not WZPair(parse_term("2^n"), parse_term("0"), (n_poly(-2), n_poly(1))).check()
+    assert not WZPair(parse_term("2^n"), parse_term("0"), (ZnPoly((-2,)), ZnPoly((1,)))).check()
 
 
 def test_wz_pair_check_on_grid():

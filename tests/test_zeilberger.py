@@ -11,7 +11,7 @@ import pytest
 from telesum import gosper, linalg, polynomials
 from telesum.gosper import _normalize_solution
 from telesum.hyperterm import binomial_value, eval_term, parse_term
-from telesum.polynomials import ZN, ZNK, Polynomial, ZnPoly, n_poly
+from telesum.polynomials import Polynomial, ZnPoly
 from telesum.verify import oracle_sum
 from telesum.zeilberger import (
     BoundaryCheckError,
@@ -26,7 +26,7 @@ from telesum.zeilberger import (
     sum_recurrence_natural,
 )
 
-from qn_tower import QN, pair_to_tower, rref_nullspace
+from qn_tower import QN, n_poly, pair_to_tower, rref_nullspace
 
 
 def test_binomial_row_sum_recurrence():
@@ -34,8 +34,8 @@ def test_binomial_row_sum_recurrence():
     rec = cert.recurrence
     assert rec.order == 1
     # w(n+1) = 2 w(n), normalized with positive top coefficient
-    assert rec.coeffs[0] == n_poly(-2)
-    assert rec.coeffs[1] == n_poly(1)
+    assert rec.coeffs[0] == ZnPoly((-2,))
+    assert rec.coeffs[1] == ZnPoly((1,))
     assert cert.check()
 
 
@@ -44,8 +44,8 @@ def test_central_binomial_recurrence():
     rec = cert.recurrence
     assert rec.order == 1
     # (n+1) w(n+1) = (4n+2) w(n)
-    assert rec.coeffs[0] == n_poly(-2, -4)
-    assert rec.coeffs[1] == n_poly(1, 1)
+    assert rec.coeffs[0] == ZnPoly((-2, -4))
+    assert rec.coeffs[1] == ZnPoly((1, 1))
     values = {n: sum(binomial_value(n, k) ** 2 for k in range(n + 1)) for n in range(10)}
     for n in range(8):
         assert rec.apply(values, n) == 0
@@ -56,9 +56,9 @@ def test_franel_recurrence():
     rec = cert.recurrence
     assert rec.order == 2
     # (n+2)^2 w(n+2) - (7n^2+21n+16) w(n+1) - 8(n+1)^2 w(n) = 0
-    assert rec.coeffs[2] == n_poly(4, 4, 1)
-    assert rec.coeffs[1] == n_poly(-16, -21, -7)
-    assert rec.coeffs[0] == n_poly(-8, -16, -8)
+    assert rec.coeffs[2] == ZnPoly((4, 4, 1))
+    assert rec.coeffs[1] == ZnPoly((-16, -21, -7))
+    assert rec.coeffs[0] == ZnPoly((-8, -16, -8))
     assert cert.check()
 
 
@@ -92,7 +92,7 @@ def test_companion_telescopes_pointwise():
             except PoleError:
                 continue
             lhs = sum(
-                c.evaluate(Fraction(n)) * eval_term(f, n + j, k)
+                c(n) * eval_term(f, n + j, k)
                 for j, c in enumerate(rec.coeffs)
             )
             assert lhs == rhs
@@ -106,8 +106,8 @@ def test_inhomogeneous_11899_reduction():
     cert = creative_telescope(parse_term("2*binom(2n,k)*binom(2n+1,k)"))
     rec = cert.recurrence
     assert rec.order == 1
-    assert rec.coeffs[1] == n_poly(3, 5, 2)
-    assert rec.coeffs[0] == n_poly(-30, -64, -32)
+    assert rec.coeffs[1] == ZnPoly((3, 5, 2))
+    assert rec.coeffs[0] == ZnPoly((-30, -64, -32))
     rhs_term = parse_term("binom(2n,n)^2*(-16n^2-38n-18)/(n+1)")
     t = parse_term("2*binom(2n,k)*binom(2n+1,k)")
     w = {n: oracle_sum(t, n, 0, n) for n in range(0, 14)}
@@ -152,20 +152,20 @@ def test_normalized_sigmas_have_a_positive_top_and_scale_x_to_match():
     sigmas = [ZnPoly((-2, -2)), ZnPoly(), ZnPoly((0, -4)), ZnPoly()]
     xs = [ZnPoly((6,)), ZnPoly(), ZnPoly((1, 0, 3))]
     rows, scale, coeffs = _normalize_solution(xs, sigmas)
-    x = pair_to_tower(Polynomial("k", ZN, rows), ZNK.constant(scale)).num
+    x = pair_to_tower(Polynomial("k", rows), Polynomial("k", (scale,))).num
     assert coeffs == (ZnPoly((1, 1)), ZnPoly(), ZnPoly((0, 2)))
     assert all(type(c) is ZnPoly for c in coeffs)
     # one k-free scale for x and sigma: x_i * sigma_j is unchanged up to it
     for s, c in zip(sigmas, coeffs):
         for i, v in enumerate(xs):
-            assert QN.coerce(s.to_poly()) * x.coeff(i) == QN.coerce(c.to_poly() * v.to_poly())
+            assert QN.coerce(s) * x.coeff(i) == QN.coerce(c * v)
     half = Fraction(-1, 2)
     assert x.coeffs == (QN.from_int(-3), QN.zero(), QN.coerce(n_poly(half, 0, 3 * half)))
     # Gosper's single sigma always normalizes to 1
     rows, scale, coeffs = _normalize_solution([ZnPoly((4,))], [ZnPoly((0, -2))])
-    x = pair_to_tower(Polynomial("k", ZN, rows), ZNK.constant(scale)).num
+    x = pair_to_tower(Polynomial("k", rows), Polynomial("k", (scale,))).num
     assert coeffs == (ZnPoly((1,)),)
-    assert x.coeffs == (QN.coerce(n_poly(-2)) / QN.coerce(n_poly(0, 1)),)
+    assert x.coeffs == (QN.coerce(ZnPoly((-2,))) / QN.coerce(ZnPoly((0, 1))),)
 
 
 def test_fifth_power_has_no_recurrence_up_to_order_2():
@@ -180,9 +180,9 @@ def _count_bareiss(monkeypatch) -> list:
     polynomials, for ``resultant``)."""
     calls = []
 
-    def counted(ring, rows):
+    def counted(rows):
         calls.append(len(rows))
-        return real(ring, rows)
+        return real(rows)
 
     real = polynomials.bareiss
     monkeypatch.setattr(polynomials, "bareiss", counted)
@@ -218,9 +218,8 @@ def test_the_order_with_a_solution_runs_no_exact_elimination(monkeypatch):
     # n-degree 7 (Cramer's rule gives it n-degree 30)
     matrix, ncols, basis = systems[-1]
     assert (len(matrix), ncols, len(basis)) == (9, 9, 1)
-    free = basis[0][-1].to_poly()
-    qn_matrix = [[e.to_poly() for e in row] for row in matrix]
-    assert [[QN.coerce(e.to_poly()) / free for e in basis[0]]] == rref_nullspace(qn_matrix, ncols)
+    free = QN.coerce(basis[0][-1])
+    assert [[QN.coerce(e) / free for e in basis[0]]] == rref_nullspace(matrix, ncols)
     assert max(len(e) for e in basis[0]) - 1 == 7
 
 
@@ -381,7 +380,7 @@ def test_sum_recurrence_natural_table():
 
 
 def test_sum_recurrence_natural_detects_wrong_operator():
-    wrong = Recurrence((n_poly(-3), n_poly(1)))  # claims w(n+1) = 3 w(n)
+    wrong = Recurrence((ZnPoly((-3,)), ZnPoly((1,))))  # claims w(n+1) = 3 w(n)
     with pytest.raises(RecurrenceCheckError):
         sum_recurrence_natural(parse_term("binom(n,k)"), wrong, n_hi=6)
 
@@ -403,7 +402,7 @@ def test_dixon_sum_recurrence_and_values():
     cert = creative_telescope(term)
     assert cert.check()
     # (n+1)^2 w(n+1) = 3(3n+1)(3n+2) w(n)
-    assert cert.recurrence.coeffs == (n_poly(-6, -27, -27), n_poly(1, 2, 1))
+    assert cert.recurrence.coeffs == (ZnPoly((-6, -27, -27)), ZnPoly((1, 2, 1)))
     values = sum_recurrence_natural(term, cert.recurrence, n_hi=12)
     for n in range(13):
         assert values[n] == math.factorial(3 * n) // math.factorial(n) ** 3
@@ -412,7 +411,7 @@ def test_dixon_sum_recurrence_and_values():
 def test_alternating_cubes_recurrence_matches_natural_sums():
     term = parse_term("(-1)^k*binom(n,k)^3")
     cert = creative_telescope(term)
-    assert cert.recurrence.coeffs == (n_poly(24, 54, 27), n_poly(0), n_poly(4, 4, 1))
+    assert cert.recurrence.coeffs == (ZnPoly((24, 54, 27)), ZnPoly((0,)), ZnPoly((4, 4, 1)))
     values = sum_recurrence_natural(term, cert.recurrence, n_hi=12)
     # zero at odd n, (-1)^m (3m)!/m!^3 at n = 2m
     for m in range(7):
@@ -424,7 +423,7 @@ def test_kummer_type_alternating_squares():
     # sum_k (-1)^k binom(2n,k)^2 = (-1)^n binom(2n,n)
     term = parse_term("(-1)^k*binom(2n,k)^2")
     cert = creative_telescope(term)
-    assert cert.recurrence.coeffs == (n_poly(2, 4), n_poly(1, 1))
+    assert cert.recurrence.coeffs == (ZnPoly((2, 4)), ZnPoly((1, 1)))
     values = sum_recurrence_natural(term, cert.recurrence, n_hi=12)
     for n in range(13):
         assert values[n] == (-1) ** n * binomial_value(2 * n, n)
