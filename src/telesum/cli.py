@@ -159,7 +159,7 @@ def _cmd_wz_check(args) -> int:
     e = math.lcm(*(d for _, d in parsed))
     coeffs = tuple(p * ZnPoly((e // d,)) for p, d in parsed)
     if e > 1:
-        g = g.scale_rational((Polynomial("k", (ZnPoly((e,)),)), Polynomial("k", (ZN_ONE,))))
+        g = g.scale_rational((Polynomial((ZnPoly((e,)),)), Polynomial((ZN_ONE,))))
     try:
         pair = WZPair(f, g, coeffs)
         ok = pair.check()
@@ -226,7 +226,7 @@ def _cmd_series(args) -> int:
 def _cmd_suite(args) -> int:
     try:
         manifest = load_suite(args.path)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
     results = run_identity_suite(manifest)
     if args.machine:

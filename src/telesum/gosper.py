@@ -12,10 +12,10 @@ the degree of a polynomial unknown, and solve
 
 by linear algebra.  Then R = b(k-1) * x(k) / c(k), and soundness is the
 exact identity R(k+1) * r(k) - R(k) = 1.  Both the indefinite decision and
-Zeilberger's creative telescoping run this step through one routine,
-``parameterized_gosper``, whose right-hand side is c(k) times a linear
-combination of given polynomials; Gosper is its case with the single
-polynomial 1.
+Zeilberger's creative telescoping reach a checked certificate by one
+routine, ``gosper_step``: given T_0 = 1, ..., T_J it solves
+sum_j sigma_j T_j = R(k+1) r(k) - R(k) by ``parameterized_gosper`` and
+checks that identity.  Gosper is its case with the single T_0 = 1.
 
 The normal form is read off the factors of r (``FactoredRatio``), as in
 Petkovsek-Wilf-Zeilberger, *A = B*, ch. 5, and Paule's greatest factorial
@@ -32,7 +32,9 @@ quotient, x and R) from those pairs only when they are read.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,9 +94,9 @@ class IntegerNormalForm:
 
     def pairs(self) -> dict[str, tuple[Polynomial, Polynomial]]:
         """The a, b, c of lead 1 and z, each a pair of ``zn_reduced``."""
-        pairs = {name: zn_reduced(p, Polynomial("k", (p.lc(),)))
+        pairs = {name: zn_reduced(p, Polynomial((p.lc(),)))
                  for name, p in zip("abc", (self.a, self.b, self.c))}
-        pairs["z"] = zn_reduced(Polynomial("k", (self.zn,)), Polynomial("k", (self.zd,)))
+        pairs["z"] = zn_reduced(Polynomial((self.zn,)), Polynomial((self.zd,)))
         return pairs
 
     def ratio(self) -> RationalFunction:
@@ -181,7 +183,7 @@ def parameterized_gosper(
     nx = 0 if d is None else d + 1
     la, lb, lc = nf.a.lc(), nf.b.lc(), nf.c.lc()
     za, B = nf.a * (nf.zn * lb * lc), nf.b.shift(-1) * (nf.zd * la * lc)
-    cols, k = [nf.c * p * -(nf.zd * la * lb) for p in rhs], Polynomial("k", (ZN_ZERO, ZN_ONE))
+    cols, k = [nf.c * p * -(nf.zd * la * lb) for p in rhs], Polynomial((ZN_ZERO, ZN_ONE))
     for i in range(nx):  # column i is za*(k+1)^i - B*k^i, each power one product on
         cols[i:i], za, B = [za - B], za * (k + 1), B * k
     height = max(int(col.degree) for col in cols if col) + 1
@@ -202,12 +204,38 @@ def _normalize_solution(x: list[ZnPoly], sigma: list[ZnPoly]) -> tuple[list[ZnPo
     return x, sigma[-1].quotient(prim[-1]), tuple(prim)
 
 
-def certificate(nf: IntegerNormalForm, x: list[ZnPoly], scale: ZnPoly,
-                q: Polynomial = Polynomial("k", (ZN_ONE,))) -> tuple[Polynomial, Polynomial]:
-    """R = b(k-1) * x(k) / (c(k) * q(k)) with b and c of lead 1 of the normal
-    form and x = x/scale, reduced by ``zn_reduced``; the rhs were T_j * q."""
-    num = nf.b.shift(-1) * Polynomial("k", x) * nf.c.lc()
-    return zn_reduced(num, nf.c * q * (nf.b.lc() * scale))
+def _common_denominator(t_list: list[FactoredRatio]) -> tuple[Counter, int, list[Polynomial]]:
+    """Q = scale * prod(q), the lcm of the T_j's denominators (over a
+    coprime base, units and integers too), and the p_j = T_j * Q."""
+    dens = [Counter(tj.den) for tj in t_list]
+    coprime_base(*dens)
+    q = functools.reduce(operator.or_, dens)
+    scale = math.lcm(*(tj.const[1] for tj in t_list))
+    return q, scale, [zn_product(tj.num + (q - d), scale // tj.const[1] * tj.const[0])
+                      for tj, d in zip(t_list, dens)]
+
+
+def gosper_step(term: HyperTerm, r_k: FactoredRatio, r_n: FactoredRatio | None,
+                t_list: list[FactoredRatio]) -> tuple[int | None, IntegerNormalForm, tuple | None]:
+    """sigma_j in Z[n] and R with sum_j sigma_j T_j = R(k+1) r_k - R, given
+    T_0 = 1, ..., T_J: ``parameterized_gosper`` on the normal form of
+    rho = r_k q(k)/q(k+1) and the p_j = T_j * Q (``_common_denominator``),
+    R = b(k-1) x(k) / (c(k) Q(k)) reduced by ``zn_reduced``, and the one
+    self-check, ``telescoping_identity`` on r_k and r_n (which may be None
+    when J = 0).  Returns the degree bound, the normal form and
+    (x, scale, sigma, R), or None in its place when no solution exists."""
+    q, scale, p_list = _common_denominator(t_list)
+    rho = r_k * FactoredRatio((1, 1), q, (f.shift(1) for f in q.elements()))
+    nf = factored_normal_form(rho.cancelled())
+    d, solution = parameterized_gosper(nf, p_list)
+    if solution is None:
+        return d, nf, None
+    x, x_scale, sigma = solution
+    num = nf.b.shift(-1) * Polynomial(x) * nf.c.lc()
+    pair = zn_reduced(num, nf.c * zn_product(q, scale) * (nf.b.lc() * x_scale))
+    if not telescoping_identity(term, sigma, pair, r_k, r_n):
+        raise AssertionError("internal error: certificate failed its own check")
+    return d, nf, (x, x_scale, sigma, pair)
 
 
 @dataclass(frozen=True)
@@ -257,24 +285,15 @@ class GosperCertificate:
 
 
 def gosper_antidifference(term: HyperTerm) -> GosperCertificate:
-    """Decide indefinite summability of the term; raises NotSummableError."""
-    r_k = factored_shift_pair(term, "k")
-    nf = factored_normal_form(r_k.cancelled())
-    d, solution = parameterized_gosper(nf, [Polynomial("k", (ZN_ONE,))])
-    if d is None:
-        raise NotSummableError(
-            f"degree bound rules out a polynomial solution for {term_to_string(term)}"
-        )
-    if solution is None:
-        raise NotSummableError(
-            f"no polynomial solution up to degree {d} for {term_to_string(term)}"
-        )
-    x, scale, _ = solution
-    x_pair = zn_reduced(Polynomial("k", x), Polynomial("k", (scale,)))
-    result = GosperCertificate(term, nf, x_pair, certificate(nf, x, scale))
-    if not telescoping_identity(term, (ZN_ONE,), result.certificate_pair, r_k):
-        raise AssertionError("internal error: certificate failed its own check")
-    return result
+    """Decide indefinite summability of the term, by ``gosper_step`` with
+    the single T_0 = 1; raises NotSummableError."""
+    d, nf, found = gosper_step(term, factored_shift_pair(term, "k"), None, [FactoredRatio()])
+    if found is None:
+        reason = ("degree bound rules out a polynomial solution" if d is None
+                  else f"no polynomial solution up to degree {d}")
+        raise NotSummableError(f"{reason} for {term_to_string(term)}")
+    x, scale, _, pair = found
+    return GosperCertificate(term, nf, zn_reduced(Polynomial(x), Polynomial((scale,))), pair)
 
 
 def telescoped_sum(cert: GosperCertificate, n: int, lo: int, hi: int) -> Fraction:

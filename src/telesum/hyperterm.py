@@ -331,7 +331,7 @@ class HyperTerm:
     def subst_k(self, value: int) -> "HyperTerm":
         """Substitute a concrete integer for k, leaving a term in n alone."""
         factors = [(_map_forms(f, lambda lf: lf.subst_k(value)), e) for f, e in self.factors]
-        num, den = (Polynomial("k", (p.evaluate(value),)) for p in self.prefactor)
+        num, den = (Polynomial((p.evaluate(value),)) for p in self.prefactor)
         if not den:
             raise PoleError(f"prefactor pole on substituting k = {value}")
         return HyperTerm(factors, zn_reduced(num, den))
@@ -473,7 +473,7 @@ def _primitive_linear(coeff_k: int, constant: int, coeff_n: int) -> tuple[int, l
         return constant, []
     g = math.gcd(coeff_k, coeff_n, constant)
     g = -g if coeff_k < 0 or not coeff_k and coeff_n < 0 else g
-    return g, [Polynomial("k", (ZnPoly((constant // g, coeff_n // g)), ZnPoly((coeff_k // g,))))]
+    return g, [Polynomial((ZnPoly((constant // g, coeff_n // g)), ZnPoly((coeff_k // g,))))]
 
 
 def factored_shift_pair(term: HyperTerm, var: str) -> FactoredRatio:
@@ -784,7 +784,7 @@ class _Parser:
 
 
 _SYMBOL_FORMS = {"n": LinearForm(coeff_n=1), "k": LinearForm(coeff_k=1)}
-_SYMBOL_POLYS = {"n": Polynomial("k", (ZnPoly((0, 1)),)), "k": Polynomial("k", (ZN_ZERO, ZN_ONE))}
+_SYMBOL_POLYS = {"n": Polynomial((ZnPoly((0, 1)),)), "k": Polynomial((ZN_ZERO, ZN_ONE))}
 
 
 def _has_symbol(ast) -> bool:
@@ -798,13 +798,13 @@ def _poly_eval(ast, binding: ParamBinding | None,
     with where it occurs."""
     tag = ast[0]
     if tag == "lit":
-        return Polynomial("k", (ZnPoly((ast[1],)),)), 1
+        return Polynomial((ZnPoly((ast[1],)),)), 1
     if tag == "sym":
         sym = ast[1]
         if sym in _SYMBOL_POLYS:
             return _SYMBOL_POLYS[sym], 1
         if binding is not None and sym in binding:
-            return Polynomial("k", (ZnPoly((int(binding[sym]),)),)), 1
+            return Polynomial((ZnPoly((int(binding[sym]),)),)), 1
         raise UnboundParameterError(f"parameter {sym!r} in {where} needs a concrete binding")
     p, d = _poly_eval(ast[1], binding, where)
     if tag == "neg":
@@ -860,7 +860,7 @@ def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
     parser = _Parser(text)
     num_atoms, den_atoms = parser.parse_term()
     factors: list[tuple[Factor, int]] = []
-    pref_num = pref_den = Polynomial("k", (ZN_ONE,))
+    pref_num = pref_den = Polynomial((ZN_ONE,))
 
     def absorb(atoms: list, sign: int) -> None:
         nonlocal pref_num, pref_den
@@ -884,7 +884,7 @@ def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
             else:  # a prefactor piece p/d to the power e
                 _, ast, e, pos = atom
                 top, d = _poly_eval(ast, binding)
-                bottom = Polynomial("k", (ZnPoly((d,)),))
+                bottom = Polynomial((ZnPoly((d,)),))
                 if e < 0:
                     if not top:
                         raise ParseError("zero base with a negative exponent", pos, text)

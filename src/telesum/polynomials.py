@@ -1,17 +1,18 @@
 """Exact arithmetic over Z[n]: dense polynomials and rational functions.
 
 ``ZnPoly`` is Z[n], ascending int coefficients in a tuple; it is the one
-coefficient type.  A ``Polynomial`` is dense over it, in k (Z[n][k], the one
-exact form of the engine) or in a shift j (Z[j], in the shift resultants,
-each ``ZnPoly`` then read as a polynomial in j); its products, powers and
-int shifts run on int rows (``_rows_mul``, ``_rows_shift``), and its exact
-quotient, as ``ZnPoly``'s, is None where the division is not exact.
-``zn_reduced`` brings a pair num/den in Z[n][k] to lowest terms by the
-cofactors of ``_zn_gcd``; a ``RationalFunction``, an element of Q(n)(k), is
-such a reduced pair.  ``FactoredRatio`` keeps a quotient as multisets of
-primitive factors in Z[n][k], the form the Gosper normal form reads;
-``root_shifts`` and ``_shift_resultant_roots`` (a resultant over Z[j] at
-points n0, as in ``dispersion_set``) give the shifts where two factors meet.
+coefficient type.  A ``Polynomial`` is dense over it, in k: Z[n][k], the one
+exact form of the engine.  Its products, powers and int shifts run on int
+rows (``_rows_mul``, ``_rows_shift``), and its exact quotient, as
+``ZnPoly``'s, is None where the division is not exact.  ``zn_reduced``
+brings a pair num/den in Z[n][k] to lowest terms by the cofactors of
+``_zn_gcd``; a ``RationalFunction``, an element of Q(n)(k), is such a
+reduced pair.  ``FactoredRatio`` keeps a quotient as multisets of primitive
+factors in Z[n][k], the form the Gosper normal form reads.
+``meeting_shifts`` gives the shifts where two factors meet, and
+``dispersion_set`` applies it to two primitive parts: a closed form for linear
+factors, integer roots against others (``root_shifts``), and otherwise a
+resultant over Z[j] at integer points n0 (``_shift_resultant_roots``).
 """
 
 from __future__ import annotations
@@ -26,16 +27,15 @@ NEG_INFINITY = float("-inf")
 
 
 class Polynomial:
-    """Dense univariate polynomial over Z[n]: ``coeffs[i]``, a ``ZnPoly``,
-    multiplies ``var**i``.  Ints and ``ZnPoly``s act as constants."""
+    """Dense polynomial in k over Z[n]: ``coeffs[i]``, a ``ZnPoly``,
+    multiplies ``k**i``.  Ints and ``ZnPoly``s act as constants."""
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, var: str, coeffs: Sequence[ZnPoly]) -> None:
+    def __init__(self, coeffs: Sequence[ZnPoly]) -> None:
         n = len(coeffs)
         while n > 0 and not coeffs[n - 1]:
             n -= 1
-        object.__setattr__(self, "var", var)
         object.__setattr__(self, "coeffs", tuple(coeffs[:n]))
 
     def __setattr__(self, name, value):
@@ -62,15 +62,13 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def _spawn(self, coeffs: Sequence[ZnPoly]) -> "Polynomial":
-        return Polynomial(self.var, coeffs)
-
-    def _coerce(self, other) -> "Polynomial | None":
+    @staticmethod
+    def _coerce(other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
-            return other if other.var == self.var else None
+            return other
         if isinstance(other, int):
             other = ZnPoly((other,))
-        return self._spawn((other,)) if isinstance(other, ZnPoly) else None
+        return Polynomial((other,)) if isinstance(other, ZnPoly) else None
 
     # -- ring operations ------------------------------------------------
 
@@ -81,42 +79,42 @@ class Polynomial:
         return self.coeffs == p.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.var, self.coeffs))
+        return hash(self.coeffs)
 
     def __add__(self, other):
         p = self._coerce(other)
         if p is None:
             return NotImplemented
         pairs = zip_longest(self.coeffs, p.coeffs, fillvalue=ZN_ZERO)
-        return self._spawn([a + b for a, b in pairs])
+        return Polynomial([a + b for a, b in pairs])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._spawn(tuple(-c for c in self.coeffs))
+        return Polynomial(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         p = self._coerce(other)
-        return NotImplemented if p is None else self._spawn(_difference(self.coeffs, p.coeffs))
+        return NotImplemented if p is None else Polynomial(_difference(self.coeffs, p.coeffs))
 
     def __rsub__(self, other):
         p = self._coerce(other)
-        return NotImplemented if p is None else self._spawn(_difference(p.coeffs, self.coeffs))
+        return NotImplemented if p is None else Polynomial(_difference(p.coeffs, self.coeffs))
 
     def __mul__(self, other):
         p = self._coerce(other)
         if p is None:
             return NotImplemented
         if not self.coeffs or not p.coeffs:
-            return self._spawn(())
-        return self._spawn(list(map(ZnPoly, _rows_mul(self.coeffs, p.coeffs))))
+            return Polynomial(())
+        return Polynomial(list(map(ZnPoly, _rows_mul(self.coeffs, p.coeffs))))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = self._spawn((ZN_ONE,))
+        result = Polynomial((ZN_ONE,))
         base = self
         e = exponent
         while e:
@@ -145,36 +143,26 @@ class Polynomial:
                     return None
                 for j, b in enumerate(divisor, i - db):
                     rem[j] = rem[j] - q * b
-        return None if any(rem[:db]) else self._spawn(quot)
+        return None if any(rem[:db]) else Polynomial(quot)
 
     # -- substitution ---------------------------------------------------
 
-    def shift(self, j: "int | ZnPoly") -> "Polynomial":
-        """Substitute ``var + j`` for ``var``: for an int j a Taylor shift of
-        the int rows (``_rows_shift``), for a ``ZnPoly`` j (a polynomial in a
-        second variable) Horner's rule on the shifted base."""
-        if not self.coeffs:
-            return self
-        if isinstance(j, int):
-            return self._spawn(list(map(ZnPoly, _rows_shift(self.coeffs, j))))
-        base = self._spawn((j, ZN_ONE))
-        result = self._spawn(())
-        for c in reversed(self.coeffs):
-            result = result * base + c
-        return result
+    def shift(self, j: int) -> "Polynomial":
+        """p(k + j), a Taylor shift of the int rows (``_rows_shift``)."""
+        return Polynomial(list(map(ZnPoly, _rows_shift(self.coeffs, j)))) if self.coeffs else self
 
     def evaluate(self, point: int) -> ZnPoly:
-        """The value in Z[n] at ``var = point``, by Horner's rule."""
+        """The value in Z[n] at k = point, by Horner's rule."""
         x, acc = ZnPoly((point,)), ZN_ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def map_coeffs(self, fn) -> "Polynomial":
-        return self._spawn(tuple(map(fn, self.coeffs)))
+        return Polynomial(tuple(map(fn, self.coeffs)))
 
     def __repr__(self) -> str:
-        return f"Polynomial({self.var!r}, {[tuple(c) for c in self.coeffs]!r})"
+        return f"Polynomial({[tuple(c) for c in self.coeffs]!r})"
 
 
 def _difference(a: Sequence[ZnPoly], b: Sequence[ZnPoly]) -> list[ZnPoly]:
@@ -188,10 +176,10 @@ def _znk_scaled(value) -> tuple[Polynomial, int]:
     if isinstance(value, Polynomial):
         return value, 1
     if isinstance(value, ZnPoly):
-        return Polynomial("k", (value,)), 1
+        return Polynomial((value,)), 1
     if isinstance(value, (int, Fraction)):
         value = Fraction(value)
-        return Polynomial("k", (ZnPoly((value.numerator,)),)), value.denominator
+        return Polynomial((ZnPoly((value.numerator,)),)), value.denominator
     raise TypeError(f"cannot read {value!r} as an element of Q(n)(k)")
 
 
@@ -399,11 +387,11 @@ def zn_reduced(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
     joint content in Z[n], the denominator's top integer positive; zero is
     0/1.  It is the one form of a ``RationalFunction``."""
     if not num:
-        return num, Polynomial(num.var, (ZN_ONE,))
+        return num, Polynomial((ZN_ONE,))
     found = num.degree > 0 and den.degree > 0 and _zn_gcd(num.coeffs, den.coeffs)
     num_rows, den_rows = found[1:] if found else (num.coeffs, den.coeffs)
     rows = _zn_primitive_part([*num_rows, *den_rows])
-    return Polynomial(num.var, rows[:len(num_rows)]), Polynomial(num.var, rows[len(num_rows):])
+    return Polynomial(rows[:len(num_rows)]), Polynomial(rows[len(num_rows):])
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -412,17 +400,17 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     it is a unit, 0 for two zeros."""
     if not p or not q:
         f = p or q
-        return Polynomial("k", _zn_primitive_part(list(f.coeffs))) if f else f
+        return Polynomial(_zn_primitive_part(list(f.coeffs))) if f else f
     found = p.degree > 0 and q.degree > 0 and _zn_gcd(p.coeffs, q.coeffs)
-    return Polynomial("k", found[0] if found else (ZN_ONE,))
+    return Polynomial(found[0] if found else (ZN_ONE,))
 
 
 def poly_lcm(p: Polynomial, q: Polynomial) -> Polynomial:
     """The lcm in Q(n)[k] of two polynomials in k over Z[n], normalized as
     ``poly_gcd``'s result is; 0 when either is 0."""
     if not p or not q:
-        return Polynomial("k", ())
-    return Polynomial("k", _zn_primitive_part(list((p * q.quotient(poly_gcd(p, q))).coeffs)))
+        return Polynomial(())
+    return Polynomial(_zn_primitive_part(list((p * q.quotient(poly_gcd(p, q))).coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +481,13 @@ def bareiss(rows: list[list[ZnPoly]]) -> ZnPoly:
 
 
 def resultant(p: Polynomial, q: Polynomial) -> ZnPoly:
-    """Resultant of p and q in their shared variable: the determinant of
-    their Sylvester matrix, by Bareiss elimination.
+    """Resultant in k of p and q: the determinant of their Sylvester
+    matrix, by Bareiss elimination.
 
     Returns an element of Z[n], lc(p)^deg q * lc(q)^deg p times the product
     of (a - b) over the roots a of p and b of q; all divisions performed are
     exact.
     """
-    if p.var != q.var:
-        raise TypeError("resultant of polynomials in different variables")
     if not p or not q:
         return ZN_ZERO
     dp, dq = len(p.coeffs) - 1, len(q.coeffs) - 1
@@ -523,14 +509,18 @@ def _shift_resultant_roots(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> list
     """The j >= 0, sorted, at which Res_k(num(k), den(k + j)) in Z[n][j] may
     vanish: roots of the gcd of its values at two points n0 where neither
     leading coefficient in k vanishes.  There it is the resultant of the
-    images, taken over Z[j]; so it has every j at which num(k) and den(k+j)
-    share a factor."""
+    images, taken over Z[j] (each ``ZnPoly`` of the shifted image read as a
+    polynomial in j): b(k + j) has sum_i b_i C(i, m) j^(i-m) at k^m.  So it
+    has every j at which num(k) and den(k+j) share a factor."""
     witness: list[int] = []
     n0 = -1
     for _ in range(2):
         n0 = _good_point(num, den, n0 + 1)
-        a, b = (Polynomial("k", [ZnPoly((c(n0),)) for c in rows]) for rows in (num, den))
-        witness = _int_gcd(witness, list(resultant(a, b.shift(ZnPoly((0, 1))))))
+        b = [c(n0) for c in den]
+        shifted = Polynomial([ZnPoly(c * math.comb(i, m) for i, c in enumerate(b[m:], m))
+                              for m in range(len(b))])
+        image = Polynomial([ZnPoly((c(n0),)) for c in num])
+        witness = _int_gcd(witness, list(resultant(image, shifted)))
     return [j for j in _int_roots(witness) if j >= 0]
 
 
@@ -540,8 +530,8 @@ def root_shifts(linear: Polynomial, p: Polynomial, sign: int) -> list[int]:
     integer roots common to the coefficients of each power of n in
     alpha^deg(p) * p(r + sign*j), a polynomial in j over Z[n]."""
     alpha, beta, top = linear.coeffs[1][0], linear.coeffs[0], len(p.coeffs) - 1
-    base = Polynomial("j", (-beta, ZnPoly((sign * alpha,))))
-    w = Polynomial("j", p.coeffs[-1:])
+    base = Polynomial((-beta, ZnPoly((sign * alpha,))))
+    w = Polynomial(p.coeffs[-1:])
     for i in range(top - 1, -1, -1):
         w = w * base + p.coeffs[i] * ZnPoly((alpha ** (top - i),))
     witness: list[int] = []
@@ -564,12 +554,10 @@ def meeting_shifts(u: Polynomial, v: Polynomial) -> list[int]:
 
 def dispersion_set(p: Polynomial, q: Polynomial) -> list[int]:
     """All integers j >= 0 with deg gcd(p(k), q(k + j)) >= 1, sorted, for
-    polynomials in k over Z[n]: the candidates of ``_shift_resultant_roots``,
-    each confirmed by ``_zn_gcd``."""
+    polynomials in k over Z[n]: ``meeting_shifts`` of their primitive parts."""
     if p.degree < 1 or q.degree < 1:
         return []
-    return [j for j in _shift_resultant_roots(p.coeffs, q.coeffs)
-            if _zn_gcd(p.coeffs, q.shift(j).coeffs)]
+    return meeting_shifts(*(Polynomial(_zn_primitive_part(list(f.coeffs))) for f in (p, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +615,8 @@ class ZnPoly(tuple):
         return tuple.__new__(ZnPoly, [-c for c in self])
 
     def __add__(self, other: "ZnPoly") -> "ZnPoly":
-        if isinstance(other, Polynomial):
-            return NotImplemented  # the Polynomial's reflected operator
+        if not isinstance(other, ZnPoly):
+            return NotImplemented  # a Polynomial's reflected operator, or a TypeError
         if len(self) < len(other):
             self, other = other, self
         out = list(self)
@@ -637,7 +625,7 @@ class ZnPoly(tuple):
         return ZnPoly(out)
 
     def __sub__(self, other: "ZnPoly") -> "ZnPoly":
-        if isinstance(other, Polynomial):
+        if not isinstance(other, ZnPoly):
             return NotImplemented
         if len(self) >= len(other):
             out = list(self)
@@ -665,6 +653,8 @@ class ZnPoly(tuple):
 
     def quotient(self, other: "ZnPoly") -> "ZnPoly | None":
         """self / other in Z[n], or None when the division is not exact."""
+        if not other:
+            raise ZeroDivisionError("division by zero in Z[n]")
         if len(other) == 1 and other[0] == 1:
             return self
         rem = list(self)
@@ -745,7 +735,7 @@ def _zn_primitive_part(rows: list[ZnPoly]) -> list[ZnPoly]:
 def _zn_quotient(rows: Sequence[ZnPoly], divisor: list[ZnPoly]) -> list[ZnPoly] | None:
     """rows / divisor for polynomials in k over Z[n], or None when it does not
     divide in Z[n][k]."""
-    quot = Polynomial("k", rows).quotient(Polynomial("k", divisor))
+    quot = Polynomial(rows).quotient(Polynomial(divisor))
     return None if quot is None else list(quot.coeffs)
 
 
@@ -805,7 +795,7 @@ def primitive_factors(p: Polynomial) -> tuple[int, list[Polynomial]]:
     g = math.gcd(*unit) if unit[-1] > 0 else -math.gcd(*unit)
     factors = [(ZnPoly(c // g for c in unit),)] if len(unit) > 1 else []
     factors += [prim] if len(prim) > 1 or len(prim[0]) > 1 else []
-    return g, [Polynomial(p.var, rows) for rows in factors]
+    return g, [Polynomial(rows) for rows in factors]
 
 
 def zn_product(factors: Counter, const: int = 1) -> Polynomial:
@@ -814,7 +804,7 @@ def zn_product(factors: Counter, const: int = 1) -> Polynomial:
     rows = [[const]]
     for f in factors.elements():
         rows = _rows_mul(rows, f.coeffs)
-    return Polynomial("k", list(map(ZnPoly, rows)))
+    return Polynomial(list(map(ZnPoly, rows)))
 
 
 def coprime_base(*multisets: Counter) -> None:
@@ -828,7 +818,7 @@ def coprime_base(*multisets: Counter) -> None:
             for f, rest in zip((u, v), rests):
                 for h in (g, rest) if (times := m.pop(f, 0)) else ():
                     if len(h) > 1:
-                        m[Polynomial("k", h)] += times
+                        m[Polynomial(h)] += times
 
 
 def _common_factor(multisets, coprime: set):

@@ -35,7 +35,7 @@ def ratfun_to_record(pair: tuple[Polynomial, Polynomial]) -> dict:
 
 def record_to_ratfun(record: dict) -> RationalFunction:
     """The Q(n)(k) value of a record's integer rows."""
-    return RationalFunction(*(Polynomial("k", [ZnPoly(map(int, row)) for row in record[side]])
+    return RationalFunction(*(Polynomial([ZnPoly(map(int, row)) for row in record[side]])
                               for side in ("num", "den")))
 
 

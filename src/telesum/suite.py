@@ -44,16 +44,19 @@ class CaseResult:
 
 def load_suite(path: str) -> dict:
     """Load a manifest from a file path, falling back to the bundled
-    resource of the same basename when no such file exists."""
+    resource of the same basename when no such file exists.  A ValueError
+    names the file when it is not a JSON object with a "cases" list."""
     p = Path(path)
-    if p.is_file():
-        with open(p, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    name = p.name
-    res = resources.files("telesum").joinpath("data").joinpath(name)
-    if res.is_file():
-        return json.loads(res.read_text(encoding="utf-8"))
-    raise FileNotFoundError(f"no suite file {path!r} and no bundled suite named {name!r}")
+    res = p if p.is_file() else resources.files("telesum").joinpath("data").joinpath(p.name)
+    if not res.is_file():
+        raise FileNotFoundError(f"no suite file {path!r} and no bundled suite named {p.name!r}")
+    try:
+        manifest = json.loads(res.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"suite file {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("cases"), list):
+        raise ValueError(f'suite file {path!r} is not a JSON object with a "cases" list')
+    return manifest
 
 
 def bundled_suite() -> dict:
@@ -270,9 +273,11 @@ _CHECKERS = {
 
 
 def run_case(case: dict) -> CaseResult:
+    if not isinstance(case, dict):
+        return CaseResult("<unnamed>", False, f"the case is not a JSON object: {case!r}", 0.0)
     case_id = case.get("id", "<unnamed>")
     kind = case.get("kind")
-    checker = _CHECKERS.get(kind)
+    checker = _CHECKERS.get(kind) if isinstance(kind, str) else None
     start = time.monotonic()
     if checker is None:
         return CaseResult(case_id, False, f"unknown case kind {kind!r}", 0.0)

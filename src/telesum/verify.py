@@ -95,7 +95,7 @@ def telescoping_identity(
     which ``zn_identity`` decides from the factors.  A solver that holds r_k
     and r_n passes them; otherwise they are built."""
     p, q = certificate
-    sigmas = [Polynomial("k", (s,)) for s in coeffs] or [Polynomial("k", ())]
+    sigmas = [Polynomial((s,)) for s in coeffs] or [Polynomial(())]
     r_k = r_k or factored_shift_pair(term, "k")
     r_n = (r_n or factored_shift_pair(term, "n")) if len(coeffs) > 1 else None
 

@@ -10,40 +10,26 @@ over k then turns the right side into boundary terms; when the summand
 vanishes outside its natural support the sum w(n) = sum_k F(n, k) satisfies
 sum_j sigma_j w(n+j) = 0.
 
-The search runs gosper.parameterized_gosper with the right-hand sides
-p_j = q * T_j, T_j = F(n+j, k)/F(n, k), q the common denominator of the
-T_j, increasing the order J until the homogeneous system has a solution
-that actually involves the sigma's.  It runs on factored shift quotients
-(``FactoredRatio``) in Z[n][k]: q is the multiset maximum of the T_j's
-denominators, p_j a multiset difference, and the normal form of
-r_k * q(k)/q(k+1) is read off the factors.
+The search calls gosper.gosper_step, the one Gosper step, on the factored
+shift quotients (``FactoredRatio``) T_j = F(n+j, k)/F(n, k), j = 0..J,
+increasing the order J until the homogeneous system has a solution that
+actually involves the sigma's.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .gosper import certificate, factored_normal_form, parameterized_gosper
+from .gosper import gosper_step
 from .hyperterm import (
     BinomialFactor,
     FactorialFactor,
     HyperTerm,
     factored_shift_pair,
 )
-from .polynomials import (
-    FactoredRatio,
-    Polynomial,
-    RationalFunction,
-    ZnPoly,
-    coprime_base,
-    zn_product,
-)
+from .polynomials import FactoredRatio, Polynomial, RationalFunction, ZnPoly
 from .serialize import _npoly_string, npoly_to_list, ratfun_to_record, ratfun_to_text
 from .verify import _exact_sum, telescoping_identity
 
@@ -150,38 +136,11 @@ def creative_telescope(term: HyperTerm, max_order: int = 6) -> TelescopingCertif
     t_list = [FactoredRatio()]
     for order in range(1, max_order + 1):
         t_list.append((t_list[-1] * r_n.shift_n(order - 1)).cancelled())
-        found = _attempt(term, r_k, r_n, t_list)
+        _, _, found = gosper_step(term, r_k, r_n, t_list)
         if found is not None:
-            return found
+            _, _, sigma, pair = found
+            return TelescopingCertificate(term, Recurrence(sigma), pair)
     raise NoRecurrenceFound(max_order)
-
-
-def _common_denominator(t_list: list[FactoredRatio]) -> tuple[Counter, int, list[Polynomial]]:
-    """Q = scale * prod(q), the lcm of the T_j's denominators (over a
-    coprime base, units and integers too), and the p_j = T_j * Q."""
-    dens = [Counter(tj.den) for tj in t_list]
-    coprime_base(*dens)
-    q = functools.reduce(operator.or_, dens)
-    scale = math.lcm(*(tj.const[1] for tj in t_list))
-    return q, scale, [zn_product(tj.num + (q - d), scale // tj.const[1] * tj.const[0])
-                      for tj, d in zip(t_list, dens)]
-
-
-def _attempt(
-    t: HyperTerm, r_k: FactoredRatio, r_n: FactoredRatio, t_list: list[FactoredRatio]
-) -> TelescopingCertificate | None:
-    q, scale, p_list = _common_denominator(t_list)
-    rho = r_k * FactoredRatio((1, 1), q, (f.shift(1) for f in q.elements()))
-    nf = factored_normal_form(rho.cancelled())
-    _, solution = parameterized_gosper(nf, p_list)
-    if solution is None:
-        return None
-    x, x_scale, sigma = solution
-    result = TelescopingCertificate(t, Recurrence(sigma),
-                                    certificate(nf, x, x_scale, zn_product(q, scale)))
-    if not telescoping_identity(t, result.recurrence.coeffs, result.certificate_pair, r_k, r_n):
-        raise AssertionError("internal error: telescoping check failed")
-    return result
 
 
 def _nonnegative(coeff_k: int, const: int) -> tuple[int | None, int | None] | None:

@@ -411,7 +411,7 @@ def qnk(num: FieldPoly, den: FieldPoly | None = None) -> TowerFunction:
 
 def znk(*rows) -> Polynomial:
     """A polynomial in k over Z[n] from ascending rows of ints."""
-    return Polynomial("k", [ZnPoly(r) for r in rows])
+    return Polynomial([ZnPoly(r) for r in rows])
 
 
 def lift(p: Polynomial) -> FieldPoly:
@@ -446,7 +446,7 @@ def tower_pair(value: TowerFunction) -> tuple[Polynomial, Polynomial]:
     the reduced pair in Z[n][k], the denominator's top integer positive."""
     rows = clear_qn(value.num.coeffs + value.den.coeffs)
     size = len(value.num.coeffs)
-    return Polynomial("k", rows[:size]), Polynomial("k", rows[size:])
+    return Polynomial(rows[:size]), Polynomial(rows[size:])
 
 
 def eval_qn(value: TowerFunction, n: int) -> Fraction:

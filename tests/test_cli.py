@@ -363,6 +363,31 @@ def test_suite_missing_file_exit_one(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+# (manifest text, exit code, what the report says): a manifest that is not a
+# JSON object with a "cases" list is a usage error naming the file; a case
+# that cannot be checked is a failing case
+MALFORMED_SUITES = [
+    ("{bad", 1, "is not valid JSON"),
+    ("[1, 2]", 1, 'is not a JSON object with a "cases" list'),
+    ('{"suite": "s", "cases": [3]}', 4, "FAIL <unnamed>: the case is not a JSON object: 3"),
+    ('{"suite": "s"}', 1, 'is not a JSON object with a "cases" list'),
+    ('{"suite": "s", "cases": [{"kind": []}]}', 4, "FAIL <unnamed>: unknown case kind []"),
+]
+
+
+@pytest.mark.parametrize("text, code, message", MALFORMED_SUITES)
+def test_malformed_suite_is_refused_without_a_traceback(tmp_path, text, code, message):
+    path = tmp_path / "malformed.suite"
+    path.write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "telesum", "suite", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == cli.EXIT_USAGE:
+        assert proc.stderr.startswith(f"usage error: suite file {str(path)!r} ")
+    assert message in (proc.stderr if code == cli.EXIT_USAGE else proc.stdout)
+
+
 def test_missing_subcommand_exit_one(capsys):
     assert main([]) == 1
     assert "usage error" in capsys.readouterr().err

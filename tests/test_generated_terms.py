@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from telesum.gosper import (
     IntegerNormalForm,
     NotSummableError,
+    _common_denominator,
     degree_bound,
     factored_normal_form,
     gosper_antidifference,
@@ -55,7 +56,6 @@ from telesum.polynomials import (
 from telesum.verify import _exact_sum, oracle_sum
 from telesum.zeilberger import (
     NoRecurrenceFound,
-    _common_denominator,
     creative_telescope,
     sum_recurrence_natural,
 )
@@ -358,9 +358,9 @@ def _zn_falling(lf: LinearForm, var: str):
     num = den = _ZNK_ONE
     lead, delta = ZnPoly((lf.coeff_k,)), lf.coeff(var)
     for i in range(1, delta + 1):
-        num = num * Polynomial("k", (ZnPoly((lf.constant + i, lf.coeff_n)), lead))
+        num = num * Polynomial((ZnPoly((lf.constant + i, lf.coeff_n)), lead))
     for i in range(0, -delta):
-        den = den * Polynomial("k", (ZnPoly((lf.constant - i, lf.coeff_n)), lead))
+        den = den * Polynomial((ZnPoly((lf.constant - i, lf.coeff_n)), lead))
     return num, den
 
 
@@ -414,7 +414,7 @@ def test_factored_pair_at_a_point_is_the_products_value_there(term, var, i, s):
 def _primitive(f):
     rows = [ZnPoly([c // g for c in r]) for r in f.coeffs] if (
         g := math.gcd(*(c for r in f.coeffs for c in r))) else f.coeffs
-    return Polynomial("k", rows)
+    return Polynomial(rows)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -67,7 +68,7 @@ def _cleared(*polys: FieldPoly) -> list[Polynomial]:
     """Polynomials in k over Q(n) times one ``clear_qn`` multiplier, in Z[n][k]."""
     rows = clear_qn([c for p in polys for c in p.coeffs])
     sizes = [0, *itertools.accumulate(len(p.coeffs) for p in polys)]
-    return [Polynomial("k", rows[a:b]) for a, b in zip(sizes, sizes[1:])]
+    return [Polynomial(rows[a:b]) for a, b in zip(sizes, sizes[1:])]
 
 
 small_ints = st.integers(min_value=-20, max_value=20)
@@ -85,13 +86,13 @@ def npoly_strategy():
 
 
 def test_trailing_zeros_trimmed():
-    p = Polynomial("k", [_zn(1), _zn(2), _zn(0), _zn(0, 0)])
+    p = Polynomial([_zn(1), _zn(2), _zn(0), _zn(0, 0)])
     assert p.degree == 1
     assert p.coeffs == (_zn(1), _zn(2))
 
 
 def test_zero_polynomial():
-    z = Polynomial("k", ())
+    z = Polynomial(())
     assert z.is_zero()
     assert not z
     assert z.coeff(5) == ZnPoly()
@@ -153,6 +154,8 @@ def test_quotient_is_exact_or_none():
     assert _zk(3).quotient(_zk(1, 1)) is None and _zk().quotient(_zk(1, 1)) == _zk()
     with pytest.raises(ZeroDivisionError):
         _zk(1, 1).quotient(_zk())
+    with pytest.raises(ZeroDivisionError):
+        _zn(1, 2).quotient(ZnPoly())
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,6 +408,10 @@ QNK_DISPERSION_CASES = [
     # a repeated factor against itself: only j = 0
     (_lin(-1, 0) ** 2 * _lin(0, 3) ** 3, _lin(-1, 0) * _lin(0, 3) ** 2,
      _lin(-1, 0) * _lin(0, 3), _lin(-1, 0) * _lin(0, 3), [0]),
+    # a content in Z[n] and negative leads, stripped before the shifts are read:
+    # -2(n+1)(k+1) against 3(k-2) meet at j = 3, and not the other way round
+    (_znk((-2, -2), (-2, -2)), _zk(-6, 3), _lin(0, 1), _lin(0, -2), [3]),
+    (_zk(-6, 3), _znk((-2, -2), (-2, -2)), _lin(0, -2), _lin(0, 1), []),
 ]
 
 
@@ -639,18 +646,27 @@ def test_integer_qnk_pair_is_the_integer_form(num, den):
 def test_znpoly_shift_matches_the_q_n_shift(coeffs, j):
     z = ZnPoly(coeffs)
     assert _np(*z.shift(j)) == _np(*coeffs).shift(j)
-    assert shift_in_n(Polynomial("k", (z, -z)), j) == Polynomial("k", (z.shift(j), -z.shift(j)))
+    assert shift_in_n(Polynomial((z, -z)), j) == Polynomial((z.shift(j), -z.shift(j)))
 
 
 @pytest.mark.parametrize("z", [ZnPoly((1, 1)), ZnPoly()])
 @pytest.mark.parametrize("scalar", [2, 0, True])
 def test_znpoly_times_an_int_is_a_type_error_in_both_orders(z, scalar):
-    # not tuple repetition on the left, not a silent zero on the right
+    # not tuple repetition on the left, not a silent zero on the right; a sum
+    # or difference with an int is a TypeError too, and with a Polynomial on
+    # the right it is the Polynomial's
     with pytest.raises(TypeError):
         scalar * z
     with pytest.raises(TypeError):
         z * scalar
     assert z * ZnPoly((2,)) == ZnPoly([2 * c for c in z])
+    k = _znk((), (1,))
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(z, scalar)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(scalar, z)
+        assert op(z, k) == op(_znk(z), k)
 
 
 def test_qnk_field_ops():
@@ -884,11 +900,6 @@ def test_znk_shift_in_k_is_the_binomial_expansion(f, i, j, x, y):
     assert all(type(r) is ZnPoly and (not r or r[-1]) for r in shifted.coeffs)
     assert f.shift(i).shift(j) == f.shift(i + j)
     assert zn_value(shifted, x, y) == zn_value(f, x, y + j)
-
-
-def test_znk_shift_by_a_polynomial_in_n_keeps_the_generic_path():
-    """k -> k + n: the shift of ``_shift_resultant_roots``, whose j is a ZnPoly."""
-    assert (_K_ZNK * _K_ZNK).shift(ZnPoly((0, 1))) == _znk((0, 0, 1), (0, 2), (1,))
 
 
 @settings(max_examples=60, deadline=None)

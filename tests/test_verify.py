@@ -98,15 +98,15 @@ def _cross_multiplied_identity(term, coeffs, certificate):
     c, d = factored_shift_pair(term, "n").pair() if order > 0 else (None, None)
     cs = [shift_in_n(c, i) for i in range(order)]
     ds = [shift_in_n(d, i) for i in range(order)]
-    total = Polynomial("k", ())
+    total = Polynomial(())
     for j, s in enumerate(coeffs):
-        t = Polynomial("k", (s,))
+        t = Polynomial((s,))
         if not t:
             continue
         for factor in cs[:j] + ds[j:]:
             t = t * factor
         total = total + t
-    delta = Polynomial("k", (ZnPoly((1,)),))
+    delta = Polynomial((ZnPoly((1,)),))
     for factor in ds:
         delta = delta * factor
     return (total * q + delta * p) * (b * q.shift(1)) == delta * a * p.shift(1) * q
@@ -214,7 +214,7 @@ def test_identity_check_with_zero_sigma_entries():
     assert not _agree(term, tuple(c * three for c in coeffs), R2)
 
 
-ZERO_CERT = (Polynomial("k", ()), Polynomial("k", (ZnPoly((1,)),)))  # R = 0/1
+ZERO_CERT = (Polynomial(()), Polynomial((ZnPoly((1,)),)))  # R = 0/1
 
 
 @pytest.mark.parametrize("sigma_0, holds", [(-2, True), (-3, False), (0, False)])
@@ -259,7 +259,7 @@ def _differential(term, coeffs, pair, data):
         a = data.draw(st.integers(0, max(map(len, rows))), "a")
         rows[b] += [0] * (a + 1 - len(rows[b]))
         rows[b][a] += step
-        pair[where == "Q"] = Polynomial("k", [ZnPoly(r) for r in rows])
+        pair[where == "Q"] = Polynomial([ZnPoly(r) for r in rows])
         if not pair[1]:
             return
     _agree_in_znk(term, coeffs, tuple(pair))

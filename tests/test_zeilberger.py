@@ -152,7 +152,7 @@ def test_normalized_sigmas_have_a_positive_top_and_scale_x_to_match():
     sigmas = [ZnPoly((-2, -2)), ZnPoly(), ZnPoly((0, -4)), ZnPoly()]
     xs = [ZnPoly((6,)), ZnPoly(), ZnPoly((1, 0, 3))]
     rows, scale, coeffs = _normalize_solution(xs, sigmas)
-    x = pair_to_tower(Polynomial("k", rows), Polynomial("k", (scale,))).num
+    x = pair_to_tower(Polynomial(rows), Polynomial((scale,))).num
     assert coeffs == (ZnPoly((1, 1)), ZnPoly(), ZnPoly((0, 2)))
     assert all(type(c) is ZnPoly for c in coeffs)
     # one k-free scale for x and sigma: x_i * sigma_j is unchanged up to it
@@ -163,7 +163,7 @@ def test_normalized_sigmas_have_a_positive_top_and_scale_x_to_match():
     assert x.coeffs == (QN.from_int(-3), QN.zero(), QN.coerce(n_poly(half, 0, 3 * half)))
     # Gosper's single sigma always normalizes to 1
     rows, scale, coeffs = _normalize_solution([ZnPoly((4,))], [ZnPoly((0, -2))])
-    x = pair_to_tower(Polynomial("k", rows), Polynomial("k", (scale,))).num
+    x = pair_to_tower(Polynomial(rows), Polynomial((scale,))).num
     assert coeffs == (ZnPoly((1,)),)
     assert x.coeffs == (QN.coerce(ZnPoly((-2,))) / QN.coerce(ZnPoly((0, 1))),)
 
