@@ -254,6 +254,11 @@ def _check_binding(binding: ParamBinding) -> None:
             raise ValueError(f"parameter bindings must be integers >= 0, got {value!r}")
 
 
+def _term_params(term: "HyperTerm") -> set[str]:
+    """The parameter symbols in a term's factors."""
+    return {s for f, _ in term.factors for lf in _factor_linforms(f) for s, _c in lf.params}
+
+
 # ---------------------------------------------------------------------------
 # the term itself
 
@@ -318,8 +323,7 @@ class HyperTerm:
 
     def require_bound(self) -> None:
         if self.has_params():
-            syms = sorted({s for f, _ in self.factors for lf in _factor_linforms(f)
-                           for s, _c in lf.params})
+            syms = sorted(_term_params(self))
             raise UnboundParameterError(f"unbound parameter(s): {', '.join(syms)}")
 
     def scale_rational(self, multiplier: tuple[Polynomial, Polynomial]) -> "HyperTerm":
@@ -566,11 +570,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if text[pos:].strip() == "":
                 break
             raise ParseError(f"unexpected character {text[pos]!r}", pos, text)
-        for kind in ("name", "int", "sym", "op"):
-            val = m.group(kind)
-            if val is not None:
-                out.append((kind, val, m.start(kind)))
-                break
+        kind = m.lastgroup  # the one alternative that matched
+        out.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     out.append(("end", "", len(text)))
     return out

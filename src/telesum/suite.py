@@ -4,30 +4,42 @@ against the brute-force oracles, with a deterministic pass/fail report.
 A manifest is {"suite": name, "cases": [...]}; each case carries a
 "kind" that selects its checker.  All checking is exact; a case fails on
 the first grid point where the identity breaks, and the report says
-where.  A case with no point to check fails too.
+where.  A case with no point to check fails too, and so does a case
+with a malformed field, with a detail that names the field.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .hyperterm import HyperTerm, LinearForm, UnboundParameterError, parse_linear_form, parse_term
+from .hyperterm import (
+    HyperTerm,
+    LinearForm,
+    UnboundParameterError,
+    _check_binding,
+    _term_params,
+    _tokenize,
+    parse_linear_form,
+    parse_term,
+)
 from .series import check_convolution_11897, check_shifted_central_identity
 from .verify import (
     SequenceSpec,
-    _exact_sum,
+    _lower_triangle_failure,
+    _pair_sum,
     _power_failure,
     _transform_failure,
     binomial_column_sequence,
     binomial_row_sequence,
     catalan_sequence,
-    check_lower_triangle_identity,
     seeded_random_sequences,
 )
 
@@ -71,113 +83,214 @@ def bundled_suite() -> dict:
 _NO_POINT = "the case checks no point"
 
 
-def _grid_points(grid: dict) -> list[dict]:
-    names = list(grid)
-    ranges = [range(int(lo), int(hi) + 1) for lo, hi in (grid[v] for v in names)]
-    return [dict(zip(names, combo)) for combo in itertools.product(*ranges)]
+def _field(obj: dict, key: str, where: str = "the case"):
+    """obj[key]; a ValueError names the field when it is missing."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f'{where} has no "{key}" field') from None
+
+
+def _integer(obj: dict, key: str, where: str = "the case", default=None) -> int:
+    """obj[key], which must be an int (not a bool, float or string); a
+    ValueError names the field otherwise."""
+    value = _field(obj, key, where) if default is None else obj.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f'"{key}" must be an integer, got {value!r}')
+    return value
+
+
+def _grid(grid: dict) -> tuple[list[str], list[range]]:
+    """A sum_identity grid's variable names and the range of each.  Each
+    variable takes [lo, hi] with int bounds; k, the summation variable,
+    may not be bound."""
+    names, ranges = list(grid), []
+    for v in names:
+        bounds = grid[v]
+        if v == "k":
+            raise ValueError('grid "k" binds the summation variable k')
+        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
+                and all(type(b) is int for b in bounds)):
+            raise ValueError(f'grid "{v}" must be [lo, hi] with int lo and hi, got {bounds!r}')
+        ranges.append(range(bounds[0], bounds[1] + 1))
+    return names, ranges
 
 
 class _Values(dict):
     """(num, den) values of one bound term at one n, by k, each evaluated on
-    first use (``TermEvaluator.pair``)."""
+    first use (``TermEvaluator.pair``), and by lower limit lo the running
+    sums over lo..lo+i, each an int pair (total, common)."""
 
     def __init__(self, term: HyperTerm, n: int) -> None:
-        self.term, self.n = term, n
+        self.term, self.n, self.runs = term, n, {}
 
     def __missing__(self, k: int) -> tuple[int, int]:
         value = self[k] = self.term.evaluator().pair(self.n, k)
         return value
+
+    def at(self, n: int) -> None:
+        self.clear()
+        self.runs.clear()
+        self.n = n
+
+    def sum(self, lo: int, hi: int) -> tuple[int, int]:
+        """The sum over k = lo..hi, (0, 1) when it is empty; the values that
+        no earlier sum from lo reached are evaluated in k order."""
+        if hi < lo:
+            return 0, 1
+        run = self.runs.get(lo)
+        if run is None:
+            run = self.runs[lo] = []
+        if len(run) <= hi - lo:
+            values = map(self.__getitem__, range(lo + len(run), hi + 1))
+            _pair_sum(values, *(run[-1] if run else (0, 1)), run)
+        return run[hi - lo]
 
 
 class _CaseTexts:
     """The side texts of one case, each parsed once while the case runs.
 
     A term text is parsed with its parameters left symbolic and bound once
-    per binding; the grid's points share the bound term.  A text whose
-    prefactor uses a parameter cannot be parsed that way
-    (UnboundParameterError), so it is parsed once per binding instead.
-    Equal bound terms are interned, so bindings that differ only in a
-    parameter the text does not use share one term and one table of its
-    values, which holds the current n only.  Each ``from``/``to`` form is
-    bound once per binding too.
+    per value of the grid parameters it uses; the grid's points share the
+    bound term.  A text whose prefactor uses a parameter cannot be parsed
+    that way (UnboundParameterError), so it is parsed once per such value
+    instead.  Equal bound terms are interned, so texts and values that bind
+    to one term share one table of its values, which holds the current n
+    only.  Each ``from``/``to`` form is bound once per value too.  The
+    point's whole binding is checked before a text is bound: a grid's first
+    point has every parameter at its lowest value, so a negative one fails
+    there, at the first text.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, params: list[str]) -> None:
+        self._params = params  # the grid's names other than n
         self._terms: dict[str, HyperTerm | None] = {}  # None: parse per binding
-        self._tables: dict[tuple, _Values] = {}  # by (text, binding)
-        self._interned: dict[HyperTerm, _Values] = {}
         self._forms: dict[str, LinearForm] = {}
-        self._limits: dict[tuple, LinearForm] = {}  # by (text, binding)
-        self._n, self._params, self._key = 0, {}, ()
+        self._uses: dict[str, tuple[str, ...]] = {}  # by text: the grid parameters in it
+        self._tables: dict[tuple, _Values] = {}  # by (text, *values of its parameters)
+        self._interned: dict[HyperTerm, _Values] = {}
+        self._limits: dict[tuple, LinearForm] = {}  # by (text, *values of its parameters)
+        self._n = 0
 
-    def at(self, point: dict) -> None:
-        """Move to a grid point: its n and the binding of its parameters."""
-        n = point.get("n", 0)
-        self._params = {v: point[v] for v in point if v != "n"}
-        self._key = tuple(sorted(self._params.items()))
+    def at(self, n: int) -> None:
+        """Move to a grid point's n."""
         if n != self._n:
             self._n = n
             for table in self._interned.values():
-                table.clear()
-                table.n = n
+                table.at(n)
 
-    def values(self, text: str) -> _Values:
-        """The table of the text's term bound at the current point."""
-        key = (text, self._key)
+    def _bound(self, text: str, binding: dict) -> tuple[tuple, dict]:
+        """The key of a parsed text at a point and its binding by the grid
+        parameters it uses."""
+        names = self._uses[text]
+        if not names:
+            return (text,), {}
+        used = {v: binding[v] for v in names}
+        return (text, *used.values()), used
+
+    def table(self, text: str, binding: dict) -> _Values:
+        """The table of the text's term bound by the point's parameters."""
+        if text not in self._terms:
+            try:
+                term = parse_term(text)
+                syms = _term_params(term) if self._params else ()
+            except UnboundParameterError:
+                term, syms = None, {val for kind, val, _ in _tokenize(text) if kind == "sym"}
+            self._terms[text] = term
+            self._uses[text] = tuple(v for v in self._params if v in syms)
+        _check_binding(binding)
+        key, used = self._bound(text, binding)
         table = self._tables.get(key)
         if table is None:
-            if text not in self._terms:
-                try:
-                    self._terms[text] = parse_term(text)
-                except UnboundParameterError:
-                    self._terms[text] = None
-            term, params = self._terms[text], self._params
-            term = parse_term(text, params) if term is None else term.bind(params)
-            table = self._interned.setdefault(term, _Values(term, self._n))
-            self._tables[key] = table
+            term = self._terms[text]
+            term = parse_term(text, used) if term is None else term.bind(used)
+            table = self._tables[key] = self._interned.setdefault(term, _Values(term, self._n))
         return table
 
-    def limit(self, text: str) -> int:
-        """A ``from`` or ``to`` form's value at the current point."""
-        key = (text, self._key)
+    def limit(self, comp: dict, field: str, binding: dict) -> tuple[int, int]:
+        """A sum component's ``from`` or ``to`` form bound by the point's
+        parameters, as its (coeff_n, constant); raises UnboundParameterError
+        if it keeps one, and a ValueError naming the field if it involves k."""
+        text = _field(comp, field, "a sum component")
+        if text not in self._forms:
+            form = self._forms[text] = parse_linear_form(text)
+            if form.coeff_k:
+                raise ValueError(f'"{field}" form {text!r} involves k, the summation variable')
+            self._uses[text] = tuple(v for v in self._params if v in dict(form.params))
+        key, used = self._bound(text, binding)
         form = self._limits.get(key)
         if form is None:
-            if text not in self._forms:
-                self._forms[text] = parse_linear_form(text)
-            form = self._limits[key] = self._forms[text].bind(self._params)
-        return form.evaluate(self._n, 0)
+            form = self._limits[key] = self._forms[text].bind(used)
+        form.evaluate(self._n, 0)
+        return form.coeff_n, form.constant
 
-
-def _side_value(side: list[dict], texts: _CaseTexts) -> Fraction:
-    pairs: list[tuple[int, int]] = []
-    for comp in side:
-        if "sum" in comp:
-            values = texts.values(comp["sum"])
-            lo, hi = texts.limit(comp["from"]), texts.limit(comp["to"])
-            pairs.extend(map(values.__getitem__, range(lo, hi + 1)))
-        elif "term" in comp:
-            pairs.append(texts.values(comp["term"])[0])
-        else:
-            raise ValueError(f"unknown side component {comp!r}")
-    return _exact_sum(pairs)
+    def plan(self, side: list[dict], binding: dict) -> tuple[list[tuple], tuple[int, int], set[str]]:
+        """A side compiled at a point, with its value there and the grid
+        parameters its texts use.  The plan holds, per component, its table
+        and its bound ``from`` and ``to`` as (table, fn, fc, tn, tc); a term
+        is the sum over k = 0..0.  Each component is compiled and then
+        summed, in order."""
+        plan, pairs, texts, n = [], [], [], self._n
+        for comp in side:
+            if "sum" in comp:
+                text = comp["sum"]
+                table = self.table(text, binding)
+                fn, fc = self.limit(comp, "from", binding)
+                tn, tc = self.limit(comp, "to", binding)
+                texts += text, comp["from"], comp["to"]
+            elif "term" in comp:
+                text = comp["term"]
+                table, fn, fc, tn, tc = self.table(text, binding), 0, 0, 0, 0
+                texts.append(text)
+            else:
+                raise ValueError(f"unknown side component {comp!r}")
+            pairs.append(table.sum(fn * n + fc, tn * n + tc))
+            plan.append((table, fn, fc, tn, tc))
+        uses = {v for text in texts for v in self._uses[text]}
+        return plan, _pair_sum(pairs), uses
 
 
 def _check_sum_identity(case: dict) -> str | None:
-    sides = case["sides"]
+    """Both sides at every grid point, in grid order; each side is compiled
+    once per value of the parameters its texts use (``_CaseTexts.plan``),
+    a sum over lo..hi is one lookup in its table's running sums from lo, and
+    sides compare as cross-multiplied int pairs."""
+    sides = _field(case, "sides")
     if len(sides) < 2:
         raise ValueError(f"case {case.get('id')}: need at least two sides")
-    points = _grid_points(case["grid"])
-    if not points:
+    names, ranges = _grid(_field(case, "grid"))
+    if not all(ranges):
         return _NO_POINT
-    texts = _CaseTexts()
-    for point in points:
-        texts.at(point)
-        values = [_side_value(side, texts) for side in sides]
-        first = values[0]
-        for i, v in enumerate(values[1:], start=2):
-            if v != first:
-                at = ", ".join(f"{k}={point[k]}" for k in point)
-                return f"side 1 gives {first} but side {i} gives {v} at {at}"
+    params = [i for i, v in enumerate(names) if v != "n"]
+    n_at = names.index("n") if "n" in names else None
+    texts = _CaseTexts([names[i] for i in params])
+    plans: list[dict] = [{} for _ in sides]  # by side: plans by the values it uses
+    keys: list = [None] * len(sides)  # by side: those values at a point, once a plan is built
+    for point in itertools.product(*ranges):
+        n = 0 if n_at is None else point[n_at]
+        texts.at(n)
+        values = []
+        for s, side in enumerate(sides):
+            key = keys[s]
+            plan = None if key is None else plans[s].get(key(point))
+            if plan is None:
+                binding = {names[i]: point[i] for i in params}
+                plan, value, used = texts.plan(side, binding)
+                idx = [i for i in params if names[i] in used]
+                key = keys[s] = operator.itemgetter(*idx) if idx else lambda point: ()
+                plans[s][key(point)] = plan
+            elif len(plan) == 1:
+                table, fn, fc, tn, tc = plan[0]
+                value = table.sum(fn * n + fc, tn * n + tc)
+            else:
+                value = _pair_sum([table.sum(fn * n + fc, tn * n + tc)
+                                   for table, fn, fc, tn, tc in plan])
+            values.append(value)
+        (t0, c0), rest = values[0], values[1:]
+        for i, (t, c) in enumerate(rest, start=2):
+            if t0 * c != t * c0:
+                at = ", ".join(f"{v}={x}" for v, x in zip(names, point))
+                return f"side 1 gives {Fraction(t0, c0)} but side {i} gives {Fraction(t, c)} at {at}"
     return None
 
 
@@ -185,36 +298,50 @@ def _check_sum_identity(case: dict) -> str | None:
 # sequence transforms
 
 
+# each sequence spec's head and the names of its int arguments
+_SEQUENCE_ARGS = {
+    "catalan": (),
+    "binom_row": ("row",),
+    "binom_column": ("column",),
+    "random": ("count", "seed"),
+}
+
+
 def _sequences(specs: list[str], length: int) -> list[SequenceSpec]:
     out: list[SequenceSpec] = []
     for spec in specs:
         head, *rest = spec.split(":")
+        if head not in _SEQUENCE_ARGS:
+            raise ValueError(f"unknown sequence spec {spec!r}")
+        names = _SEQUENCE_ARGS[head]
+        if len(rest) != len(names) or not all(re.fullmatch(r"-?\d+", a) for a in rest):
+            form = ":".join([head, *(f"<{a}>" for a in names)])
+            raise ValueError(f'"sequences" entry {spec!r} is not of the form {form}')
+        args = [int(a) for a in rest]
         if head == "catalan":
             out.append(catalan_sequence(length))
         elif head == "binom_row":
-            out.append(binomial_row_sequence(int(rest[0]), length))
+            out.append(binomial_row_sequence(args[0], length))
         elif head == "binom_column":
-            out.append(binomial_column_sequence(int(rest[0]), length))
-        elif head == "random":
-            count, seed = int(rest[0]), int(rest[1])
-            out.extend(seeded_random_sequences(count, length, seed))
+            out.append(binomial_column_sequence(args[0], length))
         else:
-            raise ValueError(f"unknown sequence spec {spec!r}")
+            out.extend(seeded_random_sequences(args[0], length, args[1]))
     return out
 
 
 def _transform_grid(grid: dict) -> list[tuple[int, int]]:
     if "total_max" in grid:
-        t = int(grid["total_max"])
+        t = _integer(grid, "total_max", "the grid")
         return [(n, m) for n in range(t + 1) for m in range(t + 1 - n)]
-    n_max, m_max = int(grid["n_max"]), int(grid["m_max"])
+    n_max, m_max = _integer(grid, "n_max", "the grid"), _integer(grid, "m_max", "the grid")
     return [(n, m) for n in range(n_max + 1) for m in range(m_max + 1)]
 
 
 def _check_transform_identity(case: dict) -> str | None:
     """Every sequence at every point, on one Pascal triangle for the case."""
-    points = _transform_grid(case["grid"])
-    seqs = _sequences(case["sequences"], max(n + m for n, m in points) + 1) if points else []
+    points = _transform_grid(_field(case, "grid"))
+    seqs = (_sequences(_field(case, "sequences"), max(n + m for n, m in points) + 1)
+            if points else [])
     if not seqs:
         return _NO_POINT
     failure = _transform_failure(seqs, points)
@@ -225,16 +352,18 @@ def _check_transform_identity(case: dict) -> str | None:
 
 
 def _check_lower_triangle(case: dict) -> str | None:
-    if int(case["n_max"]) < 0:
+    """Every n in 0..n_max, on one Pascal triangle for the case."""
+    n_max = _integer(case, "n_max")
+    if n_max < 0:
         return _NO_POINT
-    for n in range(int(case["n_max"]) + 1):
-        if not check_lower_triangle_identity(n):
-            return f"lower-triangle identity fails at n={n}"
+    failure = _lower_triangle_failure(range(n_max + 1))
+    if failure is not None:
+        return f"lower-triangle identity fails at n={failure}"
     return None
 
 
 def _check_power_identity(case: dict) -> str | None:
-    n_max, m_max = int(case["n_max"]), int(case["m_max"])
+    n_max, m_max = _integer(case, "n_max"), _integer(case, "m_max")
     if min(n_max, m_max) < 0:
         return _NO_POINT
     failure = _power_failure([(n, m) for n in range(n_max + 1) for m in range(m_max + 1)])
@@ -250,10 +379,11 @@ _SERIES_CHECKS = {
 
 
 def _check_convolution_identity(case: dict) -> str | None:
-    order = int(case.get("order", 64))
-    if not case["checks"]:
+    order = _integer(case, "order", default=64)
+    checks = _field(case, "checks")
+    if not checks:
         return _NO_POINT
-    for name in case["checks"]:
+    for name in checks:
         try:
             fn = _SERIES_CHECKS[name]
         except KeyError:

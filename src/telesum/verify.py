@@ -33,11 +33,15 @@ class VerificationError(Exception):
     pass
 
 
-def _exact_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """The exact sum of num/den over int pairs (num, den), den != 0: a running
-    numerator over one common denominator, a plain int add for a pair over it
-    or over 1, an lcm by one gcd for any other, and one Fraction at the end."""
-    total, common = 0, 1
+def _pair_sum(
+    pairs: Iterable[tuple[int, int]], total: int = 0, common: int = 1,
+    running: list[tuple[int, int]] | None = None,
+) -> tuple[int, int]:
+    """total/common plus the sum of num/den over int pairs (num, den),
+    den != 0, as one int pair (total, common): a running numerator over one
+    common denominator, a plain int add for a pair over it or over 1, and an
+    lcm by one gcd for any other.  Each running sum is appended to running
+    when it is given."""
     for num, den in pairs:
         if den == common:
             total += num
@@ -47,7 +51,15 @@ def _exact_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
             g = math.gcd(common, den)
             total = total * (den // g) + num * (common // g)
             common = common // g * den
-    return Fraction(total, common)
+        if running is not None:
+            running.append((total, common))
+    return total, common
+
+
+def _exact_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """The exact sum of num/den over int pairs (num, den), den != 0, by
+    ``_pair_sum``, and one Fraction at the end."""
+    return Fraction(*_pair_sum(pairs))
 
 
 def oracle_sum(term: HyperTerm, n: int, k_lo: int, k_hi: int) -> Fraction:
@@ -272,27 +284,76 @@ def _pascal(top: int) -> dict[int, list[int]]:
     return rows
 
 
+def _transform_mismatch(
+    a: Sequence[int], points: Sequence[tuple[int, int]], rows: dict[int, list[int]],
+    check: Callable[[int], object] | None = None,
+) -> tuple[int, int] | None:
+    """The first (n, m) where the binomial transform identity fails on the
+    int sequence a, or None; check(n + m) runs first at each point with
+    n + m >= 0.  b_m(i) = sum_j binom(m,j) a_{i+j} is computed once per m
+    and shared by every n, the left side being sum_i binom(n,i) b_m(i)."""
+    inner: dict[int, list[int]] = {}
+    for n, m in points:
+        top = n + m
+        if check is not None and top >= 0:
+            check(top)
+        b = inner.setdefault(m, [])
+        for i in range(len(b), n + 1):
+            b.append(sum(c * a[i + j] for j, c in enumerate(rows.get(m, ()))))
+        lhs = sum(map(operator.mul, rows.get(n, ()), b))
+        if lhs != sum(map(operator.mul, rows.get(top, ()), a)):
+            return n, m
+    return None
+
+
+def _packed_transform_holds(
+    seqs: Sequence[SequenceSpec], points: Sequence[tuple[int, int]], rows: dict[int, list[int]]
+) -> bool:
+    """True when one pass on a packed sequence proves the transform identity
+    for every sequence at every point; False says nothing.
+
+    Entry i of the packed sequence is sum_s a_s(i) 2^(w s), each sequence's
+    scaled value a signed digit.  Both sides are linear in the sequence, so
+    each packed side is sum_s X_s 2^(w s), X_s that side for sequence s.
+    When every row t read has at most t + 1 entries, no side reads past
+    index n + m, and |X_s| is at most l1(row n) l1(row m) M on the left and
+    l1(row n+m) M on the right, M the largest |a_s(i)| read.  w is the bit
+    length of the largest such bound on |lhs_s - rhs_s|, so every digit of
+    the packed difference lies strictly between -2^w and 2^w; its lowest
+    nonzero digit would have to be a multiple of 2^w, so the packed sides
+    are equal only when the sides of every sequence are.  A sequence too
+    short for a point, or a longer row, gives False."""
+    length = max((n + m for n, m in points), default=-1) + 1
+    read = {t for n, m in points for t in (n, m, n + m)}
+    if any(seq.length < length for seq in seqs) or any(
+            len(rows.get(t, ())) > max(t + 1, 0) for t in read):
+        return False
+    l1 = {t: sum(map(abs, rows.get(t, ()))) for t in read}
+    reach = max((l1[n] * l1[m] + l1[n + m] for n, m in points), default=0)
+    biggest = max((abs(v) for seq in seqs for v in seq.scaled[:length]), default=0)
+    w = max((reach * biggest).bit_length(), 1)
+    packed = [0] * length
+    for seq in reversed(seqs):
+        packed = [(p << w) + v for p, v in zip(packed, seq.scaled)]
+    return _transform_mismatch(packed, points, rows) is None
+
+
 def _transform_failure(
     seqs: Sequence[SequenceSpec], points: Sequence[tuple[int, int]]
 ) -> tuple[SequenceSpec, int, int] | None:
     """The first (sequence, n, m), sequences outermost, where the binomial
-    transform identity fails, or None.  One Pascal triangle serves all points;
-    b_m(i) = sum_j binom(m,j) a_{i+j} is computed once per sequence and m and
-    shared by every n, the left side being sum_i binom(n,i) b_m(i)."""
+    transform identity fails, or None.  One Pascal triangle serves all points.
+    With more than one sequence, one packed pass (``_packed_transform_holds``)
+    proves them all at once; only when it cannot is each sequence checked on
+    its own, which finds the failure, or the IndexError of a sequence too
+    short, that the sequences in turn meet first."""
     rows = _pascal(max((max(n, m, n + m) for n, m in points), default=-1))
+    if len(seqs) > 1 and _packed_transform_holds(seqs, points, rows):
+        return None
     for seq in seqs:
-        a = seq.scaled
-        inner: dict[int, list[int]] = {}
-        for n, m in points:
-            top = n + m
-            if top >= 0:
-                seq.value(top)  # raises IndexError past the sequence's end
-            b = inner.setdefault(m, [])
-            for i in range(len(b), n + 1):
-                b.append(sum(c * a[i + j] for j, c in enumerate(rows.get(m, ()))))
-            lhs = sum(map(operator.mul, rows.get(n, ()), b))
-            if lhs != sum(map(operator.mul, rows.get(top, ()), a)):
-                return seq, n, m
+        failure = _transform_mismatch(seq.scaled, points, rows, seq.value)
+        if failure is not None:
+            return seq, *failure
     return None
 
 
@@ -329,15 +390,25 @@ def check_transform_power_identity(n: int, m: int) -> bool:
     return _power_failure([(n, m)]) is None
 
 
+def _lower_triangle_failure(ns: Iterable[int]) -> int | None:
+    """The first n where the lower-triangle identity fails, or None.  One
+    Pascal triangle serves every n; for n < 0 both sums are empty."""
+    ns = list(ns)
+    rows = _pascal(2 * max(ns, default=0))
+    for n in ns:
+        if n < 0:
+            continue
+        row = rows[n]  # binom(i+j, n) is 0 for i + j < n
+        lhs = sum(row[i] * row[j] * rows[i + j][n]
+                  for j in range(n + 1) for i in range(max(n - j, 0), j))
+        rhs = sum(row[i] * row[j] ** 2 for j in range(n + 1) for i in range(j))
+        if lhs != rhs:
+            return n
+    return None
+
+
 def check_lower_triangle_identity(n: int) -> bool:
     """sum_{i<j} binom(n,i) binom(n,j) binom(i+j,n)
-       == sum_{i<j} binom(n,i) binom(n,j)^2, both over 0 <= i < j <= n."""
-    lhs = 0
-    rhs = 0
-    for j in range(n + 1):
-        bj = binomial_value(n, j)
-        for i in range(j):
-            bi = binomial_value(n, i)
-            lhs += bi * bj * binomial_value(i + j, n)
-            rhs += bi * bj * bj
-    return lhs == rhs
+       == sum_{i<j} binom(n,i) binom(n,j)^2, both over 0 <= i < j <= n,
+    by ``_lower_triangle_failure``."""
+    return _lower_triangle_failure([n]) is None

@@ -472,6 +472,71 @@ def test_a_planted_wrong_binomial_fails_at_the_same_first_point(case, t, j, delt
                 assert check_binomial_transform(seq, n, m) == (direct is None), (seq.name, n, m)
 
 
+def _one_by_one(seqs, points):
+    """What checking each sequence on its own reports first: a failing
+    (name, n, m), the IndexError of a sequence too short, or None."""
+    try:
+        for seq in seqs:
+            failure = _shared_transform_failure([seq], points)
+            if failure:
+                return failure
+    except IndexError as exc:
+        return str(exc)
+    return None
+
+
+def _packed_or_not(seqs, points):
+    try:
+        return _shared_transform_failure(seqs, points)
+    except IndexError as exc:
+        return str(exc)
+
+
+big_fractions = st.builds(Fraction, st.integers(-2**200, 2**200), st.integers(1, 2**40))
+uneven_cases = st.tuples(
+    st.lists(st.lists(st.one_of(fractions, big_fractions), min_size=0, max_size=14),
+             min_size=2, max_size=5),
+    transform_cases.map(lambda case: case[1]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(uneven_cases, st.integers(0, 12), st.integers(0, 12), st.integers(-3, 3))
+def test_the_packed_pass_agrees_with_the_sequences_one_by_one(case, t, j, delta):
+    """Large values, unequal lengths, and a Pascal triangle perhaps wrong in
+    one entry: the packed pass decides as the sequences checked one at a
+    time do, and proves them all only when each of them holds."""
+    values, points = case
+    seqs = [rational_sequence(f"s{i}", v) for i, v in enumerate(values)]
+    j = min(j, t)
+    real = verify._pascal
+
+    def planted(top):
+        rows = real(top)
+        if t < len(rows):
+            rows[t][j] += delta
+        return rows
+
+    with mock.patch.object(verify, "_pascal", planted):
+        want = _one_by_one(seqs, points)
+        assert _packed_or_not(seqs, points) == want
+        rows = planted(max(max(n, m, n + m) for n, m in points))
+    if verify._packed_transform_holds(seqs, points, rows):
+        assert want is None
+
+
+@pytest.mark.parametrize("bits", [0, 1, 2, 31, 32, 63, 64, 65, 200])
+def test_the_packed_width_is_no_narrower_than_its_bound(bits):
+    """The bound on a digit is met: with the rows [0] and [1], the point
+    (1, 0) reads lhs 0 and rhs a_0, so a_0 = -2^bits and a_0 = 1 differ by
+    2^bits and -1.  One bit narrower, the two digits would cancel and the
+    packed pass would prove two failing sequences."""
+    seqs = [rational_sequence("low", [-2**bits, 0]), rational_sequence("high", [1, 0])]
+    with mock.patch.object(verify, "_pascal", lambda top: {0: [0], 1: [1]}):
+        assert _shared_transform_failure(seqs, [(1, 0)]) == ("low", 1, 0)
+        assert not verify._packed_transform_holds(seqs, [(1, 0)], {0: [0], 1: [1]})
+
+
 def test_transform_power_identity():
     for n in range(7):
         for m in range(7):
@@ -510,6 +575,35 @@ def test_shared_power_identity_is_the_direct_double_sum():
 def test_lower_triangle_identity():
     for n in range(12):
         assert check_lower_triangle_identity(n)
+
+
+def _direct_lower_triangle(n, binom=binomial_value):
+    lhs = sum(binom(n, i) * binom(n, j) * binom(i + j, n) for j in range(n + 1) for i in range(j))
+    return lhs == sum(binom(n, i) * binom(n, j) ** 2 for j in range(n + 1) for i in range(j))
+
+
+@pytest.mark.parametrize("t, j, delta", [(4, 2, 1), (7, 3, -2), (9, 5, 1), (13, 6, 3)])
+def test_the_lower_triangle_check_finds_a_planted_wrong_binomial(t, j, delta):
+    """On one Pascal triangle for all n, one entry binom(t, j) made wrong
+    shows at the first n the direct double sum with that entry fails."""
+    real = verify._pascal
+
+    def planted(top):
+        rows = real(top)
+        if t < len(rows):
+            rows[t][j] += delta
+        return rows
+
+    def binom(a, b):
+        return binomial_value(a, b) + (delta if (a, b) == (t, j) else 0)
+
+    ns = range(-2, 16)
+    assert verify._lower_triangle_failure(ns) is None
+    assert all(check_lower_triangle_identity(n) == _direct_lower_triangle(n) for n in ns)
+    want = next((n for n in ns if not _direct_lower_triangle(n, binom)), None)
+    assert want is not None
+    with mock.patch.object(verify, "_pascal", planted):
+        assert verify._lower_triangle_failure(ns) == want
 
 
 def test_sequence_scaled_to_one_common_denominator():
