@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 usage or parse problems, 2 not summable,
 3 a search bound was exhausted, 4 a verification failure, 141 (128 +
-SIGPIPE) when the reader closed stdout early.  Output is
+SIGPIPE) when the reader closed stdout early.  ``zeil`` exits 3 with
+status ``gosper_summable`` when the search ends at order 0: the summand
+itself telescopes, so its sums are boundary terms G(n,hi+1) - G(n,lo),
+G = R*F, and no homogeneous recurrence is claimed.  Output is
 deterministic for identical inputs; --machine switches to JSON lines
 with every integer rendered as a decimal string.
 """
@@ -30,6 +33,7 @@ from .hyperterm import (
     parse_term,
 )
 from .polynomials import ZN_ONE, Polynomial, ZnPoly
+from .serialize import ratfun_to_record, ratfun_to_text
 from .series import known_gf
 from .suite import load_suite, report_lines, run_identity_suite
 from .verify import WZPair, VerificationError, oracle_sum
@@ -142,6 +146,12 @@ def _cmd_zeil(args) -> int:
         _emit(args, {"status": "no_recurrence", "max_order": exc.max_order},
               f"no recurrence found: {exc}")
         return EXIT_SEARCH_EXHAUSTED
+    if cert.recurrence.order == 0:  # F itself telescopes: its sums are boundary terms, not 0
+        r = cert.certificate_pair
+        _emit(args, lambda: {"status": "gosper_summable", "R": ratfun_to_record(r)},
+              lambda: "no recurrence: the summand is Gosper-summable; its sum over k = lo..hi is"
+              f" G(n,hi+1) - G(n,lo) with G = R(n,k)*F(n,k)\nR(n,k) = {ratfun_to_text(r)}")
+        return EXIT_SEARCH_EXHAUSTED
     _emit(args, lambda: {"status": "ok", "term": args.term, **cert.record()}, cert.text)
     return EXIT_OK
 
@@ -216,7 +226,10 @@ def _cmd_series(args) -> int:
         raise _UsageError(f"--family-index must be >= 0, got {args.family_index}")
     if (args.family_index or 0) > MAX_SERIES_ORDER:
         raise _UsageError(f"--family-index must be <= {MAX_SERIES_ORDER}, got {args.family_index}")
-    gf = known_gf(args.name, args.order, args.family_index)
+    try:
+        gf = known_gf(args.name, args.order, args.family_index)
+    except KeyError as exc:  # an unknown series name
+        raise _UsageError(exc.args[0]) from None
     for i in range(gf.order + 1):
         value = gf.coeff(i)
         _emit(args, {"index": i, "value": value}, f"{i}: {value}")
@@ -320,9 +333,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except UnboundParameterError as exc:
         print(f"usage error: {exc} (use --param NAME=INT)", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyError as exc:
-        print(f"usage error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except (BoundaryCheckError, DegenerateSampleError) as exc:
         print(f"search bound exhausted: {exc}", file=sys.stderr)

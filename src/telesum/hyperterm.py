@@ -630,9 +630,9 @@ class _Parser:
         return atoms
 
     def parse_atom(self):
-        """A tagged tuple: a binom or fact factor, a constant base to a
-        linear exponent (``power``), or a prefactor piece (``poly``): an
-        expression, an integer power and the position of that power."""
+        """A triple (item, e, pos): a ``BinomialFactor``, ``FactorialFactor``
+        or ``PowerFactor`` to an integer power e, or a prefactor piece, an
+        expression (a tuple) to the integer power e given at pos."""
         kind, val, pos = self.peek()
         if kind == "name":
             self.next()
@@ -642,18 +642,18 @@ class _Parser:
                 self.expect_op(",")
                 second = self.parse_form()
                 self.expect_op(")")
-                return ("binom", first, second, self.parse_int_power())
+                return BinomialFactor(first, second), self.parse_int_power(), pos
             self.expect_op(")")
-            return ("fact", first, self.parse_int_power())
+            return FactorialFactor(first), self.parse_int_power(), pos
         if kind not in ("int", "sym") and (kind, val) != ("op", "("):
             raise ParseError("expected a factor", pos, self.text)
         ast = self.parse_poly_primary()
         if self.peek()[:2] != ("op", "^"):
-            return ("poly", ast, 1, pos)
+            return ast, 1, pos
         self.next()
         kind, val, epos = self.peek()
         if kind == "int" or (kind, val) == ("op", "-"):
-            return ("poly", ast, self.parse_signed_int(), epos)
+            return ast, self.parse_signed_int(), epos
         if kind != "sym" and (kind, val) != ("op", "("):
             raise ParseError("expected exponent", epos, self.text)
         if _has_symbol(ast):
@@ -663,10 +663,10 @@ class _Parser:
         p, d = _poly_eval(ast, None)
         base = Fraction(p.coeff(0)(0), d)
         if base:
-            return ("power", base, lin, e)
+            return PowerFactor(base, lin), e, pos
         if not lin.is_constant():
             raise ParseError("a zero base may not carry a symbolic exponent", epos, self.text)
-        return ("poly", ast, lin.constant * e, epos)
+        return ast, lin.constant * e, epos
 
     def parse_int_power(self) -> int:
         kind, val, _ = self.peek()
@@ -850,11 +850,12 @@ def parse_n_polynomial(text: str, binding: ParamBinding | None = None) -> tuple[
 def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
     """Parse the ASCII grammar into a canonical HyperTerm.
 
-    With a binding, parameter symbols are substituted immediately (and may
-    then appear inside rational prefactors); without one they stay symbolic
-    and are restricted to binomial/factorial/power arguments.  Binding
-    values are checked as HyperTerm.bind checks them.  Each prefactor piece
-    is evaluated to a pair in Z[n][k], and the product reduced once.
+    With a binding, parameter symbols may appear inside rational prefactors,
+    where they are substituted as each piece is evaluated, and the factors'
+    arguments are bound by ``HyperTerm.bind`` on the parsed term; without
+    one they stay symbolic and are restricted to binomial/factorial/power
+    arguments.  Binding values are checked first.  Each prefactor piece is
+    evaluated to a pair in Z[n][k], and the product reduced once.
     """
     if binding:
         _check_binding(binding)
@@ -865,42 +866,27 @@ def parse_term(text: str, binding: ParamBinding | None = None) -> HyperTerm:
 
     def absorb(atoms: list, sign: int) -> None:
         nonlocal pref_num, pref_den
-        for atom in atoms:
-            tag = atom[0]
-            if tag == "binom":
-                _, top, bottom, e = atom
-                if binding:
-                    top, bottom = top.bind(binding), bottom.bind(binding)
-                factors.append((BinomialFactor(top, bottom), sign * e))
-            elif tag == "fact":
-                _, arg, e = atom
-                if binding:
-                    arg = arg.bind(binding)
-                factors.append((FactorialFactor(arg), sign * e))
-            elif tag == "power":
-                _, base, lin, e = atom
-                if binding:
-                    lin = lin.bind(binding)
-                factors.append((PowerFactor(base, lin), sign * e))
-            else:  # a prefactor piece p/d to the power e
-                _, ast, e, pos = atom
-                top, d = _poly_eval(ast, binding)
-                bottom = Polynomial((ZnPoly((d,)),))
-                if e < 0:
-                    if not top:
-                        raise ParseError("zero base with a negative exponent", pos, text)
-                    top, bottom, e = bottom, top, -e
-                if e != 1:
-                    top, bottom = top**e, bottom**e
-                if sign < 0:
-                    top, bottom = bottom, top
-                pref_num, pref_den = pref_num * top, pref_den * bottom
+        for item, e, pos in atoms:
+            if not isinstance(item, tuple):  # a factor
+                factors.append((item, sign * e))
+                continue
+            top, d = _poly_eval(item, binding)  # a prefactor piece p/d to the power e
+            bottom = Polynomial((ZnPoly((d,)),))
+            if e < 0:
+                if not top:
+                    raise ParseError("zero base with a negative exponent", pos, text)
+                top, bottom, e = bottom, top, -e
+            if e != 1:
+                top, bottom = top**e, bottom**e
+            if sign < 0:
+                top, bottom = bottom, top
+            pref_num, pref_den = pref_num * top, pref_den * bottom
 
     absorb(num_atoms, 1)
     absorb(den_atoms, -1)
     if not pref_den:
         raise ParseError("prefactor denominator is identically zero", 0, text)
-    return HyperTerm(factors, zn_reduced(pref_num, pref_den))
+    return HyperTerm(factors, zn_reduced(pref_num, pref_den)).bind(binding)
 
 
 # ---------------------------------------------------------------------------

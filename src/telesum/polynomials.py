@@ -3,8 +3,10 @@
 ``ZnPoly`` is Z[n], ascending int coefficients in a tuple; it is the one
 coefficient type.  A ``Polynomial`` is dense over it, in k: Z[n][k], the one
 exact form of the engine.  Its products, powers and int shifts run on int
-rows (``_rows_mul``, ``_rows_shift``), and its exact quotient, as
-``ZnPoly``'s, is None where the division is not exact.  ``zn_reduced``
+rows (``_rows_mul``, ``_rows_shift``; ``ZnPoly.shift`` is the same Taylor
+shift on one-entry rows).  One long division, ``_exact_division``, gives the
+exact quotient in Z[n] and in Z[n][k], None where the division is not
+exact.  ``zn_reduced``
 brings a pair num/den in Z[n][k] to lowest terms by the cofactors of
 ``_zn_gcd``; a ``RationalFunction``, an element of Q(n)(k), is such a
 reduced pair.  ``FactoredRatio`` keeps a quotient as multisets of primitive
@@ -126,24 +128,13 @@ class Polynomial:
         return result
 
     def quotient(self, other: "Polynomial") -> "Polynomial | None":
-        """self / other in Z[n][k] by long division, or None when other does
-        not divide self there (a coefficient division in Z[n] that is not
-        exact included), as ``ZnPoly.quotient`` in Z[n]."""
+        """self / other in Z[n][k] by ``_exact_division``, or None when other
+        does not divide self there (a coefficient division in Z[n] that is
+        not exact included)."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem, divisor = list(self.coeffs), other.coeffs
-        db, lead = len(divisor) - 1, divisor[-1]
-        if len(rem) <= db:
-            return None if rem else self
-        quot = [ZN_ZERO] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            if rem[i]:
-                q = quot[i - db] = rem[i].quotient(lead)
-                if q is None:
-                    return None
-                for j, b in enumerate(divisor, i - db):
-                    rem[j] = rem[j] - q * b
-        return None if any(rem[:db]) else Polynomial(quot)
+        quot = _exact_division(list(self.coeffs), other.coeffs, ZnPoly.quotient)
+        return None if quot is None else Polynomial(quot)
 
     # -- substitution ---------------------------------------------------
 
@@ -371,7 +362,7 @@ def _zn_gcd(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> tuple[list[ZnPoly],
             images.append(g)
         if len(points) == need:
             cand = _zn_primitive_part(_interpolate_images(points, images, gamma))
-            nq, dq = _zn_quotient(num, cand), _zn_quotient(den, cand)
+            nq, dq = (_exact_division(list(f), cand, ZnPoly.quotient) for f in (num, den))
             if nq is not None and dq is not None:
                 return cand, nq, dq
             points, images = [], []
@@ -604,12 +595,9 @@ class ZnPoly(tuple):
         return acc
 
     def shift(self, j: int) -> "ZnPoly":
-        """self(n + j), by repeated synthetic division (Taylor shift)."""
-        out = list(self)
-        for i in range(len(out) - 1):
-            for t in range(len(out) - 2, i - 1, -1):
-                out[t] += j * out[t + 1]
-        return tuple.__new__(ZnPoly, out)
+        """self(n + j): the Taylor shift ``_rows_shift`` of one-entry rows."""
+        rows = _rows_shift([(c,) for c in self], j) if self else ()
+        return tuple.__new__(ZnPoly, [r[0] for r in rows])
 
     def __neg__(self) -> "ZnPoly":
         return tuple.__new__(ZnPoly, [-c for c in self])
@@ -652,27 +640,37 @@ class ZnPoly(tuple):
     __rmul__ = __mul__  # not tuple repetition: an int times a ZnPoly is a TypeError
 
     def quotient(self, other: "ZnPoly") -> "ZnPoly | None":
-        """self / other in Z[n], or None when the division is not exact."""
+        """self / other in Z[n] by ``_exact_division``, or None when the
+        division is not exact."""
         if not other:
             raise ZeroDivisionError("division by zero in Z[n]")
         if len(other) == 1 and other[0] == 1:
             return self
-        rem = list(self)
-        db, lead = len(other) - 1, other[-1]
-        if len(rem) <= db:
-            return None if rem else self
-        quot = [0] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            if rem[i]:
-                q, r = divmod(rem[i], lead)
-                if r:
-                    return None
-                quot[i - db] = q
-                for j, b in enumerate(other, i - db):
-                    rem[j] -= q * b
-        if any(rem[:db]):
+        quot = _exact_division(list(self), other, _int_quotient)
+        return None if quot is None else tuple.__new__(ZnPoly, quot)
+
+
+def _int_quotient(a: int, b: int) -> int | None:
+    q, r = divmod(a, b)
+    return None if r else q
+
+
+def _exact_division(rem: list, divisor: Sequence, divide: Callable) -> list | None:
+    """The quotient of rem by divisor, coefficient lists over Z or Z[n]
+    (lowest first, divisor's top nonzero), by long division, or None when
+    it is not exact: divide(a, b) is a/b in the coefficient ring, or None
+    when that is not exact.  rem is used up."""
+    db, lead = len(divisor) - 1, divisor[-1]
+    quot = []
+    for i in range(len(rem) - 1, db - 1, -1):
+        q = rem[i] and divide(rem[i], lead)  # a zero rem[i] is a zero of the ring
+        if q is None:
             return None
-        return tuple.__new__(ZnPoly, quot)
+        quot.append(q)
+        if q:
+            for j, b in enumerate(divisor, i - db):
+                rem[j] = rem[j] - q * b
+    return None if any(rem[:db]) else quot[::-1]
 
 
 def _rows_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -692,7 +690,7 @@ def _rows_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[li
 
 def _rows_shift(rows: Sequence[Sequence[int]], j: int) -> list[list[int]]:
     """The int rows of p(k + j), p in Z[n][k] given as int rows: a Taylor
-    shift by synthetic division, as ``ZnPoly.shift`` does in n."""
+    shift by repeated synthetic division."""
     width = max(map(len, rows))
     out = [[*r, *[0] * (width - len(r))] for r in rows]
     for i in range(len(out) - 1):
@@ -730,13 +728,6 @@ def _zn_primitive_part(rows: list[ZnPoly]) -> list[ZnPoly]:
     if g != 1:
         rows = [ZnPoly([c // g for c in r]) for r in rows]
     return rows
-
-
-def _zn_quotient(rows: Sequence[ZnPoly], divisor: list[ZnPoly]) -> list[ZnPoly] | None:
-    """rows / divisor for polynomials in k over Z[n], or None when it does not
-    divide in Z[n][k]."""
-    quot = Polynomial(rows).quotient(Polynomial(divisor))
-    return None if quot is None else list(quot.coeffs)
 
 
 def _interpolate_images(

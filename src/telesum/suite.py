@@ -116,20 +116,16 @@ def _grid(grid: dict) -> tuple[list[str], list[range]]:
     return names, ranges
 
 
-class _Values(dict):
-    """(num, den) values of one bound term at one n, by k, each evaluated on
-    first use (``TermEvaluator.pair``), and by lower limit lo the running
-    sums over lo..lo+i, each an int pair (total, common)."""
+class _Values:
+    """Running sums of one bound term's (num, den) values at one n, by lower
+    limit lo: the sums over lo..lo+i, each an int pair (total, common).  A
+    value is evaluated (``TermEvaluator.pair``) when a sum from lo first
+    reaches it, and read only there."""
 
     def __init__(self, term: HyperTerm, n: int) -> None:
         self.term, self.n, self.runs = term, n, {}
 
-    def __missing__(self, k: int) -> tuple[int, int]:
-        value = self[k] = self.term.evaluator().pair(self.n, k)
-        return value
-
     def at(self, n: int) -> None:
-        self.clear()
         self.runs.clear()
         self.n = n
 
@@ -142,7 +138,8 @@ class _Values(dict):
         if run is None:
             run = self.runs[lo] = []
         if len(run) <= hi - lo:
-            values = map(self.__getitem__, range(lo + len(run), hi + 1))
+            pair, n = self.term.evaluator().pair, self.n
+            values = (pair(n, k) for k in range(lo + len(run), hi + 1))
             _pair_sum(values, *(run[-1] if run else (0, 1)), run)
         return run[hi - lo]
 

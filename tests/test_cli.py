@@ -126,6 +126,25 @@ def test_zeil_jmax_below_one_exit_one(jmax, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    [SUMMAND_11897], ["(-1)^k*binom(n,k)"], [F_11916, "--param", "r=3"], ["(n-2k)*binom(n,k)"],
+])
+def test_zeil_refuses_an_order_zero_result_as_gosper_summable(argv, capsys):
+    """An order-0 certificate says F itself telescopes: its sums are the
+    boundary terms of G = R*F, not 0, so no recurrence is printed."""
+    assert main(["zeil", *argv]) == 3
+    first, r_line = capsys.readouterr().out.splitlines()
+    assert first == ("no recurrence: the summand is Gosper-summable; its sum over k = lo..hi"
+                     " is G(n,hi+1) - G(n,lo) with G = R(n,k)*F(n,k)")
+    assert main(["zeil", "--machine", *argv]) == 3
+    (rec,) = _machine_lines(capsys)
+    assert list(rec) == ["status", "R"] and rec["status"] == "gosper_summable"
+    big_r = record_to_ratfun(rec["R"])
+    assert r_line == f"R(n,k) = {big_r}"
+    r = shift_quotient(parse_term(argv[0], {"r": 3}), "k")
+    assert (big_r.shift(1) * r - big_r).is_one()
+
+
 def test_zeil_machine_matches_plain_run(capsys):
     assert main(["zeil", "--machine", "binom(n,k)"]) == 0
     (rec,) = _machine_lines(capsys)
@@ -266,6 +285,18 @@ def test_series_catalan(capsys):
 def test_series_unknown_name_exit_one(capsys):
     assert main(["series", "no-such-series"]) == 1
     assert "no-such-series" in capsys.readouterr().err
+    assert main(["series", "foo"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: unknown series 'foo'; known: catalan, central, shifted-central, ballot\n")
+
+
+def test_a_key_error_from_a_solver_is_not_a_usage_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("a fault inside the solver")
+
+    monkeypatch.setattr(cli, "creative_telescope", broken)
+    with pytest.raises(KeyError, match="a fault inside the solver"):
+        main(["zeil", "binom(n,k)"])
 
 
 @pytest.mark.parametrize("name", ["catalan", "central", "shifted-central", "ballot"])

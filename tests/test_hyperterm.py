@@ -517,20 +517,24 @@ def test_compiled_evaluator_matches_reference(text):
 
 
 def test_bound_term_evaluates_like_one_parsed_with_the_binding():
-    text = "binom(n+r,k)*2^(r-k)*fact(s-k)/(k+1)"
-    parent = parse_term(text)
-    for r in range(3):
-        for s in range(3):
-            binding = {"r": r, "s": s}
-            bound = parent.bind(binding)
-            parsed = parse_term(text, binding)
-            assert bound == parsed
-            # the prefactor's pair is shared, not rebuilt
-            assert bound.prefactor is parent.prefactor
-            for n in range(5):
-                for k in range(-2, 7):
-                    want = _outcome(eval_term, parsed, n, k)
-                    assert _outcome(eval_term, bound, n, k) == want
+    # binom(n,r)*binom(n,2) merges into binom(n,2)^2 only at r = 2
+    for text in ("binom(n+r,k)*2^(r-k)*fact(s-k)/(k+1)", "binom(n,r)*binom(n,2)",
+                 "(1/2)^(n+r)*binom(n,k)"):
+        parent = parse_term(text)
+        for r in range(3):
+            for s in range(3):
+                binding = {"r": r, "s": s}
+                bound = parent.bind(binding)
+                parsed = parse_term(text, binding)
+                assert bound == parsed
+                # the same term as the text with the values written in
+                assert parsed == parse_term(text.replace("r", f"({r})").replace("s", f"({s})"))
+                # the prefactor's pair is shared, not rebuilt
+                assert bound.prefactor is parent.prefactor
+                for n in range(5):
+                    for k in range(-2, 7):
+                        want = _outcome(eval_term, parsed, n, k)
+                        assert _outcome(eval_term, bound, n, k) == want
 
 
 def _answer(fn, t):

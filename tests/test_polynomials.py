@@ -151,6 +151,9 @@ def test_quotient_is_exact_or_none():
     assert _zk(1, 0, 1).quotient(_zk(1, 1)) is None  # a remainder
     assert _zk(1, 1).quotient(_zk(1, 2)) is None  # a coefficient division is not exact
     assert _znk((0, 2), (0, 0, 2)).quotient(_znk((0, 2))) == _znk((1,), (0, 1))
+    # coefficient divisions in Z[n] that are not exact: n/(2n), and (n+1)/n
+    assert _znk((1,), (0, 1)).quotient(_znk((1,), (0, 2))) is None
+    assert _znk((), (1, 1)).quotient(_znk((), (0, 1))) is None
     assert _zk(3).quotient(_zk(1, 1)) is None and _zk().quotient(_zk(1, 1)) == _zk()
     with pytest.raises(ZeroDivisionError):
         _zk(1, 1).quotient(_zk())

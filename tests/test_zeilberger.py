@@ -115,6 +115,18 @@ def test_inhomogeneous_11899_reduction():
         assert rec.apply(w, n) == eval_term(rhs_term, n, 0)
 
 
+def test_an_order_zero_certificate_sums_to_its_boundary_terms():
+    """The 11897 summand is Gosper-summable: creative telescoping stops at
+    order 0 with a true certificate, and the sum over its support k = 0..n+1
+    is G(n, n+2) - G(n, 0), G = R*F, not 0."""
+    term = parse_term("binom(2k,k)*binom(2n-2k+2,n-k+1)/(k+1)")
+    cert = creative_telescope(term)
+    assert cert.recurrence.coeffs == (ZnPoly((1,)),) and cert.check()
+    g = cert.companion()
+    sums = [eval_term(g, n, n + 2) - eval_term(g, n, 0) for n in range(4)]
+    assert sums == [natural_sum(term, n) for n in range(4)] == [3, 10, 35, 126]
+
+
 def test_recurrence_to_text():
     cert = creative_telescope(parse_term("binom(n,k)"))
     assert cert.recurrence.to_text() == "(-2)*w(n) + (1)*w(n+1) = 0"
