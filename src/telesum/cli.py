@@ -261,14 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument(
-            "--param",
-            action="append",
-            default=[],
-            metavar="NAME=INT",
-            help="bind an auxiliary parameter (repeatable)",
-        )
+    def common(p, param=True):
+        if param:
+            p.add_argument(
+                "--param",
+                action="append",
+                default=[],
+                metavar="NAME=INT",
+                help="bind an auxiliary parameter (repeatable)",
+            )
         p.add_argument(
             "--machine", action="store_true", help="JSON-lines output, ints as strings"
         )
@@ -309,12 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("--order", type=int, default=64)
     p.add_argument("--family-index", type=int, default=None)
-    common(p)
+    common(p, param=False)
     p.set_defaults(fn=_cmd_series)
 
     p = sub.add_parser("suite", help="run an identity suite manifest")
     p.add_argument("path")
-    common(p)
+    common(p, param=False)
     p.set_defaults(fn=_cmd_suite)
 
     return top

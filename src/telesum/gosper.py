@@ -21,13 +21,13 @@ The normal form is read off the factors of r (``FactoredRatio``), as in
 Petkovsek-Wilf-Zeilberger, *A = B*, ch. 5, and Paule's greatest factorial
 factorization (JSC 20, 1995): linear factors alpha*k + beta and
 alpha*k + beta' meet at the shift j = (beta - beta')/alpha when that is an
-n-free integer >= 0, a linear factor meets another factor at the integer
-roots in j of ``root_shifts``, and two other factors where a resultant at
-integer points and a gcd say.  The shifts are cancelled in ascending order,
-as Gosper's algorithm does.  a, b, c, z, the degree bound, the system, x
-and R stay in Z[n][k], as pairs reduced by ``zn_reduced``.  A
-``GosperCertificate`` builds its ``RationalFunction`` values (the shift
-quotient, x and R) from those pairs only when they are read.
+n-free integer >= 0, and any other two factors where a resultant at
+integer points and a gcd say (``meeting_shifts``).  The shifts are
+cancelled in ascending order, as Gosper's algorithm does.  a, b, c, z, the
+degree bound, the system, x and R stay in Z[n][k], as pairs reduced by
+``zn_reduced``.  A ``GosperCertificate`` builds its ``RationalFunction``
+values (the shift quotient, x and R) from those pairs only when they are
+read.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from .polynomials import (
     zn_identity,
     zn_reduced,
 )
-from .serialize import bivariate_string
+from .serialize import _join_signed, bivariate_string
 
 ParamBinding = Mapping[str, int]
 
@@ -159,30 +159,12 @@ class LinearForm:
         return (self.coeff_n, self.coeff_k, self.params, self.constant)
 
     def to_string(self) -> str:
-        pieces: list[tuple[int, str]] = []
-        if self.coeff_n:
-            pieces.append((self.coeff_n, "n"))
-        if self.coeff_k:
-            pieces.append((self.coeff_k, "k"))
-        for s, c in self.params:
-            pieces.append((c, s))
-        if self.constant or not pieces:
-            pieces.append((self.constant, ""))
-        out = []
-        for c, sym in pieces:
-            if sym and c == 1:
-                body = sym
-            elif sym and c == -1:
-                body = f"-{sym}"
-            elif sym:
-                body = f"{c}{sym}"
-            else:
-                body = str(c)
-            if out and not body.startswith("-"):
-                out.append("+" + body)
-            else:
-                out.append(body)
-        return "".join(out)
+        """The form as ``2n-k+r-3``: no ``*`` between a coefficient and its
+        symbol, and 0 for the zero form."""
+        terms = [(self.coeff_n, "n"), (self.coeff_k, "k"), *((c, s) for s, c in self.params),
+                 (self.constant, "")]
+        return _join_signed([(c > 0, sym if sym and abs(c) == 1 else f"{abs(c)}{sym}")
+                             for c, sym in terms if c])
 
 
 # ---------------------------------------------------------------------------
@@ -531,19 +513,25 @@ _SAMPLE_LIMIT = 400  # sample points term_ratio_is_one tries before giving up
 
 
 def term_ratio_is_one(t1: HyperTerm, t2: HyperTerm) -> bool:
-    """True iff t1/t2 is identically 1.
+    """True iff t1 and t2 are equal as hypergeometric terms: t1/t2 is 1
+    wherever both shift recurrences hold, not at every integer point.
 
     Both shift quotients of the ratio must be 1 (the shift pairs agree
     cross-multiplied, by ``zn_identity``) and the values must agree at one
-    sample point where neither term vanishes or poles; by the usual
-    telescoping argument that pins the ratio everywhere.
+    sample point where neither term vanishes or poles, off every line where
+    a factor of either term's k- or n-shift pair vanishes: there a
+    recurrence may break, so a sample taken on it pins nothing.
     """
+    breaks = []
     for var in ("k", "n"):
         r1, r2 = factored_shift_pair(t1, var), factored_shift_pair(t2, var)
         if not zn_identity(lambda at: (at(r1)[0] * at(r2)[1], at(r2)[0] * at(r1)[1])):
             return False
+        breaks += [f for r in (r1, r2) for side in (r.num, r.den) for f in side]
     points = ((total - k0, k0) for total in range(64) for k0 in range(total + 1))
     for n0, k0 in itertools.islice(points, _SAMPLE_LIMIT):
+        if not all(f.evaluate(k0)(n0) for f in breaks):
+            continue
         try:
             va, vb = eval_term(t1, n0, k0), eval_term(t2, n0, k0)
         except PoleError:

@@ -12,9 +12,9 @@ brings a pair num/den in Z[n][k] to lowest terms by the cofactors of
 reduced pair.  ``FactoredRatio`` keeps a quotient as multisets of primitive
 factors in Z[n][k], the form the Gosper normal form reads.
 ``meeting_shifts`` gives the shifts where two factors meet, and
-``dispersion_set`` applies it to two primitive parts: a closed form for linear
-factors, integer roots against others (``root_shifts``), and otherwise a
-resultant over Z[j] at integer points n0 (``_shift_resultant_roots``).
+``dispersion_set`` applies it to two primitive parts: a closed form for two
+linear factors, and otherwise a resultant over Z[j] at integer points n0
+(``_shift_resultant_roots``) whose roots a gcd confirms.
 """
 
 from __future__ import annotations
@@ -477,13 +477,12 @@ def resultant(p: Polynomial, q: Polynomial) -> ZnPoly:
 
     Returns an element of Z[n], lc(p)^deg q * lc(q)^deg p times the product
     of (a - b) over the roots a of p and b of q; all divisions performed are
-    exact.
+    exact.  A constant operand gives the other's degree as a power of it, two
+    give the empty determinant 1.
     """
     if not p or not q:
         return ZN_ZERO
     dp, dq = len(p.coeffs) - 1, len(q.coeffs) - 1
-    if dp == 0 or dq == 0:
-        return math.prod((p.lc(),) * dq + (q.lc(),) * dp, start=ZN_ONE)
     size = dp + dq
     zero = ZN_ZERO
     rows = []
@@ -515,30 +514,12 @@ def _shift_resultant_roots(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> list
     return [j for j in _int_roots(witness) if j >= 0]
 
 
-def root_shifts(linear: Polynomial, p: Polynomial, sign: int) -> list[int]:
-    """The j >= 0 with p(r + sign*j) = 0, r = -beta/alpha the root of a
-    linear factor alpha*k + beta (alpha an integer) and p in Z[n][k]: the
-    integer roots common to the coefficients of each power of n in
-    alpha^deg(p) * p(r + sign*j), a polynomial in j over Z[n]."""
-    alpha, beta, top = linear.coeffs[1][0], linear.coeffs[0], len(p.coeffs) - 1
-    base = Polynomial((-beta, ZnPoly((sign * alpha,))))
-    w = Polynomial(p.coeffs[-1:])
-    for i in range(top - 1, -1, -1):
-        w = w * base + p.coeffs[i] * ZnPoly((alpha ** (top - i),))
-    witness: list[int] = []
-    for e in range(max(map(len, w.coeffs))):
-        witness = _int_gcd(witness, list(ZnPoly(c[e] if e < len(c) else 0 for c in w.coeffs)))
-    return [j for j in _int_roots(witness) if j >= 0]
-
-
 def meeting_shifts(u: Polynomial, v: Polynomial) -> list[int]:
     """The j >= 0 at which gcd(u(k), v(k + j)) has positive degree."""
     if is_linear(u) and is_linear(v):
         gap, alpha = u.coeffs[0] - v.coeffs[0], u.coeffs[1][0]
         j, rem = divmod(gap[0] if gap else 0, alpha)
         return [j] if alpha == v.coeffs[1][0] and len(gap) < 2 and not rem and j >= 0 else []
-    if is_linear(u) or is_linear(v):
-        return root_shifts(u, v, 1) if is_linear(u) else root_shifts(v, u, -1)
     return [j for j in _shift_resultant_roots(u.coeffs, v.coeffs)
             if _zn_gcd(u.coeffs, v.shift(j).coeffs)]
 

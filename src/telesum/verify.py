@@ -39,14 +39,12 @@ def _pair_sum(
 ) -> tuple[int, int]:
     """total/common plus the sum of num/den over int pairs (num, den),
     den != 0, as one int pair (total, common): a running numerator over one
-    common denominator, a plain int add for a pair over it or over 1, and an
-    lcm by one gcd for any other.  Each running sum is appended to running
-    when it is given."""
+    common denominator, a plain int add for a pair over it, and an lcm by one
+    gcd for any other.  Each running sum is appended to running when it is
+    given."""
     for num, den in pairs:
         if den == common:
             total += num
-        elif den == 1:
-            total += num * common
         else:
             g = math.gcd(common, den)
             total = total * (den // g) + num * (common // g)

@@ -92,6 +92,12 @@ def test_bad_param_syntax_exit_one(capsys):
     assert "NAME=INT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["series", "catalan"], ["suite", "paper.suite"]])
+def test_param_is_not_an_option_of_series_or_suite(argv, capsys):
+    assert main(argv + ["--param", "r=2"]) == 1
+    assert "unrecognized arguments: --param r=2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["r=--5", "r=²"])
 def test_param_value_that_int_rejects_exit_one(value, capsys):
     # str.isdigit() accepts both values; int() does not.

@@ -13,7 +13,8 @@ import functools
 import math
 from fractions import Fraction
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from telesum.gosper import (
@@ -53,7 +54,7 @@ from telesum.polynomials import (
     zn_product,
     zn_value,
 )
-from telesum.verify import _exact_sum, oracle_sum
+from telesum.verify import _exact_sum, oracle_sum, telescoping_identity
 from telesum.zeilberger import (
     NoRecurrenceFound,
     creative_telescope,
@@ -92,11 +93,15 @@ def _pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:
     return value.num, value.den
 
 
-terms = st.builds(
-    lambda fs, p: HyperTerm(fs, _pair(RationalFunction(p))),
-    st.lists(factors, min_size=1, max_size=3),
-    prefactors.filter(bool),
-)
+def _terms(max_factors: int):
+    return st.builds(
+        lambda fs, p: HyperTerm(fs, _pair(RationalFunction(p))),
+        st.lists(factors, min_size=1, max_size=max_factors),
+        prefactors.filter(bool),
+    )
+
+
+terms = _terms(3)
 
 
 def _kfree_top_binomials(min_alpha: int):
@@ -551,3 +556,80 @@ def test_parse_print_parse_round_trip(term):
     again = parse_term(text)
     assert again == term
     assert term_to_string(again) == text
+
+
+def _sympy_term(term: HyperTerm, sp, n, k):
+    """The term as a sympy expression; a factor free of n and k is left out,
+    since sympy evaluates it (to 0, say) while the solvers read it as a
+    constant, and a constant multiple does not change R."""
+    def form(lf: LinearForm):
+        return lf.coeff_n * n + lf.coeff_k * k + lf.constant
+
+    def value(f):
+        if isinstance(f, BinomialFactor):
+            return sp.binomial(form(f.top), form(f.bottom))
+        if isinstance(f, FactorialFactor):
+            return sp.factorial(form(f.arg))
+        return sp.Rational(f.base.numerator, f.base.denominator) ** form(f.exponent)
+
+    def constant(f):
+        forms = (f.top, f.bottom) if isinstance(f, BinomialFactor) else (
+            (f.arg,) if isinstance(f, FactorialFactor) else (f.exponent,))
+        return all(lf.is_constant() for lf in forms)
+
+    num, den = (sum(c * n**e * k**i for i, row in enumerate(p.coeffs) for e, c in enumerate(row))
+                for p in term.prefactor)
+    return sp.Mul(*(value(f) ** e for f, e in term.factors if not constant(f))) * num / den
+
+
+def _from_sympy(expr, sp, n, k) -> tuple[Polynomial, Polynomial]:
+    """A rational function of n and k from sympy as an integer pair in Z[n][k]."""
+    polys = [sp.Poly(p, k, n) for p in sp.fraction(sp.cancel(sp.together(expr)))]
+    scale = math.lcm(*(sp.Rational(c).q for p in polys for c in p.coeffs()))
+    pair = []
+    for p in polys:
+        rows = [[0] * (p.degree(n) + 1) for _ in range(p.degree(k) + 1)]
+        for (i, e), c in p.terms():
+            rows[i][e] = int(c * scale)
+        pair.append(Polynomial([ZnPoly(r) for r in rows]))
+    return pair[0], pair[1]
+
+
+# at most two factors: sympy's Gosper step took 13 s on a squared binomial
+# times a prefactor
+@settings(max_examples=25, deadline=None)
+@given(_terms(2))
+@example(parse_term("binom(2k,k)*binom(2n-2k+2,n-k+1)/(k+1)"))  # the 11897 summand
+@example(parse_term("k*fact(k)"))
+@example(parse_term("(-1)^k*binom(n,k)"))
+@example(parse_term("binom(n,k)"))
+@example(parse_term("2^k/k"))
+@example(parse_term("(n*k+3*k+1)/fact(k+1)"))  # sympy's R fails the identity
+@example(parse_term("binom(1,k)*(-1)^k"))  # r = (k-1)/(k+1): R is not unique
+def test_gosper_agrees_with_sympy(term):
+    """Gosper's verdict and R against sympy's ``gosper_term``, on terms
+    sympy reads as hypergeometric (``hypersimp``; it reads none with a
+    binomial whose Gamma form has a pole, as binom(-2,k)).  An R from sympy
+    is a certificate when it passes the exact telescoping identity; sympy
+    may return one that does not.  The verdicts agree, and so do the two R,
+    unless F is rational in k as a hypergeometric term (its shift quotient
+    is rho(k+1)/rho(k) for a rational rho): R is then unique only up to
+    c/F, and sympy's must be a certificate."""
+    sp = pytest.importorskip("sympy")
+    from sympy.concrete.gosper import gosper_term
+
+    n, k = sp.symbols("n k", integer=True)
+    f = _sympy_term(term, sp, n, k)
+    assume(f.is_zero is not True and f.is_finite is not False)
+    assume(sp.hypersimp(f, k) is not None)
+    theirs = gosper_term(f, k)
+    certified = theirs is not None and telescoping_identity(
+        term, (ZnPoly((1,)),), _from_sympy(theirs, sp, n, k))
+    try:
+        ours = gosper_antidifference(term).certificate_pair
+    except NotSummableError:
+        assert not certified
+        return
+    assert theirs is not None
+    r = _sympy_term(HyperTerm([], ours), sp, n, k)
+    assert sp.cancel(theirs - r) == 0 or certified

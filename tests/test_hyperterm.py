@@ -277,6 +277,19 @@ def test_term_ratio_is_one_skips_points_where_either_term_vanishes():
             term_ratio_is_one(t1, t2)
 
 
+def test_term_ratio_is_one_is_not_true_for_terms_that_differ():
+    # equal shift quotients and values at every n, k >= 0, but the second
+    # term is 0 at k = -1, -2, -3 where binom(k,-k) is not: every sample
+    # point lies on a line where a factor of a shift pair vanishes
+    a = parse_term("binom(k,-k)")
+    b = parse_term("fact(k)*fact(-k)^-1*fact(2k)^-1")
+    assert [eval_term(a, 0, k) for k in (-1, -2, -3)] == [-1, 3, -10]
+    assert [eval_term(b, 0, k) for k in (-1, -2, -3)] == [0, 0, 0]
+    for t1, t2 in ((a, b), (b, a)):
+        with pytest.raises(DegenerateSampleError):
+            term_ratio_is_one(t1, t2)
+
+
 def test_term_ratio_is_one_negative():
     t = parse_term("binom(n,k)")
     u = parse_term("2*binom(n,k)")
@@ -305,6 +318,19 @@ def test_print_parse_round_trip():
         t = parse_term(text)
         printed = term_to_string(t)
         assert parse_term(printed) == t
+
+
+@pytest.mark.parametrize("form, printed", [
+    (LinearForm.make(), "0"),
+    (LinearForm.make(constant=-3), "-3"),
+    (LinearForm.make(1, -1, 0, {"r": 1}), "n-k+r"),
+    (LinearForm.make(-1, 1, 0, {"r": -1}), "-n+k-r"),
+    (LinearForm.make(2, -2, 5, {"r": 2}), "2n-2k+2r+5"),
+    (LinearForm.make(-2, 2, -1, {"r": -2}), "-2n+2k-2r-1"),
+    (LinearForm.make(0, 1, -1), "k-1"),
+])
+def test_linear_form_to_string(form, printed):
+    assert form.to_string() == printed
 
 
 def test_term_to_string_simple():

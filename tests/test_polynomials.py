@@ -40,6 +40,7 @@ from telesum.polynomials import (
     clear_qnk_pair,
     dispersion_set,
     integer_roots,
+    meeting_shifts,
     poly_gcd,
     poly_lcm,
     resultant,
@@ -355,6 +356,14 @@ def test_resultant_is_product_of_root_differences(a_roots, b_roots):
     assert resultant(_with_roots(a_roots), _with_roots(b_roots)) == _zn(expected)
 
 
+def test_resultant_with_a_constant_operand():
+    # the Sylvester matrix is lc times the identity, of the other's degree,
+    # and the empty matrix when both are constants
+    c, q = _znk((0, 2)), _zk(1, 0, 1)
+    assert resultant(c, q) == resultant(q, c) == _zn(0, 0, 4)
+    assert resultant(c, _zk(-3)) == _zn(1)
+
+
 def test_resultant_over_qn():
     # (k + n)(k - 2n) against k - n: the elimination swaps rows here too
     n, k = _znk((0, 1)), _znk((), (1,))
@@ -381,6 +390,21 @@ def test_dispersion_set_repeated_roots_over_q():
     assert dispersion_set(_zk(4, 1) ** 3, _zk(1, 1) ** 2) == [3]
     p = _zk(0, 1) ** 2 * _zk(-4, 1) ** 3
     assert dispersion_set(p, p) == dispersion_set(_zk(0, 1) * _zk(-4, 1), p) == [0, 4]
+
+
+def test_dispersion_of_a_linear_factor_against_a_nonlinear_one():
+    # k + 4 meets (k + 1)(k^2 + n) at j = 3, and only in that order; the
+    # n-linear k + n + 2 meets (k + n)(k^2 + 1) at j = 2
+    k, n = _znk((), (1,)), _znk((0, 1))
+    assert dispersion_set((k + 4) * (k * k + n), k + 1) == [3]
+    assert dispersion_set(k + 1, (k + 4) * (k * k + n)) == []
+    assert dispersion_set((k + n + 2) * (k * k + 1), k + n) == [2]
+    assert dispersion_set(k + n, (k + n + 2) * (k * k + 1)) == []
+    assert meeting_shifts(k + 4, (k + 1) * (k * k + n)) == [3]
+    assert meeting_shifts((k + 1) * (k * k + n), k + 4) == []
+    assert meeting_shifts(k + n + 2, (k + n) * (k * k + 1)) == [2]
+    assert meeting_shifts((k + n) * (k * k + 1), k + n + 2) == []
+    assert meeting_shifts(k + 1, k * k + n) == meeting_shifts(k * k + n, k + 1) == []
 
 
 def _lin(n_coeff: int, const: int) -> Polynomial:

@@ -105,8 +105,8 @@ SUBCOMMANDS = {
     "zeil": ["-h", "term", "--jmax", "--param", "--machine"],
     "wz-check": ["-h", "f_term", "g_term", "--coeff", "--param", "--machine"],
     "sum": ["-h", "term", "--n", "--from", "--to", "--param", "--machine"],
-    "series": ["-h", "name", "--order", "--family-index", "--param", "--machine"],
-    "suite": ["-h", "path", "--param", "--machine"],
+    "series": ["-h", "name", "--order", "--family-index", "--machine"],
+    "suite": ["-h", "path", "--machine"],
 }
 
 EXIT_CODES = {
