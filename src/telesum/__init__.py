@@ -28,8 +28,8 @@ from .suite import (
 )
 from .verify import (
     SequenceSpec, VerificationError, WZPair, catalan_sequence, check_binomial_transform,
-    check_boundary_couple, check_lower_triangle_identity, check_telescoping,
-    check_transform_power_identity, oracle_sum, sum_table
+    check_boundary_couple, check_lower_triangle_identity, check_transform_power_identity,
+    oracle_sum
 )
 from .zeilberger import (
     BoundaryCheckError, NoRecurrenceFound, Recurrence, RecurrenceCheckError,
@@ -48,11 +48,11 @@ __all__ = [
     "WZPair", "ZnPoly", "ballot_gf", "bundled_suite", "catalan_gf", "catalan_sequence",
     "central_binomial_gf", "check_binomial_transform", "check_boundary_couple",
     "check_convolution_11897", "check_lower_triangle_identity",
-    "check_shifted_central_identity", "check_telescoping", "check_transform_power_identity",
+    "check_shifted_central_identity", "check_transform_power_identity",
     "creative_telescope", "degree_bound", "dispersion_set", "eval_term",
     "gosper_antidifference", "gosper_normal_form", "integer_roots", "known_gf", "load_suite",
     "mutation_catalog", "natural_sum", "operator_equal", "oracle_sum", "parse_term", "poly_gcd",
     "poly_lcm", "report_lines", "resultant", "run_case", "run_identity_suite", "shift_quotient",
-    "shifted_central_gf", "sum_recurrence_natural", "sum_table", "telescoped_sum",
+    "shifted_central_gf", "sum_recurrence_natural", "telescoped_sum",
     "term_ratio_is_one", "term_to_string",
 ]

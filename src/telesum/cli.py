@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .gosper import NotSummableError, gosper_antidifference
 from .hyperterm import (
-    DegenerateSampleError,
     HyperTerm,
     LinearForm,
     ParseError,
@@ -36,7 +35,7 @@ from .polynomials import ZN_ONE, Polynomial, ZnPoly
 from .serialize import ratfun_to_record, ratfun_to_text
 from .series import known_gf
 from .suite import load_suite, report_lines, run_identity_suite
-from .verify import WZPair, VerificationError, oracle_sum
+from .verify import WZPair, oracle_sum
 from .zeilberger import (
     BoundaryCheckError,
     NoRecurrenceFound,
@@ -335,10 +334,10 @@ def main(argv: list[str] | None = None) -> int:
     except UnboundParameterError as exc:
         print(f"usage error: {exc} (use --param NAME=INT)", file=sys.stderr)
         return EXIT_USAGE
-    except (BoundaryCheckError, DegenerateSampleError) as exc:
+    except BoundaryCheckError as exc:
         print(f"search bound exhausted: {exc}", file=sys.stderr)
         return EXIT_SEARCH_EXHAUSTED
-    except (PoleError, VerificationError) as exc:
+    except PoleError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 

@@ -55,9 +55,9 @@ from .polynomials import (
     Polynomial,
     RationalFunction,
     ZnPoly,
-    _int_roots,
     _zn_primitive_part,
     coprime_base,
+    integer_roots,
     meeting_shifts,
     primitive_factors,
     zn_product,
@@ -312,10 +312,8 @@ def telescoped_sum(cert: GosperCertificate, n: int, lo: int, hi: int) -> Fractio
     den = g.prefactor[1]
     breaks = set()  # k where a factor of r, or G's denominator at k or k+1, is 0
     for p in (*r_k.num, *r_k.den, den, den.shift(1)):
-        ints = [c(n) for c in p.coeffs]  # p at this n, a polynomial in k
-        while ints and not ints[-1]:
-            ints.pop()
-        breaks.update(_int_roots(ints) if ints else range(lo, hi + 1))
+        at_n = ZnPoly(c(n) for c in p.coeffs)  # p at this n, a polynomial in k
+        breaks.update(integer_roots(at_n) if at_n else range(lo, hi + 1))
     total, k = Fraction(0), lo
     for b in sorted(b for b in breaks if lo <= b <= hi) + [hi + 1]:
         if k < b:

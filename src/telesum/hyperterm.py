@@ -106,9 +106,6 @@ class LinearForm:
             return self.coeff_k
         return dict(self.params).get(var, 0)
 
-    def has_params(self) -> bool:
-        return bool(self.params)
-
     def is_constant(self) -> bool:
         return not (self.coeff_n or self.coeff_k or self.params)
 
@@ -287,7 +284,7 @@ class HyperTerm:
         return f"HyperTerm({term_to_string(self)!r})"
 
     def has_params(self) -> bool:
-        return any(lf.has_params() for f, _ in self.factors for lf in _factor_linforms(f))
+        return bool(_term_params(self))
 
     def bind(self, binding: ParamBinding | None) -> "HyperTerm":
         if not binding:
@@ -304,9 +301,9 @@ class HyperTerm:
         return self._evaluator
 
     def require_bound(self) -> None:
-        if self.has_params():
-            syms = sorted(_term_params(self))
-            raise UnboundParameterError(f"unbound parameter(s): {', '.join(syms)}")
+        syms = _term_params(self)
+        if syms:
+            raise UnboundParameterError(f"unbound parameter(s): {', '.join(sorted(syms))}")
 
     def scale_rational(self, multiplier: tuple[Polynomial, Polynomial]) -> "HyperTerm":
         """The term multiplied by a rational function num/den of (n, k), given

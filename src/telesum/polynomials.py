@@ -97,11 +97,11 @@ class Polynomial:
 
     def __sub__(self, other):
         p = self._coerce(other)
-        return NotImplemented if p is None else Polynomial(_difference(self.coeffs, p.coeffs))
+        return NotImplemented if p is None else self + -p
 
     def __rsub__(self, other):
         p = self._coerce(other)
-        return NotImplemented if p is None else Polynomial(_difference(p.coeffs, self.coeffs))
+        return NotImplemented if p is None else p + -self
 
     def __mul__(self, other):
         p = self._coerce(other)
@@ -154,11 +154,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({[tuple(c) for c in self.coeffs]!r})"
-
-
-def _difference(a: Sequence[ZnPoly], b: Sequence[ZnPoly]) -> list[ZnPoly]:
-    """a - b for two coefficient sequences, one ``ZnPoly`` difference a row."""
-    return [x - y for x, y in zip_longest(a, b, fillvalue=ZN_ZERO)]
 
 
 def _znk_scaled(value) -> tuple[Polynomial, int]:
@@ -409,35 +404,30 @@ def poly_lcm(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def integer_roots(p: ZnPoly) -> list[int]:
-    """Sorted integer roots of a nonzero integer polynomial (``_int_roots``)."""
+    """The distinct integer roots, sorted, of a nonzero integer polynomial,
+    found without factoring any integer: 0 when the constant term vanishes,
+    and the roots of the squarefree part s of the rest.  At the first prime
+    q not dividing lc(s) where each root of s mod q is simple, every integer
+    root reduces to one of them, whose lift by Newton's iteration modulo
+    q^(2^i) is unique.  Once q^(2^i) exceeds twice Cauchy's bound on |root|,
+    a lift can only be its symmetric residue, kept if s vanishes there
+    exactly."""
     if not p:
         raise ValueError("integer_roots of the zero polynomial")
-    return _int_roots(_int_primitive(list(p)))
-
-
-def _int_roots(ints: list[int]) -> list[int]:
-    """The distinct integer roots, sorted, of a nonzero integer polynomial
-    (constant term first), found without factoring any integer: 0 when the
-    constant term vanishes, and the roots of the squarefree part s of the
-    rest.  At the first prime p not dividing lc(s) where each root of s mod p
-    is simple, every integer root reduces to one of them, whose lift by
-    Newton's iteration modulo p^(2^i) is unique.  Once p^(2^i) exceeds twice
-    Cauchy's bound on |root|, a lift can only be its symmetric residue, kept
-    if s vanishes there exactly."""
-    low = next(i for i, c in enumerate(ints) if c)
-    roots, s = [0] if low else [], ints[low:]
+    low = next(i for i, c in enumerate(p) if c)
+    roots, s = [0] if low else [], p[low:]
     if len(s) < 2:
         return roots
     s = ZnPoly(s).quotient(ZnPoly(_int_gcd(s, [i * c for i, c in enumerate(s)][1:])))
     ds = ZnPoly([i * c for i, c in enumerate(s)][1:])
-    p = 2
+    q = 2
     while True:
-        if s[-1] % p and all(p % q for q in range(2, math.isqrt(p) + 1)):
-            lifts = [r for r in range(p) if not s(r) % p]
-            if all(ds(r) % p for r in lifts):
+        if s[-1] % q and all(q % d for d in range(2, math.isqrt(q) + 1)):
+            lifts = [r for r in range(q) if not s(r) % q]
+            if all(ds(r) % q for r in lifts):
                 break
-        p += 1
-    modulus, bound = p, 2 * (1 + max(map(abs, s[:-1])) // abs(s[-1]))
+        q += 1
+    modulus, bound = q, 2 * (1 + max(map(abs, s[:-1])) // abs(s[-1]))
     while modulus <= bound:
         modulus *= modulus
         lifts = [(r - s(r) * pow(ds(r), -1, modulus)) % modulus for r in lifts]
@@ -511,7 +501,7 @@ def _shift_resultant_roots(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> list
                               for m in range(len(b))])
         image = Polynomial([ZnPoly((c(n0),)) for c in num])
         witness = _int_gcd(witness, list(resultant(image, shifted)))
-    return [j for j in _int_roots(witness) if j >= 0]
+    return [j for j in integer_roots(ZnPoly(witness)) if j >= 0]
 
 
 def meeting_shifts(u: Polynomial, v: Polynomial) -> list[int]:
@@ -594,17 +584,7 @@ class ZnPoly(tuple):
         return ZnPoly(out)
 
     def __sub__(self, other: "ZnPoly") -> "ZnPoly":
-        if not isinstance(other, ZnPoly):
-            return NotImplemented
-        if len(self) >= len(other):
-            out = list(self)
-            for i, c in enumerate(other):
-                out[i] -= c
-        else:
-            out = [-c for c in other]
-            for i, c in enumerate(self):
-                out[i] += c
-        return ZnPoly(out)
+        return self + -other if isinstance(other, ZnPoly) else NotImplemented
 
     def __mul__(self, other: "ZnPoly") -> "ZnPoly":
         if not isinstance(other, ZnPoly):
@@ -671,12 +651,14 @@ def _rows_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[li
 
 def _rows_shift(rows: Sequence[Sequence[int]], j: int) -> list[list[int]]:
     """The int rows of p(k + j), p in Z[n][k] given as int rows: a Taylor
-    shift by repeated synthetic division."""
+    shift by repeated synthetic division, in place on fresh copies of the rows."""
     width = max(map(len, rows))
     out = [[*r, *[0] * (width - len(r))] for r in rows]
     for i in range(len(out) - 1):
         for t in range(len(out) - 2, i - 1, -1):
-            out[t] = [x + j * y for x, y in zip(out[t], out[t + 1])]
+            row = out[t]
+            for s, y in enumerate(out[t + 1]):
+                row[s] += j * y
     return out
 
 

@@ -199,9 +199,9 @@ def ballot_gf(k: int, order: int) -> PowerSeries:
 
 
 def shifted_central_gf(order: int) -> PowerSeries:
-    """(1 - sqrt(1-4x))/(x*sqrt(1-4x)): coefficients binom(2n+2, n+1)."""
-    root = PowerSeries((1, -4) + (0,) * _order(order)).sqrt()
-    return (one_series(order + 1) - root).shift_down(1) * central_binomial_gf(order)
+    """(1 - sqrt(1-4x))/(x*sqrt(1-4x)) = 2 * catalan * central: coefficients
+    binom(2n+2, n+1)."""
+    return catalan_gf(order) * central_binomial_gf(order) * 2
 
 
 def check_shifted_central_identity(order: int = 64) -> bool:

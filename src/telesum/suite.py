@@ -83,12 +83,19 @@ def bundled_suite() -> dict:
 _NO_POINT = "the case checks no point"
 
 
-def _field(obj: dict, key: str, where: str = "the case"):
-    """obj[key]; a ValueError names the field when it is missing."""
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _field(obj: dict, key: str, where: str = "the case", kind: type | None = None):
+    """obj[key]; a ValueError names the field when it is missing, or when
+    kind is given and the value is not of it."""
     try:
-        return obj[key]
+        value = obj[key]
     except KeyError:
         raise ValueError(f'{where} has no "{key}" field') from None
+    if kind is not None and not isinstance(value, kind):
+        raise ValueError(f'"{key}" must be {_KINDS[kind]}, got {value!r}')
+    return value
 
 
 def _integer(obj: dict, key: str, where: str = "the case", default=None) -> int:
@@ -208,7 +215,7 @@ class _CaseTexts:
         """A sum component's ``from`` or ``to`` form bound by the point's
         parameters, as its (coeff_n, constant); raises UnboundParameterError
         if it keeps one, and a ValueError naming the field if it involves k."""
-        text = _field(comp, field, "a sum component")
+        text = _field(comp, field, "a sum component", str)
         if text not in self._forms:
             form = self._forms[text] = parse_linear_form(text)
             if form.coeff_k:
@@ -230,13 +237,13 @@ class _CaseTexts:
         plan, pairs, texts, n = [], [], [], self._n
         for comp in side:
             if "sum" in comp:
-                text = comp["sum"]
+                text = _field(comp, "sum", kind=str)
                 table = self.table(text, binding)
                 fn, fc = self.limit(comp, "from", binding)
                 tn, tc = self.limit(comp, "to", binding)
                 texts += text, comp["from"], comp["to"]
             elif "term" in comp:
-                text = comp["term"]
+                text = _field(comp, "term", kind=str)
                 table, fn, fc, tn, tc = self.table(text, binding), 0, 0, 0, 0
                 texts.append(text)
             else:
@@ -252,10 +259,12 @@ def _check_sum_identity(case: dict) -> str | None:
     once per value of the parameters its texts use (``_CaseTexts.plan``),
     a sum over lo..hi is one lookup in its table's running sums from lo, and
     sides compare as cross-multiplied int pairs."""
-    sides = _field(case, "sides")
+    sides = _field(case, "sides", kind=list)
+    if not all(isinstance(side, list) and all(isinstance(c, dict) for c in side) for side in sides):
+        raise ValueError(f'"sides" must be a list of lists of objects, got {sides!r}')
     if len(sides) < 2:
         raise ValueError(f"case {case.get('id')}: need at least two sides")
-    names, ranges = _grid(_field(case, "grid"))
+    names, ranges = _grid(_field(case, "grid", kind=dict))
     if not all(ranges):
         return _NO_POINT
     params = [i for i, v in enumerate(names) if v != "n"]
@@ -307,7 +316,7 @@ _SEQUENCE_ARGS = {
 def _sequences(specs: list[str], length: int) -> list[SequenceSpec]:
     out: list[SequenceSpec] = []
     for spec in specs:
-        head, *rest = spec.split(":")
+        head, *rest = spec.split(":") if isinstance(spec, str) else (None,)
         if head not in _SEQUENCE_ARGS:
             raise ValueError(f"unknown sequence spec {spec!r}")
         names = _SEQUENCE_ARGS[head]
@@ -336,8 +345,8 @@ def _transform_grid(grid: dict) -> list[tuple[int, int]]:
 
 def _check_transform_identity(case: dict) -> str | None:
     """Every sequence at every point, on one Pascal triangle for the case."""
-    points = _transform_grid(_field(case, "grid"))
-    seqs = (_sequences(_field(case, "sequences"), max(n + m for n, m in points) + 1)
+    points = _transform_grid(_field(case, "grid", kind=dict))
+    seqs = (_sequences(_field(case, "sequences", kind=list), max(n + m for n, m in points) + 1)
             if points else [])
     if not seqs:
         return _NO_POINT
@@ -377,14 +386,13 @@ _SERIES_CHECKS = {
 
 def _check_convolution_identity(case: dict) -> str | None:
     order = _integer(case, "order", default=64)
-    checks = _field(case, "checks")
+    checks = _field(case, "checks", kind=list)
     if not checks:
         return _NO_POINT
     for name in checks:
-        try:
-            fn = _SERIES_CHECKS[name]
-        except KeyError:
-            raise ValueError(f"unknown series check {name!r}") from None
+        fn = _SERIES_CHECKS.get(name) if isinstance(name, str) else None
+        if fn is None:
+            raise ValueError(f"unknown series check {name!r}")
         if not fn(order):
             return f"series check {name} fails at order {order}"
     return None

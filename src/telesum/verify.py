@@ -69,25 +69,6 @@ def oracle_sum(term: HyperTerm, n: int, k_lo: int, k_hi: int) -> Fraction:
     return _exact_sum(pair(n, k) for k in range(k_lo, k_hi + 1))
 
 
-def sum_table(
-    term: HyperTerm,
-    n_lo: int,
-    n_hi: int,
-    bounds: Callable[[int], tuple[int, int]],
-) -> dict[int, Fraction]:
-    return {n: oracle_sum(term, n, *bounds(n)) for n in range(n_lo, n_hi + 1)}
-
-
-def check_telescoping(f: HyperTerm, g: HyperTerm, coeffs: Sequence[ZnPoly]) -> bool:
-    """Exact identity sum_j sigma_j(n) f(n+j, k) = g(n, k+1) - g(n, k).
-
-    g must be a rational multiple of f (same factor structure); after
-    dividing through by f this is telescoping_identity with R = g/f.
-    """
-    g.require_bound()
-    return telescoping_identity(f, coeffs, ratio_rational(g, f))
-
-
 def telescoping_identity(
     term: HyperTerm, coeffs: Sequence[ZnPoly], certificate: tuple[Polynomial, Polynomial],
     r_k: FactoredRatio | None = None, r_n: FactoredRatio | None = None,
@@ -137,7 +118,12 @@ class WZPair:
     coeffs: tuple[ZnPoly, ...]
 
     def check(self) -> bool:
-        return check_telescoping(self.f, self.g, self.coeffs)
+        """The exact identity sum_j coeffs[j](n) f(n+j, k) = g(n, k+1) - g(n, k).
+
+        g must be a rational multiple of f (the same factor structure);
+        divided through by f, this is ``telescoping_identity`` with R = g/f."""
+        self.g.require_bound()
+        return telescoping_identity(self.f, self.coeffs, ratio_rational(self.g, self.f))
 
     def vanishes_at_k(self, k0: int, n_lo: int = 0, n_hi: int = 12) -> bool:
         """g(n, k0) = 0: structurally when the substituted prefactor dies,

@@ -281,6 +281,19 @@ def test_sum_half_open_bounds_rejected(capsys):
     assert "together" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["sum", "binom(-1,k)", "--n", "0", "1"], cli.EXIT_SEARCH_EXHAUSTED,
+     "search bound exhausted: the factors leave the support in k unbounded at n = 0; "
+     "no natural support edge found\n"),
+    (["sum", "1/(k-1)", "--n", "0", "0", "--from", "0", "--to", "2"], cli.EXIT_VERIFICATION,
+     "verification failure: prefactor denominator vanishes at (n, k) = (0, 1)\n"),
+], ids=["unbounded-support", "pole"])
+def test_sum_refusals_exit_through_their_handlers(argv, code, err, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
+
+
 def test_series_catalan(capsys):
     assert main(["series", "catalan", "--order", "6"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -33,7 +33,7 @@ from telesum.hyperterm import (
 from qn_tower import eval_qnk, pair_to_tower, znk
 from telesum.gosper import gosper_antidifference
 from telesum.polynomials import RationalFunction, ZnPoly
-from telesum.verify import WZPair, check_telescoping, oracle_sum, sum_table
+from telesum.verify import WZPair, oracle_sum
 from telesum.zeilberger import Recurrence, creative_telescope, natural_sum, sum_recurrence_natural
 
 _ONE = (RationalFunction(1).num, RationalFunction(1).den)  # the prefactor 1 as an integer pair
@@ -581,8 +581,6 @@ BOUND_ONLY = {
     "shift_quotient": lambda t: shift_quotient(t, "n"),
     "term_ratio_is_one": lambda t: term_ratio_is_one(t, t),
     "oracle_sum": lambda t: oracle_sum(t, 3, -1, 4),
-    "sum_table": lambda t: sum_table(t, 0, 4, lambda n: (0, n)),
-    "check_telescoping": lambda t: check_telescoping(t, t, _ONE_N),
     "WZPair.check": lambda t: WZPair(t, t, _ONE_N).check(),
     "WZPair.vanishes_at_k": lambda t: WZPair(t, t, _ONE_N).vanishes_at_k(0),
     "gosper_antidifference": gosper_antidifference,
@@ -609,7 +607,7 @@ def test_solvers_and_oracles_take_terms_bound_once(name):
 def test_an_unbound_companion_is_refused():
     f, g = parse_term("binom(n,k)"), parse_term("binom(n,k)*2^r")
     with pytest.raises(UnboundParameterError):
-        check_telescoping(f, g, _ONE_N)
+        WZPair(f, g, _ONE_N).check()
     with pytest.raises(UnboundParameterError):
         WZPair(f, g, _ONE_N).vanishes_at_k(0)
 

@@ -57,8 +57,6 @@ SIGNATURES = {
     "check_convolution_11897": "(order: 'int' = 64) -> 'bool'",
     "check_lower_triangle_identity": "(n: 'int') -> 'bool'",
     "check_shifted_central_identity": "(order: 'int' = 64) -> 'bool'",
-    "check_telescoping": (
-        "(f: 'HyperTerm', g: 'HyperTerm', coeffs: 'Sequence[ZnPoly]') -> 'bool'"),
     "check_transform_power_identity": "(n: 'int', m: 'int') -> 'bool'",
     "creative_telescope": (
         "(term: 'HyperTerm', max_order: 'int' = 6) -> 'TelescopingCertificate'"),
@@ -87,9 +85,6 @@ SIGNATURES = {
         "(term: 'HyperTerm', recurrence: 'Recurrence', "
         "n_lo: 'int' = 0, n_hi: 'int' = 25, "
         "rhs: 'Callable[[int], Fraction] | None' = None) -> 'dict[int, Fraction]'"),
-    "sum_table": (
-        "(term: 'HyperTerm', n_lo: 'int', n_hi: 'int', bounds: 'Callable[[int], "
-        "tuple[int, int]]') -> 'dict[int, Fraction]'"),
     "telescoped_sum": "(cert: 'GosperCertificate', n: 'int', lo: 'int', hi: 'int') -> 'Fraction'",
     "term_ratio_is_one": "(t1: 'HyperTerm', t2: 'HyperTerm') -> 'bool'",
     "term_to_string": "(term: 'HyperTerm') -> 'str'",

@@ -208,6 +208,34 @@ def test_suite_with_a_vacuous_case_exits_4(tmp_path, capsys):
         "FAIL empty-grid: the case checks no point\n0/1 cases pass\n")
 
 
+def test_series_checks_pass_and_a_failing_one_is_named(monkeypatch):
+    import telesum.suite as suite_mod
+
+    case = {"id": "conv", "kind": "convolution_identity",
+            "checks": ["catalan_convolution", "shifted_central"], "order": 20}
+    assert run_case(case).ok
+    monkeypatch.setitem(suite_mod._SERIES_CHECKS, "shifted_central", lambda order: False)
+    assert run_case(case).detail == "series check shifted_central fails at order 20"
+
+
+@pytest.mark.parametrize("case, routine, failure, detail", [
+    ({"kind": "transform_identity", "sequences": ["catalan"], "grid": {"total_max": 3}},
+     "_transform_failure", lambda seqs, points: (seqs[0], *points[2]),
+     "transform fails for sequence catalan at n=0, m=2"),
+    ({"kind": "lower_triangle_identity", "n_max": 3}, "_lower_triangle_failure",
+     lambda ns: ns[-1], "lower-triangle identity fails at n=3"),
+    ({"kind": "power_identity", "n_max": 2, "m_max": 1}, "_power_failure",
+     lambda points: points[-1], "power identity fails at n=2, m=1"),
+], ids=["transform", "lower-triangle", "power"])
+def test_a_failing_triangle_check_names_its_point(case, routine, failure, detail, monkeypatch):
+    import telesum.suite as suite_mod
+
+    assert run_case(dict(case, id="ok")).ok
+    monkeypatch.setattr(suite_mod, routine, failure)
+    result = run_case(dict(case, id="broken"))
+    assert (result.ok, result.detail) == (False, detail)
+
+
 def _p11916(extra_side_2=None) -> dict:
     case = copy.deepcopy(next(c for c in bundled_suite()["cases"] if c["id"] == "p11916"))
     if extra_side_2:
@@ -429,10 +457,30 @@ def _sum_case(grid=None, sides=None):
      'error: grid "k" binds the summation variable k'),
     (_sum_case(sides=[[{"sum": "binom(n,k)", "from": "0", "to": "n+k"}], [{"term": "2^n"}]]),
      "error: \"to\" form 'n+k' involves k, the summation variable"),
+    ({"id": "bad", "kind": "convolution_identity", "checks": "catalan_convolution"},
+     "error: \"checks\" must be a list, got 'catalan_convolution'"),
+    ({"id": "bad", "kind": "convolution_identity", "checks": [["shifted_central"]]},
+     "error: unknown series check ['shifted_central']"),
+    (_transform_case(sequences="catalan"), "error: \"sequences\" must be a list, got 'catalan'"),
+    (_transform_case(sequences=[3]), "error: unknown sequence spec 3"),
+    (_transform_case(grid=[3]), 'error: "grid" must be an object, got [3]'),
+    (_sum_case(sides="ab"), "error: \"sides\" must be a list, got 'ab'"),
+    (_sum_case(grid=[["n", 0, 2]]), "error: \"grid\" must be an object, got [['n', 0, 2]]"),
+    (_sum_case(sides=[{"term": "2^n"}, [{"term": "2^n"}]]),
+     "error: \"sides\" must be a list of lists of objects, got "
+     "[{'term': '2^n'}, [{'term': '2^n'}]]"),
+    (_sum_case(sides=[["term"], [{"term": "2^n"}]]),
+     "error: \"sides\" must be a list of lists of objects, got [['term'], [{'term': '2^n'}]]"),
+    (_sum_case(sides=[[{"sum": "binom(n,k)", "from": 0, "to": "n"}], [{"term": "2^n"}]]),
+     'error: "from" must be a string, got 0'),
+    (_sum_case(sides=[[{"term": 2}], [{"term": "2^n"}]]), 'error: "term" must be a string, got 2'),
 ], ids=["binom_row-without-row", "random-without-seed", "binom_column-not-int",
         "missing-m_max", "fractional-total_max", "power-missing-m_max", "bool-n_max",
         "string-order", "missing-to", "three-bounds", "fractional-bound", "grid-binds-k",
-        "limit-involves-k"])
+        "limit-involves-k", "checks-not-a-list", "check-not-a-string", "sequences-not-a-list",
+        "sequence-not-a-string", "transform-grid-not-an-object", "sides-not-a-list",
+        "grid-not-an-object", "side-an-object", "component-not-an-object", "int-from",
+        "int-term"])
 def test_a_malformed_field_fails_with_a_detail_naming_it(case, detail):
     result = run_case(case)
     assert not result.ok

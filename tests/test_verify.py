@@ -36,12 +36,10 @@ from telesum.verify import (
     check_binomial_transform,
     check_boundary_couple,
     check_lower_triangle_identity,
-    check_telescoping,
     check_transform_power_identity,
     oracle_sum,
     rational_sequence,
     seeded_random_sequences,
-    sum_table,
     telescoping_identity,
 )
 from telesum.zeilberger import (
@@ -68,7 +66,7 @@ def test_oracle_sum_binomial_row():
 
 def test_sum_table():
     t = parse_term("binom(n,k)^2")
-    table = sum_table(t, 0, 6, lambda n: (0, n))
+    table = {n: oracle_sum(t, n, 0, n) for n in range(7)}
     for n, v in table.items():
         assert v == binomial_value(2 * n, n)
 
@@ -76,13 +74,13 @@ def test_sum_table():
 def test_check_telescoping_true_pair():
     f = parse_term(F1_TEXT, {"r": 2})
     g = parse_term(G1_TEXT, {"r": 2})
-    assert check_telescoping(f, g, COUPLE_COEFFS)
+    assert WZPair(f, g, COUPLE_COEFFS).check()
 
 
 def test_check_telescoping_wrong_sign_fails():
     f = parse_term(F1_TEXT, {"r": 2})
     g_wrong = parse_term(G1_TEXT.replace("(-1)", ""), {"r": 2})
-    assert not check_telescoping(f, g_wrong, COUPLE_COEFFS)
+    assert not WZPair(f, g_wrong, COUPLE_COEFFS).check()
 
 
 # -- the identity check at one point against the cross-multiplied one -----
@@ -177,7 +175,7 @@ def test_identity_check_on_11916_pairs(param, f_text, g_text):
         f = parse_term(f_text, {param: v})
         for g, want in ((parse_term(g_text, {param: v}), True),
                         (parse_term(g_text.replace("(-1)", ""), {param: v}), False)):
-            assert check_telescoping(f, g, COUPLE_COEFFS) is want
+            assert WZPair(f, g, COUPLE_COEFFS).check() is want
             assert _agree(f, COUPLE_COEFFS, RationalFunction(*ratio_rational(g, f))) is want
 
 
@@ -225,7 +223,7 @@ def test_identity_check_with_a_zero_certificate(sigma_0, holds):
     assert _agree_in_znk(parse_term("2^n"), coeffs, ZERO_CERT) is holds
     assert _agree_in_znk(parse_term("2^n"), coeffs[:1], ZERO_CERT) is (sigma_0 == 0)
     assert _agree_in_znk(parse_term("2^n"), (), ZERO_CERT)  # no sigma: 0 = R(k+1) r_k - R
-    assert check_telescoping(parse_term("2^n"), parse_term("0"), coeffs) is holds
+    assert WZPair(parse_term("2^n"), parse_term("0"), coeffs).check() is holds
     assert not WZPair(parse_term("binom(n,k)"), parse_term("binom(n,k)"), ()).check()
     assert not _agree_in_znk(parse_term("2^n*binom(n,k)"), coeffs, ZERO_CERT)
 
@@ -351,6 +349,39 @@ def test_boundary_couple_rejects_swapped_limits():
             n_lo=1,
             n_hi=6,
         )
+
+
+COUPLE_RHS = "(-1)binom(n+r,n)binom(r+s,r-1)binom(n+s,n)*s(s+1)/(n+1)"
+ZERO_AT_1_2 = "binom(n-3,n-3)*"  # 1 as a hypergeometric term, but 0 at n = 1 and n = 2
+
+
+@pytest.mark.parametrize("f1, g1, f2, g2, rhs, message", [
+    (F1_TEXT, G1_TEXT.replace("(-1)", ""), F2_TEXT, G2_TEXT, COUPLE_RHS,
+     "telescoping fails for the first member at {'r': 2, 's': 3}"),
+    (F1_TEXT, G1_TEXT, F2_TEXT, G2_TEXT.replace("(-1)", ""), COUPLE_RHS,
+     "telescoping fails for the second member at {'r': 2, 's': 3}"),
+    ("2^k", "(-1)2^k", F2_TEXT, G2_TEXT, COUPLE_RHS,
+     "first companion nonzero at k = 0 at {'r': 2, 's': 3}"),
+    (F1_TEXT, G1_TEXT, "2^k", "(-1)2^k", COUPLE_RHS,
+     "second companion nonzero at k = 0 at {'r': 2, 's': 3}"),
+    (F1_TEXT, G1_TEXT, F2_TEXT, G2_TEXT, "2*" + COUPLE_RHS,
+     "boundary value differs from the stated right-hand side at {'r': 2, 's': 3}"),
+    (F1_TEXT, G1_TEXT, ZERO_AT_1_2 + F2_TEXT, ZERO_AT_1_2 + G2_TEXT, COUPLE_RHS,
+     "sums disagree at n = 1, {'r': 2, 's': 3}: 60 vs 0"),
+    (ZERO_AT_1_2 + F1_TEXT, ZERO_AT_1_2 + G1_TEXT, ZERO_AT_1_2 + F2_TEXT,
+     ZERO_AT_1_2 + G2_TEXT, COUPLE_RHS, "difference equation fails at n = 1, {'r': 2, 's': 3}"),
+], ids=["first-sign", "second-sign", "first-companion", "second-companion", "rhs-doubled",
+        "sums", "difference-equation"])
+def test_boundary_couple_names_the_check_that_fails(f1, g1, f2, g2, rhs, message):
+    """Each refusal in order.  2^k with companion -2^k telescopes under
+    n w(n) - (n+1) w(n+1) but is -1 at k = 0; the last two pass every proof
+    on terms, and only the direct sums see the values at n = 1 and 2."""
+    binding = {"r": 2, "s": 3}
+    with pytest.raises(VerificationError) as info:
+        check_boundary_couple(parse_term(f1), parse_term(g1), "s", parse_term(f2),
+                              parse_term(g2), "r", COUPLE_COEFFS, parse_term(rhs, binding),
+                              binding, n_lo=1, n_hi=6)
+    assert str(info.value) == message
 
 
 # -- sequences and double-sum transforms ---------------------------------
