@@ -283,9 +283,6 @@ class HyperTerm:
     def __repr__(self) -> str:
         return f"HyperTerm({term_to_string(self)!r})"
 
-    def has_params(self) -> bool:
-        return bool(_term_params(self))
-
     def bind(self, binding: ParamBinding | None) -> "HyperTerm":
         if not binding:
             return self
@@ -517,8 +514,11 @@ def term_ratio_is_one(t1: HyperTerm, t2: HyperTerm) -> bool:
     cross-multiplied, by ``zn_identity``) and the values must agree at one
     sample point where neither term vanishes or poles, off every line where
     a factor of either term's k- or n-shift pair vanishes: there a
-    recurrence may break, so a sample taken on it pins nothing.
+    recurrence may break, so a sample taken on it pins nothing.  The zero
+    term, which has no shift quotient, equals only itself.
     """
+    if not (t1.prefactor[0] and t2.prefactor[0]):
+        return not (t1.prefactor[0] or t2.prefactor[0])
     breaks = []
     for var in ("k", "n"):
         r1, r2 = factored_shift_pair(t1, var), factored_shift_pair(t2, var)

@@ -4,7 +4,9 @@ used to cross-check convolution identities.
 A series carries its coefficients through a fixed truncation order;
 combining two series truncates to the shorter one.  All arithmetic is
 exact and runs on integers, numerators over one common denominator; only
-`coeffs` and `coeff` build Fractions.
+`coeffs` and `coeff` build Fractions.  Powers, inverses and square roots
+share one kernel, which takes O(order) steps on 1-4x, the base of every
+bundled series.
 """
 
 from __future__ import annotations
@@ -102,17 +104,49 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = one_series(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    def __pow__(self, alpha: int | Fraction) -> "PowerSeries":
+        """f**alpha for an int or Fraction alpha by J.C.P. Miller's recurrence
+        (Knuth, TAOCP vol. 2, 4.7): O(order * deg f) steps, O(order) on 1-4x.
+
+        On the numerators F over the common denominator, with alpha = p/q and
+        s = q^2*F_0, h_m = s^m*g_m/g_0 is an integer for g = f**alpha, and
+        m*h_m = sum_(1<=i<=min(m, deg f)) ((p+q)*i - q*m)*q*F_i*s^(i-1)*h_(m-i)
+        divides exactly.  A fractional power needs constant term 1; a zero
+        constant term is factored out as x^v for an integer alpha >= 0.
+        """
+        if not isinstance(alpha, (int, Fraction)):
+            raise TypeError(f"series powers take int or Fraction exponents, not {alpha!r}")
+        f, n, p, q = self._num, self.order, alpha.numerator, alpha.denominator
+        if alpha in (0, 1):
+            return self if alpha else one_series(n)
+        if q != 1 and f[0] != self._den:
+            raise ValueError("a fractional power requires constant term 1")
+        if not f[0]:
+            if p < 0:
+                raise ZeroDivisionError("series with zero constant term has no inverse")
+            v = next((i for i, c in enumerate(f) if c), n + 1)
+            if v * p > n:
+                return _make([0] * (n + 1), 1)
+            low = self.shift_down(v).truncate(n - v * p) ** p
+            return _make((0,) * (v * p) + low._num, low._den)
+        s, pq = q * q * f[0], p + q
+        t = n - list(map(bool, reversed(f))).index(True)  # the degree of f
+        # h_m = sum_i ic_i*h_(m-i)/m + sum_i c_i*h_(m-i), i = 1..t
+        c = [-q * q * fi * s ** (i - 1) for i, fi in enumerate(f[1:t + 1], 1)]
+        ic = [pq * i * ci // -q for i, ci in enumerate(c, 1)] if pq else []
+        h = [1]
+        for m in range(1, n + 1):
+            hs = h[:-t - 1:-1]  # h_(m-1), ..., h_(m-t), as far as they go
+            y, r = divmod(sum(map(mul, ic, hs)), m) if pq else (0, 0)
+            if r:
+                raise ArithmeticError(f"inexact step {m} of the power recurrence")
+            h.append(sum(map(mul, c, hs), y))
+        g0 = Fraction(f[0], self._den) ** p  # 1 when q > 1
+        num, w = [], g0.numerator
+        for hm in reversed(h):
+            num.append(hm * w)
+            w *= s
+        return _make(num[::-1], g0.denominator * s ** n)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -124,28 +158,11 @@ class PowerSeries:
         return self * other.inverse()
 
     def inverse(self) -> "PowerSeries":
-        f, f0, n = self._num, self._num[0], self.order
-        if not f0:
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        # h_m = g_m*f0^(m+1) for g = 1/f is an integer: h_0 = 1 and
-        # h_m = -sum_{i=1..m} f_i*f0^(i-1)*h_(m-i).
-        scaled = [fi * f0 ** i for i, fi in enumerate(f[1:])]
-        h = [1]
-        for m in range(1, n + 1):
-            h.append(-sum(map(mul, scaled[:m], h[::-1])))
-        return _make([self._den * hm * f0 ** (n - m) for m, hm in enumerate(h)], f0 ** (n + 1))
+        return self ** -1
 
     def sqrt(self) -> "PowerSeries":
         """Square root of a series with constant term 1."""
-        f, d, n = self._num, self._den, self.order
-        if f[0] != d:
-            raise ValueError("sqrt requires constant term 1")
-        # t_m = s_m*(4d)^m is an even integer for m >= 1:
-        # 2*t_m = f_m*4^m*d^(m-1) - sum_{i=1..m-1} t_i*t_(m-i).
-        t = [1]
-        for m in range(1, n + 1):
-            t.append((f[m] * 4 ** m * d ** (m - 1) - sum(map(mul, t[1:m], t[m - 1:0:-1]))) // 2)
-        return _make([tm * (4 * d) ** (n - m) for m, tm in enumerate(t)], (4 * d) ** n)
+        return self ** Fraction(1, 2)
 
     def shift_down(self, m: int) -> "PowerSeries":
         """Divide by x^m; the first m coefficients must vanish."""
@@ -182,7 +199,7 @@ def one_series(order: int) -> PowerSeries:
 def central_binomial_gf(order: int) -> PowerSeries:
     """1/sqrt(1-4x): coefficients binom(2n, n)."""
     base = PowerSeries((1, -4)[: _order(order) + 1] + (0,) * (order - 1))
-    return base.sqrt().inverse()
+    return base ** Fraction(-1, 2)
 
 
 def catalan_gf(order: int) -> PowerSeries:
@@ -192,16 +209,18 @@ def catalan_gf(order: int) -> PowerSeries:
 
 
 def ballot_gf(k: int, order: int) -> PowerSeries:
-    """central * catalan^k: coefficients binom(2n+k, n)."""
+    """central * catalan^k: coefficients binom(2n+k, n).  The central series
+    itself for k = 0, and one series product for k >= 1."""
     if k < 0:
         raise ValueError("the family index must be >= 0")
-    return central_binomial_gf(order) * catalan_gf(order) ** k
+    central = central_binomial_gf(order)
+    return central * catalan_gf(order) ** k if k else central
 
 
 def shifted_central_gf(order: int) -> PowerSeries:
-    """(1 - sqrt(1-4x))/(x*sqrt(1-4x)) = 2 * catalan * central: coefficients
-    binom(2n+2, n+1)."""
-    return catalan_gf(order) * central_binomial_gf(order) * 2
+    """(1/sqrt(1-4x) - 1)/x = 2 * catalan * central: coefficients
+    binom(2n+2, n+1), read off the central series one order up."""
+    return (central_binomial_gf(_order(order) + 1) - 1).shift_down(1)
 
 
 def check_shifted_central_identity(order: int = 64) -> bool:

@@ -290,6 +290,12 @@ def test_term_ratio_is_one_is_not_true_for_terms_that_differ():
             term_ratio_is_one(t1, t2)
 
 
+def test_term_ratio_is_one_compares_the_zero_term_as_zero():
+    zero, two = parse_term("0"), parse_term("2^k/n")
+    assert term_ratio_is_one(zero, parse_term("0*binom(n,k)"))
+    assert not term_ratio_is_one(zero, two) and not term_ratio_is_one(two, zero)
+
+
 def test_term_ratio_is_one_negative():
     t = parse_term("binom(n,k)")
     u = parse_term("2*binom(n,k)")

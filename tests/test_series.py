@@ -106,6 +106,7 @@ def test_pow_and_negative_pow():
     assert (s**3).coeff(1) == 3
     assert (s**-1) == s.inverse()
     assert (s**0) == one_series(4)
+    assert _series(4, 1) ** Fraction(2, 1) == _series(16, 8)
 
 
 def test_truncate_and_shift_down():
@@ -195,6 +196,59 @@ def test_known_gf_registry():
     assert known_gf("ballot", 5, 2) == ballot_gf(2, 5)
     with pytest.raises(KeyError):
         known_gf("unknown", 5)
+
+
+# The definitions the power kernel replaced, kept as references: the
+# central series as an inverted square root, the shifted central series as
+# twice a product, and Catalan powers by square-and-multiply.
+
+
+def old_central(order: int) -> PowerSeries:
+    return (one_series(order) - 4 * x_series(order)).sqrt().inverse()
+
+
+def old_catalan_power(order: int, k: int) -> PowerSeries:
+    result, base = one_series(order), catalan_gf(order)
+    while k:
+        if k & 1:
+            result = result * base
+        base, k = base * base, k >> 1
+    return result
+
+
+def test_bundled_series_match_their_old_definitions():
+    for order in range(65):
+        central = old_central(order)
+        assert central_binomial_gf(order) == central
+        assert shifted_central_gf(order) == 2 * catalan_gf(order) * central
+        for k in range(9):
+            assert ballot_gf(k, order) == central * old_catalan_power(order, k)
+
+
+def count_products(monkeypatch) -> list[int]:
+    calls, product = [0], PowerSeries.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return product(self, other)
+
+    monkeypatch.setattr(PowerSeries, "__mul__", counted)
+    monkeypatch.setattr(PowerSeries, "__rmul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("build, products", [
+    (central_binomial_gf, 0),
+    (catalan_gf, 0),
+    (shifted_central_gf, 0),
+    (lambda order: ballot_gf(0, order), 0),
+    (lambda order: ballot_gf(1, order), 1),
+    (lambda order: ballot_gf(5, order), 1),
+], ids=["central", "catalan", "shifted-central", "ballot-0", "ballot-1", "ballot-5"])
+def test_bundled_series_make_at_most_one_product(build, products, monkeypatch):
+    calls = count_products(monkeypatch)
+    build(40)
+    assert calls[0] == products
 
 
 # -- ring axioms at order 16 --------------------------------------------
@@ -305,6 +359,44 @@ def test_sqrt_of_rational_series_matches_reference(rest):
 def test_pow_with_negative_exponents_matches_reference(f0, rest, e):
     f = [f0] + rest
     assert_is(PowerSeries(f) ** e, ref_pow(f, e))
+
+
+@st.composite
+def unit_series(draw) -> list[Fraction]:
+    """Constant term 1, then either every coefficient drawn or a few nonzero
+    ones at scattered places with gaps of zeros between them."""
+    order = draw(st.integers(min_value=0, max_value=10))
+    if draw(st.booleans()):
+        return [Fraction(1)] + draw(st.lists(wide, min_size=order, max_size=order))
+    rest = [Fraction(0)] * order
+    for j in draw(st.sets(st.integers(min_value=0, max_value=order - 1), max_size=3)) if order else ():
+        rest[j] = draw(nonzero)
+    return [Fraction(1)] + rest
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_series(), st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4))
+def test_fractional_power_to_its_denominator_is_the_integer_power(f, p, q):
+    power = PowerSeries(f) ** p
+    assert_is(power, ref_pow(f, p))
+    assert (PowerSeries(f) ** Fraction(p, q)) ** q == power
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, "2", None])
+def test_power_takes_only_int_or_fraction(alpha):
+    with pytest.raises(TypeError):
+        _series(1, 2, 3) ** alpha
+
+
+def test_power_of_a_zero_constant_term():
+    x = x_series(6)
+    assert x ** 3 == _series(0, 0, 0, 1, 0, 0, 0)
+    assert _series(0, 2, 1, 0) ** 2 == _series(0, 0, 4, 4)
+    assert x ** 7 == _series(0, 0, 0, 0, 0, 0, 0) and x ** 0 == one_series(6)
+    with pytest.raises(ZeroDivisionError):
+        x ** -1
+    with pytest.raises(ValueError):
+        x ** Fraction(1, 2)
 
 
 @settings(max_examples=60, deadline=None)

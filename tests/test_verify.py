@@ -370,12 +370,15 @@ ZERO_AT_1_2 = "binom(n-3,n-3)*"  # 1 as a hypergeometric term, but 0 at n = 1 an
      "sums disagree at n = 1, {'r': 2, 's': 3}: 60 vs 0"),
     (ZERO_AT_1_2 + F1_TEXT, ZERO_AT_1_2 + G1_TEXT, ZERO_AT_1_2 + F2_TEXT,
      ZERO_AT_1_2 + G2_TEXT, COUPLE_RHS, "difference equation fails at n = 1, {'r': 2, 's': 3}"),
+    ("2^k/n", "0", "3^k/n", "0", "0", "sums disagree at n = 1, {'r': 2, 's': 3}: 7 vs 4"),
 ], ids=["first-sign", "second-sign", "first-companion", "second-companion", "rhs-doubled",
-        "sums", "difference-equation"])
+        "sums", "difference-equation", "zero-companions"])
 def test_boundary_couple_names_the_check_that_fails(f1, g1, f2, g2, rhs, message):
     """Each refusal in order.  2^k with companion -2^k telescopes under
-    n w(n) - (n+1) w(n+1) but is -1 at k = 0; the last two pass every proof
-    on terms, and only the direct sums see the values at n = 1 and 2."""
+    n w(n) - (n+1) w(n+1) but is -1 at k = 0; the sums and difference-equation
+    rows pass every proof on terms, and only the direct sums see the values at
+    n = 1 and 2.  Zero companions are equal boundary values, so 2^k/n and
+    3^k/n reach the direct comparison, 7/n against 4/n."""
     binding = {"r": 2, "s": 3}
     with pytest.raises(VerificationError) as info:
         check_boundary_couple(parse_term(f1), parse_term(g1), "s", parse_term(f2),
