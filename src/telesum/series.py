@@ -5,15 +5,21 @@ A series carries its coefficients through a fixed truncation order;
 combining two series truncates to the shorter one.  All arithmetic is
 exact and runs on integers, numerators over one common denominator; only
 `coeffs` and `coeff` build Fractions.  Powers, inverses and square roots
-share one kernel, which takes O(order) steps on 1-4x, the base of every
-bundled series.
+share one kernel, which takes O(order) steps on 1-4x.
+
+Every bundled series takes one call of that kernel, the central series
+B_0 = (1-4x)^(-1/2), and then linear steps on its integer coefficients:
+B_1 = (B_0 - 1)/(2x) and x*B_(j+2) = B_(j+1) - B_j, which is the Catalan
+equation x*C^2 = C - 1 times C^j*B_0 (Flajolet & Sedgewick, Analytic
+Combinatorics, I.5).  Ballot(k) is B_k, shifted central 2*B_1 and Catalan
+2*B_0 - B_1; none of them takes a series product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable
 
 from .hyperterm import binomial_value
@@ -53,6 +59,11 @@ class PowerSeries:
         if i > self.order:
             raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
         return Fraction(self._num[i], self._den)
+
+    def as_integer_ratio(self) -> tuple[tuple[int, ...], int]:
+        """The numerators of c_0..c_order over their least common denominator,
+        and that denominator."""
+        return self._num, self._den
 
     def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:
@@ -197,30 +208,38 @@ def one_series(order: int) -> PowerSeries:
 
 
 def central_binomial_gf(order: int) -> PowerSeries:
-    """1/sqrt(1-4x): coefficients binom(2n, n)."""
+    """B_0 = 1/sqrt(1-4x): coefficients binom(2n, n).  The one power under
+    every bundled series."""
     base = PowerSeries((1, -4)[: _order(order) + 1] + (0,) * (order - 1))
     return base ** Fraction(-1, 2)
 
 
 def catalan_gf(order: int) -> PowerSeries:
-    """(1 - sqrt(1-4x))/(2x): the Catalan numbers."""
-    root = PowerSeries((1, -4) + (0,) * _order(order)).sqrt()  # one spare order for the shift
-    return (one_series(order + 1) - root).shift_down(1) / 2
+    """(1 - sqrt(1-4x))/(2x) = 2*B_0 - B_1: the Catalan numbers
+    binom(2n, n)/(n+1).  B_1 = (B_0 - 1)/(2x) halves B_0 one order up."""
+    b0 = central_binomial_gf(_order(order) + 1)._num
+    return _make([2 * a - (b >> 1) for a, b in zip(b0, b0[1:])], 1)
 
 
 def ballot_gf(k: int, order: int) -> PowerSeries:
-    """central * catalan^k: coefficients binom(2n+k, n).  The central series
-    itself for k = 0, and one series product for k >= 1."""
+    """B_k = C^k/sqrt(1-4x), C the Catalan series: coefficients binom(2n+k, n).
+    B_0 to order + k, then B_1 = (B_0 - 1)/(2x) and x*B_(j+2) = B_(j+1) - B_j,
+    each row one order shorter: one power and about k*order subtractions."""
     if k < 0:
         raise ValueError("the family index must be >= 0")
-    central = central_binomial_gf(order)
-    return central * catalan_gf(order) ** k if k else central
+    central = central_binomial_gf(_order(order) + k)
+    if not k:
+        return central
+    prev, row = central._num, [c >> 1 for c in central._num[1:]]  # B_0, B_1
+    for _ in range(k - 1):
+        prev, row = row, list(map(sub, row[1:], prev[1:]))
+    return _make(row, 1)
 
 
 def shifted_central_gf(order: int) -> PowerSeries:
-    """(1/sqrt(1-4x) - 1)/x = 2 * catalan * central: coefficients
-    binom(2n+2, n+1), read off the central series one order up."""
-    return (central_binomial_gf(_order(order) + 1) - 1).shift_down(1)
+    """(1/sqrt(1-4x) - 1)/x = 2*B_1: coefficients binom(2n+2, n+1), read
+    off the central series one order up."""
+    return _make(central_binomial_gf(_order(order) + 1)._num[1:], 1)
 
 
 def check_shifted_central_identity(order: int = 64) -> bool:

@@ -103,6 +103,18 @@ GRAMMAR_CALLS = [
     ["sum", "binom(2(n+1),k)", "--n", "0", "3"],
     ["sum", "binom(n,k)", "--n", "0", "3", "--from", "2*(n-n)", "--to", "n"],
 ]
+# The series requests at the benchmark's sizes, as text and --machine.
+SERIES_CALLS = [
+    ["series", name, "--order", order] + index + machine
+    for name, order, index in [
+        ("catalan", "256", []),
+        ("central", "192", []),
+        ("shifted-central", "128", []),
+        ("ballot", "96", ["--family-index", "0"]),
+        ("ballot", "96", ["--family-index", "5"]),
+    ]
+    for machine in ([], ["--machine"])
+]
 CALLS = (
     [["gosper", t] for t in GOSPER_TERMS]
     + [["gosper", "--machine", t] for t in GOSPER_TERMS[:6]]
@@ -138,6 +150,7 @@ CALLS = (
     + REFUSAL_CALLS
     + SUITE_CALLS
     + GRAMMAR_CALLS
+    + SERIES_CALLS
 )
 
 

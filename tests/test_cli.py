@@ -105,6 +105,38 @@ def test_param_value_that_int_rejects_exit_one(value, capsys):
     assert f"--param expects NAME=INT, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["r=+5", "r=1_0", "r= 5", "r=5 ", "r=\u0663"])
+def test_param_value_outside_the_integer_syntax_exit_one(value, capsys):
+    assert main(["zeil", "binom(n,k)*binom(r,k)", "--param", value]) == 1
+    assert capsys.readouterr().err == f"usage error: --param expects NAME=INT, got {value!r}\n"
+
+
+# Every integer flag reads the syntax of --param values: an optional '-',
+# then ASCII digits.  int() would take each of these.
+@pytest.mark.parametrize("argv, flag, text", [
+    (["series", "catalan", "--order", "1_0"], "--order", "1_0"),
+    (["series", "catalan", "--order", " 5"], "--order", " 5"),
+    (["series", "catalan", "--order", "\u0663"], "--order", "\u0663"),
+    (["series", "ballot", "--family-index", "+5"], "--family-index", "+5"),
+    (["zeil", "binom(n,k)", "--jmax", "0_1"], "--jmax", "0_1"),
+    (["sum", "binom(n,k)", "--n", "0", "+2"], "--n", "+2"),
+    (["sum", "binom(n,k)", "--n", "1_0", "12"], "--n", "1_0"),
+], ids=["order-underscore", "order-space", "order-arabic-indic", "family-index-plus",
+        "jmax-underscore", "n-plus", "n-underscore"])
+def test_integer_flags_take_only_sign_and_ascii_digits(argv, flag, text, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: argument {flag}: expected an integer, got {text!r}\n"
+    assert captured.out == ""
+
+
+def test_integer_flags_take_leading_zeros_and_a_minus(capsys):
+    assert main(["series", "ballot", "--order", "002", "--family-index", "01"]) == 0
+    assert capsys.readouterr().out == "0: 1\n1: 3\n2: 10\n"
+    assert main(["sum", "binom(n,k)", "--n", "-0", "01"]) == 0
+    assert capsys.readouterr().out == "0: 1\n1: 2\n"
+
+
 def test_zeil_exit_zero_prints_operator(capsys):
     assert main(["zeil", CRUX]) == 0
     out = capsys.readouterr().out
@@ -474,6 +506,21 @@ def test_closed_stdout_pipe_exits_141_with_nothing_on_stderr():
     proc.stderr.close()
     assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
     assert first == b"0: 1\n"
+    assert err == b""
+
+
+def test_closed_stdout_pipe_exits_141_with_nothing_on_stderr_in_machine_form():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "telesum", "series", "catalan", "--order", "512", "--machine"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
+    assert first == b'{"index": "0", "value": "1"}\n'
     assert err == b""
 
 

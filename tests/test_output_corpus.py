@@ -1,10 +1,10 @@
 """The CLI's output, byte for byte, against a committed corpus.
 
 tests/data/output_corpus.json holds the stdout, stderr and exit code of
-about ninety fast in-process calls: gosper and zeil (plain and --machine),
-wz-check on a true and a sign-flipped pair, sum, series, the bundled suite
-and the mutation catalog, usage errors, and terms with rational prefactors
-of several shapes.
+about a hundred fast in-process calls: gosper and zeil (plain and --machine),
+wz-check on a true and a sign-flipped pair, sum, series (also at the sizes
+the benchmark asks for), the bundled suite and the mutation catalog, usage
+errors, and terms with rational prefactors of several shapes.
 tests/data/make_output_corpus.py wrote it and regenerates it.
 """
 

@@ -225,30 +225,40 @@ def test_bundled_series_match_their_old_definitions():
             assert ballot_gf(k, order) == central * old_catalan_power(order, k)
 
 
-def count_products(monkeypatch) -> list[int]:
-    calls, product = [0], PowerSeries.__mul__
+def count_calls(monkeypatch, name: str, *aliases: str) -> list[int]:
+    calls, method = [0], getattr(PowerSeries, name)
 
-    def counted(self, other):
+    def counted(*args):
         calls[0] += 1
-        return product(self, other)
+        return method(*args)
 
-    monkeypatch.setattr(PowerSeries, "__mul__", counted)
-    monkeypatch.setattr(PowerSeries, "__rmul__", counted)
+    for attr in (name, *aliases):
+        monkeypatch.setattr(PowerSeries, attr, counted)
     return calls
 
 
-@pytest.mark.parametrize("build, products", [
-    (central_binomial_gf, 0),
-    (catalan_gf, 0),
-    (shifted_central_gf, 0),
-    (lambda order: ballot_gf(0, order), 0),
-    (lambda order: ballot_gf(1, order), 1),
-    (lambda order: ballot_gf(5, order), 1),
-], ids=["central", "catalan", "shifted-central", "ballot-0", "ballot-1", "ballot-5"])
-def test_bundled_series_make_at_most_one_product(build, products, monkeypatch):
-    calls = count_products(monkeypatch)
+BUNDLED = [
+    central_binomial_gf,
+    catalan_gf,
+    shifted_central_gf,
+    *(lambda order, k=k: ballot_gf(k, order) for k in (0, 1, 5, 40)),
+]
+BUNDLED_IDS = ["central", "catalan", "shifted-central", "ballot-0", "ballot-1", "ballot-5",
+               "ballot-40"]
+
+
+@pytest.mark.parametrize("build", BUNDLED, ids=BUNDLED_IDS)
+def test_bundled_series_make_no_product(build, monkeypatch):
+    calls = count_calls(monkeypatch, "__mul__", "__rmul__")
     build(40)
-    assert calls[0] == products
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("build", BUNDLED, ids=BUNDLED_IDS)
+def test_bundled_series_call_the_power_kernel_once(build, monkeypatch):
+    calls = count_calls(monkeypatch, "__pow__")
+    build(40)
+    assert calls[0] == 1
 
 
 # -- ring axioms at order 16 --------------------------------------------
@@ -547,6 +557,20 @@ def test_known_gf_matches_closed_form(name, index, order):
     gf = known_gf(name, order, index)
     assert gf.order == order
     assert gf.coeffs == tuple(closed_form(name, index, i) for i in range(order + 1))
+
+
+# The first orders, where the linear steps start, and the largest the CLI
+# allows, with family indices up to that bound.
+EDGE_SIZES = [("ballot", k, order) for k in [*range(9), 100, 512] for order in (0, 1, 2, 96, 512)]
+EDGE_SIZES += [(name, None, order) for name in ("catalan", "shifted-central")
+               for order in (0, 1, 256, 512)]
+
+
+@pytest.mark.parametrize("name,index,order", EDGE_SIZES)
+def test_known_gf_matches_closed_form_at_the_edges(name, index, order):
+    num, den = known_gf(name, order, index).as_integer_ratio()
+    assert den == 1
+    assert num == tuple(closed_form(name, index, i) for i in range(order + 1))
 
 
 @pytest.mark.parametrize("name,index,order", CLOSED_FORM_SIZES)
