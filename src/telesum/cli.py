@@ -88,6 +88,8 @@ def _parse_params(pairs: list[str]) -> dict[str, int]:
             raise _UsageError(f"parameter must be a single letter other than n, k: {name!r}")
         if v < 0:
             raise _UsageError(f"parameter {name} must be >= 0, got {v}")
+        if name in binding:
+            raise _UsageError(f"parameter {name} is bound more than once")
         binding[name] = v
     return binding
 

@@ -6,15 +6,15 @@ exact form of the engine.  Its products, powers and int shifts run on int
 rows (``_rows_mul``, ``_rows_shift``; ``ZnPoly.shift`` is the same Taylor
 shift on one-entry rows).  One long division, ``_exact_division``, gives the
 exact quotient in Z[n] and in Z[n][k], None where the division is not
-exact.  ``zn_reduced``
-brings a pair num/den in Z[n][k] to lowest terms by the cofactors of
-``_zn_gcd``; a ``RationalFunction``, an element of Q(n)(k), is such a
-reduced pair.  ``FactoredRatio`` keeps a quotient as multisets of primitive
-factors in Z[n][k], the form the Gosper normal form reads.
-``meeting_shifts`` gives the shifts where two factors meet, and
-``dispersion_set`` applies it to two primitive parts: a closed form for two
-linear factors, and otherwise a resultant over Z[j] at integer points n0
-(``_shift_resultant_roots``) whose roots a gcd confirms.
+exact.  ``zn_reduced`` brings a pair num/den in Z[n][k] to lowest terms by
+the cofactors of ``_zn_gcd``; a ``RationalFunction``, an element of
+Q(n)(k), is the value of such a reduced pair, with no arithmetic of its
+own.  ``FactoredRatio`` keeps a quotient as multisets of primitive factors
+in Z[n][k], the form the Gosper normal form reads.  ``meeting_shifts``
+gives the shifts where two factors meet, and ``dispersion_set`` applies it
+to two primitive parts: a closed form for two linear factors, and otherwise
+a resultant over Z[j] at integer points n0 (``_shift_resultant_roots``)
+whose roots a gcd confirms.
 """
 
 from __future__ import annotations
@@ -57,9 +57,6 @@ class Polynomial:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return ZN_ZERO
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -175,9 +172,10 @@ class RationalFunction:
     ``zn_reduced`` (no common factor, joint content 1, the denominator's top
     integer positive), so that equal values have equal pairs.
 
-    num and den may be anything ``_znk_scaled`` reads; den defaults to 1.
-    The operators also take ints and Fractions, and a constant value hashes
-    as the Fraction it equals."""
+    It is a value, with no arithmetic: the engine computes on the pairs
+    (``zn_reduced``) and on ``FactoredRatio``s.  num and den may be anything
+    ``_znk_scaled`` reads; den defaults to 1.  A constant value equals, and
+    hashes as, the int or Fraction it is."""
 
     __slots__ = ("num", "den")
 
@@ -195,74 +193,18 @@ class RationalFunction:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
-    @staticmethod
-    def _coerce(other) -> "RationalFunction | None":
-        if isinstance(other, RationalFunction):
-            return other
-        return RationalFunction(other) if isinstance(other, (int, Fraction)) else None
-
     def __eq__(self, other) -> bool:
-        p = self._coerce(other)
-        if p is None:
+        if isinstance(other, (int, Fraction)):
+            other = RationalFunction(other)
+        elif not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == p.num and self.den == p.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         rows = self.num.coeffs + self.den.coeffs
         if self.num.degree <= 0 and self.den.degree == 0 and max(map(len, rows)) == 1:
             return hash(Fraction(self.num.coeff(0)(0), self.den.coeffs[0][0]))
         return hash((self.num.coeffs, self.den.coeffs))
-
-    def __add__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return RationalFunction(self.num * p.den + p.num * self.den, self.den * p.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        p = self._coerce(other)
-        return NotImplemented if p is None else self + (-p)
-
-    def __rsub__(self, other):
-        p = self._coerce(other)
-        return NotImplemented if p is None else p + (-self)
-
-    def __mul__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return RationalFunction(self.num * p.num, self.den * p.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        p = self._coerce(other)
-        return NotImplemented if p is None else self * p.reciprocal()
-
-    def __rtruediv__(self, other):
-        p = self._coerce(other)
-        return NotImplemented if p is None else p * self.reciprocal()
-
-    def __pow__(self, exponent: int):
-        base = self if exponent >= 0 else self.reciprocal()
-        return RationalFunction(base.num ** abs(exponent), base.den ** abs(exponent))
-
-    def reciprocal(self) -> "RationalFunction":
-        if not self.num:
-            raise ZeroDivisionError("reciprocal of zero")
-        return RationalFunction(self.den, self.num)
-
-    def shift(self, j: int) -> "RationalFunction":
-        """The value at k + j."""
-        return RationalFunction(self.num.shift(j), self.den.shift(j))
 
     def evaluate(self, n, k=0) -> Fraction:
         """The value at (n, k), ints or Fractions; a ZeroDivisionError where
@@ -526,12 +468,9 @@ def dispersion_set(p: Polynomial, q: Polynomial) -> list[int]:
 # substitution in n
 
 
-def shift_in_n(obj, j: int):
-    """Substitute n + j for n in a polynomial in k over Z[n] or in a
-    ``RationalFunction``."""
-    if isinstance(obj, RationalFunction):
-        return RationalFunction(shift_in_n(obj.num, j), shift_in_n(obj.den, j))
-    return obj.map_coeffs(lambda c: c.shift(j))
+def shift_in_n(p: Polynomial, j: int) -> Polynomial:
+    """Substitute n + j for n in a polynomial in k over Z[n]."""
+    return p.map_coeffs(lambda c: c.shift(j))
 
 
 def clear_qnk_pair(value: RationalFunction) -> tuple[Polynomial, Polynomial]:

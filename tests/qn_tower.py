@@ -3,12 +3,15 @@
 Q -> Q[n] -> Q(n) -> Q(n)[k] -> Q(n)(k), built from ``Fraction`` upward on
 a dense polynomial over a field of its own (``FieldPoly``, over Q or Q(n)):
 a ``TowerFunction`` is a quotient over Q or over Q(n), reduced by Euclid's
-algorithm over that field, with a monic denominator.  It shares no
-arithmetic with telesum, whose polynomials are over Z[n] only, so it is an
-independent reference for ``RationalFunction``, one reduced pair in
-Z[n][k]: ``to_tower`` lifts a value into the tower, and ``tower_pair``
-clears a tower element back into the pair that value must hold.  ``znk``
-builds a polynomial in k over Z[n] from int rows.
+algorithm over that field, with a monic denominator.  It is the only Q(n)(k)
+arithmetic: telesum computes on reduced pairs in Z[n][k] and on factored
+quotients, and its ``RationalFunction`` is the value of one such pair, with
+no operators.  The tower shares no arithmetic with telesum, whose
+polynomials are over Z[n] only, so it is an independent reference:
+``to_tower`` lifts a value (``pair_to_tower`` a pair) into the tower, where
+the tests add, multiply and shift, and ``tower_pair`` clears a tower element
+back into the pair that value must hold.  ``znk`` builds a polynomial in k
+over Z[n] from int rows.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ from telesum.hyperterm import parse_linear_form, parse_term, shift_quotient
 from telesum.serialize import record_to_ratfun
 from telesum.suite import mutation_catalog
 
+from qn_tower import to_tower
+
 CRUX = "binom(n,k)^3"
 SUMMAND_11897 = "binom(2k,k)*binom(2n-2k+2,n-k+1)/(k+1)"
 F_11916 = "binom(n+r,n)binom(r+k,r-1)binom(n+k,n)"
@@ -25,6 +27,12 @@ G_11916 = "(-1)binom(n+r,n)binom(r+k,r-1)binom(n+k,n)*k(k+1)/(n+1)"
 def _machine_lines(capsys):
     out = capsys.readouterr().out
     return [json.loads(line) for line in out.strip().splitlines()]
+
+
+def _is_gosper_certificate(certificate, ratio) -> bool:
+    """R(k+1) * r - R = 1, computed in the tower."""
+    big_r = to_tower(certificate)
+    return (big_r.shift(1) * to_tower(ratio) - big_r).is_one()
 
 
 def test_gosper_summable_exit_zero(capsys):
@@ -44,8 +52,7 @@ def test_gosper_machine_record_round_trip(capsys):
     (rec,) = _machine_lines(capsys)
     assert rec["status"] == "ok"
     r = shift_quotient(parse_term("k*fact(k)"), "k")
-    big_r = record_to_ratfun(rec["R"])
-    assert (big_r.shift(1) * r - big_r).is_one()
+    assert _is_gosper_certificate(record_to_ratfun(rec["R"]), r)
 
 
 @pytest.mark.parametrize("command, term", [("gosper", "k*fact(k)"), ("zeil", "binom(n,k)^2")])
@@ -90,6 +97,24 @@ def test_unbound_parameter_exit_one(capsys):
 def test_bad_param_syntax_exit_one(capsys):
     assert main(["gosper", "--param", "r=x", "binom(n,k)"]) == 1
     assert "NAME=INT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gosper", "binom(k,m)"], ["zeil", "binom(n,k)*binom(m,k)"],
+    ["wz-check", "binom(n,k)*m", "binom(n,k)", "--coeff=2", "--coeff=-1"],
+    ["sum", "binom(n,k)*m", "--n", "0", "2"],
+])
+@pytest.mark.parametrize("values", [("1", "2"), ("2", "2")])
+def test_repeated_param_name_exit_one(argv, values, capsys):
+    assert main([*argv, *(arg for v in values for arg in ("--param", f"m={v}"))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: parameter m is bound more than once\n"
+    assert captured.out == ""
+
+
+def test_single_param_binds_the_certificate(capsys):
+    assert main(["gosper", "binom(k,m)", "--param", "m=2"]) == 0
+    assert "R(n,k) = (k-2) / (3)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["series", "catalan"], ["suite", "paper.suite"]])
@@ -180,7 +205,7 @@ def test_zeil_refuses_an_order_zero_result_as_gosper_summable(argv, capsys):
     big_r = record_to_ratfun(rec["R"])
     assert r_line == f"R(n,k) = {big_r}"
     r = shift_quotient(parse_term(argv[0], {"r": 3}), "k")
-    assert (big_r.shift(1) * r - big_r).is_one()
+    assert _is_gosper_certificate(big_r, r)
 
 
 def test_zeil_machine_matches_plain_run(capsys):

@@ -19,7 +19,7 @@ from telesum.gosper import (
     telescoped_sum,
 )
 from telesum.hyperterm import PoleError, eval_term, factored_shift_pair, parse_term, shift_quotient
-from qn_tower import lift, znk
+from qn_tower import lift, pair_to_tower, to_tower, znk
 from telesum.polynomials import RationalFunction, ZnPoly
 from telesum.serialize import bivariate_string, record_to_ratfun
 from telesum.verify import oracle_sum
@@ -155,7 +155,7 @@ def test_main_summand_is_gosper_summable():
 def test_certificate_soundness_identity():
     t = parse_term("binom(2k,k)*binom(2n-2k+2,n-k+1)/(k+1)")
     cert = gosper_antidifference(t)
-    r, R = cert.ratio, cert.certificate
+    r, R = to_tower(cert.ratio), to_tower(cert.certificate)
     assert (R.shift(1) * r - R).is_one()
 
 
@@ -323,8 +323,8 @@ SUMMABLE = (
 def test_x_solves_gosper_equation(text):
     # z*a(k)*x(k+1) - b(k-1)*x(k) = c(k), which check() sees only through R
     cert = gosper_antidifference(parse_term(text))
-    nf, x = cert.integer_form.pairs(), cert.x
-    a, b, c, z = (RationalFunction(*nf[name]) for name in "abcz")
+    nf, x = cert.integer_form.pairs(), to_tower(cert.x)
+    a, b, c, z = (pair_to_tower(*nf[name]) for name in "abcz")
     assert z * a * x.shift(1) - b.shift(-1) * x == c
 
 

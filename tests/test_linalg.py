@@ -13,7 +13,7 @@ from telesum import linalg, polynomials
 from telesum.linalg import nullspace
 from telesum.polynomials import RationalFunction, ZnPoly, _int_gcd
 
-from qn_tower import QN, clear_qn, n_poly, rref_nullspace
+from qn_tower import QN, clear_qn, n_poly, rref_nullspace, to_tower
 
 
 def _q(v) -> Fraction:
@@ -146,7 +146,7 @@ def test_solution_satisfies_system(matrix_cols):
     sol = solve_linear_system(matrix, rhs)
     assert sol is not None
     for row, b in zip(matrix, rhs):
-        assert sum(a * x for a, x in zip(row, sol)) == b
+        assert sum(a * to_tower(x) for a, x in zip(row, sol)) == b
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,6 +18,7 @@ from qn_tower import (
     POLY_K,
     POLY_N,
     QN,
+    QNK,
     FieldPoly,
     TowerFunction,
     clear_qn,
@@ -94,7 +95,6 @@ def test_trailing_zeros_trimmed():
 
 def test_zero_polynomial():
     z = Polynomial(())
-    assert z.is_zero()
     assert not z
     assert z.coeff(5) == ZnPoly()
     assert z.lc() == ZnPoly()
@@ -194,8 +194,8 @@ def test_gcd_divides_both(p, q):
     """The gcd is primitive with a positive leading integer, divides both in
     Z[n][k], and is Euclid's gcd over Q(n) up to a factor in Q(n)."""
     g = poly_gcd(p, q)
-    if g.is_zero():
-        assert p.is_zero() and q.is_zero()
+    if not g:
+        assert not p and not q
         return
     assert math.gcd(*(c for r in g.coeffs for c in r)) == 1 and g.lc()[-1] > 0
     assert p.quotient(g) is not None
@@ -502,25 +502,6 @@ def test_ratfun_zero_denominator_rejected():
         RationalFunction(_zn(1), ZnPoly())
 
 
-def test_ratfun_arithmetic():
-    n = RationalFunction(_zn(0, 1))
-    one = RationalFunction(1)
-    f = one / n
-    assert f + f == 2 / n
-    assert f * n == one
-    assert not f - f
-    assert f**2 == one / (n * n) == n**-2
-    assert f.reciprocal() == n
-
-
-def test_ratfun_shift():
-    n, k = RationalFunction(_zn(0, 1)), RationalFunction(_znk((), (1,)))
-    f = 1 / n
-    assert shift_in_n(f, 1) == 1 / (n + 1)
-    assert f.shift(1) == f  # the shift is in k
-    assert (f / k).shift(1) == 1 / (n * (k + 1))
-
-
 def test_ratfun_evaluate_and_str():
     f = RationalFunction(_zn(1, 1), _zn(-2, 1))
     assert f.evaluate(3) == 4
@@ -593,11 +574,10 @@ def test_tower_construction():
 
 
 def test_shift_in_n():
-    p = _znk((0, 1), (1,))  # k + n
+    p, q = _znk((0, 1), (1,)), _znk((1,), (1,))  # k + n, k + 1
     assert shift_in_n(p, 2) == _znk((2, 1), (1,))
-    f = RationalFunction(p, _znk((1,), (1,)))
-    assert shift_in_n(f, 2) == RationalFunction(_znk((2, 1), (1,)), _znk((1,), (1,)))
-    assert to_tower(shift_in_n(f, 2)) == to_tower(f).shift_n(2)
+    assert shift_in_n(q, 2) == q
+    assert pair_to_tower(shift_in_n(p, 2), shift_in_n(q, 2)) == pair_to_tower(p, q).shift_n(2)
 
 
 def test_eval_qnk():
@@ -620,7 +600,7 @@ def test_clear_qnk_pair_polynomial_coeffs():
 
 
 def test_integer_qnk_pair_normalization():
-    f = RationalFunction(Fraction(1, 2)) * RationalFunction(_znk((0, 1), (1,)), _znk((1,), (-1,)))
+    f = RationalFunction(_znk((0, 1), (1,)), _znk((2,), (-2,)))  # (k+n)/(2-2k)
     num, den = f.num, f.den
     values = [v for p in (num, den) for c in p.coeffs for v in c]
     assert all(type(v) is int for v in values)
@@ -696,13 +676,6 @@ def test_znpoly_times_an_int_is_a_type_error_in_both_orders(z, scalar):
         assert op(z, k) == op(_znk(z), k)
 
 
-def test_qnk_field_ops():
-    k = RationalFunction(_znk((), (1,)))
-    f = 1 / k
-    assert f * k == 1
-    assert (f + f) == 2 / k
-
-
 @settings(max_examples=80, deadline=None)
 @given(coeff_lists, coeff_lists)
 def test_znpoly_addition_is_pointwise_and_matches_subtracting_the_negation(a, b):
@@ -761,17 +734,24 @@ def _same_value(got: RationalFunction, want: TowerFunction) -> bool:
 @example((_znk((1,)), _znk((0, -2), (-1,))), (_znk((0, 1)), _znk((1,))), 1)  # a negative lead
 @example((_znk((1,), (1,)), _znk((1, 1), (1, 1))), (_zk(0, 1), _zk(1, 1)), -1)  # k+1 in both
 def test_rational_function_matches_the_tower(f_pair, g_pair, j):
-    """Each operation on the reduced pairs is the tower's operation: the
-    same reduced pair, the same values, and poles at the same points."""
-    f, g = RationalFunction(*f_pair), RationalFunction(*g_pair)
-    tf, tg = pair_to_tower(*f_pair), pair_to_tower(*g_pair)
+    """The value built from the unreduced pair of a sum, difference,
+    product, quotient or shift of two pairs is the tower's result: the same
+    reduced pair.  Equality, hash and truth follow the tower's, and the
+    values and poles are the tower's."""
+    (p, q), (u, v) = f_pair, g_pair
+    f, g = RationalFunction(p, q), RationalFunction(u, v)
+    tf, tg = pair_to_tower(p, q), pair_to_tower(u, v)
     assert _same_value(f, tf) and _same_value(g, tg)
-    for got, want in ((f + g, tf + tg), (f - g, tf - tg), (f * g, tf * tg), (-f, -tf),
-                      (f.shift(j), tf.shift(j)), (shift_in_n(f, j), tf.shift_n(j))):
-        assert _same_value(got, want)
-    if g:
-        assert _same_value(f / g, tf / tg) and _same_value(g.reciprocal(), 1 / tg)
-    assert f.is_one() == tf.is_one() and (not f or (f / f).is_one())
+    built = [((p * v + u * q, q * v), tf + tg), ((p * v - u * q, q * v), tf - tg),
+             ((p * u, q * v), tf * tg), ((-p, q), -tf), ((p.shift(j), q.shift(j)), tf.shift(j)),
+             ((shift_in_n(p, j), shift_in_n(q, j)), tf.shift_n(j))]
+    if u:
+        built += [((p * v, q * u), tf / tg), ((v, u), 1 / tg)]
+    for pair, want in built:
+        assert _same_value(RationalFunction(*pair), want)
+    assert (f == g) == (tf == tg) and (f == 1) == tf.is_one() and bool(f) == bool(tf)
+    if f == g:
+        assert hash(f) == hash(g)
     for n in range(-2, 3):
         for k in range(-2, 3):
             assert _outcome(f.evaluate, n, k) == _outcome(eval_qnk, tf, n, k), (n, k)
@@ -790,17 +770,28 @@ values = st.one_of(
 @example(RationalFunction(3), 3, _zk(1))
 @example(RationalFunction(_zk(-1), _zk(-2)), Fraction(1, 2), _znk((0, 1), (1,)))
 def test_equal_values_hash_equal(a, b, common):
-    """a == b gives hash(a) == hash(b), ints and Fractions included; the
-    same value built from a pair times a common factor, or from the negated
-    pair, is equal and hashes equal."""
+    """a == b exactly when the tower's values are equal, and then hash(a) ==
+    hash(b), ints and Fractions included; the same value built from a pair
+    times a common factor, from the negated pair or from the tower's pair is
+    equal, hashes equal and has the tower's values."""
+    assert (a == b) == (_in_tower(a) == _in_tower(b))
     if a == b:
         assert b == a and hash(a) == hash(b)
     assert len({RationalFunction(3), 3}) == 1 and len({RationalFunction(Fraction(1, 2)), Fraction(1, 2)}) == 1
     if isinstance(a, RationalFunction):
         p, q = a.num, a.den
-        same = (RationalFunction(p * common, q * common), RationalFunction(-p, -q), a + 1 - 1)
+        same = (RationalFunction(p * common, q * common), RationalFunction(-p, -q),
+                RationalFunction(*tower_pair(to_tower(a))))
         assert all(v == a and hash(v) == hash(a) for v in same)
         assert len({a, *same}) == 1
+        for n, k in ((0, 0), (2, -1), (3, 2)):
+            want = _outcome(eval_qnk, to_tower(a), n, k)
+            assert all(_outcome(v.evaluate, n, k) == want for v in (a, *same)), (n, k)
+
+
+def _in_tower(value) -> TowerFunction:
+    """An int, Fraction or ``RationalFunction`` as an element of the tower's Q(n)(k)."""
+    return to_tower(value) if isinstance(value, RationalFunction) else QNK.coerce(value)
 
 
 # -- identities in Z[n][k] at one Kronecker point ---------------------------

@@ -10,6 +10,9 @@ from __future__ import annotations
 import argparse
 import inspect
 import operator
+from fractions import Fraction
+
+import pytest
 
 import telesum
 from telesum import cli
@@ -158,6 +161,21 @@ def test_parameters_are_bound_only_at_parse_time_or_on_the_term():
                 takers.append(label)
     assert sorted(takers) == sorted(BINDING_SITES & set(telesum.__all__))
     assert "binding" in inspect.signature(telesum.hyperterm.parse_n_polynomial).parameters
+
+
+def test_rational_function_is_a_value_with_no_arithmetic():
+    """Q(n)(k) arithmetic on pairs goes through ``zn_reduced`` or the
+    factored path; the value type only compares, hashes, evaluates and prints."""
+    f = telesum.RationalFunction(telesum.Polynomial((telesum.ZnPoly((0, 1)),)))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow):
+        for left, right in ((f, f), (f, 2), (2, f)):
+            with pytest.raises(TypeError):
+                op(left, right)
+    with pytest.raises(TypeError):
+        -f
+    assert not any(hasattr(f, name) for name in ("shift", "reciprocal", "is_one"))
+    half = Fraction(1, 2)
+    assert telesum.RationalFunction(half) == half and hash(telesum.RationalFunction(half)) == hash(half)
 
 
 def test_cli_subcommands_and_flags():

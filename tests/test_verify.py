@@ -21,12 +21,7 @@ from telesum.hyperterm import (
     ratio_rational,
     shift_quotient,
 )
-from telesum.polynomials import (
-    Polynomial,
-    RationalFunction,
-    ZnPoly,
-    shift_in_n,
-)
+from telesum.polynomials import Polynomial, ZnPoly, shift_in_n
 from telesum.verify import (
     VerificationError,
     WZPair,
@@ -48,6 +43,7 @@ from telesum.zeilberger import (
     TelescopingCertificate,
     creative_telescope,
 )
+from qn_tower import QNK, pair_to_tower, to_tower, tower_pair
 from test_generated_terms import natural_terms, terms
 
 F1_TEXT = "binom(n+r,n)binom(r+k,r-1)binom(n+k,n)"
@@ -112,15 +108,16 @@ def _cross_multiplied_identity(term, coeffs, certificate):
 
 def _reference_identity(term, coeffs, certificate):
     """The summation in Q(n)(k) that the Z[n][k] checks replaced, kept here
-    as a second reference: every addition and product reduces by a gcd."""
-    r_k = shift_quotient(term, "k")
-    r_n = shift_quotient(term, "n")
-    lhs, t_j = RationalFunction(0), RationalFunction(1)
+    as a second reference, in the tower of tests/qn_tower.py: every addition
+    and product reduces by a gcd.  certificate is a tower element."""
+    r_k = to_tower(shift_quotient(term, "k"))
+    r_n = to_tower(shift_quotient(term, "n"))
+    lhs, t_j = QNK.zero(), QNK.one()
     for j, c in enumerate(coeffs):
         if j > 0:
-            t_j = t_j * shift_in_n(r_n, j - 1)
+            t_j = t_j * r_n.shift_n(j - 1)
         if c:
-            lhs = lhs + t_j * RationalFunction(c)
+            lhs = lhs + t_j * c
     return lhs == certificate.shift(1) * r_k - certificate
 
 
@@ -131,13 +128,16 @@ def _agree_in_znk(term, coeffs, pair):
 
 
 def _agree(term, coeffs, certificate):
-    got = _agree_in_znk(term, coeffs, (certificate.num, certificate.den))
+    """The checks in Z[n][k] on the pair of a tower element, and the
+    tower's own summation, agree."""
+    got = _agree_in_znk(term, coeffs, tower_pair(certificate))
     assert got == _reference_identity(term, coeffs, certificate)
     return got
 
 
 def _tamperings(coeffs, certificate):
-    """sigma_0 + 1, R * 2 and R shifted in k; each breaks the identity."""
+    """sigma_0 + 1, R * 2 and R shifted in k, R a tower element; each
+    breaks the identity."""
     yield (coeffs[0] + ZnPoly((1,)),) + tuple(coeffs[1:]), certificate
     yield coeffs, certificate * 2
     yield coeffs, certificate.shift(1)
@@ -154,11 +154,11 @@ def _tamperings(coeffs, certificate):
 )
 def test_identity_check_on_ladder_certificates(text, order):
     cert = creative_telescope(parse_term(text))
-    coeffs = cert.recurrence.coeffs
+    coeffs, R = cert.recurrence.coeffs, to_tower(cert.certificate)
     assert cert.recurrence.order == order
-    assert _agree(cert.term, coeffs, cert.certificate)
-    for bad_coeffs, bad_cert in _tamperings(coeffs, cert.certificate):
-        assert not _agree_in_znk(cert.term, bad_coeffs, (bad_cert.num, bad_cert.den))
+    assert _agree(cert.term, coeffs, R)
+    for bad_coeffs, bad_cert in _tamperings(coeffs, R):
+        assert not _agree_in_znk(cert.term, bad_coeffs, tower_pair(bad_cert))
     tampered = TelescopingCertificate(
         cert.term, Recurrence((coeffs[0] + ZnPoly((1,)),) + coeffs[1:]), cert.certificate_pair
     )
@@ -176,18 +176,18 @@ def test_identity_check_on_11916_pairs(param, f_text, g_text):
         for g, want in ((parse_term(g_text, {param: v}), True),
                         (parse_term(g_text.replace("(-1)", ""), {param: v}), False)):
             assert WZPair(f, g, COUPLE_COEFFS).check() is want
-            assert _agree(f, COUPLE_COEFFS, RationalFunction(*ratio_rational(g, f))) is want
+            assert _agree(f, COUPLE_COEFFS, pair_to_tower(*ratio_rational(g, f))) is want
 
 
 @pytest.mark.parametrize("text", ["fact(k)*k", "binom(n,k)*(n-2k)", "k*2^k", "binom(k,n)"])
 def test_identity_check_at_order_zero_is_gospers(text):
     cert = gosper_antidifference(parse_term(text))
-    one = (ZnPoly((1,)),)
-    assert cert.check() and _agree(cert.term, one, cert.certificate)
-    for bad_coeffs, bad_cert in _tamperings(one, cert.certificate):
+    one, R = (ZnPoly((1,)),), to_tower(cert.certificate)
+    assert cert.check() and _agree(cert.term, one, R)
+    for bad_coeffs, bad_cert in _tamperings(one, R):
         assert not _agree(cert.term, bad_coeffs, bad_cert)
-    for bad_cert in (cert.certificate * 2, cert.certificate.shift(1)):
-        bad = dataclasses.replace(cert, certificate_pair=(bad_cert.num, bad_cert.den))
+    for bad_cert in (R * 2, R.shift(1)):
+        bad = dataclasses.replace(cert, certificate_pair=tower_pair(bad_cert))
         assert not bad.check()
 
 
@@ -196,9 +196,9 @@ def test_identity_check_with_zero_sigma_entries():
     certificate is R(n+1,k) r_n + 2R, and sigma_1 = 0.  A zero sigma on
     top, which lengthens the common denominator, changes nothing."""
     cert = creative_telescope(parse_term("binom(n,k)"))
-    term, R = cert.term, cert.certificate
+    term, R = cert.term, to_tower(cert.certificate)
     assert cert.recurrence.coeffs == (ZnPoly((-2,)), ZnPoly((1,)))
-    R2 = shift_in_n(R, 1) * shift_quotient(term, "n") + R * 2
+    R2 = R.shift_n(1) * to_tower(shift_quotient(term, "n")) + R * 2
     coeffs = (ZnPoly((-4,)), ZnPoly(), ZnPoly((1,)))
     assert _agree(term, coeffs, R2)
     assert _agree(term, cert.recurrence.coeffs + (ZnPoly(),), R)
@@ -276,10 +276,10 @@ def test_identity_check_is_the_cross_multiplied_one_on_zeilberger_certificates(t
 @settings(max_examples=40, deadline=None)
 @given(terms, st.data())
 def test_identity_check_is_the_cross_multiplied_one_on_gosper_certificates(g, data):
-    step = shift_quotient(g, "k") - 1
+    step = to_tower(shift_quotient(g, "k")) - 1
     if not step:
         return  # G does not depend on k
-    cert = gosper_antidifference(g.scale_rational((step.num, step.den)))
+    cert = gosper_antidifference(g.scale_rational(tower_pair(step)))
     _differential(cert.term, (ZnPoly((1,)),), cert.certificate_pair, data)
 
 
