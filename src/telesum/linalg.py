@@ -4,7 +4,8 @@ Systems come in over Z[n] (``ZnPoly`` entries).  ``nullspace`` solves one
 modulo a prime at integer points n and rebuilds its kernel in Z[n] from the
 images (Gerhard, LNCS 3218, 2004), by rational-function and rational-number
 reconstruction (von zur Gathen and Gerhard, *Modern Computer Algebra*, 5.7
-and 5.10); it returns a basis only once A v = 0 is proved exactly in Z[n].
+and 5.10); it returns a basis only once A v = 0 is proved exactly in Z[n],
+as one identity in Z[n][k] that ``zn_identity`` proves.
 ``solve_linear_system`` reads one solution of A x = b off that basis.
 """
 
@@ -14,7 +15,7 @@ import itertools
 import math
 import operator
 
-from .polynomials import RationalFunction, ZnPoly
+from .polynomials import Polynomial, RationalFunction, ZnPoly, zn_identity
 
 # The first point n; the primes, climbed while the images modulo one rebuild
 # no proved basis; the base of the weights that sum a kernel vector's entries.
@@ -230,14 +231,9 @@ def _lift(values, p):
 
 
 def _annihilates(rows, basis) -> bool:
-    """Whether A v = 0 in Z[n] for each v of the basis, at one point x: each
-    entry of A v has coefficients below B = ncols * (the largest l1 norm of an
-    entry of A) * (that of an entry of v), and x > 2B, so it is 0 exactly when
-    its value at x is (Kronecker substitution, as in ``zn_identity``)."""
-    def norm(entries):
-        return max((sum(map(abs, e)) for e in entries), default=0)
-    bound = len(basis[0]) * norm(e for row in rows for e in row) * norm(e for v in basis for e in v)
-    x = 2 << bound.bit_length()
-    at = [[a(x) for a in row] for row in rows]
-    return all(sum(map(operator.mul, row, values)) == 0
-               for values in ([e(x) for e in vec] for vec in basis) for row in at)
+    """Whether A v = 0 in Z[n] for each v of the basis.  Read row r of A as
+    the coefficient of k^r: then A v = 0 is the one identity
+    sum_c A_c(n, k) v_c(n) = 0 in Z[n][k], which ``zn_identity`` proves."""
+    cols = [Polynomial([row[c] for row in rows]) for c in range(len(basis[0]))]
+    return all(zn_identity(lambda at, vec=vec: (
+        sum(at(a) * at(Polynomial((e,))) for a, e in zip(cols, vec)), 0)) for vec in basis)

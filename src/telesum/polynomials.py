@@ -12,9 +12,9 @@ Q(n)(k), is the value of such a reduced pair, with no arithmetic of its
 own.  ``FactoredRatio`` keeps a quotient as multisets of primitive factors
 in Z[n][k], the form the Gosper normal form reads.  ``meeting_shifts``
 gives the shifts where two factors meet, and ``dispersion_set`` applies it
-to two primitive parts: a closed form for two linear factors, and otherwise
-a resultant over Z[j] at integer points n0 (``_shift_resultant_roots``)
-whose roots a gcd confirms.
+to two primitive parts: on their squarefree parts, a closed form for two
+linear factors, and otherwise a resultant over Z[j] at integer points n0
+(``_shift_resultant_roots``) whose roots a gcd confirms.
 """
 
 from __future__ import annotations
@@ -446,8 +446,17 @@ def _shift_resultant_roots(num: Sequence[ZnPoly], den: Sequence[ZnPoly]) -> list
     return [j for j in integer_roots(ZnPoly(witness)) if j >= 0]
 
 
+def _squarefree_part(f: Polynomial) -> Polynomial:
+    """f over its gcd with df/dk: the same roots in k, each once."""
+    found = _zn_gcd(f.coeffs, [ZnPoly(i * c for c in r) for i, r in enumerate(f.coeffs)][1:])
+    return Polynomial(found[1]) if found else f
+
+
 def meeting_shifts(u: Polynomial, v: Polynomial) -> list[int]:
-    """The j >= 0 at which gcd(u(k), v(k + j)) has positive degree."""
+    """The j >= 0 at which gcd(u(k), v(k + j)) has positive degree.  They
+    share a factor exactly when their squarefree parts do, so a power of a
+    factor costs one gcd, not a resultant of its full degree."""
+    u, v = (f if is_linear(f) else _squarefree_part(f) for f in (u, v))
     if is_linear(u) and is_linear(v):
         gap, alpha = u.coeffs[0] - v.coeffs[0], u.coeffs[1][0]
         j, rem = divmod(gap[0] if gap else 0, alpha)

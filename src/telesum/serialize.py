@@ -5,17 +5,16 @@ precision to floating point; polynomial coefficient lists are nested
 with the k-exponent outside and the n-exponent inside.  Records and texts
 take a rational function as its reduced pair (num, den) of polynomials in
 k over Z[n] (``zn_reduced``), the pair a ``RationalFunction`` holds, and
-read their ints; ``record_to_ratfun`` reads a record's ints back into one.
-One printer
-serves polynomials in n and k: certificates group each coefficient in n,
-terms (``hyperterm.term_to_string``) expand every monomial.
+read their ints.  One printer serves polynomials in n and k: certificates
+group each coefficient in n, terms (``hyperterm.term_to_string``) expand
+every monomial.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .polynomials import Polynomial, RationalFunction, ZnPoly
+from .polynomials import Polynomial, ZnPoly
 
 
 def npoly_to_list(p: ZnPoly) -> list[str]:
@@ -31,12 +30,6 @@ def kpoly_to_lists(p: Polynomial) -> list[list[str]]:
 def ratfun_to_record(pair: tuple[Polynomial, Polynomial]) -> dict:
     num, den = pair
     return {"num": kpoly_to_lists(num), "den": kpoly_to_lists(den)}
-
-
-def record_to_ratfun(record: dict) -> RationalFunction:
-    """The Q(n)(k) value of a record's integer rows."""
-    return RationalFunction(*(Polynomial([ZnPoly(map(int, row)) for row in record[side]])
-                              for side in ("num", "den")))
 
 
 def _monomial_string(coeff: int, n_exp: int, k_exp: int) -> str:

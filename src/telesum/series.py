@@ -1,11 +1,13 @@
 """Truncated formal power series over Q, plus the generating functions
 used to cross-check convolution identities.
 
-A series carries its coefficients through a fixed truncation order;
-combining two series truncates to the shorter one.  All arithmetic is
-exact and runs on integers, numerators over one common denominator; only
-`coeffs` and `coeff` build Fractions.  Powers, inverses and square roots
-share one kernel, which takes O(order) steps on 1-4x.
+A series is the value of its coefficients through a fixed truncation
+order, kept as integer numerators over one common denominator; only
+`coeffs` and `coeff` build Fractions.  It has two operations, both exact:
+the product, truncated to the shorter order, which the convolution check
+reads, and one power kernel, which takes O(order) steps on 1-4x; `inverse`
+and `sqrt` are its powers -1 and 1/2.  Sums, scalar multiples and shifts
+are linear steps on the integer rows (`as_integer_ratio`).
 
 Every bundled series takes one call of that kernel, the central series
 B_0 = (1-4x)^(-1/2), and then linear steps on its integer coefficients:
@@ -65,11 +67,6 @@ class PowerSeries:
         and that denominator."""
         return self._num, self._den
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend truncation {self.order} to {order}")
-        return _make(self._num[: _order(order) + 1], self._den)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, PowerSeries)
                 and self._den == other._den and self._num == other._num)
@@ -82,30 +79,8 @@ class PowerSeries:
         tail = ", ..." if self.order >= 5 else ""
         return f"PowerSeries([{head}{tail}]; order={self.order})"
 
-    def __add__(self, other):
-        a, d = self._num, self._den
-        if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            return _make([a[0] * q + p * d] + [c * q for c in a[1:]], d * q)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        e = other._den
-        return _make([x * e + y * d for x, y in zip(a, other._num)], d * e)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _make([-c for c in self._num], self._den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _make([c * other.numerator for c in self._num], self._den * other.denominator)
+        """The product, truncated to the shorter of the two orders."""
         if not isinstance(other, PowerSeries):
             return NotImplemented
         m = min(self.order, other.order)
@@ -122,8 +97,8 @@ class PowerSeries:
         On the numerators F over the common denominator, with alpha = p/q and
         s = q^2*F_0, h_m = s^m*g_m/g_0 is an integer for g = f**alpha, and
         m*h_m = sum_(1<=i<=min(m, deg f)) ((p+q)*i - q*m)*q*F_i*s^(i-1)*h_(m-i)
-        divides exactly.  A fractional power needs constant term 1; a zero
-        constant term is factored out as x^v for an integer alpha >= 0.
+        divides exactly.  A fractional power needs constant term 1, and a
+        power other than 0 or 1 a nonzero one.
         """
         if not isinstance(alpha, (int, Fraction)):
             raise TypeError(f"series powers take int or Fraction exponents, not {alpha!r}")
@@ -133,13 +108,8 @@ class PowerSeries:
         if q != 1 and f[0] != self._den:
             raise ValueError("a fractional power requires constant term 1")
         if not f[0]:
-            if p < 0:
-                raise ZeroDivisionError("series with zero constant term has no inverse")
-            v = next((i for i, c in enumerate(f) if c), n + 1)
-            if v * p > n:
-                return _make([0] * (n + 1), 1)
-            low = self.shift_down(v).truncate(n - v * p) ** p
-            return _make((0,) * (v * p) + low._num, low._den)
+            raise (ZeroDivisionError("series with zero constant term has no inverse") if p < 0
+                   else ValueError("a power other than 0 or 1 needs a nonzero constant term"))
         s, pq = q * q * f[0], p + q
         t = n - list(map(bool, reversed(f))).index(True)  # the degree of f
         # h_m = sum_i ic_i*h_(m-i)/m + sum_i c_i*h_(m-i), i = 1..t
@@ -159,29 +129,12 @@ class PowerSeries:
             w *= s
         return _make(num[::-1], g0.denominator * s ** n)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("series divided by zero")
-            return _make([c * other.denominator for c in self._num], self._den * other.numerator)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self * other.inverse()
-
     def inverse(self) -> "PowerSeries":
         return self ** -1
 
     def sqrt(self) -> "PowerSeries":
         """Square root of a series with constant term 1."""
         return self ** Fraction(1, 2)
-
-    def shift_down(self, m: int) -> "PowerSeries":
-        """Divide by x^m; the first m coefficients must vanish."""
-        if any(self._num[:m]):
-            raise ValueError(f"series is not divisible by x^{m}")
-        if not 0 <= m <= self.order:
-            raise ValueError(f"shift {m} is outside 0..{self.order}")
-        return _make(self._num[m:], self._den)
 
 
 def _make(num, den: int) -> PowerSeries:
@@ -197,10 +150,6 @@ def _order(order: int) -> int:
     if order < 0:
         raise ValueError(f"the truncation order must be >= 0, got {order}")
     return order
-
-
-def x_series(order: int) -> PowerSeries:
-    return PowerSeries((0, 1)[: _order(order) + 1] + (0,) * (order - 1))
 
 
 def one_series(order: int) -> PowerSeries:

@@ -11,7 +11,8 @@ polynomials are over Z[n] only, so it is an independent reference:
 ``to_tower`` lifts a value (``pair_to_tower`` a pair) into the tower, where
 the tests add, multiply and shift, and ``tower_pair`` clears a tower element
 back into the pair that value must hold.  ``znk`` builds a polynomial in k
-over Z[n] from int rows.
+over Z[n] from int rows, and ``record_value`` reads a ``--machine`` record
+back into its value.
 """
 
 from __future__ import annotations
@@ -415,6 +416,12 @@ def qnk(num: FieldPoly, den: FieldPoly | None = None) -> TowerFunction:
 def znk(*rows) -> Polynomial:
     """A polynomial in k over Z[n] from ascending rows of ints."""
     return Polynomial([ZnPoly(r) for r in rows])
+
+
+def record_value(record: dict) -> RationalFunction:
+    """The Q(n)(k) value of a ``--machine`` record's rows of decimal strings."""
+    return RationalFunction(*(znk(*(map(int, row) for row in record[side]))
+                              for side in ("num", "den")))
 
 
 def lift(p: Polynomial) -> FieldPoly:

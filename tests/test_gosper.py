@@ -19,9 +19,9 @@ from telesum.gosper import (
     telescoped_sum,
 )
 from telesum.hyperterm import PoleError, eval_term, factored_shift_pair, parse_term, shift_quotient
-from qn_tower import lift, pair_to_tower, to_tower, znk
+from qn_tower import lift, pair_to_tower, record_value, to_tower, znk
 from telesum.polynomials import RationalFunction, ZnPoly
-from telesum.serialize import bivariate_string, record_to_ratfun
+from telesum.serialize import bivariate_string
 from telesum.verify import oracle_sum
 
 
@@ -112,6 +112,18 @@ def test_degree_8_quotient_gets_its_normal_form_quickly():
     assert info.value.reason == (
         "degree bound rules out a polynomial solution for binom(2n-k,2n-2k-2)*"
         "binom(2n+2k,-2k-2)*3^(n+k-2)*(n*k^2-2*k^2+n*k-n-2)")
+
+
+def test_a_high_power_of_k_is_summed_quickly():
+    # the quotient (k+1)^40/k^40 meets itself at j = 1 through the squarefree
+    # parts k + 1 and k, not through an 80 x 80 resultant over Z[j]
+    t = parse_term("k^40")
+    start = time.perf_counter()
+    cert = gosper_antidifference(t)
+    assert time.perf_counter() - start < 1.0
+    assert cert.integer_form.dispersion == [1]
+    for lo, hi in ((0, 6), (1, 9), (-4, 3)):
+        assert telescoped_sum(cert, 0, lo, hi) == oracle_sum(t, 0, lo, hi)
 
 
 def test_degree_bound_rules_out_factorial():
@@ -360,7 +372,7 @@ def test_record_values(text, expected):
 
 @pytest.mark.parametrize("text", SUMMABLE)
 def test_records_lift_to_the_public_values(text):
-    # a --machine record read back by record_to_ratfun is the value the
+    # a --machine record read back by record_value is the value the
     # certificate shows, for each of x, the normal form and R
     cert = gosper_antidifference(parse_term(text))
     rec, nf = cert.record(), cert.integer_form.pairs()
@@ -368,4 +380,4 @@ def test_records_lift_to_the_public_values(text):
               "R": cert.certificate}
     assert set(values) == set(rec)
     for name, value in values.items():
-        assert record_to_ratfun(rec[name]) == value, name
+        assert record_value(rec[name]) == value, name

@@ -407,6 +407,20 @@ def test_dispersion_of_a_linear_factor_against_a_nonlinear_one():
     assert meeting_shifts(k + 1, k * k + n) == meeting_shifts(k * k + n, k + 1) == []
 
 
+powered_linear = st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)),
+                          min_size=1, max_size=3, unique_by=lambda t: t[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(powered_linear, powered_linear)
+def test_meeting_shifts_of_powers_of_linear_factors(us, vs):
+    # u = prod (k + a_i)^e_i and v = prod (k + b_l)^f_l: u(k) and v(k + j)
+    # share the root -a_i = -b_l - j exactly when j = a_i - b_l
+    k = _znk((), (1,))
+    u, v = (math.prod(((k + a) ** e for a, e in fs), start=_znk((1,))) for fs in (us, vs))
+    assert meeting_shifts(u, v) == sorted({a - b for a, _ in us for b, _ in vs if a >= b})
+
+
 def _lin(n_coeff: int, const: int) -> Polynomial:
     """k + n_coeff*n + const in Z[n][k]."""
     return _znk((const, n_coeff), (1,))

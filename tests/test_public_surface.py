@@ -178,6 +178,24 @@ def test_rational_function_is_a_value_with_no_arithmetic():
     assert telesum.RationalFunction(half) == half and hash(telesum.RationalFunction(half)) == hash(half)
 
 
+def test_power_series_has_only_the_product_and_powers():
+    """Sums, differences, quotients and scalar multiples of series are linear
+    steps on ``as_integer_ratio()`` rows, f/g is ``f * g.inverse()``."""
+    s = telesum.PowerSeries([1, 2, 3])
+    for op in (operator.add, operator.sub, operator.truediv):
+        for left, right in ((s, s), (s, 2), (2, s)):
+            with pytest.raises(TypeError):
+                op(left, right)
+    for scalar in (2, Fraction(1, 2)):
+        for left, right in ((s, scalar), (scalar, s)):
+            with pytest.raises(TypeError):
+                left * right
+    with pytest.raises(TypeError):
+        -s
+    assert not any(hasattr(s, name) for name in ("truncate", "shift_down"))
+    assert s * s == telesum.PowerSeries([1, 4, 10]) and s ** -1 == s.inverse()
+
+
 def test_cli_subcommands_and_flags():
     parser = cli.build_parser()
     assert [a.option_strings for a in parser._actions if a.option_strings] == [["-h", "--help"]]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qn_tower import k_poly, lift, n_poly, qnk, to_tower, tower_pair, znk
+from qn_tower import k_poly, lift, n_poly, qnk, record_value, to_tower, tower_pair, znk
 from telesum.polynomials import Polynomial, RationalFunction, ZnPoly
 from telesum.serialize import (
     bivariate_string,
@@ -14,14 +14,13 @@ from telesum.serialize import (
     npoly_to_list,
     ratfun_to_record,
     ratfun_to_text,
-    record_to_ratfun,
 )
 
 
 def test_npoly_round_trip():
     p = ZnPoly((-2, 0, 7))
     assert npoly_to_list(p) == ["-2", "0", "7"]
-    assert record_to_ratfun({"num": [npoly_to_list(p)], "den": [["1"]]}) == RationalFunction(p)
+    assert record_value({"num": [npoly_to_list(p)], "den": [["1"]]}) == RationalFunction(p)
 
 
 def test_npoly_zero():
@@ -36,7 +35,7 @@ def test_kpoly_nested_lists():
 def test_kpoly_round_trip():
     p = k_poly(n_poly(1, 2), n_poly(3))
     lists = [["1", "2"], ["3"]]
-    back = record_to_ratfun({"num": lists, "den": [["1"]]})
+    back = record_value({"num": lists, "den": [["1"]]})
     assert lift(back.num) == p and back.den == Polynomial((ZnPoly((1,)),))
     assert back.num.coeff(0) == ZnPoly((1, 2))
 
@@ -45,19 +44,19 @@ def test_ratfun_record_round_trip():
     f = qnk(k_poly(n_poly(0, 1), 2), k_poly(n_poly(1), 1))  # (n+2k)/(1+k)
     rec = ratfun_to_record(tower_pair(f))
     assert rec == {"num": [["0", "1"], ["2"]], "den": [["1"], ["1"]]}
-    assert to_tower(record_to_ratfun(rec)) == f
+    assert to_tower(record_value(rec)) == f
 
 
 def test_ratfun_record_clears_fractions():
     f = RationalFunction(Fraction(1, 2))
     rec = ratfun_to_record((f.num, f.den))
     assert rec == {"num": [["1"]], "den": [["2"]]}
-    assert record_to_ratfun(rec) == f == Fraction(1, 2)
+    assert record_value(rec) == f == Fraction(1, 2)
 
 
 def test_record_with_a_zero_denominator_is_refused():
     with pytest.raises(ZeroDivisionError):
-        record_to_ratfun({"num": [["1"]], "den": [["0"]]})
+        record_value({"num": [["1"]], "den": [["0"]]})
 
 
 def test_bivariate_string_samples():

@@ -133,12 +133,12 @@ def test_recurrence_to_text():
 
 
 def test_record_round_trip_certificate():
-    from telesum.serialize import record_to_ratfun
+    from qn_tower import record_value
 
     cert = creative_telescope(parse_term("binom(n,k)^2"))
     rec = cert.record()
     assert rec["order"] == 1
-    r = record_to_ratfun(rec["R"])
+    r = record_value(rec["R"])
     rebuilt = TelescopingCertificate(cert.term, Recurrence(cert.recurrence.coeffs), (r.num, r.den))
     assert rebuilt.check()
 
@@ -146,10 +146,10 @@ def test_record_round_trip_certificate():
 @pytest.mark.parametrize("text", ["binom(n,k)^2", "binom(n,k)^2*binom(n+k,k)^2",
                                   "(-1)^k*binom(2n,n+k)^3"])
 def test_record_lifts_to_the_certificate(text):
-    from telesum.serialize import record_to_ratfun
+    from qn_tower import record_value
 
     cert = creative_telescope(parse_term(text))
-    assert record_to_ratfun(cert.record()["R"]) == cert.certificate
+    assert record_value(cert.record()["R"]) == cert.certificate
 
 
 def test_no_recurrence_at_insufficient_order():
