@@ -182,10 +182,11 @@ def parameterized_gosper(
         return d, None
     nx = 0 if d is None else d + 1
     la, lb, lc = nf.a.lc(), nf.b.lc(), nf.c.lc()
-    za, B = nf.a * (nf.zn * lb * lc), nf.b.shift(-1) * (nf.zd * la * lc)
-    cols, k = [nf.c * p * -(nf.zd * la * lb) for p in rhs], Polynomial((ZN_ZERO, ZN_ONE))
-    for i in range(nx):  # column i is za*(k+1)^i - B*k^i, each power one product on
-        cols[i:i], za, B = [za - B], za * (k + 1), B * k
+    za, B = (nf.a * (nf.zn * lb * lc)).coeffs, (nf.b.shift(-1) * (nf.zd * la * lc)).coeffs
+    cols = [nf.c * p * -(nf.zd * la * lb) for p in rhs]
+    for i in range(nx):  # column i is za*(k+1)^i - B*k^i, each power by a shift and an add
+        cols[i:i] = [Polynomial(za) - Polynomial(B)]
+        za, B = [u + v for u, v in zip([*za, ZN_ZERO], [ZN_ZERO, *za])], [ZN_ZERO, *B]
     height = max(int(col.degree) for col in cols if col) + 1
     matrix = [[col.coeff(r) for col in cols] for r in range(height)]
     for vec in nullspace(matrix, ncols=len(cols)):

@@ -748,10 +748,9 @@ class FactoredRatio:
     def pair(self) -> tuple[Polynomial, Polynomial]:
         return zn_product(self.num, self.const[0]), zn_product(self.den, self.const[1])
 
-    def at(self, x: int, y: int, absolute: bool = False) -> tuple[int, int]:
-        """num and den by ``zn_value``, one factor at a time: none is multiplied out."""
-        return tuple(math.prod((zn_value(f, x, y, absolute) ** m for f, m in side.items()),
-                               start=abs(c) if absolute else c)
+    def at(self, value: Callable) -> tuple:
+        """num and den from value(f) of each factor f: none is multiplied out."""
+        return tuple(math.prod((value(f) ** m for f, m in side.items()), start=c)
                      for c, side in zip(self.const, (self.num, self.den)))
 
     def __mul__(self, other: "FactoredRatio") -> "FactoredRatio":
@@ -771,14 +770,59 @@ class FactoredRatio:
         return FactoredRatio(self.const, num - common, den - common)
 
 
-def zn_value(p: Polynomial, x: int, y: int, absolute: bool = False) -> int:
-    """p in Z[n][k] at (x, y), y = 2^b + s > 0, its coefficients made nonnegative if
-    ``absolute``: by Horner's rule in k, each step a shift and a product by s."""
-    b = y.bit_length() - 1
+def zn_value(p: Polynomial, x: int, y: int) -> int:
+    """p in Z[n][k] at (x, y), y = 2^b + s: by Horner's rule in k, each step
+    a shift and a product by s."""
+    b = max(y.bit_length() - 1, 0)
     s, acc = y - (1 << b), 0
     for r in reversed(p.coeffs):
-        acc = (acc << b) + acc * s + (ZnPoly(map(abs, r)) if absolute else r)(x)
+        acc = (acc << b) + acc * s + r(x)
     return acc
+
+
+class _Bound:
+    """What ``zn_identity`` knows of g in Z[n][k] before it picks its point:
+    l1 >= the sum of g's absolute coefficients, d >= its n-degree, top >= that
+    sum over its terms of n-degree d.  A sum adds l1 and takes the larger d
+    with its top (both tops at one d); a product multiplies l1 and top, adds d."""
+
+    __slots__ = ("l1", "d", "top")
+
+    def __init__(self, l1: int, d: int, top: int) -> None:
+        self.l1, self.d, self.top = l1, d, top
+
+    def __add__(self, other) -> "_Bound":
+        o = other if isinstance(other, _Bound) else _Bound(abs(other), 0, abs(other))
+        top = self.top + o.top if self.d == o.d else (self if self.d > o.d else o).top
+        return _Bound(self.l1 + o.l1, max(self.d, o.d), top)
+
+    def __mul__(self, other) -> "_Bound":
+        o = other if isinstance(other, _Bound) else _Bound(abs(other), 0, abs(other))
+        return _Bound(self.l1 * o.l1, self.d + o.d, self.top * o.top)
+
+    def __pow__(self, m: int) -> "_Bound":
+        return _Bound(self.l1 ** m, self.d * m, self.top ** m)
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+
+
+def _leaf_bound(p: Polynomial, i: int, s: int) -> _Bound:
+    """The ``_Bound`` of p(n + i, k + s) from p's absolute coefficients at
+    (1 + |i|, 1 + |s|), the l1 norms of n + i and k + s; the shift keeps
+    the n-degree d, whose coefficient becomes p_d(k + s)."""
+    u, v, d = 1 + abs(s), 1 + abs(i), max(map(len, p.coeffs), default=1) - 1
+    l1 = top = 0
+    for r in reversed(p.coeffs):
+        row = sum(map(abs, r)) if v == 1 else sum(abs(c) * v**a for a, c in enumerate(r))
+        l1, top = l1 * u + row, top * u + (abs(r[d]) if len(r) > d else 0)
+    return _Bound(l1, d, top)
+
+
+def _leaves(value: Callable) -> Callable:
+    """at(f, i, s) for sides: value(f, i, s), per factor for a ``FactoredRatio``."""
+    return lambda f, i=0, s=0: f.at(lambda g: value(g, i, s)) if isinstance(
+        f, FactoredRatio) else value(f, i, s)
 
 
 def zn_identity(sides: Callable) -> bool:
@@ -786,19 +830,19 @@ def zn_identity(sides: Callable) -> bool:
     ints, with no product polynomial: sides builds both by + and * from leaves
     at(f, i, s) = f(n+i, k+s) at a point, f in Z[n][k] or a ``FactoredRatio``.
 
-    Write lhs - rhs = sum_b f_b(n) k^b, f_b = sum_a c_ab n^a.  Run on absolute
-    coefficients, which bound those of sums and products, sides gives
-    l1 >= sum |c_ab| at (1, 1), then m >= sum_b |f_b(x)| at (x, 1), where
-    x = 2 * 2^bitlen(l1) > 2*l1.  At (x, y), y = 2 * 2^bitlen(m) > 2*m, it is a
-    proof (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
-    Algebra, 8.4): an integer polynomial g != 0 with coefficients below z/2 in
-    size is c z^t mod z^(t+1) at z, c its least nonzero one, so g(z) != 0.
-    Thus f(x, y) = 0 only if every f_b(x) = 0, and f_b(x) = 0 only if f_b = 0.
+    Write g = lhs - rhs = sum_b f_b(n) k^b, f_b = sum_a c_ab n^a.  Run once on
+    ``_leaf_bound`` leaves, sides gives l1 >= sum |c_ab|, d >= deg_n g and
+    top >= sum_b |c_db|.  At x = 2 * 2^bitlen(l1) > 2*l1, sum_b |f_b(x)| <=
+    l1 * x^(d-1) + top * x^d < (top + 1/2) * x^d < y/2 for
+    y = 2 * 2^bitlen((top + 1) * x^d).  At (x, y) it is a proof (Kronecker
+    substitution; von zur Gathen and Gerhard, Modern Computer Algebra, 8.4):
+    an integer polynomial h != 0 with coefficients below z/2 in size is
+    c z^t mod z^(t+1) at z, c its least nonzero one, so h(z) != 0.  Thus
+    g(x, y) = 0 only if every f_b(x) = 0, and f_b(x) = 0 only if f_b = 0.
     """
-    def run(x: int, y: int, absolute: bool = False):
-        return sides(lambda f, i=0, s=0: f.at(x + i, y + s, absolute) if isinstance(
-            f, FactoredRatio) else zn_value(f, x + i, y + s, absolute))
-    x = 2 << sum(run(1, 1, True)).bit_length()
-    y = 2 << sum(run(x, 1, True)).bit_length()
-    lhs, rhs = run(x, y)
+    lhs, rhs = sides(_leaves(_leaf_bound))
+    g = _Bound(0, 0, 0) + lhs - rhs
+    x = 2 << g.l1.bit_length()
+    y = 2 << (g.top + 1).bit_length() + g.d * (x.bit_length() - 1)  # x^d is 2^(d*(bitlen(x)-1))
+    lhs, rhs = sides(_leaves(lambda f, i, s: zn_value(f, x + i, y + s)))
     return lhs == rhs

@@ -48,6 +48,9 @@ from telesum.polynomials import (
     Polynomial,
     RationalFunction,
     ZnPoly,
+    _Bound,
+    _leaf_bound,
+    _leaves,
     dispersion_set,
     poly_lcm,
     shift_in_n,
@@ -403,17 +406,18 @@ def test_factored_pair_multiplies_out_to_the_unfactored_pair(term, var):
 @settings(max_examples=40, deadline=None)
 @given(terms, st.sampled_from(["k", "n"]), st.integers(0, 3), st.integers(0, 1))
 def test_factored_pair_at_a_point_is_the_products_value_there(term, var, i, s):
-    """at() is the product's value at (n, k); with ``absolute`` it bounds the
-    product's absolute coefficients at (n, k), and at (1 + i, 1 + s) the l1
-    norm of the product at (n + i, k + s)."""
+    """at() is the product's value at (n, k); the bound ``zn_identity``
+    takes of its num and den at (n + i, k + s) bounds the l1 norm and the
+    n-degree of the product there."""
     ratio = factored_shift_pair(term, var)
     for x, y in ((3, 5), (2**20 + i, 2**90 + s), (1, 1)):
-        assert ratio.at(x, y) == tuple(zn_value(p, x, y) for p in ratio.pair())
-        for bound, p in zip(ratio.at(x, y, True), ratio.pair()):
-            assert bound >= zn_value(p, x, y, True)
-    for bound, p in zip(ratio.at(1 + i, 1 + s, True), ratio.pair()):
+        values = tuple(zn_value(p, x, y) for p in ratio.pair())
+        assert ratio.at(lambda f: zn_value(f, x, y)) == values
+    for side, p in enumerate(ratio.pair()):
+        bound = _Bound(0, 0, 0) + _leaves(_leaf_bound)(ratio, i, s)[side]
         shifted = shift_in_n(p, i).shift(s)
-        assert bound >= sum(abs(c) for r in shifted.coeffs for c in r)
+        assert bound.l1 >= sum(abs(c) for r in shifted.coeffs for c in r)
+        assert bound.d >= max(map(len, shifted.coeffs)) - 1
 
 
 def _primitive(f):

@@ -34,10 +34,15 @@ from qn_tower import (
     tower_pair,
 )
 from qn_tower import znk as _znk
+from telesum import polynomials
 from telesum.polynomials import (
+    FactoredRatio,
     Polynomial,
     RationalFunction,
     ZnPoly,
+    _Bound,
+    _leaf_bound,
+    _leaves,
     clear_qnk_pair,
     dispersion_set,
     integer_roots,
@@ -831,7 +836,7 @@ znk_polys = st.lists(coeff_lists, max_size=4).map(lambda rows: _znk(*rows))
 
 
 @settings(max_examples=80, deadline=None)
-@given(znk_polys, znk_polys, znk_polys, st.integers(0, 3), st.integers(0, 2))
+@given(znk_polys, znk_polys, znk_polys, st.integers(-3, 3), st.integers(-2, 2))
 def test_zn_identity_is_polynomial_equality(f, g, h, i, s):
     assert _same(f, g) == (f == g)
     assert zn_identity(lambda at: (at(f) * (at(g) + at(h)), at(f * g + f * h)))
@@ -839,6 +844,88 @@ def test_zn_identity_is_polynomial_equality(f, g, h, i, s):
     assert zn_identity(lambda at: (at(f, i, s), at(shifted)))
     assert zn_identity(lambda at: (at(f, i, s) * at(g), at(shifted * g)))
     assert not zn_identity(lambda at: (at(f, i, s), at(shifted + _znk((0, 1)))))
+
+
+def test_zn_identity_bounds_a_negative_shift_by_its_size():
+    # f(n - 1) = (n - 1)(n - 2) for f = n^2 - n; a bound read at n = 1 + i = 0
+    # would see f(1) = 0 and pick x = 2, where f(x - 1) = 0
+    f = _znk((0, -1, 1))
+    assert not zn_identity(lambda at: (at(f, -1), 0))
+    assert zn_identity(lambda at: (at(f, -1), at(_znk((2, -3, 1)))))
+    assert not zn_identity(lambda at: (at(f, 0, -1) * at(f, -1), 0))
+    # a k-shift may take the point k = y + s to 0 or below: y = 32 here
+    five = _znk((5,))
+    assert all(zn_identity(lambda at, s=s: (at(five, 0, s), 5)) for s in range(-40, 1))
+
+
+def test_zn_identity_takes_the_documented_point(monkeypatch):
+    """x = 2 * 2^bitlen(l1) and y = 2 * 2^bitlen((top + 1) * x^d): for g = n
+    or g = -n, (l1, d, top) = (1, 1, 1), so x = 4 and y = 2 * 2^bitlen(8) = 32."""
+    points = []
+    real = polynomials.zn_value
+
+    def spy(p, x, y):
+        points.append((x, y))
+        return real(p, x, y)
+
+    monkeypatch.setattr(polynomials, "zn_value", spy)
+    assert not zn_identity(lambda at: (at(_znk((0, 1))), 0))
+    assert not zn_identity(lambda at: (0, at(_znk((0, 1)))))
+    assert points == [(4, 32), (4, 32)]
+
+
+def _leaf_spec(draw_polys):
+    """An int, a shifted polynomial, or the num or den of a shifted ratio."""
+    return st.one_of(
+        st.integers(-5, 5),
+        st.tuples(st.just("poly"), draw_polys, st.integers(-3, 3), st.integers(-2, 2)),
+        st.tuples(st.just("ratio"), st.tuples(st.integers(-4, 4).filter(bool), st.integers(1, 4)),
+                  st.lists(draw_polys.filter(bool), max_size=2),
+                  st.lists(draw_polys.filter(bool), max_size=2), st.integers(0, 1),
+                  st.integers(-3, 3), st.integers(-2, 2)))
+
+
+sides_trees = st.recursive(
+    _leaf_spec(small_znk), lambda kids: st.tuples(st.sampled_from("+-*"), kids, kids),
+    max_leaves=6)
+
+
+def _build(tree, at):
+    """The tree's value with leaves at(f, i, s); a ratio leaf picks num or den."""
+    if isinstance(tree, int):
+        return tree
+    if tree[0] in "+-*":
+        op = {"+": operator.add, "-": operator.sub, "*": operator.mul}[tree[0]]
+        return op(_build(tree[1], at), _build(tree[2], at))
+    if tree[0] == "poly":
+        return at(*tree[1:])
+    const, num, den, side, i, s = tree[1:]
+    return at(FactoredRatio(const, num, den), i, s)[side]
+
+
+def _expanded(f, i=0, s=0):
+    """f(n + i, k + s) multiplied out: a ``Polynomial``, or a ratio's (num, den)."""
+    if isinstance(f, FactoredRatio):
+        return tuple(shift_in_n(p, i).shift(s) for p in f.pair())
+    return shift_in_n(f, i).shift(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sides_trees, sides_trees)
+def test_the_propagated_bound_is_at_least_the_multiplied_out_difference(lhs, rhs):
+    """(l1, d, top) carried through sides bound lhs - rhs multiplied out: its
+    l1 norm, its n-degree and the l1 norm of its terms of n-degree d; and
+    ``zn_identity`` decides lhs = rhs."""
+    def sides(at):
+        return _build(lhs, at), _build(rhs, at)
+
+    lhs_bound, rhs_bound = sides(_leaves(_leaf_bound))
+    bound = _Bound(0, 0, 0) + lhs_bound - rhs_bound
+    g = Polynomial(()) + _build(lhs, _expanded) - _build(rhs, _expanded)
+    assert bound.l1 >= sum(abs(c) for r in g.coeffs for c in r)
+    assert bound.d >= max(map(len, g.coeffs), default=1) - 1
+    assert bound.top >= sum(abs(r[bound.d]) for r in g.coeffs if len(r) > bound.d)
+    assert zn_identity(sides) == (not g)
 
 
 # -- the Z[n][k] kernel: products and k-shifts on int rows ------------------
