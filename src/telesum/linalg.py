@@ -4,9 +4,8 @@ Systems come in over Z[n] (``ZnPoly`` entries).  ``nullspace`` solves one
 modulo a prime at integer points n and rebuilds its kernel in Z[n] from the
 images (Gerhard, LNCS 3218, 2004), by rational-function and rational-number
 reconstruction (von zur Gathen and Gerhard, *Modern Computer Algebra*, 5.7
-and 5.10); a prime too small to lift them hands its pivots, point count and
-degrees to the next.  It returns a basis only once A v = 0 is proved exactly
-in Z[n], as one identity in Z[n][k] that ``zn_identity`` proves.
+and 5.10); it returns a basis only once A v = 0 is proved exactly in Z[n],
+as one identity in Z[n][k] that ``zn_identity`` proves.
 ``solve_linear_system`` reads one solution of A x = b off that basis.
 """
 
@@ -52,10 +51,9 @@ def nullspace(matrix: list[list[ZnPoly]], ncols: int | None = None) -> list[list
     Full column rank at a point modulo p proves the nullspace {0}: a maximal
     minor of A is nonzero there.  Otherwise each prime in turn rebuilds the
     vectors (``_solve_at_prime``) until A v = 0 is proved (``_annihilates``).
-    A prime whose vectors do not lift hands on its shape.  They are
-    independent, and as many as the free columns at a point, whose rank
-    bounds the rank over Q(n) from below: so they span the nullspace; and
-    each is 0 at the pivots past its free column, as over Q(n).
+    They are independent, and as many as the free columns at a point, whose
+    rank bounds the rank over Q(n) from below: so they span the nullspace;
+    and each is 0 at the pivots past its free column, as over Q(n).
     """
     if ncols is None:
         if not matrix:
@@ -64,18 +62,16 @@ def nullspace(matrix: list[list[ZnPoly]], ncols: int | None = None) -> list[list
     rows = [list(row) for row in matrix]
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
-    shape = None
     for p in _PRIMES:
-        basis, shape = _solve_at_prime(rows, ncols, p, shape)
+        basis = _solve_at_prime(rows, ncols, p)
         if basis is not None:
             return basis
     raise ArithmeticError("no prime of the ladder rebuilds the nullspace")
 
 
-def _solve_at_prime(rows, ncols, p, shape=None):
-    """(basis rebuilt from points modulo p, None), or (None, shape) once a
-    rebuilt basis fails: the pivots, point count and denominator degrees of
-    vectors that do not lift, or None when A v = 0 failed or none rebuilt.
+def _solve_at_prime(rows, ncols, p):
+    """The basis rebuilt from points modulo p, or None once a rebuilt basis
+    fails: its coefficients do not lift (``_lift``) or A v = 0 does not hold.
 
     Points x = _N0, _N0 + 1, ... of the lexicographically first (rank, pivots)
     so far are kept (``_kernel_at``); any other is unlucky and dropped.  The
@@ -83,8 +79,7 @@ def _solve_at_prime(rows, ncols, p, shape=None):
     From three points on, per vector, the weighted sum of its entries is
     interpolated, and its denominator (``_fraction``) times each entry too.
     At a lucky prime, 2 * ``_degree_bound`` + 2 points rebuild every vector;
-    more points than that mean an unlucky prime.  A shape of these pivots
-    skips to its point count to rebuild each vector once, else point by point.
+    more points than that mean an unlucky prime.
     """
     inverses, width = [0], max((len(e) for row in rows for e in row), default=1)
     weights = list(itertools.accumulate([_MIX] * ncols, lambda a, b: a * b % p))
@@ -108,8 +103,7 @@ def _solve_at_prime(rows, ncols, p, shape=None):
         if len(xs) == 1:
             den, entries = ZnPoly((1,)), [ZnPoly((v,)) for v in images[0][f]]
         else:
-            den = _fraction(ZnPoly([row[f] for row in sums[1]]), moduli[-1], p,
-                            carried and carried[2][f])
+            den = _fraction(ZnPoly([row[f] for row in sums[1]]), moduli[-1], p)
             if den is None:
                 return None
             table = [[], []]
@@ -119,7 +113,6 @@ def _solve_at_prime(rows, ncols, p, shape=None):
             entries = [ZnPoly([row[i] for row in table[1]]) for i in range(len(images[0][f]))]
             if any(len(e) >= len(xs) for e in entries):
                 return None
-        dens[f] = len(den) - 1
         vec = [ZnPoly()] * ncols
         vec[free[f]] = den
         for c, e in zip(pivots, entries):
@@ -135,26 +128,25 @@ def _solve_at_prime(rows, ncols, p, shape=None):
         x += 1
         pivots, kernel = _kernel_at(rows, ncols, width, x, p)
         if len(pivots) == ncols:
-            return [], None
+            return []
         if best is None or (-len(pivots), pivots) < best:
             best, xs, images, moduli = (-len(pivots), pivots), [], [], [ZnPoly((1,))]
             free, sums = [c for c in range(ncols) if c not in pivots], [[], []]
-            cap, dens = 2 * _degree_bound(rows, ncols) + 2, [None] * len(free)
-            carried = shape if shape and shape[0] == best else None
+            cap = 2 * _degree_bound(rows, ncols) + 2
         elif (-len(pivots), pivots) > best:
             continue
         xs.append(x)
         images.append(kernel)
-        if len(xs) < carried[1] if carried else len(xs) == 2:
-            continue  # short of the carried count, or the first point tried every constant vector
+        if len(xs) == 2:  # the first point tried every constant vector
+            continue
         while 1 < len(xs) >= len(moduli):  # the weighted sums and moduli up to date
             interpolate(sums, [sum(map(operator.mul, weights, v)) % p for v in images[len(sums[0])]])
             moduli.append(ZnPoly([v % p for v in moduli[-1] * ZnPoly((-xs[len(moduli) - 1], 1))]))
-        basis, carried = [rebuild(f) for f in range(len(free))], None
+        basis = [rebuild(f) for f in range(len(free))]
         if None not in basis and False not in basis and _annihilates(rows, basis):
-            return basis, None
+            return basis
         if len(xs) > 1 and None not in basis or width == 1 or len(xs) >= cap:
-            return None, ((best, len(xs), dens) if None not in basis and False in basis else None)
+            return None
 
 
 def _degree_bound(rows, ncols) -> int:
@@ -198,15 +190,15 @@ def _kernel_at(rows, ncols, width, x, p):
     return tuple(pivots), kernel
 
 
-def _fraction(g, modulus, p, degree=None):
-    """The den of lead 1 with g * den mod p and modulus = num of low degree: a
-    cofactor of the remainder sequence of modulus and g, of the given degree
-    or else after the largest drop in degree; None unless that drop is 2 or
-    more, so that a point more than num and den need confirms them.  The
-    cofactor is built from the quotients only once the remainders choose it."""
+def _fraction(g, modulus, p):
+    """The den of lead 1 with g * den mod p and modulus = num of low degree: the
+    cofactor after the largest drop in degree of the remainder sequence of
+    modulus and g; None unless it is 2 or more, so that a point more than num
+    and den need confirms them.  The cofactor is built from the quotients only
+    once the remainders have chosen it."""
     r0, r1, quotients, drop, steps = modulus, g, [], 1, None if g else 0
-    while r1 and (len(r0) - 1 > drop if degree is None else len(modulus) - len(r0) < degree):
-        if degree is None and len(r0) - len(r1) > drop:  # r1's cofactor: deg modulus - deg r0
+    while r1 and len(r0) - 1 > drop:  # no drop is above len(r0) - 1
+        if len(r0) - len(r1) > drop:  # r1's cofactor: deg modulus - deg r0
             steps, drop = len(quotients), len(r0) - len(r1)
         rem, inv, d = list(r0), pow(r1[-1], -1, p), len(r1) - 1
         quot = [0] * (len(r0) - d)
@@ -216,8 +208,6 @@ def _fraction(g, modulus, p, degree=None):
                 rem[j] -= q * v
         r0, r1 = r1, ZnPoly([v % p for v in rem[:d]])
         quotients.append(quot)
-    if degree is not None:
-        steps = len(quotients) if len(modulus) - len(r0) == degree else None
     if steps is None:
         return None
     t0, t1 = ZnPoly(), ZnPoly((1,))

@@ -214,9 +214,9 @@ def _primes_used(monkeypatch) -> list:
     used = []
     real = linalg._solve_at_prime
 
-    def spy(rows, ncols, p, shape=None):
+    def spy(rows, ncols, p):
         used.append(p)
-        return real(rows, ncols, p, shape)
+        return real(rows, ncols, p)
 
     monkeypatch.setattr(linalg, "_solve_at_prime", spy)
     return used
@@ -373,32 +373,6 @@ def test_coefficients_past_31_bits_climb_to_the_next_prime(monkeypatch):
     assert used == list(linalg._PRIMES[:2]) * 2
 
 
-def test_the_next_prime_rebuilds_each_vector_once_at_the_carried_point_count(monkeypatch):
-    # as above, the first prime's vectors do not lift; the second reuses their
-    # pivots, point count and denominator degrees
-    a, b, c, d = 2**33 + 1, 2**34 + 7, 3**21, 5**15
-    matrix = [[n_poly(b, a), n_poly(d, c)]]
-    points, fractions = {p: 0 for p in linalg._PRIMES}, {p: 0 for p in linalg._PRIMES}
-    real_kernel, real_fraction = linalg._kernel_at, linalg._fraction
-
-    def kernel_spy(rows, ncols, width, x, p):
-        points[p] += 1
-        return real_kernel(rows, ncols, width, x, p)
-
-    def fraction_spy(g, modulus, p, degree=None):
-        fractions[p] += 1
-        return real_fraction(g, modulus, p, degree)
-
-    monkeypatch.setattr(linalg, "_kernel_at", kernel_spy)
-    monkeypatch.setattr(linalg, "_fraction", fraction_spy)
-    basis = nullspace(_zn_rows(matrix))
-    first, second = linalg._PRIMES[:2]
-    assert fractions[second] <= len(basis) and fractions[first] > fractions[second]
-    assert points[second] == points[first] > 1 and not any(points[p] for p in linalg._PRIMES[2:])
-    assert basis == [[ZnPoly((-d, -c)), ZnPoly((b, a))]]
-    assert _qn_nullspace(matrix) == rref_nullspace(matrix, 2)
-
-
 @pytest.mark.parametrize("t", [0, 1, 8, 60, 61, 127, 200])
 def test_the_proof_is_not_fooled_by_a_root_at_a_power_of_two(t):
     # A v = n - 2^t, zero at n = 2^t only
@@ -410,7 +384,7 @@ def test_the_proof_is_not_fooled_by_a_root_at_a_power_of_two(t):
 def test_a_prime_that_rebuilds_nothing_is_left_after_its_point_bound(monkeypatch):
     # with no denominator ever rebuilt, each prime stops after 2 * 1 + 2
     # points (entries of degree <= 1), and the ladder ends in an error
-    monkeypatch.setattr(linalg, "_fraction", lambda g, modulus, p, degree=None: None)
+    monkeypatch.setattr(linalg, "_fraction", lambda g, modulus, p: None)
     seen = []
     real = linalg._kernel_at
 
