@@ -38,6 +38,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 from .hyperterm import (
@@ -55,6 +56,8 @@ from .polynomials import (
     Polynomial,
     RationalFunction,
     ZnPoly,
+    _rows_mul,
+    _rows_shift,
     _zn_primitive_part,
     coprime_base,
     integer_roots,
@@ -182,13 +185,18 @@ def parameterized_gosper(
         return d, None
     nx = 0 if d is None else d + 1
     la, lb, lc = nf.a.lc(), nf.b.lc(), nf.c.lc()
-    za, B = (nf.a * (nf.zn * lb * lc)).coeffs, (nf.b.shift(-1) * (nf.zd * la * lc)).coeffs
-    cols = [nf.c * p * -(nf.zd * la * lb) for p in rhs]
-    for i in range(nx):  # column i is za*(k+1)^i - B*k^i, each power by a shift and an add
-        cols[i:i] = [Polynomial(za) - Polynomial(B)]
-        za, B = [u + v for u, v in zip([*za, ZN_ZERO], [ZN_ZERO, *za])], [ZN_ZERO, *B]
-    height = max(int(col.degree) for col in cols if col) + 1
-    matrix = [[col.coeff(r) for col in cols] for r in range(height)]
+    za = _rows_mul(nf.a.coeffs, [nf.zn * lb * lc])
+    B = _rows_mul(_rows_shift(nf.b.coeffs, -1), [nf.zd * la * lc])
+    cz = _rows_mul(nf.c.coeffs, [-(nf.zd * la * lb)])
+    cols = [_rows_mul(cz, p.coeffs) if p else [] for p in rhs]
+    for i in range(nx):  # column i is za*(k+1)^i - B*k^i on int rows: za by a shift and an add
+        cols[i:i] = [[[u - v for u, v in zip_longest(a, b, fillvalue=0)]
+                      for a, b in zip_longest(za, [()] * i + B, fillvalue=())]]
+        za = [za[0], *([u + v for u, v in zip(*pair)] for pair in zip(za, za[1:])), za[-1]]
+    matrix = [[ZnPoly(col[r]) if r < len(col) else ZN_ZERO for col in cols]
+              for r in range(max(map(len, cols)))]
+    while not any(matrix[-1]):  # the tops of za and B cancel
+        matrix.pop()
     for vec in nullspace(matrix, ncols=len(cols)):
         if any(vec[nx:]):
             return d, _normalize_solution(vec[:nx], vec[nx:])

@@ -1,11 +1,13 @@
 """Exact linear algebra for the telescoping solvers.
 
 Systems come in over Z[n] (``ZnPoly`` entries).  ``nullspace`` solves one
-modulo a prime at integer points n and rebuilds its kernel in Z[n] from the
-images (Gerhard, LNCS 3218, 2004), by rational-function and rational-number
-reconstruction (von zur Gathen and Gerhard, *Modern Computer Algebra*, 5.7
-and 5.10); it returns a basis only once A v = 0 is proved exactly in Z[n],
-as one identity in Z[n][k] that ``zn_identity`` proves.
+modulo a prime from one elimination at a point n = x0, lifting the kernel
+as a power series in n - x0, one matrix-vector step per order (Dixon,
+Numer. Math. 40, 1982, with n - x0 for p), rebuilt in Z[n] by Pade and
+rational-number reconstruction (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, 5.9 and 5.10).  It returns a basis only once A v = 0 is
+proved exactly, as one identity in Z[n][k] that ``zn_identity`` proves: a
+point of the wrong rank or pivots never shapes one.
 ``solve_linear_system`` reads one solution of A x = b off that basis.
 """
 
@@ -17,7 +19,7 @@ import operator
 
 from .polynomials import Polynomial, RationalFunction, ZnPoly, zn_identity
 
-# The first point n; the primes, climbed while the images modulo one rebuild
+# The second point n; the primes, climbed while the images modulo one rebuild
 # no proved basis; the base of the weights that sum a kernel vector's entries.
 _N0, _MIX = 12345, 0x9E3779B97F4A7C15
 _PRIMES = tuple((1 << e) - 1 for e in (61, 127, 521, 1279, 3217, 9689, 21701, 44497, 86243))
@@ -49,11 +51,13 @@ def nullspace(matrix: list[list[ZnPoly]], ncols: int | None = None) -> list[list
     positive leading coefficient at f.
 
     Full column rank at a point modulo p proves the nullspace {0}: a maximal
-    minor of A is nonzero there.  Otherwise each prime in turn rebuilds the
-    vectors (``_solve_at_prime``) until A v = 0 is proved (``_annihilates``).
-    They are independent, and as many as the free columns at a point, whose
-    rank bounds the rank over Q(n) from below: so they span the nullspace;
-    and each is 0 at the pivots past its free column, as over Q(n).
+    minor of A is nonzero there.  Otherwise each prime in turn expands the
+    kernel at a point (``_solve_at_prime``).  A basis is sound by its proof
+    alone: its coefficients lift (``_lift``) and A v = 0 holds exactly
+    (``_annihilates``).  Its vectors are independent, one per free column at
+    the expansion point, of which there are at least as many as over Q(n):
+    so they span the nullspace.  Each is 0 past its own free column, which
+    is therefore free over Q(n) too, so the basis is the echelon form's.
     """
     if ncols is None:
         if not matrix:
@@ -70,83 +74,33 @@ def nullspace(matrix: list[list[ZnPoly]], ncols: int | None = None) -> list[list
 
 
 def _solve_at_prime(rows, ncols, p):
-    """The basis rebuilt from points modulo p, or None once a rebuilt basis
-    fails: its coefficients do not lift (``_lift``) or A v = 0 does not hold.
+    """The basis rebuilt modulo p; [] at full column rank at a point; None if
+    nothing is rebuilt within 2 * ``_degree_bound`` + 2 orders, or fails to lift.
 
-    Points x = _N0, _N0 + 1, ... of the lexicographically first (rank, pivots)
-    so far are kept (``_kernel_at``); any other is unlucky and dropped.  The
-    first point's images are tried as constants, all of an n-free system.
-    From three points on, per vector, the weighted sum of its entries is
-    interpolated, and its denominator (``_fraction``) times each entry too.
-    At a lucky prime, 2 * ``_degree_bound`` + 2 points rebuild every vector;
-    more points than that mean an unlucky prime.
+    The points x = 0, _N0, _N0 + 1, ... are reduced (``_echelon``), and from
+    the second on, the kernel is expanded (``_series_kernel``) at each point
+    of the lexicographically first (rank, pivots) so far in turn, until a
+    basis passes the proof.  A point of lower rank or later pivots than over
+    Q(n) is a root of a minor of degree at most ``_degree_bound``: at a lucky
+    prime one of the first bound + 1 points is lucky; p is left after them.
     """
-    inverses, width = [0], max((len(e) for row in rows for e in row), default=1)
-    weights = list(itertools.accumulate([_MIX] * ncols, lambda a, b: a * b % p))
-
-    def interpolate(table, ys):
-        """Extend table = [last Newton diagonal, interpolant] of vectors at the
-        first m of xs by the vector ys at xs[m]; the interpolant is a list of
-        coefficient vectors, and moduli[m] = prod_{j<m} (n - xs[j])."""
-        m, diagonal = len(table[0]), [ys]
-        for k, d in enumerate(table[0], 1):
-            step = xs[m] - xs[m - k]
-            while len(inverses) <= step:
-                inverses.append(pow(len(inverses), -1, p))
-            diagonal.append([(a - b) * inverses[step] % p for a, b in zip(diagonal[-1], d)])
-        table[:] = diagonal, [[(a + w * b) % p for a, b in zip(row, diagonal[-1])]
-                              for row, w in zip(table[1] + [[0] * len(ys)], moduli[m])]
-
-    def rebuild(f):
-        """The f-th vector, primitive in Z[n]; None while its denominator or an
-        entry needs every point, False when its coefficients do not lift."""
-        if len(xs) == 1:
-            den, entries = ZnPoly((1,)), [ZnPoly((v,)) for v in images[0][f]]
-        else:
-            den = _fraction(ZnPoly([row[f] for row in sums[1]]), moduli[-1], p)
-            if den is None:
-                return None
-            table = [[], []]
-            for x, image in zip(xs, images):
-                scale = den(x) % p
-                interpolate(table, [v * scale % p for v in image[f]])
-            entries = [ZnPoly([row[i] for row in table[1]]) for i in range(len(images[0][f]))]
-            if any(len(e) >= len(xs) for e in entries):
-                return None
-        vec = [ZnPoly()] * ncols
-        vec[free[f]] = den
-        for c, e in zip(pivots, entries):
-            vec[c] = e
-        ints = _lift([v for e in vec for v in e], p)
-        if ints is None:
-            return False
-        g, ints = math.gcd(*ints), iter(ints)
-        return [ZnPoly([next(ints) // g for _ in e]) for e in vec]
-
-    best, x = None, _N0 - 1
-    while True:
-        x += 1
-        pivots, kernel = _kernel_at(rows, ncols, width, x, p)
+    bound, best, queue = _degree_bound(rows, ncols), None, []
+    width = max((len(e) for row in rows for e in row), default=0) or 1
+    for i, x in enumerate(itertools.islice(itertools.chain((0,), itertools.count(_N0)), bound + 1)):
+        powers = list(itertools.accumulate([x] * (width - 1), operator.mul, initial=1))
+        image = [[sum(map(operator.mul, e, powers)) for e in row] for row in rows]
+        pivots, tops = _echelon(image, ncols, p)
         if len(pivots) == ncols:
             return []
         if best is None or (-len(pivots), pivots) < best:
-            best, xs, images, moduli = (-len(pivots), pivots), [], [], [ZnPoly((1,))]
-            free, sums = [c for c in range(ncols) if c not in pivots], [[], []]
-            cap = 2 * _degree_bound(rows, ncols) + 2
-        elif (-len(pivots), pivots) > best:
-            continue
-        xs.append(x)
-        images.append(kernel)
-        if len(xs) == 2:  # the first point tried every constant vector
-            continue
-        while 1 < len(xs) >= len(moduli):  # the weighted sums and moduli up to date
-            interpolate(sums, [sum(map(operator.mul, weights, v)) % p for v in images[len(sums[0])]])
-            moduli.append(ZnPoly([v % p for v in moduli[-1] * ZnPoly((-xs[len(moduli) - 1], 1))]))
-        basis = [rebuild(f) for f in range(len(free))]
-        if None not in basis and False not in basis and _annihilates(rows, basis):
-            return basis
-        if len(xs) > 1 and None not in basis or width == 1 or len(xs) >= cap:
-            return None
+            best, queue = (-len(pivots), pivots), []
+        if (-len(pivots), pivots) == best:
+            queue.append((x, tops, [[v % p for v in image[s]] for s in tops]))
+        while queue and not i == 0 < bound:  # the first point waits for the second
+            basis = _series_kernel(rows, ncols, width, *queue.pop(0), best[1], p, 2 * bound + 2)
+            if basis is None or _annihilates(rows, basis):
+                return basis
+    return None
 
 
 def _degree_bound(rows, ncols) -> int:
@@ -157,44 +111,102 @@ def _degree_bound(rows, ncols) -> int:
     return sum(degrees[:ncols])
 
 
-def _kernel_at(rows, ncols, width, x, p):
-    """The pivot columns of A at n = x modulo p, and for each free column f
-    the entries, at the pivots left of f, of the kernel vector that is 1 at f
-    and 0 at the other free columns; by elimination and back-substitution.
-    The entries of A have at most ``width`` coefficients; column c is reduced
-    modulo p only where its pivot is sought and used."""
-    powers = list(itertools.accumulate([x] * (width - 1), operator.mul, initial=1))
-    image = [[sum(map(operator.mul, e, powers)) for e in row] for row in rows]
-    pivots, echelon = [], []
+def _echelon(image, ncols, p):
+    """The pivot columns of the int rows image modulo p, among its first
+    ncols, and the index of each one's row, by elimination in place.  It
+    leaves A = L U at the pivot rows: each keeps its multiplier at the pivots
+    before its own and its entry at its own, past which it is divided by it.
+    A column is reduced only where its pivot is sought."""
+    pivots, tops, rest = [], [], list(range(len(image)))
     for c in range(ncols):
-        top = next((row for row in image if row[c] % p), None)
-        if top is None:
+        i = next((i for i in rest if image[i][c] % p), None)
+        if i is None:
             continue
-        image.remove(top)
-        inv = pow(top[c], -1, p)
+        rest.remove(i)
+        top, inv = image[i], pow(image[i][c], -1, p)
         tail = top[c + 1:] = [v * inv % p for v in top[c + 1:]]
-        for row in image:
+        for row in map(image.__getitem__, rest):
             h = row[c] % p
             if h:
                 row[c + 1:] = [v - h * t for v, t in zip(row[c + 1:], tail)]
         pivots.append(c)
-        echelon.append(top)
-    kernel = []
-    for f in range(ncols):
-        if f not in pivots:
-            vec = [0] * f + [1]
-            for c, row in zip(reversed(pivots), reversed(echelon)):
-                if c < f:
-                    vec[c] = -sum(map(operator.mul, row[c + 1:f + 1], vec[c + 1:])) % p
-            kernel.append([vec[c] for c in pivots if c < f])
-    return tuple(pivots), kernel
+        tops.append(i)
+    return tuple(pivots), tops
+
+
+def _series_kernel(rows, ncols, width, x0, tops, echelon, pivots, p, cap):
+    """For each free column f at n = x0, given A's pivot rows there modulo p
+    and their echelon rows (``_echelon``), the kernel vector v rebuilt in
+    Z[n] and primitive; None once one is not rebuilt within cap orders or
+    does not lift.
+
+    With A(x0 + t) = sum_i A_i t^i, pivot rows S and columns P, and v 1 at f
+    and 0 at the other free columns, order m of A v = 0 at S is
+    A_0[S, P] v_m[P] = -(A_m[S, f] + sum_{i>=1} A_i[S, P] v_{m-i}[P]): one
+    dot product of the last orders with the A_i[S, P] packed as ints, one
+    slot per row, solved through the L U that ``_echelon`` left.  From order
+    3 on, the weighted sum of the entries at the pivots left of f gives den
+    (``_fraction`` against t^m), and den v mod t^m those entries, once a
+    spare order confirms them; of an n-free A, v is v_0.  The later pivots,
+    0 over Q(n) at a lucky x0, are left 0.
+    """
+    terms, size = [[e.shift(x0) for e in rows[s]] if x0 else rows[s] for s in tops], len(pivots)
+    slot = 2 * p.bit_length() + (size * width).bit_length()  # a sum of size * width products
+    mask, shifts = (1 << slot) - 1, [slot * k for k in range(size)]
+    layers = [[sum(map(operator.lshift, map(operator.mod, layer, itertools.repeat(p)), shifts))
+               for layer in itertools.zip_longest(*(row[c][1:] for row in terms), fillvalue=0)]
+              for c in range(ncols)]  # layers[c][i - 1]: column c of A_i[S, :], packed
+    steps = [layers[c][i] if i < len(layers[c]) else 0 for i in range(width - 1) for c in pivots]
+    lower = [[row[c] for row in echelon[k + 1:]] for k, c in enumerate(pivots)]  # A_0[S, P] = L U
+    upper = [[row[c] for c in pivots[k + 1:]] for k, row in enumerate(echelon)]
+    inverses = [pow(row[c], -1, p) for row, c in zip(echelon, pivots)]
+    weights = list(itertools.accumulate([_MIX] * ncols, lambda a, b: a * b % p))
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        own, left = layers[f] + [0] * cap, sum(c < f for c in pivots)
+        b = [row[f] for row in echelon]  # order 0, through L by ``_echelon``
+        history, series, sums = [0] * len(steps), [], []
+        for m in range(cap):  # v_m, the orders before it in history, latest first
+            vm = [0] * size
+            for k in range(size - 1, -1, -1):  # through U
+                vm[k] = -(b[k] + sum(map(operator.mul, upper[k], vm[k + 1:]))) % p
+            history = (vm + history)[:len(history)]
+            series.append(vm[:left])
+            sums.append(sum(map(operator.mul, weights, vm[:left])) % p)
+            if width == 1:  # an n-free A: v is v_0
+                den, entries = ZnPoly((1,)), [ZnPoly(col) for col in zip(*series)]
+                break
+            den = m > 1 and _fraction(ZnPoly(sums), ZnPoly((0,) * (m + 1) + (1,)), p)
+            if den:
+                entries = [ZnPoly([v % p for v in (den * ZnPoly(col))[:m + 1]])
+                           for col in zip(*series)]
+                if all(len(e) <= m for e in entries):
+                    break
+            b = sum(map(operator.mul, steps, history), own[m])  # order m + 1, through L
+            b = [b >> s & mask for s in shifts]
+            for k, (row, inv) in enumerate(zip(lower, inverses)):
+                z = b[k] = b[k] * inv % p
+                b[k + 1:] = [u - v * z for u, v in zip(b[k + 1:], row)]
+        else:
+            return None
+        vec = [ZnPoly()] * ncols
+        for c, e in [*zip(pivots, entries), (f, den)]:
+            vec[c] = e
+        if x0:
+            vec = [ZnPoly([v % p for v in e.shift(-x0)]) for e in vec]
+        ints = _lift([v for e in vec for v in e], p)
+        if ints is None:
+            return None
+        g, ints = math.gcd(*ints), iter(ints)
+        basis.append([ZnPoly([next(ints) // g for _ in e]) for e in vec])
+    return basis
 
 
 def _fraction(g, modulus, p):
     """The den of lead 1 with g * den mod p and modulus = num of low degree: the
     cofactor after the largest drop in degree of the remainder sequence of
-    modulus and g; None unless it is 2 or more, so that a point more than num
-    and den need confirms them.  The cofactor is built from the quotients only
+    modulus and g; None unless it is 2 or more, so that a spare order
+    confirms num and den.  The cofactor is built from the quotients only
     once the remainders have chosen it."""
     r0, r1, quotients, drop, steps = modulus, g, [], 1, None if g else 0
     while r1 and len(r0) - 1 > drop:  # no drop is above len(r0) - 1

@@ -222,22 +222,22 @@ def _primes_used(monkeypatch) -> list:
     return used
 
 
-def _points_seen(monkeypatch) -> dict:
-    """Point -> (pivots, kernel images) of every point reduced from now on."""
-    seen = {}
-    real = linalg._kernel_at
+def _expansions(monkeypatch) -> list:
+    """(point, pivots) of every kernel expansion from now on."""
+    seen = []
+    real = linalg._series_kernel
 
-    def spy(rows, ncols, width, x, p):
-        out = seen[x] = real(rows, ncols, width, x, p)
-        return out
+    def spy(rows, ncols, width, x0, *rest):
+        seen.append((x0, rest[-3]))  # rest ends with the pivots, p and the order bound
+        return real(rows, ncols, width, x0, *rest)
 
-    monkeypatch.setattr(linalg, "_kernel_at", spy)
+    monkeypatch.setattr(linalg, "_series_kernel", spy)
     return seen
 
 
 def _full_rank_at_first_point(rows: list[list[ZnPoly]], ncols: int) -> bool:
-    width = max((len(e) for row in rows for e in row), default=1)
-    return len(linalg._kernel_at(rows, ncols, width, linalg._N0, linalg._PRIMES[0])[0]) == ncols
+    image = [[e[0] if e else 0 for e in row] for row in rows]  # A at n = 0
+    return len(linalg._echelon(image, ncols, linalg._PRIMES[0])[0]) == ncols
 
 
 tall_zn_matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -322,9 +322,38 @@ def test_a_planted_nullspace_is_rebuilt_vector_by_vector(data):
 _N0 = n_poly(linalg._N0)
 
 
-@pytest.mark.parametrize("corner", [_N - _N0 + 1, n_poly(linalg._PRIMES[0] + 1)])
+_UNLUCKY = [_N, _N - _N0, _N * (_N - _N0)]  # 0 at the point 0, at n0, or at both
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_unlucky_expansion_points_never_shape_the_basis(data):
+    # a planted nullspace (as above) with some rows and columns times n,
+    # n - n0 or n (n - n0): at 0, at n0 or at both the rank drops or the
+    # pivots move, and the kernel's entries gain those factors
+    dim = data.draw(st.integers(min_value=1, max_value=2), label="dim")
+    rank = data.draw(st.integers(min_value=1, max_value=3), label="rank")
+    nrows = data.draw(st.integers(min_value=rank, max_value=rank + 1), label="rows")
+    base = [[data.draw(zn_entries) for _ in range(rank)] for _ in range(nrows)]
+    coeffs = [[data.draw(zn_entries) for _ in range(dim)] for _ in range(rank)]
+    order = data.draw(st.permutations(range(rank + dim)), label="order")
+    factor = data.draw(st.sampled_from(_UNLUCKY), label="factor")
+    scaled_rows = data.draw(st.sets(st.integers(0, nrows - 1)), label="scaled rows")
+    scaled_cols = data.draw(st.sets(st.integers(0, rank + dim - 1)), label="scaled columns")
+    matrix = []
+    for r, row in enumerate(base):
+        planted = [sum((e * c[j] for e, c in zip(row, coeffs)), n_poly()) for j in range(dim)]
+        matrix.append([(row + planted)[c] * (factor if c in scaled_cols else n_poly(1))
+                       * (factor if r in scaled_rows else n_poly(1)) for c in order])
+    reference = rref_nullspace(matrix, rank + dim)
+    assert _qn_nullspace(matrix, ncols=rank + dim) == reference
+    _assert_primitive(nullspace(_zn_rows(matrix), ncols=rank + dim))
+
+
+@pytest.mark.parametrize("corner", [_N + 1, n_poly(linalg._PRIMES[0] + 1), _N * (_N - _N0) + 1])
 def test_an_unlucky_point_or_prime_runs_no_exact_elimination(corner, monkeypatch):
-    # det [[1, 1], [1, corner]] is n - n0 or p: nonzero, but 0 at (n0, p)
+    # det [[1, 1], [1, corner]] is n, p or n (n - n0): nonzero, but 0 at
+    # the first point 0, modulo p, or at both 0 and n0
     matrix = [[n_poly(1), n_poly(1)], [n_poly(1), corner]]
     assert not _full_rank_at_first_point(_zn_rows(matrix), 2)
     calls = _count_bareiss(monkeypatch)
@@ -335,19 +364,24 @@ def test_an_unlucky_point_or_prime_runs_no_exact_elimination(corner, monkeypatch
 @pytest.mark.parametrize("j", range(3))
 @pytest.mark.parametrize("drop", ["rank", "pivots"])
 def test_a_point_of_lower_rank_or_later_pivots_is_dropped(drop, j, monkeypatch):
-    zero = _N - _N0 - j  # 0 at the point n0 + j only
+    # zero is 0 at the point 0, at n0, or at both
+    zero = [_N, _N - _N0, _N * (_N - _N0)][j]
     if drop == "rank":
-        # the second row vanishes there: rank 1 at n0 + j, 2 elsewhere
+        # the second row vanishes there: rank 1 at those points, 2 elsewhere
         matrix = [[n_poly(1), n_poly(1), _N], [zero, zero * 2, zero * 3]]
     else:
-        # the first column vanishes there: pivots (1, 2) at n0 + j, (0, 1) elsewhere
+        # the first column vanishes there: pivots (1, 2) at those points, (0, 1) elsewhere
         matrix = [[zero, n_poly(1), n_poly(1)], [zero * _N, n_poly(2), _N]]
-    seen = _points_seen(monkeypatch)
+    expanded = _expansions(monkeypatch)
     calls = _count_bareiss(monkeypatch)
     basis = _qn_nullspace(matrix)
     assert basis == rref_nullspace(matrix, 3) and len(basis) == 1
-    assert seen[linalg._N0 + j][0] == ((0,) if drop == "rank" else (1, 2))
-    assert all(out[0] == (0, 1) for x, out in seen.items() if x != linalg._N0 + j)
+    unlucky = (0,) if drop == "rank" else (1, 2)
+    n0 = linalg._N0
+    # a lucky first or second point is the only one expanded; when both are
+    # unlucky, their bases fail the proof and the next point gives the basis
+    assert expanded == [[(n0, (0, 1))], [(0, (0, 1))],
+                        [(0, unlucky), (n0, unlucky), (n0 + 1, (0, 1))]][j]
     assert calls == []
 
 
@@ -383,16 +417,20 @@ def test_the_proof_is_not_fooled_by_a_root_at_a_power_of_two(t):
 
 def test_a_prime_that_rebuilds_nothing_is_left_after_its_point_bound(monkeypatch):
     # with no denominator ever rebuilt, each prime stops after 2 * 1 + 2
-    # points (entries of degree <= 1), and the ladder ends in an error
-    monkeypatch.setattr(linalg, "_fraction", lambda g, modulus, p: None)
-    seen = []
-    real = linalg._kernel_at
+    # orders (entries of degree <= 1), rebuilding from order 3 on, and the
+    # ladder ends in an error
+    orders = []
 
-    def spy(rows, ncols, width, x, p):
-        seen.append(p)
-        return real(rows, ncols, width, x, p)
+    def nothing(g, modulus, p):
+        orders.append((p, len(modulus) - 1))
 
-    monkeypatch.setattr(linalg, "_kernel_at", spy)
+    monkeypatch.setattr(linalg, "_fraction", nothing)
     with pytest.raises(ArithmeticError, match="no prime of the ladder"):
         nullspace([[ZnPoly((1, 1)), ZnPoly((-1,))]])
-    assert seen == [p for p in linalg._PRIMES for _ in range(4)]
+    assert orders == [(p, m) for p in linalg._PRIMES for m in (3, 4)]
+
+
+def test_empty_shapes():
+    one = ZnPoly((1,))
+    assert nullspace([], ncols=2) == [[one, ZnPoly()], [ZnPoly(), one]]
+    assert nullspace([[]], ncols=0) == [] == nullspace([], ncols=0)
